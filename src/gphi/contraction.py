@@ -25,6 +25,7 @@ from __future__ import annotations
 import warnings
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import combinations
 
 from .errors import (
     DomainRestricted,
@@ -176,23 +177,20 @@ class ContractionCertificate:
         }
 
 
-def _check_pair(space, T, G, phi, x, y) -> ViolationWitness | None:
-    """Check condition (G) on one pair; None means satisfied or vacuous."""
-    d = space.distance(x, y)
-    if space.is_zero(d):
-        # identified points carry no information (and Tx = Ty follows)
-        return None
-    tx, ty = apply(T, space, x), apply(T, space, y)
-    dt = space.distance(tx, ty)
-    if space.is_zero(dt):
-        return None
-    g_of_d = gauge_eval(G, d)
-    g_of_dt = gauge_eval(G, dt)
-    bound = phi_eval(phi, g_of_d)
-    if g_of_dt <= bound:
-        return None
-    return ViolationWitness(x=x, y=y, d_xy=d, d_txty=dt,
-                            g_of_d=g_of_d, g_of_dt=g_of_dt, phi_bound=bound)
+def _informative_pairs(space, T, pairs):
+    """The pairs (x, y, d(x, y), d(Tx, Ty)) that condition (G) constrains.
+
+    Pairs with a zero distance or a zero image distance satisfy the
+    condition vacuously and are skipped.
+    """
+    for x, y in pairs:
+        d = space.distance(x, y)
+        if space.is_zero(d):
+            # identified points carry no information (and Tx = Ty follows)
+            continue
+        dt = space.distance(apply(T, space, x), apply(T, space, y))
+        if not space.is_zero(dt):
+            yield x, y, d, dt
 
 
 def _sample_pairs(space: AnalyticSpace, seed: int, count: int):
@@ -226,35 +224,32 @@ def certify_condition_G(space: Space, T: OperatorSpec, G, phi,
                 "random sampling requested on a finite space where the "
                 "exhaustive scan is feasible; running exhaustively",
                 ModeUnsupportedWarning)
-        n = space.n
-        checked = 0
-        for i in range(n):
-            for j in range(i + 1, n):
-                checked += 1
-                w = _check_pair(space, T, G, phi, i, j)
-                if w is not None:
-                    return ContractionCertificate(
-                        "violated", checked_pairs=n * (n - 1) // 2,
-                        violation_witness=w,
-                        sampling_mode={"kind": "exhaustive"},
-                        provenance=provenance)
-        return ContractionCertificate(
-            "certified", checked_pairs=checked, violation_witness=None,
-            sampling_mode={"kind": "exhaustive"}, provenance=provenance)
+        pairs = combinations(space.points, 2)
+        checked = space.n * (space.n - 1) // 2
+        sampling = {"kind": "exhaustive"}
+        verdict, note = "certified", None
+    else:
+        if mode == "exhaustive":
+            raise ValueError(
+                "exhaustive certification is not available on interval spaces")
+        pairs = _sample_pairs(space, seed, samples)
+        checked = samples
+        sampling = {"kind": "random", "seed": seed, "count": samples}
+        verdict, note = "inconclusive", "certified-on-sample"
 
-    if mode == "exhaustive":
-        raise ValueError("exhaustive certification is not available on interval spaces")
-    sampling = {"kind": "random", "seed": seed, "count": samples}
-    for x, y in _sample_pairs(space, seed, samples):
-        w = _check_pair(space, T, G, phi, x, y)
-        if w is not None:
+    for x, y, d, dt in _informative_pairs(space, T, pairs):
+        g_of_d = gauge_eval(G, d)
+        g_of_dt = gauge_eval(G, dt)
+        bound = phi_eval(phi, g_of_d)
+        if not g_of_dt <= bound:
+            w = ViolationWitness(x=x, y=y, d_xy=d, d_txty=dt,
+                                 g_of_d=g_of_d, g_of_dt=g_of_dt, phi_bound=bound)
             return ContractionCertificate(
-                "violated", checked_pairs=samples, violation_witness=w,
+                "violated", checked_pairs=checked, violation_witness=w,
                 sampling_mode=sampling, provenance=provenance)
     return ContractionCertificate(
-        "inconclusive", checked_pairs=samples, violation_witness=None,
-        sampling_mode=sampling, note="certified-on-sample",
-        provenance=provenance)
+        verdict, checked_pairs=checked, violation_witness=None,
+        sampling_mode=sampling, note=note, provenance=provenance)
 
 
 def check_F_inequality(space: Space, T: OperatorSpec, F: RealForm,
@@ -267,21 +262,13 @@ def check_F_inequality(space: Space, T: OperatorSpec, F: RealForm,
     if not isinstance(space, FiniteSpace):
         raise ValueError("direct F-inequality scan is exhaustive, finite spaces only")
     validate_operator(space, T)
-    for i in range(space.n):
-        for j in range(i + 1, space.n):
-            d = space.distance(i, j)
-            if space.is_zero(d):
-                continue
-            tx, ty = apply(T, space, i), apply(T, space, j)
-            dt = space.distance(tx, ty)
-            if space.is_zero(dt):
-                continue
-            lhs = F.fn(dt)
-            bound = psi.fn(F.fn(d))
-            if lhs > bound:
-                return ViolationWitness(
-                    x=i, y=j, d_xy=d, d_txty=dt,
-                    g_of_d=F.fn(d), g_of_dt=lhs, phi_bound=bound)
+    for x, y, d, dt in _informative_pairs(space, T, combinations(space.points, 2)):
+        lhs = F.fn(dt)
+        bound = psi.fn(F.fn(d))
+        if lhs > bound:
+            return ViolationWitness(
+                x=x, y=y, d_xy=d, d_txty=dt,
+                g_of_d=F.fn(d), g_of_dt=lhs, phi_bound=bound)
     return None
 
 
@@ -366,7 +353,3 @@ def operator_from_json(obj: dict) -> OperatorSpec:
     if "tabulated" in obj:
         return TabulatedMap(tuple((t, v) for t, v in obj["tabulated"]))
     raise ValueError("operator document must contain 'map', 'affine' or 'tabulated'")
-
-
-def operator_to_json(T: OperatorSpec) -> dict:
-    return T.describe()

@@ -145,8 +145,19 @@ def _step_eval(points, t: float) -> float:
 
 # --- comparison function families -------------------------------------------
 
+class _ClosedFormPhi:
+    """A family whose membership facts are proved once for all parameters:
+    it is non-decreasing and its iterates tend to 0 at every point."""
+
+    def known_decay(self):
+        return True
+
+    def known_monotone(self):
+        return True
+
+
 @dataclass(frozen=True)
-class LinearPhi:
+class LinearPhi(_ClosedFormPhi):
     """phi(t) = c * t with 0 < c < 1."""
 
     c: float
@@ -158,18 +169,12 @@ class LinearPhi:
     def eval(self, t: float) -> float:
         return self.c * t
 
-    def known_decay(self):
-        return True
-
-    def known_monotone(self):
-        return True
-
     def describe(self) -> dict:
         return {"family": "linear", "c": self.c}
 
 
 @dataclass(frozen=True)
-class HyperbolicPhi:
+class HyperbolicPhi(_ClosedFormPhi):
     """phi(t) = t / (1 + a*t) with a > 0; iterates decay like t/(1 + n*a*t)."""
 
     a: float
@@ -181,18 +186,12 @@ class HyperbolicPhi:
     def eval(self, t: float) -> float:
         return t / (1.0 + self.a * t)
 
-    def known_decay(self):
-        return True
-
-    def known_monotone(self):
-        return True
-
     def describe(self) -> dict:
         return {"family": "hyperbolic", "a": self.a}
 
 
 @dataclass(frozen=True)
-class ShiftedPhi:
+class ShiftedPhi(_ClosedFormPhi):
     """phi(t) = exp(-tau) * t: a constant shift transported through exp/ln.
 
     ``base`` is optional provenance metadata naming the gauge the shift was
@@ -208,12 +207,6 @@ class ShiftedPhi:
 
     def eval(self, t: float) -> float:
         return math.exp(-self.tau) * t
-
-    def known_decay(self):
-        return True
-
-    def known_monotone(self):
-        return True
 
     def describe(self) -> dict:
         out = {"family": "shifted", "tau": self.tau}
@@ -417,8 +410,29 @@ def check_phi_strict_decrease(phi, grid) -> tuple[bool, list[dict]]:
 
 # --- gauge families ----------------------------------------------------------
 
+class _GaugeBase:
+    """Interval sup/inf of a gauge by the endpoint rule.
+
+    For a strictly increasing gauge the sup over (0, eps) is G(eps), and the
+    inf over (thr, inf) or [eps, hi] is G(thr) or G(eps).  Other gauges
+    answer None, and callers fall back to sampling.
+    """
+
+    def _endpoint(self, a: float):
+        return self.eval(a) if self.strictly_increasing() else None
+
+    def sup_below(self, eps: float):
+        return self._endpoint(eps)
+
+    def inf_above(self, thr: float):
+        return self._endpoint(thr)
+
+    def inf_from(self, eps: float, hi: float):
+        return self._endpoint(eps)
+
+
 @dataclass(frozen=True)
-class IdentityGauge:
+class IdentityGauge(_GaugeBase):
     """G(a) = a."""
 
     def eval(self, a: float) -> float:
@@ -436,21 +450,12 @@ class IdentityGauge:
     def inverse_eval(self, y: float) -> float:
         return y
 
-    def sup_below(self, eps: float):
-        return eps
-
-    def inf_above(self, thr: float):
-        return thr
-
-    def inf_from(self, eps: float, hi: float):
-        return eps
-
     def describe(self) -> dict:
         return {"family": "identity"}
 
 
 @dataclass(frozen=True)
-class PowerGauge:
+class PowerGauge(_GaugeBase):
     """G(a) = a ** q with q > 0."""
 
     q: float
@@ -474,21 +479,12 @@ class PowerGauge:
     def inverse_eval(self, y: float) -> float:
         return y ** (1.0 / self.q)
 
-    def sup_below(self, eps: float):
-        return eps ** self.q
-
-    def inf_above(self, thr: float):
-        return thr ** self.q
-
-    def inf_from(self, eps: float, hi: float):
-        return eps ** self.q
-
     def describe(self) -> dict:
         return {"family": "power", "q": self.q}
 
 
 @dataclass(frozen=True)
-class AffinePlusGauge:
+class AffinePlusGauge(_GaugeBase):
     """G(a) = c + a with c > 0; the infimum c keeps it in class G1."""
 
     c: float
@@ -515,21 +511,12 @@ class AffinePlusGauge:
                 f"value {y} outside gauge range ({self.c}, inf)")
         return y - self.c
 
-    def sup_below(self, eps: float):
-        return self.c + eps
-
-    def inf_above(self, thr: float):
-        return self.c + thr
-
-    def inf_from(self, eps: float, hi: float):
-        return self.c + eps
-
     def describe(self) -> dict:
         return {"family": "affine_plus", "c": self.c}
 
 
 @dataclass(frozen=True)
-class ExpOfFGauge:
+class ExpOfFGauge(_GaugeBase):
     """G = exp(F) for a scalar form F on (0, inf)."""
 
     f: RealForm
@@ -553,27 +540,12 @@ class ExpOfFGauge:
             raise NotInvertible(f"form {self.f.name} exposes no inverse")
         return self.f.inverse(math.log(y))
 
-    def sup_below(self, eps: float):
-        if self.f.increasing is True:
-            return _safe_exp(self.f.fn(eps))
-        return None
-
-    def inf_above(self, thr: float):
-        if self.f.increasing is True:
-            return _safe_exp(self.f.fn(thr))
-        return None
-
-    def inf_from(self, eps: float, hi: float):
-        if self.f.increasing is True:
-            return _safe_exp(self.f.fn(eps))
-        return None
-
     def describe(self) -> dict:
         return {"family": "exp_of_f", "f": self.f.describe()}
 
 
 @dataclass(frozen=True)
-class TabulatedGauge:
+class TabulatedGauge(_GaugeBase):
     """Right-constant step gauge; its range is the finite set of table values."""
 
     points: tuple[tuple[float, float], ...]

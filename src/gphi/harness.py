@@ -21,7 +21,7 @@ import json
 from dataclasses import dataclass, field
 from random import Random
 
-from .contraction import FiniteMap, certify_condition_G, operator_to_json
+from .contraction import FiniteMap, certify_condition_G
 from .errors import BudgetExhausted, ConfigInvalid, OrbitTooShort, TailNotSmall
 from .gauges import (
     AffinePlusGauge,
@@ -229,17 +229,9 @@ def fuzz(config: FuzzConfig) -> FuzzReport:
 
         if config.break_mode == "drop-contraction":
             T = _identity_map(space.n)
-            certified_anyway = None
-            for entry in gauges:
-                for phi in phis:
-                    cert = certify_condition_G(space, T, entry.gauge, phi)
-                    if cert.verdict == "certified":
-                        certified_anyway = (entry, phi, cert)
-                        break
-                if certified_anyway:
-                    break
+            certified_anyway = _first_certified(space, T, gauges, phis)
             if certified_anyway is not None:
-                entry, phi, cert = certified_anyway
+                entry, phi = certified_anyway
                 report.violations.append(_bundle(
                     trial, "broken-instance-certified",
                     "an operator with multiple fixed points passed certification",
@@ -255,26 +247,27 @@ def fuzz(config: FuzzConfig) -> FuzzReport:
             report.uncertified_count += 1
             continue
 
-        chosen = None
-        for entry in gauges:
-            for phi in phis:
-                cert = certify_condition_G(space, T, entry.gauge, phi)
-                if cert.verdict == "certified":
-                    chosen = (entry, phi, cert)
-                    break
-            if chosen:
-                break
+        chosen = _first_certified(space, T, gauges, phis)
         if chosen is None:
             report.uncertified_count += 1
             continue
 
-        entry, phi, cert = chosen
+        entry, phi = chosen
         report.certified_count += 1
         ok = _check_theorem(report, trial, space, T, entry, phi, config)
         if ok:
             report.theorem_holds_count += 1
 
     return report
+
+
+def _first_certified(space, T, gauges, phis):
+    """First (catalog gauge, phi) pair in catalog order certifying T, or None."""
+    for entry in gauges:
+        for phi in phis:
+            if certify_condition_G(space, T, entry.gauge, phi).verdict == "certified":
+                return entry, phi
+    return None
 
 
 def _tally(report: FuzzReport, lemma: str, passed: bool):
@@ -287,7 +280,7 @@ def _bundle(trial, kind, detail, space, T, gauge, phi, trace) -> dict:
         "kind": kind,
         "detail": detail,
         "space": space_to_json(space),
-        "operator": operator_to_json(T),
+        "operator": T.describe(),
         "gauge": gauge.describe(),
         "phi": phi.describe(),
         "trace": trace.to_json() if trace is not None else None,

@@ -15,6 +15,7 @@ fall past the recorded stop are well defined.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
@@ -139,6 +140,35 @@ class _Recorder:
         return sorted(combined.items())
 
 
+def _orbit(space: Space, T: OperatorSpec, x0):
+    """The steps of the orbit of x0 as (x_{k+1}, d(x_k, x_{k+1}), frozen, cycle).
+
+    This is the one place the orbit's settling rules live.  A zero step
+    (per the space's zero convention) sets ``frozen``: the orbit stays at
+    x_{k+1} from then on.  On finite spaces a step onto an earlier point
+    x_j sets ``cycle`` to the points x_j .. x_k, which then repeat.  The
+    generator ends after a settling step and otherwise runs forever.
+    """
+    seen = {x0: 0} if isinstance(space, FiniteSpace) else None
+    x = x0
+    k = 0
+    while True:
+        xn = apply(T, space, x)
+        d = space.distance(x, xn)
+        k += 1
+        if space.is_zero(d):
+            yield xn, d, True, None
+            return
+        if seen is not None:
+            if xn in seen:
+                start = seen[xn]
+                yield xn, d, False, tuple(p for p, i in seen.items() if i >= start)
+                return
+            seen[xn] = k
+        yield xn, d, False, None
+        x = xn
+
+
 def picard_iterate(space: Space, T: OperatorSpec, x0, max_iter: int = 10_000,
                    tol: float = TOL_DEFAULT, record_cap: int = RECORD_CAP_DEFAULT,
                    tail_window: int = TAIL_WINDOW_DEFAULT) -> PicardTrace:
@@ -161,42 +191,28 @@ def picard_iterate(space: Space, T: OperatorSpec, x0, max_iter: int = 10_000,
     rec = _Recorder(record_cap, tail_window)
     rec.add(0, x0)
     steps: list[float] = []
-    finite = isinstance(space, FiniteSpace)
-    seen = {x0: 0} if finite else None
-    full = [x0] if finite else None
 
-    x = x0
     stop_reason = "budget-exhausted"
     fixed_point = None
     k_stop = max_iter
     cycle = None
 
-    for k in range(max_iter):
-        xn = apply(T, space, x)
-        d = space.distance(x, xn)
+    for k, (xn, d, frozen, cycle) in zip(range(max_iter), _orbit(space, T, x0)):
         steps.append(d)
         rec.add(k + 1, xn)
-        if finite:
-            full.append(xn)
-        if space.is_zero(d):
+        if frozen:
             stop_reason = "exact-fixed-point"
             fixed_point = xn
             k_stop = k
             break
-        if finite:
-            if xn in seen:
-                start = seen[xn]
-                cycle = tuple(full[start:k + 1])
-                stop_reason = "budget-exhausted"
-                k_stop = k + 1
-                break
-            seen[xn] = k + 1
+        if cycle is not None:
+            k_stop = k + 1
+            break
         if len(steps) >= CONFIRM_STEPS and all(s < tol for s in steps[-CONFIRM_STEPS:]):
             stop_reason = "tolerance-met"
             fixed_point = xn
             k_stop = k + 1
             break
-        x = xn
 
     recorded = rec.merged()
     return PicardTrace(
@@ -209,42 +225,31 @@ def picard_iterate(space: Space, T: OperatorSpec, x0, max_iter: int = 10_000,
 
 
 class OrbitWalker:
-    """Lazy orbit access with fixed-point freeze and finite-cycle fast path."""
+    """Lazy orbit access; past a freeze or cycle the orbit repeats."""
 
     def __init__(self, space: Space, T: OperatorSpec, x0,
                  max_steps: int = WALK_CAP_DEFAULT):
-        self.space = space
-        self.T = T
+        self.steps = _orbit(space, T, x0)
         self.max_steps = max_steps
         self.pts = [x0]
-        self.frozen_at: int | None = None
-        self.cycle: tuple[int, int] | None = None   # (start, period)
-        self.seen = {x0: 0} if isinstance(space, FiniteSpace) else None
+        self.repeat: tuple[int, int] | None = None   # (start, period)
 
     def point(self, k: int):
-        if self.frozen_at is not None and k >= self.frozen_at:
-            return self.pts[self.frozen_at]
-        if self.cycle is not None:
-            start, period = self.cycle
-            if k >= start:
-                return self.pts[start + (k - start) % period]
-        while len(self.pts) <= k:
-            x = self.pts[-1]
-            xn = apply(self.T, self.space, x)
-            if self.space.is_zero(self.space.distance(x, xn)):
-                self.frozen_at = len(self.pts) - 1
-                return self.pts[self.frozen_at]
-            if self.seen is not None and xn in self.seen:
-                start = self.seen[xn]
-                self.cycle = (start, len(self.pts) - start)
-                return self.point(k)
-            if self.seen is not None:
-                self.seen[xn] = len(self.pts)
+        while len(self.pts) <= k and self.repeat is None:
+            xn, _, frozen, cycle = next(self.steps)
             self.pts.append(xn)
-            if len(self.pts) > self.max_steps:
+            last = len(self.pts) - 1
+            if frozen:
+                self.repeat = (last, 1)
+            elif cycle is not None:
+                self.repeat = (last - len(cycle), len(cycle))
+            elif len(self.pts) > self.max_steps:
                 raise OrbitTooShort(
                     f"orbit walk exceeded {self.max_steps} steps without settling")
-        return self.pts[k]
+        if k < len(self.pts):
+            return self.pts[k]
+        start, period = self.repeat
+        return self.pts[start + (k - start) % period]
 
 
 def enumerate_fixed_points(space: FiniteSpace, T: FiniteMap) -> set[int]:
@@ -351,8 +356,11 @@ def verify_step_chaining(trace: PicardTrace, n: int, eps: float,
         raise ValueError("n must be at least 1")
     space = trace.space
     steps = trace.step_dists
-    sn = s ** n                                # may overflow to inf
-    thr = eps / (n * sn)                       # 0.0 when sn overflows
+    try:
+        sn = s ** n
+    except OverflowError:
+        sn = math.inf
+    thr = eps / (n * sn)                       # 0.0 when s**n overflows
 
     def qualifies(d: float) -> bool:
         return space.is_zero(d) or d < thr

@@ -5,8 +5,8 @@ A b-metric space relaxes the triangle inequality to
 concrete families are supported:
 
 * :class:`FiniteSpace` -- an explicit point set with a distance matrix.
-  Validation computes the smallest admissible constant by an exhaustive
-  scan over all ordered triples.
+  Validation computes the smallest admissible constant from a min-plus
+  reduction over all ordered triples.
 * :class:`AnalyticSpace` -- a real interval ``[lo, hi]`` carrying the
   distance ``|x - y| ** p``; the constant ``2 ** (p - 1)`` always works.
 """
@@ -133,37 +133,23 @@ class BoundReport:
 def _min_constant(d: np.ndarray) -> float:
     """Smallest s making d[i,j] <= s*(d[i,k]+d[k,j]) hold for all triples.
 
-    The scan is exact on the float data: after taking the max ratio the
-    inequality is re-checked and s is nudged up by ulps if division/
-    multiplication rounding left a triple uncovered.
+    One min-plus reduction ``via[i,j] = min_k d[i,k] + d[k,j]`` (a k-loop,
+    so memory stays O(n^2)) gives the tightest detour of every pair; the
+    legs k = i and k = j equal d[i,j] itself and contribute the ratio 1.
+    Division and multiplication round monotonically, so the max of
+    d/via equals the max ratio over triples, and d > s*via finds exactly
+    the triples s leaves uncovered.  After taking the max ratio, s is
+    nudged up by ulps until no triple is uncovered.
     """
-    n = d.shape[0]
-    s = 1.0
-    for k in range(n):
-        denom = d[:, k][:, None] + d[k, :][None, :]
-        mask = np.ones((n, n), dtype=bool)
-        np.fill_diagonal(mask, False)
-        mask[k, :] = False
-        mask[:, k] = False
-        mask &= denom > 0.0
-        if mask.any():
-            ratio = np.max(d[mask] / denom[mask])
-            if ratio > s:
-                s = float(ratio)
-    while True:
-        ok = True
-        for k in range(n):
-            denom = d[:, k][:, None] + d[k, :][None, :]
-            mask = np.ones((n, n), dtype=bool)
-            np.fill_diagonal(mask, False)
-            mask[k, :] = False
-            mask[:, k] = False
-            if np.any(d[mask] > s * denom[mask]):
-                ok = False
-                break
-        if ok:
-            return s
+    via = d.copy()
+    for k in range(d.shape[0]):
+        np.minimum(via, d[:, k, None] + d[None, k, :], out=via)
+    off = ~np.eye(d.shape[0], dtype=bool)
+    d, via = d[off], via[off]
+    s = max(1.0, float(np.max(d / via))) if d.size else 1.0
+    while np.any(d > s * via):
         s = math.nextafter(s, math.inf)
+    return s
 
 
 def validate_finite_space(matrix: Sequence[Sequence[float]],
@@ -197,11 +183,6 @@ def validate_finite_space(matrix: Sequence[Sequence[float]],
                               witness=(i, j))
     s = _min_constant(d)
     return FiniteSpace(dist=tuple(tuple(float(v) for v in row) for row in d), s=s)
-
-
-def distance(space: Space, x, y) -> float:
-    """Distance between two points of the space (raises PointOutOfDomain)."""
-    return space.distance(x, y)
 
 
 def ball_membership(space: Space, center, radius: float, candidate) -> bool:

@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines; every tolerance is pinned here, nothing is deferred.
 """
 
+import hashlib
 import json
 import math
 import time
@@ -247,3 +248,31 @@ def test_criterion_9_determinism(capsys):
     with capsys.disabled():
         _line(9, ok, f"two runs, byte-identical: {first == second}, "
                      f"{len(first)} bytes each")
+
+
+# SHA-256 of FuzzReport.to_json_str() for the two seed-0 reference runs.
+# Any change to these bytes is a change of observable behaviour and has to be
+# justified as a bug fix.  The counts below restate what the bytes contain.
+GOLDEN_FLAGSHIP_SHA256 = "17955ace9c2e11e692acc57509db07a8d9afb33399b0629d376ba526a76d178f"
+GOLDEN_G1_SHA256 = "537da949e1bc2cbd369deef975f0642717e2a2a2bbabd4ffede1a30ff8574df7"
+
+
+def _sha256(report) -> str:
+    return hashlib.sha256(report.to_json_str().encode()).hexdigest()
+
+
+def test_golden_report_bytes(flagship_report):
+    rep = flagship_report
+    assert (rep.trials_run, rep.certified_count, rep.uncertified_count) == (1000, 345, 655)
+    assert (rep.g1_instances, rep.g2_instances, rep.theorem_holds_count) == (0, 345, 345)
+    assert rep.lemma_counts["orbit_convergence"] == {"pass": 1290, "fail": 0}
+    assert rep.lemma_counts["cauchy_bound"] == {"pass": 1290, "fail": 0}
+    assert rep.violations == []
+    assert _sha256(rep) == GOLDEN_FLAGSHIP_SHA256
+
+    g1 = fuzz(FuzzConfig(seed=0, trials=200, gauge_catalog=G1_GAUGE_CATALOG))
+    assert (g1.trials_run, g1.certified_count, g1.uncertified_count) == (200, 68, 132)
+    assert (g1.g1_instances, g1.g2_instances, g1.theorem_holds_count) == (68, 0, 68)
+    assert g1.lemma_counts["g1_termination"] == {"pass": 265, "fail": 0}
+    assert g1.violations == []
+    assert _sha256(g1) == GOLDEN_G1_SHA256

@@ -6,6 +6,7 @@ from gphi.errors import BudgetExhausted, OrbitTooShort, TailNotSmall
 from gphi.gauges import IdentityGauge, LinearPhi
 from gphi.harness import generate_operator, generate_space
 from gphi.solver import (
+    OrbitWalker,
     enumerate_fixed_points,
     m_epsilon,
     picard_iterate,
@@ -80,6 +81,43 @@ class TestPicardIterate:
         trace = picard_iterate(THREE_POINT, FiniteMap((0, 0, 1)), 2)
         again = trace_from_json(trace.to_json())
         assert again == trace
+
+
+class TestWalkerMatchesTrace:
+    """The lazy walker and the recorded trace describe the same orbit."""
+
+    @staticmethod
+    def _agree(space, T, x0, **kw):
+        trace = picard_iterate(space, T, x0, **kw)
+        walker = OrbitWalker(space, T, x0)
+        for k, x in zip(trace.indices, trace.orbit):
+            assert walker.point(k) == x, k
+        return trace, walker
+
+    def test_finite_two_cycle_wraps(self):
+        trace, walker = self._agree(TWO_CYCLE_SPACE, SWAP, 0)
+        assert trace.cycle == (0, 1)
+        for k in range(12):
+            assert walker.point(k) == trace.cycle[k % 2]
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_finite_random_orbits(self, seed):
+        # seven of these twelve orbits stop exactly, five close a cycle
+        space = generate_space(f"walk:{seed}", 6)
+        T = generate_operator(f"walk:{seed}:op", space, True)
+        trace, walker = self._agree(space, T, seed % 6)
+        if trace.stop_reason == "exact-fixed-point":
+            for k in range(trace.k_stop + 8):
+                assert walker.point(k) == trace.point_at(k)
+
+    def test_interval_halving_across_freeze(self):
+        # x_k = 2^-k; the step 2^-(k+1) first counts as zero at k = 39, so
+        # the orbit freezes at x_40, the trace's fixed point
+        trace, walker = self._agree(UNIT, AffineMap(0.5, 0.0), 1.0, tol=0.0)
+        assert trace.stop_reason == "exact-fixed-point"
+        assert trace.k_stop == 39 and trace.max_index == 40
+        for k in range(trace.k_stop + 8):
+            assert walker.point(k) == trace.point_at(k) == 2.0 ** -min(k, 40)
 
 
 class TestEnumerateFixedPoints:
@@ -185,6 +223,14 @@ class TestStepChaining:
         trace = picard_iterate(TWO_CYCLE_SPACE, SWAP, 0, max_iter=12)
         with pytest.raises(TailNotSmall):
             verify_step_chaining(trace, n=2, eps=0.5, s=1.0)
+
+    def test_huge_power_of_constant(self):
+        # 8**400 overflows a double; the threshold is then 0, so only the
+        # zero step after the exact stop qualifies
+        trace = picard_iterate(TWO_CYCLE_SPACE, FiniteMap((0, 0)), 1)
+        assert trace.step_dists == (1.0, 0.0)
+        m0, holds = verify_step_chaining(trace, n=400, eps=0.5, s=8.0)
+        assert (m0, holds) == (1, True)
 
 
 class TestCauchyBound:

@@ -1,8 +1,10 @@
+import math
 from fractions import Fraction
 from random import Random
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from gphi.errors import (
     AsymmetricMatrix,
@@ -19,7 +21,6 @@ from gphi.spaces import (
     AnalyticSpace,
     ball_membership,
     check_limit_bounds,
-    distance,
     space_from_json,
     space_to_json,
     validate_finite_space,
@@ -97,27 +98,66 @@ class TestValidateFiniteSpace:
         again = validate_finite_space([list(row) for row in space.dist])
         assert again.s == s
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=0, max_value=2 ** 32 - 1),
+           st.integers(min_value=2, max_value=64),
+           st.sampled_from(["lognormal", "pareto"]),
+           st.floats(min_value=0.3, max_value=3.0))
+    def test_constant_minimal_on_heavy_tails(self, seed, n, kind, shape):
+        """Every triple is covered at s, and some triple is not at the next
+        double below s, unless s == 1.
+
+        Coverage is the float comparison the space promises.  Minimality is
+        judged in exact arithmetic against the float sums d(i,k) + d(k,j):
+        the ratio pass rounds d/den to nearest, so at nextafter(s, -inf) the
+        rounded product can still reach d while the exact one falls short.
+        """
+        rng = np.random.default_rng(seed)
+        if kind == "lognormal":
+            v = rng.lognormal(0.0, shape, (n, n))
+        else:
+            v = rng.pareto(shape, (n, n)) + 1.0
+        d = np.triu(v, 1)
+        d = d + d.T
+        s = validate_finite_space(d.tolist()).s
+
+        den = d[:, :, None] + d[None, :, :]           # den[i, k, j]
+        lhs = np.broadcast_to(d[:, None, :], den.shape)
+        idx = np.arange(n)
+        distinct = ((idx[:, None, None] != idx[None, :, None])
+                    & (idx[None, :, None] != idx[None, None, :])
+                    & (idx[:, None, None] != idx[None, None, :]))
+        assert not np.any((lhs > s * den) & distinct)
+        if s == 1.0:
+            return
+        below = Fraction(math.nextafter(s, -math.inf))
+        # an exactly uncovered triple has a rounded ratio of at least `below`
+        ratio = np.divide(lhs, den, out=np.zeros_like(den), where=distinct)
+        candidates = np.argwhere(ratio >= float(below))
+        assert any(Fraction(lhs[i, k, j]) > below * Fraction(den[i, k, j])
+                   for i, k, j in candidates)
+
 
 class TestDistance:
     def test_finite_lookup(self):
         space = validate_finite_space(THREE_POINT)
-        assert distance(space, 0, 2) == 2.0
+        assert space.distance(0, 2) == 2.0
 
     def test_analytic_identity(self):
         space = AnalyticSpace(0.0, 1.0, 2.0)
-        assert distance(space, 0.5, 0.5) == 0.0
+        assert space.distance(0.5, 0.5) == 0.0
 
     def test_analytic_endpoints(self):
         space = AnalyticSpace(0.0, 1.0, 2.0)
-        assert distance(space, 0.0, 1.0) == 1.0
+        assert space.distance(0.0, 1.0) == 1.0
 
     def test_out_of_domain(self):
         space = validate_finite_space(THREE_POINT)
         with pytest.raises(PointOutOfDomain):
-            distance(space, 0, 7)
+            space.distance(0, 7)
         interval = AnalyticSpace(0.0, 1.0, 1.0)
         with pytest.raises(PointOutOfDomain):
-            distance(interval, 0.0, 1.5)
+            interval.distance(0.0, 1.5)
 
     def test_power_distance_s_value(self):
         assert AnalyticSpace(0.0, 1.0, 1.0).s == 1.0
