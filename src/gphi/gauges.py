@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from itertools import accumulate
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -603,39 +604,58 @@ def gauge_eval(G, a: float) -> float:
     return G.eval(float(a))
 
 
-def _sampled_sup_below(G, eps: float, grid) -> float:
-    pts = [t for t in grid if 0.0 < t < eps]
-    pts += [eps * 2.0 ** -k for k in range(1, 40)]
-    return max(G.eval(t) for t in pts if t > 0.0)
+class _Extrema:
+    """sup and inf of a gauge over intervals whose ends lie on a sorted grid.
 
+    The interval queries take the gauge's closed form when it has one.
+    Otherwise they read ``table()``, built on first use from one evaluation
+    of G per grid point: running maxima from the left and running minima
+    from the right.  Sampled sups also probe eps * 2^-k (k = 1..39) between
+    zero and the grid, and sampled infima over (thr, inf) probe
+    thr * (1 + 2^-k) (k = 0..39).  ``pts=None`` stands for the default grid,
+    built only if a query samples.
+    """
 
-def _sampled_inf_above(G, thr: float, grid) -> float:
-    pts = [t for t in grid if t > thr]
-    pts += [thr * (1.0 + 2.0 ** -k) for k in range(0, 40)]
-    return min(G.eval(t) for t in pts)
+    def __init__(self, G, pts=None):
+        self.G = G
+        self.pts = pts
+        self._table = None
 
+    def table(self) -> tuple[list[float], list[float]]:
+        """(running max of G over pts[:i+1], running min over pts[i:])."""
+        if self._table is None:
+            if self.pts is None:
+                self.pts = sorted(set(log_grid()))
+            vals = [self.G.eval(t) for t in self.pts]
+            self._table = (list(accumulate(vals, max)),
+                           list(accumulate(reversed(vals), min))[::-1])
+        return self._table
 
-def _sampled_inf_from(G, eps: float, hi: float, grid) -> float:
-    pts = [t for t in grid if eps <= t <= hi]
-    if not pts:
-        pts = [eps]
-    return min(G.eval(t) for t in pts)
-
-
-def sup_below(G, eps: float, grid=None) -> float:
-    """sup of G over (0, eps): closed form when available, else sampled."""
-    v = G.sup_below(eps)
-    if v is not None:
+    def sup_below(self, i: int) -> float:
+        """sup of G over (0, pts[i])."""
+        eps = self.pts[i]
+        v = self.G.sup_below(eps)
+        if v is None:
+            running_max = self.table()[0]
+            probes = [self.G.eval(t) for t in (eps * 2.0 ** -k for k in range(1, 40))
+                      if t > 0.0]
+            v = max(running_max[max(i - 1, 0):i] + probes)
         return v
-    return _sampled_sup_below(G, eps, grid if grid is not None else log_grid())
 
+    def inf_from(self, i: int) -> float:
+        """inf of G over [pts[i], pts[-1]]."""
+        v = self.G.inf_from(self.pts[i], self.pts[-1])
+        return self.table()[1][i] if v is None else v
 
-def inf_above(G, thr: float, grid=None) -> float:
-    """inf of G over (thr, inf): closed form when available, else sampled."""
-    v = G.inf_above(thr)
-    if v is not None:
+    def inf_above(self, thr: float) -> float:
+        """inf of G over (thr, inf)."""
+        v = self.G.inf_above(thr)
+        if v is None:
+            running_min = self.table()[1]
+            j = bisect_right(self.pts, thr)
+            probes = [self.G.eval(thr * (1.0 + 2.0 ** -k)) for k in range(0, 40)]
+            v = min(running_min[j:j + 1] + probes)
         return v
-    return _sampled_inf_above(G, thr, grid if grid is not None else log_grid())
 
 
 @dataclass(frozen=True)
@@ -668,11 +688,12 @@ def certify_gauge_class(G, grid=None, tol: float = PHI_TOL_DEFAULT) -> ClassCert
     down = [(a, G.eval(a)) for a in _DYADIC_DOWN]
     up = [(a, G.eval(a)) for a in _DYADIC_UP]
     down_tail = down[-12:]
+    running_max, running_min = _Extrema(G, grid).table()
     evidence: dict = {
         "grid_lo": grid[0], "grid_hi": grid[-1], "grid_points": len(grid),
         "refinement_tail": [[a, v] for a, v in down_tail],
-        "inf_grid_estimate": min(G.eval(t) for t in grid),
-        "sup_grid_estimate": max(G.eval(t) for t in grid),
+        "inf_grid_estimate": running_min[0],
+        "sup_grid_estimate": running_max[-1],
     }
 
     ki = G.known_inf()
@@ -711,9 +732,9 @@ def certify_gauge_class(G, grid=None, tol: float = PHI_TOL_DEFAULT) -> ClassCert
     else:
         to_zero = all(v < tol for _, v in down[-10:])
         stuck_up = [[a, v] for a, v in up if v < tol]
-        region_ok = all(
-            _sampled_inf_from(G, eps, grid[-1], grid) > 0.0
-            for eps in grid[:: max(1, len(grid) // 64)])
+        # every region [eps, grid max] with eps on the grid lies inside the
+        # first one, so all their infima are positive iff the first is
+        region_ok = running_min[0] > 0.0
         if to_zero and region_ok and not stuck_up:
             in_g2 = "yes"
             evidence["g2"] = "sampled"
@@ -781,25 +802,13 @@ def epsilon0(G, grid=None, level: float = 1.0) -> float:
     pts = sorted(set(float(t) for t in grid))
     if not pts:
         raise EmptyGrid("epsilon0 grid is empty")
-    hi = pts[-1]
-    inf_ok = []
-    for t in pts:
-        v = G.inf_from(t, hi)
-        if v is None:
-            v = _sampled_inf_from(G, t, hi, pts)
-        inf_ok.append(v > 0.0)
-    prefix_ok = []
-    acc = True
-    for ok in inf_ok:
-        prefix_ok.append(acc)
-        acc = acc and ok
-    # prefix_ok[i] == all regions below pts[i] have positive infimum
-    for i in range(len(pts) - 1, -1, -1):
-        sb = G.sup_below(pts[i])
-        if sb is None:
-            sb = _sampled_sup_below(G, pts[i], pts)
-        if sb <= level and prefix_ok[i] and inf_ok[i]:
-            return pts[i]
+    ext = _Extrema(G, pts)
+    # the regions [eps, grid max] for grid eps all lie inside the first one,
+    # so their infima are all positive iff the first one's is
+    if ext.inf_from(0) > 0.0:
+        for i in range(len(pts) - 1, -1, -1):
+            if ext.sup_below(i) <= level:
+                return pts[i]
     raise NoValidEpsilon(
         f"no grid value has sup below {level}; gauge cannot be in G2")
 
@@ -821,7 +830,7 @@ def n_epsilon(G, phi, s: float, eps: float, level: float = 1.0,
     if not level > 0.0:
         raise NonpositiveArgument("level must be positive")
     thr = eps / (2.0 * s)
-    target = inf_above(G, thr)
+    target = _Extrema(G).inf_above(thr)
     u = level
     for n in range(1, budget + 1):
         u = phi.eval(u)
