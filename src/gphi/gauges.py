@@ -614,6 +614,11 @@ class _Extrema:
     zero and the grid, and sampled infima over (thr, inf) probe
     thr * (1 + 2^-k) (k = 0..39).  ``pts=None`` stands for the default grid,
     built only if a query samples.
+
+    The sampled sup over (0, eps) includes G(eps).  For a continuous gauge
+    that is the limit from the left, so it never exceeds the true sup, and
+    for an increasing one it equals the closed form: without it, samples
+    strictly below eps under-estimate the sup and epsilon0 overshoots.
     """
 
     def __init__(self, G, pts=None):
@@ -639,7 +644,7 @@ class _Extrema:
             running_max = self.table()[0]
             probes = [self.G.eval(t) for t in (eps * 2.0 ** -k for k in range(1, 40))
                       if t > 0.0]
-            v = max(running_max[max(i - 1, 0):i] + probes)
+            v = max([running_max[i]] + probes)
         return v
 
     def inf_from(self, i: int) -> float:

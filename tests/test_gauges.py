@@ -18,6 +18,7 @@ from gphi.gauges import (
     LinearPhi,
     LN,
     PowerGauge,
+    RealForm,
     ShiftedPhi,
     TabulatedGauge,
     TabulatedPhi,
@@ -239,6 +240,14 @@ class TestEpsilon0:
     def test_no_valid_epsilon(self):
         with pytest.raises(NoValidEpsilon):
             epsilon0(AffinePlusGauge(1.0), grid=DYADIC_GRID, level=0.5)
+
+    def test_sampled_sup_includes_endpoint(self):
+        # samples strictly below eps under-estimate sup G on (0, eps), which
+        # put eps0 one grid step past the threshold 1 of G(a) = a
+        opaque = ExpOfFGauge(RealForm("id", math.log))
+        assert epsilon0(opaque) == 1.0
+        grid = log_grid(per_decade=16)
+        assert epsilon0(opaque, grid) == epsilon0(ExpOfFGauge(LN), grid) == 1.0
 
 
 class TestNEpsilon:
