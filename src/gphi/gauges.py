@@ -466,7 +466,12 @@ class PowerGauge(_GaugeBase):
             raise ValueError("power gauge needs q > 0")
 
     def eval(self, a: float) -> float:
-        return a ** self.q
+        # saturates to +inf like _safe_exp: a ** q overflows for q above
+        # about 13 on the dyadic refinement up to 2^79
+        try:
+            return a ** self.q
+        except OverflowError:
+            return math.inf
 
     def known_inf(self):
         return 0.0

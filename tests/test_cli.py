@@ -91,6 +91,15 @@ class TestSolve:
         doc = json.loads(capsys.readouterr().out)
         assert doc["eps"] == 0.25
 
+    def test_steep_power_gauge(self, tmp_path, capsys):
+        # a ** 20 overflows on the dyadic refinement of the gauge class check
+        inst = dict(THREE_POINT_INSTANCE, G={"family": "power", "q": 20.0})
+        path = write(tmp_path, "inst.json", inst)
+        assert run_cli(["solve", path, "--x0", "2"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["gauge_class"]["in_g2"] == "yes"
+        assert doc["diagnostics"]["holds"] is True
+
 
 class TestReport:
     def test_summarizes_solve_output(self, tmp_path, capsys):

@@ -195,6 +195,11 @@ class TestCertifyGaugeClass:
         cert = certify_gauge_class(PowerGauge(2.0))
         assert cert.in_g2 == "yes"
 
+    def test_steep_power_saturates(self):
+        cert = certify_gauge_class(PowerGauge(13.0))
+        assert (cert.in_g1, cert.in_g2) == ("no", "yes")
+        assert PowerGauge(13.0).eval(2.0 ** 79) == math.inf
+
     def test_tabulated_is_g1_only(self):
         cert = certify_gauge_class(TabulatedGauge(((0.5, 0.1), (1.0, 0.9))))
         assert cert.in_g1 == "yes"
