@@ -620,10 +620,13 @@ class _Extrema:
     thr * (1 + 2^-k) (k = 0..39).  ``pts=None`` stands for the default grid,
     built only if a query samples.
 
-    The sampled sup over (0, eps) includes G(eps).  For a continuous gauge
-    that is the limit from the left, so it never exceeds the true sup, and
-    for an increasing one it equals the closed form: without it, samples
-    strictly below eps under-estimate the sup and epsilon0 overshoots.
+    The sampled sup over (0, eps) includes G(eps), and the sampled inf over
+    (thr, inf) includes G(thr).  For a continuous gauge these are the limits
+    at the open ends, so the sampled sup never exceeds the true one and the
+    sampled inf is never below it; for an increasing gauge both equal the
+    closed form.  Without them, samples inside the open interval
+    under-estimate the sup, so epsilon0 overshoots, and over-estimate the
+    inf, so n_epsilon can come out one step short.
     """
 
     def __init__(self, G, pts=None):
@@ -663,8 +666,8 @@ class _Extrema:
         if v is None:
             running_min = self.table()[1]
             j = bisect_right(self.pts, thr)
-            probes = [self.G.eval(thr * (1.0 + 2.0 ** -k)) for k in range(0, 40)]
-            v = min(running_min[j:j + 1] + probes)
+            probes = [thr] + [thr * (1.0 + 2.0 ** -k) for k in range(0, 40)]
+            v = min(running_min[j:j + 1] + [self.G.eval(t) for t in probes])
         return v
 
 

@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -35,6 +36,7 @@ from gphi.gauges import (
     phi_from_json,
     phi_iterate,
 )
+from gphi.harness import DEFAULT_GAUGE_CATALOG, G1_GAUGE_CATALOG
 
 CATALOG_PHIS = [LinearPhi(0.5), LinearPhi(0.9), HyperbolicPhi(1.0)]
 DIAGONAL_PHI = TabulatedPhi(((0.25, 0.25), (1.0, 1.0), (4.0, 4.0)))
@@ -253,6 +255,75 @@ class TestEpsilon0:
         assert epsilon0(opaque) == 1.0
         grid = log_grid(per_decade=16)
         assert epsilon0(opaque, grid) == epsilon0(ExpOfFGauge(LN), grid) == 1.0
+
+
+class Stripped:
+    """A gauge's values without its closed forms, so every sup, inf and
+    class fact is sampled."""
+
+    def __init__(self, gauge):
+        self.eval = gauge.eval
+
+    def known_inf(self):
+        return None
+
+    def known_g2(self):
+        return None
+
+    def strictly_increasing(self):
+        return False
+
+    def sup_below(self, eps):
+        return None
+
+    def inf_above(self, thr):
+        return None
+
+    def inf_from(self, eps, hi):
+        return None
+
+
+class TestSampledPath:
+    """Sampled answers agree with the closed-form twin or are more
+    conservative."""
+
+    @pytest.mark.parametrize("per_decade", [16, 32, 48])
+    @pytest.mark.parametrize("twin", list(dict.fromkeys(DEFAULT_GAUGE_CATALOG + G1_GAUGE_CATALOG)),
+                             ids=lambda G: json.dumps(G.describe()))
+    def test_differential(self, twin, per_decade):
+        grid = log_grid(per_decade=per_decade)
+        opaque = Stripped(twin)
+        got, want = certify_gauge_class(opaque, grid), certify_gauge_class(twin, grid)
+        for a, b in ((got.in_g1, want.in_g1), (got.in_g2, want.in_g2)):
+            assert {a, b} != {"yes", "no"}
+        for level in (0.25, 1.0, 4.0):
+            try:
+                closed = epsilon0(twin, grid, level)
+            except NoValidEpsilon:
+                with pytest.raises(NoValidEpsilon):
+                    epsilon0(opaque, grid, level)
+                continue
+            eps0 = epsilon0(opaque, grid, level)
+            assert eps0 <= closed
+            assert twin.sup_below(eps0) <= level
+            # with s = 1 and phi(t) = t/2 the threshold eps0/4 can equal
+            # phi^n(level) exactly, where the strict inequality is tight
+            for phi in CATALOG_PHIS:
+                n = n_epsilon(opaque, phi, 1.0, eps0 / 2.0, level=level)
+                assert twin.inf_above(eps0 / 4.0) > phi_iterate(phi, level, n)
+
+    def test_linear_in_grid_size(self):
+        # one evaluation per grid point for the table, plus 39 dyadic probes
+        # below each grid point the downward scan visits
+        calls = []
+
+        def log_counted(a):
+            calls.append(a)
+            return math.log(a)
+
+        grid = log_grid(per_decade=16)
+        epsilon0(ExpOfFGauge(RealForm("id", log_counted)), grid)
+        assert len(calls) <= 41 * len(grid)
 
 
 class TestNEpsilon:
