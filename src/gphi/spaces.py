@@ -70,9 +70,6 @@ class FiniteSpace:
     def is_zero(self, d: float) -> bool:
         return d == 0.0
 
-    def diameter(self) -> float:
-        return max((max(row) for row in self.dist), default=0.0)
-
 
 @dataclass(frozen=True)
 class AnalyticSpace:
@@ -102,9 +99,6 @@ class AnalyticSpace:
 
     def is_zero(self, d: float) -> bool:
         return d < DELTA_ZERO
-
-    def diameter(self) -> float:
-        return (self.hi - self.lo) ** self.p
 
 
 Space = FiniteSpace | AnalyticSpace
