@@ -25,9 +25,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from itertools import accumulate
 from dataclasses import dataclass, field
 from typing import Callable
+
+import numpy as np
 
 from .errors import (
     BudgetExhausted,
@@ -466,8 +467,7 @@ class PowerGauge(_GaugeBase):
             raise ValueError("power gauge needs q > 0")
 
     def eval(self, a: float) -> float:
-        # saturates to +inf like _safe_exp: a ** q overflows for q above
-        # about 13 on the dyadic refinement up to 2^79
+        # saturates like _safe_exp: from q ~ 13 on, (2^79) ** q overflows
         try:
             return a ** self.q
         except OverflowError:
@@ -609,24 +609,26 @@ def gauge_eval(G, a: float) -> float:
     return G.eval(float(a))
 
 
+def _grid_points(grid, what: str) -> list[float]:
+    """The sorted distinct points of ``grid``; None means ``log_grid()``."""
+    pts = sorted(set(float(t) for t in (log_grid() if grid is None else grid)))
+    if not pts:
+        raise EmptyGrid(f"{what} grid is empty")
+    return pts
+
+
 class _Extrema:
-    """sup and inf of a gauge over intervals whose ends lie on a sorted grid.
+    """sup and inf of G over intervals whose ends lie on a sorted grid.
 
-    The interval queries take the gauge's closed form when it has one.
-    Otherwise they read ``table()``, built on first use from one evaluation
-    of G per grid point: running maxima from the left and running minima
-    from the right.  Sampled sups also probe eps * 2^-k (k = 1..39) between
-    zero and the grid, and sampled infima over (thr, inf) probe
-    thr * (1 + 2^-k) (k = 0..39).  ``pts=None`` stands for the default grid,
-    built only if a query samples.
-
-    The sampled sup over (0, eps) includes G(eps), and the sampled inf over
-    (thr, inf) includes G(thr).  For a continuous gauge these are the limits
-    at the open ends, so the sampled sup never exceeds the true one and the
-    sampled inf is never below it; for an increasing gauge both equal the
-    closed form.  Without them, samples inside the open interval
-    under-estimate the sup, so epsilon0 overshoots, and over-estimate the
-    inf, so n_epsilon can come out one step short.
+    A query takes G's closed form when it has one, else reads ``table()``:
+    one evaluation of G per grid point, kept as running maxima from the left
+    and running minima from the right, plus probes between the grid and an
+    open end.  A sampled sup over (0, eps) includes G(eps) and a sampled inf
+    over (thr, inf) includes G(thr): for a continuous gauge these are the
+    limits at the open ends, so the sampled sup never exceeds the true one
+    nor the sampled inf falls below it, and for an increasing gauge both
+    equal the closed form.  ``pts=None`` is the default grid, built only if
+    a query samples.
     """
 
     def __init__(self, G, pts=None):
@@ -638,21 +640,18 @@ class _Extrema:
         """(running max of G over pts[:i+1], running min over pts[i:])."""
         if self._table is None:
             if self.pts is None:
-                self.pts = sorted(set(log_grid()))
-            vals = [self.G.eval(t) for t in self.pts]
-            self._table = (list(accumulate(vals, max)),
-                           list(accumulate(reversed(vals), min))[::-1])
+                self.pts = _grid_points(None, "default")
+            vals = np.array([self.G.eval(t) for t in self.pts], dtype=float)
+            self._table = (np.maximum.accumulate(vals).tolist(),
+                           np.minimum.accumulate(vals[::-1])[::-1].tolist())
         return self._table
 
     def sup_below(self, i: int) -> float:
         """sup of G over (0, pts[i])."""
-        eps = self.pts[i]
-        v = self.G.sup_below(eps)
+        v = self.G.sup_below(self.pts[i])
         if v is None:
-            running_max = self.table()[0]
-            probes = [self.G.eval(t) for t in (eps * 2.0 ** -k for k in range(1, 40))
-                      if t > 0.0]
-            v = max([running_max[i]] + probes)
+            probes = [self.pts[i] * 2.0 ** -k for k in range(1, 40)]
+            v = max([self.table()[0][i]] + [self.G.eval(t) for t in probes if t > 0.0])
         return v
 
     def inf_from(self, i: int) -> float:
@@ -689,14 +688,10 @@ def certify_gauge_class(G, grid=None, tol: float = PHI_TOL_DEFAULT) -> ClassCert
     gauge below any positive level.  G2 is decided from family knowledge when
     available, otherwise by the sampling scheme: evaluate along a dyadic
     refinement a = 2^-k (direction a -> 0) and along a = 2^k together with
-    per-region infima (direction G -> 0 forces a -> 0).  The grid should
-    span at least [tol, 1/tol] on a log scale, as the default one does.
+    the infimum over the grid (direction G -> 0 forces a -> 0).  The grid
+    should span at least [tol, 1/tol] on a log scale, as the default does.
     """
-    if grid is None:
-        grid = log_grid()
-    grid = sorted(set(float(t) for t in grid))
-    if not grid:
-        raise EmptyGrid("certification grid is empty")
+    grid = _grid_points(grid, "certification")
 
     down = [(a, G.eval(a)) for a in _DYADIC_DOWN]
     up = [(a, G.eval(a)) for a in _DYADIC_UP]
@@ -725,18 +720,17 @@ def certify_gauge_class(G, grid=None, tol: float = PHI_TOL_DEFAULT) -> ClassCert
         else:
             in_g1 = "inconclusive"
 
+    stuck_up = [[a, v] for a, v in up if v < tol][:12]
     kg2 = G.known_g2()
     if kg2 is True:
         in_g2 = "yes"
         evidence["g2"] = "closed-form"
     elif kg2 is False:
         in_g2 = "no"
-        tail_min = min(v for _, v in down_tail)
-        bad = [[a, v] for a, v in up if v < tol][:12]
-        if tail_min < tol and bad:
+        if min(v for _, v in down_tail) < tol and stuck_up:
             # direction G -> 0 fails: gauge vanishes away from zero
             evidence["g2_witness"] = {"kind": "vanishes-away-from-zero",
-                                      "sequence": bad}
+                                      "sequence": stuck_up}
         else:
             # direction a -> 0 fails: G approaches a nonzero limit
             evidence["g2_witness"] = {
@@ -744,11 +738,8 @@ def certify_gauge_class(G, grid=None, tol: float = PHI_TOL_DEFAULT) -> ClassCert
                 "sequence": [[a, v] for a, v in down_tail]}
     else:
         to_zero = all(v < tol for _, v in down[-10:])
-        stuck_up = [[a, v] for a, v in up if v < tol]
-        # every region [eps, grid max] with eps on the grid lies inside the
-        # first one, so all their infima are positive iff the first is
-        region_ok = running_min[0] > 0.0
-        if to_zero and region_ok and not stuck_up:
+        # each region [eps, grid max], eps on the grid, lies in the whole grid
+        if to_zero and running_min[0] > 0.0 and not stuck_up:
             in_g2 = "yes"
             evidence["g2"] = "sampled"
         elif not to_zero and min(v for _, v in down[-10:]) >= tol:
@@ -759,7 +750,7 @@ def certify_gauge_class(G, grid=None, tol: float = PHI_TOL_DEFAULT) -> ClassCert
         elif stuck_up:
             in_g2 = "no"
             evidence["g2_witness"] = {"kind": "vanishes-away-from-zero",
-                                      "sequence": stuck_up[:12]}
+                                      "sequence": stuck_up}
         else:
             in_g2 = "inconclusive"
 
@@ -773,11 +764,7 @@ def classify_increasing_gauge(G, grid=None) -> str:
     if its infimum is positive it is in G1, otherwise monotonicity forces
     G(a) -> 0 along a -> 0+ and the gauge is in G2.
     """
-    if grid is None:
-        grid = log_grid()
-    pts = sorted(set(float(t) for t in grid))
-    if not pts:
-        raise EmptyGrid("classification grid is empty")
+    pts = _grid_points(grid, "classification")
     prev_t, prev_v = pts[0], G.eval(pts[0])
     for t in pts[1:]:
         v = G.eval(t)
@@ -810,11 +797,7 @@ def epsilon0(G, grid=None, level: float = 1.0) -> float:
     grid value qualifies (which contradicts G2 membership and signals a
     certification failure upstream).
     """
-    if grid is None:
-        grid = log_grid()
-    pts = sorted(set(float(t) for t in grid))
-    if not pts:
-        raise EmptyGrid("epsilon0 grid is empty")
+    pts = _grid_points(grid, "epsilon0")
     ext = _Extrema(G, pts)
     # the regions [eps, grid max] for grid eps all lie inside the first one,
     # so their infima are all positive iff the first one's is
