@@ -576,24 +576,25 @@ class TabulatedGauge(_GaugeBase):
     def inverse_eval(self, y: float):
         raise NotInvertible("step gauges are not invertible")
 
-    def _region_values(self, lo: float | None, hi: float | None) -> list[float]:
-        ts = [p[0] for p in self.points]
-        vals = []
-        for i, (t, v) in enumerate(self.points):
-            nxt = ts[i + 1] if i + 1 < len(ts) else math.inf
-            left = t if i > 0 else 0.0      # first value extends to 0+
-            if (lo is None or nxt > lo) and (hi is None or left < hi):
-                vals.append(v)
-        return vals
+    def _regions(self) -> list[tuple[float, float, float]]:
+        """(left, right, value) of each step [left, right)."""
+        ts = [t for t, _ in self.points[1:]] + [math.inf]
+        # the first value extends to 0+
+        return [(t if i > 0 else 0.0, right, v)
+                for i, ((t, v), right) in enumerate(zip(self.points, ts))]
 
     def sup_below(self, eps: float):
-        return max(self._region_values(None, eps))
+        """sup over (0, eps)."""
+        return max(v for left, _, v in self._regions() if left < eps)
 
     def inf_above(self, thr: float):
-        return min(self._region_values(thr, None))
+        """inf over (thr, inf)."""
+        return min(v for _, right, v in self._regions() if right > thr)
 
     def inf_from(self, eps: float, hi: float):
-        return min(self._region_values(eps, hi))
+        """inf over [eps, hi]: the step that starts at hi counts."""
+        return min(v for left, right, v in self._regions()
+                   if right > eps and left <= hi)
 
     def describe(self) -> dict:
         return {"family": "tabulated", "points": [list(p) for p in self.points]}

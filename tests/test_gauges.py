@@ -257,6 +257,24 @@ class TestEpsilon0:
         assert epsilon0(opaque, grid) == epsilon0(ExpOfFGauge(LN), grid) == 1.0
 
 
+class TestTabulatedRegions:
+    STEP = TabulatedGauge(((0.5, 0.1), (1.0, 0.9)))
+
+    def test_inf_from_includes_step_starting_at_right_end(self):
+        # [1, 1] is the single point 1, where the second step takes over
+        assert self.STEP.inf_from(1.0, 1.0) == 0.9
+        assert self.STEP.inf_from(0.5, 1.0) == 0.1
+
+    def test_epsilon0_on_grid_at_breakpoint(self):
+        assert epsilon0(self.STEP, grid=[1.0]) == 1.0
+
+    def test_sup_below_keeps_open_end(self):
+        # (0, 1) stops short of the step at 1
+        assert self.STEP.sup_below(1.0) == 0.1
+        assert self.STEP.sup_below(1.5) == 0.9
+        assert self.STEP.inf_above(1.0) == 0.9
+
+
 class Stripped:
     """A gauge's values without its closed forms, so every sup, inf and
     class fact is sampled."""
