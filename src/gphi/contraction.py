@@ -105,10 +105,11 @@ def validate_operator(space: Space, T: OperatorSpec) -> None:
     if isinstance(T, FiniteMap):
         if not isinstance(space, FiniteSpace):
             raise ValueError("finite map needs a finite space")
-        if len(T.mapping) != space.n:
-            raise ValueError(f"map length {len(T.mapping)} != {space.n} points")
+        n = space.n
+        if len(T.mapping) != n:
+            raise ValueError(f"map length {len(T.mapping)} != {n} points")
         for i, v in enumerate(T.mapping):
-            if not 0 <= v < space.n:
+            if not 0 <= v < n:
                 raise PointOutOfDomain(f"image of point {i} is {v}, outside the space")
         return
     if not isinstance(space, AnalyticSpace):
@@ -181,8 +182,20 @@ def _informative_pairs(space, T, pairs):
     """The pairs (x, y, d(x, y), d(Tx, Ty)) that condition (G) constrains.
 
     Pairs with a zero distance or a zero image distance satisfy the
-    condition vacuously and are skipped.
+    condition vacuously and are skipped.  On a finite space the callers have
+    run validate_operator and draw the pairs from ``space.points``, so the
+    matrix and the map are indexed directly, without per-point checks.
     """
+    if isinstance(space, FiniteSpace):
+        dist, image = space.dist, T.mapping
+        for x, y in pairs:
+            d = dist[x][y]
+            if d == 0.0:                  # FiniteSpace.is_zero
+                continue
+            dt = dist[image[x]][image[y]]
+            if dt != 0.0:
+                yield x, y, d, dt
+        return
     for x, y in pairs:
         d = space.distance(x, y)
         if space.is_zero(d):

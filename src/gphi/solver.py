@@ -25,6 +25,7 @@ from .errors import (
     BudgetExhausted,
     NonpositiveRadius,
     OrbitTooShort,
+    PointOutOfDomain,
     TailNotSmall,
 )
 from .gauges import n_epsilon
@@ -148,18 +149,32 @@ def _orbit(space: Space, T: OperatorSpec, x0):
     x_{k+1} from then on.  On finite spaces a step onto an earlier point
     x_j sets ``cycle`` to the points x_j .. x_k, which then repeat.  The
     generator ends after a settling step and otherwise runs forever.
+
+    On a finite space T and x0 are checked once, when the first step is
+    taken; every later point is an image under the checked map, so the
+    steps index the map and the matrix directly.
     """
-    seen = {x0: 0} if isinstance(space, FiniteSpace) else None
+    finite = isinstance(space, FiniteSpace)
+    if finite:
+        validate_operator(space, T)
+        if not space.contains(x0):
+            raise PointOutOfDomain(f"point {x0!r} not in space")
+        dist, image = space.dist, T.mapping
+        seen = {x0: 0}
     x = x0
     k = 0
     while True:
-        xn = apply(T, space, x)
-        d = space.distance(x, xn)
+        if finite:
+            xn = image[x]
+            d = dist[x][xn]
+        else:
+            xn = apply(T, space, x)
+            d = space.distance(x, xn)
         k += 1
         if space.is_zero(d):
             yield xn, d, True, None
             return
-        if seen is not None:
+        if finite:
             if xn in seen:
                 start = seen[xn]
                 yield xn, d, False, tuple(p for p, i in seen.items() if i >= start)
@@ -167,6 +182,22 @@ def _orbit(space: Space, T: OperatorSpec, x0):
             seen[xn] = k
         yield xn, d, False, None
         x = xn
+
+
+def _point_distance(space: Space, points):
+    """The distance among ``points`` and the orbit points of checked maps.
+
+    On a finite space ``points`` are checked here, once, and the returned
+    distance reads the matrix directly; an interval keeps its checked
+    ``distance``.
+    """
+    if not isinstance(space, FiniteSpace):
+        return space.distance
+    for p in points:
+        if not space.contains(p):
+            raise PointOutOfDomain(f"point {p!r} not in space")
+    dist = space.dist
+    return lambda x, y: dist[x][y]
 
 
 def picard_iterate(space: Space, T: OperatorSpec, x0, max_iter: int = 10_000,
@@ -185,7 +216,6 @@ def picard_iterate(space: Space, T: OperatorSpec, x0, max_iter: int = 10_000,
         raise ValueError("max_iter must be at least 1")
     validate_operator(space, T)
     if not space.contains(x0):
-        from .errors import PointOutOfDomain
         raise PointOutOfDomain(f"start point {x0!r} not in space")
 
     rec = _Recorder(record_cap, tail_window)
@@ -281,10 +311,11 @@ def m_epsilon(space: Space, T: OperatorSpec, x0, n: int, eps: float, s: float,
         raise NonpositiveRadius("eps must be positive")
     thr = eps / (2.0 * s)
     walker = OrbitWalker(space, T, x0)
+    distance = _point_distance(space, ())     # the walker checks T and x0
     for m in range(1, budget + 1):
         a = walker.point(m * n)
         b = walker.point((m + 1) * n)
-        d = space.distance(b, a)
+        d = distance(b, a)
         if space.is_zero(d) or d < thr:
             return m
     raise BudgetExhausted(f"no block index within budget {budget}")
@@ -326,18 +357,19 @@ def verify_invariant_ball(space: Space, T: OperatorSpec, trace: PicardTrace,
     if not eps > 0.0:
         raise NonpositiveRadius("eps must be positive")
     center = trace.point_at(m * n)
+    distance = _point_distance(space, (center,))
     if isinstance(space, FiniteSpace):
-        candidates = [u for u in space.points if space.distance(u, center) < eps]
+        raw = space.points
     else:
         r = eps ** (1.0 / space.p)
         lo = max(space.lo, center - r)
         hi = min(space.hi, center + r)
         raw = [lo + (hi - lo) * i / (samples - 1) for i in range(samples)] \
             if samples > 1 else [lo]
-        candidates = [u for u in raw if space.distance(u, center) < eps]
+    candidates = [u for u in raw if distance(u, center) < eps]
     for u in candidates:
         v = OrbitWalker(space, T, u).point(n)
-        if not space.distance(v, center) < eps:
+        if not distance(v, center) < eps:
             return False
     return True
 
@@ -429,11 +461,12 @@ def verify_cauchy_bound(space: Space, trace: PicardTrace, G, phi, eps: float,
         stride = -(-len(pts) // max_pts)
         pts = pts[::stride] + [pts[-1]]
 
+    distance = _point_distance(space, pts)
     max_obs = 0.0
     checked = 0
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
-            d = space.distance(pts[i], pts[j])
+            d = distance(pts[i], pts[j])
             checked += 1
             if d > max_obs:
                 max_obs = d
