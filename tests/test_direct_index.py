@@ -20,6 +20,7 @@ from gphi.harness import DEFAULT_GAUGE_CATALOG, DEFAULT_PHI_CATALOG, G1_GAUGE_CA
 from gphi.solver import (
     CONFIRM_STEPS,
     OrbitWalker,
+    PicardTrace,
     m_epsilon,
     picard_iterate,
     verify_invariant_ball,
@@ -176,13 +177,6 @@ GOOD = FiniteMap((0, 0, 1))
 LEAVING = FiniteMap((0, 5, 1))          # the image of point 1 is not a point
 
 
-def _far_trace(center: int):
-    """A trace on a five-point space whose orbit sits at ``center``."""
-    five = validate_finite_space([[0.0 if i == j else 1.0 for j in range(5)]
-                                  for i in range(5)])
-    return picard_iterate(five, FiniteMap((center,) * 5), center)
-
-
 @pytest.mark.parametrize("x0", [3, -1, 1.0])
 def test_out_of_range_start_point(x0):
     with pytest.raises(PointOutOfDomain):
@@ -193,10 +187,14 @@ def test_out_of_range_start_point(x0):
         OrbitWalker(THREE, GOOD, x0).point(1)
 
 
-@pytest.mark.parametrize("center", [3, 4])
+@pytest.mark.parametrize("center", [3, 4, -1])
 def test_ball_center_outside_the_space(center):
+    # a trace settled at a point the space lacks; -1 would index the matrix
+    trace = PicardTrace(space=THREE, x0=center, orbit=(center,), indices=(0,),
+                        step_dists=(), stop_reason="exact-fixed-point",
+                        fixed_point=center, k_stop=0)
     with pytest.raises(PointOutOfDomain):
-        verify_invariant_ball(THREE, GOOD, _far_trace(center), 10.0, 1, 1)
+        verify_invariant_ball(THREE, GOOD, trace, 10.0, 1, 1)
 
 
 def test_map_leaving_the_space():
@@ -222,7 +220,7 @@ def test_map_leaving_the_space_off_the_orbit():
 
 
 def test_map_of_the_wrong_length():
-    # a short map used to crash m_epsilon with a bare IndexError
+    # a short map must not reach the orbit steps, where it would be indexed
     for wrong in (FiniteMap((0, 0)), FiniteMap((0, 0, 1, 2))):
         with pytest.raises(ValueError, match="map length"):
             m_epsilon(THREE, wrong, 2, 1, 0.5, THREE.s)
