@@ -28,8 +28,6 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable
 
-import numpy as np
-
 from .errors import (
     BudgetExhausted,
     DomainRestricted,
@@ -642,9 +640,22 @@ class _Extrema:
         if self._table is None:
             if self.pts is None:
                 self.pts = _grid_points(None, "default")
-            vals = np.array([self.G.eval(t) for t in self.pts], dtype=float)
-            self._table = (np.maximum.accumulate(vals).tolist(),
-                           np.minimum.accumulate(vals[::-1])[::-1].tolist())
+            vals = [float(self.G.eval(t)) for t in self.pts]
+            # numpy's maximum/minimum.accumulate, bit for bit: NaN propagates
+            # and a tie takes the later value, which decides a zero's sign.
+            # Inline loops, because a call per point would double the cost.
+            running_max, m = [], vals[0]
+            for v in vals:
+                if not (m != m or m > v):
+                    m = v
+                running_max.append(m)
+            running_min, m = [], vals[-1]
+            for v in reversed(vals):
+                if not (m != m or m < v):
+                    m = v
+                running_min.append(m)
+            running_min.reverse()
+            self._table = (running_max, running_min)
         return self._table
 
     def sup_below(self, i: int) -> float:
@@ -769,7 +780,8 @@ def classify_increasing_gauge(G, grid=None) -> str:
     prev_t, prev_v = pts[0], G.eval(pts[0])
     for t in pts[1:]:
         v = G.eval(t)
-        if not v > prev_v:
+        # a tie at +inf is two values past the float range, not a witness
+        if not (v > prev_v or v == prev_v == math.inf):
             raise NotStrictlyIncreasing(
                 f"gauge not strictly increasing between {prev_t} and {t}",
                 witness={"t1": prev_t, "v1": prev_v, "t2": t, "v2": v})

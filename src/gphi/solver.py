@@ -88,13 +88,23 @@ class PicardTrace:
 
 
 def trace_from_json(obj: dict) -> PicardTrace:
+    """Load a trace; the points it names must lie in its space, because the
+    lemma checks read them without checking them again."""
     space = space_from_json(obj["space"])
+    orbit = tuple(obj["orbit"])
+    fixed_point = obj["fixed_point"]
+    cycle = tuple(obj["cycle"]) if obj.get("cycle") is not None else None
+    named = [obj["x0"], *orbit, *(cycle or ())]
+    if fixed_point is not None:
+        named.append(fixed_point)
+    for x in named:
+        if not space.contains(x):
+            raise PointOutOfDomain(f"trace point {x!r} not in space")
     return PicardTrace(
-        space=space, x0=obj["x0"], orbit=tuple(obj["orbit"]),
+        space=space, x0=obj["x0"], orbit=orbit,
         indices=tuple(obj["indices"]), step_dists=tuple(obj["step_dists"]),
-        stop_reason=obj["stop_reason"], fixed_point=obj["fixed_point"],
-        k_stop=obj["k_stop"],
-        cycle=tuple(obj["cycle"]) if obj.get("cycle") is not None else None)
+        stop_reason=obj["stop_reason"], fixed_point=fixed_point,
+        k_stop=obj["k_stop"], cycle=cycle)
 
 
 @dataclass(frozen=True)
@@ -150,15 +160,22 @@ def _orbit(space: Space, T: OperatorSpec, x0):
     x_j sets ``cycle`` to the points x_j .. x_k, which then repeat.  The
     generator ends after a settling step and otherwise runs forever.
 
-    On a finite space T and x0 are checked once, when the first step is
-    taken; every later point is an image under the checked map, so the
+    x0 is checked here, before any step is taken, so a walker never hands
+    out a start point outside the space.  On a finite space T is checked
+    here too; every later point is an image under the checked map, so the
     steps index the map and the matrix directly.
     """
     finite = isinstance(space, FiniteSpace)
     if finite:
         validate_operator(space, T)
-        if not space.contains(x0):
-            raise PointOutOfDomain(f"point {x0!r} not in space")
+    if not space.contains(x0):
+        raise PointOutOfDomain(f"point {x0!r} not in {'space' if finite else 'interval'}")
+    return _steps(space, T, x0, finite)
+
+
+def _steps(space: Space, T: OperatorSpec, x0, finite: bool):
+    """The generator behind ``_orbit``, which has checked T and x0."""
+    if finite:
         dist, image = space.dist, T.mapping
         seen = {x0: 0}
     x = x0

@@ -6,7 +6,8 @@ concrete families are supported:
 
 * :class:`FiniteSpace` -- an explicit point set with a distance matrix.
   Validation computes the smallest admissible constant from a min-plus
-  reduction over all ordered triples.
+  reduction over all ordered triples.  Small matrices are validated in pure
+  Python and larger ones with numpy, which is imported only then.
 * :class:`AnalyticSpace` -- a real interval ``[lo, hi]`` carrying the
   distance ``|x - y| ** p``; the constant ``2 ** (p - 1)`` always works.
 """
@@ -14,10 +15,10 @@ concrete families are supported:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
+from operator import add
 from typing import Sequence
-
-import numpy as np
 
 from .errors import (
     AsymmetricMatrix,
@@ -40,8 +41,20 @@ DELTA_ZERO = 1e-12
 # Cap for the O(n^3) validation scan; desk-scale instances only.
 MAX_FINITE_POINTS = 256
 
+# Matrices of up to this many points are validated in pure Python.  Above
+# it numpy's vector ops repay their per-call overhead; the value is the
+# in-process crossover measured with numpy already imported.
+PY_KERNEL_MAX_POINTS = 12
+
 # Tail-window policy for liminf/limsup estimation.
 MIN_TAIL = 10
+
+
+def _is_numpy_scalar(x, kind: str) -> bool:
+    """``isinstance(x, numpy.<kind>)`` without importing numpy: until numpy
+    is loaded, no value can be one of its scalars."""
+    np = sys.modules.get("numpy")
+    return np is not None and isinstance(x, getattr(np, kind))
 
 
 @dataclass(frozen=True)
@@ -60,7 +73,8 @@ class FiniteSpace:
         return range(self.n)
 
     def contains(self, x) -> bool:
-        return isinstance(x, (int, np.integer)) and 0 <= x < self.n
+        return ((isinstance(x, int) or _is_numpy_scalar(x, "integer"))
+                and 0 <= x < self.n)
 
     def distance(self, x: int, y: int) -> float:
         if not self.contains(x) or not self.contains(y):
@@ -90,7 +104,8 @@ class AnalyticSpace:
         return 2.0 ** (self.p - 1.0)
 
     def contains(self, x) -> bool:
-        return isinstance(x, (float, int, np.floating)) and self.lo <= x <= self.hi
+        return ((isinstance(x, (float, int)) or _is_numpy_scalar(x, "floating"))
+                and self.lo <= x <= self.hi)
 
     def distance(self, x: float, y: float) -> float:
         if not self.contains(x) or not self.contains(y):
@@ -124,7 +139,7 @@ class BoundReport:
         }
 
 
-def _min_constant(d: np.ndarray) -> float:
+def _min_constant(d) -> float:
     """Smallest s making d[i,j] <= s*(d[i,k]+d[k,j]) hold for all triples.
 
     One min-plus reduction ``via[i,j] = min_k d[i,k] + d[k,j]`` (a k-loop,
@@ -135,6 +150,8 @@ def _min_constant(d: np.ndarray) -> float:
     the triples s leaves uncovered.  After taking the max ratio, s is
     nudged up by ulps until no triple is uncovered.
     """
+    import numpy as np
+
     via = d.copy()
     for k in range(d.shape[0]):
         np.minimum(via, d[:, k, None] + d[None, k, :], out=via)
@@ -146,13 +163,75 @@ def _min_constant(d: np.ndarray) -> float:
     return s
 
 
-def validate_finite_space(matrix: Sequence[Sequence[float]],
-                          max_points: int = MAX_FINITE_POINTS) -> FiniteSpace:
-    """Validate a distance matrix and return a FiniteSpace with the minimal constant.
+def _min_constant_rows(d: tuple[tuple[float, ...], ...]) -> float:
+    """``_min_constant`` of a validated matrix given as float rows, bit-equal.
 
-    Raises AsymmetricMatrix, NegativeEntry, ZeroOffDiagonal, NonzeroDiagonal,
-    NonFiniteEntry or TooManyPoints on bad input.
+    ``via[i][j]`` is the min over k of ``d[i][k] + d[j][k]``: by symmetry the
+    same sums as the numpy reduction, and a min of non-NaN floats does not
+    depend on the order it reads them in.  The ratios and the nudge test are
+    symmetric as well, so only the pairs i < j are kept.
     """
+    n = len(d)
+    pairs = [(row[j], min(map(add, row, d[j])))
+             for i, row in enumerate(d) for j in range(i + 1, n)]
+    s = max(1.0, max([dij / via for dij, via in pairs])) if pairs else 1.0
+    while any(dij > s * via for dij, via in pairs):
+        s = math.nextafter(s, math.inf)
+    return s
+
+
+_PLAIN_ENTRIES = frozenset((int, float))
+
+
+def _plain_rows(matrix) -> tuple[tuple[float, ...], ...] | None:
+    """The rows of ``matrix`` as float tuples when it is a square list (or
+    tuple) of at most PY_KERNEL_MAX_POINTS rows of plain int/float entries;
+    None for anything else, which the numpy kernel then parses."""
+    if type(matrix) not in (list, tuple) or not 0 < len(matrix) <= PY_KERNEL_MAX_POINTS:
+        return None
+    n = len(matrix)
+    for row in matrix:
+        if (type(row) not in (list, tuple) or len(row) != n
+                or not set(map(type, row)) <= _PLAIN_ENTRIES):
+            return None
+    return tuple(tuple(map(float, row)) for row in matrix)
+
+
+def _first_pair(n: int, bad) -> tuple[int, int]:
+    """The first (i, j) in row-major order with ``bad(i, j)``."""
+    return next((i, j) for i in range(n) for j in range(n) if bad(i, j))
+
+
+def _validate_rows(d: tuple[tuple[float, ...], ...], max_points: int) -> FiniteSpace:
+    """The numpy kernel's checks on float rows, in its order, with its
+    messages and witnesses, but without the per-call array overhead."""
+    n = len(d)
+    if n > max_points:
+        raise TooManyPoints(f"{n} points exceeds cap {max_points}")
+    flat = [v for row in d for v in row]
+    if not all(map(math.isfinite, flat)):
+        raise NonFiniteEntry("matrix entries must be finite")
+    if min(flat) < 0.0:
+        i, j = _first_pair(n, lambda i, j: d[i][j] < 0.0)
+        raise NegativeEntry(f"negative distance at ({i}, {j})", witness=(i, j))
+    for i in range(n):
+        if d[i][i] != 0.0:
+            raise NonzeroDiagonal(f"nonzero diagonal at ({i}, {i})", witness=(i, i))
+    if d != tuple(zip(*d)):
+        i, j = _first_pair(n, lambda i, j: d[i][j] != d[j][i])
+        raise AsymmetricMatrix(f"asymmetry at ({i}, {j})", witness=(i, j))
+    # the diagonal holds n zeros, so any further zero lies off it
+    if flat.count(0.0) > n:
+        i, j = _first_pair(n, lambda i, j: i != j and d[i][j] == 0.0)
+        raise ZeroOffDiagonal(f"zero distance between distinct points ({i}, {j})",
+                              witness=(i, j))
+    return FiniteSpace(dist=d, s=_min_constant_rows(d))
+
+
+def _validate_array(matrix, max_points: int) -> FiniteSpace:
+    """Validation with numpy: parses any array-like and scans it as arrays."""
+    import numpy as np
+
     d = np.asarray(matrix, dtype=float)
     if d.ndim != 2 or d.shape[0] != d.shape[1] or d.shape[0] < 1:
         raise ValueError("matrix must be square and non-empty")
@@ -177,6 +256,22 @@ def validate_finite_space(matrix: Sequence[Sequence[float]],
                               witness=(i, j))
     s = _min_constant(d)
     return FiniteSpace(dist=tuple(tuple(float(v) for v in row) for row in d), s=s)
+
+
+def validate_finite_space(matrix: Sequence[Sequence[float]],
+                          max_points: int = MAX_FINITE_POINTS) -> FiniteSpace:
+    """Validate a distance matrix and return a FiniteSpace with the minimal constant.
+
+    Raises AsymmetricMatrix, NegativeEntry, ZeroOffDiagonal, NonzeroDiagonal,
+    NonFiniteEntry or TooManyPoints on bad input.  A square list of at most
+    PY_KERNEL_MAX_POINTS rows of plain numbers is checked in pure Python;
+    anything else goes through numpy.  Both kernels give the same space, or
+    the same error with the same witness.
+    """
+    rows = _plain_rows(matrix)
+    if rows is None:
+        return _validate_array(matrix, max_points)
+    return _validate_rows(rows, max_points)
 
 
 def ball_membership(space: Space, center, radius: float, candidate) -> bool:

@@ -15,6 +15,7 @@ from gphi.gauges import (
     AffinePlusGauge,
     ExpOfFGauge,
     HyperbolicPhi,
+    IDENTITY_FORM,
     IdentityGauge,
     LinearPhi,
     LN,
@@ -35,6 +36,7 @@ from gphi.gauges import (
     phi_eval,
     phi_from_json,
     phi_iterate,
+    _Extrema,
 )
 from gphi.harness import DEFAULT_GAUGE_CATALOG, G1_GAUGE_CATALOG
 
@@ -232,6 +234,17 @@ class TestClassifyIncreasingGauge:
             classify_increasing_gauge(TabulatedGauge(((0.5, 0.1), (1.0, 0.9))))
         assert err.value.witness is not None
 
+    def test_tie_at_inf_is_no_witness(self):
+        # exp(a) saturates to inf from a ~ 710 on; the gauge still increases
+        G = ExpOfFGauge(IDENTITY_FORM)
+        assert G.eval(710.5) == G.eval(713.7) == math.inf
+        assert classify_increasing_gauge(G) == "G1"
+
+    def test_drop_from_inf_is_a_witness(self):
+        G = ExpOfFGauge(RealForm("peak", lambda a: 800.0 if a < 1.0 else a))
+        with pytest.raises(NotStrictlyIncreasing):
+            classify_increasing_gauge(G)
+
 
 class TestEpsilon0:
     def test_identity_unit_level(self):
@@ -342,6 +355,29 @@ class TestSampledPath:
         grid = log_grid(per_decade=16)
         epsilon0(ExpOfFGauge(RealForm("id", log_counted)), grid)
         assert len(calls) <= 41 * len(grid)
+
+
+class TestRunningExtrema:
+    """The sampled table's running max and min are numpy's accumulate,
+    bit for bit: NaN propagates and a tie takes the later value, which
+    decides the sign of a zero."""
+
+    VALUES = [0.0, -0.0, 1.0, -0.0, 0.0, math.nan, 2.0, -0.0, math.inf, 3.0]
+
+    @staticmethod
+    def bits(xs):
+        return [(math.copysign(1.0, x), x) if x == x else "nan" for x in xs]
+
+    @pytest.mark.parametrize("values", [VALUES, VALUES[:5], VALUES[::-1], VALUES[6:]])
+    def test_matches_numpy_accumulate(self, values):
+        np = pytest.importorskip("numpy")
+        G = Stripped(IdentityGauge())
+        G.eval = lambda t: values[int(t)]
+        running_max, running_min = _Extrema(G, [float(i) for i in range(len(values))]).table()
+        vals = np.array(values, dtype=float)
+        assert self.bits(running_max) == self.bits(np.maximum.accumulate(vals).tolist())
+        assert self.bits(running_min) == self.bits(
+            np.minimum.accumulate(vals[::-1])[::-1].tolist())
 
 
 class TestNEpsilon:

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gphi.contraction import AffineMap, FiniteMap, certify_condition_G
-from gphi.errors import BudgetExhausted, OrbitTooShort, TailNotSmall
+from gphi.errors import BudgetExhausted, OrbitTooShort, PointOutOfDomain, TailNotSmall
 from gphi.gauges import IdentityGauge, LinearPhi
 from gphi.harness import generate_operator, generate_space
 from gphi.solver import (
@@ -81,6 +81,24 @@ class TestPicardIterate:
         trace = picard_iterate(THREE_POINT, FiniteMap((0, 0, 1)), 2)
         again = trace_from_json(trace.to_json())
         assert again == trace
+
+    @pytest.mark.parametrize("key,value", [
+        ("x0", 3), ("orbit", [4, 4, 4]), ("fixed_point", -1), ("cycle", [0, 5]),
+        ("x0", 1.0)])
+    def test_json_points_outside_the_space(self, key, value):
+        # the lemma checks read the loaded points unchecked: on an orbit of 4s
+        # a step chaining on three points would pass
+        doc = picard_iterate(THREE_POINT, FiniteMap((0, 0, 1)), 2).to_json()
+        doc[key] = value
+        with pytest.raises(PointOutOfDomain, match="not in space"):
+            trace_from_json(doc)
+
+    def test_json_interval_points_outside_the_space(self):
+        doc = picard_iterate(UNIT, AffineMap(0.5, 0.0), 1.0).to_json()
+        assert trace_from_json(doc).x0 == 1.0
+        doc["orbit"][1] = 2.0
+        with pytest.raises(PointOutOfDomain):
+            trace_from_json(doc)
 
 
 class TestWalkerMatchesTrace:
