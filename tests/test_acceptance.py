@@ -276,3 +276,21 @@ def test_golden_report_bytes(flagship_report):
     assert g1.lemma_counts["g1_termination"] == {"pass": 265, "fail": 0}
     assert g1.violations == []
     assert _sha256(g1) == GOLDEN_G1_SHA256
+
+
+# The catalog scan also serves the break modes and larger spaces; these pin
+# the identity-map break run and a run on up to 32 points.
+GOLDEN_DROP_CONTRACTION_SHA256 = \
+    "b266d4f9f428e8932aeaaec9cbc178f4ea0846c05cded2204e4ce68f4c555b8c"
+GOLDEN_MAX32_SHA256 = "4dcc77cdb9774ba516034e680451fe5ab338419c7e072b624221a2e5f95949d6"
+
+
+def test_golden_report_bytes_break_and_wide():
+    broken = fuzz(FuzzConfig(seed=0, trials=200, break_mode="drop-contraction"))
+    assert (broken.expected_break_count, broken.violations) == (200, [])
+    assert _sha256(broken) == GOLDEN_DROP_CONTRACTION_SHA256
+
+    wide = fuzz(FuzzConfig(seed=0, trials=200, max_points=32))
+    assert (wide.certified_count, wide.uncertified_count) == (15, 185)
+    assert wide.theorem_holds_count == 15 and wide.violations == []
+    assert _sha256(wide) == GOLDEN_MAX32_SHA256
