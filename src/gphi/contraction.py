@@ -206,6 +206,23 @@ def _informative_pairs(space, T, pairs):
             yield x, y, d, dt
 
 
+def _gauged_pairs(G, informative):
+    """Each informative pair (x, y, d, dt) as (x, y, d, dt, G(d), G(dt))."""
+    for x, y, d, dt in informative:
+        yield x, y, d, dt, gauge_eval(G, d), gauge_eval(G, dt)
+
+
+def _first_violation(rows, phi):
+    """The first gauged pair violating condition (G) for phi, with its bound
+    phi(G(d)), or None.  The comparison is the strict float test
+    ``G(dt) <= phi(G(d))``; a NaN on either side is a violation."""
+    for x, y, d, dt, g_of_d, g_of_dt in rows:
+        bound = phi_eval(phi, g_of_d)
+        if not g_of_dt <= bound:
+            return (x, y, d, dt, g_of_d, g_of_dt), bound
+    return None
+
+
 def _sample_pairs(space: AnalyticSpace, seed: int, count: int):
     """Deterministic low-discrepancy pairs in the interval (R2 sequence)."""
     u = (0.5 + seed * _GOLDEN) % 1.0
@@ -250,16 +267,14 @@ def certify_condition_G(space: Space, T: OperatorSpec, G, phi,
         sampling = {"kind": "random", "seed": seed, "count": samples}
         verdict, note = "inconclusive", "certified-on-sample"
 
-    for x, y, d, dt in _informative_pairs(space, T, pairs):
-        g_of_d = gauge_eval(G, d)
-        g_of_dt = gauge_eval(G, dt)
-        bound = phi_eval(phi, g_of_d)
-        if not g_of_dt <= bound:
-            w = ViolationWitness(x=x, y=y, d_xy=d, d_txty=dt,
-                                 g_of_d=g_of_d, g_of_dt=g_of_dt, phi_bound=bound)
-            return ContractionCertificate(
-                "violated", checked_pairs=checked, violation_witness=w,
-                sampling_mode=sampling, provenance=provenance)
+    hit = _first_violation(_gauged_pairs(G, _informative_pairs(space, T, pairs)), phi)
+    if hit is not None:
+        (x, y, d, dt, g_of_d, g_of_dt), bound = hit
+        w = ViolationWitness(x=x, y=y, d_xy=d, d_txty=dt,
+                             g_of_d=g_of_d, g_of_dt=g_of_dt, phi_bound=bound)
+        return ContractionCertificate(
+            "violated", checked_pairs=checked, violation_witness=w,
+            sampling_mode=sampling, provenance=provenance)
     return ContractionCertificate(
         verdict, checked_pairs=checked, violation_witness=None,
         sampling_mode=sampling, note=note, provenance=provenance)

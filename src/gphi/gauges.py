@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from operator import lt
 from typing import Callable
 
 from .errors import (
@@ -610,7 +611,11 @@ def gauge_eval(G, a: float) -> float:
 
 def _grid_points(grid, what: str) -> list[float]:
     """The sorted distinct points of ``grid``; None means ``log_grid()``."""
-    pts = sorted(set(float(t) for t in (log_grid() if grid is None else grid)))
+    pts = list(map(float, log_grid() if grid is None else grid))
+    # log_grid() output is already strictly increasing; a NaN fails < and
+    # takes the sort like any other unsorted grid
+    if not all(map(lt, pts, pts[1:])):
+        pts = sorted(set(pts))
     if not pts:
         raise EmptyGrid(f"{what} grid is empty")
     return pts
@@ -708,12 +713,17 @@ def certify_gauge_class(G, grid=None, tol: float = PHI_TOL_DEFAULT) -> ClassCert
     down = [(a, G.eval(a)) for a in _DYADIC_DOWN]
     up = [(a, G.eval(a)) for a in _DYADIC_UP]
     down_tail = down[-12:]
-    running_max, running_min = _Extrema(G, grid).table()
+    if G.strictly_increasing():
+        # the endpoint rule, as in epsilon0 and n_epsilon
+        inf_est, sup_est = float(G.eval(grid[0])), float(G.eval(grid[-1]))
+    else:
+        running_max, running_min = _Extrema(G, grid).table()
+        inf_est, sup_est = running_min[0], running_max[-1]
     evidence: dict = {
         "grid_lo": grid[0], "grid_hi": grid[-1], "grid_points": len(grid),
         "refinement_tail": [[a, v] for a, v in down_tail],
-        "inf_grid_estimate": running_min[0],
-        "sup_grid_estimate": running_max[-1],
+        "inf_grid_estimate": inf_est,
+        "sup_grid_estimate": sup_est,
     }
 
     ki = G.known_inf()
@@ -751,7 +761,7 @@ def certify_gauge_class(G, grid=None, tol: float = PHI_TOL_DEFAULT) -> ClassCert
     else:
         to_zero = all(v < tol for _, v in down[-10:])
         # each region [eps, grid max], eps on the grid, lies in the whole grid
-        if to_zero and running_min[0] > 0.0 and not stuck_up:
+        if to_zero and inf_est > 0.0 and not stuck_up:
             in_g2 = "yes"
             evidence["g2"] = "sampled"
         elif not to_zero and min(v for _, v in down[-10:]) >= tol:

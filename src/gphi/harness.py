@@ -1,7 +1,7 @@
 """Random instance generation and the fuzz loop for the convergence theorem.
 
 Every trial draws a finite b-metric space and a self-map, scans a catalog of
-(gauge, comparison-function) pairs with the exhaustive certifier, and -- on
+(gauge, comparison-function) pairs exhaustively for condition (G), and -- on
 the first certified pair -- asserts the theorem's conclusion: a unique fixed
 point reached by the orbit of every start point, plus the quantitative
 lemma checks for the matching gauge class.  Break modes deliberately violate
@@ -19,9 +19,16 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import combinations, tee
 from random import Random
 
-from .contraction import FiniteMap, certify_condition_G
+from .contraction import (
+    FiniteMap,
+    _first_violation,
+    _gauged_pairs,
+    _informative_pairs,
+    validate_operator,
+)
 from .errors import BudgetExhausted, ConfigInvalid, OrbitTooShort, TailNotSmall
 from .gauges import (
     AffinePlusGauge,
@@ -262,10 +269,20 @@ def fuzz(config: FuzzConfig) -> FuzzReport:
 
 
 def _first_certified(space, T, gauges, phis):
-    """First (catalog gauge, phi) pair in catalog order certifying T, or None."""
-    for entry in gauges:
-        for phi in phis:
-            if certify_condition_G(space, T, entry.gauge, phi).verdict == "certified":
+    """First (catalog gauge, phi) pair in catalog order certifying T, or None.
+
+    The verdicts are those of ``certify_condition_G`` on each pair in turn,
+    down to the pair at which an evaluation raises, but T is checked once,
+    the informative pairs are drawn once for all gauges, and each gauge is
+    evaluated once per pair for all phis.  The tees draw from their source
+    only as deep as the deepest scan reaches.
+    """
+    validate_operator(space, T)
+    informative = _informative_pairs(space, T, combinations(space.points, 2))
+    for entry, pairs in zip(gauges, tee(informative, len(gauges))):
+        rows = tee(_gauged_pairs(entry.gauge, pairs), len(phis))
+        for phi, phi_rows in zip(phis, rows):
+            if _first_violation(phi_rows, phi) is None:
                 return entry, phi
     return None
 

@@ -161,20 +161,18 @@ def _orbit(space: Space, T: OperatorSpec, x0):
     generator ends after a settling step and otherwise runs forever.
 
     x0 is checked here, before any step is taken, so a walker never hands
-    out a start point outside the space.  On a finite space T is checked
-    here too; every later point is an image under the checked map, so the
+    out a start point outside the space.  On a finite space the caller has
+    checked T; every later point is an image under the checked map, so the
     steps index the map and the matrix directly.
     """
     finite = isinstance(space, FiniteSpace)
-    if finite:
-        validate_operator(space, T)
     if not space.contains(x0):
         raise PointOutOfDomain(f"point {x0!r} not in {'space' if finite else 'interval'}")
     return _steps(space, T, x0, finite)
 
 
 def _steps(space: Space, T: OperatorSpec, x0, finite: bool):
-    """The generator behind ``_orbit``, which has checked T and x0."""
+    """The generator behind ``_orbit``, whose callers have checked T and x0."""
     if finite:
         dist, image = space.dist, T.mapping
         seen = {x0: 0}
@@ -244,7 +242,8 @@ def picard_iterate(space: Space, T: OperatorSpec, x0, max_iter: int = 10_000,
     k_stop = max_iter
     cycle = None
 
-    for k, (xn, d, frozen, cycle) in zip(range(max_iter), _orbit(space, T, x0)):
+    orbit = _steps(space, T, x0, isinstance(space, FiniteSpace))
+    for k, (xn, d, frozen, cycle) in zip(range(max_iter), orbit):
         steps.append(d)
         rec.add(k + 1, xn)
         if frozen:
@@ -271,12 +270,12 @@ def picard_iterate(space: Space, T: OperatorSpec, x0, max_iter: int = 10_000,
         k_stop=k_stop, cycle=cycle)
 
 
-class OrbitWalker:
-    """Lazy orbit access; past a freeze or cycle the orbit repeats."""
+class _Walk:
+    """Lazy access to the points of orbit steps from ``_orbit``; past a
+    freeze or cycle the orbit repeats."""
 
-    def __init__(self, space: Space, T: OperatorSpec, x0,
-                 max_steps: int = WALK_CAP_DEFAULT):
-        self.steps = _orbit(space, T, x0)
+    def __init__(self, steps, x0, max_steps: int = WALK_CAP_DEFAULT):
+        self.steps = steps
         self.max_steps = max_steps
         self.pts = [x0]
         self.repeat: tuple[int, int] | None = None   # (start, period)
@@ -297,6 +296,16 @@ class OrbitWalker:
             return self.pts[k]
         start, period = self.repeat
         return self.pts[start + (k - start) % period]
+
+
+class OrbitWalker(_Walk):
+    """Lazy orbit access; past a freeze or cycle the orbit repeats."""
+
+    def __init__(self, space: Space, T: OperatorSpec, x0,
+                 max_steps: int = WALK_CAP_DEFAULT):
+        if isinstance(space, FiniteSpace):
+            validate_operator(space, T)
+        super().__init__(_orbit(space, T, x0), x0, max_steps)
 
 
 def enumerate_fixed_points(space: FiniteSpace, T: FiniteMap) -> set[int]:
@@ -376,6 +385,7 @@ def verify_invariant_ball(space: Space, T: OperatorSpec, trace: PicardTrace,
     center = trace.point_at(m * n)
     distance = _point_distance(space, (center,))
     if isinstance(space, FiniteSpace):
+        validate_operator(space, T)         # once for all the walks below
         raw = space.points
     else:
         r = eps ** (1.0 / space.p)
@@ -385,7 +395,7 @@ def verify_invariant_ball(space: Space, T: OperatorSpec, trace: PicardTrace,
             if samples > 1 else [lo]
     candidates = [u for u in raw if distance(u, center) < eps]
     for u in candidates:
-        v = OrbitWalker(space, T, u).point(n)
+        v = _Walk(_orbit(space, T, u), u).point(n)
         if not distance(v, center) < eps:
             return False
     return True

@@ -255,7 +255,7 @@ def _validate_array(matrix, max_points: int) -> FiniteSpace:
         raise ZeroOffDiagonal(f"zero distance between distinct points ({i}, {j})",
                               witness=(i, j))
     s = _min_constant(d)
-    return FiniteSpace(dist=tuple(tuple(float(v) for v in row) for row in d), s=s)
+    return FiniteSpace(dist=tuple(map(tuple, d.tolist())), s=s)
 
 
 def validate_finite_space(matrix: Sequence[Sequence[float]],

@@ -37,6 +37,7 @@ from gphi.gauges import (
     phi_from_json,
     phi_iterate,
     _Extrema,
+    _grid_points,
 )
 from gphi.harness import DEFAULT_GAUGE_CATALOG, G1_GAUGE_CATALOG
 
@@ -217,6 +218,79 @@ class TestCertifyGaugeClass:
         if cert.in_g1 == "yes":
             low = cert.evidence["inf_closed_form"]
             assert all(v >= low for _, v in cert.evidence["refinement_tail"])
+
+
+class TestClassEvidenceEndpoints:
+    """For a strictly increasing gauge the class certificate's grid inf and
+    sup are G at the grid's ends; the certificate must be the one the
+    sampled table gives, bit for bit."""
+
+    @staticmethod
+    def table_certificate(G, grid) -> str:
+        doc = certify_gauge_class(G, grid).to_json()
+        running_max, running_min = _Extrema(G, _grid_points(grid, "table")).table()
+        doc["evidence"]["inf_grid_estimate"] = running_min[0]
+        doc["evidence"]["sup_grid_estimate"] = running_max[-1]
+        return json.dumps(doc, sort_keys=True)
+
+    def check(self, G, grid):
+        assert G.strictly_increasing()
+        got = json.dumps(certify_gauge_class(G, grid).to_json(), sort_keys=True)
+        assert got == self.table_certificate(G, grid)
+
+    @pytest.mark.parametrize("gauge", DEFAULT_GAUGE_CATALOG + G1_GAUGE_CATALOG, ids=str)
+    def test_catalog_on_default_grid(self, gauge):
+        self.check(gauge, None)
+
+    grids = st.builds(log_grid, st.integers(-12, 0), st.integers(1, 12),
+                      st.integers(1, 64))
+
+    @given(q=st.floats(0.0, 40.0, exclude_min=True), grid=grids)
+    def test_power(self, q, grid):
+        self.check(PowerGauge(q), grid)
+
+    @given(c=st.floats(1e-300, 1e300), grid=grids)
+    def test_affine_plus(self, c, grid):
+        self.check(AffinePlusGauge(c), grid)
+
+    @given(gauge=st.sampled_from(DEFAULT_GAUGE_CATALOG + G1_GAUGE_CATALOG), grid=grids)
+    def test_catalog_on_random_grids(self, gauge, grid):
+        self.check(gauge, grid)
+
+    @pytest.mark.parametrize("q", [1e-300, 0.5, 13.0, 40.0])
+    def test_power_on_default_grid(self, q):
+        # underflow to 0.0 at the bottom of the grid and overflow to inf at
+        # the top give runs of equal values
+        self.check(PowerGauge(q), None)
+
+
+class TestGridPoints:
+    """Grids that are already strictly increasing skip the sort, with the
+    same result."""
+
+    @staticmethod
+    def sorted_distinct(grid):
+        return [repr(t) for t in sorted(set(float(t) for t in grid))]
+
+    @given(st.lists(st.one_of(st.floats(allow_nan=False), st.integers(-5, 5)),
+                    min_size=1))
+    def test_any_grid(self, grid):
+        assert [repr(t) for t in _grid_points(grid, "t")] == self.sorted_distinct(grid)
+
+    @given(st.lists(st.floats(allow_nan=False), min_size=1, unique=True))
+    def test_increasing_grid(self, grid):
+        grid = sorted(grid)
+        assert [repr(t) for t in _grid_points(grid, "t")] == self.sorted_distinct(grid)
+
+    def test_signed_zeros_and_default(self):
+        assert [repr(t) for t in _grid_points([-0.0, 0.0, 1.0], "t")] == \
+            self.sorted_distinct([-0.0, 0.0, 1.0])
+        assert _grid_points(None, "t") == log_grid()
+
+    def test_returns_a_new_list(self):
+        grid = [1.0, 2.0, 3.0]
+        pts = _grid_points(grid, "t")
+        assert pts == grid and pts is not grid
 
 
 class TestClassifyIncreasingGauge:

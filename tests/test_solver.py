@@ -217,6 +217,51 @@ class TestInvariantBall:
         assert verify_invariant_ball(UNIT, T, trace, eps=0.25, n=2, m=1)
 
 
+class TestMapCheckedOnce:
+    """T is checked once per call, not once per orbit the call walks."""
+
+    @staticmethod
+    def _count_checks(monkeypatch):
+        import gphi.solver as solver
+        calls = []
+        real = solver.validate_operator
+
+        def counted(space, T):
+            calls.append(T)
+            return real(space, T)
+
+        monkeypatch.setattr(solver, "validate_operator", counted)
+        return calls
+
+    def test_invariant_ball(self, monkeypatch):
+        space = generate_space("ball-once", 7)
+        T = generate_operator("ball-once:op", space, True)
+        trace = picard_iterate(space, T, 0)
+        calls = self._count_checks(monkeypatch)
+        # every point is within 2 of the centre, so all 7 are candidates
+        verify_invariant_ball(space, T, trace, eps=2.0, n=2, m=1)
+        assert len(calls) == 1
+
+    def test_picard_iterate(self, monkeypatch):
+        calls = self._count_checks(monkeypatch)
+        picard_iterate(THREE_POINT, FiniteMap((0, 0, 1)), 2)
+        assert len(calls) == 1
+
+    def test_ball_errors_keep_their_order(self):
+        trace = picard_iterate(THREE_POINT, FiniteMap((0, 0, 1)), 2)
+        # the centre is checked before the map, and the map before any walk
+        with pytest.raises(ValueError, match="map length 2 != 3 points"):
+            verify_invariant_ball(THREE_POINT, FiniteMap((0, 0)), trace,
+                                  eps=0.5, n=1, m=1)
+        with pytest.raises(PointOutOfDomain, match="image of point 2 is 5"):
+            verify_invariant_ball(THREE_POINT, FiniteMap((0, 0, 5)), trace,
+                                  eps=0.5, n=1, m=1)
+        two = picard_iterate(TWO_CYCLE_SPACE, SWAP, 0, max_iter=4)
+        with pytest.raises(PointOutOfDomain, match="point 1 not in space"):
+            verify_invariant_ball(validate_finite_space([[0.0]]), FiniteMap((7,)),
+                                  two, eps=0.5, n=1, m=1)
+
+
 class TestStepChaining:
     def test_halving_map_blocks(self):
         # steps d(x_{k+1}, x_k) = 2^-(k+1); threshold 0.1/(2*1) = 0.05 is first
