@@ -269,11 +269,10 @@ def certify_condition_G(space: Space, T: OperatorSpec, G, phi,
 
     hit = _first_violation(_gauged_pairs(G, _informative_pairs(space, T, pairs)), phi)
     if hit is not None:
-        (x, y, d, dt, g_of_d, g_of_dt), bound = hit
-        w = ViolationWitness(x=x, y=y, d_xy=d, d_txty=dt,
-                             g_of_d=g_of_d, g_of_dt=g_of_dt, phi_bound=bound)
+        row, bound = hit                    # row: x, y, d_xy, d_txty, g_of_d, g_of_dt
         return ContractionCertificate(
-            "violated", checked_pairs=checked, violation_witness=w,
+            "violated", checked_pairs=checked,
+            violation_witness=ViolationWitness(*row, phi_bound=bound),
             sampling_mode=sampling, provenance=provenance)
     return ContractionCertificate(
         verdict, checked_pairs=checked, violation_witness=None,
