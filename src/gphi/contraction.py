@@ -23,8 +23,7 @@ Two adapters translate classical formulations into the gauged one:
 from __future__ import annotations
 
 import warnings
-from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import combinations
 
 from .errors import (
@@ -40,6 +39,7 @@ from .gauges import (
     ExpOfFGauge,
     ExpPsiLnPhi,
     RealForm,
+    _step_eval,
     gauge_eval,
     phi_eval,
 )
@@ -136,9 +136,7 @@ def apply(T: OperatorSpec, space: Space, x):
         raise PointOutOfDomain(f"point {x!r} not in interval")
     if isinstance(T, AffineMap):
         return T.a * x + T.b
-    ts = [p[0] for p in T.points]
-    idx = bisect_right(ts, x) - 1
-    return T.points[max(idx, 0)][1]
+    return _step_eval(T.points, x)
 
 
 @dataclass(frozen=True)
@@ -152,9 +150,7 @@ class ViolationWitness:
     phi_bound: float
 
     def to_json(self) -> dict:
-        return {"x": self.x, "y": self.y, "d_xy": self.d_xy,
-                "d_txty": self.d_txty, "g_of_d": self.g_of_d,
-                "g_of_dt": self.g_of_dt, "phi_bound": self.phi_bound}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -167,15 +163,7 @@ class ContractionCertificate:
     provenance: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "checked_pairs": self.checked_pairs,
-            "violation_witness":
-                self.violation_witness.to_json() if self.violation_witness else None,
-            "sampling_mode": self.sampling_mode,
-            "note": self.note,
-            "provenance": self.provenance,
-        }
+        return asdict(self)
 
 
 def _informative_pairs(space, T, pairs):

@@ -46,6 +46,10 @@ class ConstantTooSmall(GphiError):
     pass
 
 
+class ConstantOverflow(GphiError):
+    pass
+
+
 class PointOutOfDomain(GphiError):
     pass
 

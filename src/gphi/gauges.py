@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from operator import lt
 from typing import Callable
 
@@ -321,8 +321,7 @@ class PhiCertificate:
     evidence: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        return {"verdict": self.verdict, "witness": self.witness,
-                "evidence": self.evidence}
+        return asdict(self)
 
 
 def certify_phi(phi, grid, budget: int = PHI_BUDGET_DEFAULT,
@@ -694,7 +693,7 @@ class ClassCertificate:
     evidence: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        return {"in_g1": self.in_g1, "in_g2": self.in_g2, "evidence": self.evidence}
+        return asdict(self)
 
 
 def certify_gauge_class(G, grid=None, tol: float = PHI_TOL_DEFAULT) -> ClassCertificate:
@@ -823,8 +822,9 @@ def epsilon0(G, grid=None, level: float = 1.0) -> float:
     pts = _grid_points(grid, "epsilon0")
     ext = _Extrema(G, pts)
     # the regions [eps, grid max] for grid eps all lie inside the first one,
-    # so their infima are all positive iff the first one's is
-    if ext.inf_from(0) > 0.0:
+    # so their infima are all positive iff the first one's is; a strictly
+    # increasing gauge's is G(grid min) > 0, even where the float underflows
+    if G.strictly_increasing() or ext.inf_from(0) > 0.0:
         for i in range(len(pts) - 1, -1, -1):
             if ext.sup_below(i) <= level:
                 return pts[i]

@@ -18,7 +18,7 @@ across platforms, so reports are byte-identical for a given configuration.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import combinations, tee
 from random import Random
 
@@ -116,18 +116,7 @@ class FuzzReport:
     violations: list = field(default_factory=list)
 
     def to_json(self) -> dict:
-        return {
-            "config": self.config,
-            "trials_run": self.trials_run,
-            "certified_count": self.certified_count,
-            "theorem_holds_count": self.theorem_holds_count,
-            "uncertified_count": self.uncertified_count,
-            "expected_break_count": self.expected_break_count,
-            "g1_instances": self.g1_instances,
-            "g2_instances": self.g2_instances,
-            "lemma_counts": self.lemma_counts,
-            "violations": self.violations,
-        }
+        return asdict(self)
 
     def to_json_str(self) -> str:
         return json.dumps(self.to_json(), indent=2, sort_keys=True)
@@ -287,10 +276,6 @@ def _first_certified(space, T, gauges, phis):
     return None
 
 
-def _tally(report: FuzzReport, lemma: str, passed: bool):
-    report.lemma_counts[lemma]["pass" if passed else "fail"] += 1
-
-
 def _bundle(trial, kind, detail, space, T, gauge, phi, trace) -> dict:
     return {
         "trial": trial,
@@ -305,16 +290,21 @@ def _bundle(trial, kind, detail, space, T, gauge, phi, trace) -> dict:
 
 
 def _check_theorem(report, trial, space, T, entry, phi, config) -> bool:
-    """Assert the theorem's conclusion on one certified instance."""
-    ok = True
+    """Assert the theorem's conclusion on one certified instance; True iff
+    every lemma held, that is iff no violation was added."""
+    violations_before = len(report.violations)
+
+    def lemma(name, passed, kind, detail, trace=None) -> bool:
+        # the one outcome rule: tally, and bundle the counterexample on failure
+        report.lemma_counts[name]["pass" if passed else "fail"] += 1
+        if not passed:
+            report.violations.append(_bundle(
+                trial, kind, detail, space, T, entry.gauge, phi, trace))
+        return passed
+
     fps = enumerate_fixed_points(space, T)
-    unique = len(fps) == 1
-    _tally(report, "unique_fixed_point", unique)
-    if not unique:
-        report.violations.append(_bundle(
-            trial, "fixed-point-count",
-            f"certified instance has fixed points {sorted(fps)}",
-            space, T, entry.gauge, phi, None))
+    if not lemma("unique_fixed_point", len(fps) == 1, "fixed-point-count",
+                 f"certified instance has fixed points {sorted(fps)}"):
         return False
     fp = next(iter(fps))
 
@@ -322,74 +312,46 @@ def _check_theorem(report, trial, space, T, entry, phi, config) -> bool:
     for x0 in space.points:
         trace = picard_iterate(space, T, x0, max_iter=config.max_iter)
         traces.append(trace)
-        reached = (trace.stop_reason == "exact-fixed-point"
-                   and trace.fixed_point == fp)
-        _tally(report, "orbit_convergence", reached)
-        if not reached:
-            ok = False
-            report.violations.append(_bundle(
-                trial, "orbit-divergence",
-                f"orbit from {x0} stopped with {trace.stop_reason} "
-                f"at {trace.fixed_point!r} instead of {fp}",
-                space, T, entry.gauge, phi, trace))
+        lemma("orbit_convergence",
+              trace.stop_reason == "exact-fixed-point" and trace.fixed_point == fp,
+              "orbit-divergence",
+              f"orbit from {x0} stopped with {trace.stop_reason} "
+              f"at {trace.fixed_point!r} instead of {fp}", trace)
 
     if entry.in_g1:
         report.g1_instances += 1
         for trace in traces:
-            term = verify_g1_termination(trace)
-            _tally(report, "g1_termination", term)
-            if not term:
-                ok = False
-                report.violations.append(_bundle(
-                    trial, "g1-termination",
-                    "positive-infimum gauge but orbit never became constant",
-                    space, T, entry.gauge, phi, trace))
-        return ok
+            lemma("g1_termination", verify_g1_termination(trace), "g1-termination",
+                  "positive-infimum gauge but orbit never became constant", trace)
+        return len(report.violations) == violations_before
 
     report.g2_instances += 1
     eps = entry.eps0 / 2.0
     try:
         n = n_epsilon(entry.gauge, phi, space.s, eps, budget=config.n_budget)
-        _tally(report, "n_epsilon", True)
     except BudgetExhausted:
-        _tally(report, "n_epsilon", False)
-        report.violations.append(_bundle(
-            trial, "n-epsilon-budget", "n_epsilon exhausted its budget",
-            space, T, entry.gauge, phi, None))
+        n = None
+    if not lemma("n_epsilon", n is not None, "n-epsilon-budget",
+                 "n_epsilon exhausted its budget"):
         return False
 
     for trace in traces:
         try:
             m = m_epsilon(space, T, trace.x0, n, eps, space.s,
                           budget=config.m_budget)
-            _tally(report, "m_epsilon", True)
         except BudgetExhausted:
-            _tally(report, "m_epsilon", False)
-            ok = False
-            report.violations.append(_bundle(
-                trial, "m-epsilon-budget", "m_epsilon exhausted its budget",
-                space, T, entry.gauge, phi, trace))
+            m = None
+        if not lemma("m_epsilon", m is not None, "m-epsilon-budget",
+                     "m_epsilon exhausted its budget", trace):
             continue
-
-        ball = verify_invariant_ball(space, T, trace, eps, n, m)
-        _tally(report, "invariant_ball", ball)
-        if not ball:
-            ok = False
-            report.violations.append(_bundle(
-                trial, "invariant-ball", "image of the ball escaped",
-                space, T, entry.gauge, phi, trace))
-
+        lemma("invariant_ball", verify_invariant_ball(space, T, trace, eps, n, m),
+              "invariant-ball", "image of the ball escaped", trace)
         try:
             _, chain_holds = verify_step_chaining(trace, n, eps, space.s)
         except TailNotSmall:
             chain_holds = False
-        _tally(report, "step_chaining", chain_holds)
-        if not chain_holds:
-            ok = False
-            report.violations.append(_bundle(
-                trial, "step-chaining", "block distances exceeded eps",
-                space, T, entry.gauge, phi, trace))
-
+        lemma("step_chaining", chain_holds, "step-chaining",
+              "block distances exceeded eps", trace)
         try:
             diag = verify_cauchy_bound(
                 space, trace, entry.gauge, phi, eps,
@@ -397,10 +359,6 @@ def _check_theorem(report, trial, space, T, entry, phi, config) -> bool:
             cauchy = diag.holds
         except (BudgetExhausted, OrbitTooShort, TailNotSmall):
             cauchy = False
-        _tally(report, "cauchy_bound", cauchy)
-        if not cauchy:
-            ok = False
-            report.violations.append(_bundle(
-                trial, "cauchy-bound", "tail pair distance exceeded 4*s^3*eps",
-                space, T, entry.gauge, phi, trace))
-    return ok
+        lemma("cauchy_bound", cauchy, "cauchy-bound",
+              "tail pair distance exceeded 4*s^3*eps", trace)
+    return len(report.violations) == violations_before

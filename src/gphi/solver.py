@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .contraction import FiniteMap, OperatorSpec, apply, validate_operator
 from .errors import (
@@ -122,10 +122,7 @@ class CauchyDiagnostics:
     holds: bool
 
     def to_json(self) -> dict:
-        return {"eps": self.eps, "n": self.n, "m": self.m, "m0": self.m0,
-                "m_bar": self.m_bar, "bound": self.bound,
-                "max_observed": self.max_observed,
-                "pairs_checked": self.pairs_checked, "holds": self.holds}
+        return asdict(self)
 
 
 class _Recorder:

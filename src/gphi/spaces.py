@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from operator import add
 from typing import Sequence
 
 from .errors import (
     AsymmetricMatrix,
+    ConstantOverflow,
     ConstantTooSmall,
     EmptySequence,
     NegativeEntry,
@@ -63,6 +64,12 @@ class FiniteSpace:
 
     dist: tuple[tuple[float, ...], ...]
     s: float
+
+    def __post_init__(self):
+        # both validation kernels build the space here; a distance too far
+        # above its tightest detour makes the ratio, and so s, overflow
+        if self.s == math.inf:
+            raise ConstantOverflow("the b-metric constant overflows the float range")
 
     @property
     def n(self) -> int:
@@ -130,13 +137,7 @@ class BoundReport:
     holds: bool
 
     def to_json(self) -> dict:
-        return {
-            "lower": self.lower,
-            "liminf_est": self.liminf_est,
-            "limsup_est": self.limsup_est,
-            "upper": self.upper,
-            "holds": self.holds,
-        }
+        return asdict(self)
 
 
 def _min_constant(d) -> float:
@@ -152,14 +153,16 @@ def _min_constant(d) -> float:
     """
     import numpy as np
 
-    via = d.copy()
-    for k in range(d.shape[0]):
-        np.minimum(via, d[:, k, None] + d[None, k, :], out=via)
-    off = ~np.eye(d.shape[0], dtype=bool)
-    d, via = d[off], via[off]
-    s = max(1.0, float(np.max(d / via))) if d.size else 1.0
-    while np.any(d > s * via):
-        s = math.nextafter(s, math.inf)
+    # an overflow gives inf, as in the Python kernel; FiniteSpace rejects it
+    with np.errstate(over="ignore"):
+        via = d.copy()
+        for k in range(d.shape[0]):
+            np.minimum(via, d[:, k, None] + d[None, k, :], out=via)
+        off = ~np.eye(d.shape[0], dtype=bool)
+        d, via = d[off], via[off]
+        s = max(1.0, float(np.max(d / via))) if d.size else 1.0
+        while np.any(d > s * via):
+            s = math.nextafter(s, math.inf)
     return s
 
 
@@ -263,10 +266,10 @@ def validate_finite_space(matrix: Sequence[Sequence[float]],
     """Validate a distance matrix and return a FiniteSpace with the minimal constant.
 
     Raises AsymmetricMatrix, NegativeEntry, ZeroOffDiagonal, NonzeroDiagonal,
-    NonFiniteEntry or TooManyPoints on bad input.  A square list of at most
-    PY_KERNEL_MAX_POINTS rows of plain numbers is checked in pure Python;
-    anything else goes through numpy.  Both kernels give the same space, or
-    the same error with the same witness.
+    NonFiniteEntry, TooManyPoints or ConstantOverflow on bad input.  A square
+    list of at most PY_KERNEL_MAX_POINTS rows of plain numbers is checked in
+    pure Python; anything else goes through numpy.  Both kernels give the
+    same space, or the same error with the same witness.
     """
     rows = _plain_rows(matrix)
     if rows is None:

@@ -70,6 +70,16 @@ class TestCertify:
 
 
 class TestSolve:
+    def test_constant_overflow_exits_one(self, tmp_path, capsys):
+        # d(0, 1) over its detour through 2 is 5e599: s would print as
+        # Infinity, which is not JSON
+        dist = [[0, 1e300, 1e-300], [1e300, 0, 1e-300], [1e-300, 1e-300, 0]]
+        inst = dict(THREE_POINT_INSTANCE, space={"dist": dist})
+        path = write(tmp_path, "inst.json", inst)
+        assert run_cli(["solve", path, "--x0", "0"]) == 1
+        out = capsys.readouterr()
+        assert out.out == "" and "ConstantOverflow" in out.err
+
     def test_affine_reaches_half(self, tmp_path, capsys):
         path = write(tmp_path, "inst.json", ANALYTIC_INSTANCE)
         assert run_cli(["solve", path, "--x0", "0"]) == 0

@@ -343,6 +343,13 @@ class TestEpsilon0:
         grid = log_grid(per_decade=16)
         assert epsilon0(opaque, grid) == epsilon0(ExpOfFGauge(LN), grid) == 1.0
 
+    def test_steep_power_underflow_at_grid_min(self):
+        # (1e-9) ** 40 underflows to 0.0, yet G is positive on (0, inf)
+        G = PowerGauge(40.0)
+        assert G.eval(1e-9) == 0.0
+        assert epsilon0(G, log_grid(-9, 3)) == epsilon0(G) == 1.0
+        assert n_epsilon(G, LinearPhi(0.5), 1.0, 0.5) == 81
+
 
 class TestTabulatedRegions:
     STEP = TabulatedGauge(((0.5, 0.1), (1.0, 0.9)))

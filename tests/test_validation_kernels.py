@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gphi import spaces
+from gphi.errors import ConstantOverflow
 from gphi.spaces import MAX_FINITE_POINTS, PY_KERNEL_MAX_POINTS, validate_finite_space
 
 
@@ -85,9 +86,9 @@ def malformed(draw):
     return d
 
 
-# a tiny detour under a huge distance makes the constant overflow to inf,
-# which numpy reports as a warning in the reference kernel
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+# a tiny detour under a huge distance makes the constant overflow; both
+# kernels raise ConstantOverflow, and numpy's overflow warning stays inside
+@pytest.mark.filterwarnings("error:overflow encountered:RuntimeWarning")
 class TestKernelsAgree:
     @settings(max_examples=200, deadline=None)
     @given(st.one_of(valid_matrices(), heavy_tailed()))
@@ -104,6 +105,13 @@ class TestKernelsAgree:
         for d in ([], [[]], [1.0, 2.0], [[0.0, 1.0]], [[0.0, 1.0], [1.0, 0.0], [1.0, 1.0]],
                   [[0.0, 1.0], [1.0]], [[0.0, [1.0]], [1.0, 0.0]], (), "ab", 3):
             assert_kernels_agree(d)
+
+    def test_constant_overflow(self):
+        d = [[0, 1e300, 1e-300], [1e300, 0, 1e-300], [1e-300, 1e-300, 0]]
+        assert spaces._plain_rows(d) is not None
+        assert_kernels_agree(d)
+        with pytest.raises(ConstantOverflow):
+            validate_finite_space(d)
 
     def test_signed_zero_diagonal_is_kept(self):
         d = [[-0.0, 1.0], [1.0, 0.0]]
