@@ -19,9 +19,15 @@ import argparse
 import json
 import sys
 
-from .contraction import certify_condition_G, operator_from_json, validate_operator
+from .contraction import (
+    SAMPLE_PAIRS_DEFAULT,
+    certify_condition_G,
+    operator_from_json,
+    validate_operator,
+)
 from .errors import GphiError
 from .gauges import (
+    PER_DECADE_DEFAULT,
     certify_gauge_class,
     certify_phi,
     epsilon0,
@@ -30,7 +36,7 @@ from .gauges import (
     phi_from_json,
 )
 from .harness import FuzzConfig, fuzz
-from .solver import picard_iterate, verify_cauchy_bound
+from .solver import TOL_DEFAULT, picard_iterate, verify_cauchy_bound
 from .spaces import FiniteSpace, space_from_json
 
 EXIT_OK = 0
@@ -43,11 +49,11 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gphi",
         description="certify gauged contractions and iterate them to their fixed points")
-    parser.add_argument("--tol", type=float, default=1e-10,
+    parser.add_argument("--tol", type=float, default=TOL_DEFAULT,
                         help="solver convergence tolerance")
     parser.add_argument("--budget", type=int, default=10 ** 6,
                         help="iteration budget for certifications and thresholds")
-    parser.add_argument("--grid-density", type=int, default=512,
+    parser.add_argument("--grid-density", type=int, default=PER_DECADE_DEFAULT,
                         help="grid points per decade for certification grids")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -56,7 +62,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cert.add_argument("--mode", choices=["auto", "exhaustive", "random"],
                         default="auto")
     p_cert.add_argument("--seed", type=int, default=0)
-    p_cert.add_argument("--samples", type=int, default=4096)
+    p_cert.add_argument("--samples", type=int, default=SAMPLE_PAIRS_DEFAULT)
 
     p_solve = sub.add_parser("solve", help="run the Picard orbit")
     p_solve.add_argument("instance")

@@ -52,6 +52,10 @@ _R2_A1 = 0.7548776662466927
 _R2_A2 = 0.5698402909980532
 _GOLDEN = 0.6180339887498949
 
+_PSI_STARTS = (0.5, 1.0, 2.0)    # from_F_contraction iterates psi from each start
+_PSI_ITERATES = 10_000           # at most this many times,
+_PSI_FLOOR = -60.0               # until it drops below this floor
+
 
 @dataclass(frozen=True)
 class FiniteMap:
@@ -287,10 +291,7 @@ def check_F_inequality(space: Space, T: OperatorSpec, F: RealForm,
     return None
 
 
-def from_F_contraction(F: RealForm, psi: RealForm,
-                       test_grid=(0.5, 1.0, 2.0), budget: int = 10_000,
-                       floor: float = -60.0,
-                       metadata: dict | None = None) -> tuple[ExpOfFGauge, ExpPsiLnPhi]:
+def from_F_contraction(F: RealForm, psi: RealForm) -> tuple[ExpOfFGauge, ExpPsiLnPhi]:
     """Translate an (F, psi) contraction pair into a gauge/comparison pair.
 
     Returns ``G = exp(F)`` and ``phi = exp . psi . ln``.  psi must be
@@ -299,11 +300,8 @@ def from_F_contraction(F: RealForm, psi: RealForm,
     raises PsiNotDiverging.  The original inequality holds for a pair of
     points iff condition (G) holds for the returned pair.
     """
-    probes = sorted(set(
-        [float(t) for t in test_grid]
-        + [x / 4.0 for x in range(-40, 41)]))
     prev_x = prev_v = None
-    for x in probes:
+    for x in [k / 4.0 for k in range(-40, 41)]:    # _PSI_STARTS among them
         v = psi.fn(x)
         if prev_v is not None and v < prev_v:
             raise PsiNotNondecreasing(
@@ -311,11 +309,11 @@ def from_F_contraction(F: RealForm, psi: RealForm,
                 witness={"x1": prev_x, "v1": prev_v, "x2": x, "v2": v})
         prev_x, prev_v = x, v
 
-    for t in test_grid:
-        u = float(t)
-        for _ in range(budget):
+    for t in _PSI_STARTS:
+        u = t
+        for _ in range(_PSI_ITERATES):
             nxt = psi.fn(u)
-            if nxt < floor:
+            if nxt < _PSI_FLOOR:
                 break
             if nxt >= u:
                 raise PsiNotDiverging(
@@ -323,9 +321,7 @@ def from_F_contraction(F: RealForm, psi: RealForm,
                     witness={"t": t, "stuck_at": nxt})
             u = nxt
 
-    gauge = ExpOfFGauge(F)
-    comp = ExpPsiLnPhi(psi, metadata=tuple(sorted((metadata or {}).items())))
-    return gauge, comp
+    return ExpOfFGauge(F), ExpPsiLnPhi(psi)
 
 
 def to_czerwik_form(G, phi) -> ConjugatePhi:

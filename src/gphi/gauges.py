@@ -241,14 +241,9 @@ class TabulatedPhi:
 
 @dataclass(frozen=True)
 class ExpPsiLnPhi:
-    """phi = exp . psi . ln, the comparison function induced by an adapter shift.
-
-    ``metadata`` carries optional classical-condition annotations from the
-    adapter; it never affects evaluation.
-    """
+    """phi = exp . psi . ln, the comparison function induced by an adapter shift."""
 
     psi: RealForm
-    metadata: tuple = ()
 
     def eval(self, t: float) -> float:
         return _safe_exp(self.psi.fn(math.log(t)))
@@ -260,10 +255,7 @@ class ExpPsiLnPhi:
         return self.psi.increasing
 
     def describe(self) -> dict:
-        out = {"family": "exp_psi_ln", "psi": self.psi.describe()}
-        if self.metadata:
-            out["metadata"] = dict(self.metadata)
-        return out
+        return {"family": "exp_psi_ln", "psi": self.psi.describe()}
 
 
 @dataclass(frozen=True)
@@ -531,7 +523,7 @@ class ExpOfFGauge(_GaugeBase):
     def known_inf(self):
         if self.f.inf_value is None:
             return None
-        return math.exp(self.f.inf_value)
+        return _safe_exp(self.f.inf_value)
 
     def known_g2(self):
         return self.f.diverges_iff_zero
@@ -696,7 +688,7 @@ class ClassCertificate:
         return asdict(self)
 
 
-def certify_gauge_class(G, grid=None, tol: float = PHI_TOL_DEFAULT) -> ClassCertificate:
+def certify_gauge_class(G, grid=None) -> ClassCertificate:
     """Certify membership of a gauge in classes G1 and/or G2.
 
     G1 ("inf G > 0") is answered "yes" only from an analytic lower bound for
@@ -704,8 +696,9 @@ def certify_gauge_class(G, grid=None, tol: float = PHI_TOL_DEFAULT) -> ClassCert
     gauge below any positive level.  G2 is decided from family knowledge when
     available, otherwise by the sampling scheme: evaluate along a dyadic
     refinement a = 2^-k (direction a -> 0) and along a = 2^k together with
-    the infimum over the grid (direction G -> 0 forces a -> 0).  The grid
-    should span at least [tol, 1/tol] on a log scale, as the default does.
+    the infimum over the grid (direction G -> 0 forces a -> 0).  Values below
+    PHI_TOL_DEFAULT count as zero, so the grid should span at least
+    [PHI_TOL_DEFAULT, 1/PHI_TOL_DEFAULT] on a log scale, as the default does.
     """
     grid = _grid_points(grid, "certification")
 
@@ -735,20 +728,20 @@ def certify_gauge_class(G, grid=None, tol: float = PHI_TOL_DEFAULT) -> ClassCert
             evidence["g1_witness"] = [[a, v] for a, v in down_tail]
     else:
         est = min(v for _, v in down)
-        if est < tol:
+        if est < PHI_TOL_DEFAULT:
             in_g1 = "no"
-            evidence["g1_witness"] = [[a, v] for a, v in down if v < tol][:12]
+            evidence["g1_witness"] = [[a, v] for a, v in down if v < PHI_TOL_DEFAULT][:12]
         else:
             in_g1 = "inconclusive"
 
-    stuck_up = [[a, v] for a, v in up if v < tol][:12]
+    stuck_up = [[a, v] for a, v in up if v < PHI_TOL_DEFAULT][:12]
     kg2 = G.known_g2()
     if kg2 is True:
         in_g2 = "yes"
         evidence["g2"] = "closed-form"
     elif kg2 is False:
         in_g2 = "no"
-        if min(v for _, v in down_tail) < tol and stuck_up:
+        if min(v for _, v in down_tail) < PHI_TOL_DEFAULT and stuck_up:
             # direction G -> 0 fails: gauge vanishes away from zero
             evidence["g2_witness"] = {"kind": "vanishes-away-from-zero",
                                       "sequence": stuck_up}
@@ -758,12 +751,12 @@ def certify_gauge_class(G, grid=None, tol: float = PHI_TOL_DEFAULT) -> ClassCert
                 "kind": "values-do-not-vanish",
                 "sequence": [[a, v] for a, v in down_tail]}
     else:
-        to_zero = all(v < tol for _, v in down[-10:])
+        to_zero = all(v < PHI_TOL_DEFAULT for _, v in down[-10:])
         # each region [eps, grid max], eps on the grid, lies in the whole grid
         if to_zero and inf_est > 0.0 and not stuck_up:
             in_g2 = "yes"
             evidence["g2"] = "sampled"
-        elif not to_zero and min(v for _, v in down[-10:]) >= tol:
+        elif not to_zero and min(v for _, v in down[-10:]) >= PHI_TOL_DEFAULT:
             in_g2 = "no"
             evidence["g2_witness"] = {
                 "kind": "values-do-not-vanish",

@@ -81,6 +81,10 @@ G1_GAUGE_CATALOG = (
 # comparison-function certification.  Used by the drop-phi break mode.
 BROKEN_PHI = TabulatedPhi(((0.25, 0.25), (1.0, 1.0), (4.0, 4.0)))
 
+MAX_ITER = 64                # Picard steps per start point
+N_BUDGET = 10 ** 6           # scan budget of n_epsilon
+M_BUDGET = 10 ** 4           # scan budget of m_epsilon
+
 _LEMMAS = ("unique_fixed_point", "orbit_convergence", "g1_termination",
            "n_epsilon", "m_epsilon", "invariant_ball", "step_chaining",
            "cauchy_bound")
@@ -95,10 +99,6 @@ class FuzzConfig:
     gauge_catalog: tuple = DEFAULT_GAUGE_CATALOG
     phi_catalog: tuple = DEFAULT_PHI_CATALOG
     break_mode: str = "none"          # none | drop-contraction | drop-phi
-    bias_contractive: bool = True
-    max_iter: int = 64
-    n_budget: int = 10 ** 6
-    m_budget: int = 10 ** 4
 
 
 @dataclass
@@ -204,7 +204,7 @@ def fuzz(config: FuzzConfig) -> FuzzReport:
         "seed": config.seed, "trials": config.trials,
         "max_points": config.max_points, "scale": config.scale,
         "break_mode": config.break_mode,
-        "bias_contractive": config.bias_contractive,
+        "bias_contractive": True,
         "gauges": [g.gauge.describe() for g in gauges],
         "phis": [p.describe() for p in phis],
     })
@@ -220,8 +220,7 @@ def fuzz(config: FuzzConfig) -> FuzzReport:
         shape_rng = Random(f"{config.seed}:{trial}:shape")
         n = shape_rng.randint(2, config.max_points)
         space = generate_space(f"{config.seed}:{trial}:space", n, config.scale)
-        T = generate_operator(f"{config.seed}:{trial}:operator", space,
-                              config.bias_contractive)
+        T = generate_operator(f"{config.seed}:{trial}:operator", space, True)
 
         if config.break_mode == "drop-contraction":
             T = _identity_map(space.n)
@@ -250,7 +249,7 @@ def fuzz(config: FuzzConfig) -> FuzzReport:
 
         entry, phi = chosen
         report.certified_count += 1
-        ok = _check_theorem(report, trial, space, T, entry, phi, config)
+        ok = _check_theorem(report, trial, space, T, entry, phi)
         if ok:
             report.theorem_holds_count += 1
 
@@ -289,7 +288,7 @@ def _bundle(trial, kind, detail, space, T, gauge, phi, trace) -> dict:
     }
 
 
-def _check_theorem(report, trial, space, T, entry, phi, config) -> bool:
+def _check_theorem(report, trial, space, T, entry, phi) -> bool:
     """Assert the theorem's conclusion on one certified instance; True iff
     every lemma held, that is iff no violation was added."""
     violations_before = len(report.violations)
@@ -302,6 +301,13 @@ def _check_theorem(report, trial, space, T, entry, phi, config) -> bool:
                 trial, kind, detail, space, T, entry.gauge, phi, trace))
         return passed
 
+    def attempt(check, *args, **kwargs):
+        # a check out of budget, recorded orbit or small tail fails its lemma
+        try:
+            return check(*args, **kwargs)
+        except (BudgetExhausted, OrbitTooShort, TailNotSmall):
+            return None
+
     fps = enumerate_fixed_points(space, T)
     if not lemma("unique_fixed_point", len(fps) == 1, "fixed-point-count",
                  f"certified instance has fixed points {sorted(fps)}"):
@@ -310,7 +316,7 @@ def _check_theorem(report, trial, space, T, entry, phi, config) -> bool:
 
     traces = []
     for x0 in space.points:
-        trace = picard_iterate(space, T, x0, max_iter=config.max_iter)
+        trace = picard_iterate(space, T, x0, max_iter=MAX_ITER)
         traces.append(trace)
         lemma("orbit_convergence",
               trace.stop_reason == "exact-fixed-point" and trace.fixed_point == fp,
@@ -327,38 +333,23 @@ def _check_theorem(report, trial, space, T, entry, phi, config) -> bool:
 
     report.g2_instances += 1
     eps = entry.eps0 / 2.0
-    try:
-        n = n_epsilon(entry.gauge, phi, space.s, eps, budget=config.n_budget)
-    except BudgetExhausted:
-        n = None
+    n = attempt(n_epsilon, entry.gauge, phi, space.s, eps, budget=N_BUDGET)
     if not lemma("n_epsilon", n is not None, "n-epsilon-budget",
                  "n_epsilon exhausted its budget"):
         return False
 
     for trace in traces:
-        try:
-            m = m_epsilon(space, T, trace.x0, n, eps, space.s,
-                          budget=config.m_budget)
-        except BudgetExhausted:
-            m = None
+        m = attempt(m_epsilon, space, T, trace.x0, n, eps, space.s, budget=M_BUDGET)
         if not lemma("m_epsilon", m is not None, "m-epsilon-budget",
                      "m_epsilon exhausted its budget", trace):
             continue
-        lemma("invariant_ball", verify_invariant_ball(space, T, trace, eps, n, m),
-              "invariant-ball", "image of the ball escaped", trace)
-        try:
-            _, chain_holds = verify_step_chaining(trace, n, eps, space.s)
-        except TailNotSmall:
-            chain_holds = False
-        lemma("step_chaining", chain_holds, "step-chaining",
+        ball = attempt(verify_invariant_ball, space, T, trace, eps, n, m)
+        lemma("invariant_ball", ball, "invariant-ball", "image of the ball escaped", trace)
+        chain = attempt(verify_step_chaining, trace, n, eps, space.s)
+        lemma("step_chaining", chain is not None and chain[1], "step-chaining",
               "block distances exceeded eps", trace)
-        try:
-            diag = verify_cauchy_bound(
-                space, trace, entry.gauge, phi, eps,
-                n_budget=config.n_budget, m_budget=config.m_budget)
-            cauchy = diag.holds
-        except (BudgetExhausted, OrbitTooShort, TailNotSmall):
-            cauchy = False
-        lemma("cauchy_bound", cauchy, "cauchy-bound",
+        diag = attempt(verify_cauchy_bound, space, trace, entry.gauge, phi, eps,
+                       n_budget=N_BUDGET, m_budget=M_BUDGET)
+        lemma("cauchy_bound", diag is not None and diag.holds, "cauchy-bound",
               "tail pair distance exceeded 4*s^3*eps", trace)
     return len(report.violations) == violations_before

@@ -36,6 +36,8 @@ TAIL_WINDOW_DEFAULT = 1_000
 CONFIRM_STEPS = 3
 TOL_DEFAULT = 1e-10
 WALK_CAP_DEFAULT = 2_000_000
+BALL_SAMPLES = 128           # points sampled from an interval ball
+PAIR_LIMIT = 10_000          # tail pairs compared by the Cauchy check
 
 
 @dataclass(frozen=True)
@@ -271,9 +273,8 @@ class _Walk:
     """Lazy access to the points of orbit steps from ``_orbit``; past a
     freeze or cycle the orbit repeats."""
 
-    def __init__(self, steps, x0, max_steps: int = WALK_CAP_DEFAULT):
+    def __init__(self, steps, x0):
         self.steps = steps
-        self.max_steps = max_steps
         self.pts = [x0]
         self.repeat: tuple[int, int] | None = None   # (start, period)
 
@@ -286,9 +287,9 @@ class _Walk:
                 self.repeat = (last, 1)
             elif cycle is not None:
                 self.repeat = (last - len(cycle), len(cycle))
-            elif len(self.pts) > self.max_steps:
+            elif len(self.pts) > WALK_CAP_DEFAULT:
                 raise OrbitTooShort(
-                    f"orbit walk exceeded {self.max_steps} steps without settling")
+                    f"orbit walk exceeded {WALK_CAP_DEFAULT} steps without settling")
         if k < len(self.pts):
             return self.pts[k]
         start, period = self.repeat
@@ -298,11 +299,10 @@ class _Walk:
 class OrbitWalker(_Walk):
     """Lazy orbit access; past a freeze or cycle the orbit repeats."""
 
-    def __init__(self, space: Space, T: OperatorSpec, x0,
-                 max_steps: int = WALK_CAP_DEFAULT):
+    def __init__(self, space: Space, T: OperatorSpec, x0):
         if isinstance(space, FiniteSpace):
             validate_operator(space, T)
-        super().__init__(_orbit(space, T, x0), x0, max_steps)
+        super().__init__(_orbit(space, T, x0), x0)
 
 
 def enumerate_fixed_points(space: FiniteSpace, T: FiniteMap) -> set[int]:
@@ -368,11 +368,11 @@ def _m_epsilon_on_trace(trace: PicardTrace, n: int, eps: float, s: float,
 
 
 def verify_invariant_ball(space: Space, T: OperatorSpec, trace: PicardTrace,
-                          eps: float, n: int, m: int, samples: int = 128) -> bool:
+                          eps: float, n: int, m: int) -> bool:
     """Check T^n(B(x_{mn}, eps)) stays inside B(x_{mn}, eps).
 
     Exhaustive over points of a finite space; on interval spaces the ball is
-    an interval and gets a deterministic sample of ``samples`` points.
+    an interval and gets a deterministic sample of ``BALL_SAMPLES`` points.
     ``n`` and ``m`` are meant to come from n_epsilon and m_epsilon for the
     same eps, which is what makes the containment a theorem on certified
     instances.
@@ -388,8 +388,7 @@ def verify_invariant_ball(space: Space, T: OperatorSpec, trace: PicardTrace,
         r = eps ** (1.0 / space.p)
         lo = max(space.lo, center - r)
         hi = min(space.hi, center + r)
-        raw = [lo + (hi - lo) * i / (samples - 1) for i in range(samples)] \
-            if samples > 1 else [lo]
+        raw = [lo + (hi - lo) * i / (BALL_SAMPLES - 1) for i in range(BALL_SAMPLES)]
     candidates = [u for u in raw if distance(u, center) < eps]
     for u in candidates:
         v = _Walk(_orbit(space, T, u), u).point(n)
@@ -456,18 +455,17 @@ def verify_step_chaining(trace: PicardTrace, n: int, eps: float,
 
 
 def verify_cauchy_bound(space: Space, trace: PicardTrace, G, phi, eps: float,
-                        level: float = 1.0, n_budget: int = 10_000,
-                        m_budget: int = 10_000,
-                        pair_limit: int = 10_000) -> CauchyDiagnostics:
+                        n_budget: int = 10_000,
+                        m_budget: int = 10_000) -> CauchyDiagnostics:
     """Assemble n, m, m0 and check d(x_{k1}, x_{k2}) <= 4*s^3*eps in the tail.
 
     k1, k2 range over recorded indices at or past m_bar * n with
-    m_bar = max(m, m0); when the pair count would exceed ``pair_limit`` the
+    m_bar = max(m, m0); when the pair count would exceed ``PAIR_LIMIT`` the
     index list is strided deterministically.  Budget and truncation errors
     from the sub-steps propagate.
     """
     s = space.s
-    n = n_epsilon(G, phi, s, eps, level=level, budget=n_budget)
+    n = n_epsilon(G, phi, s, eps, budget=n_budget)
     m = _m_epsilon_on_trace(trace, n, eps, s, m_budget)
     m0, _ = verify_step_chaining(trace, n, eps, s)
     m_bar = max(m, m0)
@@ -480,7 +478,7 @@ def verify_cauchy_bound(space: Space, trace: PicardTrace, G, phi, eps: float,
     if not pts:
         raise OrbitTooShort(f"trace truncated before index {cutoff}")
 
-    max_pts = max(2, int((2 * pair_limit) ** 0.5) + 1)
+    max_pts = int((2 * PAIR_LIMIT) ** 0.5) + 1
     if len(pts) > max_pts:
         stride = -(-len(pts) // max_pts)
         pts = pts[::stride] + [pts[-1]]

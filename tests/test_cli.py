@@ -110,6 +110,14 @@ class TestSolve:
         assert doc["gauge_class"]["in_g2"] == "yes"
         assert doc["diagnostics"]["holds"] is True
 
+    def test_gauge_infimum_past_float_range(self, tmp_path, capsys):
+        # the closed-form infimum exp(1000) saturates instead of raising
+        G = {"family": "exp_of_f", "f": {"affine": {"a": 1.0, "b": 1000.0}}}
+        path = write(tmp_path, "inst.json", dict(THREE_POINT_INSTANCE, G=G))
+        assert run_cli(["solve", path, "--x0", "2"]) == 0
+        cls = json.loads(capsys.readouterr().out)["gauge_class"]
+        assert (cls["in_g1"], cls["in_g2"]) == ("yes", "no")
+
 
 class TestReport:
     def test_summarizes_solve_output(self, tmp_path, capsys):

@@ -9,6 +9,7 @@ counterexample (space, operator, gauge, phi and trace).
 
 import dataclasses
 import hashlib
+from collections import Counter
 
 import pytest
 
@@ -74,3 +75,14 @@ def test_failure_report_bytes(monkeypatch, name, replacement, extra, kinds, coun
     assert {v["kind"] for v in report.violations} == kinds
     assert len(report.violations) == count
     assert hashlib.sha256(report.to_json_str().encode()).hexdigest() == DIGESTS[name]
+
+
+def test_budget_exhausted_trace_on_default_catalog(monkeypatch):
+    """A trace that stops short fails every lemma that reads past its stop:
+    the invariant ball and the Cauchy bound report violations, not a crash."""
+    monkeypatch.setattr(harness, "picard_iterate", _budget_exhausted_trace)
+    report = fuzz(FuzzConfig(seed=0, trials=12))
+    assert Counter(v["kind"] for v in report.violations) == {
+        "orbit-divergence": 9, "invariant-ball": 9, "cauchy-bound": 9}
+    assert hashlib.sha256(report.to_json_str().encode()).hexdigest() == \
+        "52b59cf3b738b777cc3606f7de46bdd475a0a12b7fbbb2dd2cc563069eb1a974"

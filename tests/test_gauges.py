@@ -4,6 +4,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from gphi.contraction import to_czerwik_form
 from gphi.errors import (
     BudgetExhausted,
     EmptyGrid,
@@ -24,6 +25,7 @@ from gphi.gauges import (
     ShiftedPhi,
     TabulatedGauge,
     TabulatedPhi,
+    affine_form,
     certify_gauge_class,
     certify_phi,
     check_phi_strict_decrease,
@@ -318,6 +320,14 @@ class TestClassifyIncreasingGauge:
         G = ExpOfFGauge(RealForm("peak", lambda a: 800.0 if a < 1.0 else a))
         with pytest.raises(NotStrictlyIncreasing):
             classify_increasing_gauge(G)
+
+    def test_infimum_past_float_range_saturates(self):
+        # exp(1000) overflows; the closed-form infimum saturates like eval
+        G = ExpOfFGauge(affine_form(1.0, 1000.0))
+        assert G.known_inf() == math.inf
+        assert classify_increasing_gauge(G) == "G1"
+        with pytest.raises(NonpositiveArgument):
+            to_czerwik_form(G, LinearPhi(0.5))
 
 
 class TestEpsilon0:

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from gphi import solver
 from gphi.contraction import AffineMap, FiniteMap, certify_condition_G
 from gphi.errors import BudgetExhausted, OrbitTooShort, PointOutOfDomain, TailNotSmall
 from gphi.gauges import IdentityGauge, LinearPhi
@@ -176,6 +177,13 @@ class TestMEpsilon:
     def test_budget_exhausted_on_cycle(self):
         with pytest.raises(BudgetExhausted):
             m_epsilon(TWO_CYCLE_SPACE, SWAP, 0, n=1, eps=0.5, s=1.0, budget=20)
+
+    def test_walk_cap_on_unsettled_interval_orbit(self, monkeypatch):
+        # x -> 1 - x swaps 1/4 and 3/4 forever, and an interval orbit closes
+        # no cycle, so with odd n every block moves by 1/2 until the walk cap
+        monkeypatch.setattr(solver, "WALK_CAP_DEFAULT", 100)
+        with pytest.raises(OrbitTooShort):
+            m_epsilon(UNIT, AffineMap(-1.0, 1.0), 0.25, n=3, eps=0.5, s=1.0)
 
     def test_matches_trace_based_scan(self):
         from gphi.solver import _m_epsilon_on_trace
