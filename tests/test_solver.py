@@ -1,3 +1,5 @@
+from collections import deque
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -24,6 +26,31 @@ UNIT = AnalyticSpace(0.0, 1.0, 1.0)
 UNIT_SQ = AnalyticSpace(0.0, 1.0, 2.0)
 TWO_CYCLE_SPACE = validate_finite_space([[0.0, 1.0], [1.0, 0.0]])
 SWAP = FiniteMap((1, 0))
+
+
+class _ReferenceRecorder:
+    """The incremental orbit thinning that picard_iterate once used: a
+    strided head that doubles its stride when full, plus a full tail window.
+    The kept indices of a trace must equal what this selects."""
+
+    def __init__(self, cap: int, tail: int):
+        self.tail = deque(maxlen=tail)
+        self.head = []
+        self.head_cap = max(cap - tail, 16)
+        self.stride = 1
+
+    def add(self, idx, pt):
+        self.tail.append((idx, pt))
+        if idx % self.stride == 0:
+            self.head.append((idx, pt))
+            if len(self.head) > self.head_cap:
+                self.stride *= 2
+                self.head = [e for e in self.head if e[0] % self.stride == 0]
+
+    def merged(self):
+        combined = dict(self.head)
+        combined.update(dict(self.tail))
+        return sorted(combined.items())
 
 
 class TestPicardIterate:
@@ -77,6 +104,26 @@ class TestPicardIterate:
         assert len(trace.orbit) <= 60
         assert list(trace.indices) == sorted(set(trace.indices))
         assert trace.indices[-1] == 300                # tail window intact
+
+    @pytest.mark.parametrize("record_cap", [16, 50, 60, 100])
+    @pytest.mark.parametrize("tail_window", [0, 1, 10, 40])
+    def test_thinning_matches_reference_recorder(self, record_cap, tail_window):
+        # a swap of 0.25 and 0.75 never settles, so every run ends on budget
+        for max_iter in (1, 2, 7, 15, 16, 17, 31, 50, 64, 99, 100, 101, 128,
+                         255, 256, 257, 333, 400):
+            trace = picard_iterate(UNIT, AffineMap(-1.0, 1.0), 0.25, tol=0.0,
+                                   max_iter=max_iter, record_cap=record_cap,
+                                   tail_window=tail_window)
+            rec = _ReferenceRecorder(record_cap, tail_window)
+            for k in range(max_iter + 1):
+                rec.add(k, 0.25 if k % 2 == 0 else 0.75)
+            kept = rec.merged()
+            assert trace.indices == tuple(i for i, _ in kept), max_iter
+            assert trace.orbit == tuple(p for _, p in kept), max_iter
+
+    def test_negative_tail_window_rejected(self):
+        with pytest.raises(ValueError):
+            picard_iterate(UNIT, AffineMap(0.5, 0.0), 1.0, tail_window=-1)
 
     def test_json_round_trip(self):
         trace = picard_iterate(THREE_POINT, FiniteMap((0, 0, 1)), 2)
