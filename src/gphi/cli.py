@@ -28,6 +28,8 @@ from .contraction import (
 from .errors import GphiError
 from .gauges import (
     PER_DECADE_DEFAULT,
+    PHI_BUDGET_DEFAULT,
+    PHI_GRID,
     certify_gauge_class,
     certify_phi,
     epsilon0,
@@ -36,7 +38,7 @@ from .gauges import (
     phi_from_json,
 )
 from .harness import FuzzConfig, fuzz
-from .solver import TOL_DEFAULT, picard_iterate, verify_cauchy_bound
+from .solver import MAX_ITER_DEFAULT, TOL_DEFAULT, picard_iterate, verify_cauchy_bound
 from .spaces import FiniteSpace, space_from_json
 
 EXIT_OK = 0
@@ -51,7 +53,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="certify gauged contractions and iterate them to their fixed points")
     parser.add_argument("--tol", type=float, default=TOL_DEFAULT,
                         help="solver convergence tolerance")
-    parser.add_argument("--budget", type=int, default=10 ** 6,
+    parser.add_argument("--budget", type=int, default=PHI_BUDGET_DEFAULT,
                         help="iteration budget for certifications and thresholds")
     parser.add_argument("--grid-density", type=int, default=PER_DECADE_DEFAULT,
                         help="grid points per decade for certification grids")
@@ -68,7 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("instance")
     p_solve.add_argument("--x0", required=True)
     p_solve.add_argument("--eps", type=float, default=None)
-    p_solve.add_argument("--max-iter", type=int, default=10_000)
+    p_solve.add_argument("--max-iter", type=int, default=MAX_ITER_DEFAULT)
 
     p_fuzz = sub.add_parser("fuzz", help="random-instance theorem fuzzing")
     p_fuzz.add_argument("--seed", type=int, default=0)
@@ -110,23 +112,22 @@ def _parse_point(space, text: str):
     return float(text)
 
 
-def _cmd_solve(args, tol: float, budget: int, per_decade: int) -> int:
+def _cmd_solve(args) -> int:
     space, T, G, phi = _load_instance(args.instance)
     x0 = _parse_point(space, args.x0)
-    trace = picard_iterate(space, T, x0, max_iter=args.max_iter, tol=tol)
+    trace = picard_iterate(space, T, x0, max_iter=args.max_iter, tol=args.tol)
     out = {"trace": trace.to_json()}
 
-    grid = log_grid(per_decade=per_decade)
+    grid = log_grid(per_decade=args.grid_density)
     cls = certify_gauge_class(G, grid)
     out["gauge_class"] = cls.to_json()
-    out["phi_certificate"] = certify_phi(
-        phi, grid=[0.01, 0.1, 1.0, 10.0, 100.0], budget=budget).to_json()
+    out["phi_certificate"] = certify_phi(phi, grid=PHI_GRID, budget=args.budget).to_json()
     if cls.in_g2 == "yes":
         eps = args.eps if args.eps is not None else epsilon0(G, grid) / 2.0
         out["eps"] = eps
         try:
             diag = verify_cauchy_bound(space, trace, G, phi, eps,
-                                       n_budget=budget, m_budget=budget)
+                                       n_budget=args.budget, m_budget=args.budget)
             out["diagnostics"] = diag.to_json()
         except GphiError as exc:
             out["diagnostics_error"] = f"{type(exc).__name__}: {exc}"
@@ -185,7 +186,7 @@ def run_cli(argv) -> int:
         if args.command == "certify":
             return _cmd_certify(args)
         if args.command == "solve":
-            return _cmd_solve(args, args.tol, args.budget, args.grid_density)
+            return _cmd_solve(args)
         if args.command == "fuzz":
             return _cmd_fuzz(args)
         if args.command == "report":

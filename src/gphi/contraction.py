@@ -336,8 +336,6 @@ def to_czerwik_form(G, phi) -> ConjugatePhi:
         raise NotInvertible("gauge is not strictly increasing")
     try:
         G.inverse_eval(G.eval(1.0))
-    except NotInvertible:
-        raise
     except DomainRestricted:
         pass
     low = G.known_inf()

@@ -42,6 +42,7 @@ from .errors import (
 PHI_BUDGET_DEFAULT = 10 ** 6
 PHI_TOL_DEFAULT = 1e-9
 PER_DECADE_DEFAULT = 512
+PHI_GRID = (0.01, 0.1, 1.0, 10.0, 100.0)   # where catalogs and the CLI certify phi
 GRID_LO_DECADE = -9
 GRID_HI_DECADE = 9
 
@@ -332,21 +333,20 @@ def certify_phi(phi, grid, budget: int = PHI_BUDGET_DEFAULT,
     if budget < 1:
         raise ValueError("budget must be at least 1")
 
-    prev_t = prev_v = None
-    for t in pts:
+    vals = []
+    for i, t in enumerate(pts):
         v = phi_eval(phi, t)
         if not v > 0.0:
             return PhiCertificate("non-member",
                                   witness={"kind": "nonpositive-value", "t": t, "phi_t": v})
-        if prev_v is not None and v < prev_v:
+        if i and v < vals[-1]:
             return PhiCertificate(
                 "non-member",
-                witness={"kind": "monotonicity", "t1": prev_t, "phi_t1": prev_v,
+                witness={"kind": "monotonicity", "t1": pts[i - 1], "phi_t1": vals[-1],
                          "t2": t, "phi_t2": v})
-        prev_t, prev_v = t, v
+        vals.append(v)
 
-    for t in pts:
-        v = phi_eval(phi, t)
+    for t, v in zip(pts, vals):
         if v >= t:
             # For a globally non-decreasing phi, phi(t) >= t forces
             # phi^n(t) >= t for all n: definitive stagnation.  Without that
@@ -735,6 +735,9 @@ def certify_gauge_class(G, grid=None) -> ClassCertificate:
             in_g1 = "inconclusive"
 
     stuck_up = [[a, v] for a, v in up if v < PHI_TOL_DEFAULT][:12]
+    vanishes_away = {"kind": "vanishes-away-from-zero", "sequence": stuck_up}
+    no_vanishing = {"kind": "values-do-not-vanish",
+                    "sequence": [[a, v] for a, v in down_tail]}
     kg2 = G.known_g2()
     if kg2 is True:
         in_g2 = "yes"
@@ -743,13 +746,10 @@ def certify_gauge_class(G, grid=None) -> ClassCertificate:
         in_g2 = "no"
         if min(v for _, v in down_tail) < PHI_TOL_DEFAULT and stuck_up:
             # direction G -> 0 fails: gauge vanishes away from zero
-            evidence["g2_witness"] = {"kind": "vanishes-away-from-zero",
-                                      "sequence": stuck_up}
+            evidence["g2_witness"] = vanishes_away
         else:
             # direction a -> 0 fails: G approaches a nonzero limit
-            evidence["g2_witness"] = {
-                "kind": "values-do-not-vanish",
-                "sequence": [[a, v] for a, v in down_tail]}
+            evidence["g2_witness"] = no_vanishing
     else:
         to_zero = all(v < PHI_TOL_DEFAULT for _, v in down[-10:])
         # each region [eps, grid max], eps on the grid, lies in the whole grid
@@ -758,13 +758,10 @@ def certify_gauge_class(G, grid=None) -> ClassCertificate:
             evidence["g2"] = "sampled"
         elif not to_zero and min(v for _, v in down[-10:]) >= PHI_TOL_DEFAULT:
             in_g2 = "no"
-            evidence["g2_witness"] = {
-                "kind": "values-do-not-vanish",
-                "sequence": [[a, v] for a, v in down_tail]}
+            evidence["g2_witness"] = no_vanishing
         elif stuck_up:
             in_g2 = "no"
-            evidence["g2_witness"] = {"kind": "vanishes-away-from-zero",
-                                      "sequence": stuck_up}
+            evidence["g2_witness"] = vanishes_away
         else:
             in_g2 = "inconclusive"
 

@@ -40,6 +40,7 @@ from .gauges import (
     TabulatedPhi,
     IDENTITY_FORM,
     LN,
+    PHI_GRID,
     certify_gauge_class,
     certify_phi,
     epsilon0,
@@ -180,7 +181,7 @@ def _prepare_catalogs(config: FuzzConfig):
         gauges.append(_CatalogGauge(G, in_g1, in_g2, eps0))
     phis = []
     for phi in config.phi_catalog:
-        cert = certify_phi(phi, grid=[0.01, 0.1, 1.0, 10.0, 100.0])
+        cert = certify_phi(phi, grid=PHI_GRID)
         if cert.verdict != "member":
             raise ConfigInvalid(
                 f"catalog comparison function {phi.describe()} is not a member")

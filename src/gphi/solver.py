@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from collections import deque
+from itertools import islice
 from dataclasses import asdict, dataclass
 
 from .contraction import FiniteMap, OperatorSpec, apply, validate_operator
@@ -31,6 +31,7 @@ from .errors import (
 from .gauges import n_epsilon
 from .spaces import FiniteSpace, Space, space_from_json, space_to_json
 
+MAX_ITER_DEFAULT = 10_000
 RECORD_CAP_DEFAULT = 100_000
 TAIL_WINDOW_DEFAULT = 1_000
 CONFIRM_STEPS = 3
@@ -38,6 +39,7 @@ TOL_DEFAULT = 1e-10
 WALK_CAP_DEFAULT = 2_000_000
 BALL_SAMPLES = 128           # points sampled from an interval ball
 PAIR_LIMIT = 10_000          # tail pairs compared by the Cauchy check
+STOP_REASONS = ("exact-fixed-point", "tolerance-met", "budget-exhausted")
 
 
 @dataclass(frozen=True)
@@ -49,7 +51,7 @@ class PicardTrace:
     orbit: tuple
     indices: tuple[int, ...]
     step_dists: tuple[float, ...]
-    stop_reason: str            # exact-fixed-point | tolerance-met | budget-exhausted
+    stop_reason: str            # one of STOP_REASONS
     fixed_point: object | None
     k_stop: int
     cycle: tuple | None = None
@@ -90,8 +92,9 @@ class PicardTrace:
 
 
 def trace_from_json(obj: dict) -> PicardTrace:
-    """Load a trace; the points it names must lie in its space, because the
-    lemma checks read them without checking them again."""
+    """Load a trace; the points it names must lie in its space and its
+    indices must fit its orbit and steps, because the lemma checks read them
+    without checking them again."""
     space = space_from_json(obj["space"])
     orbit = tuple(obj["orbit"])
     fixed_point = obj["fixed_point"]
@@ -102,9 +105,14 @@ def trace_from_json(obj: dict) -> PicardTrace:
     for x in named:
         if not space.contains(x):
             raise PointOutOfDomain(f"trace point {x!r} not in space")
+    indices, step_dists = tuple(obj["indices"]), tuple(obj["step_dists"])
+    if (len(indices) != len(orbit) or indices[:1] != (0,)
+            or any(i >= j for i, j in zip(indices, indices[1:]))
+            or indices[-1] > len(step_dists) or obj["stop_reason"] not in STOP_REASONS):
+        raise ValueError("trace indices, steps or stop reason do not fit its orbit")
     return PicardTrace(
         space=space, x0=obj["x0"], orbit=orbit,
-        indices=tuple(obj["indices"]), step_dists=tuple(obj["step_dists"]),
+        indices=indices, step_dists=step_dists,
         stop_reason=obj["stop_reason"], fixed_point=fixed_point,
         k_stop=obj["k_stop"], cycle=cycle)
 
@@ -127,29 +135,6 @@ class CauchyDiagnostics:
         return asdict(self)
 
 
-class _Recorder:
-    """Strided head plus full tail window, bounded total memory."""
-
-    def __init__(self, cap: int, tail: int):
-        self.tail = deque(maxlen=tail)
-        self.head: list[tuple[int, object]] = []
-        self.head_cap = max(cap - tail, 16)
-        self.stride = 1
-
-    def add(self, idx: int, pt):
-        self.tail.append((idx, pt))
-        if idx % self.stride == 0:
-            self.head.append((idx, pt))
-            if len(self.head) > self.head_cap:
-                self.stride *= 2
-                self.head = [e for e in self.head if e[0] % self.stride == 0]
-
-    def merged(self) -> list[tuple[int, object]]:
-        combined = dict(self.head)
-        combined.update(dict(self.tail))
-        return sorted(combined.items())
-
-
 def _orbit(space: Space, T: OperatorSpec, x0):
     """The steps of the orbit of x0 as (x_{k+1}, d(x_k, x_{k+1}), frozen, cycle).
 
@@ -166,12 +151,13 @@ def _orbit(space: Space, T: OperatorSpec, x0):
     """
     finite = isinstance(space, FiniteSpace)
     if not space.contains(x0):
-        raise PointOutOfDomain(f"point {x0!r} not in {'space' if finite else 'interval'}")
+        raise PointOutOfDomain(
+            f"start point {x0!r} not in {'space' if finite else 'interval'}")
     return _steps(space, T, x0, finite)
 
 
 def _steps(space: Space, T: OperatorSpec, x0, finite: bool):
-    """The generator behind ``_orbit``, whose callers have checked T and x0."""
+    """The generator behind ``_orbit``, once it has checked x0."""
     if finite:
         dist, image = space.dist, T.mapping
         seen = {x0: 0}
@@ -214,7 +200,21 @@ def _point_distance(space: Space, points):
     return lambda x, y: dist[x][y]
 
 
-def picard_iterate(space: Space, T: OperatorSpec, x0, max_iter: int = 10_000,
+def _kept_indices(count: int, record_cap: int, tail_window: int) -> list[int]:
+    """The indices a trace keeps of ``count`` orbit points: every ``stride``-th,
+    for the least power-of-two stride that keeps at most ``max(record_cap -
+    tail_window, 16)`` of them, plus the last ``tail_window``."""
+    if tail_window < 0:
+        raise ValueError("tail_window must be non-negative")
+    head_cap = max(record_cap - tail_window, 16)
+    stride = 1
+    while -(-count // stride) > head_cap:
+        stride *= 2
+    tail_start = max(count - tail_window, 0)
+    return [*range(0, tail_start, stride), *range(tail_start, count)]
+
+
+def picard_iterate(space: Space, T: OperatorSpec, x0, max_iter: int = MAX_ITER_DEFAULT,
                    tol: float = TOL_DEFAULT, record_cap: int = RECORD_CAP_DEFAULT,
                    tail_window: int = TAIL_WINDOW_DEFAULT) -> PicardTrace:
     """Run the orbit x, Tx, T^2 x, ... and record a trace.
@@ -224,46 +224,42 @@ def picard_iterate(space: Space, T: OperatorSpec, x0, max_iter: int = 10_000,
     steps.  On finite spaces a revisit of an earlier point (a cycle of length
     at least 2) stops the run early with a cycle annotation; under certified
     hypotheses such a cycle falsifies the convergence theorem and is
-    surfaced via stop_reason budget-exhausted.
+    surfaced via stop_reason budget-exhausted.  The whole orbit is held
+    until the run ends; the trace keeps the points ``_kept_indices`` picks.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     validate_operator(space, T)
-    if not space.contains(x0):
-        raise PointOutOfDomain(f"start point {x0!r} not in space")
-
-    rec = _Recorder(record_cap, tail_window)
-    rec.add(0, x0)
+    points = [x0]
     steps: list[float] = []
 
     stop_reason = "budget-exhausted"
     fixed_point = None
-    k_stop = max_iter
     cycle = None
+    below_tol = 0               # consecutive steps below tol
 
-    orbit = _steps(space, T, x0, isinstance(space, FiniteSpace))
-    for k, (xn, d, frozen, cycle) in zip(range(max_iter), orbit):
+    for xn, d, frozen, cycle in islice(_orbit(space, T, x0), max_iter):
         steps.append(d)
-        rec.add(k + 1, xn)
+        points.append(xn)
         if frozen:
             stop_reason = "exact-fixed-point"
             fixed_point = xn
-            k_stop = k
             break
         if cycle is not None:
-            k_stop = k + 1
             break
-        if len(steps) >= CONFIRM_STEPS and all(s < tol for s in steps[-CONFIRM_STEPS:]):
+        below_tol = below_tol + 1 if d < tol else 0
+        if below_tol >= CONFIRM_STEPS:
             stop_reason = "tolerance-met"
             fixed_point = xn
-            k_stop = k + 1
             break
 
-    recorded = rec.merged()
+    # an exact stop is indexed by its zero step, any other stop by the steps taken
+    k_stop = len(steps) - (stop_reason == "exact-fixed-point")
+    kept = _kept_indices(len(points), record_cap, tail_window)
     return PicardTrace(
         space=space, x0=x0,
-        orbit=tuple(p for _, p in recorded),
-        indices=tuple(i for i, _ in recorded),
+        orbit=tuple(points[i] for i in kept),
+        indices=tuple(kept),
         step_dists=tuple(steps),
         stop_reason=stop_reason, fixed_point=fixed_point,
         k_stop=k_stop, cycle=cycle)
@@ -417,26 +413,16 @@ def verify_step_chaining(trace: PicardTrace, n: int, eps: float,
         sn = math.inf
     thr = eps / (n * sn)                       # 0.0 when s**n overflows
 
-    def qualifies(d: float) -> bool:
-        return space.is_zero(d) or d < thr
-
-    last_bad = -1
-    for j, d in enumerate(steps):
-        if not qualifies(d):
-            last_bad = j
-    k0 = last_bad + 1
+    k0 = len(steps)                            # back past the qualifying tail
+    while k0 and (space.is_zero(steps[k0 - 1]) or steps[k0 - 1] < thr):
+        k0 -= 1
     if k0 >= len(steps) and trace.stop_reason != "exact-fixed-point":
         raise TailNotSmall(
             f"no recorded tail with steps below {thr}")
 
     m0 = -(-(k0 + 1) // n)
-    holds = True
-    m = m0
-    while m * n <= trace.max_index:
-        base = m * n
-        m += 1
+    for base in range(m0 * n, trace.max_index + 1, n):
         try:
-            x_base = trace.point_at(base)
             block = [trace.point_at(base + p) for p in range(n)]
             block_steps = [trace.step_at(base + i) for i in range(n - 1)]
         except OrbitTooShort:
@@ -448,10 +434,10 @@ def verify_step_chaining(trace: PicardTrace, n: int, eps: float,
             d_step = block_steps[p - 1]
             if not space.is_zero(d_step):
                 acc += spow * d_step
-            d_direct = space.distance(x_base, block[p])
+            d_direct = space.distance(block[0], block[p])
             if not (d_direct < eps and acc < eps):
-                holds = False
-    return m0, holds
+                return m0, False
+    return m0, True
 
 
 def verify_cauchy_bound(space: Space, trace: PicardTrace, G, phi, eps: float,

@@ -148,6 +148,29 @@ class TestPicardIterate:
         with pytest.raises(PointOutOfDomain):
             trace_from_json(doc)
 
+    @pytest.mark.parametrize("changes", [
+        {"indices": [0, 1, 2, 3, 4, 5], "orbit": [2, 1]},
+        {"indices": [0, 1, 2]},
+        {"indices": [1, 2, 3, 4]},
+        {"indices": [0, 2, 1, 3]},
+        {"indices": [0, 1, 1, 3]},
+        {"indices": [0, 1, 2, 4]},
+        {"indices": [], "orbit": []},
+        {"stop_reason": "converged"}])
+    def test_json_trace_shape_must_fit_its_orbit(self, changes):
+        # the lemma checks index the orbit and the steps through these
+        # indices; a trace that does not fit would crash them with IndexError
+        doc = picard_iterate(THREE_POINT, FiniteMap((0, 0, 1)), 2).to_json()
+        doc.update(changes)
+        with pytest.raises(ValueError, match="do not fit its orbit"):
+            trace_from_json(doc)
+
+    def test_start_point_checked_once_by_the_orbit(self):
+        with pytest.raises(PointOutOfDomain, match=r"^start point 2\.0 not in interval$"):
+            picard_iterate(UNIT, AffineMap(0.5, 0.0), 2.0)
+        with pytest.raises(PointOutOfDomain, match=r"^start point 3 not in space$"):
+            picard_iterate(THREE_POINT, FiniteMap((0, 0, 1)), 3)
+
 
 class TestWalkerMatchesTrace:
     """The lazy walker and the recorded trace describe the same orbit."""
