@@ -201,9 +201,9 @@ def _point_distance(space: Space, points):
 
 
 def _kept_indices(count: int, record_cap: int, tail_window: int) -> list[int]:
-    """The indices a trace keeps of ``count`` orbit points: every ``stride``-th,
-    for the least power-of-two stride that keeps at most ``max(record_cap -
-    tail_window, 16)`` of them, plus the last ``tail_window``."""
+    """The indices a trace keeps of ``count`` orbit points: every
+    ``stride``-th, for the least power-of-two stride that keeps at most
+    ``max(record_cap - tail_window, 16)`` of them, plus the last ``tail_window``."""
     if tail_window < 0:
         raise ValueError("tail_window must be non-negative")
     head_cap = max(record_cap - tail_window, 16)
