@@ -123,3 +123,71 @@ class TestKernelsAgree:
         assert spaces._plain_rows(d) is None
         assert spaces._plain_rows(d[:-1]) is None            # not square
         assert spaces._plain_rows([row[:-1] for row in d[:-1]]) is not None
+
+
+def k_loop_min_constant(d) -> float:
+    """The numpy ``_min_constant`` as a full n x n reduction over k, kept
+    verbatim as the reference the kernel must match bit for bit."""
+    import numpy as np
+
+    with np.errstate(over="ignore"):
+        via = d.copy()
+        for k in range(d.shape[0]):
+            np.minimum(via, d[:, k, None] + d[None, k, :], out=via)
+        off = ~np.eye(d.shape[0], dtype=bool)
+        d, via = d[off], via[off]
+        s = max(1.0, float(np.max(d / via))) if d.size else 1.0
+        while np.any(d > s * via):
+            s = math.nextafter(s, math.inf)
+    return s
+
+
+FAMILIES = {
+    "uniform": lambda rng: 1.0 - rng.random(),
+    "lognormal": lambda rng: rng.lognormvariate(0.0, 3.0),
+    "pareto": lambda rng: rng.paretovariate(0.5),
+    # few distinct dyadic values: many tied detours, exact sums
+    "dyadic": lambda rng: rng.randint(1, 8) / 4,
+    "extreme": lambda rng: rng.choice([1e-300, 1e300]) * (1.0 - rng.random()),
+}
+
+
+def family_matrix(n: int, family: str, seed: int):
+    import numpy as np
+
+    rng = Random(seed)
+    return np.array(symmetric(n, lambda: FAMILIES[family](rng)))
+
+
+def assert_pinned(d):
+    assert spaces._min_constant(d).hex() == k_loop_min_constant(d).hex()
+
+
+def overflowing(n: int):
+    """A uniform matrix whose first three points give a ratio of inf."""
+    d = family_matrix(n, "uniform", n)
+    d[0, 1] = d[1, 0] = 1e300
+    d[0, 2:] = d[2:, 0] = d[1, 2:] = d[2:, 1] = 1e-300
+    return d
+
+
+@pytest.mark.filterwarnings("error:overflow encountered:RuntimeWarning")
+class TestMinConstantPinned:
+    """``spaces._min_constant`` against the k-loop reference."""
+
+    @pytest.mark.parametrize("family", ["uniform", "lognormal", "pareto", "dyadic"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 13, 64, 129, 200, 256])
+    def test_corpus(self, n, family):
+        assert_pinned(family_matrix(n, family, seed=1000 * n + len(family)))
+
+    @pytest.mark.parametrize("n", [3, 64])
+    def test_overflow_to_inf(self, n):
+        d = overflowing(n)
+        assert k_loop_min_constant(d) == math.inf
+        assert_pinned(d)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(min_value=1, max_value=40), st.sampled_from(sorted(FAMILIES)),
+           st.integers(min_value=0, max_value=2 ** 32))
+    def test_families(self, n, family, seed):
+        assert_pinned(family_matrix(n, family, seed))
