@@ -92,12 +92,13 @@ class PicardTrace:
 
 
 def trace_from_json(obj: dict) -> PicardTrace:
-    """Load a trace; the points it names must lie in its space and its
-    indices must fit its orbit and steps, because the lemma checks read them
-    without checking them again."""
+    """Load a trace; the points it names must lie in its space, its indices
+    must fit its orbit and steps, and its fixed point and ``k_stop`` must
+    fit its stop reason as ``picard_iterate`` writes them, because the
+    lemma checks read them without checking them again."""
     space = space_from_json(obj["space"])
     orbit = tuple(obj["orbit"])
-    fixed_point = obj["fixed_point"]
+    fixed_point, stop_reason = obj["fixed_point"], obj["stop_reason"]
     cycle = tuple(obj["cycle"]) if obj.get("cycle") is not None else None
     named = [obj["x0"], *orbit, *(cycle or ())]
     if fixed_point is not None:
@@ -108,12 +109,15 @@ def trace_from_json(obj: dict) -> PicardTrace:
     indices, step_dists = tuple(obj["indices"]), tuple(obj["step_dists"])
     if (len(indices) != len(orbit) or indices[:1] != (0,)
             or any(i >= j for i, j in zip(indices, indices[1:]))
-            or indices[-1] > len(step_dists) or obj["stop_reason"] not in STOP_REASONS):
+            or indices[-1] > len(step_dists) or stop_reason not in STOP_REASONS):
         raise ValueError("trace indices, steps or stop reason do not fit its orbit")
+    if ((fixed_point is None) != (stop_reason == "budget-exhausted")
+            or obj["k_stop"] != len(step_dists) - (stop_reason == "exact-fixed-point")):
+        raise ValueError("trace fixed point or k_stop does not fit its stop reason")
     return PicardTrace(
         space=space, x0=obj["x0"], orbit=orbit,
         indices=indices, step_dists=step_dists,
-        stop_reason=obj["stop_reason"], fixed_point=fixed_point,
+        stop_reason=stop_reason, fixed_point=fixed_point,
         k_stop=obj["k_stop"], cycle=cycle)
 
 

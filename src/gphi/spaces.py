@@ -6,8 +6,10 @@ concrete families are supported:
 
 * :class:`FiniteSpace` -- an explicit point set with a distance matrix.
   Validation computes the smallest admissible constant from a min-plus
-  reduction over all ordered triples.  Small matrices are validated in pure
-  Python and larger ones with numpy, which is imported only then.
+  row reduction over the pairs i < j, which covers every ordered triple
+  because the matrix is symmetric.  Small matrices are validated in pure
+  Python and larger ones with numpy, which is imported only then; both
+  kernels compute the same sums.
 * :class:`AnalyticSpace` -- a real interval ``[lo, hi]`` carrying the
   distance ``|x - y| ** p``; the constant ``2 ** (p - 1)`` always works.
 """
@@ -45,7 +47,7 @@ MAX_FINITE_POINTS = 256
 # Matrices of up to this many points are validated in pure Python.  Above
 # it numpy's vector ops repay their per-call overhead; the value is the
 # in-process crossover measured with numpy already imported.
-PY_KERNEL_MAX_POINTS = 12
+PY_KERNEL_MAX_POINTS = 15
 
 # Tail-window policy for liminf/limsup estimation.
 MIN_TAIL = 10
@@ -143,9 +145,11 @@ class BoundReport:
 def _min_constant(d) -> float:
     """Smallest s making d[i,j] <= s*(d[i,k]+d[k,j]) hold for all triples.
 
-    One min-plus reduction ``via[i,j] = min_k d[i,k] + d[k,j]`` (a k-loop,
-    so memory stays O(n^2)) gives the tightest detour of every pair; the
-    legs k = i and k = j equal d[i,j] itself and contribute the ratio 1.
+    The tightest detour of each pair i < j is the min-plus row reduction
+    ``via[i,j] = min_k d[i,k] + d[j,k]``: d is symmetric, so the pairs
+    i > j would repeat it.  Row i is added to every later row in one
+    reused n x n buffer, so the n^3/2 sums take O(n^2) memory.  The legs
+    k = i and k = j equal d[i,j] itself and contribute the ratio 1.
     Division and multiplication round monotonically, so the max of
     d/via equals the max ratio over triples, and d > s*via finds exactly
     the triples s leaves uncovered.  After taking the max ratio, s is
@@ -153,13 +157,19 @@ def _min_constant(d) -> float:
     """
     import numpy as np
 
+    n = d.shape[0]
+    upper = np.triu_indices(n, 1)
+    via = np.empty(upper[0].size)          # row-major, like d[upper]
+    sums = np.empty((n, n))
     # an overflow gives inf, as in the Python kernel; FiniteSpace rejects it
     with np.errstate(over="ignore"):
-        via = d.copy()
-        for k in range(d.shape[0]):
-            np.minimum(via, d[:, k, None] + d[None, k, :], out=via)
-        off = ~np.eye(d.shape[0], dtype=bool)
-        d, via = d[off], via[off]
+        start = 0
+        for i in range(n - 1):
+            rest = sums[:n - 1 - i]
+            np.add(d[i + 1:], d[i], out=rest)
+            np.minimum.reduce(rest, axis=1, out=via[start:start + len(rest)])
+            start += len(rest)
+        d = d[upper]
         s = max(1.0, float(np.max(d / via))) if d.size else 1.0
         while np.any(d > s * via):
             s = math.nextafter(s, math.inf)
@@ -169,10 +179,10 @@ def _min_constant(d) -> float:
 def _min_constant_rows(d: tuple[tuple[float, ...], ...]) -> float:
     """``_min_constant`` of a validated matrix given as float rows, bit-equal.
 
-    ``via[i][j]`` is the min over k of ``d[i][k] + d[j][k]``: by symmetry the
-    same sums as the numpy reduction, and a min of non-NaN floats does not
-    depend on the order it reads them in.  The ratios and the nudge test are
-    symmetric as well, so only the pairs i < j are kept.
+    The same row form: ``via[i][j]`` is the min over k of
+    ``d[i][k] + d[j][k]`` for the pairs i < j, the numpy kernel's sums; a
+    min of non-NaN floats does not depend on the order it reads them in,
+    and the ratio max and the ulp nudge are the same.
     """
     n = len(d)
     pairs = [(row[j], min(map(add, row, d[j])))

@@ -23,9 +23,10 @@ from gphi.solver import (
     PicardTrace,
     m_epsilon,
     picard_iterate,
+    trace_from_json,
     verify_invariant_ball,
 )
-from gphi.spaces import validate_finite_space
+from gphi.spaces import space_to_json, validate_finite_space
 
 GAUGES = DEFAULT_GAUGE_CATALOG + G1_GAUGE_CATALOG
 MAP_KINDS = ("random", "fixed-points", "two-cycle", "constant")
@@ -147,6 +148,16 @@ def test_traces_match_reference_orbit(inst, tol, max_iter):
         trace = picard_iterate(space, T, x0, max_iter=max_iter, tol=tol).to_json()
         ref = reference_trace(space, T, x0, max_iter, tol)
         assert {k: trace[k] for k in ref} == ref
+
+
+@given(instances(), st.sampled_from((0.0, 1e-10, 0.5, 2.5)), st.integers(1, 40))
+def test_reference_traces_load(inst, tol, max_iter):
+    # the loader's stop-field rules are the reference's stopping rules
+    space, T = inst
+    for x0 in space.points:
+        ref = reference_trace(space, T, x0, max_iter, tol)
+        loaded = trace_from_json({**ref, "space": space_to_json(space), "x0": x0})
+        assert loaded == picard_iterate(space, T, x0, max_iter=max_iter, tol=tol)
 
 
 def outcome(f, *args):

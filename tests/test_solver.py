@@ -165,6 +165,26 @@ class TestPicardIterate:
         with pytest.raises(ValueError, match="do not fit its orbit"):
             trace_from_json(doc)
 
+    @pytest.mark.parametrize("space,T,x0,changes", [
+        # an exact stop with no fixed point sent None into the lemma checks
+        (THREE_POINT, FiniteMap((0, 0, 1)), 2, {"fixed_point": None}),
+        (THREE_POINT, FiniteMap((0, 0, 1)), 2, {"k_stop": 99}),
+        (THREE_POINT, FiniteMap((0, 0, 1)), 2, {"k_stop": 3}),
+        (THREE_POINT, FiniteMap((0, 0, 1)), 2, {"stop_reason": "tolerance-met"}),
+        (THREE_POINT, FiniteMap((0, 0, 1)), 2,
+         {"stop_reason": "budget-exhausted", "k_stop": 3}),
+        (UNIT, AffineMap(0.5, 0.0), 1.0, {"stop_reason": "budget-exhausted"}),
+        (UNIT, AffineMap(0.5, 0.0), 1.0, {"fixed_point": None}),
+        (UNIT, AffineMap(0.5, 0.0), 1.0, {"k_stop": 35}),
+        (TWO_CYCLE_SPACE, SWAP, 0, {"fixed_point": 0}),
+        (TWO_CYCLE_SPACE, SWAP, 0, {"k_stop": 0})])
+    def test_json_trace_stop_fields_must_agree(self, space, T, x0, changes):
+        doc = picard_iterate(space, T, x0).to_json()
+        assert trace_from_json(doc) == picard_iterate(space, T, x0)
+        doc.update(changes)
+        with pytest.raises(ValueError, match="does not fit its stop reason"):
+            trace_from_json(doc)
+
     def test_start_point_checked_once_by_the_orbit(self):
         with pytest.raises(PointOutOfDomain, match=r"^start point 2\.0 not in interval$"):
             picard_iterate(UNIT, AffineMap(0.5, 0.0), 2.0)
