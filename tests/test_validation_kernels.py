@@ -52,15 +52,22 @@ def valid_matrices(draw):
     return symmetric(n, lambda: draw(POSITIVE))
 
 
+FAMILIES = {
+    "uniform": lambda rng: 1.0 - rng.random(),
+    "lognormal": lambda rng: rng.lognormvariate(0.0, 3.0),
+    "pareto": lambda rng: rng.paretovariate(0.5),
+    # few distinct dyadic values: many tied detours, exact sums
+    "dyadic": lambda rng: rng.randint(1, 8) / 4,
+    "extreme": lambda rng: rng.choice([1e-300, 1e300]) * (1.0 - rng.random()),
+}
+
+
 @st.composite
 def heavy_tailed(draw):
     n = draw(sizes)
     rng = Random(draw(st.integers(min_value=0, max_value=2 ** 32)))
     kind = draw(st.sampled_from(["uniform", "lognormal", "pareto"]))
-    entry = {"uniform": lambda: 1.0 - rng.random(),
-             "lognormal": lambda: rng.lognormvariate(0.0, 3.0),
-             "pareto": lambda: rng.paretovariate(0.5)}[kind]
-    return symmetric(n, entry)
+    return symmetric(n, lambda: FAMILIES[kind](rng))
 
 
 BAD_ENTRIES = st.sampled_from([
@@ -140,16 +147,6 @@ def k_loop_min_constant(d) -> float:
         while np.any(d > s * via):
             s = math.nextafter(s, math.inf)
     return s
-
-
-FAMILIES = {
-    "uniform": lambda rng: 1.0 - rng.random(),
-    "lognormal": lambda rng: rng.lognormvariate(0.0, 3.0),
-    "pareto": lambda rng: rng.paretovariate(0.5),
-    # few distinct dyadic values: many tied detours, exact sums
-    "dyadic": lambda rng: rng.randint(1, 8) / 4,
-    "extreme": lambda rng: rng.choice([1e-300, 1e300]) * (1.0 - rng.random()),
-}
 
 
 def family_matrix(n: int, family: str, seed: int):
