@@ -1,5 +1,8 @@
+import functools
+import itertools
 import json
 import math
+from bisect import bisect_right
 
 import pytest
 from hypothesis import given, strategies as st
@@ -497,6 +500,144 @@ class TestNEpsilon:
         G, phi, s, eps = IdentityGauge(), LinearPhi(0.5), 2.0, 1.0
         n = n_epsilon(G, phi, s, eps)
         assert phi_iterate(phi, 1.0, n) < eps / (2.0 * s)
+
+
+def full_table(G, pts):
+    """G at every grid point, as running maxima from the left and running
+    minima from the right; NaN propagates and a tie takes the later value."""
+    vals = [float(G.eval(t)) for t in pts]
+    running_max, m = [], vals[0]
+    for v in vals:
+        if not (m != m or m > v):
+            m = v
+        running_max.append(m)
+    running_min, m = [], vals[-1]
+    for v in reversed(vals):
+        if not (m != m or m < v):
+            m = v
+        running_min.append(m)
+    running_min.reverse()
+    return running_max, running_min
+
+
+def top_down_epsilon0(G, grid, level):
+    """epsilon0 by the exhaustive scan: tabulate G over the whole grid, then
+    try every grid point from the top down, probing below each one."""
+    pts = log_grid() if grid is None else sorted(set(map(float, grid)))
+    table = []
+
+    def running(k):
+        if not table:
+            table.extend(full_table(G, pts))
+        return table[k]
+
+    def sup_below(i):
+        v = G.sup_below(pts[i])
+        if v is None:
+            probes = [pts[i] * 2.0 ** -k for k in range(1, 40)]
+            v = max([running(0)[i]] + [G.eval(t) for t in probes if t > 0.0])
+        return v
+
+    def inf_from_first():
+        v = G.inf_from(pts[0], pts[-1])
+        return running(1)[0] if v is None else v
+
+    if G.strictly_increasing() or inf_from_first() > 0.0:
+        for i in range(len(pts) - 1, -1, -1):
+            if sup_below(i) <= level:
+                return pts[i]
+    raise NoValidEpsilon(
+        f"no grid value has sup below {level}; gauge cannot be in G2")
+
+
+@functools.cache
+def default_grid_table(G):
+    return full_table(G, log_grid())
+
+
+def full_table_n_epsilon(G, phi, s, eps, level, budget=10_000):
+    """n_epsilon with the inf over (thr, inf) read off the whole default
+    grid's table."""
+    thr = eps / (2.0 * s)
+    target = G.inf_above(thr)
+    if target is None:
+        running_min = default_grid_table(G)[1]
+        j = bisect_right(log_grid(), thr)
+        probes = [thr] + [thr * (1.0 + 2.0 ** -k) for k in range(0, 40)]
+        target = min(running_min[j:j + 1] + [G.eval(t) for t in probes])
+    u = level
+    for n in range(1, budget + 1):
+        u = phi.eval(u)
+        if target > u:
+            return n
+    raise BudgetExhausted(
+        f"phi^n({level}) did not drop below {target} within {budget} iterations")
+
+
+def outcome(f, *args):
+    try:
+        v = f(*args)
+    except Exception as exc:
+        return ("raised", type(exc), str(exc))
+    # float.hex tells -0.0 from 0.0
+    return ("value", v.hex() if isinstance(v, float) else v)
+
+
+def _opaque(name, fn):
+    return ExpOfFGauge(RealForm("opaque-" + name, fn))
+
+
+THRESHOLD_GAUGES = [
+    _opaque("ln", math.log),
+    _opaque("power-0.5", lambda a: 0.5 * math.log(a)),
+    _opaque("power-3", lambda a: 3.0 * math.log(a)),
+    _opaque("quadratic", lambda a: math.log(a) + math.log1p(a)),
+    _opaque("wiggly", lambda a: math.log(a) + 0.8 * math.sin(7.0 * math.log(a))),
+    _opaque("nan-region", lambda a: math.nan if 1e-3 <= a < 1e-2 else math.log(a)),
+    _opaque("nan-below-grid", lambda a: math.nan if a < 1e-10 else math.log(a)),
+    _opaque("spike", lambda a: math.log(a) + (6.0 if 0.02 <= a < 0.021 else 0.0)),
+    TabulatedGauge(((0.5, 0.1), (1.0, 0.9), (3.0, 2.0))),
+    TabulatedGauge(((1e-3, 2.0), (0.1, 0.2), (10.0, 5.0))),
+    *(PowerGauge(q) for q in (1e-3, 0.5, 1.0, 2.0, 13.0, 40.0)),
+    IdentityGauge(),
+    AffinePlusGauge(0.25),
+    ExpOfFGauge(affine_form(2.0, -1.0)),
+    ExpOfFGauge(LN),
+]
+
+THRESHOLD_GRIDS = {
+    "default": None,
+    **{f"density-{d}": log_grid(per_decade=d) for d in (4, 8, 16, 32, 64, 128)},
+    "three-points": [0.5, 1.0, 2.0],
+}
+
+THRESHOLD_LEVELS = (0.3, 1.0, 2.5)
+
+
+def _gauge_id(G):
+    return G.f.name if isinstance(G, ExpOfFGauge) else json.dumps(G.describe())
+
+
+class TestThresholdScansPinned:
+    """epsilon0 and n_epsilon evaluate G only where their answer can depend
+    on it; they must return what the exhaustive scans return, or raise the
+    same error with the same message."""
+
+    @pytest.mark.parametrize("grid", THRESHOLD_GRIDS.values(), ids=THRESHOLD_GRIDS.keys())
+    @pytest.mark.parametrize("gauge", THRESHOLD_GAUGES, ids=_gauge_id)
+    def test_epsilon0(self, gauge, grid):
+        for level in THRESHOLD_LEVELS:
+            want = outcome(top_down_epsilon0, gauge, grid, level)
+            assert outcome(epsilon0, gauge, grid, level) == want, level
+
+    @pytest.mark.parametrize("gauge", THRESHOLD_GAUGES, ids=_gauge_id)
+    def test_n_epsilon(self, gauge):
+        # eps = 2 puts the threshold on the grid point 1 when s = 1
+        for phi, s, eps, level in itertools.product(
+                CATALOG_PHIS, (1.0, 1.5), (1e-6, 0.37, 2.0, 5.0), THRESHOLD_LEVELS):
+            want = outcome(full_table_n_epsilon, gauge, phi, s, eps, level)
+            got = outcome(n_epsilon, gauge, phi, s, eps, level)
+            assert got == want, (phi, s, eps, level)
 
 
 class TestJsonForms:
