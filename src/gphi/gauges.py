@@ -24,8 +24,9 @@ below eps/(2s) for any certified operator).
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass, field
+from functools import cache
 from operator import lt
 from typing import Callable
 
@@ -600,11 +601,19 @@ def gauge_eval(G, a: float) -> float:
     return G.eval(float(a))
 
 
+@cache
+def _default_grid() -> tuple[float, ...]:
+    # log_grid()'s defaults are module constants, so it is built once
+    return tuple(log_grid())
+
+
 def _grid_points(grid, what: str) -> list[float]:
     """The sorted distinct points of ``grid``; None means ``log_grid()``."""
-    pts = list(map(float, log_grid() if grid is None else grid))
-    # log_grid() output is already strictly increasing; a NaN fails < and
-    # takes the sort like any other unsorted grid
+    if grid is None:
+        # strictly increasing and never empty
+        return list(_default_grid())
+    pts = list(map(float, grid))
+    # a NaN fails < and takes the sort like any other unsorted grid
     if not all(map(lt, pts, pts[1:])):
         pts = sorted(set(pts))
     if not pts:
@@ -612,18 +621,36 @@ def _grid_points(grid, what: str) -> list[float]:
     return pts
 
 
+def _running_min(vals: list[float]) -> list[float]:
+    """Running minima of vals from the right: numpy's minimum.accumulate of
+    the reversed list, bit for bit.  NaN propagates and a tie takes the
+    later value, which decides a zero's sign."""
+    out, m = [], math.inf
+    for v in reversed(vals):
+        if not (m != m or m < v):
+            m = v
+        out.append(m)
+    out.reverse()
+    return out
+
+
 class _Extrema:
     """sup and inf of G over intervals whose ends lie on a sorted grid.
 
-    A query takes G's closed form when it has one, else reads ``table()``:
-    one evaluation of G per grid point, kept as running maxima from the left
-    and running minima from the right, plus probes between the grid and an
-    open end.  A sampled sup over (0, eps) includes G(eps) and a sampled inf
-    over (thr, inf) includes G(thr): for a continuous gauge these are the
-    limits at the open ends, so the sampled sup never exceeds the true one
-    nor the sampled inf falls below it, and for an increasing gauge both
-    equal the closed form.  ``pts=None`` is the default grid, built only if
-    a query samples.
+    A query takes G's closed form when it has one, else samples G on the
+    grid, plus probes between the grid and an open end.  Sups over (0, eps)
+    and infs over [eps, grid max] read ``table()``: one evaluation of G per
+    grid point, kept as running maxima from the left and running minima
+    from the right.  An inf over (thr, inf) evaluates G only at the grid
+    points above thr, since the rest cannot lower it.  A sampled sup over
+    (0, eps) includes G(eps) and a sampled inf over (thr, inf) includes
+    G(thr): for a continuous gauge these are the limits at the open ends,
+    so the sampled sup never exceeds the true one nor the sampled inf falls
+    below it, and for an increasing gauge both equal the closed form.
+    ``sup_floor`` is a lower bound on the sup that does not decrease along
+    the grid, so a search for the last eps with sup <= level can bisect on
+    it and probe only from there down.  ``pts=None`` is the default grid,
+    built once per process and copied only if a query samples.
     """
 
     def __init__(self, G, pts=None):
@@ -631,28 +658,32 @@ class _Extrema:
         self.pts = pts
         self._table = None
 
+    def _points(self) -> list[float]:
+        if self.pts is None:
+            self.pts = _grid_points(None, "default")
+        return self.pts
+
     def table(self) -> tuple[list[float], list[float]]:
         """(running max of G over pts[:i+1], running min over pts[i:])."""
         if self._table is None:
-            if self.pts is None:
-                self.pts = _grid_points(None, "default")
-            vals = [float(self.G.eval(t)) for t in self.pts]
-            # numpy's maximum/minimum.accumulate, bit for bit: NaN propagates
-            # and a tie takes the later value, which decides a zero's sign.
-            # Inline loops, because a call per point would double the cost.
+            vals = [float(self.G.eval(t)) for t in self._points()]
+            # numpy's maximum.accumulate, bit for bit, as _running_min is
+            # minimum.accumulate; an inline loop, because a call per point
+            # would double the cost
             running_max, m = [], vals[0]
             for v in vals:
                 if not (m != m or m > v):
                     m = v
                 running_max.append(m)
-            running_min, m = [], vals[-1]
-            for v in reversed(vals):
-                if not (m != m or m < v):
-                    m = v
-                running_min.append(m)
-            running_min.reverse()
-            self._table = (running_max, running_min)
+            self._table = (running_max, _running_min(vals))
         return self._table
+
+    def sup_floor(self, i: int) -> float:
+        """A lower bound on ``sup_below(i)`` that does not decrease in i:
+        the closed form, else the running max of G over pts[:i+1], which
+        stays NaN once it is NaN."""
+        v = self.G.sup_below(self.pts[i])
+        return self.table()[0][i] if v is None else v
 
     def sup_below(self, i: int) -> float:
         """sup of G over (0, pts[i])."""
@@ -671,10 +702,10 @@ class _Extrema:
         """inf of G over (thr, inf)."""
         v = self.G.inf_above(thr)
         if v is None:
-            running_min = self.table()[1]
-            j = bisect_right(self.pts, thr)
+            pts = self._points()
+            above = [float(self.G.eval(t)) for t in pts[bisect_right(pts, thr):]]
             probes = [thr] + [thr * (1.0 + 2.0 ** -k) for k in range(0, 40)]
-            v = min(running_min[j:j + 1] + [self.G.eval(t) for t in probes])
+            v = min(_running_min(above)[:1] + [self.G.eval(t) for t in probes])
         return v
 
 
@@ -815,7 +846,11 @@ def epsilon0(G, grid=None, level: float = 1.0) -> float:
     # so their infima are all positive iff the first one's is; a strictly
     # increasing gauge's is G(grid min) > 0, even where the float underflows
     if G.strictly_increasing() or ext.inf_from(0) > 0.0:
-        for i in range(len(pts) - 1, -1, -1):
+        # sup_floor(i) <= level holds on a prefix of the grid, and past it
+        # sup_below(i) <= level fails too: scan down from the prefix's end
+        k = bisect_left(range(len(pts)), True,
+                        key=lambda i: not ext.sup_floor(i) <= level)
+        for i in range(k - 1, -1, -1):
             if ext.sup_below(i) <= level:
                 return pts[i]
     raise NoValidEpsilon(

@@ -44,7 +44,6 @@ from .gauges import (
     certify_gauge_class,
     certify_phi,
     epsilon0,
-    log_grid,
     n_epsilon,
 )
 from .solver import (
@@ -82,7 +81,6 @@ G1_GAUGE_CATALOG = (
 # comparison-function certification.  Used by the drop-phi break mode.
 BROKEN_PHI = TabulatedPhi(((0.25, 0.25), (1.0, 1.0), (4.0, 4.0)))
 
-MAX_ITER = 64                # Picard steps per start point
 N_BUDGET = 10 ** 6           # scan budget of n_epsilon
 M_BUDGET = 10 ** 4           # scan budget of m_epsilon
 
@@ -168,16 +166,15 @@ class _CatalogGauge:
 def _prepare_catalogs(config: FuzzConfig):
     if not config.gauge_catalog or not config.phi_catalog:
         raise ConfigInvalid("catalogs must be non-empty")
-    grid = log_grid()
     gauges = []
     for G in config.gauge_catalog:
-        cert = certify_gauge_class(G, grid)
+        cert = certify_gauge_class(G)
         in_g1 = cert.in_g1 == "yes"
         in_g2 = cert.in_g2 == "yes"
         if not (in_g1 or in_g2):
             raise ConfigInvalid(
                 f"catalog gauge {G.describe()} is in neither certified class")
-        eps0 = epsilon0(G, grid) if in_g2 else None
+        eps0 = epsilon0(G) if in_g2 else None
         gauges.append(_CatalogGauge(G, in_g1, in_g2, eps0))
     phis = []
     for phi in config.phi_catalog:
@@ -317,7 +314,9 @@ def _check_theorem(report, trial, space, T, entry, phi) -> bool:
 
     traces = []
     for x0 in space.points:
-        trace = picard_iterate(space, T, x0, max_iter=MAX_ITER)
+        # a finite orbit revisits a point within n steps, and only a zero
+        # step is a fixed point
+        trace = picard_iterate(space, T, x0, max_iter=space.n, tol=0.0)
         traces.append(trace)
         lemma("orbit_convergence",
               trace.stop_reason == "exact-fixed-point" and trace.fixed_point == fp,

@@ -7,6 +7,7 @@ from bisect import bisect_right
 import pytest
 from hypothesis import given, strategies as st
 
+from gphi import gauges
 from gphi.contraction import to_czerwik_form
 from gphi.errors import (
     BudgetExhausted,
@@ -439,7 +440,8 @@ class TestSampledPath:
 
     def test_linear_in_grid_size(self):
         # one evaluation per grid point for the table, plus 39 dyadic probes
-        # below each grid point the downward scan visits
+        # below each grid point the downward scan visits: G(a) = a passes
+        # level 1 at the first one, the grid point 1
         calls = []
 
         def log_counted(a):
@@ -447,8 +449,8 @@ class TestSampledPath:
             return math.log(a)
 
         grid = log_grid(per_decade=16)
-        epsilon0(ExpOfFGauge(RealForm("id", log_counted)), grid)
-        assert len(calls) <= 41 * len(grid)
+        assert epsilon0(ExpOfFGauge(RealForm("id", log_counted)), grid) == 1.0
+        assert len(calls) == len(grid) + 39
 
 
 class TestRunningExtrema:
@@ -596,6 +598,8 @@ THRESHOLD_GAUGES = [
     _opaque("nan-region", lambda a: math.nan if 1e-3 <= a < 1e-2 else math.log(a)),
     _opaque("nan-below-grid", lambda a: math.nan if a < 1e-10 else math.log(a)),
     _opaque("spike", lambda a: math.log(a) + (6.0 if 0.02 <= a < 0.021 else 0.0)),
+    # a well at the grid point 1 that is too narrow for any probe to find
+    _opaque("well", lambda a: -7.0 if 1.0 <= a < 1.0 + 1e-9 else math.log(a)),
     TabulatedGauge(((0.5, 0.1), (1.0, 0.9), (3.0, 2.0))),
     TabulatedGauge(((1e-3, 2.0), (0.1, 0.2), (10.0, 5.0))),
     *(PowerGauge(q) for q in (1e-3, 0.5, 1.0, 2.0, 13.0, 40.0)),
@@ -632,12 +636,55 @@ class TestThresholdScansPinned:
 
     @pytest.mark.parametrize("gauge", THRESHOLD_GAUGES, ids=_gauge_id)
     def test_n_epsilon(self, gauge):
-        # eps = 2 puts the threshold on the grid point 1 when s = 1
+        # with s = 1, eps = 2 puts the threshold on the grid point 1 and
+        # eps = 1.998 puts it just below, so that 1 is the first point above
         for phi, s, eps, level in itertools.product(
-                CATALOG_PHIS, (1.0, 1.5), (1e-6, 0.37, 2.0, 5.0), THRESHOLD_LEVELS):
+                CATALOG_PHIS, (1.0, 1.5), (1e-6, 0.37, 1.998, 2.0, 5.0), THRESHOLD_LEVELS):
             want = outcome(full_table_n_epsilon, gauge, phi, s, eps, level)
             got = outcome(n_epsilon, gauge, phi, s, eps, level)
             assert got == want, (phi, s, eps, level)
+
+
+class TestThresholdEvaluations:
+    """n_epsilon evaluates an opaque gauge only where its answer can depend
+    on it, on a default grid built once."""
+
+    @staticmethod
+    def counted():
+        calls = []
+
+        def log_counted(a):
+            calls.append(a)
+            return math.log(a)
+
+        return ExpOfFGauge(RealForm("counted", log_counted)), calls
+
+    def test_n_epsilon_skips_grid_at_or_below_thr(self):
+        G, calls = self.counted()
+        thr = 0.3 / 2.0             # not a grid point
+        n_epsilon(G, LinearPhi(0.5), 1.0, 0.3)
+        pts = log_grid()
+        j = bisect_right(pts, thr)
+        assert not set(pts[:j]) & set(calls)
+        # the grid above thr, thr itself and 40 probes just above it
+        assert len(calls) == len(pts) - j + 41
+
+    def test_default_grid_built_once(self, monkeypatch):
+        built = []
+
+        def counted_log_grid(*args):
+            built.append(args)
+            return log_grid(*args)
+
+        monkeypatch.setattr(gauges, "log_grid", counted_log_grid)
+        gauges._default_grid.cache_clear()
+        try:
+            G, _ = self.counted()
+            for eps in (0.3, 0.5, 1.0):
+                n_epsilon(G, LinearPhi(0.5), 1.0, eps)
+        finally:
+            gauges._default_grid.cache_clear()
+        assert built == [()]
 
 
 class TestJsonForms:

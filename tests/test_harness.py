@@ -1,9 +1,10 @@
 import json
 from fractions import Fraction
+from random import Random
 
 import pytest
 
-from gphi.contraction import certify_condition_G
+from gphi.contraction import FiniteMap, certify_condition_G
 from gphi.errors import ConfigInvalid
 from gphi.gauges import IdentityGauge, LinearPhi, TabulatedPhi
 from gphi.harness import (
@@ -11,11 +12,16 @@ from gphi.harness import (
     DEFAULT_GAUGE_CATALOG,
     DEFAULT_PHI_CATALOG,
     FuzzConfig,
+    FuzzReport,
     G1_GAUGE_CATALOG,
+    _check_theorem,
+    _first_certified,
+    _prepare_catalogs,
     fuzz,
     generate_operator,
     generate_space,
 )
+from gphi.spaces import validate_finite_space
 
 
 def brute_force_min_constant(matrix):
@@ -151,3 +157,40 @@ class TestFuzz:
         assert any(c.in_g1 == "yes" for c in verdicts.values())
         assert any(c.in_g2 == "yes" for c in verdicts.values())
         assert len(DEFAULT_PHI_CATALOG) == 3
+
+
+def dyadic_chain(rng, n):
+    """The chain d(i, j) = |2^-i - 2^-j|, scaled by a power of two and
+    relabelled at random, under the halving shift i -> min(i + 1, n - 1).
+    Halving commutes with float rounding, so G = id and phi = t/2 certify
+    it exactly; its orbits take up to n - 1 steps, and their late steps
+    are far below 1e-10."""
+    scale = 2.0 ** rng.randint(-8, 8)
+    x = [scale * 2.0 ** -i for i in range(n)]
+    label = list(range(n))
+    rng.shuffle(label)
+    dist = [[0.0] * n for _ in range(n)]
+    mapping = [0] * n
+    for i in range(n):
+        row = dist[label[i]]
+        for j in range(n):
+            row[label[j]] = abs(x[i] - x[j])
+        mapping[label[i]] = label[min(i + 1, n - 1)]
+    return validate_finite_space(dist), FiniteMap(tuple(mapping))
+
+
+class TestCertifiedChains:
+    """Every lemma holds on a certified chain: the harness runs each orbit
+    to its exact fixed point, however small its steps become."""
+
+    @pytest.mark.parametrize("n", [32, 128])
+    def test_theorem_holds(self, n):
+        space, T = dyadic_chain(Random(n), n)
+        gauges, phis = _prepare_catalogs(FuzzConfig(
+            gauge_catalog=(IdentityGauge(),), phi_catalog=(LinearPhi(0.5),)))
+        entry, phi = _first_certified(space, T, gauges, phis)
+        report = FuzzReport(config={})
+        assert _check_theorem(report, 0, space, T, entry, phi)
+        assert report.violations == []
+        assert all(c["fail"] == 0 for c in report.lemma_counts.values())
+        assert report.lemma_counts["orbit_convergence"]["pass"] == n
