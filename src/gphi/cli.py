@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .contraction import (
@@ -38,7 +39,8 @@ from .gauges import (
     phi_from_json,
 )
 from .harness import FuzzConfig, fuzz
-from .solver import MAX_ITER_DEFAULT, TOL_DEFAULT, picard_iterate, verify_cauchy_bound
+from .solver import (MAX_ITER_DEFAULT, TOL_DEFAULT, picard_iterate, trace_from_json,
+                     verify_cauchy_bound)
 from .spaces import FiniteSpace, space_from_json
 
 EXIT_OK = 0
@@ -113,6 +115,8 @@ def _parse_point(space, text: str):
 
 
 def _cmd_solve(args) -> int:
+    if args.eps is not None and not math.isfinite(args.eps):
+        raise ValueError(f"--eps must be finite, not {args.eps}")
     space, T, G, phi = _load_instance(args.instance)
     x0 = _parse_point(space, args.x0)
     trace = picard_iterate(space, T, x0, max_iter=args.max_iter, tol=args.tol)
@@ -149,21 +153,20 @@ def _cmd_report(args) -> int:
         obj = json.load(fh)
     if not isinstance(obj, dict):
         raise ValueError("trace document must be a JSON object")
-    trace = obj.get("trace", obj)
-    if not isinstance(trace, dict) or "orbit" not in trace:
+    doc = obj.get("trace", obj)
+    if not isinstance(doc, dict) or "orbit" not in doc:
         raise ValueError("document carries no trace")
-    lines = []
-    space = trace.get("space", {})
-    kind = "finite" if "dist" in space else "interval"
-    lines.append(f"space: {kind}, constant s = {space.get('s', 2.0 ** (space.get('p', 1.0) - 1.0))}")
-    lines.append(f"start point: {trace['x0']}")
-    lines.append(f"iterations recorded: {len(trace['orbit'])} "
-                 f"(stop at k = {trace['k_stop']}, reason: {trace['stop_reason']})")
-    lines.append(f"fixed point: {trace['fixed_point']}")
-    if trace.get("cycle"):
-        lines.append(f"cycle detected: {trace['cycle']}")
-    if trace["step_dists"]:
-        lines.append(f"last step distance: {trace['step_dists'][-1]}")
+    trace = trace_from_json(doc)
+    kind = "finite" if isinstance(trace.space, FiniteSpace) else "interval"
+    lines = [f"space: {kind}, constant s = {trace.space.s}",
+             f"start point: {trace.x0}",
+             f"iterations recorded: {len(trace.orbit)} "
+             f"(stop at k = {trace.k_stop}, reason: {trace.stop_reason})",
+             f"fixed point: {trace.fixed_point}"]
+    if trace.cycle:
+        lines.append(f"cycle detected: {list(trace.cycle)}")
+    if trace.step_dists:
+        lines.append(f"last step distance: {trace.step_dists[-1]}")
     diag = obj.get("diagnostics")
     if diag:
         lines.append("cauchy diagnostics: "

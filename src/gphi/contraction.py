@@ -254,6 +254,8 @@ def certify_condition_G(space: Space, T: OperatorSpec, G, phi,
         if mode == "exhaustive":
             raise ValueError(
                 "exhaustive certification is not available on interval spaces")
+        if samples < 1:
+            raise ValueError("samples must be at least 1")
         pairs = _sample_pairs(space, seed, samples)
         checked = samples
         sampling = {"kind": "random", "seed": seed, "count": samples}

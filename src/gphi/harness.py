@@ -55,7 +55,7 @@ from .solver import (
     verify_invariant_ball,
     verify_step_chaining,
 )
-from .spaces import FiniteSpace, space_to_json, validate_finite_space
+from .spaces import MAX_FINITE_POINTS, FiniteSpace, space_to_json, validate_finite_space
 
 DEFAULT_GAUGE_CATALOG = (
     IdentityGauge(),
@@ -190,8 +190,8 @@ def fuzz(config: FuzzConfig) -> FuzzReport:
     """Run the fuzz loop and return the report (violations empty = theorem held)."""
     if config.trials < 1:
         raise ConfigInvalid("trials must be at least 1")
-    if config.max_points < 2:
-        raise ConfigInvalid("max_points must be at least 2")
+    if not 2 <= config.max_points <= MAX_FINITE_POINTS:
+        raise ConfigInvalid(f"max_points must be between 2 and {MAX_FINITE_POINTS}")
     if config.scale <= 0.0:
         raise ConfigInvalid("scale must be positive")
     if config.break_mode not in ("none", "drop-contraction", "drop-phi"):

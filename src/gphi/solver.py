@@ -32,11 +32,11 @@ from .gauges import n_epsilon
 from .spaces import FiniteSpace, Space, space_from_json, space_to_json
 
 MAX_ITER_DEFAULT = 10_000
-RECORD_CAP_DEFAULT = 100_000
-TAIL_WINDOW_DEFAULT = 1_000
+RECORD_CAP = 100_000         # orbit points a trace keeps, head and tail together
+TAIL_WINDOW = 1_000          # final orbit points a trace always keeps
 CONFIRM_STEPS = 3
 TOL_DEFAULT = 1e-10
-WALK_CAP_DEFAULT = 2_000_000
+WALK_CAP = 2_000_000         # points an orbit walk holds before it gives up
 BALL_SAMPLES = 128           # points sampled from an interval ball
 PAIR_LIMIT = 10_000          # tail pairs compared by the Cauchy check
 STOP_REASONS = ("exact-fixed-point", "tolerance-met", "budget-exhausted")
@@ -97,9 +97,15 @@ def trace_from_json(obj: dict) -> PicardTrace:
     fit its stop reason as ``picard_iterate`` writes them, because the
     lemma checks read them without checking them again."""
     space = space_from_json(obj["space"])
+    cycle = obj.get("cycle")
+    if (not all(isinstance(v, list) for v in (obj["orbit"], obj["indices"], obj["step_dists"]))
+            or not isinstance(cycle, (list, type(None)))
+            or not all(isinstance(i, int) for i in obj["indices"])
+            or not all(isinstance(d, (int, float)) for d in obj["step_dists"])):
+        raise ValueError("trace orbit, indices, steps or cycle has the wrong type")
     orbit = tuple(obj["orbit"])
     fixed_point, stop_reason = obj["fixed_point"], obj["stop_reason"]
-    cycle = tuple(obj["cycle"]) if obj.get("cycle") is not None else None
+    cycle = tuple(cycle) if cycle is not None else None
     named = [obj["x0"], *orbit, *(cycle or ())]
     if fixed_point is not None:
         named.append(fixed_point)
@@ -204,23 +210,20 @@ def _point_distance(space: Space, points):
     return lambda x, y: dist[x][y]
 
 
-def _kept_indices(count: int, record_cap: int, tail_window: int) -> list[int]:
+def _kept_indices(count: int) -> list[int]:
     """The indices a trace keeps of ``count`` orbit points: every
     ``stride``-th, for the least power-of-two stride that keeps at most
-    ``max(record_cap - tail_window, 16)`` of them, plus the last ``tail_window``."""
-    if tail_window < 0:
-        raise ValueError("tail_window must be non-negative")
-    head_cap = max(record_cap - tail_window, 16)
+    ``max(RECORD_CAP - TAIL_WINDOW, 16)`` of them, plus the last ``TAIL_WINDOW``."""
+    head_cap = max(RECORD_CAP - TAIL_WINDOW, 16)
     stride = 1
     while -(-count // stride) > head_cap:
         stride *= 2
-    tail_start = max(count - tail_window, 0)
+    tail_start = max(count - TAIL_WINDOW, 0)
     return [*range(0, tail_start, stride), *range(tail_start, count)]
 
 
 def picard_iterate(space: Space, T: OperatorSpec, x0, max_iter: int = MAX_ITER_DEFAULT,
-                   tol: float = TOL_DEFAULT, record_cap: int = RECORD_CAP_DEFAULT,
-                   tail_window: int = TAIL_WINDOW_DEFAULT) -> PicardTrace:
+                   tol: float = TOL_DEFAULT) -> PicardTrace:
     """Run the orbit x, Tx, T^2 x, ... and record a trace.
 
     Stops on an exact fixed point (zero step per the space's convention), on
@@ -259,7 +262,7 @@ def picard_iterate(space: Space, T: OperatorSpec, x0, max_iter: int = MAX_ITER_D
 
     # an exact stop is indexed by its zero step, any other stop by the steps taken
     k_stop = len(steps) - (stop_reason == "exact-fixed-point")
-    kept = _kept_indices(len(points), record_cap, tail_window)
+    kept = _kept_indices(len(points))
     return PicardTrace(
         space=space, x0=x0,
         orbit=tuple(points[i] for i in kept),
@@ -270,11 +273,12 @@ def picard_iterate(space: Space, T: OperatorSpec, x0, max_iter: int = MAX_ITER_D
 
 
 class _Walk:
-    """Lazy access to the points of orbit steps from ``_orbit``; past a
-    freeze or cycle the orbit repeats."""
+    """Lazy access to the points of the orbit of x0, stepped by ``_orbit``;
+    past a freeze or cycle the orbit repeats.  On a finite space the caller
+    has checked T."""
 
-    def __init__(self, steps, x0):
-        self.steps = steps
+    def __init__(self, space: Space, T: OperatorSpec, x0):
+        self.steps = _orbit(space, T, x0)
         self.pts = [x0]
         self.repeat: tuple[int, int] | None = None   # (start, period)
 
@@ -287,22 +291,13 @@ class _Walk:
                 self.repeat = (last, 1)
             elif cycle is not None:
                 self.repeat = (last - len(cycle), len(cycle))
-            elif len(self.pts) > WALK_CAP_DEFAULT:
+            elif len(self.pts) > WALK_CAP:
                 raise OrbitTooShort(
-                    f"orbit walk exceeded {WALK_CAP_DEFAULT} steps without settling")
+                    f"orbit walk exceeded {WALK_CAP} steps without settling")
         if k < len(self.pts):
             return self.pts[k]
         start, period = self.repeat
         return self.pts[start + (k - start) % period]
-
-
-class OrbitWalker(_Walk):
-    """Lazy orbit access; past a freeze or cycle the orbit repeats."""
-
-    def __init__(self, space: Space, T: OperatorSpec, x0):
-        if isinstance(space, FiniteSpace):
-            validate_operator(space, T)
-        super().__init__(_orbit(space, T, x0), x0)
 
 
 def enumerate_fixed_points(space: FiniteSpace, T: FiniteMap) -> set[int]:
@@ -320,51 +315,42 @@ def verify_g1_termination(trace: PicardTrace) -> bool:
     return trace.stop_reason == "exact-fixed-point"
 
 
-def m_epsilon(space: Space, T: OperatorSpec, x0, n: int, eps: float, s: float,
-              budget: int = 10_000) -> int:
+def _block_index(space: Space, point, n: int, eps: float, s: float, budget: int,
+                 last_gap: float = -1) -> int:
     """Smallest m with d(x_{(m+1)n}, x_{mn}) < eps/(2s), scanning m = 1, 2, ...
 
-    Since T^n x_{mn} = x_{(m+1)n}, this is the block-displacement index of the
-    convergence argument.  Raises BudgetExhausted past the scan budget, which
-    on a certified instance signals a hypothesis violation.
-    """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if not eps > 0.0:
-        raise NonpositiveRadius("eps must be positive")
-    thr = eps / (2.0 * s)
-    walker = OrbitWalker(space, T, x0)
-    distance = _point_distance(space, ())     # the walker checks T and x0
-    for m in range(1, budget + 1):
-        a = walker.point(m * n)
-        b = walker.point((m + 1) * n)
-        d = distance(b, a)
-        if space.is_zero(d) or d < thr:
-            return m
-    raise BudgetExhausted(f"no block index within budget {budget}")
-
-
-def _m_epsilon_on_trace(trace: PicardTrace, n: int, eps: float, s: float,
-                        budget: int) -> int:
-    """Smallest checkable block index on the recorded (or extended) orbit.
-
-    Thinned traces may lack intermediate block indices; those are skipped,
-    since any m with the block-displacement property is a valid witness.
+    Since T^n x_{mn} = x_{(m+1)n}, this is the block-displacement index of
+    the convergence argument.  ``point(k)`` reads x_k.  An ``OrbitTooShort``
+    from it skips the block while ``m*n <= last_gap``, since a thinned trace
+    lacks some block indices and any m with the property is a valid witness,
+    and propagates past it.
     """
     thr = eps / (2.0 * s)
-    space = trace.space
     for m in range(1, budget + 1):
         try:
-            a = trace.point_at(m * n)
-            b = trace.point_at((m + 1) * n)
+            a = point(m * n)
+            b = point((m + 1) * n)
         except OrbitTooShort:
-            if m * n > trace.max_index and trace.stop_reason != "exact-fixed-point":
+            if m * n > last_gap:
                 raise
             continue
         d = space.distance(b, a)
         if space.is_zero(d) or d < thr:
             return m
     raise BudgetExhausted(f"no block index within budget {budget}")
+
+
+def m_epsilon(space: Space, T: OperatorSpec, x0, n: int, eps: float, s: float,
+              budget: int = 10_000) -> int:
+    """The block index of the orbit of x0.  Raises BudgetExhausted past the
+    scan budget, which on a certified instance signals a hypothesis violation."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    if not eps > 0.0:
+        raise NonpositiveRadius("eps must be positive")
+    if isinstance(space, FiniteSpace):
+        validate_operator(space, T)
+    return _block_index(space, _Walk(space, T, x0).point, n, eps, s, budget)
 
 
 def verify_invariant_ball(space: Space, T: OperatorSpec, trace: PicardTrace,
@@ -391,7 +377,7 @@ def verify_invariant_ball(space: Space, T: OperatorSpec, trace: PicardTrace,
         raw = [lo + (hi - lo) * i / (BALL_SAMPLES - 1) for i in range(BALL_SAMPLES)]
     candidates = [u for u in raw if distance(u, center) < eps]
     for u in candidates:
-        v = _Walk(_orbit(space, T, u), u).point(n)
+        v = _Walk(space, T, u).point(n)
         if not distance(v, center) < eps:
             return False
     return True
@@ -456,7 +442,8 @@ def verify_cauchy_bound(space: Space, trace: PicardTrace, G, phi, eps: float,
     """
     s = space.s
     n = n_epsilon(G, phi, s, eps, budget=n_budget)
-    m = _m_epsilon_on_trace(trace, n, eps, s, m_budget)
+    last_gap = math.inf if trace.stop_reason == "exact-fixed-point" else trace.max_index
+    m = _block_index(trace.space, trace.point_at, n, eps, s, m_budget, last_gap)
     m0, _ = verify_step_chaining(trace, n, eps, s)
     m_bar = max(m, m0)
     cutoff = m_bar * n

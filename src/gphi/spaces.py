@@ -339,6 +339,8 @@ def space_from_json(obj: dict) -> Space:
     Finite form: {"dist": [[...], ...], "s": optional override >= computed
     minimum}.  Analytic form: {"lo": .., "hi": .., "p": ..}.
     """
+    if not isinstance(obj, dict):
+        raise ValueError("space document must be a JSON object")
     if "dist" in obj:
         fs = validate_finite_space(obj["dist"])
         if "s" in obj and obj["s"] is not None:

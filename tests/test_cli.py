@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from gphi.cli import run_cli
 
 THREE_POINT_INSTANCE = {
@@ -63,6 +65,13 @@ class TestCertify:
         assert run_cli(["certify", "/nonexistent/instance.json"]) == 1
         assert capsys.readouterr().err
 
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_nonpositive_samples_exit_one(self, tmp_path, capsys, samples):
+        path = write(tmp_path, "inst.json", ANALYTIC_INSTANCE)
+        assert run_cli(["certify", path, "--samples", samples]) == 1
+        out = capsys.readouterr()
+        assert out.out == "" and "samples must be at least 1" in out.err
+
     def test_bad_schema_exits_one(self, tmp_path, capsys):
         path = write(tmp_path, "inst.json", {"space": {"lo": 0, "hi": 1, "p": 1}})
         assert run_cli(["certify", path]) == 1
@@ -101,6 +110,22 @@ class TestSolve:
         doc = json.loads(capsys.readouterr().out)
         assert doc["eps"] == 0.25
 
+    @pytest.mark.parametrize("eps", ["nan", "inf", "-inf"])
+    def test_nonfinite_eps_exits_one(self, tmp_path, capsys, eps):
+        # json.dumps would print NaN or Infinity, which is not JSON
+        path = write(tmp_path, "inst.json", ANALYTIC_INSTANCE)
+        assert run_cli(["solve", path, "--x0", "0", f"--eps={eps}"]) == 1
+        out = capsys.readouterr()
+        assert out.out == "" and "--eps must be finite" in out.err
+
+    @pytest.mark.parametrize("eps", ["0", "-0.5"])
+    def test_nonpositive_eps_reported_in_diagnostics(self, tmp_path, capsys, eps):
+        path = write(tmp_path, "inst.json", ANALYTIC_INSTANCE)
+        assert run_cli(["solve", path, "--x0", "0", f"--eps={eps}"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert "diagnostics" not in doc
+        assert doc["diagnostics_error"].startswith("NonpositiveArgument")
+
     def test_steep_power_gauge(self, tmp_path, capsys):
         # a ** 20 overflows on the dyadic refinement of the gauge class check
         inst = dict(THREE_POINT_INSTANCE, G={"family": "power", "q": 20.0})
@@ -136,6 +161,52 @@ class TestReport:
         path.write_text("[1, 2, 3]")
         assert run_cli(["report", str(path)]) == 1
 
+    @pytest.mark.parametrize("inst,expected", [
+        (dict(THREE_POINT_INSTANCE, operator={"map": [1, 2, 0]}),
+         "space: finite, constant s = 1.3333333333333333\n"
+         "start point: 0\n"
+         "iterations recorded: 4 (stop at k = 3, reason: budget-exhausted)\n"
+         "fixed point: None\n"
+         "cycle detected: [0, 1, 2]\n"
+         "last step distance: 2.0\n"
+         "diagnostics unavailable: OrbitTooShort: orbit index 6 not recorded\n"),
+        (dict(ANALYTIC_INSTANCE, space={"lo": 0.0, "hi": 1.0, "p": 2.0}),
+         "space: interval, constant s = 2.0\n"
+         "start point: 0.0\n"
+         "iterations recorded: 19 (stop at k = 18, reason: tolerance-met)\n"
+         "fixed point: 0.4999980926513672\n"
+         "last step distance: 3.637978807091713e-12\n"
+         "cauchy diagnostics: eps = 0.5, n = 5, m = 1, m0 = 1, bound = 16.0, "
+         "max observed = 0.00024408102399320342, holds = True\n")])
+    def test_report_bytes_of_solve_output(self, tmp_path, capsys, inst, expected):
+        assert run_cli(["solve", write(tmp_path, "inst.json", inst), "--x0", "0"]) == 0
+        trace_path = tmp_path / "trace.json"
+        trace_path.write_text(capsys.readouterr().out)
+        assert run_cli(["report", str(trace_path)]) == 0
+        assert capsys.readouterr().out == expected
+
+    def test_constant_of_the_loaded_space(self, tmp_path, capsys):
+        # no declared s: d(0, 2) = 3 over the detour 1 + 1 makes the minimal
+        # constant 1.5, which the report must print rather than a guess
+        trace = {"space": {"dist": [[0, 1, 3], [1, 0, 1], [3, 1, 0]]}, "x0": 0,
+                 "orbit": [0, 0], "indices": [0, 1], "step_dists": [0.0],
+                 "stop_reason": "exact-fixed-point", "fixed_point": 0, "k_stop": 0}
+        assert run_cli(["report", write(tmp_path, "trace.json", trace)]) == 0
+        assert capsys.readouterr().out.startswith("space: finite, constant s = 1.5\n")
+
+    @pytest.mark.parametrize("changes", [
+        {"x0": 7, "orbit": [7], "stop_reason": "whatever", "k_stop": 5},
+        {"orbit": 5},
+        {"cycle": 5},
+        {"space": 5}])
+    def test_invalid_trace_exits_one(self, tmp_path, capsys, changes):
+        trace = {"space": {"dist": [[0, 1], [1, 0]]}, "x0": 0, "orbit": [0],
+                 "indices": [0], "step_dists": [], "stop_reason": "budget-exhausted",
+                 "fixed_point": None, "k_stop": 0, **changes}
+        assert run_cli(["report", write(tmp_path, "trace.json", trace)]) == 1
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("error: ")
+
 
 class TestFuzzCommand:
     def test_byte_identical_reruns(self, capsys):
@@ -154,6 +225,10 @@ class TestFuzzCommand:
     def test_bad_trials_exits_one(self, capsys):
         assert run_cli(["fuzz", "--seed", "1", "--trials", "0"]) == 1
         assert capsys.readouterr().err
+
+    def test_too_many_points_exits_one(self, capsys):
+        assert run_cli(["fuzz", "--trials", "3", "--max-points", "300"]) == 1
+        assert "ConfigInvalid" in capsys.readouterr().err
 
 
 class TestGlobalFlags:

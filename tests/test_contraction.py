@@ -137,6 +137,13 @@ class TestCertifyConditionG:
         assert cert.violation_witness is None
         assert cert.checked_pairs == 4096
 
+    @pytest.mark.parametrize("samples", [0, -5])
+    def test_analytic_sample_count_must_be_positive(self, samples):
+        # zero samples would certify on a sample of no pairs
+        with pytest.raises(ValueError, match="samples must be at least 1"):
+            certify_condition_G(AnalyticSpace(0.0, 1.0, 1.0), AffineMap(0.5, 0.0),
+                                IdentityGauge(), LinearPhi(0.5), samples=samples)
+
     def test_analytic_sampled_violation_is_deterministic(self):
         space = AnalyticSpace(0.0, 1.0, 1.0)
         expand = TabulatedMap(((0.0, 0.0), (0.5, 1.0)))   # jump map, not contractive

@@ -19,8 +19,8 @@ from gphi.gauges import gauge_eval, phi_eval
 from gphi.harness import DEFAULT_GAUGE_CATALOG, DEFAULT_PHI_CATALOG, G1_GAUGE_CATALOG
 from gphi.solver import (
     CONFIRM_STEPS,
-    OrbitWalker,
     PicardTrace,
+    _Walk,
     m_epsilon,
     picard_iterate,
     trace_from_json,
@@ -197,7 +197,7 @@ def test_out_of_range_start_point(x0):
     # the walker checks the start point when it is built, so it never hands
     # it out as point 0
     with pytest.raises(PointOutOfDomain, match="not in space"):
-        OrbitWalker(THREE, GOOD, x0)
+        _Walk(THREE, GOOD, x0)
 
 
 @pytest.mark.parametrize("center", [3, 4, -1])
@@ -217,8 +217,6 @@ def test_map_leaving_the_space():
     with pytest.raises(PointOutOfDomain):
         m_epsilon(THREE, LEAVING, 2, 1, 0.5, THREE.s)
     with pytest.raises(PointOutOfDomain):
-        OrbitWalker(THREE, LEAVING, 2).point(3)
-    with pytest.raises(PointOutOfDomain):
         verify_invariant_ball(THREE, LEAVING, trace, 10.0, 1, 1)
 
 
@@ -228,8 +226,6 @@ def test_map_leaving_the_space_off_the_orbit():
     unreached = FiniteMap((0, 0, 5))
     with pytest.raises(PointOutOfDomain):
         m_epsilon(THREE, unreached, 1, 1, 0.5, THREE.s)
-    with pytest.raises(PointOutOfDomain):
-        OrbitWalker(THREE, unreached, 1).point(2)
 
 
 def test_map_of_the_wrong_length():
@@ -237,6 +233,4 @@ def test_map_of_the_wrong_length():
     for wrong in (FiniteMap((0, 0)), FiniteMap((0, 0, 1, 2))):
         with pytest.raises(ValueError, match="map length"):
             m_epsilon(THREE, wrong, 2, 1, 0.5, THREE.s)
-        with pytest.raises(ValueError, match="map length"):
-            OrbitWalker(THREE, wrong, 2).point(1)
 

@@ -21,7 +21,7 @@ from gphi.harness import (
     generate_operator,
     generate_space,
 )
-from gphi.spaces import validate_finite_space
+from gphi.spaces import MAX_FINITE_POINTS, validate_finite_space
 
 
 def brute_force_min_constant(matrix):
@@ -93,6 +93,11 @@ class TestFuzz:
     def test_one_point_spaces_rejected(self):
         with pytest.raises(ConfigInvalid):
             fuzz(FuzzConfig(trials=10, max_points=1))
+
+    def test_too_many_points_rejected_before_any_trial(self):
+        # a few trials may draw no space past the limit; the config is still bad
+        with pytest.raises(ConfigInvalid, match="max_points"):
+            fuzz(FuzzConfig(trials=3, max_points=MAX_FINITE_POINTS + 44))
 
     def test_bogus_phi_catalog_rejected(self):
         with pytest.raises(ConfigInvalid):

@@ -9,7 +9,6 @@ from gphi.errors import BudgetExhausted, OrbitTooShort, PointOutOfDomain, TailNo
 from gphi.gauges import IdentityGauge, LinearPhi
 from gphi.harness import generate_operator, generate_space
 from gphi.solver import (
-    OrbitWalker,
     enumerate_fixed_points,
     m_epsilon,
     picard_iterate,
@@ -96,9 +95,10 @@ class TestPicardIterate:
             assert trace.step_dists[j] == THREE_POINT.distance(
                 trace.orbit[j], trace.orbit[j + 1])
 
-    def test_record_cap_thins_head_keeps_tail(self):
-        trace = picard_iterate(UNIT, AffineMap(0.999, 0.0), 1.0,
-                               max_iter=300, tol=0.0, record_cap=50, tail_window=10)
+    def test_record_cap_thins_head_keeps_tail(self, monkeypatch):
+        monkeypatch.setattr(solver, "RECORD_CAP", 50)
+        monkeypatch.setattr(solver, "TAIL_WINDOW", 10)
+        trace = picard_iterate(UNIT, AffineMap(0.999, 0.0), 1.0, max_iter=300, tol=0.0)
         assert trace.stop_reason == "budget-exhausted"
         assert len(trace.step_dists) == 300            # steps keep every iteration
         assert len(trace.orbit) <= 60
@@ -107,23 +107,21 @@ class TestPicardIterate:
 
     @pytest.mark.parametrize("record_cap", [16, 50, 60, 100])
     @pytest.mark.parametrize("tail_window", [0, 1, 10, 40])
-    def test_thinning_matches_reference_recorder(self, record_cap, tail_window):
+    def test_thinning_matches_reference_recorder(self, record_cap, tail_window,
+                                                 monkeypatch):
+        monkeypatch.setattr(solver, "RECORD_CAP", record_cap)
+        monkeypatch.setattr(solver, "TAIL_WINDOW", tail_window)
         # a swap of 0.25 and 0.75 never settles, so every run ends on budget
         for max_iter in (1, 2, 7, 15, 16, 17, 31, 50, 64, 99, 100, 101, 128,
                          255, 256, 257, 333, 400):
             trace = picard_iterate(UNIT, AffineMap(-1.0, 1.0), 0.25, tol=0.0,
-                                   max_iter=max_iter, record_cap=record_cap,
-                                   tail_window=tail_window)
+                                   max_iter=max_iter)
             rec = _ReferenceRecorder(record_cap, tail_window)
             for k in range(max_iter + 1):
                 rec.add(k, 0.25 if k % 2 == 0 else 0.75)
             kept = rec.merged()
             assert trace.indices == tuple(i for i, _ in kept), max_iter
             assert trace.orbit == tuple(p for _, p in kept), max_iter
-
-    def test_negative_tail_window_rejected(self):
-        with pytest.raises(ValueError):
-            picard_iterate(UNIT, AffineMap(0.5, 0.0), 1.0, tail_window=-1)
 
     def test_json_round_trip(self):
         trace = picard_iterate(THREE_POINT, FiniteMap((0, 0, 1)), 2)
@@ -198,7 +196,7 @@ class TestWalkerMatchesTrace:
     @staticmethod
     def _agree(space, T, x0, **kw):
         trace = picard_iterate(space, T, x0, **kw)
-        walker = OrbitWalker(space, T, x0)
+        walker = solver._Walk(space, T, x0)
         for k, x in zip(trace.indices, trace.orbit):
             assert walker.point(k) == x, k
         return trace, walker
@@ -271,15 +269,16 @@ class TestMEpsilon:
     def test_walk_cap_on_unsettled_interval_orbit(self, monkeypatch):
         # x -> 1 - x swaps 1/4 and 3/4 forever, and an interval orbit closes
         # no cycle, so with odd n every block moves by 1/2 until the walk cap
-        monkeypatch.setattr(solver, "WALK_CAP_DEFAULT", 100)
+        monkeypatch.setattr(solver, "WALK_CAP", 100)
         with pytest.raises(OrbitTooShort):
             m_epsilon(UNIT, AffineMap(-1.0, 1.0), 0.25, n=3, eps=0.5, s=1.0)
 
     def test_matches_trace_based_scan(self):
-        from gphi.solver import _m_epsilon_on_trace
         trace = picard_iterate(UNIT, AffineMap(0.5, 0.0), 1.0)
+        assert trace.stop_reason == "tolerance-met"
         direct = m_epsilon(UNIT, AffineMap(0.5, 0.0), 1.0, n=2, eps=0.25, s=1.0)
-        assert direct == _m_epsilon_on_trace(trace, 2, 0.25, 1.0, 10_000)
+        assert direct == solver._block_index(UNIT, trace.point_at, 2, 0.25, 1.0, 10_000,
+                                             trace.max_index)
 
 
 class TestInvariantBall:
@@ -421,11 +420,12 @@ class TestCauchyBound:
         with pytest.raises((OrbitTooShort, TailNotSmall)):
             verify_cauchy_bound(UNIT, trace, IdentityGauge(), LinearPhi(0.5), eps=0.5)
 
-    def test_pipeline_survives_thinned_trace(self):
+    def test_pipeline_survives_thinned_trace(self, monkeypatch):
         # stride gaps in the recorded head must be skipped, not fatal
+        monkeypatch.setattr(solver, "RECORD_CAP", 60)
+        monkeypatch.setattr(solver, "TAIL_WINDOW", 15)
         T = AffineMap(0.98, 0.0)
-        trace = picard_iterate(UNIT, T, 1.0, max_iter=2000, tol=1e-14,
-                               record_cap=60, tail_window=15)
+        trace = picard_iterate(UNIT, T, 1.0, max_iter=2000, tol=1e-14)
         assert trace.stop_reason == "exact-fixed-point"
         diag = verify_cauchy_bound(UNIT, trace, IdentityGauge(), LinearPhi(0.98),
                                    eps=0.25, n_budget=10 ** 6)
