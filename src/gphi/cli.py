@@ -168,6 +168,8 @@ def _cmd_report(args) -> int:
     if trace.step_dists:
         lines.append(f"last step distance: {trace.step_dists[-1]}")
     diag = obj.get("diagnostics")
+    if not isinstance(diag, (dict, type(None))):
+        raise ValueError("diagnostics must be an object or null")
     if diag:
         lines.append("cauchy diagnostics: "
                      f"eps = {diag['eps']}, n = {diag['n']}, m = {diag['m']}, "

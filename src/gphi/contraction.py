@@ -112,7 +112,9 @@ def validate_operator(space: Space, T: OperatorSpec) -> None:
         n = space.n
         if len(T.mapping) != n:
             raise ValueError(f"map length {len(T.mapping)} != {n} points")
-        for i, v in enumerate(T.mapping):
+        if n and 0 <= min(T.mapping) and max(T.mapping) < n:
+            return
+        for i, v in enumerate(T.mapping):     # name the first bad image
             if not 0 <= v < n:
                 raise PointOutOfDomain(f"image of point {i} is {v}, outside the space")
         return

@@ -47,6 +47,10 @@ from .gauges import (
     n_epsilon,
 )
 from .solver import (
+    _ball_holds,
+    _block_index,
+    _cauchy_tail,
+    _power_image,
     enumerate_fixed_points,
     m_epsilon,
     picard_iterate,
@@ -338,18 +342,33 @@ def _check_theorem(report, trial, space, T, entry, phi) -> bool:
                  "n_epsilon exhausted its budget"):
         return False
 
+    image = _power_image(T.mapping, n).__getitem__
     for trace in traces:
-        m = attempt(m_epsilon, space, T, trace.x0, n, eps, space.s, budget=M_BUDGET)
+        # on an exact trace that keeps every index, point_at reads the
+        # walker's points: one block scan of it gives m to both lemmas, T^n
+        # comes from the trial's image and m0 from the step-chaining lemma
+        shared = (trace.stop_reason == "exact-fixed-point"
+                  and len(trace.indices) == trace.max_index + 1)
+        if shared:
+            m = attempt(_block_index, space, trace.point_at, n, eps, space.s, M_BUDGET)
+        else:
+            m = attempt(m_epsilon, space, T, trace.x0, n, eps, space.s, budget=M_BUDGET)
         if not lemma("m_epsilon", m is not None, "m-epsilon-budget",
                      "m_epsilon exhausted its budget", trace):
             continue
-        ball = attempt(verify_invariant_ball, space, T, trace, eps, n, m)
+        if shared:
+            ball = attempt(_ball_holds, space, trace.point_at(m * n), eps, image)
+        else:
+            ball = attempt(verify_invariant_ball, space, T, trace, eps, n, m)
         lemma("invariant_ball", ball, "invariant-ball", "image of the ball escaped", trace)
         chain = attempt(verify_step_chaining, trace, n, eps, space.s)
         lemma("step_chaining", chain is not None and chain[1], "step-chaining",
               "block distances exceeded eps", trace)
-        diag = attempt(verify_cauchy_bound, space, trace, entry.gauge, phi, eps,
-                       n_budget=N_BUDGET, m_budget=M_BUDGET)
+        if shared and chain is not None:
+            diag = attempt(_cauchy_tail, space, trace, eps, n, m, chain[0])
+        else:
+            diag = attempt(verify_cauchy_bound, space, trace, entry.gauge, phi, eps,
+                           n_budget=N_BUDGET, m_budget=M_BUDGET)
         lemma("cauchy_bound", diag is not None and diag.holds, "cauchy-bound",
               "tail pair distance exceeded 4*s^3*eps", trace)
     return len(report.violations) == violations_before

@@ -67,6 +67,9 @@ class PicardTrace:
             return self.orbit[pos]
         if self.stop_reason == "exact-fixed-point" and k >= self.k_stop:
             return self.fixed_point
+        if self.cycle is not None and k > self.max_index:
+            raise OrbitTooShort(
+                f"orbit index {k} not recorded: the orbit cycles through {list(self.cycle)}")
         raise OrbitTooShort(f"orbit index {k} not recorded")
 
     def step_at(self, k: int) -> float:
@@ -353,6 +356,20 @@ def m_epsilon(space: Space, T: OperatorSpec, x0, n: int, eps: float, s: float,
     return _block_index(space, _Walk(space, T, x0).point, n, eps, s, budget)
 
 
+def _power_image(mapping, n: int) -> list[int]:
+    """The image list of T^n for a checked finite map and n >= 0, by
+    repeated squaring: O(N log n) reads, however long the orbits run."""
+    image = list(range(len(mapping)))
+    power = mapping
+    while n:
+        if n & 1:
+            image = [power[v] for v in image]
+        n >>= 1
+        if n:
+            power = [power[v] for v in power]
+    return image
+
+
 def verify_invariant_ball(space: Space, T: OperatorSpec, trace: PicardTrace,
                           eps: float, n: int, m: int) -> bool:
     """Check T^n(B(x_{mn}, eps)) stays inside B(x_{mn}, eps).
@@ -363,24 +380,32 @@ def verify_invariant_ball(space: Space, T: OperatorSpec, trace: PicardTrace,
     same eps, which is what makes the containment a theorem on certified
     instances.
     """
+    if n < 1:
+        raise ValueError("n must be at least 1")
     if not eps > 0.0:
         raise NonpositiveRadius("eps must be positive")
     center = trace.point_at(m * n)
+    if not isinstance(space, FiniteSpace):
+        return _ball_holds(space, center, eps, lambda u: _Walk(space, T, u).point(n))
+    _point_distance(space, (center,))       # the centre is checked before the map
+    validate_operator(space, T)
+    return _ball_holds(space, center, eps, _power_image(T.mapping, n).__getitem__)
+
+
+def _ball_holds(space: Space, center, eps: float, image_of) -> bool:
+    """True iff ``image_of``, read as T^n, maps every candidate of the ball
+    B(center, eps) back inside it: every point of a finite space, else
+    ``BALL_SAMPLES`` evenly spaced points of the interval ball."""
     distance = _point_distance(space, (center,))
     if isinstance(space, FiniteSpace):
-        validate_operator(space, T)         # once for all the walks below
         raw = space.points
     else:
         r = eps ** (1.0 / space.p)
         lo = max(space.lo, center - r)
         hi = min(space.hi, center + r)
         raw = [lo + (hi - lo) * i / (BALL_SAMPLES - 1) for i in range(BALL_SAMPLES)]
-    candidates = [u for u in raw if distance(u, center) < eps]
-    for u in candidates:
-        v = _Walk(space, T, u).point(n)
-        if not distance(v, center) < eps:
-            return False
-    return True
+    return all(distance(image_of(u), center) < eps
+               for u in raw if distance(u, center) < eps)
 
 
 def verify_step_chaining(trace: PicardTrace, n: int, eps: float,
@@ -445,6 +470,12 @@ def verify_cauchy_bound(space: Space, trace: PicardTrace, G, phi, eps: float,
     last_gap = math.inf if trace.stop_reason == "exact-fixed-point" else trace.max_index
     m = _block_index(trace.space, trace.point_at, n, eps, s, m_budget, last_gap)
     m0, _ = verify_step_chaining(trace, n, eps, s)
+    return _cauchy_tail(space, trace, eps, n, m, m0)
+
+
+def _cauchy_tail(space: Space, trace: PicardTrace, eps: float, n: int, m: int,
+                 m0: int) -> CauchyDiagnostics:
+    """The tail pair scan of ``verify_cauchy_bound``, given its n, m and m0."""
     m_bar = max(m, m0)
     cutoff = m_bar * n
 
@@ -469,7 +500,7 @@ def verify_cauchy_bound(space: Space, trace: PicardTrace, G, phi, eps: float,
             checked += 1
             if d > max_obs:
                 max_obs = d
-    bound = 4.0 * s ** 3 * eps
+    bound = 4.0 * space.s ** 3 * eps
     return CauchyDiagnostics(
         eps=eps, n=n, m=m, m0=m0, m_bar=m_bar, bound=bound,
         max_observed=max_obs, pairs_checked=checked,

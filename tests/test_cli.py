@@ -169,7 +169,8 @@ class TestReport:
          "fixed point: None\n"
          "cycle detected: [0, 1, 2]\n"
          "last step distance: 2.0\n"
-         "diagnostics unavailable: OrbitTooShort: orbit index 6 not recorded\n"),
+         "diagnostics unavailable: OrbitTooShort: orbit index 6 not recorded: "
+         "the orbit cycles through [0, 1, 2]\n"),
         (dict(ANALYTIC_INSTANCE, space={"lo": 0.0, "hi": 1.0, "p": 2.0}),
          "space: interval, constant s = 2.0\n"
          "start point: 0.0\n"
@@ -204,6 +205,16 @@ class TestReport:
                  "indices": [0], "step_dists": [], "stop_reason": "budget-exhausted",
                  "fixed_point": None, "k_stop": 0, **changes}
         assert run_cli(["report", write(tmp_path, "trace.json", trace)]) == 1
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("error: ")
+
+    @pytest.mark.parametrize("diagnostics", [5, [1], "holds", {"eps": 0.5}])
+    def test_invalid_diagnostics_exit_one(self, tmp_path, capsys, diagnostics):
+        trace = {"space": {"dist": [[0, 1], [1, 0]]}, "x0": 0, "orbit": [0, 0],
+                 "indices": [0, 1], "step_dists": [0.0],
+                 "stop_reason": "exact-fixed-point", "fixed_point": 0, "k_stop": 0}
+        doc = {"trace": trace, "diagnostics": diagnostics}
+        assert run_cli(["report", write(tmp_path, "solve.json", doc)]) == 1
         out = capsys.readouterr()
         assert out.out == "" and out.err.startswith("error: ")
 

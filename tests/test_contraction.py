@@ -67,6 +67,15 @@ class TestApply:
         with pytest.raises(PointOutOfDomain):
             validate_operator(interval, AffineMap(2.0, 0.0))
 
+    @pytest.mark.parametrize("mapping,message", [
+        ((0, -1, 7), "image of point 1 is -1"),
+        ((0, 9, -2), "image of point 1 is 9"),
+        ((0, 0, 3), "image of point 2 is 3"),
+        ((-5, 0, 0), "image of point 0 is -5")])
+    def test_first_bad_image_named(self, mapping, message):
+        with pytest.raises(PointOutOfDomain, match=f"^{message}, outside the space$"):
+            validate_operator(THREE_POINT, FiniteMap(mapping))
+
     def test_tabulated_map(self):
         interval = AnalyticSpace(0.0, 1.0, 1.0)
         T = TabulatedMap(((0.0, 0.2), (0.5, 0.8)))

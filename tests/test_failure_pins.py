@@ -39,10 +39,10 @@ CASES = [
      {"orbit-divergence", "g1-termination"}, 18),
     ("verify_g1_termination", lambda trace: False, G1, {"g1-termination"}, 9),
     ("n_epsilon", _raise(BudgetExhausted), {}, {"n-epsilon-budget"}, 2),
-    ("m_epsilon", _raise(BudgetExhausted), {}, {"m-epsilon-budget"}, 9),
-    ("verify_invariant_ball", lambda *a, **k: False, {}, {"invariant-ball"}, 9),
+    ("_block_index", _raise(BudgetExhausted), {}, {"m-epsilon-budget"}, 9),
+    ("_ball_holds", lambda *a, **k: False, {}, {"invariant-ball"}, 9),
     ("verify_step_chaining", _raise(TailNotSmall), {}, {"step-chaining"}, 9),
-    ("verify_cauchy_bound", _raise(OrbitTooShort), {}, {"cauchy-bound"}, 9),
+    ("_cauchy_tail", _raise(OrbitTooShort), {}, {"cauchy-bound"}, 9),
     ("_first_certified", lambda space, T, gauges, phis: (gauges[0], phis[0]),
      {"break_mode": "drop-contraction"}, {"broken-instance-certified"}, 12),
 ]
@@ -56,12 +56,12 @@ DIGESTS = {
     "verify_g1_termination":
         "7f78ec3e9b29656399f47dec23c4d12cf82fcca6d2f971eee8a1c95fc0c7696b",
     "n_epsilon": "c3c929e17cc4b81d9a3cf7e4e432452b3ee0a2126696685068acc6bf50ecc152",
-    "m_epsilon": "70f94cae708056b4f2589813b2890177f180b8652bc3743e00247da3f0df08fe",
-    "verify_invariant_ball":
+    "_block_index": "70f94cae708056b4f2589813b2890177f180b8652bc3743e00247da3f0df08fe",
+    "_ball_holds":
         "40fedfcebcf87ec9c8115bf5c8438d6a34d5aeda6d8a2bc2c45a443ec7723272",
     "verify_step_chaining":
         "d7f0d39a21c0e2012335f91e5373bb87fcd95c91acf120112d191a5e52ace17d",
-    "verify_cauchy_bound":
+    "_cauchy_tail":
         "496bdaeb8a5a70ce657ea2d1e288b1fd5beaa366001c1ef5cbebccc7feb24bf8",
     "_first_certified": "648fc0906c1426d7ed342b6c39c59c26a3817009220aefa22a821857475cf507",
 }

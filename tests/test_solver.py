@@ -1,4 +1,5 @@
 from collections import deque
+from random import Random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -312,6 +313,39 @@ class TestInvariantBall:
         T = AffineMap(0.5, 0.25)
         trace = picard_iterate(UNIT, T, 0.0)
         assert verify_invariant_ball(UNIT, T, trace, eps=0.25, n=2, m=1)
+
+
+    @pytest.mark.parametrize("space,T,x0", [(THREE_POINT, FiniteMap((0, 0, 1)), 2),
+                                            (UNIT, AffineMap(0.5, 0.25), 0.0)])
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_block_length_below_one(self, space, T, x0, n):
+        trace = picard_iterate(space, T, x0)
+        with pytest.raises(ValueError, match="n must be at least 1"):
+            verify_invariant_ball(space, T, trace, eps=0.5, n=n, m=1)
+
+
+class TestPowerImage:
+    """T^n by repeated squaring maps each point where its orbit walk lands."""
+
+    # a 3-cycle, a fixed point with a tail into it, and a 2-cycle
+    MIXED = (1, 2, 0, 3, 3, 4, 7, 6)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_matches_walker(self, seed):
+        rng = Random(f"power:{seed}")
+        size = len(self.MIXED) if seed == 0 else rng.randint(1, 12)
+        mapping = self.MIXED if seed == 0 else [rng.randrange(size) for _ in range(size)]
+        space = generate_space(f"power:{seed}:space", size)
+        T = FiniteMap(mapping)
+        for n in [*range(1, 40), 255, 256, 1037, 65_537, 999_983, 10 ** 6]:
+            walked = [solver._Walk(space, T, u).point(n) for u in space.points]
+            assert solver._power_image(T.mapping, n) == walked, n
+
+    def test_mixed_map_holds_cycles_and_fixed_points(self):
+        image = solver._power_image(self.MIXED, 10 ** 6)
+        # 10^6 = 1 mod 3 and 0 mod 2: the 3-cycle moves one place, the
+        # 2-cycle returns home, and the tail has fallen into its fixed point
+        assert image == [1, 2, 0, 3, 3, 3, 6, 7]
 
 
 class TestMapCheckedOnce:
