@@ -56,7 +56,7 @@ from .solver import (
     picard_iterate,
     verify_cauchy_bound,
     verify_g1_termination,
-    verify_invariant_ball,
+    verify_invariant_ball,  # not called here; kept importable by its old name
     verify_step_chaining,
 )
 from .spaces import MAX_FINITE_POINTS, FiniteSpace, space_to_json, validate_finite_space
@@ -345,8 +345,9 @@ def _check_theorem(report, trial, space, T, entry, phi) -> bool:
     image = _power_image(T.mapping, n).__getitem__
     for trace in traces:
         # on an exact trace that keeps every index, point_at reads the
-        # walker's points: one block scan of it gives m to both lemmas, T^n
-        # comes from the trial's image and m0 from the step-chaining lemma
+        # walker's points: one block scan of it gives m to both lemmas and
+        # m0 comes from the step-chaining lemma; every ball reads T^n from
+        # the trial's image
         shared = (trace.stop_reason == "exact-fixed-point"
                   and len(trace.indices) == trace.max_index + 1)
         if shared:
@@ -356,10 +357,7 @@ def _check_theorem(report, trial, space, T, entry, phi) -> bool:
         if not lemma("m_epsilon", m is not None, "m-epsilon-budget",
                      "m_epsilon exhausted its budget", trace):
             continue
-        if shared:
-            ball = attempt(_ball_holds, space, trace.point_at(m * n), eps, image)
-        else:
-            ball = attempt(verify_invariant_ball, space, T, trace, eps, n, m)
+        ball = attempt(lambda: _ball_holds(space, trace.point_at(m * n), eps, image))
         lemma("invariant_ball", ball, "invariant-ball", "image of the ball escaped", trace)
         chain = attempt(verify_step_chaining, trace, n, eps, space.s)
         lemma("step_chaining", chain is not None and chain[1], "step-chaining",

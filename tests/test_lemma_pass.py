@@ -261,3 +261,21 @@ def test_plain_runs_share_the_lemma_inputs(monkeypatch):
     report = fuzz(FuzzConfig(seed=0, trials=40))
     assert report.g2_instances > 0 and report.violations == []
     assert report.lemma_counts["cauchy_bound"]["pass"] > 0
+
+
+
+@pytest.mark.parametrize("size,scale", [(24, 2.0 ** 8), (40, 2.0 ** 20)])
+def test_thinned_traces_read_the_trial_image(monkeypatch, size, scale):
+    # a thinned trace takes m and the Cauchy tail from the public lemmas,
+    # but its ball still reads T^n from the trial's image
+    x = [scale * 2.0 ** -i for i in range(size)]
+    space = validate_finite_space([[abs(a - b) for b in x] for a in x])
+    T = FiniteMap(tuple(min(i + 1, size - 1) for i in range(size)))
+    config = FuzzConfig(gauge_catalog=(IdentityGauge(),), phi_catalog=(LinearPhi(0.6),))
+    (entry,), (phi,) = _prepare_catalogs(config)
+    monkeypatch.setattr(solver, "RECORD_CAP", 20)
+    monkeypatch.setattr(solver, "TAIL_WINDOW", 4)
+    monkeypatch.setattr(harness, "verify_invariant_ball", _raise(AssertionError))
+    report = FuzzReport(config={})
+    harness._check_theorem(report, 0, space, T, entry, phi)
+    assert report.lemma_counts["invariant_ball"]["pass"] > 0
