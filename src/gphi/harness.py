@@ -50,13 +50,11 @@ from .solver import (
     _ball_holds,
     _block_index,
     _cauchy_tail,
+    _last_gap,
     _power_image,
     enumerate_fixed_points,
-    m_epsilon,
     picard_iterate,
-    verify_cauchy_bound,
     verify_g1_termination,
-    verify_invariant_ball,  # not called here; kept importable by its old name
     verify_step_chaining,
 )
 from .spaces import MAX_FINITE_POINTS, FiniteSpace, space_to_json, validate_finite_space
@@ -316,16 +314,14 @@ def _check_theorem(report, trial, space, T, entry, phi) -> bool:
         return False
     fp = next(iter(fps))
 
-    traces = []
-    for x0 in space.points:
-        # a finite orbit revisits a point within n steps, and only a zero
-        # step is a fixed point
-        trace = picard_iterate(space, T, x0, max_iter=space.n, tol=0.0)
-        traces.append(trace)
+    # a finite orbit revisits a point within n steps, and only a zero step
+    # is a fixed point
+    traces = [picard_iterate(space, T, x0, max_iter=space.n, tol=0.0) for x0 in space.points]
+    for trace in traces:
         lemma("orbit_convergence",
               trace.stop_reason == "exact-fixed-point" and trace.fixed_point == fp,
               "orbit-divergence",
-              f"orbit from {x0} stopped with {trace.stop_reason} "
+              f"orbit from {trace.x0} stopped with {trace.stop_reason} "
               f"at {trace.fixed_point!r} instead of {fp}", trace)
 
     if entry.in_g1:
@@ -344,16 +340,10 @@ def _check_theorem(report, trial, space, T, entry, phi) -> bool:
 
     image = _power_image(T.mapping, n).__getitem__
     for trace in traces:
-        # on an exact trace that keeps every index, point_at reads the
-        # walker's points: one block scan of it gives m to both lemmas and
-        # m0 comes from the step-chaining lemma; every ball reads T^n from
-        # the trial's image
-        shared = (trace.stop_reason == "exact-fixed-point"
-                  and len(trace.indices) == trace.max_index + 1)
-        if shared:
-            m = attempt(_block_index, space, trace.point_at, n, eps, space.s, M_BUDGET)
-        else:
-            m = attempt(m_epsilon, space, T, trace.x0, n, eps, space.s, budget=M_BUDGET)
+        # one block scan of the recorded trace gives m, the step-chaining
+        # lemma gives m0, and every ball reads T^n from the trial's image
+        m = attempt(_block_index, space, trace.point_at, n, eps, space.s, M_BUDGET,
+                    _last_gap(trace))
         if not lemma("m_epsilon", m is not None, "m-epsilon-budget",
                      "m_epsilon exhausted its budget", trace):
             continue
@@ -362,11 +352,8 @@ def _check_theorem(report, trial, space, T, entry, phi) -> bool:
         chain = attempt(verify_step_chaining, trace, n, eps, space.s)
         lemma("step_chaining", chain is not None and chain[1], "step-chaining",
               "block distances exceeded eps", trace)
-        if shared and chain is not None:
-            diag = attempt(_cauchy_tail, space, trace, eps, n, m, chain[0])
-        else:
-            diag = attempt(verify_cauchy_bound, space, trace, entry.gauge, phi, eps,
-                           n_budget=N_BUDGET, m_budget=M_BUDGET)
+        # without m0 the Cauchy lemma fails, as verify_cauchy_bound would raise
+        diag = chain and attempt(_cauchy_tail, space, trace, eps, n, m, chain[0])
         lemma("cauchy_bound", diag is not None and diag.holds, "cauchy-bound",
               "tail pair distance exceeded 4*s^3*eps", trace)
     return len(report.violations) == violations_before

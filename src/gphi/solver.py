@@ -23,6 +23,7 @@ from dataclasses import asdict, dataclass
 from .contraction import FiniteMap, OperatorSpec, apply, validate_operator
 from .errors import (
     BudgetExhausted,
+    ConstantOverflow,
     NonpositiveRadius,
     OrbitTooShort,
     PointOutOfDomain,
@@ -95,10 +96,10 @@ class PicardTrace:
 
 
 def trace_from_json(obj: dict) -> PicardTrace:
-    """Load a trace; the points it names must lie in its space, its indices
-    must fit its orbit and steps, and its fixed point and ``k_stop`` must
-    fit its stop reason as ``picard_iterate`` writes them, because the
-    lemma checks read them without checking them again."""
+    """Load a trace; the points it names must lie in its space, and its
+    indices, x0, fixed point, cycle and ``k_stop`` must fit its orbit, steps
+    and stop reason as ``picard_iterate`` writes them, because the lemma
+    checks read them without checking them again."""
     space = space_from_json(obj["space"])
     cycle = obj.get("cycle")
     if (not all(isinstance(v, list) for v in (obj["orbit"], obj["indices"], obj["step_dists"]))
@@ -123,6 +124,9 @@ def trace_from_json(obj: dict) -> PicardTrace:
     if ((fixed_point is None) != (stop_reason == "budget-exhausted")
             or obj["k_stop"] != len(step_dists) - (stop_reason == "exact-fixed-point")):
         raise ValueError("trace fixed point or k_stop does not fit its stop reason")
+    if (obj["x0"] != orbit[0] or fixed_point not in (None, orbit[-1])
+            or (cycle is not None and stop_reason != "budget-exhausted")):
+        raise ValueError("trace x0, fixed point or cycle does not fit its orbit")
     return PicardTrace(
         space=space, x0=obj["x0"], orbit=orbit,
         indices=indices, step_dists=step_dists,
@@ -343,6 +347,11 @@ def _block_index(space: Space, point, n: int, eps: float, s: float, budget: int,
     raise BudgetExhausted(f"no block index within budget {budget}")
 
 
+def _last_gap(trace: PicardTrace) -> float:
+    """The last index at which ``_block_index`` may skip a block ``trace`` lacks."""
+    return math.inf if trace.stop_reason == "exact-fixed-point" else trace.max_index
+
+
 def m_epsilon(space: Space, T: OperatorSpec, x0, n: int, eps: float, s: float,
               budget: int = 10_000) -> int:
     """The block index of the orbit of x0.  Raises BudgetExhausted past the
@@ -463,12 +472,11 @@ def verify_cauchy_bound(space: Space, trace: PicardTrace, G, phi, eps: float,
     k1, k2 range over recorded indices at or past m_bar * n with
     m_bar = max(m, m0); when the pair count would exceed ``PAIR_LIMIT`` the
     index list is strided deterministically.  Budget and truncation errors
-    from the sub-steps propagate.
+    propagate, and ConstantOverflow when the bound overflows the float range.
     """
     s = space.s
     n = n_epsilon(G, phi, s, eps, budget=n_budget)
-    last_gap = math.inf if trace.stop_reason == "exact-fixed-point" else trace.max_index
-    m = _block_index(trace.space, trace.point_at, n, eps, s, m_budget, last_gap)
+    m = _block_index(trace.space, trace.point_at, n, eps, s, m_budget, _last_gap(trace))
     m0, _ = verify_step_chaining(trace, n, eps, s)
     return _cauchy_tail(space, trace, eps, n, m, m0)
 
@@ -476,6 +484,12 @@ def verify_cauchy_bound(space: Space, trace: PicardTrace, G, phi, eps: float,
 def _cauchy_tail(space: Space, trace: PicardTrace, eps: float, n: int, m: int,
                  m0: int) -> CauchyDiagnostics:
     """The tail pair scan of ``verify_cauchy_bound``, given its n, m and m0."""
+    try:
+        bound = 4.0 * space.s ** 3 * eps
+    except OverflowError:
+        bound = math.inf
+    if bound == math.inf:
+        raise ConstantOverflow(f"Cauchy bound 4*s^3*eps overflows: s = {space.s}, eps = {eps}")
     m_bar = max(m, m0)
     cutoff = m_bar * n
 
@@ -500,7 +514,6 @@ def _cauchy_tail(space: Space, trace: PicardTrace, eps: float, n: int, m: int,
             checked += 1
             if d > max_obs:
                 max_obs = d
-    bound = 4.0 * space.s ** 3 * eps
     return CauchyDiagnostics(
         eps=eps, n=n, m=m, m0=m0, m_bar=m_bar, bound=bound,
         max_observed=max_obs, pairs_checked=checked,

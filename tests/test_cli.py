@@ -28,6 +28,10 @@ ANALYTIC_INSTANCE = {
 }
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 def write(tmp_path, name, doc):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
@@ -126,6 +130,19 @@ class TestSolve:
         assert "diagnostics" not in doc
         assert doc["diagnostics_error"].startswith("NonpositiveArgument")
 
+    @pytest.mark.parametrize("s,eps", [(1e200, []), (None, ["--eps", "1e308"])],
+                             ids=["declared-s", "eps"])
+    def test_cauchy_bound_overflow_reported_in_diagnostics(self, tmp_path, capsys, s, eps):
+        # 4*s^3*eps past the float range: s ** 3 raised OverflowError through
+        # the CLI, and a finite s printed "bound": Infinity, which is not JSON
+        space = dict(THREE_POINT_INSTANCE["space"], s=s)
+        path = write(tmp_path, "inst.json", dict(THREE_POINT_INSTANCE, space=space))
+        assert run_cli(["solve", path, "--x0", "2", *eps]) == 0
+        doc = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+        assert "diagnostics" not in doc
+        assert doc["diagnostics_error"].startswith(
+            "ConstantOverflow: Cauchy bound 4*s^3*eps overflows: s = ")
+
     def test_steep_power_gauge(self, tmp_path, capsys):
         # a ** 20 overflows on the dyadic refinement of the gauge class check
         inst = dict(THREE_POINT_INSTANCE, G={"family": "power", "q": 20.0})
@@ -199,7 +216,10 @@ class TestReport:
         {"x0": 7, "orbit": [7], "stop_reason": "whatever", "k_stop": 5},
         {"orbit": 5},
         {"cycle": 5},
-        {"space": 5}])
+        {"space": 5},
+        {"x0": 1},
+        {"stop_reason": "tolerance-met", "fixed_point": 0, "cycle": [0]},
+        {"stop_reason": "tolerance-met", "fixed_point": 1}])
     def test_invalid_trace_exits_one(self, tmp_path, capsys, changes):
         trace = {"space": {"dist": [[0, 1], [1, 0]]}, "x0": 0, "orbit": [0],
                  "indices": [0], "step_dists": [], "stop_reason": "budget-exhausted",

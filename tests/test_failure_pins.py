@@ -41,7 +41,8 @@ CASES = [
     ("n_epsilon", _raise(BudgetExhausted), {}, {"n-epsilon-budget"}, 2),
     ("_block_index", _raise(BudgetExhausted), {}, {"m-epsilon-budget"}, 9),
     ("_ball_holds", lambda *a, **k: False, {}, {"invariant-ball"}, 9),
-    ("verify_step_chaining", _raise(TailNotSmall), {}, {"step-chaining"}, 9),
+    # without m0 the Cauchy bound fails with the step-chaining lemma
+    ("verify_step_chaining", _raise(TailNotSmall), {}, {"step-chaining", "cauchy-bound"}, 18),
     ("_cauchy_tail", _raise(OrbitTooShort), {}, {"cauchy-bound"}, 9),
     ("_first_certified", lambda space, T, gauges, phis: (gauges[0], phis[0]),
      {"break_mode": "drop-contraction"}, {"broken-instance-certified"}, 12),
@@ -60,7 +61,7 @@ DIGESTS = {
     "_ball_holds":
         "40fedfcebcf87ec9c8115bf5c8438d6a34d5aeda6d8a2bc2c45a443ec7723272",
     "verify_step_chaining":
-        "d7f0d39a21c0e2012335f91e5373bb87fcd95c91acf120112d191a5e52ace17d",
+        "4a16fe056ba648d267a944f6700ef9a05f99ac18ac4ccfe74ffc2b2182850cb9",
     "_cauchy_tail":
         "496bdaeb8a5a70ce657ea2d1e288b1fd5beaa366001c1ef5cbebccc7feb24bf8",
     "_first_certified": "648fc0906c1426d7ed342b6c39c59c26a3817009220aefa22a821857475cf507",
@@ -78,11 +79,12 @@ def test_failure_report_bytes(monkeypatch, name, replacement, extra, kinds, coun
 
 
 def test_budget_exhausted_trace_on_default_catalog(monkeypatch):
-    """A trace that stops short fails every lemma that reads past its stop:
-    the invariant ball and the Cauchy bound report violations, not a crash."""
+    """A trace that stops short fails the block index, whose scan reads past
+    its stop: the m_epsilon lemma reports a violation, not a crash, and the
+    lemmas that need m are not run."""
     monkeypatch.setattr(harness, "picard_iterate", _budget_exhausted_trace)
     report = fuzz(FuzzConfig(seed=0, trials=12))
     assert Counter(v["kind"] for v in report.violations) == {
-        "orbit-divergence": 9, "invariant-ball": 9, "cauchy-bound": 9}
+        "orbit-divergence": 9, "m-epsilon-budget": 9}
     assert hashlib.sha256(report.to_json_str().encode()).hexdigest() == \
-        "52b59cf3b738b777cc3606f7de46bdd475a0a12b7fbbb2dd2cc563069eb1a974"
+        "f8e749e0c7d02b8f0345c72c4dd4f5e1d9e474f595d3a9dbf0145a6a34ad6432"

@@ -6,11 +6,20 @@ kept verbatim: it calls ``m_epsilon``, ``verify_invariant_ball``,
 ``verify_step_chaining`` and ``verify_cauchy_bound`` afresh on every trace.
 Run in its place, on fuzz runs and on long halving chains, it must give the
 same report JSON and the same lemma values as the harness's own, also with
-each lemma forced to fail in turn and on traces that lack indices.  A forced
-failure replaces, on each side, the name that side calls.
+each lemma forced to fail in turn.  A forced failure replaces, on each side,
+the name that side calls.
+
+The harness reads every trace through one path: m from one block scan of
+the recorded trace, m0 from its one step-chaining call, and the Cauchy tail
+on those.  On traces a passing fuzz run never produces it departs from the
+reference by design: a trace that stops short fails its block scan, a
+thinned trace gets m at a recorded index, and a step-chaining lemma that
+raises takes the Cauchy lemma with it.  Those cases pin the harness's report
+and still compare every lemma value the departure does not touch.
 """
 
 import dataclasses
+import hashlib
 import json
 import sys
 
@@ -30,14 +39,12 @@ from gphi.harness import (
     _prepare_catalogs,
     enumerate_fixed_points,
     fuzz,
-    m_epsilon,
     n_epsilon,
     picard_iterate,
-    verify_cauchy_bound,
     verify_g1_termination,
-    verify_invariant_ball,
     verify_step_chaining,
 )
+from gphi.solver import m_epsilon, verify_cauchy_bound, verify_invariant_ball
 from gphi.spaces import validate_finite_space
 
 G1 = {"gauge_catalog": G1_GAUGE_CATALOG}
@@ -144,9 +151,11 @@ REFERENCE_LEMMAS = [("m", "m_epsilon", _nothing_seen),
                     ("ball", "verify_invariant_ball", _ball_seen),
                     ("chain", "verify_step_chaining", _nothing_seen),
                     ("cauchy", "verify_cauchy_bound", _nothing_seen)]
-HARNESS_LEMMAS = [*REFERENCE_LEMMAS, ("m", "_block_index", _nothing_seen),
+HARNESS_LEMMAS = [("m", "_block_index", _nothing_seen),
                   ("ball", "_ball_holds", _image_seen),
+                  ("chain", "verify_step_chaining", _nothing_seen),
                   ("cauchy", "_cauchy_tail", _nothing_seen)]
+PUBLIC_LEMMAS = ("m_epsilon", "verify_invariant_ball", "verify_cauchy_bound")
 
 
 def _record(patch, module, lemmas, log):
@@ -164,12 +173,16 @@ def _record(patch, module, lemmas, log):
         patch.setattr(module, name, recorded)
 
 
-def _compare(monkeypatch, run, forced=()):
+def _compare(monkeypatch, run, forced=(), pin=None):
     """Run ``run`` with the reference loop, then with the harness's own; each
     (reference name, harness name, replacement) of ``forced`` replaces the
     name that side calls.  Both sides must return the same report JSON and
     log the same lemma values: the same centre, radius and T^n for the ball,
-    and the same m, m0 and Cauchy diagnostics."""
+    and the same m, m0 and Cauchy diagnostics.  Where the harness departs
+    from the reference, ``pin`` is (the log keys it departs on, the SHA-256
+    of its report): the logs must agree on every other key and the report
+    must differ from the reference's and match the digest.  Returns the
+    harness's report and log."""
     reference_log, log = [], []
     with monkeypatch.context() as patch:
         patch.setattr(harness, "_check_theorem", _reference_check_theorem)
@@ -182,9 +195,16 @@ def _compare(monkeypatch, run, forced=()):
         for _, name, replacement in forced:
             patch.setattr(harness, name, replacement)
         report = run()
-    assert report == reference
-    assert log == reference_log
-    return json.loads(report)
+    if pin is None:
+        assert report == reference
+        assert log == reference_log
+    else:
+        keys, digest = pin
+        assert report != reference
+        assert [e for e in log if e[0] not in keys] == \
+            [e for e in reference_log if e[0] not in keys]
+        assert hashlib.sha256(report.encode()).hexdigest() == digest
+    return json.loads(report), log
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -196,86 +216,161 @@ def test_fuzz_reports_equal(monkeypatch, seed, extra):
     _compare(monkeypatch, lambda: fuzz(config).to_json_str())
 
 
-# (name the reference loop calls, name the harness calls, replacement, extra config)
+# (name the reference loop calls, name the harness calls, replacement, extra
+# config, pin where the harness departs from the reference)
 FORCED = [
-    ("enumerate_fixed_points", "enumerate_fixed_points", lambda space, T: {0, 1}, {}),
-    ("picard_iterate", "picard_iterate", _budget_exhausted_trace, {}),
-    ("picard_iterate", "picard_iterate", _budget_exhausted_trace, G1),
-    ("verify_g1_termination", "verify_g1_termination", lambda trace: False, G1),
-    ("n_epsilon", "n_epsilon", _raise(BudgetExhausted), {}),
-    ("m_epsilon", "_block_index", _raise(BudgetExhausted), {}),
-    ("verify_invariant_ball", "_ball_holds", lambda *a, **k: False, {}),
-    ("verify_step_chaining", "verify_step_chaining", _raise(TailNotSmall), {}),
-    ("verify_cauchy_bound", "_cauchy_tail", _raise(OrbitTooShort), {}),
+    ("enumerate_fixed_points", "enumerate_fixed_points", lambda space, T: {0, 1}, {}, None),
+    # a trace that stops short fails the harness's block scan, not the ball
+    # and the Cauchy bound
+    ("picard_iterate", "picard_iterate", _budget_exhausted_trace, {},
+     ({"m", "chain", "cauchy"},
+      "f8e749e0c7d02b8f0345c72c4dd4f5e1d9e474f595d3a9dbf0145a6a34ad6432")),
+    ("picard_iterate", "picard_iterate", _budget_exhausted_trace, G1, None),
+    ("verify_g1_termination", "verify_g1_termination", lambda trace: False, G1, None),
+    ("n_epsilon", "n_epsilon", _raise(BudgetExhausted), {}, None),
+    ("m_epsilon", "_block_index", _raise(BudgetExhausted), {}, None),
+    ("verify_invariant_ball", "_ball_holds", lambda *a, **k: False, {}, None),
+    # without m0 the harness fails the Cauchy bound too
+    ("verify_step_chaining", "verify_step_chaining", _raise(TailNotSmall), {},
+     ({"cauchy"}, "4a16fe056ba648d267a944f6700ef9a05f99ac18ac4ccfe74ffc2b2182850cb9")),
+    ("verify_cauchy_bound", "_cauchy_tail", _raise(OrbitTooShort), {}, None),
 ]
 
 
 @pytest.mark.parametrize("forced", FORCED, ids=[f"{c[1]}-g1" if c[3] else c[1] for c in FORCED])
 def test_forced_failure_reports_equal(monkeypatch, forced):
     config = FuzzConfig(seed=0, trials=12, **forced[3])
-    report = _compare(monkeypatch, lambda: fuzz(config).to_json_str(), [forced[:3]])
+    report, _ = _compare(monkeypatch, lambda: fuzz(config).to_json_str(), [forced[:3]],
+                         forced[4])
     assert report["violations"]
 
 
-@pytest.mark.parametrize("variant", ["plain", "no-chaining", "thinned"])
-@pytest.mark.parametrize("gauge", [IdentityGauge(), PowerGauge(2.0)], ids=["identity", "square"])
-@pytest.mark.parametrize("size,scale", [(24, 2.0 ** 8), (40, 2.0 ** 20)])
-def test_halving_chains_equal(monkeypatch, size, scale, gauge, variant):
-    # fuzz orbits settle within a block, so m = m0 = 1 and T^n is constant
-    # on them; on x_i = scale * 2^-i with T x_i = x_{i+1}, m and m0 reach 8
-    # and T^n moves every point but the last n
+GAUGES = {"identity": IdentityGauge(), "square": PowerGauge(2.0)}
+NO_CHAINING = ("verify_step_chaining", "verify_step_chaining", _raise(TailNotSmall))
+
+# Where the harness departs from the reference on a halving chain: without
+# m0 it fails the Cauchy bound as well, and on a thinned trace its block
+# scan finds an m whose block indices the trace keeps, so the ball's centre
+# is recorded where the reference's walker m left the ball lemma failing.
+HALVING_PINS = {
+    (24, "identity", "no-chaining"): (
+        {"cauchy"}, "4ec853c4b41cf688eeb59ff43726044aaa69c9d34ebe2e9057a17527e50f2d33"),
+    (24, "square", "no-chaining"): (
+        {"cauchy"}, "50d531f02edb6371972275a1039897c63eea225117299217470d14be2e0ed5c5"),
+    (40, "identity", "no-chaining"): (
+        {"cauchy"}, "90020ceb613f1ba4e22a49d2d09854fa5675a750aae296e3f618e468a6fbc389"),
+    (40, "square", "no-chaining"): (
+        {"cauchy"}, "77f7c5615549d0c6379583b0527931f36a3e5377f9ff584955c1bc174e6312a2"),
+    (24, "identity", "thinned"): (
+        {"m", "ball"}, "4b4512c484d88bab94f0962389815fba0d38db7eceb646fdb67924c4516e074e"),
+    (40, "identity", "thinned"): (
+        {"m", "ball"}, "7412d313e11897b1406a403b2cfb133bb3b9fdd5a4a107a4f97b14cacc26ff0a"),
+    (40, "square", "thinned"): (
+        {"m", "ball"}, "7412d313e11897b1406a403b2cfb133bb3b9fdd5a4a107a4f97b14cacc26ff0a"),
+}
+
+
+def _halving_chain(size, scale):
+    # x_i = scale * 2^-i with T x_i = x_{i+1}
     x = [scale * 2.0 ** -i for i in range(size)]
     space = validate_finite_space([[abs(a - b) for b in x] for a in x])
-    T = FiniteMap(tuple(min(i + 1, size - 1) for i in range(size)))
+    return space, FiniteMap(tuple(min(i + 1, size - 1) for i in range(size)))
+
+
+def _thin_traces(monkeypatch):
+    # traces keep 16 strided head points and the last 4, so the exact
+    # traces of orbits longer than 20 points lack indices
+    monkeypatch.setattr(solver, "RECORD_CAP", 20)
+    monkeypatch.setattr(solver, "TAIL_WINDOW", 4)
+
+
+@pytest.mark.parametrize("variant", ["plain", "no-chaining", "thinned"])
+@pytest.mark.parametrize("gauge_name", GAUGES)
+@pytest.mark.parametrize("size,scale", [(24, 2.0 ** 8), (40, 2.0 ** 20)])
+def test_halving_chains_equal(monkeypatch, size, scale, gauge_name, variant):
+    # fuzz orbits settle within a block, so m = m0 = 1 and T^n is constant
+    # on them; on a halving chain m and m0 reach 8 and T^n moves every point
+    # but the last n
+    space, T = _halving_chain(size, scale)
+    gauge = GAUGES[gauge_name]
     config = FuzzConfig(gauge_catalog=(gauge,), phi_catalog=(LinearPhi(0.6),))
     (entry,), (phi,) = _prepare_catalogs(config)
     assert certify_condition_G(space, T, gauge, phi).verdict == "certified"
-    no_chaining = ("verify_step_chaining", "verify_step_chaining", _raise(TailNotSmall))
-    forced = [no_chaining] if variant == "no-chaining" else []
+    forced = [NO_CHAINING] if variant == "no-chaining" else []
     if variant == "thinned":
-        # traces keep 16 strided head points and the last 4, so the exact
-        # traces of orbits longer than 20 points lack indices
-        monkeypatch.setattr(solver, "RECORD_CAP", 20)
-        monkeypatch.setattr(solver, "TAIL_WINDOW", 4)
+        _thin_traces(monkeypatch)
 
     def run():
         report = FuzzReport(config={})
         harness._check_theorem(report, 0, space, T, entry, phi)
         return report.to_json_str()
 
-    report = _compare(monkeypatch, run, forced)
+    report, log = _compare(monkeypatch, run, forced,
+                           HALVING_PINS.get((size, gauge_name, variant)))
+    kinds = {v["kind"] for v in report["violations"]}
+    assert kinds == ({"step-chaining", "cauchy-bound"} if forced else set())
     if variant == "thinned":
         trace = picard_iterate(space, T, 0, max_iter=size, tol=0.0)
         assert trace.stop_reason == "exact-fixed-point"
         assert len(trace.indices) < trace.max_index + 1
-    else:
-        kinds = {v["kind"] for v in report["violations"]}
-        assert kinds == ({"step-chaining"} if forced else set())
+    if not forced:
+        # the m_epsilon lemma, the ball's centre x_{mn} and the Cauchy
+        # diagnostics read one m for every start point
+        ms = [result for key, _, result in log if key == "m"]
+        centres = [seen[0] for key, seen, _ in log if key == "ball"]
+        diags = [result for key, _, result in log if key == "cauchy"]
+        assert len(ms) == len(centres) == len(diags) == size
+        assert [diag.m for diag in diags] == ms
+        assert centres == [min(x0 + m * diag.n, size - 1)
+                           for x0, m, diag in zip(space.points, ms, diags)]
+
+
+def _forbid_public_lemmas(monkeypatch):
+    # the harness neither binds nor calls the public lemmas that compute n,
+    # m or T^n again
+    for name in PUBLIC_LEMMAS:
+        assert not hasattr(harness, name)
+        monkeypatch.setattr(solver, name, _raise(AssertionError))
 
 
 def test_plain_runs_share_the_lemma_inputs(monkeypatch):
-    # every trace of a certified trial stops exactly, so the harness calls
-    # none of the public lemmas that compute n, m or T^n again
-    for name in ("m_epsilon", "verify_invariant_ball", "verify_cauchy_bound"):
-        monkeypatch.setattr(harness, name, _raise(AssertionError))
+    _forbid_public_lemmas(monkeypatch)
     report = fuzz(FuzzConfig(seed=0, trials=40))
     assert report.g2_instances > 0 and report.violations == []
     assert report.lemma_counts["cauchy_bound"]["pass"] > 0
 
 
-
 @pytest.mark.parametrize("size,scale", [(24, 2.0 ** 8), (40, 2.0 ** 20)])
 def test_thinned_traces_read_the_trial_image(monkeypatch, size, scale):
-    # a thinned trace takes m and the Cauchy tail from the public lemmas,
-    # but its ball still reads T^n from the trial's image
-    x = [scale * 2.0 ** -i for i in range(size)]
-    space = validate_finite_space([[abs(a - b) for b in x] for a in x])
-    T = FiniteMap(tuple(min(i + 1, size - 1) for i in range(size)))
+    # a thinned trace takes the same one path: no public lemma, every lemma
+    # holds on every start point
+    space, T = _halving_chain(size, scale)
     config = FuzzConfig(gauge_catalog=(IdentityGauge(),), phi_catalog=(LinearPhi(0.6),))
     (entry,), (phi,) = _prepare_catalogs(config)
-    monkeypatch.setattr(solver, "RECORD_CAP", 20)
-    monkeypatch.setattr(solver, "TAIL_WINDOW", 4)
-    monkeypatch.setattr(harness, "verify_invariant_ball", _raise(AssertionError))
+    _thin_traces(monkeypatch)
+    _forbid_public_lemmas(monkeypatch)
     report = FuzzReport(config={})
-    harness._check_theorem(report, 0, space, T, entry, phi)
-    assert report.lemma_counts["invariant_ball"]["pass"] > 0
+    assert harness._check_theorem(report, 0, space, T, entry, phi)
+    assert report.lemma_counts["invariant_ball"]["pass"] == size
+    assert report.lemma_counts["cauchy_bound"]["pass"] == size
+
+
+def test_cycling_orbits_fail_the_block_scan(monkeypatch):
+    # T = (0, 2, 1) fixes 0 and swaps 1 and 2: the traces from 1 and 2 end
+    # on the cycle, so their block scans run past the last recorded index
+    # and fail the m_epsilon lemma, and the lemmas that need m are not run
+    space = validate_finite_space([[0.0, 1.0, 2.0], [1.0, 0.0, 4.0], [2.0, 4.0, 0.0]])
+    T = FiniteMap((0, 2, 1))
+    config = FuzzConfig(gauge_catalog=(IdentityGauge(),), phi_catalog=(LinearPhi(0.6),))
+    (entry,), (phi,) = _prepare_catalogs(config)
+    _forbid_public_lemmas(monkeypatch)
+    report = FuzzReport(config={})
+    assert not harness._check_theorem(report, 0, space, T, entry, phi)
+    assert report.g2_instances == 1
+    assert {name: (c["pass"], c["fail"]) for name, c in report.lemma_counts.items()} == {
+        "unique_fixed_point": (1, 0), "orbit_convergence": (1, 2), "g1_termination": (0, 0),
+        "n_epsilon": (1, 0), "m_epsilon": (1, 2), "invariant_ball": (1, 0),
+        "step_chaining": (1, 0), "cauchy_bound": (1, 0)}
+    assert [(v["kind"], v["trace"]["x0"], v["trace"]["cycle"]) for v in report.violations] == [
+        ("orbit-divergence", 1, [1, 2]), ("orbit-divergence", 2, [2, 1]),
+        ("m-epsilon-budget", 1, [1, 2]), ("m-epsilon-budget", 2, [2, 1])]

@@ -184,6 +184,25 @@ class TestPicardIterate:
         with pytest.raises(ValueError, match="does not fit its stop reason"):
             trace_from_json(doc)
 
+    @pytest.mark.parametrize("space,T,x0,changes", [
+        # x0 is orbit[0]
+        (THREE_POINT, FiniteMap((0, 0, 1)), 2, {"x0": 1}),
+        (UNIT, AffineMap(0.5, 0.0), 1.0, {"x0": 0.5}),
+        # a cycle only ends a budget-exhausted run
+        (THREE_POINT, FiniteMap((0, 0, 1)), 2, {"cycle": [0]}),
+        (UNIT, AffineMap(0.5, 0.0), 1.0, {"cycle": [0.25, 0.5]}),
+        # a fixed point is the last orbit point
+        (THREE_POINT, FiniteMap((0, 0, 1)), 2, {"fixed_point": 1}),
+        (UNIT, AffineMap(0.5, 0.0), 1.0, {"fixed_point": 0.0}),
+        (TWO_CYCLE_SPACE, SWAP, 0, {"x0": 1})])
+    def test_json_trace_endpoints_must_fit_its_orbit(self, space, T, x0, changes):
+        # picard_iterate never writes these, and `gphi report` printed them
+        doc = picard_iterate(space, T, x0).to_json()
+        assert trace_from_json(doc) == picard_iterate(space, T, x0)
+        doc.update(changes)
+        with pytest.raises(ValueError, match="x0, fixed point or cycle does not fit its orbit"):
+            trace_from_json(doc)
+
     def test_start_point_checked_once_by_the_orbit(self):
         with pytest.raises(PointOutOfDomain, match=r"^start point 2\.0 not in interval$"):
             picard_iterate(UNIT, AffineMap(0.5, 0.0), 2.0)
