@@ -3,7 +3,8 @@
 
 Covers: validating the 3-point space, certifying its contraction, locating
 the fixed point from every start, and the full quantitative pipeline on the
-squared-distance interval instance.
+squared-distance interval instance, asserting that the block index of
+``m_epsilon`` is the one the Cauchy check used.
 """
 
 import json
@@ -17,6 +18,7 @@ from gphi import (
     certify_condition_G,
     enumerate_fixed_points,
     epsilon0,
+    m_epsilon,
     picard_iterate,
     validate_finite_space,
     verify_cauchy_bound,
@@ -52,10 +54,14 @@ def main():
     print(f"orbit stops at k = {trace.k_stop} ({trace.stop_reason}), "
           f"fixed point {trace.fixed_point}")
     eps = epsilon0(gauge) / 2.0
-    diag = verify_cauchy_bound(squared, trace, gauge, phi, eps)
+    diag = verify_cauchy_bound(trace, gauge, phi, eps)
     print(json.dumps(diag.to_json(), indent=2, sort_keys=True))
-    ball = verify_invariant_ball(squared, halving, trace, eps, diag.n, diag.m)
-    m0, chain = verify_step_chaining(trace, diag.n, eps, squared.s)
+    # the public lemmas compose on the one trace: its block index is the
+    # Cauchy check's m, and it names a ball centre the trace records
+    m = m_epsilon(trace, diag.n, eps)
+    assert m == diag.m, (m, diag.m)
+    ball = verify_invariant_ball(halving, trace, eps, diag.n, m)
+    m0, chain = verify_step_chaining(trace, diag.n, eps)
     print(f"invariant ball: {ball}, step chaining from block {m0}: {chain}")
 
 

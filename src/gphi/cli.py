@@ -130,7 +130,7 @@ def _cmd_solve(args) -> int:
         eps = args.eps if args.eps is not None else epsilon0(G, grid) / 2.0
         out["eps"] = eps
         try:
-            diag = verify_cauchy_bound(space, trace, G, phi, eps,
+            diag = verify_cauchy_bound(trace, G, phi, eps,
                                        n_budget=args.budget, m_budget=args.budget)
             out["diagnostics"] = diag.to_json()
         except GphiError as exc:

@@ -48,11 +48,10 @@ from .gauges import (
 )
 from .solver import (
     _ball_holds,
-    _block_index,
     _cauchy_tail,
-    _last_gap,
     _power_image,
     enumerate_fixed_points,
+    m_epsilon,
     picard_iterate,
     verify_g1_termination,
     verify_step_chaining,
@@ -342,18 +341,17 @@ def _check_theorem(report, trial, space, T, entry, phi) -> bool:
     for trace in traces:
         # one block scan of the recorded trace gives m, the step-chaining
         # lemma gives m0, and every ball reads T^n from the trial's image
-        m = attempt(_block_index, space, trace.point_at, n, eps, space.s, M_BUDGET,
-                    _last_gap(trace))
+        m = attempt(m_epsilon, trace, n, eps, M_BUDGET)
         if not lemma("m_epsilon", m is not None, "m-epsilon-budget",
                      "m_epsilon exhausted its budget", trace):
             continue
         ball = attempt(lambda: _ball_holds(space, trace.point_at(m * n), eps, image))
         lemma("invariant_ball", ball, "invariant-ball", "image of the ball escaped", trace)
-        chain = attempt(verify_step_chaining, trace, n, eps, space.s)
+        chain = attempt(verify_step_chaining, trace, n, eps)
         lemma("step_chaining", chain is not None and chain[1], "step-chaining",
               "block distances exceeded eps", trace)
         # without m0 the Cauchy lemma fails, as verify_cauchy_bound would raise
-        diag = chain and attempt(_cauchy_tail, space, trace, eps, n, m, chain[0])
+        diag = chain and attempt(_cauchy_tail, trace, eps, n, m, chain[0])
         lemma("cauchy_bound", diag is not None and diag.holds, "cauchy-bound",
               "tail pair distance exceeded 4*s^3*eps", trace)
     return len(report.violations) == violations_before

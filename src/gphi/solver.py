@@ -37,7 +37,6 @@ RECORD_CAP = 100_000         # orbit points a trace keeps, head and tail togethe
 TAIL_WINDOW = 1_000          # final orbit points a trace always keeps
 CONFIRM_STEPS = 3
 TOL_DEFAULT = 1e-10
-WALK_CAP = 2_000_000         # points an orbit walk holds before it gives up
 BALL_SAMPLES = 128           # points sampled from an interval ball
 PAIR_LIMIT = 10_000          # tail pairs compared by the Cauchy check
 STOP_REASONS = ("exact-fixed-point", "tolerance-met", "budget-exhausted")
@@ -161,10 +160,9 @@ def _orbit(space: Space, T: OperatorSpec, x0):
     x_j sets ``cycle`` to the points x_j .. x_k, which then repeat.  The
     generator ends after a settling step and otherwise runs forever.
 
-    x0 is checked here, before any step is taken, so a walker never hands
-    out a start point outside the space.  On a finite space the caller has
-    checked T; every later point is an image under the checked map, so the
-    steps index the map and the matrix directly.
+    x0 is checked here, before any step is taken.  On a finite space the
+    caller has checked T; every later point is an image under the checked
+    map, so the steps index the map and the matrix directly.
     """
     finite = isinstance(space, FiniteSpace)
     if not space.contains(x0):
@@ -279,34 +277,6 @@ def picard_iterate(space: Space, T: OperatorSpec, x0, max_iter: int = MAX_ITER_D
         k_stop=k_stop, cycle=cycle)
 
 
-class _Walk:
-    """Lazy access to the points of the orbit of x0, stepped by ``_orbit``;
-    past a freeze or cycle the orbit repeats.  On a finite space the caller
-    has checked T."""
-
-    def __init__(self, space: Space, T: OperatorSpec, x0):
-        self.steps = _orbit(space, T, x0)
-        self.pts = [x0]
-        self.repeat: tuple[int, int] | None = None   # (start, period)
-
-    def point(self, k: int):
-        while len(self.pts) <= k and self.repeat is None:
-            xn, _, frozen, cycle = next(self.steps)
-            self.pts.append(xn)
-            last = len(self.pts) - 1
-            if frozen:
-                self.repeat = (last, 1)
-            elif cycle is not None:
-                self.repeat = (last - len(cycle), len(cycle))
-            elif len(self.pts) > WALK_CAP:
-                raise OrbitTooShort(
-                    f"orbit walk exceeded {WALK_CAP} steps without settling")
-        if k < len(self.pts):
-            return self.pts[k]
-        start, period = self.repeat
-        return self.pts[start + (k - start) % period]
-
-
 def enumerate_fixed_points(space: FiniteSpace, T: FiniteMap) -> set[int]:
     """Exact fixed-point set of a finite self-map."""
     validate_operator(space, T)
@@ -322,21 +292,29 @@ def verify_g1_termination(trace: PicardTrace) -> bool:
     return trace.stop_reason == "exact-fixed-point"
 
 
-def _block_index(space: Space, point, n: int, eps: float, s: float, budget: int,
-                 last_gap: float = -1) -> int:
-    """Smallest m with d(x_{(m+1)n}, x_{mn}) < eps/(2s), scanning m = 1, 2, ...
+def m_epsilon(trace: PicardTrace, n: int, eps: float, budget: int = 10_000) -> int:
+    """Smallest m with d(x_{(m+1)n}, x_{mn}) < eps/(2s) on the recorded
+    orbit, scanning m = 1, 2, ...
 
     Since T^n x_{mn} = x_{(m+1)n}, this is the block-displacement index of
-    the convergence argument.  ``point(k)`` reads x_k.  An ``OrbitTooShort``
-    from it skips the block while ``m*n <= last_gap``, since a thinned trace
-    lacks some block indices and any m with the property is a valid witness,
-    and propagates past it.
+    the convergence argument.  A block whose points a thinned trace lacks is
+    skipped while it starts at or before the last recorded index (anywhere
+    past an exact stop), since any m with the property is a valid witness;
+    past it the ``OrbitTooShort`` propagates, naming the cycle of a cycling
+    trace.  Raises BudgetExhausted past the scan budget, which on a
+    certified instance signals a hypothesis violation.
     """
-    thr = eps / (2.0 * s)
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    if not eps > 0.0:
+        raise NonpositiveRadius("eps must be positive")
+    space = trace.space
+    thr = eps / (2.0 * space.s)
+    last_gap = math.inf if trace.stop_reason == "exact-fixed-point" else trace.max_index
     for m in range(1, budget + 1):
         try:
-            a = point(m * n)
-            b = point((m + 1) * n)
+            a = trace.point_at(m * n)
+            b = trace.point_at((m + 1) * n)
         except OrbitTooShort:
             if m * n > last_gap:
                 raise
@@ -345,24 +323,6 @@ def _block_index(space: Space, point, n: int, eps: float, s: float, budget: int,
         if space.is_zero(d) or d < thr:
             return m
     raise BudgetExhausted(f"no block index within budget {budget}")
-
-
-def _last_gap(trace: PicardTrace) -> float:
-    """The last index at which ``_block_index`` may skip a block ``trace`` lacks."""
-    return math.inf if trace.stop_reason == "exact-fixed-point" else trace.max_index
-
-
-def m_epsilon(space: Space, T: OperatorSpec, x0, n: int, eps: float, s: float,
-              budget: int = 10_000) -> int:
-    """The block index of the orbit of x0.  Raises BudgetExhausted past the
-    scan budget, which on a certified instance signals a hypothesis violation."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if not eps > 0.0:
-        raise NonpositiveRadius("eps must be positive")
-    if isinstance(space, FiniteSpace):
-        validate_operator(space, T)
-    return _block_index(space, _Walk(space, T, x0).point, n, eps, s, budget)
 
 
 def _power_image(mapping, n: int) -> list[int]:
@@ -379,12 +339,13 @@ def _power_image(mapping, n: int) -> list[int]:
     return image
 
 
-def verify_invariant_ball(space: Space, T: OperatorSpec, trace: PicardTrace,
-                          eps: float, n: int, m: int) -> bool:
-    """Check T^n(B(x_{mn}, eps)) stays inside B(x_{mn}, eps).
+def verify_invariant_ball(T: OperatorSpec, trace: PicardTrace, eps: float, n: int,
+                          m: int) -> bool:
+    """Check T^n(B(x_{mn}, eps)) stays inside B(x_{mn}, eps) in the trace's space.
 
     Exhaustive over points of a finite space; on interval spaces the ball is
-    an interval and gets a deterministic sample of ``BALL_SAMPLES`` points.
+    an interval and gets a deterministic sample of ``BALL_SAMPLES`` points,
+    each stepped n times by ``_orbit`` or to where its orbit freezes.
     ``n`` and ``m`` are meant to come from n_epsilon and m_epsilon for the
     same eps, which is what makes the containment a theorem on certified
     instances.
@@ -393,9 +354,15 @@ def verify_invariant_ball(space: Space, T: OperatorSpec, trace: PicardTrace,
         raise ValueError("n must be at least 1")
     if not eps > 0.0:
         raise NonpositiveRadius("eps must be positive")
+    space = trace.space
     center = trace.point_at(m * n)
     if not isinstance(space, FiniteSpace):
-        return _ball_holds(space, center, eps, lambda u: _Walk(space, T, u).point(n))
+        def image_of(u):
+            x = u
+            for x, _, _, _ in islice(_orbit(space, T, u), n):
+                pass
+            return x
+        return _ball_holds(space, center, eps, image_of)
     _point_distance(space, (center,))       # the centre is checked before the map
     validate_operator(space, T)
     return _ball_holds(space, center, eps, _power_image(T.mapping, n).__getitem__)
@@ -417,8 +384,7 @@ def _ball_holds(space: Space, center, eps: float, image_of) -> bool:
                for u in raw if distance(u, center) < eps)
 
 
-def verify_step_chaining(trace: PicardTrace, n: int, eps: float,
-                         s: float) -> tuple[int, bool]:
+def verify_step_chaining(trace: PicardTrace, n: int, eps: float) -> tuple[int, bool]:
     """Find the block index m0 past which n-blocks stay eps-close to their base.
 
     Computes the first step index k0 after which all recorded steps are below
@@ -430,6 +396,7 @@ def verify_step_chaining(trace: PicardTrace, n: int, eps: float,
     if n < 1:
         raise ValueError("n must be at least 1")
     space = trace.space
+    s = space.s
     steps = trace.step_dists
     try:
         sn = s ** n
@@ -464,8 +431,7 @@ def verify_step_chaining(trace: PicardTrace, n: int, eps: float,
     return m0, True
 
 
-def verify_cauchy_bound(space: Space, trace: PicardTrace, G, phi, eps: float,
-                        n_budget: int = 10_000,
+def verify_cauchy_bound(trace: PicardTrace, G, phi, eps: float, n_budget: int = 10_000,
                         m_budget: int = 10_000) -> CauchyDiagnostics:
     """Assemble n, m, m0 and check d(x_{k1}, x_{k2}) <= 4*s^3*eps in the tail.
 
@@ -474,16 +440,15 @@ def verify_cauchy_bound(space: Space, trace: PicardTrace, G, phi, eps: float,
     index list is strided deterministically.  Budget and truncation errors
     propagate, and ConstantOverflow when the bound overflows the float range.
     """
-    s = space.s
-    n = n_epsilon(G, phi, s, eps, budget=n_budget)
-    m = _block_index(trace.space, trace.point_at, n, eps, s, m_budget, _last_gap(trace))
-    m0, _ = verify_step_chaining(trace, n, eps, s)
-    return _cauchy_tail(space, trace, eps, n, m, m0)
+    n = n_epsilon(G, phi, trace.space.s, eps, budget=n_budget)
+    m = m_epsilon(trace, n, eps, m_budget)
+    m0, _ = verify_step_chaining(trace, n, eps)
+    return _cauchy_tail(trace, eps, n, m, m0)
 
 
-def _cauchy_tail(space: Space, trace: PicardTrace, eps: float, n: int, m: int,
-                 m0: int) -> CauchyDiagnostics:
+def _cauchy_tail(trace: PicardTrace, eps: float, n: int, m: int, m0: int) -> CauchyDiagnostics:
     """The tail pair scan of ``verify_cauchy_bound``, given its n, m and m0."""
+    space = trace.space
     try:
         bound = 4.0 * space.s ** 3 * eps
     except OverflowError:

@@ -20,7 +20,6 @@ from gphi.harness import DEFAULT_GAUGE_CATALOG, DEFAULT_PHI_CATALOG, G1_GAUGE_CA
 from gphi.solver import (
     CONFIRM_STEPS,
     PicardTrace,
-    _Walk,
     m_epsilon,
     picard_iterate,
     trace_from_json,
@@ -172,12 +171,14 @@ def outcome(f, *args):
 def test_lemmas_match_reference_orbit(inst, n, eps):
     space, T = inst
     for x0 in space.points:
-        assert (outcome(m_epsilon, space, T, x0, n, eps, space.s, 20)
-                == outcome(reference_m_epsilon, space, T, x0, n, eps, 20))
-        # cycles stop the trace early, so some ball centres are not recorded
+        # cycles stop the trace early, so some blocks and ball centres are
+        # not recorded; an exact stop extends the orbit as the reference does
         trace = picard_iterate(space, T, x0, max_iter=64)
+        if trace.stop_reason == "exact-fixed-point":
+            assert (outcome(m_epsilon, trace, n, eps, 20)
+                    == outcome(reference_m_epsilon, space, T, x0, n, eps, 20))
         for m in (1, 2):
-            assert (outcome(verify_invariant_ball, space, T, trace, eps, n, m)
+            assert (outcome(verify_invariant_ball, T, trace, eps, n, m)
                     == outcome(reference_ball, space, T, trace, eps, n, m))
 
 
@@ -190,14 +191,8 @@ LEAVING = FiniteMap((0, 5, 1))          # the image of point 1 is not a point
 
 @pytest.mark.parametrize("x0", [3, -1, 1.0])
 def test_out_of_range_start_point(x0):
-    with pytest.raises(PointOutOfDomain):
-        picard_iterate(THREE, GOOD, x0)
-    with pytest.raises(PointOutOfDomain):
-        m_epsilon(THREE, GOOD, x0, 1, 0.5, THREE.s)
-    # the walker checks the start point when it is built, so it never hands
-    # it out as point 0
     with pytest.raises(PointOutOfDomain, match="not in space"):
-        _Walk(THREE, GOOD, x0)
+        picard_iterate(THREE, GOOD, x0)
 
 
 @pytest.mark.parametrize("center", [3, 4, -1])
@@ -207,7 +202,7 @@ def test_ball_center_outside_the_space(center):
                         step_dists=(), stop_reason="exact-fixed-point",
                         fixed_point=center, k_stop=0)
     with pytest.raises(PointOutOfDomain):
-        verify_invariant_ball(THREE, GOOD, trace, 10.0, 1, 1)
+        verify_invariant_ball(GOOD, trace, 10.0, 1, 1)
 
 
 def test_map_leaving_the_space():
@@ -215,22 +210,22 @@ def test_map_leaving_the_space():
     with pytest.raises(PointOutOfDomain):
         picard_iterate(THREE, LEAVING, 2)
     with pytest.raises(PointOutOfDomain):
-        m_epsilon(THREE, LEAVING, 2, 1, 0.5, THREE.s)
-    with pytest.raises(PointOutOfDomain):
-        verify_invariant_ball(THREE, LEAVING, trace, 10.0, 1, 1)
+        verify_invariant_ball(LEAVING, trace, 10.0, 1, 1)
 
 
 def test_map_leaving_the_space_off_the_orbit():
     # the orbit of 1 never reaches point 2, whose image is not a point; the
-    # map is checked as a whole before the first step, as picard_iterate does
+    # map is checked as a whole before the first step or ball read
     unreached = FiniteMap((0, 0, 5))
     with pytest.raises(PointOutOfDomain):
-        m_epsilon(THREE, unreached, 1, 1, 0.5, THREE.s)
+        picard_iterate(THREE, unreached, 1)
+    with pytest.raises(PointOutOfDomain):
+        verify_invariant_ball(unreached, picard_iterate(THREE, GOOD, 1), 10.0, 1, 1)
 
 
 def test_map_of_the_wrong_length():
     # a short map must not reach the orbit steps, where it would be indexed
     for wrong in (FiniteMap((0, 0)), FiniteMap((0, 0, 1, 2))):
         with pytest.raises(ValueError, match="map length"):
-            m_epsilon(THREE, wrong, 2, 1, 0.5, THREE.s)
+            picard_iterate(THREE, wrong, 2)
 

@@ -39,7 +39,7 @@ CASES = [
      {"orbit-divergence", "g1-termination"}, 18),
     ("verify_g1_termination", lambda trace: False, G1, {"g1-termination"}, 9),
     ("n_epsilon", _raise(BudgetExhausted), {}, {"n-epsilon-budget"}, 2),
-    ("_block_index", _raise(BudgetExhausted), {}, {"m-epsilon-budget"}, 9),
+    ("m_epsilon", _raise(BudgetExhausted), {}, {"m-epsilon-budget"}, 9),
     ("_ball_holds", lambda *a, **k: False, {}, {"invariant-ball"}, 9),
     # without m0 the Cauchy bound fails with the step-chaining lemma
     ("verify_step_chaining", _raise(TailNotSmall), {}, {"step-chaining", "cauchy-bound"}, 18),
@@ -57,7 +57,7 @@ DIGESTS = {
     "verify_g1_termination":
         "7f78ec3e9b29656399f47dec23c4d12cf82fcca6d2f971eee8a1c95fc0c7696b",
     "n_epsilon": "c3c929e17cc4b81d9a3cf7e4e432452b3ee0a2126696685068acc6bf50ecc152",
-    "_block_index": "70f94cae708056b4f2589813b2890177f180b8652bc3743e00247da3f0df08fe",
+    "m_epsilon": "70f94cae708056b4f2589813b2890177f180b8652bc3743e00247da3f0df08fe",
     "_ball_holds":
         "40fedfcebcf87ec9c8115bf5c8438d6a34d5aeda6d8a2bc2c45a443ec7723272",
     "verify_step_chaining":

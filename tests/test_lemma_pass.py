@@ -2,8 +2,10 @@
 lemma loop it replaced.
 
 ``_reference_check_theorem`` is the earlier ``harness._check_theorem``,
-kept verbatim: it calls ``m_epsilon``, ``verify_invariant_ball``,
-``verify_step_chaining`` and ``verify_cauchy_bound`` afresh on every trace.
+kept verbatim but for the lemma signatures: it calls the orbit walker's
+block scan (``walker_m_epsilon``, the scan ``m_epsilon`` ran before it read
+the trace), ``verify_invariant_ball``, ``verify_step_chaining`` and
+``verify_cauchy_bound`` afresh on every trace.
 Run in its place, on fuzz runs and on long halving chains, it must give the
 same report JSON and the same lemma values as the harness's own, also with
 each lemma forced to fail in turn.  A forced failure replaces, on each side,
@@ -46,6 +48,7 @@ from gphi.harness import (
 )
 from gphi.solver import m_epsilon, verify_cauchy_bound, verify_invariant_ball
 from gphi.spaces import validate_finite_space
+from test_block_index import OrbitWalk, walker_m_epsilon
 
 G1 = {"gauge_catalog": G1_GAUGE_CATALOG}
 _REAL_PICARD = harness.picard_iterate
@@ -104,16 +107,16 @@ def _reference_check_theorem(report, trial, space, T, entry, phi) -> bool:
         return False
 
     for trace in traces:
-        m = attempt(m_epsilon, space, T, trace.x0, n, eps, space.s, budget=M_BUDGET)
+        m = attempt(walker_m_epsilon, space, T, trace.x0, n, eps, space.s, budget=M_BUDGET)
         if not lemma("m_epsilon", m is not None, "m-epsilon-budget",
                      "m_epsilon exhausted its budget", trace):
             continue
-        ball = attempt(verify_invariant_ball, space, T, trace, eps, n, m)
+        ball = attempt(verify_invariant_ball, T, trace, eps, n, m)
         lemma("invariant_ball", ball, "invariant-ball", "image of the ball escaped", trace)
-        chain = attempt(verify_step_chaining, trace, n, eps, space.s)
+        chain = attempt(verify_step_chaining, trace, n, eps)
         lemma("step_chaining", chain is not None and chain[1], "step-chaining",
               "block distances exceeded eps", trace)
-        diag = attempt(verify_cauchy_bound, space, trace, entry.gauge, phi, eps,
+        diag = attempt(verify_cauchy_bound, trace, entry.gauge, phi, eps,
                        n_budget=N_BUDGET, m_budget=M_BUDGET)
         lemma("cauchy_bound", diag is not None and diag.holds, "cauchy-bound",
               "tail pair distance exceeded 4*s^3*eps", trace)
@@ -131,10 +134,10 @@ def _budget_exhausted_trace(*args, **kwargs):
     return dataclasses.replace(trace, stop_reason="budget-exhausted")
 
 
-def _ball_seen(space, T, trace, eps, n, m):
+def _ball_seen(T, trace, eps, n, m):
     # the centre and radius of the ball and T^n as the orbit walker reads it
-    return _image_seen(space, trace.point_at(m * n), eps,
-                       lambda u: solver._Walk(space, T, u).point(n))
+    return _image_seen(trace.space, trace.point_at(m * n), eps,
+                       lambda u: OrbitWalk(trace.space, T, u).point(n))
 
 
 def _image_seen(space, center, eps, image_of):
@@ -147,15 +150,15 @@ def _nothing_seen(*args, **kwargs):
 
 # (log key, name, what the log keeps of the arguments): the names the
 # reference loop calls, then the ones the harness calls
-REFERENCE_LEMMAS = [("m", "m_epsilon", _nothing_seen),
+REFERENCE_LEMMAS = [("m", "walker_m_epsilon", _nothing_seen),
                     ("ball", "verify_invariant_ball", _ball_seen),
                     ("chain", "verify_step_chaining", _nothing_seen),
                     ("cauchy", "verify_cauchy_bound", _nothing_seen)]
-HARNESS_LEMMAS = [("m", "_block_index", _nothing_seen),
+HARNESS_LEMMAS = [("m", "m_epsilon", _nothing_seen),
                   ("ball", "_ball_holds", _image_seen),
                   ("chain", "verify_step_chaining", _nothing_seen),
                   ("cauchy", "_cauchy_tail", _nothing_seen)]
-PUBLIC_LEMMAS = ("m_epsilon", "verify_invariant_ball", "verify_cauchy_bound")
+PUBLIC_LEMMAS = ("verify_invariant_ball", "verify_cauchy_bound")
 
 
 def _record(patch, module, lemmas, log):
@@ -228,7 +231,7 @@ FORCED = [
     ("picard_iterate", "picard_iterate", _budget_exhausted_trace, G1, None),
     ("verify_g1_termination", "verify_g1_termination", lambda trace: False, G1, None),
     ("n_epsilon", "n_epsilon", _raise(BudgetExhausted), {}, None),
-    ("m_epsilon", "_block_index", _raise(BudgetExhausted), {}, None),
+    ("walker_m_epsilon", "m_epsilon", _raise(BudgetExhausted), {}, None),
     ("verify_invariant_ball", "_ball_holds", lambda *a, **k: False, {}, None),
     # without m0 the harness fails the Cauchy bound too
     ("verify_step_chaining", "verify_step_chaining", _raise(TailNotSmall), {},
@@ -327,7 +330,7 @@ def test_halving_chains_equal(monkeypatch, size, scale, gauge_name, variant):
 
 def _forbid_public_lemmas(monkeypatch):
     # the harness neither binds nor calls the public lemmas that compute n,
-    # m or T^n again
+    # m, m0 or T^n again
     for name in PUBLIC_LEMMAS:
         assert not hasattr(harness, name)
         monkeypatch.setattr(solver, name, _raise(AssertionError))
@@ -374,3 +377,25 @@ def test_cycling_orbits_fail_the_block_scan(monkeypatch):
     assert [(v["kind"], v["trace"]["x0"], v["trace"]["cycle"]) for v in report.violations] == [
         ("orbit-divergence", 1, [1, 2]), ("orbit-divergence", 2, [2, 1]),
         ("m-epsilon-budget", 1, [1, 2]), ("m-epsilon-budget", 2, [2, 1])]
+
+
+@pytest.mark.parametrize("size,scale,walker_misses", [(24, 2.0 ** 8, 5), (40, 2.0 ** 20, 18)])
+def test_public_lemmas_compose_on_thinned_traces(monkeypatch, size, scale, walker_misses):
+    # m_epsilon reads the thinned trace, so the ball it names has a recorded
+    # centre on every start point; the orbit walker's m named an unrecorded
+    # one on some of them, and the ball lemma then raised
+    space, T = _halving_chain(size, scale)
+    config = FuzzConfig(gauge_catalog=(IdentityGauge(),), phi_catalog=(LinearPhi(0.6),))
+    (entry,), (phi,) = _prepare_catalogs(config)
+    _thin_traces(monkeypatch)
+    eps = entry.eps0 / 2.0
+    n = n_epsilon(entry.gauge, phi, space.s, eps, budget=N_BUDGET)
+    misses = 0
+    for x0 in space.points:
+        trace = picard_iterate(space, T, x0, max_iter=size, tol=0.0)
+        assert verify_invariant_ball(T, trace, eps, n, m_epsilon(trace, n, eps)) is True
+        try:
+            verify_invariant_ball(T, trace, eps, n, walker_m_epsilon(space, T, x0, n, eps, space.s))
+        except OrbitTooShort:
+            misses += 1
+    assert misses == walker_misses

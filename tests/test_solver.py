@@ -1,4 +1,5 @@
 from collections import deque
+from dataclasses import replace
 from random import Random
 
 import pytest
@@ -20,6 +21,7 @@ from gphi.solver import (
     verify_step_chaining,
 )
 from gphi.spaces import AnalyticSpace, check_limit_bounds, validate_finite_space
+from test_block_index import OrbitWalk, walker_m_epsilon
 
 THREE_POINT = validate_finite_space([[0.0, 1.0, 2.0], [1.0, 0.0, 4.0], [2.0, 4.0, 0.0]])
 UNIT = AnalyticSpace(0.0, 1.0, 1.0)
@@ -211,12 +213,12 @@ class TestPicardIterate:
 
 
 class TestWalkerMatchesTrace:
-    """The lazy walker and the recorded trace describe the same orbit."""
+    """The reference walker and the recorded trace describe the same orbit."""
 
     @staticmethod
     def _agree(space, T, x0, **kw):
         trace = picard_iterate(space, T, x0, **kw)
-        walker = solver._Walk(space, T, x0)
+        walker = OrbitWalk(space, T, x0)
         for k, x in zip(trace.indices, trace.orbit):
             assert walker.point(k) == x, k
         return trace, walker
@@ -237,14 +239,27 @@ class TestWalkerMatchesTrace:
             for k in range(trace.k_stop + 8):
                 assert walker.point(k) == trace.point_at(k)
 
-    def test_interval_halving_across_freeze(self):
+    @pytest.mark.parametrize("n", [41, 64, 1000])
+    def test_interval_ball_reads_the_frozen_point(self, n, monkeypatch):
         # x_k = 2^-k; the step 2^-(k+1) first counts as zero at k = 39, so
-        # the orbit freezes at x_40, the trace's fixed point
-        trace, walker = self._agree(UNIT, AffineMap(0.5, 0.0), 1.0, tol=0.0)
+        # the orbit freezes at x_40, the trace's fixed point.  Past the
+        # freeze the ball's T^n reads x_40, as the walker does, and not the
+        # 2^-n that n bare applications of T would give
+        T = AffineMap(0.5, 0.0)
+        trace, _ = self._agree(UNIT, T, 1.0, tol=0.0)
         assert trace.stop_reason == "exact-fixed-point"
         assert trace.k_stop == 39 and trace.max_index == 40
-        for k in range(trace.k_stop + 8):
-            assert walker.point(k) == trace.point_at(k) == 2.0 ** -min(k, 40)
+        seen = []
+
+        def spy(space, center, eps, image_of):
+            seen.append((center, image_of(1.0), image_of(0.5)))
+            return real(space, center, eps, image_of)
+
+        real = solver._ball_holds
+        monkeypatch.setattr(solver, "_ball_holds", spy)
+        assert verify_invariant_ball(T, trace, eps=2.0, n=n, m=1)
+        assert seen == [(2.0 ** -40, 2.0 ** -40, 2.0 ** -40)]
+        assert OrbitWalk(UNIT, T, 1.0).point(n) == OrbitWalk(UNIT, T, 0.5).point(n) == 2.0 ** -40
 
 
 class TestEnumerateFixedPoints:
@@ -276,29 +291,41 @@ class TestG1Termination:
 class TestMEpsilon:
     def test_halving_map(self):
         # orbit 1, 1/2, 1/4, ...: d(x_2, x_1) = 1/4 < 1/2 already at m = 1
-        assert m_epsilon(UNIT, AffineMap(0.5, 0.0), 1.0, n=1, eps=1.0, s=1.0) == 1
+        trace = picard_iterate(UNIT, AffineMap(0.5, 0.0), 1.0)
+        assert m_epsilon(trace, n=1, eps=1.0) == 1
 
     def test_constant_map(self):
-        space = THREE_POINT
-        assert m_epsilon(space, FiniteMap((1, 1, 1)), 0, n=2, eps=0.5, s=space.s) == 1
+        trace = picard_iterate(THREE_POINT, FiniteMap((1, 1, 1)), 0)
+        assert m_epsilon(trace, n=2, eps=0.5) == 1
 
-    def test_budget_exhausted_on_cycle(self):
-        with pytest.raises(BudgetExhausted):
-            m_epsilon(TWO_CYCLE_SPACE, SWAP, 0, n=1, eps=0.5, s=1.0, budget=20)
+    def test_cycle_is_named(self):
+        # the trace ends where the 2-cycle closes, at x_2
+        trace = picard_iterate(TWO_CYCLE_SPACE, SWAP, 0)
+        with pytest.raises(OrbitTooShort, match=r"cycles through \[0, 1\]"):
+            m_epsilon(trace, n=1, eps=0.5, budget=20)
 
-    def test_walk_cap_on_unsettled_interval_orbit(self, monkeypatch):
+    def test_unsettled_interval_orbit(self):
         # x -> 1 - x swaps 1/4 and 3/4 forever, and an interval orbit closes
-        # no cycle, so with odd n every block moves by 1/2 until the walk cap
-        monkeypatch.setattr(solver, "WALK_CAP", 100)
-        with pytest.raises(OrbitTooShort):
-            m_epsilon(UNIT, AffineMap(-1.0, 1.0), 0.25, n=3, eps=0.5, s=1.0)
+        # no cycle, so with odd n every block moves by 1/2: the budget runs
+        # out inside the record, and past its last index the scan stops
+        trace = picard_iterate(UNIT, AffineMap(-1.0, 1.0), 0.25, max_iter=30, tol=0.0)
+        assert trace.max_index == 30 and trace.stop_reason == "budget-exhausted"
+        with pytest.raises(BudgetExhausted):
+            m_epsilon(trace, n=3, eps=0.5, budget=10)
+        with pytest.raises(OrbitTooShort, match="^orbit index 33 not recorded$"):
+            m_epsilon(trace, n=3, eps=0.5, budget=11)
 
-    def test_matches_trace_based_scan(self):
-        trace = picard_iterate(UNIT, AffineMap(0.5, 0.0), 1.0)
+    def test_tolerance_stop_ends_the_scan(self):
+        # the reference walker scans on past a tolerance stop; the trace
+        # ends there, so a block past its last index is not recorded
+        T = AffineMap(0.5, 0.0)
+        trace = picard_iterate(UNIT, T, 1.0)
         assert trace.stop_reason == "tolerance-met"
-        direct = m_epsilon(UNIT, AffineMap(0.5, 0.0), 1.0, n=2, eps=0.25, s=1.0)
-        assert direct == solver._block_index(UNIT, trace.point_at, 2, 0.25, 1.0, 10_000,
-                                             trace.max_index)
+        assert m_epsilon(trace, n=2, eps=0.25) == walker_m_epsilon(UNIT, T, 1.0, 2, 0.25, 1.0)
+        n = trace.max_index + 1
+        assert walker_m_epsilon(UNIT, T, 1.0, n, 0.25, 1.0) == 1
+        with pytest.raises(OrbitTooShort, match=f"^orbit index {n} not recorded$"):
+            m_epsilon(trace, n=n, eps=0.25)
 
 
 class TestInvariantBall:
@@ -308,7 +335,7 @@ class TestInvariantBall:
         assert cert.verdict == "certified"
         trace = picard_iterate(THREE_POINT, T, 2)
         # eps0 = 1 for the identity gauge; eps = 1/2, n = 3, m = 1 by scan
-        assert verify_invariant_ball(THREE_POINT, T, trace, eps=0.5, n=3, m=1)
+        assert verify_invariant_ball(T, trace, eps=0.5, n=3, m=1)
 
     def test_ball_covering_whole_space(self):
         small = validate_finite_space([[0.0, 0.01, 0.02],
@@ -316,22 +343,22 @@ class TestInvariantBall:
                                        [0.02, 0.015, 0.0]])
         T = FiniteMap((0, 0, 0))
         trace = picard_iterate(small, T, 2)
-        assert verify_invariant_ball(small, T, trace, eps=0.5, n=1, m=1)
+        assert verify_invariant_ball(T, trace, eps=0.5, n=1, m=1)
 
     def test_swap_map_escapes_ball(self):
         trace = picard_iterate(TWO_CYCLE_SPACE, SWAP, 0, max_iter=10)
-        assert not verify_invariant_ball(TWO_CYCLE_SPACE, SWAP, trace,
+        assert not verify_invariant_ball(SWAP, trace,
                                          eps=0.5, n=1, m=1)
 
     def test_orbit_too_short(self):
         trace = picard_iterate(TWO_CYCLE_SPACE, SWAP, 0, max_iter=4)
         with pytest.raises(OrbitTooShort):
-            verify_invariant_ball(TWO_CYCLE_SPACE, SWAP, trace, eps=0.5, n=10, m=3)
+            verify_invariant_ball(SWAP, trace, eps=0.5, n=10, m=3)
 
     def test_analytic_sampled_ball(self):
         T = AffineMap(0.5, 0.25)
         trace = picard_iterate(UNIT, T, 0.0)
-        assert verify_invariant_ball(UNIT, T, trace, eps=0.25, n=2, m=1)
+        assert verify_invariant_ball(T, trace, eps=0.25, n=2, m=1)
 
 
     @pytest.mark.parametrize("space,T,x0", [(THREE_POINT, FiniteMap((0, 0, 1)), 2),
@@ -340,11 +367,12 @@ class TestInvariantBall:
     def test_block_length_below_one(self, space, T, x0, n):
         trace = picard_iterate(space, T, x0)
         with pytest.raises(ValueError, match="n must be at least 1"):
-            verify_invariant_ball(space, T, trace, eps=0.5, n=n, m=1)
+            verify_invariant_ball(T, trace, eps=0.5, n=n, m=1)
 
 
 class TestPowerImage:
-    """T^n by repeated squaring maps each point where its orbit walk lands."""
+    """T^n by repeated squaring maps each point where the reference orbit walk
+    lands."""
 
     # a 3-cycle, a fixed point with a tail into it, and a 2-cycle
     MIXED = (1, 2, 0, 3, 3, 4, 7, 6)
@@ -357,7 +385,7 @@ class TestPowerImage:
         space = generate_space(f"power:{seed}:space", size)
         T = FiniteMap(mapping)
         for n in [*range(1, 40), 255, 256, 1037, 65_537, 999_983, 10 ** 6]:
-            walked = [solver._Walk(space, T, u).point(n) for u in space.points]
+            walked = [OrbitWalk(space, T, u).point(n) for u in space.points]
             assert solver._power_image(T.mapping, n) == walked, n
 
     def test_mixed_map_holds_cycles_and_fixed_points(self):
@@ -389,7 +417,7 @@ class TestMapCheckedOnce:
         trace = picard_iterate(space, T, 0)
         calls = self._count_checks(monkeypatch)
         # every point is within 2 of the centre, so all 7 are candidates
-        verify_invariant_ball(space, T, trace, eps=2.0, n=2, m=1)
+        verify_invariant_ball(T, trace, eps=2.0, n=2, m=1)
         assert len(calls) == 1
 
     def test_picard_iterate(self, monkeypatch):
@@ -401,15 +429,14 @@ class TestMapCheckedOnce:
         trace = picard_iterate(THREE_POINT, FiniteMap((0, 0, 1)), 2)
         # the centre is checked before the map, and the map before any walk
         with pytest.raises(ValueError, match="map length 2 != 3 points"):
-            verify_invariant_ball(THREE_POINT, FiniteMap((0, 0)), trace,
-                                  eps=0.5, n=1, m=1)
+            verify_invariant_ball(FiniteMap((0, 0)), trace, eps=0.5, n=1, m=1)
         with pytest.raises(PointOutOfDomain, match="image of point 2 is 5"):
-            verify_invariant_ball(THREE_POINT, FiniteMap((0, 0, 5)), trace,
-                                  eps=0.5, n=1, m=1)
-        two = picard_iterate(TWO_CYCLE_SPACE, SWAP, 0, max_iter=4)
+            verify_invariant_ball(FiniteMap((0, 0, 5)), trace, eps=0.5, n=1, m=1)
+        # a trace whose centre x_1 = 1 lies outside its one-point space
+        two = replace(picard_iterate(TWO_CYCLE_SPACE, SWAP, 0, max_iter=4),
+                      space=validate_finite_space([[0.0]]))
         with pytest.raises(PointOutOfDomain, match="point 1 not in space"):
-            verify_invariant_ball(validate_finite_space([[0.0]]), FiniteMap((7,)),
-                                  two, eps=0.5, n=1, m=1)
+            verify_invariant_ball(FiniteMap((7,)), two, eps=0.5, n=1, m=1)
 
 
 class TestStepChaining:
@@ -417,32 +444,33 @@ class TestStepChaining:
         # steps d(x_{k+1}, x_k) = 2^-(k+1); threshold 0.1/(2*1) = 0.05 is first
         # cleared from k0 = 4, so m0 = ceil(5/2) = 3
         trace = picard_iterate(UNIT, AffineMap(0.5, 0.0), 1.0)
-        m0, holds = verify_step_chaining(trace, n=2, eps=0.1, s=1.0)
+        m0, holds = verify_step_chaining(trace, n=2, eps=0.1)
         assert m0 == 3
         assert holds
 
     def test_constant_trace(self):
         trace = picard_iterate(THREE_POINT, FiniteMap((1, 1, 1)), 1)
-        m0, holds = verify_step_chaining(trace, n=2, eps=0.5, s=THREE_POINT.s)
+        m0, holds = verify_step_chaining(trace, n=2, eps=0.5)
         assert m0 == 1
         assert holds
 
     def test_single_step_blocks_trivial(self):
         trace = picard_iterate(UNIT, AffineMap(0.5, 0.0), 1.0)
-        m0, holds = verify_step_chaining(trace, n=1, eps=0.05, s=1.0)
+        m0, holds = verify_step_chaining(trace, n=1, eps=0.05)
         assert holds
 
     def test_tail_not_small_on_cycle(self):
         trace = picard_iterate(TWO_CYCLE_SPACE, SWAP, 0, max_iter=12)
         with pytest.raises(TailNotSmall):
-            verify_step_chaining(trace, n=2, eps=0.5, s=1.0)
+            verify_step_chaining(trace, n=2, eps=0.5)
 
     def test_huge_power_of_constant(self):
-        # 8**400 overflows a double; the threshold is then 0, so only the
-        # zero step after the exact stop qualifies
-        trace = picard_iterate(TWO_CYCLE_SPACE, FiniteMap((0, 0)), 1)
-        assert trace.step_dists == (1.0, 0.0)
-        m0, holds = verify_step_chaining(trace, n=400, eps=0.5, s=8.0)
+        # d = |x-y|^4 has s = 8, and 8**400 overflows a double; the
+        # threshold is then 0, so only the zero step after the exact stop
+        # qualifies
+        trace = picard_iterate(AnalyticSpace(0.0, 1.0, 4.0), AffineMap(0.0, 0.0), 1.0)
+        assert trace.space.s == 8.0 and trace.step_dists == (1.0, 0.0)
+        m0, holds = verify_step_chaining(trace, n=400, eps=0.5)
         assert (m0, holds) == (1, True)
 
 
@@ -453,7 +481,7 @@ class TestCauchyBound:
         cert = certify_condition_G(UNIT_SQ, T, IdentityGauge(), LinearPhi(0.25))
         assert cert.verdict != "violated"
         trace = picard_iterate(UNIT_SQ, T, 1.0)
-        diag = verify_cauchy_bound(UNIT_SQ, trace, IdentityGauge(), LinearPhi(0.25),
+        diag = verify_cauchy_bound(trace, IdentityGauge(), LinearPhi(0.25),
                                    eps=0.5)
         assert diag.bound == 32.0 * 0.5
         assert diag.holds
@@ -461,7 +489,7 @@ class TestCauchyBound:
     def test_banach_case_bound(self):
         T = AffineMap(0.5, 0.25)
         trace = picard_iterate(UNIT, T, 0.0)
-        diag = verify_cauchy_bound(UNIT, trace, IdentityGauge(), LinearPhi(0.5),
+        diag = verify_cauchy_bound(trace, IdentityGauge(), LinearPhi(0.5),
                                    eps=0.5)
         assert diag.bound == 4.0 * 0.5
         assert diag.holds
@@ -471,7 +499,7 @@ class TestCauchyBound:
         T = AffineMap(0.5, 0.0)
         trace = picard_iterate(UNIT, T, 1.0, max_iter=3, tol=0.0)
         with pytest.raises((OrbitTooShort, TailNotSmall)):
-            verify_cauchy_bound(UNIT, trace, IdentityGauge(), LinearPhi(0.5), eps=0.5)
+            verify_cauchy_bound(trace, IdentityGauge(), LinearPhi(0.5), eps=0.5)
 
     def test_pipeline_survives_thinned_trace(self, monkeypatch):
         # stride gaps in the recorded head must be skipped, not fatal
@@ -480,10 +508,10 @@ class TestCauchyBound:
         T = AffineMap(0.98, 0.0)
         trace = picard_iterate(UNIT, T, 1.0, max_iter=2000, tol=1e-14)
         assert trace.stop_reason == "exact-fixed-point"
-        diag = verify_cauchy_bound(UNIT, trace, IdentityGauge(), LinearPhi(0.98),
+        diag = verify_cauchy_bound(trace, IdentityGauge(), LinearPhi(0.98),
                                    eps=0.25, n_budget=10 ** 6)
         assert diag.holds
-        assert verify_invariant_ball(UNIT, T, trace, 0.25, diag.n, diag.m)
+        assert verify_invariant_ball(T, trace, 0.25, diag.n, diag.m)
 
 
 class TestLimitBoundsOnSolverOrbits:
