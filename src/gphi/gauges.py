@@ -23,6 +23,7 @@ below eps/(2s) for any certified operator).
 
 from __future__ import annotations
 
+import json
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass, field
@@ -716,7 +717,8 @@ class ClassCertificate:
     evidence: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        return asdict(self)
+        # a gauge value or estimate past the float range is written as null
+        return json.loads(json.dumps(asdict(self)), parse_constant=lambda _: None)
 
 
 def certify_gauge_class(G, grid=None) -> ClassCertificate:

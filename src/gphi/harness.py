@@ -29,7 +29,8 @@ from .contraction import (
     _informative_pairs,
     validate_operator,
 )
-from .errors import BudgetExhausted, ConfigInvalid, OrbitTooShort, TailNotSmall
+from .errors import (BudgetExhausted, ConfigInvalid, ConstantOverflow, OrbitTooShort,
+                     TailNotSmall)
 from .gauges import (
     AffinePlusGauge,
     ExpOfFGauge,
@@ -301,10 +302,10 @@ def _check_theorem(report, trial, space, T, entry, phi) -> bool:
         return passed
 
     def attempt(check, *args, **kwargs):
-        # a check out of budget, recorded orbit or small tail fails its lemma
+        # a check out of budget, recorded orbit, small tail or float range fails its lemma
         try:
             return check(*args, **kwargs)
-        except (BudgetExhausted, OrbitTooShort, TailNotSmall):
+        except (BudgetExhausted, ConstantOverflow, OrbitTooShort, TailNotSmall):
             return None
 
     fps = enumerate_fixed_points(space, T)

@@ -10,13 +10,15 @@ the invariant ball, the step-chaining bound, and the final Cauchy bound
 
 Orbits that stop on an exact fixed point are treated as constantly extended
 beyond the stopping index (``T x* = x*``), so block indices like ``m*n`` that
-fall past the recorded stop are well defined.
+fall past the recorded stop are well defined.  Traces hold whole orbits; only
+their JSON is thinned, past ``RECORD_CAP`` points.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from collections.abc import Sequence
 from itertools import islice
 from dataclasses import asdict, dataclass
 
@@ -33,8 +35,8 @@ from .gauges import n_epsilon
 from .spaces import FiniteSpace, Space, space_from_json, space_to_json
 
 MAX_ITER_DEFAULT = 10_000
-RECORD_CAP = 100_000         # orbit points a trace keeps, head and tail together
-TAIL_WINDOW = 1_000          # final orbit points a trace always keeps
+RECORD_CAP = 100_000         # orbit points trace JSON keeps, head and tail together
+TAIL_WINDOW = 1_000          # final orbit points trace JSON always keeps
 CONFIRM_STEPS = 3
 TOL_DEFAULT = 1e-10
 BALL_SAMPLES = 128           # points sampled from an interval ball
@@ -44,12 +46,13 @@ STOP_REASONS = ("exact-fixed-point", "tolerance-met", "budget-exhausted")
 
 @dataclass(frozen=True)
 class PicardTrace:
-    """Recorded orbit of a Picard iteration."""
+    """Recorded orbit of a Picard iteration, x_{indices[i]} = orbit[i]: all
+    of it, or the thinned orbit of a trace loaded by ``trace_from_json``."""
 
     space: Space
     x0: object
     orbit: tuple
-    indices: tuple[int, ...]
+    indices: Sequence[int]
     step_dists: tuple[float, ...]
     stop_reason: str            # one of STOP_REASONS
     fixed_point: object | None
@@ -81,11 +84,14 @@ class PicardTrace:
         raise OrbitTooShort(f"step index {k} not recorded")
 
     def to_json(self) -> dict:
+        # a whole orbit is thinned here, a loaded thinned one is kept as it is
+        dense = len(self.orbit) == self.max_index + 1
+        kept = _kept_indices(len(self.orbit)) if dense else range(len(self.orbit))
         return {
             "space": space_to_json(self.space),
             "x0": self.x0,
-            "orbit": list(self.orbit),
-            "indices": list(self.indices),
+            "orbit": [self.orbit[i] for i in kept],
+            "indices": [self.indices[i] for i in kept],
             "step_dists": list(self.step_dists),
             "stop_reason": self.stop_reason,
             "fixed_point": self.fixed_point,
@@ -127,8 +133,8 @@ def trace_from_json(obj: dict) -> PicardTrace:
             or (cycle is not None and stop_reason != "budget-exhausted")):
         raise ValueError("trace x0, fixed point or cycle does not fit its orbit")
     return PicardTrace(
-        space=space, x0=obj["x0"], orbit=orbit,
-        indices=indices, step_dists=step_dists,
+        space=space, x0=obj["x0"], orbit=orbit, step_dists=step_dists,
+        indices=range(len(orbit)) if indices[-1] == len(orbit) - 1 else indices,
         stop_reason=stop_reason, fixed_point=fixed_point,
         k_stop=obj["k_stop"], cycle=cycle)
 
@@ -216,7 +222,7 @@ def _point_distance(space: Space, points):
 
 
 def _kept_indices(count: int) -> list[int]:
-    """The indices a trace keeps of ``count`` orbit points: every
+    """The indices trace JSON keeps of ``count`` orbit points: every
     ``stride``-th, for the least power-of-two stride that keeps at most
     ``max(RECORD_CAP - TAIL_WINDOW, 16)`` of them, plus the last ``TAIL_WINDOW``."""
     head_cap = max(RECORD_CAP - TAIL_WINDOW, 16)
@@ -236,8 +242,8 @@ def picard_iterate(space: Space, T: OperatorSpec, x0, max_iter: int = MAX_ITER_D
     steps.  On finite spaces a revisit of an earlier point (a cycle of length
     at least 2) stops the run early with a cycle annotation; under certified
     hypotheses such a cycle falsifies the convergence theorem and is
-    surfaced via stop_reason budget-exhausted.  The whole orbit is held
-    until the run ends; the trace keeps the points ``_kept_indices`` picks.
+    surfaced via stop_reason budget-exhausted.  The trace holds every
+    orbit point; ``PicardTrace.to_json`` thins long orbits.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
@@ -267,11 +273,10 @@ def picard_iterate(space: Space, T: OperatorSpec, x0, max_iter: int = MAX_ITER_D
 
     # an exact stop is indexed by its zero step, any other stop by the steps taken
     k_stop = len(steps) - (stop_reason == "exact-fixed-point")
-    kept = _kept_indices(len(points))
     return PicardTrace(
         space=space, x0=x0,
-        orbit=tuple(points[i] for i in kept),
-        indices=tuple(kept),
+        orbit=tuple(points),
+        indices=range(len(points)),
         step_dists=tuple(steps),
         stop_reason=stop_reason, fixed_point=fixed_point,
         k_stop=k_stop, cycle=cycle)
@@ -297,12 +302,10 @@ def m_epsilon(trace: PicardTrace, n: int, eps: float, budget: int = 10_000) -> i
     orbit, scanning m = 1, 2, ...
 
     Since T^n x_{mn} = x_{(m+1)n}, this is the block-displacement index of
-    the convergence argument.  A block whose points a thinned trace lacks is
-    skipped while it starts at or before the last recorded index (anywhere
-    past an exact stop), since any m with the property is a valid witness;
-    past it the ``OrbitTooShort`` propagates, naming the cycle of a cycling
-    trace.  Raises BudgetExhausted past the scan budget, which on a
-    certified instance signals a hypothesis violation.
+    the convergence argument.  The first block point the trace lacks raises
+    ``OrbitTooShort`` naming its index, and the cycle of a cycling trace.
+    Raises BudgetExhausted past the scan budget, which on a certified
+    instance signals a hypothesis violation.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -310,15 +313,9 @@ def m_epsilon(trace: PicardTrace, n: int, eps: float, budget: int = 10_000) -> i
         raise NonpositiveRadius("eps must be positive")
     space = trace.space
     thr = eps / (2.0 * space.s)
-    last_gap = math.inf if trace.stop_reason == "exact-fixed-point" else trace.max_index
     for m in range(1, budget + 1):
-        try:
-            a = trace.point_at(m * n)
-            b = trace.point_at((m + 1) * n)
-        except OrbitTooShort:
-            if m * n > last_gap:
-                raise
-            continue
+        a = trace.point_at(m * n)
+        b = trace.point_at((m + 1) * n)
         d = space.distance(b, a)
         if space.is_zero(d) or d < thr:
             return m
@@ -404,25 +401,24 @@ def verify_step_chaining(trace: PicardTrace, n: int, eps: float) -> tuple[int, b
         sn = math.inf
     thr = eps / (n * sn)                       # 0.0 when s**n overflows
 
+    exact = trace.stop_reason == "exact-fixed-point"
     k0 = len(steps)                            # back past the qualifying tail
     while k0 and (space.is_zero(steps[k0 - 1]) or steps[k0 - 1] < thr):
         k0 -= 1
-    if k0 >= len(steps) and trace.stop_reason != "exact-fixed-point":
+    if k0 >= len(steps) and not exact:
         raise TailNotSmall(
             f"no recorded tail with steps below {thr}")
 
     m0 = -(-(k0 + 1) // n)
-    for base in range(m0 * n, trace.max_index + 1, n):
-        try:
-            block = [trace.point_at(base + p) for p in range(n)]
-            block_steps = [trace.step_at(base + i) for i in range(n - 1)]
-        except OrbitTooShort:
-            continue
+    # blocks that end in the record; past an exact stop the orbit stays at its fixed point
+    last = trace.max_index if exact else trace.max_index - n + 1
+    for base in range(m0 * n, last + 1, n):
+        block = [trace.point_at(base + p) for p in range(n)]
         acc = 0.0
         spow = 1.0
         for p in range(1, n):
             spow *= s
-            d_step = block_steps[p - 1]
+            d_step = trace.step_at(base + p - 1)
             if not space.is_zero(d_step):
                 acc += spow * d_step
             d_direct = space.distance(block[0], block[p])
@@ -435,10 +431,10 @@ def verify_cauchy_bound(trace: PicardTrace, G, phi, eps: float, n_budget: int = 
                         m_budget: int = 10_000) -> CauchyDiagnostics:
     """Assemble n, m, m0 and check d(x_{k1}, x_{k2}) <= 4*s^3*eps in the tail.
 
-    k1, k2 range over recorded indices at or past m_bar * n with
-    m_bar = max(m, m0); when the pair count would exceed ``PAIR_LIMIT`` the
-    index list is strided deterministically.  Budget and truncation errors
-    propagate, and ConstantOverflow when the bound overflows the float range.
+    k1, k2 range over every orbit index from m_bar * n, m_bar = max(m, m0);
+    past ``PAIR_LIMIT`` pairs the index list is strided deterministically.
+    Budget errors, ConstantOverflow when the bound overflows the float range
+    and the OrbitTooShort of an index the trace lacks propagate.
     """
     n = n_epsilon(G, phi, trace.space.s, eps, budget=n_budget)
     m = m_epsilon(trace, n, eps, m_budget)
@@ -458,17 +454,17 @@ def _cauchy_tail(trace: PicardTrace, eps: float, n: int, m: int, m0: int) -> Cau
     m_bar = max(m, m0)
     cutoff = m_bar * n
 
-    pos = bisect_left(trace.indices, cutoff)
-    pts = list(trace.orbit[pos:])
+    ks = [*range(cutoff, trace.max_index + 1)]
     if trace.stop_reason == "exact-fixed-point":
-        pts.append(trace.fixed_point)
-    if not pts:
+        ks.append(trace.max_index + 1)          # x_k is the fixed point past the stop
+    if not ks:
         raise OrbitTooShort(f"trace truncated before index {cutoff}")
 
     max_pts = int((2 * PAIR_LIMIT) ** 0.5) + 1
-    if len(pts) > max_pts:
-        stride = -(-len(pts) // max_pts)
-        pts = pts[::stride] + [pts[-1]]
+    if len(ks) > max_pts:
+        stride = -(-len(ks) // max_pts)
+        ks = [*ks[::stride], ks[-1]]
+    pts = [trace.point_at(k) for k in ks]
 
     distance = _point_distance(space, pts)
     max_obs = 0.0

@@ -3,15 +3,18 @@
 ``m_epsilon`` reads the block index off a recorded trace.  The references
 below are the two scans it replaced, kept verbatim apart from holding the
 walk cap here: the lazy orbit walker with the scan that read it, and the
-trace scan that skipped block indices a thinned trace lacks.  On traces the
-trace scan must give the same m, or the same exception type and message.
-The walker sees the same orbit: where the trace records every block the
-scan reads, both give the same outcome.
+trace scan that skipped block indices a thinned trace lacks.  ``m_epsilon``
+skips no block: it stops at the first block point the trace lacks, where
+the skipping scan went on.  Otherwise it gives the skipping scan's m, or
+its exception type and message.  The walker sees the same orbit: where the
+trace records every block the scan reads, both give the same outcome.
 
 ``OrbitWalk`` and ``walker_m_epsilon`` are also the orbit oracle of the
 power-image and lemma-pass tests, so those references never read the code
 they check.
 """
+
+import re
 
 import pytest
 
@@ -25,7 +28,7 @@ from gphi.errors import (
     PointOutOfDomain,
 )
 from gphi.harness import generate_operator, generate_space
-from gphi.solver import PicardTrace, m_epsilon, picard_iterate
+from gphi.solver import PicardTrace, m_epsilon, picard_iterate, trace_from_json
 from gphi.spaces import AnalyticSpace, FiniteSpace, validate_finite_space
 
 UNIT = AnalyticSpace(0.0, 1.0, 1.0)
@@ -126,8 +129,7 @@ def walk_cases():
 
 
 def trace_cases():
-    """Traces that stop exactly, meet the tolerance, stop short or cycle,
-    thinned when RECORD_CAP and TAIL_WINDOW are patched small."""
+    """Traces that stop exactly, meet the tolerance, stop short or cycle."""
     traces = [picard_iterate(UNIT, AffineMap(0.5, 0.0), 1.0, tol=0.0),
               picard_iterate(UNIT, AffineMap(0.5, 0.0), 1.0),
               picard_iterate(UNIT, AffineMap(0.98, 0.0), 1.0, max_iter=2000, tol=1e-14),
@@ -172,16 +174,33 @@ def test_trace_scan_matches_walker(n, eps):
 @pytest.mark.parametrize("n", [1, 2, 3, 5])
 @pytest.mark.parametrize("eps", [0.001, 0.05, 0.5])
 def test_trace_scan_matches_parent(thinned, n, eps, monkeypatch):
+    # thinned traces are loaded from JSON written under small caps (the
+    # hand-built trace with a point outside its space does not load).  Where
+    # the outcomes differ, the parent skipped a block whose point at index k
+    # the trace lacks, and went on to an m past it or to its budget;
+    # m_epsilon stops at that block and names k
+    traces = trace_cases()
     if thinned:
         monkeypatch.setattr(solver, "RECORD_CAP", 40)
         monkeypatch.setattr(solver, "TAIL_WINDOW", 7)
-    traces = trace_cases()
+        traces = [trace_from_json(t.to_json()) for t in traces[:-1]]
     assert any(len(t.indices) <= t.max_index for t in traces) == thinned
+    departures = 0
     for trace in traces:
         for budget in range(1, 61):
-            assert (outcome(m_epsilon, trace, n, eps, budget)
-                    == outcome(parent_m_epsilon_on_trace, trace, n, eps, trace.space.s,
-                               budget)), (trace.indices, n, eps, budget)
+            got = outcome(m_epsilon, trace, n, eps, budget)
+            parent = outcome(parent_m_epsilon_on_trace, trace, n, eps, trace.space.s, budget)
+            if got == parent:
+                continue
+            departures += 1
+            kind, message = got
+            k = int(re.match(r"orbit index (\d+) not recorded", message)[1])
+            assert kind == "OrbitTooShort" and k % n == 0 and k not in trace.indices
+            if isinstance(parent, int):
+                assert k <= parent * n, (trace.indices, n, eps, budget)
+            else:
+                assert parent[0] == "BudgetExhausted" and k <= (budget + 1) * n
+    assert departures > 0
 
 
 def test_cycling_trace_names_its_cycle():
@@ -196,15 +215,19 @@ def test_cycling_trace_names_its_cycle():
 
 def test_budget_boundary_on_a_short_trace():
     # x_0 .. x_10 of a 2-cycle, blocks of 3: at m = 3 only x_12 lies past the
-    # end, so the block is skipped and the budget runs out; at m = 4 the
-    # block starts past the end and the shortfall propagates
+    # end.  The parent skipped that block, so its budget of 3 ran out and the
+    # shortfall surfaced at m = 4; m_epsilon stops at x_12
     trace = picard_iterate(UNIT, SWAP, 0.25, max_iter=10, tol=0.0)
     assert trace.max_index == 10 and trace.stop_reason == "budget-exhausted"
-    for budget, expected in ((3, BudgetExhausted), (4, OrbitTooShort)):
-        with pytest.raises(expected):
+    with pytest.raises(BudgetExhausted):
+        m_epsilon(trace, 3, 0.01, 2)
+    for budget in (3, 4):
+        with pytest.raises(OrbitTooShort, match="^orbit index 12 not recorded$"):
             m_epsilon(trace, 3, 0.01, budget)
-        with pytest.raises(expected):
-            parent_m_epsilon_on_trace(trace, 3, 0.01, 1.0, budget)
+    with pytest.raises(BudgetExhausted):
+        parent_m_epsilon_on_trace(trace, 3, 0.01, 1.0, 3)
+    with pytest.raises(OrbitTooShort, match="^orbit index 12 not recorded$"):
+        parent_m_epsilon_on_trace(trace, 3, 0.01, 1.0, 4)
 
 
 def test_point_outside_the_space_raises():

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from gphi import solver
 from gphi.cli import run_cli
 
 THREE_POINT_INSTANCE = {
@@ -153,12 +154,24 @@ class TestSolve:
         assert doc["diagnostics"]["holds"] is True
 
     def test_gauge_infimum_past_float_range(self, tmp_path, capsys):
-        # the closed-form infimum exp(1000) saturates instead of raising
+        # the closed-form infimum exp(1000) saturates instead of raising, and
+        # is written as null, not as Infinity
         G = {"family": "exp_of_f", "f": {"affine": {"a": 1.0, "b": 1000.0}}}
         path = write(tmp_path, "inst.json", dict(THREE_POINT_INSTANCE, G=G))
         assert run_cli(["solve", path, "--x0", "2"]) == 0
-        cls = json.loads(capsys.readouterr().out)["gauge_class"]
+        out = capsys.readouterr().out
+        cls = json.loads(out, parse_constant=_reject_constant)["gauge_class"]
         assert (cls["in_g1"], cls["in_g2"]) == ("yes", "no")
+        assert cls["evidence"]["inf_closed_form"] is None
+
+    def test_gauge_sup_past_float_range(self, tmp_path, capsys):
+        # exp(t) overflows at the top of the grid: the sup estimate is null
+        G = {"family": "exp_of_f", "f": "identity"}
+        path = write(tmp_path, "inst.json", dict(THREE_POINT_INSTANCE, G=G))
+        assert run_cli(["solve", path, "--x0", "2"]) == 0
+        out = capsys.readouterr().out
+        cls = json.loads(out, parse_constant=_reject_constant)["gauge_class"]
+        assert cls["evidence"]["sup_grid_estimate"] is None
 
 
 class TestReport:
@@ -172,6 +185,26 @@ class TestReport:
         text = capsys.readouterr().out
         assert "fixed point" in text
         assert "cauchy diagnostics" in text
+
+    def test_thinned_solve_output(self, tmp_path, capsys, monkeypatch):
+        # the JSON of a 101-point orbit keeps 13 strided head points and the
+        # last 4, while the Cauchy check read the whole tail x_28 .. x_100
+        monkeypatch.setattr(solver, "RECORD_CAP", 20)
+        monkeypatch.setattr(solver, "TAIL_WINDOW", 4)
+        inst = dict(ANALYTIC_INSTANCE, operator={"affine": {"a": 0.9, "b": 0.05}},
+                    phi={"family": "linear", "c": 0.95})
+        path = write(tmp_path, "inst.json", inst)
+        assert run_cli(["--tol", "0", "solve", path, "--x0", "0", "--max-iter", "100"]) == 0
+        solve_out = capsys.readouterr().out
+        doc = json.loads(solve_out)
+        assert doc["trace"]["indices"] == [*range(0, 97, 8), 97, 98, 99, 100]
+        assert (doc["diagnostics"]["n"], doc["diagnostics"]["m_bar"]) == (28, 1)
+        assert doc["diagnostics"]["pairs_checked"] == 73 * 72 // 2
+        trace_path = tmp_path / "trace.json"
+        trace_path.write_text(solve_out)
+        assert run_cli(["report", str(trace_path)]) == 0
+        assert "iterations recorded: 17 (stop at k = 100, reason: budget-exhausted)\n" in \
+            capsys.readouterr().out
 
     def test_malformed_trace(self, tmp_path, capsys):
         path = tmp_path / "trace.json"

@@ -14,10 +14,11 @@ the name that side calls.
 The harness reads every trace through one path: m from one block scan of
 the recorded trace, m0 from its one step-chaining call, and the Cauchy tail
 on those.  On traces a passing fuzz run never produces it departs from the
-reference by design: a trace that stops short fails its block scan, a
-thinned trace gets m at a recorded index, and a step-chaining lemma that
-raises takes the Cauchy lemma with it.  Those cases pin the harness's report
-and still compare every lemma value the departure does not touch.
+reference by design: a trace that stops short fails its block scan, and a
+step-chaining lemma that raises takes the Cauchy lemma with it.  Those cases
+pin the harness's report and still compare every lemma value the departure
+does not touch.  Small trace caps thin only the JSON of a trace, so the
+harness then matches the reference exactly.
 """
 
 import dataclasses
@@ -252,9 +253,7 @@ GAUGES = {"identity": IdentityGauge(), "square": PowerGauge(2.0)}
 NO_CHAINING = ("verify_step_chaining", "verify_step_chaining", _raise(TailNotSmall))
 
 # Where the harness departs from the reference on a halving chain: without
-# m0 it fails the Cauchy bound as well, and on a thinned trace its block
-# scan finds an m whose block indices the trace keeps, so the ball's centre
-# is recorded where the reference's walker m left the ball lemma failing.
+# m0 it fails the Cauchy bound as well.
 HALVING_PINS = {
     (24, "identity", "no-chaining"): (
         {"cauchy"}, "4ec853c4b41cf688eeb59ff43726044aaa69c9d34ebe2e9057a17527e50f2d33"),
@@ -264,12 +263,6 @@ HALVING_PINS = {
         {"cauchy"}, "90020ceb613f1ba4e22a49d2d09854fa5675a750aae296e3f618e468a6fbc389"),
     (40, "square", "no-chaining"): (
         {"cauchy"}, "77f7c5615549d0c6379583b0527931f36a3e5377f9ff584955c1bc174e6312a2"),
-    (24, "identity", "thinned"): (
-        {"m", "ball"}, "4b4512c484d88bab94f0962389815fba0d38db7eceb646fdb67924c4516e074e"),
-    (40, "identity", "thinned"): (
-        {"m", "ball"}, "7412d313e11897b1406a403b2cfb133bb3b9fdd5a4a107a4f97b14cacc26ff0a"),
-    (40, "square", "thinned"): (
-        {"m", "ball"}, "7412d313e11897b1406a403b2cfb133bb3b9fdd5a4a107a4f97b14cacc26ff0a"),
 }
 
 
@@ -281,8 +274,8 @@ def _halving_chain(size, scale):
 
 
 def _thin_traces(monkeypatch):
-    # traces keep 16 strided head points and the last 4, so the exact
-    # traces of orbits longer than 20 points lack indices
+    # trace JSON keeps 16 strided head points and the last 4, so the JSON
+    # of an orbit longer than 20 points lacks indices
     monkeypatch.setattr(solver, "RECORD_CAP", 20)
     monkeypatch.setattr(solver, "TAIL_WINDOW", 4)
 
@@ -313,9 +306,11 @@ def test_halving_chains_equal(monkeypatch, size, scale, gauge_name, variant):
     kinds = {v["kind"] for v in report["violations"]}
     assert kinds == ({"step-chaining", "cauchy-bound"} if forced else set())
     if variant == "thinned":
+        # the caps thin the JSON, while the harness read the whole orbit
         trace = picard_iterate(space, T, 0, max_iter=size, tol=0.0)
         assert trace.stop_reason == "exact-fixed-point"
-        assert len(trace.indices) < trace.max_index + 1
+        assert len(trace.orbit) == trace.max_index + 1
+        assert len(trace.to_json()["indices"]) < trace.max_index + 1
     if not forced:
         # the m_epsilon lemma, the ball's centre x_{mn} and the Cauchy
         # diagnostics read one m for every start point
@@ -345,12 +340,13 @@ def test_plain_runs_share_the_lemma_inputs(monkeypatch):
 
 @pytest.mark.parametrize("size,scale", [(24, 2.0 ** 8), (40, 2.0 ** 20)])
 def test_thinned_traces_read_the_trial_image(monkeypatch, size, scale):
-    # a thinned trace takes the same one path: no public lemma, every lemma
-    # holds on every start point
+    # under caps that thin the trace JSON the harness takes the same one
+    # path: no public lemma, every lemma holds on every start point
     space, T = _halving_chain(size, scale)
     config = FuzzConfig(gauge_catalog=(IdentityGauge(),), phi_catalog=(LinearPhi(0.6),))
     (entry,), (phi,) = _prepare_catalogs(config)
     _thin_traces(monkeypatch)
+    assert len(picard_iterate(space, T, 0, max_iter=size).to_json()["orbit"]) < size
     _forbid_public_lemmas(monkeypatch)
     report = FuzzReport(config={})
     assert harness._check_theorem(report, 0, space, T, entry, phi)
@@ -379,11 +375,29 @@ def test_cycling_orbits_fail_the_block_scan(monkeypatch):
         ("m-epsilon-budget", 1, [1, 2]), ("m-epsilon-budget", 2, [2, 1])]
 
 
+def test_cauchy_bound_overflow_fails_its_lemma(monkeypatch):
+    # with s = 1e200 the bound 4*s^3*eps overflows: the Cauchy lemma fails
+    # with a bundle on every trace instead of the ConstantOverflow escaping
+    space = dataclasses.replace(
+        validate_finite_space([[0.0, 1.0, 2.0], [1.0, 0.0, 4.0], [2.0, 4.0, 0.0]]), s=1e200)
+    T = FiniteMap((0, 0, 1))
+    config = FuzzConfig(gauge_catalog=(IdentityGauge(),), phi_catalog=(LinearPhi(0.6),))
+    (entry,), (phi,) = _prepare_catalogs(config)
+    _forbid_public_lemmas(monkeypatch)
+    report = FuzzReport(config={})
+    assert not harness._check_theorem(report, 0, space, T, entry, phi)
+    assert report.lemma_counts["cauchy_bound"] == {"pass": 0, "fail": 3}
+    assert [(v["kind"], v["trace"]["x0"]) for v in report.violations] == [
+        ("cauchy-bound", 0), ("cauchy-bound", 1), ("cauchy-bound", 2)]
+
+
 @pytest.mark.parametrize("size,scale,walker_misses", [(24, 2.0 ** 8, 5), (40, 2.0 ** 20, 18)])
 def test_public_lemmas_compose_on_thinned_traces(monkeypatch, size, scale, walker_misses):
-    # m_epsilon reads the thinned trace, so the ball it names has a recorded
-    # centre on every start point; the orbit walker's m named an unrecorded
-    # one on some of them, and the ball lemma then raised
+    # on the whole orbit the ball that m_epsilon names holds on every start
+    # point.  Loaded from thinned JSON, the trace either yields an m whose
+    # ball has a recorded centre, or stops the scan at the first index it
+    # lacks; the orbit walker's m names an unrecorded centre on some traces,
+    # and the ball lemma then raises
     space, T = _halving_chain(size, scale)
     config = FuzzConfig(gauge_catalog=(IdentityGauge(),), phi_catalog=(LinearPhi(0.6),))
     (entry,), (phi,) = _prepare_catalogs(config)
@@ -394,8 +408,15 @@ def test_public_lemmas_compose_on_thinned_traces(monkeypatch, size, scale, walke
     for x0 in space.points:
         trace = picard_iterate(space, T, x0, max_iter=size, tol=0.0)
         assert verify_invariant_ball(T, trace, eps, n, m_epsilon(trace, n, eps)) is True
+        loaded = solver.trace_from_json(trace.to_json())
         try:
-            verify_invariant_ball(T, trace, eps, n, walker_m_epsilon(space, T, x0, n, eps, space.s))
+            m = m_epsilon(loaded, n, eps)
+        except OrbitTooShort as exc:
+            assert str(exc) == f"orbit index {n} not recorded" and n not in loaded.indices
+        else:
+            assert verify_invariant_ball(T, loaded, eps, n, m) is True
+        try:
+            verify_invariant_ball(T, loaded, eps, n, walker_m_epsilon(space, T, x0, n, eps, space.s))
         except OrbitTooShort:
             misses += 1
     assert misses == walker_misses

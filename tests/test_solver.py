@@ -33,7 +33,7 @@ SWAP = FiniteMap((1, 0))
 class _ReferenceRecorder:
     """The incremental orbit thinning that picard_iterate once used: a
     strided head that doubles its stride when full, plus a full tail window.
-    The kept indices of a trace must equal what this selects."""
+    The indices a trace's JSON keeps must equal what this selects."""
 
     def __init__(self, cap: int, tail: int):
         self.tail = deque(maxlen=tail)
@@ -99,14 +99,17 @@ class TestPicardIterate:
                 trace.orbit[j], trace.orbit[j + 1])
 
     def test_record_cap_thins_head_keeps_tail(self, monkeypatch):
+        # the trace holds the whole orbit; its JSON thins the head
         monkeypatch.setattr(solver, "RECORD_CAP", 50)
         monkeypatch.setattr(solver, "TAIL_WINDOW", 10)
         trace = picard_iterate(UNIT, AffineMap(0.999, 0.0), 1.0, max_iter=300, tol=0.0)
         assert trace.stop_reason == "budget-exhausted"
-        assert len(trace.step_dists) == 300            # steps keep every iteration
-        assert len(trace.orbit) <= 60
-        assert list(trace.indices) == sorted(set(trace.indices))
-        assert trace.indices[-1] == 300                # tail window intact
+        assert trace.indices == range(301) and len(trace.orbit) == 301
+        doc = trace.to_json()
+        assert len(doc["step_dists"]) == 300           # steps keep every iteration
+        assert len(doc["orbit"]) <= 60
+        assert doc["indices"] == sorted(set(doc["indices"]))
+        assert doc["indices"][-1] == 300               # tail window intact
 
     @pytest.mark.parametrize("record_cap", [16, 50, 60, 100])
     @pytest.mark.parametrize("tail_window", [0, 1, 10, 40])
@@ -123,13 +126,16 @@ class TestPicardIterate:
             for k in range(max_iter + 1):
                 rec.add(k, 0.25 if k % 2 == 0 else 0.75)
             kept = rec.merged()
-            assert trace.indices == tuple(i for i, _ in kept), max_iter
-            assert trace.orbit == tuple(p for _, p in kept), max_iter
+            assert trace.orbit == tuple(0.25 if k % 2 == 0 else 0.75
+                                        for k in range(max_iter + 1)), max_iter
+            doc = trace.to_json()
+            assert doc["indices"] == [i for i, _ in kept], max_iter
+            assert doc["orbit"] == [p for _, p in kept], max_iter
 
     def test_json_round_trip(self):
         trace = picard_iterate(THREE_POINT, FiniteMap((0, 0, 1)), 2)
         again = trace_from_json(trace.to_json())
-        assert again == trace
+        assert again == trace and again.indices == range(4)
 
     @pytest.mark.parametrize("key,value", [
         ("x0", 3), ("orbit", [4, 4, 4]), ("fixed_point", -1), ("cycle", [0, 5]),
@@ -307,13 +313,14 @@ class TestMEpsilon:
     def test_unsettled_interval_orbit(self):
         # x -> 1 - x swaps 1/4 and 3/4 forever, and an interval orbit closes
         # no cycle, so with odd n every block moves by 1/2: the budget runs
-        # out inside the record, and past its last index the scan stops
+        # out inside the record, and the block x_30 -> x_33 that ends past
+        # its last index stops the scan
         trace = picard_iterate(UNIT, AffineMap(-1.0, 1.0), 0.25, max_iter=30, tol=0.0)
         assert trace.max_index == 30 and trace.stop_reason == "budget-exhausted"
         with pytest.raises(BudgetExhausted):
-            m_epsilon(trace, n=3, eps=0.5, budget=10)
+            m_epsilon(trace, n=3, eps=0.5, budget=9)
         with pytest.raises(OrbitTooShort, match="^orbit index 33 not recorded$"):
-            m_epsilon(trace, n=3, eps=0.5, budget=11)
+            m_epsilon(trace, n=3, eps=0.5, budget=10)
 
     def test_tolerance_stop_ends_the_scan(self):
         # the reference walker scans on past a tolerance stop; the trace
@@ -502,7 +509,8 @@ class TestCauchyBound:
             verify_cauchy_bound(trace, IdentityGauge(), LinearPhi(0.5), eps=0.5)
 
     def test_pipeline_survives_thinned_trace(self, monkeypatch):
-        # stride gaps in the recorded head must be skipped, not fatal
+        # the caps thin only the JSON: the pipeline reads the whole orbit,
+        # and the loaded thinned trace stops it at the first index it lacks
         monkeypatch.setattr(solver, "RECORD_CAP", 60)
         monkeypatch.setattr(solver, "TAIL_WINDOW", 15)
         T = AffineMap(0.98, 0.0)
@@ -512,6 +520,57 @@ class TestCauchyBound:
                                    eps=0.25, n_budget=10 ** 6)
         assert diag.holds
         assert verify_invariant_ball(T, trace, 0.25, diag.n, diag.m)
+        loaded = trace_from_json(trace.to_json())
+        gap = next(k for k in range(diag.n, loaded.max_index, diag.n)
+                   if k not in loaded.indices)
+        with pytest.raises(OrbitTooShort, match=f"^orbit index {gap} not recorded$"):
+            verify_cauchy_bound(loaded, IdentityGauge(), LinearPhi(0.98),
+                                eps=0.25, n_budget=10 ** 6)
+
+
+class TestThinnedJson:
+    """Under small caps the JSON of a 61-point orbit keeps every 4th head
+    index and the last 4.  A loaded thinned trace writes itself back
+    unchanged, and a lemma that needs an index it lacks names that index."""
+
+    T = AffineMap(0.9, 0.0)
+
+    @pytest.fixture
+    def traces(self, monkeypatch):
+        monkeypatch.setattr(solver, "RECORD_CAP", 20)
+        monkeypatch.setattr(solver, "TAIL_WINDOW", 4)
+        trace = picard_iterate(UNIT, self.T, 1.0, max_iter=60, tol=0.0)
+        doc = trace.to_json()
+        assert doc["indices"] == [*range(0, 57, 4), 57, 58, 59, 60]
+        return trace, trace_from_json(doc), doc
+
+    def test_round_trip(self, traces):
+        trace, loaded, doc = traces
+        assert loaded.to_json() == doc
+        assert loaded != trace and trace_from_json(loaded.to_json()) == loaded
+        assert trace_from_json(trace.to_json()).to_json() == doc
+        assert trace.indices == range(61)
+
+    @pytest.mark.parametrize("lemma,args,k", [
+        (m_epsilon, (3, 1e-9, 100), 3),
+        (verify_step_chaining, (2, 1.0), 2),
+        (verify_cauchy_bound, (IdentityGauge(), LinearPhi(0.5), 0.5), 3),
+        (solver._cauchy_tail, (0.5, 1, 5, 5), 5),
+    ], ids=["m_epsilon", "step_chaining", "cauchy_bound", "cauchy_tail"])
+    def test_lemma_names_the_missing_index(self, traces, lemma, args, k):
+        trace, loaded, _ = traces
+        with pytest.raises(OrbitTooShort, match=f"^orbit index {k} not recorded$"):
+            lemma(loaded, *args)
+        try:
+            lemma(trace, *args)         # the whole orbit has x_k
+        except OrbitTooShort as exc:
+            assert f"orbit index {k} " not in str(exc)
+
+    def test_ball_names_the_missing_centre(self, traces):
+        trace, loaded, _ = traces
+        with pytest.raises(OrbitTooShort, match="^orbit index 5 not recorded$"):
+            verify_invariant_ball(self.T, loaded, 0.25, 1, 5)
+        assert verify_invariant_ball(self.T, trace, 0.25, 1, 5) is False
 
 
 class TestLimitBoundsOnSolverOrbits:
