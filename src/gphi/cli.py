@@ -160,7 +160,7 @@ def _cmd_report(args) -> int:
     kind = "finite" if isinstance(trace.space, FiniteSpace) else "interval"
     lines = [f"space: {kind}, constant s = {trace.space.s}",
              f"start point: {trace.x0}",
-             f"iterations recorded: {len(trace.orbit)} "
+             f"orbit points recorded: {len(trace.orbit)} of {len(trace.step_dists) + 1} "
              f"(stop at k = {trace.k_stop}, reason: {trace.stop_reason})",
              f"fixed point: {trace.fixed_point}"]
     if trace.cycle:

@@ -43,7 +43,7 @@ from .gauges import (
     gauge_eval,
     phi_eval,
 )
-from .spaces import AnalyticSpace, FiniteSpace, Space
+from .spaces import AnalyticSpace, FiniteSpace, Space, _is_numpy_scalar, _json_number
 
 SAMPLE_PAIRS_DEFAULT = 4096
 
@@ -57,6 +57,16 @@ _PSI_ITERATES = 10_000           # at most this many times,
 _PSI_FLOOR = -60.0               # until it drops below this floor
 
 
+def _map_image(v) -> int:
+    """A map entry as an int: an integer, or a float with an integral value.
+    Whatever ``int()`` would round, parse or read as 0 or 1 is refused."""
+    if (isinstance(v, int) and not isinstance(v, bool)) or _is_numpy_scalar(v, "integer"):
+        return int(v)
+    if isinstance(v, float) and v.is_integer():
+        return int(v)
+    raise ValueError(f"map entries must be integers, got {v!r}")
+
+
 @dataclass(frozen=True)
 class FiniteMap:
     """Self-map of a finite space given by an image array."""
@@ -64,7 +74,7 @@ class FiniteMap:
     mapping: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "mapping", tuple(int(v) for v in self.mapping))
+        object.__setattr__(self, "mapping", tuple(map(_map_image, self.mapping)))
 
     def describe(self) -> dict:
         return {"map": list(self.mapping)}
@@ -362,7 +372,7 @@ def operator_from_json(obj: dict) -> OperatorSpec:
     if "map" in obj:
         return FiniteMap(tuple(obj["map"]))
     if "affine" in obj:
-        return AffineMap(a=float(obj["affine"]["a"]), b=float(obj["affine"]["b"]))
+        return AffineMap(a=_json_number(obj["affine"]["a"]), b=_json_number(obj["affine"]["b"]))
     if "tabulated" in obj:
-        return TabulatedMap(tuple((t, v) for t, v in obj["tabulated"]))
+        return TabulatedMap(tuple((_json_number(t), _json_number(v)) for t, v in obj["tabulated"]))
     raise ValueError("operator document must contain 'map', 'affine' or 'tabulated'")

@@ -40,6 +40,7 @@ from .errors import (
     NoValidEpsilon,
     NotStrictlyIncreasing,
 )
+from .spaces import _json_number
 
 PHI_BUDGET_DEFAULT = 10 ** 6
 PHI_TOL_DEFAULT = 1e-9
@@ -285,9 +286,6 @@ class ConjugatePhi:
     def describe(self) -> dict:
         return {"family": "conjugate", "gauge": self.gauge.describe(),
                 "inner": self.inner.describe()}
-
-
-Phi = LinearPhi | HyperbolicPhi | ShiftedPhi | TabulatedPhi | ExpPsiLnPhi | ConjugatePhi
 
 
 def phi_eval(phi, t: float) -> float:
@@ -592,9 +590,6 @@ class TabulatedGauge(_GaugeBase):
         return {"family": "tabulated", "points": [list(p) for p in self.points]}
 
 
-Gauge = IdentityGauge | PowerGauge | AffinePlusGauge | ExpOfFGauge | TabulatedGauge
-
-
 def gauge_eval(G, a: float) -> float:
     """Evaluate a gauge at a > 0."""
     if not (isinstance(a, (int, float)) and math.isfinite(a) and a > 0.0):
@@ -891,14 +886,14 @@ def n_epsilon(G, phi, s: float, eps: float, level: float = 1.0,
 def phi_from_json(obj: dict):
     fam = obj["family"]
     if fam == "linear":
-        return LinearPhi(float(obj["c"]))
+        return LinearPhi(_json_number(obj["c"]))
     if fam == "hyperbolic":
-        return HyperbolicPhi(float(obj["a"]))
+        return HyperbolicPhi(_json_number(obj["a"]))
     if fam == "shifted":
         base = gauge_from_json(obj["base"]) if obj.get("base") else None
-        return ShiftedPhi(float(obj["tau"]), base=base)
+        return ShiftedPhi(_json_number(obj["tau"]), base=base)
     if fam == "tabulated":
-        return TabulatedPhi(tuple((t, v) for t, v in obj["points"]))
+        return TabulatedPhi(tuple((_json_number(t), _json_number(v)) for t, v in obj["points"]))
     raise ValueError(f"unknown comparison-function family {fam!r}")
 
 
@@ -908,9 +903,9 @@ def _form_from_json(obj) -> RealForm:
     if obj == "identity":
         return IDENTITY_FORM
     if isinstance(obj, dict) and "affine" in obj:
-        return affine_form(float(obj["affine"]["a"]), float(obj["affine"]["b"]))
+        return affine_form(_json_number(obj["affine"]["a"]), _json_number(obj["affine"]["b"]))
     if isinstance(obj, dict) and "shift" in obj:
-        return shift_form(float(obj["shift"]))
+        return shift_form(_json_number(obj["shift"]))
     raise ValueError(f"unknown scalar form {obj!r}")
 
 
@@ -919,11 +914,11 @@ def gauge_from_json(obj: dict):
     if fam == "identity":
         return IdentityGauge()
     if fam == "power":
-        return PowerGauge(float(obj["q"]))
+        return PowerGauge(_json_number(obj["q"]))
     if fam == "affine_plus":
-        return AffinePlusGauge(float(obj["c"]))
+        return AffinePlusGauge(_json_number(obj["c"]))
     if fam == "exp_of_f":
         return ExpOfFGauge(_form_from_json(obj["f"]))
     if fam == "tabulated":
-        return TabulatedGauge(tuple((t, v) for t, v in obj["points"]))
+        return TabulatedGauge(tuple((_json_number(t), _json_number(v)) for t, v in obj["points"]))
     raise ValueError(f"unknown gauge family {fam!r}")

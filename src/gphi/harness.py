@@ -214,6 +214,10 @@ def fuzz(config: FuzzConfig) -> FuzzReport:
         broken_cert = certify_phi(BROKEN_PHI, grid=[0.25, 1.0, 4.0])
         if broken_cert.verdict == "member":
             raise ConfigInvalid("broken comparison function unexpectedly certified")
+        # the only available comparison function is not a member, so no pair
+        # can be certified: every trial routes to certification-failed
+        report.trials_run = report.expected_break_count = report.uncertified_count = config.trials
+        return report
 
     for trial in range(config.trials):
         report.trials_run += 1
@@ -233,13 +237,6 @@ def fuzz(config: FuzzConfig) -> FuzzReport:
                     space, T, entry.gauge, phi, None))
             else:
                 report.expected_break_count += 1
-            continue
-
-        if config.break_mode == "drop-phi":
-            # the only available comparison function is not a member, so
-            # no pair can be certified: route to certification-failed
-            report.expected_break_count += 1
-            report.uncertified_count += 1
             continue
 
         chosen = _first_certified(space, T, gauges, phis)

@@ -20,6 +20,7 @@ import math
 from bisect import bisect_left
 from collections.abc import Sequence
 from itertools import islice
+from operator import itemgetter
 from dataclasses import asdict, dataclass
 
 from .contraction import FiniteMap, OperatorSpec, apply, validate_operator
@@ -40,7 +41,6 @@ TAIL_WINDOW = 1_000          # final orbit points trace JSON always keeps
 CONFIRM_STEPS = 3
 TOL_DEFAULT = 1e-10
 BALL_SAMPLES = 128           # points sampled from an interval ball
-PAIR_LIMIT = 10_000          # tail pairs compared by the Cauchy check
 STOP_REASONS = ("exact-fixed-point", "tolerance-met", "budget-exhausted")
 
 
@@ -141,7 +141,7 @@ def trace_from_json(obj: dict) -> PicardTrace:
 
 @dataclass(frozen=True)
 class CauchyDiagnostics:
-    """Quantities assembled by the Cauchy-bound verification."""
+    """Cauchy-bound quantities; ``pairs_checked`` is L(L-1)/2 for the L tail points."""
 
     eps: float
     n: int
@@ -431,8 +431,7 @@ def verify_cauchy_bound(trace: PicardTrace, G, phi, eps: float, n_budget: int = 
                         m_budget: int = 10_000) -> CauchyDiagnostics:
     """Assemble n, m, m0 and check d(x_{k1}, x_{k2}) <= 4*s^3*eps in the tail.
 
-    k1, k2 range over every orbit index from m_bar * n, m_bar = max(m, m0);
-    past ``PAIR_LIMIT`` pairs the index list is strided deterministically.
+    k1, k2 range over every pair of orbit indices from m_bar * n, m_bar = max(m, m0).
     Budget errors, ConstantOverflow when the bound overflows the float range
     and the OrbitTooShort of an index the trace lacks propagate.
     """
@@ -443,7 +442,9 @@ def verify_cauchy_bound(trace: PicardTrace, G, phi, eps: float, n_budget: int = 
 
 
 def _cauchy_tail(trace: PicardTrace, eps: float, n: int, m: int, m0: int) -> CauchyDiagnostics:
-    """The tail pair scan of ``verify_cauchy_bound``, given its n, m and m0."""
+    """The tail check of ``verify_cauchy_bound``, given its n, m and m0: the
+    diameter of the checked tail points, read off the matrix among distinct points,
+    or off the extremes on an interval, where |x - y|**p grows with |x - y|."""
     space = trace.space
     try:
         bound = 4.0 * space.s ** 3 * eps
@@ -454,28 +455,26 @@ def _cauchy_tail(trace: PicardTrace, eps: float, n: int, m: int, m0: int) -> Cau
     m_bar = max(m, m0)
     cutoff = m_bar * n
 
-    ks = [*range(cutoff, trace.max_index + 1)]
+    tail = list(trace.orbit[bisect_left(trace.indices, cutoff):])
+    if len(tail) < trace.max_index + 1 - cutoff:
+        for k in range(cutoff, trace.max_index + 1):
+            trace.point_at(k)                   # names the first index a loaded trace lacks
     if trace.stop_reason == "exact-fixed-point":
-        ks.append(trace.max_index + 1)          # x_k is the fixed point past the stop
-    if not ks:
+        tail.append(trace.fixed_point)          # x_k is the fixed point past the stop
+    if not tail:
         raise OrbitTooShort(f"trace truncated before index {cutoff}")
+    for x in tail:
+        if not space.contains(x):
+            raise PointOutOfDomain(f"point {x!r} not in space")
 
-    max_pts = int((2 * PAIR_LIMIT) ** 0.5) + 1
-    if len(ks) > max_pts:
-        stride = -(-len(ks) // max_pts)
-        ks = [*ks[::stride], ks[-1]]
-    pts = [trace.point_at(k) for k in ks]
-
-    distance = _point_distance(space, pts)
-    max_obs = 0.0
-    checked = 0
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            d = distance(pts[i], pts[j])
-            checked += 1
-            if d > max_obs:
-                max_obs = d
+    if isinstance(space, FiniteSpace):
+        pts = sorted(set(tail))
+        # row x from d(x, x) on: two or more entries, so itemgetter gives a tuple
+        far = [max(itemgetter(*pts[i:])(space.dist[x])) for i, x in enumerate(pts[:-1])]
+    else:
+        far = [space.distance(max(tail), min(tail))]
+    max_obs = max([0.0, *far])                  # a -0.0 never replaces the 0.0
     return CauchyDiagnostics(
         eps=eps, n=n, m=m, m0=m0, m_bar=m_bar, bound=bound,
-        max_observed=max_obs, pairs_checked=checked,
+        max_observed=max_obs, pairs_checked=len(tail) * (len(tail) - 1) // 2,
         holds=max_obs <= bound)

@@ -242,9 +242,17 @@ def _validate_rows(d: tuple[tuple[float, ...], ...], max_points: int) -> FiniteS
 
 
 def _validate_array(matrix, max_points: int) -> FiniteSpace:
-    """Validation with numpy: parses any array-like and scans it as arrays."""
+    """Validation with numpy: parses any array-like and scans it as arrays.
+    A string, boolean or null entry of a list matrix is refused first, since
+    ``np.asarray`` would parse it or read it as 0 or 1; rows of floats alone
+    become the space's rows as they are."""
     import numpy as np
 
+    types = {matrix.dtype.type} if isinstance(matrix, np.ndarray) else set()
+    for row in matrix if isinstance(matrix, (list, tuple)) else ():
+        types.update(map(type, row) if isinstance(row, (list, tuple)) else (type(row),))
+    if any(issubclass(t, (str, bytes, bool, np.bool_, np.character, type(None))) for t in types):
+        raise ValueError("matrix entries must be numbers, not strings, booleans or null")
     d = np.asarray(matrix, dtype=float)
     if d.ndim != 2 or d.shape[0] != d.shape[1] or d.shape[0] < 1:
         raise ValueError("matrix must be square and non-empty")
@@ -268,7 +276,7 @@ def _validate_array(matrix, max_points: int) -> FiniteSpace:
         raise ZeroOffDiagonal(f"zero distance between distinct points ({i}, {j})",
                               witness=(i, j))
     s = _min_constant(d)
-    return FiniteSpace(dist=tuple(map(tuple, d.tolist())), s=s)
+    return FiniteSpace(dist=tuple(map(tuple, matrix if types == {float} else d.tolist())), s=s)
 
 
 def validate_finite_space(matrix: Sequence[Sequence[float]],
@@ -327,6 +335,18 @@ def check_limit_bounds(space: Space, seq: Sequence, x_star, y_star,
 
 # --- JSON interface ---------------------------------------------------------
 
+def _json_number(value) -> float:
+    """A number of a JSON document as a float; a string or a boolean is
+    refused rather than parsed or read as 0 or 1, and so is an integer
+    beyond the float range."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"expected a JSON number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError("a JSON integer is beyond the float range") from None
+
+
 def space_to_json(space: Space) -> dict:
     if isinstance(space, FiniteSpace):
         return {"dist": [list(row) for row in space.dist], "s": space.s}
@@ -344,12 +364,13 @@ def space_from_json(obj: dict) -> Space:
     if "dist" in obj:
         fs = validate_finite_space(obj["dist"])
         if "s" in obj and obj["s"] is not None:
-            given = float(obj["s"])
+            given = _json_number(obj["s"])
             if given < fs.s:
                 raise ConstantTooSmall(
                     f"declared constant {given} below computed minimum {fs.s}")
             fs = replace(fs, s=given)
         return fs
     if {"lo", "hi", "p"} <= set(obj):
-        return AnalyticSpace(lo=float(obj["lo"]), hi=float(obj["hi"]), p=float(obj["p"]))
+        return AnalyticSpace(lo=_json_number(obj["lo"]), hi=_json_number(obj["hi"]),
+                             p=_json_number(obj["p"]))
     raise ValueError("space document must contain either 'dist' or 'lo'/'hi'/'p'")

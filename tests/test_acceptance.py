@@ -283,6 +283,7 @@ def test_golden_report_bytes(flagship_report):
 GOLDEN_DROP_CONTRACTION_SHA256 = \
     "b266d4f9f428e8932aeaaec9cbc178f4ea0846c05cded2204e4ce68f4c555b8c"
 GOLDEN_MAX32_SHA256 = "4dcc77cdb9774ba516034e680451fe5ab338419c7e072b624221a2e5f95949d6"
+GOLDEN_DROP_PHI_SHA256 = "b511c3beea6a532851d2640b958d005d69c85e7ec46f0c30f96fb9c91ba85785"
 
 
 def test_golden_report_bytes_break_and_wide():
@@ -294,3 +295,7 @@ def test_golden_report_bytes_break_and_wide():
     assert (wide.certified_count, wide.uncertified_count) == (15, 185)
     assert wide.theorem_holds_count == 15 and wide.violations == []
     assert _sha256(wide) == GOLDEN_MAX32_SHA256
+
+    dropped = fuzz(FuzzConfig(seed=0, trials=200, break_mode="drop-phi"))
+    assert (dropped.expected_break_count, dropped.uncertified_count) == (200, 200)
+    assert _sha256(dropped) == GOLDEN_DROP_PHI_SHA256

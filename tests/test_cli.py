@@ -83,6 +83,60 @@ class TestCertify:
         assert capsys.readouterr().err
 
 
+# every instance number must be a JSON number within the float range and
+# every map entry an integer: none of these is parsed from a string, read
+# from a boolean or null, or rounded
+COERCED = {
+    "dist-string": dict(THREE_POINT_INSTANCE, space={"dist": [[0, "1"], ["1", 0]]},
+                        operator={"map": [0, 0]}),
+    "dist-true": dict(THREE_POINT_INSTANCE, space={"dist": [[0, True], [True, 0]]},
+                      operator={"map": [0, 0]}),
+    "dist-string-20": dict(THREE_POINT_INSTANCE, operator={"map": [0] * 20}, space={"dist": [
+        [abs(i - j) if {i, j} != {0, 1} else "1" for j in range(20)] for i in range(20)]}),
+    "s-string": dict(THREE_POINT_INSTANCE, space={**THREE_POINT_INSTANCE["space"], "s": "2"}),
+    "map-fraction": dict(THREE_POINT_INSTANCE, operator={"map": [0.9, 0, 1]}),
+    "map-string": dict(THREE_POINT_INSTANCE, operator={"map": [0, "0", 1]}),
+    "map-true": dict(THREE_POINT_INSTANCE, operator={"map": [0, 0, True]}),
+    "map-null": dict(THREE_POINT_INSTANCE, operator={"map": [0, 0, None]}),
+    "lo-string": dict(ANALYTIC_INSTANCE, space={"lo": "0", "hi": 1.0, "p": 1.0}),
+    "p-true": dict(ANALYTIC_INSTANCE, space={"lo": 0.0, "hi": 1.0, "p": True}),
+    "affine-string": dict(ANALYTIC_INSTANCE, operator={"affine": {"a": "0.5", "b": 0.25}}),
+    "tabulated-map-string": dict(ANALYTIC_INSTANCE,
+                                 operator={"tabulated": [[0.0, "0.1"], [0.5, 0.2]]}),
+    "phi-string": dict(THREE_POINT_INSTANCE, phi={"family": "linear", "c": "0.5"}),
+    "phi-true": dict(THREE_POINT_INSTANCE, phi={"family": "hyperbolic", "a": True}),
+    "phi-tau-string": dict(THREE_POINT_INSTANCE, phi={"family": "shifted", "tau": "1"}),
+    "phi-tabulated-string": dict(THREE_POINT_INSTANCE, phi={
+        "family": "tabulated", "points": [[0.5, "0.25"], [1.0, 0.5]]}),
+    "gauge-string": dict(THREE_POINT_INSTANCE, G={"family": "power", "q": "2"}),
+    "gauge-true": dict(THREE_POINT_INSTANCE, G={"family": "affine_plus", "c": True}),
+    "form-string": dict(THREE_POINT_INSTANCE, G={"family": "exp_of_f", "f": {"shift": "1"}}),
+    "gauge-tabulated-string": dict(THREE_POINT_INSTANCE, G={
+        "family": "tabulated", "points": [[0.5, "1"], [1.0, 2.0]]}),
+    "phi-past-float-range": dict(THREE_POINT_INSTANCE,
+                                 phi={"family": "linear", "c": 10 ** 400}),
+}
+
+
+class TestCoercedNumbers:
+    @pytest.mark.parametrize("name", sorted(COERCED))
+    def test_certify_exits_one(self, tmp_path, capsys, name):
+        assert run_cli(["certify", write(tmp_path, "inst.json", COERCED[name])]) == 1
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("error: ValueError: ")
+
+    def test_solve_exits_one(self, tmp_path, capsys):
+        doc = dict(COERCED["dist-string"], operator={"map": [0.9, "0"]})
+        assert run_cli(["solve", write(tmp_path, "inst.json", doc), "--x0", "1"]) == 1
+        assert capsys.readouterr().out == ""
+
+    def test_integral_numbers_still_load(self, tmp_path, capsys):
+        doc = dict(THREE_POINT_INSTANCE, space={"dist": [[0, 1, 2], [1, 0, 4], [2, 4, 0]]},
+                   operator={"map": [0.0, 0, 1.0]})
+        assert run_cli(["certify", write(tmp_path, "inst.json", doc)]) == 0
+        assert json.loads(capsys.readouterr().out)["verdict"] == "certified"
+
+
 class TestSolve:
     def test_constant_overflow_exits_one(self, tmp_path, capsys):
         # d(0, 1) over its detour through 2 is 5e599: s would print as
@@ -203,8 +257,8 @@ class TestReport:
         trace_path = tmp_path / "trace.json"
         trace_path.write_text(solve_out)
         assert run_cli(["report", str(trace_path)]) == 0
-        assert "iterations recorded: 17 (stop at k = 100, reason: budget-exhausted)\n" in \
-            capsys.readouterr().out
+        assert ("orbit points recorded: 17 of 101 "
+                "(stop at k = 100, reason: budget-exhausted)\n") in capsys.readouterr().out
 
     def test_malformed_trace(self, tmp_path, capsys):
         path = tmp_path / "trace.json"
@@ -215,7 +269,7 @@ class TestReport:
         (dict(THREE_POINT_INSTANCE, operator={"map": [1, 2, 0]}),
          "space: finite, constant s = 1.3333333333333333\n"
          "start point: 0\n"
-         "iterations recorded: 4 (stop at k = 3, reason: budget-exhausted)\n"
+         "orbit points recorded: 4 of 4 (stop at k = 3, reason: budget-exhausted)\n"
          "fixed point: None\n"
          "cycle detected: [0, 1, 2]\n"
          "last step distance: 2.0\n"
@@ -224,7 +278,7 @@ class TestReport:
         (dict(ANALYTIC_INSTANCE, space={"lo": 0.0, "hi": 1.0, "p": 2.0}),
          "space: interval, constant s = 2.0\n"
          "start point: 0.0\n"
-         "iterations recorded: 19 (stop at k = 18, reason: tolerance-met)\n"
+         "orbit points recorded: 19 of 19 (stop at k = 18, reason: tolerance-met)\n"
          "fixed point: 0.4999980926513672\n"
          "last step distance: 3.637978807091713e-12\n"
          "cauchy diagnostics: eps = 0.5, n = 5, m = 1, m0 = 1, bound = 16.0, "

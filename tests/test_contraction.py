@@ -285,6 +285,20 @@ class TestCzerwikForm:
                 (rhs.violation_witness.x, rhs.violation_witness.y)
 
 
+class TestFiniteMapEntries:
+    def test_integers_and_integral_floats(self):
+        import numpy as np
+
+        T = FiniteMap((np.int64(2), 1.0, 0, np.uint8(1)))
+        assert T.mapping == (2, 1, 0, 1)
+        assert all(type(v) is int for v in T.mapping)
+
+    @pytest.mark.parametrize("entry", [0.9, -0.5, "0", True, False, None, math.nan, math.inf])
+    def test_entries_int_would_change_are_refused(self, entry):
+        with pytest.raises(ValueError, match="^map entries must be integers"):
+            FiniteMap((0, entry))
+
+
 class TestOperatorJson:
     def test_round_trip(self):
         for T in (FiniteMap((0, 0, 1)), AffineMap(0.5, 0.25),

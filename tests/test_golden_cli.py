@@ -63,7 +63,7 @@ GOLDEN = {
     ("chain256", "certify"): (0,
         "8998c94df8e156e0484b39aa3f597348c5f871915afd8dd8db0feb5d16fb071e"),
     ("chain256", "solve"): (0,
-        "dfe49f9e440124e21cdc106e5b4babc85401c4a2eb83c0d8742282ba74e8daed"),
+        "f1c4d1b7253d39e627816a16aad4e8f55c858e364da8704dbfd32cfa60b623b5"),
     ("random64", "certify"): (2,
         "1b6ff772a237624a050d8e74e5e6ebbeffde911fc757850b97a5a432dc5e3f9c"),
     ("random64", "solve"): (0,

@@ -131,6 +131,26 @@ class TestKernelsAgree:
         assert spaces._plain_rows(d[:-1]) is None            # not square
         assert spaces._plain_rows([row[:-1] for row in d[:-1]]) is not None
 
+    @pytest.mark.parametrize("entry", [True, False, None, "1", "1.5"])
+    @pytest.mark.parametrize("n", [2, PY_KERNEL_MAX_POINTS + 1])
+    def test_non_number_entries_are_refused(self, entry, n):
+        # np.asarray(..., dtype=float) would parse "1" and read True as 1.0
+        d = symmetric(n, lambda: 1.5)
+        d[0][1] = d[1][0] = entry
+        assert_kernels_agree(d)
+        with pytest.raises(ValueError, match="^matrix entries must be numbers"):
+            validate_finite_space(d)
+
+    def test_numpy_non_numbers_are_refused(self):
+        import numpy as np
+
+        d = [[0.0, 1.5], [1.5, 0.0]]
+        for bad in (np.array(d) > 0, np.array(d).astype(str),
+                    [[0.0, np.bool_(True)], [np.bool_(True), 0.0]]):
+            with pytest.raises(ValueError, match="^matrix entries must be numbers"):
+                validate_finite_space(bad)
+        assert validate_finite_space(np.array(d)).dist == ((0.0, 1.5), (1.5, 0.0))
+
 
 def k_loop_min_constant(d) -> float:
     """The numpy ``_min_constant`` as a full n x n reduction over k, kept
