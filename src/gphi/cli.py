@@ -91,11 +91,14 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load_instance(path: str):
     with open(path) as fh:
         obj = json.load(fh)
-    space = space_from_json(obj["space"])
-    T = operator_from_json(obj["operator"])
-    validate_operator(space, T)
-    G = gauge_from_json(obj["G"])
-    phi = phi_from_json(obj["phi"])
+    try:
+        space = space_from_json(obj["space"])
+        T = operator_from_json(obj["operator"])
+        validate_operator(space, T)
+        G = gauge_from_json(obj["G"])
+        phi = phi_from_json(obj["phi"])
+    except TypeError as exc:                # a value of the wrong shape, e.g. 5 for an object
+        raise ValueError(f"malformed instance: {exc}") from exc
     return space, T, G, phi
 
 

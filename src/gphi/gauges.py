@@ -82,8 +82,7 @@ def log_grid(lo_decade: int = GRID_LO_DECADE, hi_decade: int = GRID_HI_DECADE,
 class RealForm:
     """A named scalar function with optional analytic facts attached.
 
-    ``inf_value`` is the infimum over the form's domain ((0, inf) for gauge
-    exponents, all of R for adapter shifts); ``diverges_iff_zero`` states
+    ``inf_value`` is the infimum over (0, inf); ``diverges_iff_zero`` states
     whether ``fn(a_n) -> -inf`` holds exactly when ``a_n -> 0``.
     ``json_form`` is the loadable document for parameterized forms.
     """
@@ -122,9 +121,9 @@ def affine_form(a: float, b: float) -> RealForm:
 
 
 def shift_form(tau: float) -> RealForm:
-    """Form t -> t - tau on all of R (the classical contraction shift)."""
+    """Form t -> t - tau (the classical contraction shift)."""
     return RealForm(f"shift({tau!r})", lambda t: t - tau, lambda y: y + tau,
-                    increasing=True, inf_value=-math.inf,
+                    increasing=True, inf_value=-tau,
                     diverges_iff_zero=False, json_form={"shift": tau})
 
 

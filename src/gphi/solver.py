@@ -10,15 +10,13 @@ the invariant ball, the step-chaining bound, and the final Cauchy bound
 
 Orbits that stop on an exact fixed point are treated as constantly extended
 beyond the stopping index (``T x* = x*``), so block indices like ``m*n`` that
-fall past the recorded stop are well defined.  Traces hold whole orbits; only
-their JSON is thinned, past ``RECORD_CAP`` points.
+fall past the recorded stop are well defined.  Traces hold whole orbits, in
+memory and in JSON.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
-from collections.abc import Sequence
 from itertools import islice
 from operator import itemgetter
 from dataclasses import asdict, dataclass
@@ -36,8 +34,6 @@ from .gauges import n_epsilon
 from .spaces import FiniteSpace, Space, space_from_json, space_to_json
 
 MAX_ITER_DEFAULT = 10_000
-RECORD_CAP = 100_000         # orbit points trace JSON keeps, head and tail together
-TAIL_WINDOW = 1_000          # final orbit points trace JSON always keeps
 CONFIRM_STEPS = 3
 TOL_DEFAULT = 1e-10
 BALL_SAMPLES = 128           # points sampled from an interval ball
@@ -46,13 +42,12 @@ STOP_REASONS = ("exact-fixed-point", "tolerance-met", "budget-exhausted")
 
 @dataclass(frozen=True)
 class PicardTrace:
-    """Recorded orbit of a Picard iteration, x_{indices[i]} = orbit[i]: all
-    of it, or the thinned orbit of a trace loaded by ``trace_from_json``."""
+    """Recorded orbit of a Picard iteration, x_k = orbit[k]: all of it, one
+    point more than its steps."""
 
     space: Space
     x0: object
     orbit: tuple
-    indices: Sequence[int]
     step_dists: tuple[float, ...]
     stop_reason: str            # one of STOP_REASONS
     fixed_point: object | None
@@ -61,13 +56,12 @@ class PicardTrace:
 
     @property
     def max_index(self) -> int:
-        return self.indices[-1]
+        return len(self.orbit) - 1
 
     def point_at(self, k: int):
         """Orbit point x_k: recorded, or the fixed point past an exact stop."""
-        pos = bisect_left(self.indices, k)
-        if pos < len(self.indices) and self.indices[pos] == k:
-            return self.orbit[pos]
+        if 0 <= k < len(self.orbit):
+            return self.orbit[k]
         if self.stop_reason == "exact-fixed-point" and k >= self.k_stop:
             return self.fixed_point
         if self.cycle is not None and k > self.max_index:
@@ -84,14 +78,11 @@ class PicardTrace:
         raise OrbitTooShort(f"step index {k} not recorded")
 
     def to_json(self) -> dict:
-        # a whole orbit is thinned here, a loaded thinned one is kept as it is
-        dense = len(self.orbit) == self.max_index + 1
-        kept = _kept_indices(len(self.orbit)) if dense else range(len(self.orbit))
         return {
             "space": space_to_json(self.space),
             "x0": self.x0,
-            "orbit": [self.orbit[i] for i in kept],
-            "indices": [self.indices[i] for i in kept],
+            "orbit": list(self.orbit),
+            "indices": list(range(len(self.orbit))),
             "step_dists": list(self.step_dists),
             "stop_reason": self.stop_reason,
             "fixed_point": self.fixed_point,
@@ -101,18 +92,20 @@ class PicardTrace:
 
 
 def trace_from_json(obj: dict) -> PicardTrace:
-    """Load a trace; the points it names must lie in its space, and its
-    indices, x0, fixed point, cycle and ``k_stop`` must fit its orbit, steps
+    """Load a trace; the points it names must lie in its space, its indices
+    must be 0 .. len(orbit) - 1, its orbit one point longer than its steps,
+    and its x0, fixed point, cycle and ``k_stop`` must fit its orbit, steps
     and stop reason as ``picard_iterate`` writes them, because the lemma
     checks read them without checking them again."""
     space = space_from_json(obj["space"])
     cycle = obj.get("cycle")
     if (not all(isinstance(v, list) for v in (obj["orbit"], obj["indices"], obj["step_dists"]))
             or not isinstance(cycle, (list, type(None)))
-            or not all(isinstance(i, int) for i in obj["indices"])
-            or not all(isinstance(d, (int, float)) for d in obj["step_dists"])):
+            or not all(type(i) is int for i in obj["indices"])
+            or not all(type(d) is not bool and isinstance(d, (int, float))
+                       for d in obj["step_dists"])):
         raise ValueError("trace orbit, indices, steps or cycle has the wrong type")
-    orbit = tuple(obj["orbit"])
+    orbit, step_dists = tuple(obj["orbit"]), tuple(obj["step_dists"])
     fixed_point, stop_reason = obj["fixed_point"], obj["stop_reason"]
     cycle = tuple(cycle) if cycle is not None else None
     named = [obj["x0"], *orbit, *(cycle or ())]
@@ -121,12 +114,11 @@ def trace_from_json(obj: dict) -> PicardTrace:
     for x in named:
         if not space.contains(x):
             raise PointOutOfDomain(f"trace point {x!r} not in space")
-    indices, step_dists = tuple(obj["indices"]), tuple(obj["step_dists"])
-    if (len(indices) != len(orbit) or indices[:1] != (0,)
-            or any(i >= j for i, j in zip(indices, indices[1:]))
-            or indices[-1] > len(step_dists) or stop_reason not in STOP_REASONS):
+    if (obj["indices"] != list(range(len(orbit))) or len(orbit) != len(step_dists) + 1
+            or stop_reason not in STOP_REASONS):
         raise ValueError("trace indices, steps or stop reason do not fit its orbit")
     if ((fixed_point is None) != (stop_reason == "budget-exhausted")
+            or type(obj["k_stop"]) is not int
             or obj["k_stop"] != len(step_dists) - (stop_reason == "exact-fixed-point")):
         raise ValueError("trace fixed point or k_stop does not fit its stop reason")
     if (obj["x0"] != orbit[0] or fixed_point not in (None, orbit[-1])
@@ -134,7 +126,6 @@ def trace_from_json(obj: dict) -> PicardTrace:
         raise ValueError("trace x0, fixed point or cycle does not fit its orbit")
     return PicardTrace(
         space=space, x0=obj["x0"], orbit=orbit, step_dists=step_dists,
-        indices=range(len(orbit)) if indices[-1] == len(orbit) - 1 else indices,
         stop_reason=stop_reason, fixed_point=fixed_point,
         k_stop=obj["k_stop"], cycle=cycle)
 
@@ -221,18 +212,6 @@ def _point_distance(space: Space, points):
     return lambda x, y: dist[x][y]
 
 
-def _kept_indices(count: int) -> list[int]:
-    """The indices trace JSON keeps of ``count`` orbit points: every
-    ``stride``-th, for the least power-of-two stride that keeps at most
-    ``max(RECORD_CAP - TAIL_WINDOW, 16)`` of them, plus the last ``TAIL_WINDOW``."""
-    head_cap = max(RECORD_CAP - TAIL_WINDOW, 16)
-    stride = 1
-    while -(-count // stride) > head_cap:
-        stride *= 2
-    tail_start = max(count - TAIL_WINDOW, 0)
-    return [*range(0, tail_start, stride), *range(tail_start, count)]
-
-
 def picard_iterate(space: Space, T: OperatorSpec, x0, max_iter: int = MAX_ITER_DEFAULT,
                    tol: float = TOL_DEFAULT) -> PicardTrace:
     """Run the orbit x, Tx, T^2 x, ... and record a trace.
@@ -243,7 +222,7 @@ def picard_iterate(space: Space, T: OperatorSpec, x0, max_iter: int = MAX_ITER_D
     at least 2) stops the run early with a cycle annotation; under certified
     hypotheses such a cycle falsifies the convergence theorem and is
     surfaced via stop_reason budget-exhausted.  The trace holds every
-    orbit point; ``PicardTrace.to_json`` thins long orbits.
+    orbit point.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
@@ -276,7 +255,6 @@ def picard_iterate(space: Space, T: OperatorSpec, x0, max_iter: int = MAX_ITER_D
     return PicardTrace(
         space=space, x0=x0,
         orbit=tuple(points),
-        indices=range(len(points)),
         step_dists=tuple(steps),
         stop_reason=stop_reason, fixed_point=fixed_point,
         k_stop=k_stop, cycle=cycle)
@@ -455,10 +433,7 @@ def _cauchy_tail(trace: PicardTrace, eps: float, n: int, m: int, m0: int) -> Cau
     m_bar = max(m, m0)
     cutoff = m_bar * n
 
-    tail = list(trace.orbit[bisect_left(trace.indices, cutoff):])
-    if len(tail) < trace.max_index + 1 - cutoff:
-        for k in range(cutoff, trace.max_index + 1):
-            trace.point_at(k)                   # names the first index a loaded trace lacks
+    tail = list(trace.orbit[cutoff:])
     if trace.stop_reason == "exact-fixed-point":
         tail.append(trace.fixed_point)          # x_k is the fixed point past the stop
     if not tail:

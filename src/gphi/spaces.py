@@ -82,7 +82,8 @@ class FiniteSpace:
         return range(self.n)
 
     def contains(self, x) -> bool:
-        return ((isinstance(x, int) or _is_numpy_scalar(x, "integer"))
+        return (type(x) is not bool
+                and (isinstance(x, int) or _is_numpy_scalar(x, "integer"))
                 and 0 <= x < self.n)
 
     def distance(self, x: int, y: int) -> float:
@@ -113,7 +114,8 @@ class AnalyticSpace:
         return 2.0 ** (self.p - 1.0)
 
     def contains(self, x) -> bool:
-        return ((isinstance(x, (float, int)) or _is_numpy_scalar(x, "floating"))
+        return (type(x) is not bool
+                and (isinstance(x, (float, int)) or _is_numpy_scalar(x, "floating"))
                 and self.lo <= x <= self.hi)
 
     def distance(self, x: float, y: float) -> float:

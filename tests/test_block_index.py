@@ -3,7 +3,7 @@
 ``m_epsilon`` reads the block index off a recorded trace.  The references
 below are the two scans it replaced, kept verbatim apart from holding the
 walk cap here: the lazy orbit walker with the scan that read it, and the
-trace scan that skipped block indices a thinned trace lacks.  ``m_epsilon``
+trace scan that skipped block indices a trace lacks.  ``m_epsilon``
 skips no block: it stops at the first block point the trace lacks, where
 the skipping scan went on.  Otherwise it gives the skipping scan's m, or
 its exception type and message.  The walker sees the same orbit: where the
@@ -28,7 +28,7 @@ from gphi.errors import (
     PointOutOfDomain,
 )
 from gphi.harness import generate_operator, generate_space
-from gphi.solver import PicardTrace, m_epsilon, picard_iterate, trace_from_json
+from gphi.solver import PicardTrace, m_epsilon, picard_iterate
 from gphi.spaces import AnalyticSpace, FiniteSpace, validate_finite_space
 
 UNIT = AnalyticSpace(0.0, 1.0, 1.0)
@@ -144,7 +144,7 @@ def trace_cases():
         traces.append(picard_iterate(space, T, seed % 7, max_iter=1 + seed % 4))
         traces.append(picard_iterate(space, T, seed % 7))
     # a hand-built trace whose orbit leaves its space at x_2
-    traces.append(PicardTrace(space=THREE, x0=0, orbit=(0, 1, 7), indices=(0, 1, 2),
+    traces.append(PicardTrace(space=THREE, x0=0, orbit=(0, 1, 7),
                               step_dists=(1.0, 1.0), stop_reason="budget-exhausted",
                               fixed_point=None, k_stop=2))
     return traces
@@ -170,23 +170,14 @@ def test_trace_scan_matches_walker(n, eps):
                 assert got[0] == "BudgetExhausted" or "the orbit cycles through" in got[1]
 
 
-@pytest.mark.parametrize("thinned", [False, True])
 @pytest.mark.parametrize("n", [1, 2, 3, 5])
 @pytest.mark.parametrize("eps", [0.001, 0.05, 0.5])
-def test_trace_scan_matches_parent(thinned, n, eps, monkeypatch):
-    # thinned traces are loaded from JSON written under small caps (the
-    # hand-built trace with a point outside its space does not load).  Where
-    # the outcomes differ, the parent skipped a block whose point at index k
-    # the trace lacks, and went on to an m past it or to its budget;
-    # m_epsilon stops at that block and names k
-    traces = trace_cases()
-    if thinned:
-        monkeypatch.setattr(solver, "RECORD_CAP", 40)
-        monkeypatch.setattr(solver, "TAIL_WINDOW", 7)
-        traces = [trace_from_json(t.to_json()) for t in traces[:-1]]
-    assert any(len(t.indices) <= t.max_index for t in traces) == thinned
+def test_trace_scan_matches_parent(n, eps):
+    # where the outcomes differ, the parent skipped a block whose point at
+    # index k lies past the trace's end, and went on to an m past it or to
+    # its budget; m_epsilon stops at that block and names k
     departures = 0
-    for trace in traces:
+    for trace in trace_cases():
         for budget in range(1, 61):
             got = outcome(m_epsilon, trace, n, eps, budget)
             parent = outcome(parent_m_epsilon_on_trace, trace, n, eps, trace.space.s, budget)
@@ -195,9 +186,9 @@ def test_trace_scan_matches_parent(thinned, n, eps, monkeypatch):
             departures += 1
             kind, message = got
             k = int(re.match(r"orbit index (\d+) not recorded", message)[1])
-            assert kind == "OrbitTooShort" and k % n == 0 and k not in trace.indices
+            assert kind == "OrbitTooShort" and k % n == 0 and k > trace.max_index
             if isinstance(parent, int):
-                assert k <= parent * n, (trace.indices, n, eps, budget)
+                assert k <= parent * n, (trace.max_index, n, eps, budget)
             else:
                 assert parent[0] == "BudgetExhausted" and k <= (budget + 1) * n
     assert departures > 0

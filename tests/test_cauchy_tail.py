@@ -144,7 +144,7 @@ class TestTailPoints:
         # NaN would hide from the tail's min and max
         inside = [0, 1, 2] if bad == -1 else [0.25, 0.5, 0.75]
         trace = PicardTrace(space=space, x0=inside[0], orbit=(*inside[:2], bad, inside[2]),
-                            indices=range(4), step_dists=(1.0, 1.0, 1.0),
+                            step_dists=(1.0, 1.0, 1.0),
                             stop_reason="budget-exhausted", fixed_point=None, k_stop=3)
         with pytest.raises(PointOutOfDomain):
             _cauchy_tail(trace, 0.5, 1, 1, 1)

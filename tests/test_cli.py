@@ -2,7 +2,6 @@ import json
 
 import pytest
 
-from gphi import solver
 from gphi.cli import run_cli
 
 THREE_POINT_INSTANCE = {
@@ -137,6 +136,35 @@ class TestCoercedNumbers:
         assert json.loads(capsys.readouterr().out)["verdict"] == "certified"
 
 
+# instance values of the wrong JSON shape, where loading indexes into them
+MALFORMED = {
+    "affine-number": dict(ANALYTIC_INSTANCE, operator={"affine": 5}),
+    "gauge-number": dict(THREE_POINT_INSTANCE, G=5),
+    "phi-list": dict(THREE_POINT_INSTANCE, phi=[0.5]),
+    "top-level-list": [1, 2],
+}
+
+
+class TestMalformedShapes:
+    @pytest.mark.parametrize("name", sorted(MALFORMED))
+    @pytest.mark.parametrize("command", [["certify"], ["solve", "--x0", "0"]])
+    def test_exits_one(self, tmp_path, capsys, name, command):
+        path = write(tmp_path, "inst.json", MALFORMED[name])
+        assert run_cli([command[0], path, *command[1:]]) == 1
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("error: ValueError: malformed instance: ")
+
+    def test_type_error_past_loading_surfaces(self, tmp_path, monkeypatch):
+        # only loading turns a TypeError into bad input; one raised while
+        # certifying is a fault of the program and must not be hidden
+        def broken(*args, **kwargs):
+            raise TypeError("certifier fault")
+
+        monkeypatch.setattr("gphi.cli.certify_condition_G", broken)
+        with pytest.raises(TypeError, match="certifier fault"):
+            run_cli(["certify", write(tmp_path, "inst.json", THREE_POINT_INSTANCE)])
+
+
 class TestSolve:
     def test_constant_overflow_exits_one(self, tmp_path, capsys):
         # d(0, 1) over its detour through 2 is 5e599: s would print as
@@ -240,25 +268,38 @@ class TestReport:
         assert "fixed point" in text
         assert "cauchy diagnostics" in text
 
-    def test_thinned_solve_output(self, tmp_path, capsys, monkeypatch):
-        # the JSON of a 101-point orbit keeps 13 strided head points and the
-        # last 4, while the Cauchy check read the whole tail x_28 .. x_100
-        monkeypatch.setattr(solver, "RECORD_CAP", 20)
-        monkeypatch.setattr(solver, "TAIL_WINDOW", 4)
+    @pytest.mark.parametrize("kept", [
+        [*range(0, 97, 8), 97, 98, 99, 100],        # strided head and last 4
+        [*range(0, 100)]])                          # x_100 cut off
+    def test_partial_trace_exits_one(self, tmp_path, capsys, kept):
+        # a trace document holds every orbit point: one with gaps or cut
+        # short would have the lemmas read points it does not record
         inst = dict(ANALYTIC_INSTANCE, operator={"affine": {"a": 0.9, "b": 0.05}},
                     phi={"family": "linear", "c": 0.95})
         path = write(tmp_path, "inst.json", inst)
         assert run_cli(["--tol", "0", "solve", path, "--x0", "0", "--max-iter", "100"]) == 0
-        solve_out = capsys.readouterr().out
-        doc = json.loads(solve_out)
-        assert doc["trace"]["indices"] == [*range(0, 97, 8), 97, 98, 99, 100]
-        assert (doc["diagnostics"]["n"], doc["diagnostics"]["m_bar"]) == (28, 1)
-        assert doc["diagnostics"]["pairs_checked"] == 73 * 72 // 2
-        trace_path = tmp_path / "trace.json"
-        trace_path.write_text(solve_out)
-        assert run_cli(["report", str(trace_path)]) == 0
-        assert ("orbit points recorded: 17 of 101 "
-                "(stop at k = 100, reason: budget-exhausted)\n") in capsys.readouterr().out
+        doc = json.loads(capsys.readouterr().out)
+        trace = doc["trace"]
+        assert trace["indices"] == [*range(101)] and len(trace["step_dists"]) == 100
+        trace.update(orbit=[trace["orbit"][k] for k in kept], indices=kept)
+        assert run_cli(["report", write(tmp_path, "trace.json", doc)]) == 1
+        out = capsys.readouterr()
+        assert out.out == "" and out.err == (
+            "error: ValueError: trace indices, steps or stop reason do not fit its orbit\n")
+
+    def test_boolean_trace_exits_one(self, tmp_path, capsys):
+        # True == 1 and False == 0: this trace printed "start point: True"
+        trace = {"space": {"dist": [[0, 1], [1, 0]]}, "x0": True, "orbit": [True, False, False],
+                 "indices": [0, 1, 2], "step_dists": [1.0, 0.0],
+                 "stop_reason": "exact-fixed-point", "fixed_point": False, "k_stop": 1}
+        assert run_cli(["report", write(tmp_path, "trace.json", trace)]) == 1
+        out = capsys.readouterr()
+        assert out.out == "" and out.err == (
+            "error: PointOutOfDomain: trace point True not in space\n")
+        trace.update(x0=1, orbit=[1, 0, 0], fixed_point=0)
+        assert run_cli(["report", write(tmp_path, "trace.json", trace)]) == 0
+        assert capsys.readouterr().out.startswith(
+            "space: finite, constant s = 1.0\nstart point: 1\n")
 
     def test_malformed_trace(self, tmp_path, capsys):
         path = tmp_path / "trace.json"

@@ -198,7 +198,7 @@ def test_out_of_range_start_point(x0):
 @pytest.mark.parametrize("center", [3, 4, -1])
 def test_ball_center_outside_the_space(center):
     # a trace settled at a point the space lacks; -1 would index the matrix
-    trace = PicardTrace(space=THREE, x0=center, orbit=(center,), indices=(0,),
+    trace = PicardTrace(space=THREE, x0=center, orbit=(center,),
                         step_dists=(), stop_reason="exact-fixed-point",
                         fixed_point=center, k_stop=0)
     with pytest.raises(PointOutOfDomain):

@@ -322,6 +322,18 @@ class TestClassifyIncreasingGauge:
         assert G.eval(710.5) == G.eval(713.7) == math.inf
         assert classify_increasing_gauge(G) == "G1"
 
+    def test_shift_exponent_is_g1(self):
+        # G(a) = exp(a - 0.5) has infimum exp(-0.5) over (0, inf).  The shift
+        # form's infimum over all of R, -inf, once made it G2, with a G1
+        # "witness" whose values never fell below 0.6065
+        G = gauge_from_json({"family": "exp_of_f", "f": {"shift": 0.5}})
+        assert G.known_inf() == math.exp(-0.5)
+        assert classify_increasing_gauge(G) == "G1"
+        cert = certify_gauge_class(G)
+        assert (cert.in_g1, cert.in_g2) == ("yes", "no")
+        assert cert.evidence["inf_closed_form"] == math.exp(-0.5)
+        assert "g1_witness" not in cert.evidence
+
     def test_drop_from_inf_is_a_witness(self):
         G = ExpOfFGauge(RealForm("peak", lambda a: 800.0 if a < 1.0 else a))
         with pytest.raises(NotStrictlyIncreasing):

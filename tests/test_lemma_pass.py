@@ -17,8 +17,7 @@ on those.  On traces a passing fuzz run never produces it departs from the
 reference by design: a trace that stops short fails its block scan, and a
 step-chaining lemma that raises takes the Cauchy lemma with it.  Those cases
 pin the harness's report and still compare every lemma value the departure
-does not touch.  Small trace caps thin only the JSON of a trace, so the
-harness then matches the reference exactly.
+does not touch.
 """
 
 import dataclasses
@@ -47,7 +46,7 @@ from gphi.harness import (
     verify_g1_termination,
     verify_step_chaining,
 )
-from gphi.solver import m_epsilon, verify_cauchy_bound, verify_invariant_ball
+from gphi.solver import verify_cauchy_bound, verify_invariant_ball
 from gphi.spaces import validate_finite_space
 from test_block_index import OrbitWalk, walker_m_epsilon
 
@@ -273,14 +272,7 @@ def _halving_chain(size, scale):
     return space, FiniteMap(tuple(min(i + 1, size - 1) for i in range(size)))
 
 
-def _thin_traces(monkeypatch):
-    # trace JSON keeps 16 strided head points and the last 4, so the JSON
-    # of an orbit longer than 20 points lacks indices
-    monkeypatch.setattr(solver, "RECORD_CAP", 20)
-    monkeypatch.setattr(solver, "TAIL_WINDOW", 4)
-
-
-@pytest.mark.parametrize("variant", ["plain", "no-chaining", "thinned"])
+@pytest.mark.parametrize("variant", ["plain", "no-chaining"])
 @pytest.mark.parametrize("gauge_name", GAUGES)
 @pytest.mark.parametrize("size,scale", [(24, 2.0 ** 8), (40, 2.0 ** 20)])
 def test_halving_chains_equal(monkeypatch, size, scale, gauge_name, variant):
@@ -293,8 +285,6 @@ def test_halving_chains_equal(monkeypatch, size, scale, gauge_name, variant):
     (entry,), (phi,) = _prepare_catalogs(config)
     assert certify_condition_G(space, T, gauge, phi).verdict == "certified"
     forced = [NO_CHAINING] if variant == "no-chaining" else []
-    if variant == "thinned":
-        _thin_traces(monkeypatch)
 
     def run():
         report = FuzzReport(config={})
@@ -305,12 +295,6 @@ def test_halving_chains_equal(monkeypatch, size, scale, gauge_name, variant):
                            HALVING_PINS.get((size, gauge_name, variant)))
     kinds = {v["kind"] for v in report["violations"]}
     assert kinds == ({"step-chaining", "cauchy-bound"} if forced else set())
-    if variant == "thinned":
-        # the caps thin the JSON, while the harness read the whole orbit
-        trace = picard_iterate(space, T, 0, max_iter=size, tol=0.0)
-        assert trace.stop_reason == "exact-fixed-point"
-        assert len(trace.orbit) == trace.max_index + 1
-        assert len(trace.to_json()["indices"]) < trace.max_index + 1
     if not forced:
         # the m_epsilon lemma, the ball's centre x_{mn} and the Cauchy
         # diagnostics read one m for every start point
@@ -336,22 +320,6 @@ def test_plain_runs_share_the_lemma_inputs(monkeypatch):
     report = fuzz(FuzzConfig(seed=0, trials=40))
     assert report.g2_instances > 0 and report.violations == []
     assert report.lemma_counts["cauchy_bound"]["pass"] > 0
-
-
-@pytest.mark.parametrize("size,scale", [(24, 2.0 ** 8), (40, 2.0 ** 20)])
-def test_thinned_traces_read_the_trial_image(monkeypatch, size, scale):
-    # under caps that thin the trace JSON the harness takes the same one
-    # path: no public lemma, every lemma holds on every start point
-    space, T = _halving_chain(size, scale)
-    config = FuzzConfig(gauge_catalog=(IdentityGauge(),), phi_catalog=(LinearPhi(0.6),))
-    (entry,), (phi,) = _prepare_catalogs(config)
-    _thin_traces(monkeypatch)
-    assert len(picard_iterate(space, T, 0, max_iter=size).to_json()["orbit"]) < size
-    _forbid_public_lemmas(monkeypatch)
-    report = FuzzReport(config={})
-    assert harness._check_theorem(report, 0, space, T, entry, phi)
-    assert report.lemma_counts["invariant_ball"]["pass"] == size
-    assert report.lemma_counts["cauchy_bound"]["pass"] == size
 
 
 def test_cycling_orbits_fail_the_block_scan(monkeypatch):
@@ -389,34 +357,3 @@ def test_cauchy_bound_overflow_fails_its_lemma(monkeypatch):
     assert report.lemma_counts["cauchy_bound"] == {"pass": 0, "fail": 3}
     assert [(v["kind"], v["trace"]["x0"]) for v in report.violations] == [
         ("cauchy-bound", 0), ("cauchy-bound", 1), ("cauchy-bound", 2)]
-
-
-@pytest.mark.parametrize("size,scale,walker_misses", [(24, 2.0 ** 8, 5), (40, 2.0 ** 20, 18)])
-def test_public_lemmas_compose_on_thinned_traces(monkeypatch, size, scale, walker_misses):
-    # on the whole orbit the ball that m_epsilon names holds on every start
-    # point.  Loaded from thinned JSON, the trace either yields an m whose
-    # ball has a recorded centre, or stops the scan at the first index it
-    # lacks; the orbit walker's m names an unrecorded centre on some traces,
-    # and the ball lemma then raises
-    space, T = _halving_chain(size, scale)
-    config = FuzzConfig(gauge_catalog=(IdentityGauge(),), phi_catalog=(LinearPhi(0.6),))
-    (entry,), (phi,) = _prepare_catalogs(config)
-    _thin_traces(monkeypatch)
-    eps = entry.eps0 / 2.0
-    n = n_epsilon(entry.gauge, phi, space.s, eps, budget=N_BUDGET)
-    misses = 0
-    for x0 in space.points:
-        trace = picard_iterate(space, T, x0, max_iter=size, tol=0.0)
-        assert verify_invariant_ball(T, trace, eps, n, m_epsilon(trace, n, eps)) is True
-        loaded = solver.trace_from_json(trace.to_json())
-        try:
-            m = m_epsilon(loaded, n, eps)
-        except OrbitTooShort as exc:
-            assert str(exc) == f"orbit index {n} not recorded" and n not in loaded.indices
-        else:
-            assert verify_invariant_ball(T, loaded, eps, n, m) is True
-        try:
-            verify_invariant_ball(T, loaded, eps, n, walker_m_epsilon(space, T, x0, n, eps, space.s))
-        except OrbitTooShort:
-            misses += 1
-    assert misses == walker_misses

@@ -1,4 +1,3 @@
-from collections import deque
 from dataclasses import replace
 from random import Random
 
@@ -28,31 +27,6 @@ UNIT = AnalyticSpace(0.0, 1.0, 1.0)
 UNIT_SQ = AnalyticSpace(0.0, 1.0, 2.0)
 TWO_CYCLE_SPACE = validate_finite_space([[0.0, 1.0], [1.0, 0.0]])
 SWAP = FiniteMap((1, 0))
-
-
-class _ReferenceRecorder:
-    """The incremental orbit thinning that picard_iterate once used: a
-    strided head that doubles its stride when full, plus a full tail window.
-    The indices a trace's JSON keeps must equal what this selects."""
-
-    def __init__(self, cap: int, tail: int):
-        self.tail = deque(maxlen=tail)
-        self.head = []
-        self.head_cap = max(cap - tail, 16)
-        self.stride = 1
-
-    def add(self, idx, pt):
-        self.tail.append((idx, pt))
-        if idx % self.stride == 0:
-            self.head.append((idx, pt))
-            if len(self.head) > self.head_cap:
-                self.stride *= 2
-                self.head = [e for e in self.head if e[0] % self.stride == 0]
-
-    def merged(self):
-        combined = dict(self.head)
-        combined.update(dict(self.tail))
-        return sorted(combined.items())
 
 
 class TestPicardIterate:
@@ -98,44 +72,10 @@ class TestPicardIterate:
             assert trace.step_dists[j] == THREE_POINT.distance(
                 trace.orbit[j], trace.orbit[j + 1])
 
-    def test_record_cap_thins_head_keeps_tail(self, monkeypatch):
-        # the trace holds the whole orbit; its JSON thins the head
-        monkeypatch.setattr(solver, "RECORD_CAP", 50)
-        monkeypatch.setattr(solver, "TAIL_WINDOW", 10)
-        trace = picard_iterate(UNIT, AffineMap(0.999, 0.0), 1.0, max_iter=300, tol=0.0)
-        assert trace.stop_reason == "budget-exhausted"
-        assert trace.indices == range(301) and len(trace.orbit) == 301
-        doc = trace.to_json()
-        assert len(doc["step_dists"]) == 300           # steps keep every iteration
-        assert len(doc["orbit"]) <= 60
-        assert doc["indices"] == sorted(set(doc["indices"]))
-        assert doc["indices"][-1] == 300               # tail window intact
-
-    @pytest.mark.parametrize("record_cap", [16, 50, 60, 100])
-    @pytest.mark.parametrize("tail_window", [0, 1, 10, 40])
-    def test_thinning_matches_reference_recorder(self, record_cap, tail_window,
-                                                 monkeypatch):
-        monkeypatch.setattr(solver, "RECORD_CAP", record_cap)
-        monkeypatch.setattr(solver, "TAIL_WINDOW", tail_window)
-        # a swap of 0.25 and 0.75 never settles, so every run ends on budget
-        for max_iter in (1, 2, 7, 15, 16, 17, 31, 50, 64, 99, 100, 101, 128,
-                         255, 256, 257, 333, 400):
-            trace = picard_iterate(UNIT, AffineMap(-1.0, 1.0), 0.25, tol=0.0,
-                                   max_iter=max_iter)
-            rec = _ReferenceRecorder(record_cap, tail_window)
-            for k in range(max_iter + 1):
-                rec.add(k, 0.25 if k % 2 == 0 else 0.75)
-            kept = rec.merged()
-            assert trace.orbit == tuple(0.25 if k % 2 == 0 else 0.75
-                                        for k in range(max_iter + 1)), max_iter
-            doc = trace.to_json()
-            assert doc["indices"] == [i for i, _ in kept], max_iter
-            assert doc["orbit"] == [p for _, p in kept], max_iter
-
     def test_json_round_trip(self):
         trace = picard_iterate(THREE_POINT, FiniteMap((0, 0, 1)), 2)
-        again = trace_from_json(trace.to_json())
-        assert again == trace and again.indices == range(4)
+        doc = trace.to_json()
+        assert doc["indices"] == [0, 1, 2, 3] and trace_from_json(doc) == trace
 
     @pytest.mark.parametrize("key,value", [
         ("x0", 3), ("orbit", [4, 4, 4]), ("fixed_point", -1), ("cycle", [0, 5]),
@@ -184,7 +124,10 @@ class TestPicardIterate:
         (UNIT, AffineMap(0.5, 0.0), 1.0, {"fixed_point": None}),
         (UNIT, AffineMap(0.5, 0.0), 1.0, {"k_stop": 35}),
         (TWO_CYCLE_SPACE, SWAP, 0, {"fixed_point": 0}),
-        (TWO_CYCLE_SPACE, SWAP, 0, {"k_stop": 0})])
+        (TWO_CYCLE_SPACE, SWAP, 0, {"k_stop": 0}),
+        # k_stop is 1 here, which True and 1.0 equal
+        (THREE_POINT, FiniteMap((1, 1, 1)), 0, {"k_stop": True}),
+        (THREE_POINT, FiniteMap((1, 1, 1)), 0, {"k_stop": 1.0})])
     def test_json_trace_stop_fields_must_agree(self, space, T, x0, changes):
         doc = picard_iterate(space, T, x0).to_json()
         assert trace_from_json(doc) == picard_iterate(space, T, x0)
@@ -225,7 +168,7 @@ class TestWalkerMatchesTrace:
     def _agree(space, T, x0, **kw):
         trace = picard_iterate(space, T, x0, **kw)
         walker = OrbitWalk(space, T, x0)
-        for k, x in zip(trace.indices, trace.orbit):
+        for k, x in enumerate(trace.orbit):
             assert walker.point(k) == x, k
         return trace, walker
 
@@ -508,69 +451,66 @@ class TestCauchyBound:
         with pytest.raises((OrbitTooShort, TailNotSmall)):
             verify_cauchy_bound(trace, IdentityGauge(), LinearPhi(0.5), eps=0.5)
 
-    def test_pipeline_survives_thinned_trace(self, monkeypatch):
-        # the caps thin only the JSON: the pipeline reads the whole orbit,
-        # and the loaded thinned trace stops it at the first index it lacks
-        monkeypatch.setattr(solver, "RECORD_CAP", 60)
-        monkeypatch.setattr(solver, "TAIL_WINDOW", 15)
-        T = AffineMap(0.98, 0.0)
-        trace = picard_iterate(UNIT, T, 1.0, max_iter=2000, tol=1e-14)
-        assert trace.stop_reason == "exact-fixed-point"
-        diag = verify_cauchy_bound(trace, IdentityGauge(), LinearPhi(0.98),
-                                   eps=0.25, n_budget=10 ** 6)
-        assert diag.holds
-        assert verify_invariant_ball(T, trace, 0.25, diag.n, diag.m)
-        loaded = trace_from_json(trace.to_json())
-        gap = next(k for k in range(diag.n, loaded.max_index, diag.n)
-                   if k not in loaded.indices)
-        with pytest.raises(OrbitTooShort, match=f"^orbit index {gap} not recorded$"):
-            verify_cauchy_bound(loaded, IdentityGauge(), LinearPhi(0.98),
-                                eps=0.25, n_budget=10 ** 6)
 
+class TestWholeTraceJson:
+    """Trace JSON holds every orbit point, x_k = orbit[k], one point more
+    than its steps; ``trace_from_json`` refuses any other shape."""
 
-class TestThinnedJson:
-    """Under small caps the JSON of a 61-point orbit keeps every 4th head
-    index and the last 4.  A loaded thinned trace writes itself back
-    unchanged, and a lemma that needs an index it lacks names that index."""
-
-    T = AffineMap(0.9, 0.0)
-
-    @pytest.fixture
-    def traces(self, monkeypatch):
-        monkeypatch.setattr(solver, "RECORD_CAP", 20)
-        monkeypatch.setattr(solver, "TAIL_WINDOW", 4)
-        trace = picard_iterate(UNIT, self.T, 1.0, max_iter=60, tol=0.0)
+    @pytest.mark.parametrize("space,T,x0,kw", [
+        (THREE_POINT, FiniteMap((0, 0, 1)), 2, {}),                         # exact stop
+        (TWO_CYCLE_SPACE, SWAP, 0, {}),                                     # cycle
+        (UNIT, AffineMap(0.5, 0.0), 1.0, {}),                               # tolerance
+        (UNIT, AffineMap(0.5, 0.0), 1.0, {"tol": 0.0}),                     # exact stop
+        (UNIT, AffineMap(-1.0, 1.0), 0.25, {"tol": 0.0, "max_iter": 300}),  # budget
+        (UNIT, AffineMap(0.999, 0.0), 1.0, {"tol": 0.0, "max_iter": 5000})])
+    def test_round_trip_writes_every_point(self, space, T, x0, kw):
+        trace = picard_iterate(space, T, x0, **kw)
         doc = trace.to_json()
-        assert doc["indices"] == [*range(0, 57, 4), 57, 58, 59, 60]
-        return trace, trace_from_json(doc), doc
+        assert len(doc["orbit"]) == len(doc["step_dists"]) + 1 == trace.max_index + 1
+        assert doc["indices"] == list(range(len(doc["orbit"])))
+        assert trace_from_json(doc) == trace
 
-    def test_round_trip(self, traces):
-        trace, loaded, doc = traces
-        assert loaded.to_json() == doc
-        assert loaded != trace and trace_from_json(loaded.to_json()) == loaded
-        assert trace_from_json(trace.to_json()).to_json() == doc
-        assert trace.indices == range(61)
+    def test_truncated_document_is_refused(self):
+        # an exact stop at k = 2 whose orbit lacks x_2: once loaded, x_2 read
+        # as the fixed point 0.5 although the record moves x_1 -> x_2 by 0.25,
+        # and m_epsilon(trace, 1, 0.3) returned 1 from that invented point
+        doc = {"space": {"lo": 0.0, "hi": 1.0, "p": 1.0}, "x0": 1.0, "orbit": [1.0, 0.5],
+               "indices": [0, 1], "step_dists": [0.5, 0.25, 0.0],
+               "stop_reason": "exact-fixed-point", "fixed_point": 0.5, "k_stop": 2,
+               "cycle": None}
+        with pytest.raises(ValueError, match="do not fit its orbit"):
+            trace_from_json(doc)
 
-    @pytest.mark.parametrize("lemma,args,k", [
-        (m_epsilon, (3, 1e-9, 100), 3),
-        (verify_step_chaining, (2, 1.0), 2),
-        (verify_cauchy_bound, (IdentityGauge(), LinearPhi(0.5), 0.5), 3),
-        (solver._cauchy_tail, (0.5, 1, 5, 5), 5),
-    ], ids=["m_epsilon", "step_chaining", "cauchy_bound", "cauchy_tail"])
-    def test_lemma_names_the_missing_index(self, traces, lemma, args, k):
-        trace, loaded, _ = traces
-        with pytest.raises(OrbitTooShort, match=f"^orbit index {k} not recorded$"):
-            lemma(loaded, *args)
-        try:
-            lemma(trace, *args)         # the whole orbit has x_k
-        except OrbitTooShort as exc:
-            assert f"orbit index {k} " not in str(exc)
+    def test_gapped_document_is_refused(self):
+        # every 4th point and the last one of a 61-point orbit, as a thinned
+        # document was written
+        doc = picard_iterate(UNIT, AffineMap(0.9, 0.0), 1.0, max_iter=60, tol=0.0).to_json()
+        kept = [*range(0, 60, 4), 60]
+        doc.update(orbit=[doc["orbit"][k] for k in kept], indices=kept)
+        with pytest.raises(ValueError, match="do not fit its orbit"):
+            trace_from_json(doc)
 
-    def test_ball_names_the_missing_centre(self, traces):
-        trace, loaded, _ = traces
-        with pytest.raises(OrbitTooShort, match="^orbit index 5 not recorded$"):
-            verify_invariant_ball(self.T, loaded, 0.25, 1, 5)
-        assert verify_invariant_ball(self.T, trace, 0.25, 1, 5) is False
+    @pytest.mark.parametrize("changes", [
+        {"indices": [False, True, 2, 3]},
+        {"indices": [0, 1, 2, 3.0]},
+        {"step_dists": [4.0, 1.0, False]}])
+    def test_boolean_indices_and_steps_are_refused(self, changes):
+        # [False, True, 2, 3] == [0, 1, 2, 3], so only a type check tells them apart
+        doc = picard_iterate(THREE_POINT, FiniteMap((0, 0, 1)), 2).to_json()
+        doc.update(changes)
+        with pytest.raises(ValueError, match="wrong type"):
+            trace_from_json(doc)
+
+    @pytest.mark.parametrize("space,T,x0,changes", [
+        (TWO_CYCLE_SPACE, SWAP, 1, {"x0": True, "orbit": [True, False]}),
+        (UNIT, AffineMap(0.5, 0.0), 1.0, {"x0": True, "orbit": [True, 0.5]})])
+    def test_boolean_points_are_refused(self, space, T, x0, changes):
+        # True == 1 and False == 0, so these passed for the points 1 and 0
+        doc = picard_iterate(space, T, x0, max_iter=1).to_json()
+        doc.update(changes)
+        with pytest.raises(PointOutOfDomain, match="not in space"):
+            trace_from_json(doc)
+        assert not space.contains(True) and not space.contains(False)
 
 
 class TestLimitBoundsOnSolverOrbits:
