@@ -28,7 +28,7 @@ from gphi.errors import (
     PointOutOfDomain,
 )
 from gphi.harness import generate_operator, generate_space
-from gphi.solver import PicardTrace, m_epsilon, picard_iterate
+from gphi.solver import PicardTrace, m_epsilon, picard_iterate, trace_from_json
 from gphi.spaces import AnalyticSpace, FiniteSpace, validate_finite_space
 
 UNIT = AnalyticSpace(0.0, 1.0, 1.0)
@@ -170,14 +170,21 @@ def test_trace_scan_matches_walker(n, eps):
                 assert got[0] == "BudgetExhausted" or "the orbit cycles through" in got[1]
 
 
+@pytest.mark.parametrize("loaded", [False, True])
 @pytest.mark.parametrize("n", [1, 2, 3, 5])
 @pytest.mark.parametrize("eps", [0.001, 0.05, 0.5])
-def test_trace_scan_matches_parent(n, eps):
-    # where the outcomes differ, the parent skipped a block whose point at
-    # index k lies past the trace's end, and went on to an m past it or to
-    # its budget; m_epsilon stops at that block and names k
+def test_trace_scan_matches_parent(loaded, n, eps):
+    # loaded traces are read back from their JSON (the hand-built trace with
+    # a point outside its space does not load).  Where the outcomes differ,
+    # the parent skipped a block whose point at index k lies past the
+    # trace's end, and went on to an m past it or to its budget; m_epsilon
+    # stops at that block and names k
+    traces = trace_cases()
+    if loaded:
+        traces = [trace_from_json(t.to_json()) for t in traces[:-1]]
+        assert traces == trace_cases()[:-1]
     departures = 0
-    for trace in trace_cases():
+    for trace in traces:
         for budget in range(1, 61):
             got = outcome(m_epsilon, trace, n, eps, budget)
             parent = outcome(parent_m_epsilon_on_trace, trace, n, eps, trace.space.s, budget)

@@ -46,7 +46,7 @@ from gphi.harness import (
     verify_g1_termination,
     verify_step_chaining,
 )
-from gphi.solver import verify_cauchy_bound, verify_invariant_ball
+from gphi.solver import m_epsilon, verify_cauchy_bound, verify_invariant_ball
 from gphi.spaces import validate_finite_space
 from test_block_index import OrbitWalk, walker_m_epsilon
 
@@ -357,3 +357,22 @@ def test_cauchy_bound_overflow_fails_its_lemma(monkeypatch):
     assert report.lemma_counts["cauchy_bound"] == {"pass": 0, "fail": 3}
     assert [(v["kind"], v["trace"]["x0"]) for v in report.violations] == [
         ("cauchy-bound", 0), ("cauchy-bound", 1), ("cauchy-bound", 2)]
+
+
+@pytest.mark.parametrize("size,scale", [(24, 2.0 ** 8), (40, 2.0 ** 20)])
+def test_public_lemmas_compose_on_loaded_traces(size, scale):
+    # a trace read back from its JSON holds the whole orbit: m_epsilon gives
+    # the orbit walker's m on it, and the ball that m names holds on every
+    # start point
+    space, T = _halving_chain(size, scale)
+    config = FuzzConfig(gauge_catalog=(IdentityGauge(),), phi_catalog=(LinearPhi(0.6),))
+    (entry,), (phi,) = _prepare_catalogs(config)
+    eps = entry.eps0 / 2.0
+    n = n_epsilon(entry.gauge, phi, space.s, eps, budget=N_BUDGET)
+    for x0 in space.points:
+        trace = picard_iterate(space, T, x0, max_iter=size, tol=0.0)
+        loaded = solver.trace_from_json(trace.to_json())
+        assert loaded == trace and len(loaded.orbit) == loaded.max_index + 1
+        m = walker_m_epsilon(space, T, x0, n, eps, space.s)
+        assert m_epsilon(loaded, n, eps) == m_epsilon(trace, n, eps) == m
+        assert verify_invariant_ball(T, loaded, eps, n, m) is True

@@ -20,7 +20,7 @@ from gphi.solver import (
     verify_step_chaining,
 )
 from gphi.spaces import AnalyticSpace, check_limit_bounds, validate_finite_space
-from test_block_index import OrbitWalk, walker_m_epsilon
+from test_block_index import OrbitWalk, outcome, walker_m_epsilon
 
 THREE_POINT = validate_finite_space([[0.0, 1.0, 2.0], [1.0, 0.0, 4.0], [2.0, 4.0, 0.0]])
 UNIT = AnalyticSpace(0.0, 1.0, 1.0)
@@ -511,6 +511,33 @@ class TestWholeTraceJson:
         with pytest.raises(PointOutOfDomain, match="not in space"):
             trace_from_json(doc)
         assert not space.contains(True) and not space.contains(False)
+
+    @pytest.mark.parametrize("lemma,args,short", [
+        (m_epsilon, (3, 1e-9, 100), 60),    # no block moves less than 1e-9/2
+        (verify_step_chaining, (2, 1.0), 0),  # checks only what the trace records
+        (verify_cauchy_bound, (IdentityGauge(), LinearPhi(0.5), 0.5), 5),
+        (solver._cauchy_tail, (0.5, 1, 5, 5), 4),
+    ], ids=["m_epsilon", "step_chaining", "cauchy_bound", "cauchy_tail"])
+    def test_lemma_reads_the_loaded_trace_alike(self, lemma, args, short):
+        # every orbit cut from 1 to 60 steps: a lemma gives the same value, or
+        # names the same missing index, on the trace and on its loaded JSON;
+        # ``short`` cuts end before an index the lemma reads
+        missing = 0
+        for max_iter in range(1, 61):
+            trace = picard_iterate(UNIT, AffineMap(0.9, 0.0), 1.0, max_iter=max_iter, tol=0.0)
+            got = outcome(lemma, trace, *args)
+            assert outcome(lemma, trace_from_json(trace.to_json()), *args) == got, max_iter
+            missing += isinstance(got, tuple) and got[0] == "OrbitTooShort"
+        assert missing == short
+
+    def test_ball_names_the_missing_centre(self):
+        # the ball at m = 5, n = 1 is centred on x_5
+        T = AffineMap(0.9, 0.0)
+        cut = trace_from_json(picard_iterate(UNIT, T, 1.0, max_iter=4, tol=0.0).to_json())
+        with pytest.raises(OrbitTooShort, match="^orbit index 5 not recorded$"):
+            verify_invariant_ball(T, cut, 0.25, 1, 5)
+        whole = trace_from_json(picard_iterate(UNIT, T, 1.0, max_iter=5, tol=0.0).to_json())
+        assert verify_invariant_ball(T, whole, 0.25, 1, 5) is False
 
 
 class TestLimitBoundsOnSolverOrbits:
