@@ -5,11 +5,11 @@ A b-metric space relaxes the triangle inequality to
 concrete families are supported:
 
 * :class:`FiniteSpace` -- an explicit point set with a distance matrix.
-  Validation computes the smallest admissible constant from a min-plus
-  row reduction over the pairs i < j, which covers every ordered triple
-  because the matrix is symmetric.  Small matrices are validated in pure
-  Python and larger ones with numpy, which is imported only then; both
-  kernels compute the same sums.
+  Validation is O(n^2), in pure Python for small matrices and with numpy,
+  imported only then, for larger ones.  The smallest admissible constant,
+  a min-plus row reduction over the pairs i < j (the matrix is symmetric),
+  is computed on the first read of ``s``: only the quantitative lemmas,
+  JSON output and a declared constant read it, never condition (G).
 * :class:`AnalyticSpace` -- a real interval ``[lo, hi]`` carrying the
   distance ``|x - y| ** p``; the constant ``2 ** (p - 1)`` always works.
 """
@@ -41,10 +41,14 @@ from .errors import (
 # Analytic distances are computed, so "zero" there means below this cutoff.
 DELTA_ZERO = 1e-12
 
-# Cap for the O(n^3) validation scan; desk-scale instances only.
+# Cap for the O(n^3) minimal-constant scan; desk-scale instances only.
 MAX_FINITE_POINTS = 256
 
-# Matrices of up to this many points are validated in pure Python.  Above
+# Below this max/min of the off-diagonal entries s cannot overflow.
+_FINITE_RATIO_BOUND = 2.0 ** 1000
+
+# Matrices of up to this many points are validated, and their constant
+# computed, in pure Python.  Above
 # it numpy's vector ops repay their per-call overhead; the value is the
 # in-process crossover measured with numpy already imported.
 PY_KERNEL_MAX_POINTS = 15
@@ -60,18 +64,30 @@ def _is_numpy_scalar(x, kind: str) -> bool:
     return np is not None and isinstance(x, getattr(np, kind))
 
 
+class _Constant:
+    """``FiniteSpace.s``: the constant given or, for ``s=None``, the minimal
+    one, computed on the first read and kept; inf raises ConstantOverflow."""
+
+    def __get__(self, space, owner=None):
+        if space is None:
+            raise AttributeError("s")         # so the field has no default
+        if space.__dict__["_s"] is None:
+            self.__set__(space, _constant_of(space.dist))
+        return space.__dict__["_s"]
+
+    def __set__(self, space, s):
+        if s == math.inf:
+            raise ConstantOverflow("the b-metric constant overflows the float range")
+        space.__dict__["_s"] = s
+
+
 @dataclass(frozen=True)
 class FiniteSpace:
-    """Finite b-metric space backed by a symmetric distance matrix."""
+    """Finite b-metric space backed by a symmetric distance matrix; ``s=None``
+    leaves the O(n^3) minimal constant to the first read of ``s``."""
 
     dist: tuple[tuple[float, ...], ...]
-    s: float
-
-    def __post_init__(self):
-        # both validation kernels build the space here; a distance too far
-        # above its tightest detour makes the ratio, and so s, overflow
-        if self.s == math.inf:
-            raise ConstantOverflow("the b-metric constant overflows the float range")
+    s: float = _Constant()
 
     @property
     def n(self) -> int:
@@ -195,6 +211,22 @@ def _min_constant_rows(d: tuple[tuple[float, ...], ...]) -> float:
     return s
 
 
+def _constant_of(dist: tuple[tuple[float, ...], ...]) -> float:
+    """The minimal constant of validated rows, by the kernel for their size."""
+    if len(dist) <= PY_KERNEL_MAX_POINTS:
+        return _min_constant_rows(dist)
+    import numpy as np
+
+    return _min_constant(np.array(dist))
+
+
+def _checked_space(dist, lo: float, hi: float) -> FiniteSpace:
+    """The space of checked rows with off-diagonal entries in [lo, hi].  As
+    d >= via >= lo, every ratio d/via is at most fl(hi/lo); s waits for its
+    first read unless that reaches _FINITE_RATIO_BOUND, and an inf raises."""
+    return FiniteSpace(dist=dist, s=None if hi / lo < _FINITE_RATIO_BOUND else _constant_of(dist))
+
+
 _PLAIN_ENTRIES = frozenset((int, float))
 
 
@@ -240,7 +272,7 @@ def _validate_rows(d: tuple[tuple[float, ...], ...], max_points: int) -> FiniteS
         i, j = _first_pair(n, lambda i, j: i != j and d[i][j] == 0.0)
         raise ZeroOffDiagonal(f"zero distance between distinct points ({i}, {j})",
                               witness=(i, j))
-    return FiniteSpace(dist=d, s=_min_constant_rows(d))
+    return _checked_space(d, min(filter(None, flat), default=math.inf), max(flat))
 
 
 def _validate_array(matrix, max_points: int) -> FiniteSpace:
@@ -273,12 +305,13 @@ def _validate_array(matrix, max_points: int) -> FiniteSpace:
         i, j = np.argwhere(d != d.T)[0]
         raise AsymmetricMatrix(f"asymmetry at ({i}, {j})", witness=(int(i), int(j)))
     off = ~np.eye(n, dtype=bool)
-    if np.any(d[off] == 0.0):
+    rest = d[off]
+    if np.any(rest == 0.0):
         i, j = [(int(a), int(b)) for a, b in np.argwhere((d == 0.0) & off)][0]
         raise ZeroOffDiagonal(f"zero distance between distinct points ({i}, {j})",
                               witness=(i, j))
-    s = _min_constant(d)
-    return FiniteSpace(dist=tuple(map(tuple, matrix if types == {float} else d.tolist())), s=s)
+    return _checked_space(tuple(map(tuple, matrix if types == {float} else d.tolist())),
+                          float(rest.min(initial=math.inf)), float(rest.max(initial=0.0)))
 
 
 def validate_finite_space(matrix: Sequence[Sequence[float]],
@@ -289,7 +322,8 @@ def validate_finite_space(matrix: Sequence[Sequence[float]],
     NonFiniteEntry, TooManyPoints or ConstantOverflow on bad input.  A square
     list of at most PY_KERNEL_MAX_POINTS rows of plain numbers is checked in
     pure Python; anything else goes through numpy.  Both kernels give the
-    same space, or the same error with the same witness.
+    same space, or the same error with the same witness.  The checks are
+    O(n^2); s is computed on its first read, or here if it could overflow.
     """
     rows = _plain_rows(matrix)
     if rows is None:

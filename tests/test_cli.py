@@ -310,7 +310,7 @@ class TestReport:
         (dict(THREE_POINT_INSTANCE, operator={"map": [1, 2, 0]}),
          "space: finite, constant s = 1.3333333333333333\n"
          "start point: 0\n"
-         "orbit points recorded: 4 of 4 (stop at k = 3, reason: budget-exhausted)\n"
+         "orbit points recorded: 4 (stop at k = 3, reason: budget-exhausted)\n"
          "fixed point: None\n"
          "cycle detected: [0, 1, 2]\n"
          "last step distance: 2.0\n"
@@ -319,7 +319,7 @@ class TestReport:
         (dict(ANALYTIC_INSTANCE, space={"lo": 0.0, "hi": 1.0, "p": 2.0}),
          "space: interval, constant s = 2.0\n"
          "start point: 0.0\n"
-         "orbit points recorded: 19 of 19 (stop at k = 18, reason: tolerance-met)\n"
+         "orbit points recorded: 19 (stop at k = 18, reason: tolerance-met)\n"
          "fixed point: 0.4999980926513672\n"
          "last step distance: 3.637978807091713e-12\n"
          "cauchy diagnostics: eps = 0.5, n = 5, m = 1, m0 = 1, bound = 16.0, "

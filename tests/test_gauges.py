@@ -246,7 +246,9 @@ class TestClassEvidenceEndpoints:
         got = json.dumps(dataclasses.asdict(certify_gauge_class(G, grid)), sort_keys=True)
         assert got == self.table_certificate(G, grid)
 
-    @pytest.mark.parametrize("gauge", DEFAULT_GAUGE_CATALOG + G1_GAUGE_CATALOG, ids=str)
+    # ids from describe(): str() of a gauge over a lambda form holds its address
+    @pytest.mark.parametrize("gauge", DEFAULT_GAUGE_CATALOG + G1_GAUGE_CATALOG,
+                             ids=lambda G: "-".join(map(str, G.describe().values())))
     def test_catalog_on_default_grid(self, gauge):
         self.check(gauge, None)
 
