@@ -13,11 +13,15 @@ Determinism: all randomness flows through ``random.Random`` (Mersenne
 Twister) seeded with strings of the form ``"{seed}:{trial}:{stream}"``;
 Python's string seeding is the documented SHA-512 based scheme, stable
 across platforms, so reports are byte-identical for a given configuration.
+Spaces above PY_KERNEL_MAX_POINTS draw the same MT19937 stream through
+numpy's legacy ``RandomState`` (frozen by NEP 19), loaded with the
+generator's state: its doubles are those of ``Random.random``.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from itertools import combinations, tee
 from random import Random
@@ -57,7 +61,8 @@ from .solver import (
     verify_g1_termination,
     verify_step_chaining,
 )
-from .spaces import MAX_FINITE_POINTS, FiniteSpace, space_to_json, validate_finite_space
+from .spaces import (MAX_FINITE_POINTS, PY_KERNEL_MAX_POINTS, FiniteSpace, space_to_json,
+                     validate_finite_space)
 
 DEFAULT_GAUGE_CATALOG = (
     IdentityGauge(),
@@ -124,10 +129,15 @@ class FuzzReport:
 
 
 def generate_space(seed, n: int, scale: float = 1.0) -> FiniteSpace:
-    """Random valid finite space: symmetric entries uniform in (0, scale]."""
+    """Random valid finite space: symmetric entries uniform in (0, scale].
+
+    Above PY_KERNEL_MAX_POINTS the entries come from numpy in one call,
+    equal bit for bit to those of the loop that smaller spaces keep."""
     if n < 1:
         raise ConfigInvalid("space needs at least one point")
     rng = Random(seed)
+    if n > PY_KERNEL_MAX_POINTS:
+        return validate_finite_space(_drawn_array(rng, n, scale))
     matrix = [[0.0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
@@ -135,6 +145,21 @@ def generate_space(seed, n: int, scale: float = 1.0) -> FiniteSpace:
             matrix[i][j] = v
             matrix[j][i] = v
     return validate_finite_space(matrix)
+
+
+def _drawn_array(rng: Random, n: int, scale: float):
+    """The loop's matrix from numpy's legacy MT19937 in ``rng``'s state: its
+    ``random_sample`` gives the doubles ``rng.random()`` would, in order."""
+    import numpy as np
+
+    _, state, _ = rng.getstate()
+    mt = np.random.RandomState()
+    mt.set_state(("MT19937", np.array(state[:-1], dtype=np.uint32), state[-1]))
+    d = np.zeros((n, n))
+    # a boolean mask takes its values in row-major order: the loop's order
+    d[~np.tri(n, dtype=bool)] = scale * (1.0 - mt.random_sample(n * (n - 1) // 2))
+    d += d.T
+    return d
 
 
 def generate_operator(seed, space: FiniteSpace, bias_contractive: bool) -> FiniteMap:
@@ -194,8 +219,8 @@ def fuzz(config: FuzzConfig) -> FuzzReport:
         raise ConfigInvalid("trials must be at least 1")
     if not 2 <= config.max_points <= MAX_FINITE_POINTS:
         raise ConfigInvalid(f"max_points must be between 2 and {MAX_FINITE_POINTS}")
-    if config.scale <= 0.0:
-        raise ConfigInvalid("scale must be positive")
+    if not 0.0 < config.scale < math.inf:
+        raise ConfigInvalid("scale must be positive and finite")
     if config.break_mode not in ("none", "drop-contraction", "drop-phi"):
         raise ConfigInvalid(f"unknown break mode {config.break_mode!r}")
 

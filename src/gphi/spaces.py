@@ -310,7 +310,8 @@ def _validate_array(matrix, max_points: int) -> FiniteSpace:
         i, j = [(int(a), int(b)) for a, b in np.argwhere((d == 0.0) & off)][0]
         raise ZeroOffDiagonal(f"zero distance between distinct points ({i}, {j})",
                               witness=(i, j))
-    return _checked_space(tuple(map(tuple, matrix if types == {float} else d.tolist())),
+    rows = matrix if types == {float} else (row.tolist() for row in d)
+    return _checked_space(tuple(map(tuple, rows)),
                           float(rest.min(initial=math.inf)), float(rest.max(initial=0.0)))
 
 

@@ -284,6 +284,11 @@ GOLDEN_DROP_CONTRACTION_SHA256 = \
     "b266d4f9f428e8932aeaaec9cbc178f4ea0846c05cded2204e4ce68f4c555b8c"
 GOLDEN_MAX32_SHA256 = "4dcc77cdb9774ba516034e680451fe5ab338419c7e072b624221a2e5f95949d6"
 GOLDEN_DROP_PHI_SHA256 = "b511c3beea6a532851d2640b958d005d69c85e7ec46f0c30f96fb9c91ba85785"
+# Recorded from the pure-Python draw loop, before spaces above the kernel
+# cut-off drew their entries through numpy: up to 256 points, and at a
+# scale whose entries are not dyadic fractions of the draws.
+GOLDEN_MAX256_SHA256 = "186e78cda27090f0ec6e61575f52a181eef81efae25b19ec4157f7f4f7e847df"
+GOLDEN_MAX64_SCALED_SHA256 = "3162883bbeb22324927c3846b39220f05452d4cf249d90fa89914984a266d3cc"
 
 
 def test_golden_report_bytes_break_and_wide():
@@ -299,3 +304,11 @@ def test_golden_report_bytes_break_and_wide():
     dropped = fuzz(FuzzConfig(seed=0, trials=200, break_mode="drop-phi"))
     assert (dropped.expected_break_count, dropped.uncertified_count) == (200, 200)
     assert _sha256(dropped) == GOLDEN_DROP_PHI_SHA256
+
+    widest = fuzz(FuzzConfig(seed=3, trials=12, max_points=256))
+    assert (widest.uncertified_count, widest.violations) == (12, [])
+    assert _sha256(widest) == GOLDEN_MAX256_SHA256
+
+    scaled = fuzz(FuzzConfig(seed=0, trials=60, max_points=64, scale=3.7))
+    assert (scaled.certified_count, scaled.theorem_holds_count) == (4, 4)
+    assert _sha256(scaled) == GOLDEN_MAX64_SCALED_SHA256

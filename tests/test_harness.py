@@ -99,6 +99,18 @@ class TestFuzz:
         with pytest.raises(ConfigInvalid, match="max_points"):
             fuzz(FuzzConfig(trials=3, max_points=MAX_FINITE_POINTS + 44))
 
+    @pytest.mark.parametrize("scale", [0.0, -1.0, float("nan"), float("inf")])
+    def test_scale_not_positive_and_finite_rejected(self, scale):
+        with pytest.raises(ConfigInvalid, match="^scale must be positive and finite$"):
+            fuzz(FuzzConfig(trials=3, scale=scale))
+
+    @pytest.mark.parametrize("scale", ["nan", "inf"])
+    def test_non_finite_scale_exits_one_as_config_error(self, scale, capsys):
+        from gphi.cli import run_cli
+        assert run_cli(["fuzz", "--trials", "3", "--scale", scale]) == 1
+        err = capsys.readouterr().err
+        assert "ConfigInvalid" in err and "NonFiniteEntry" not in err
+
     def test_bogus_phi_catalog_rejected(self):
         with pytest.raises(ConfigInvalid):
             fuzz(FuzzConfig(trials=5, phi_catalog=(BROKEN_PHI,)))

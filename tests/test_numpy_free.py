@@ -1,5 +1,5 @@
 """numpy stays unloaded unless a finite space above the pure-Python
-kernel's cut-off is validated.
+kernel's cut-off is validated or, in the fuzz harness, drawn.
 
 Each check runs in a fresh interpreter, because numpy stays in
 ``sys.modules`` once any test in this process has imported it.
@@ -45,6 +45,15 @@ print(json.dumps(steps))
 """
 
 
+def _steps(calls):
+    """[label, exit code, numpy loaded] after each call, in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-c", SCRIPT, json.dumps(calls)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
 def test_numpy_loaded_only_for_large_finite_spaces(tmp_path):
     assert LARGE_N > PY_KERNEL_MAX_POINTS
     paths = {}
@@ -55,14 +64,18 @@ def test_numpy_loaded_only_for_large_finite_spaces(tmp_path):
              ("small solve", ["solve", str(paths["small"]), "--x0", "2"]),
              ("interval certify", ["certify", str(paths["interval"])]),
              ("large certify", ["certify", str(paths["large"])])]
-    env = dict(os.environ, PYTHONPATH=SRC)
-    proc = subprocess.run([sys.executable, "-c", SCRIPT, json.dumps(calls)],
-                          env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    steps = json.loads(proc.stdout)
+    steps = _steps(calls)
     # every call got a verdict (exit 1 is malformed input)
     assert all(code != 1 for _, code, _ in steps), steps
     assert [(label, loaded) for label, _, loaded in steps] == [
         ("import gphi", False), ("import gphi.cli", False),
         ("small certify", False), ("small solve", False),
         ("interval certify", False), ("large certify", True)]
+
+
+def test_numpy_loaded_only_for_fuzz_spaces_above_the_cut_off():
+    # the default --max-points draws at most 8 points; seed 0's first trial
+    # at --max-points 32 draws 31
+    steps = _steps([("fuzz default", ["fuzz", "--trials", "20"]),
+                    ("fuzz wide", ["fuzz", "--trials", "5", "--max-points", "32"])])
+    assert steps[2:] == [["fuzz default", 0, False], ["fuzz wide", 0, True]]
