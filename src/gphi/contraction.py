@@ -22,9 +22,11 @@ Two adapters translate classical formulations into the gauged one:
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import asdict, dataclass, field
 from itertools import combinations
+from operator import le
 
 from .errors import (
     DomainRestricted,
@@ -39,6 +41,7 @@ from .gauges import (
     ExpOfFGauge,
     ExpPsiLnPhi,
     RealForm,
+    _breakpoints,
     _step_eval,
     gauge_eval,
     phi_eval,
@@ -98,13 +101,10 @@ class TabulatedMap:
     points: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
-        pts = tuple((float(t), float(v)) for t, v in self.points)
-        ts = [t for t, _ in pts]
+        pts = _breakpoints(self.points)
         vs = [v for _, v in pts]
-        if not pts or sorted(ts) != ts or len(set(ts)) != len(ts):
-            raise ValueError("breakpoints must be strictly increasing")
-        if vs != sorted(vs):
-            raise ValueError("tabulated map must be monotone non-decreasing")
+        if any(map(math.isnan, vs)) or not all(map(le, vs, vs[1:])):
+            raise ValueError("tabulated map must be monotone non-decreasing and not NaN")
         object.__setattr__(self, "points", pts)
 
     def describe(self) -> dict:

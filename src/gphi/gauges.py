@@ -127,14 +127,22 @@ def shift_form(tau: float) -> RealForm:
                     diverges_iff_zero=False, json_form={"shift": tau})
 
 
-def _tabulate(points) -> tuple[tuple[float, float], ...]:
+def _breakpoints(points) -> tuple[tuple[float, float], ...]:
+    """The (t, value) pairs of a step table as floats: at least one, with
+    breakpoints t strictly increasing and none NaN.  The values are checked
+    by the table's own rule."""
     pts = tuple((float(t), float(v)) for t, v in points)
     if not pts:
         raise ValueError("tabulated function needs at least one breakpoint")
     ts = [t for t, _ in pts]
-    if sorted(ts) != ts or len(set(ts)) != len(ts):
-        raise ValueError("breakpoints must be strictly increasing")
-    if any(v <= 0.0 for _, v in pts):
+    if any(map(math.isnan, ts)) or not all(map(lt, ts, ts[1:])):
+        raise ValueError("breakpoints must be strictly increasing and not NaN")
+    return pts
+
+
+def _tabulate(points) -> tuple[tuple[float, float], ...]:
+    pts = _breakpoints(points)
+    if not all(v > 0.0 for _, v in pts):
         raise ValueError("tabulated values must be positive")
     return pts
 

@@ -157,19 +157,15 @@ def _orbit(space: Space, T: OperatorSpec, x0):
     x_j sets ``cycle`` to the points x_j .. x_k, which then repeat.  The
     generator ends after a settling step and otherwise runs forever.
 
-    x0 is checked here, before any step is taken.  On a finite space the
-    caller has checked T; every later point is an image under the checked
-    map, so the steps index the map and the matrix directly.
+    x0 is checked when the first step is asked for, before it is taken.
+    On a finite space the caller has checked T; every later point is an
+    image under the checked map, so the steps index the map and the matrix
+    directly.
     """
     finite = isinstance(space, FiniteSpace)
     if not space.contains(x0):
         raise PointOutOfDomain(
             f"start point {x0!r} not in {'space' if finite else 'interval'}")
-    return _steps(space, T, x0, finite)
-
-
-def _steps(space: Space, T: OperatorSpec, x0, finite: bool):
-    """The generator behind ``_orbit``, once it has checked x0."""
     if finite:
         dist, image = space.dist, T.mapping
         seen = {x0: 0}

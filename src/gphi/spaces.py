@@ -5,11 +5,12 @@ A b-metric space relaxes the triangle inequality to
 concrete families are supported:
 
 * :class:`FiniteSpace` -- an explicit point set with a distance matrix.
-  Validation is O(n^2), in pure Python for small matrices and with numpy,
-  imported only then, for larger ones.  The smallest admissible constant,
-  a min-plus row reduction over the pairs i < j (the matrix is symmetric),
-  is computed on the first read of ``s``: only the quantitative lemmas,
-  JSON output and a declared constant read it, never condition (G).
+  Validation is O(n^2); its checks are stated once, in pure Python, and
+  numpy, imported only for larger matrices, parses and accepts in bulk.
+  The smallest admissible constant, a min-plus row reduction over the
+  pairs i < j (the matrix is symmetric), is computed on the first read of
+  ``s``: only the quantitative lemmas, JSON output and a declared constant
+  read it, never condition (G).
 * :class:`AnalyticSpace` -- a real interval ``[lo, hi]`` carrying the
   distance ``|x - y| ** p``; the constant ``2 ** (p - 1)`` always works.
 """
@@ -250,8 +251,9 @@ def _first_pair(n: int, bad) -> tuple[int, int]:
 
 
 def _validate_rows(d: tuple[tuple[float, ...], ...], max_points: int) -> FiniteSpace:
-    """The numpy kernel's checks on float rows, in its order, with its
-    messages and witnesses, but without the per-call array overhead."""
+    """The checks of a distance matrix, stated once: finite, non-negative,
+    zero on the diagonal, symmetric and positive between distinct points,
+    in that order, each refusal naming its first entry in row-major order."""
     n = len(d)
     if n > max_points:
         raise TooManyPoints(f"{n} points exceeds cap {max_points}")
@@ -276,10 +278,11 @@ def _validate_rows(d: tuple[tuple[float, ...], ...], max_points: int) -> FiniteS
 
 
 def _validate_array(matrix, max_points: int) -> FiniteSpace:
-    """Validation with numpy: parses any array-like and scans it as arrays.
-    A string, boolean or null entry of a list matrix is refused first, since
-    ``np.asarray`` would parse it or read it as 0 or 1; rows of floats alone
-    become the space's rows as they are."""
+    """Validation with numpy: parses any array-like, then accepts in bulk
+    exactly the matrices ``_validate_rows`` accepts and hands it the rest to
+    name the refusal.  A string, boolean or null entry of a list matrix is
+    refused first, since ``np.asarray`` would parse it or read it as 0 or 1;
+    rows of floats alone become the space's rows as they are."""
     import numpy as np
 
     types = {matrix.dtype.type} if isinstance(matrix, np.ndarray) else set()
@@ -293,26 +296,12 @@ def _validate_array(matrix, max_points: int) -> FiniteSpace:
     n = d.shape[0]
     if n > max_points:
         raise TooManyPoints(f"{n} points exceeds cap {max_points}")
-    if not np.all(np.isfinite(d)):
-        raise NonFiniteEntry("matrix entries must be finite")
-    if np.any(d < 0.0):
-        i, j = np.argwhere(d < 0.0)[0]
-        raise NegativeEntry(f"negative distance at ({i}, {j})", witness=(int(i), int(j)))
-    if np.any(np.diagonal(d) != 0.0):
-        i = int(np.argwhere(np.diagonal(d) != 0.0)[0][0])
-        raise NonzeroDiagonal(f"nonzero diagonal at ({i}, {i})", witness=(i, i))
-    if not np.array_equal(d, d.T):
-        i, j = np.argwhere(d != d.T)[0]
-        raise AsymmetricMatrix(f"asymmetry at ({i}, {j})", witness=(int(i), int(j)))
-    off = ~np.eye(n, dtype=bool)
-    rest = d[off]
-    if np.any(rest == 0.0):
-        i, j = [(int(a), int(b)) for a, b in np.argwhere((d == 0.0) & off)][0]
-        raise ZeroOffDiagonal(f"zero distance between distinct points ({i}, {j})",
-                              witness=(i, j))
-    rows = matrix if types == {float} else (row.tolist() for row in d)
-    return _checked_space(tuple(map(tuple, rows)),
-                          float(rest.min(initial=math.inf)), float(rest.max(initial=0.0)))
+    rows = tuple(map(tuple, matrix if types == {float} else (row.tolist() for row in d)))
+    rest = d[~np.eye(n, dtype=bool)]
+    if not (np.isfinite(d).all() and (rest > 0.0).all()
+            and not np.diagonal(d).any() and np.array_equal(d, d.T)):
+        return _validate_rows(rows, max_points)
+    return _checked_space(rows, float(rest.min(initial=math.inf)), float(rest.max(initial=0.0)))
 
 
 def validate_finite_space(matrix: Sequence[Sequence[float]],
@@ -320,11 +309,11 @@ def validate_finite_space(matrix: Sequence[Sequence[float]],
     """Validate a distance matrix and return a FiniteSpace with the minimal constant.
 
     Raises AsymmetricMatrix, NegativeEntry, ZeroOffDiagonal, NonzeroDiagonal,
-    NonFiniteEntry, TooManyPoints or ConstantOverflow on bad input.  A square
-    list of at most PY_KERNEL_MAX_POINTS rows of plain numbers is checked in
-    pure Python; anything else goes through numpy.  Both kernels give the
-    same space, or the same error with the same witness.  The checks are
-    O(n^2); s is computed on its first read, or here if it could overflow.
+    NonFiniteEntry, TooManyPoints or ConstantOverflow on bad input.  The
+    checks, O(n^2), are stated once in ``_validate_rows``; numpy parses any
+    input but a list of at most PY_KERNEL_MAX_POINTS rows of plain numbers,
+    accepts it in bulk and leaves a refusal to ``_validate_rows`` to name.
+    s is computed on its first read, or here if it could overflow.
     """
     rows = _plain_rows(matrix)
     if rows is None:
@@ -402,7 +391,7 @@ def space_from_json(obj: dict) -> Space:
         fs = validate_finite_space(obj["dist"])
         if "s" in obj and obj["s"] is not None:
             given = _json_number(obj["s"])
-            if given < fs.s:
+            if not given >= fs.s:               # NaN included
                 raise ConstantTooSmall(
                     f"declared constant {given} below computed minimum {fs.s}")
             fs = replace(fs, s=given)

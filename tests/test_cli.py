@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -115,6 +116,47 @@ COERCED = {
     "phi-past-float-range": dict(THREE_POINT_INSTANCE,
                                  phi={"family": "linear", "c": 10 ** 400}),
 }
+
+
+# NaN fails every comparison, so checks written as `x < bound` let it pass
+NAN_INSTANCES = {
+    "gauge-breakpoint": dict(THREE_POINT_INSTANCE, G={
+        "family": "tabulated", "points": [[math.nan, 1.0], [1.0, 2.0]]}),
+    "gauge-value": dict(THREE_POINT_INSTANCE, G={
+        "family": "tabulated", "points": [[1.0, math.nan]]}),
+    "phi-breakpoint": dict(THREE_POINT_INSTANCE, phi={
+        "family": "tabulated", "points": [[math.nan, 0.5]]}),
+    "map-breakpoint": dict(ANALYTIC_INSTANCE, operator={
+        "tabulated": [[0.0, 0.2], [math.nan, 0.8]]}),
+    "map-value": dict(ANALYTIC_INSTANCE, operator={"tabulated": [[0.0, math.nan]]}),
+    "declared-s": dict(THREE_POINT_INSTANCE, space={
+        **THREE_POINT_INSTANCE["space"], "s": math.nan}),
+}
+
+
+class TestNanInstances:
+    @pytest.mark.parametrize("name", sorted(NAN_INSTANCES))
+    def test_certify_exits_one(self, tmp_path, capsys, name):
+        assert run_cli(["certify", write(tmp_path, "inst.json", NAN_INSTANCES[name])]) == 1
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("error: ")
+
+    def test_solve_refuses_declared_nan_constant(self, tmp_path, capsys):
+        # solve wrote "s": NaN, which is not JSON
+        inst = dict(NAN_INSTANCES["declared-s"], G={"family": "affine_plus", "c": 1.0})
+        assert run_cli(["solve", write(tmp_path, "inst.json", inst), "--x0", "2"]) == 1
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith(
+            "error: ConstantTooSmall: declared constant nan below computed minimum ")
+
+    def test_report_refuses_declared_nan_constant(self, tmp_path, capsys):
+        # report printed "constant s = nan"
+        trace = {"space": {"dist": [[0, 1], [1, 0]], "s": math.nan}, "x0": 0,
+                 "orbit": [0, 0], "indices": [0, 1], "step_dists": [0.0],
+                 "stop_reason": "exact-fixed-point", "fixed_point": 0, "k_stop": 0}
+        assert run_cli(["report", write(tmp_path, "trace.json", trace)]) == 1
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("error: ConstantTooSmall: ")
 
 
 class TestCoercedNumbers:

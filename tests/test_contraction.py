@@ -84,6 +84,16 @@ class TestApply:
         with pytest.raises(ValueError):
             TabulatedMap(((0.0, 0.8), (0.5, 0.2)))   # not monotone
 
+    @pytest.mark.parametrize("table", [
+        (), ((math.nan, 0.2),), ((math.nan, 0.2), (0.5, 0.8)), ((0.0, 0.2), (math.nan, 0.8)),
+        ((0.5, 0.2), (0.5, 0.8)), ((0.0, math.nan),), ((0.0, 0.2), (0.5, math.nan)),
+        ((0.0, math.nan), (0.5, 0.8))])
+    def test_tabulated_map_refused(self, table):
+        # breakpoints strictly increasing and not NaN, values non-decreasing
+        # and not NaN
+        with pytest.raises(ValueError):
+            TabulatedMap(table)
+
 
 class TestCertifyConditionG:
     def test_worked_three_point(self):

@@ -66,6 +66,16 @@ class TestPhiEval:
         assert phi_eval(phi, 0.2) == 0.5   # below first breakpoint
         assert phi_eval(phi, 3.0) == 0.9   # right-constant extension
 
+    @pytest.mark.parametrize("table", [
+        (), ((math.nan, 1.0),), ((math.nan, 1.0), (1.0, 2.0)), ((0.5, 1.0), (math.nan, 2.0)),
+        ((1.0, 1.0), (1.0, 2.0)), ((1.0, 1.0), (0.5, 2.0)),
+        ((0.5, math.nan),), ((0.5, 1.0), (1.0, math.nan)), ((0.5, 1.0), (1.0, 0.0))])
+    @pytest.mark.parametrize("kind", [TabulatedPhi, TabulatedGauge])
+    def test_tables_refused(self, kind, table):
+        # breakpoints strictly increasing and not NaN, values positive
+        with pytest.raises(ValueError):
+            kind(table)
+
     def test_shifted_is_exponential_shrink(self):
         phi = ShiftedPhi(math.log(2.0))
         assert phi_eval(phi, 4.0) == pytest.approx(2.0, rel=1e-15)

@@ -242,6 +242,11 @@ class TestJson:
         with pytest.raises(ConstantTooSmall):
             space_from_json(doc)
 
+    def test_declared_nan_constant_refused(self):
+        # NaN fails every comparison, so `given < s` let it through
+        with pytest.raises(ConstantTooSmall, match="^declared constant nan below"):
+            space_from_json({"dist": THREE_POINT, "s": math.nan})
+
     def test_declared_constant_kept(self):
         doc = {"dist": THREE_POINT, "s": 2.0}
         assert space_from_json(doc).s == 2.0

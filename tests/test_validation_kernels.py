@@ -1,20 +1,34 @@
-"""The pure-Python validation kernel against the numpy kernel.
+"""Validation of finite spaces against a spec stated in this file.
 
 ``validate_finite_space`` checks a square list of at most
 ``PY_KERNEL_MAX_POINTS`` rows of plain numbers in pure Python and parses
-everything else with numpy.  The numpy kernel is the reference: on every
-input the public function must return the same distances and a bit-equal
-constant, or raise the same error with the same message and witness.
+everything else with numpy, which accepts a valid matrix in bulk.  The
+reference is ``spec``: it parses the matrix, walks the five checks in order
+over the float rows, each naming its first failure in row-major order, and
+takes the constant from ``k_loop_min_constant``.  On every input, on both
+sides of the cut-off, the public function must return the same distances
+and a bit-equal constant, or raise the same error with the same message
+and witness.
 """
 
 import math
 from random import Random
+from unittest.mock import ANY
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gphi import spaces
-from gphi.errors import ConstantOverflow
+from gphi.errors import (
+    AsymmetricMatrix,
+    ConstantOverflow,
+    NegativeEntry,
+    NonFiniteEntry,
+    NonzeroDiagonal,
+    TooManyPoints,
+    ZeroOffDiagonal,
+)
 from gphi.spaces import MAX_FINITE_POINTS, PY_KERNEL_MAX_POINTS, validate_finite_space
 
 
@@ -27,9 +41,55 @@ def outcome(validate, matrix, max_points):
     return ("space", tuple(tuple(map(float.hex, row)) for row in fs.dist), fs.s.hex())
 
 
-def assert_kernels_agree(matrix, max_points=MAX_FINITE_POINTS):
-    assert (outcome(validate_finite_space, matrix, max_points)
-            == outcome(spaces._validate_array, matrix, max_points))
+def refused(error, message, witness=None):
+    return ("raised", error, message, witness)
+
+
+def spec(matrix, max_points):
+    """The outcome validation must have, stated without gphi's checks.
+
+    Parse: a string, boolean or null entry is refused, then a matrix that
+    is not square and non-empty (numpy's message for a ragged list is not
+    pinned), then an int beyond the float range, then too many points.
+    Then the five checks over the float rows, in order; each but the first
+    names its first failing entry in row-major order.
+    """
+    if not isinstance(matrix, np.ndarray):
+        if any(type(v) in (bool, str, type(None)) for row in matrix for v in row):
+            return refused(ValueError,
+                           "matrix entries must be numbers, not strings, booleans or null")
+        if not matrix or any(len(row) != len(matrix) for row in matrix):
+            return refused(ValueError, ANY)
+    try:
+        d = [[float(v) for v in row] for row in matrix]
+    except OverflowError as exc:
+        return refused(OverflowError, str(exc))
+    n = len(d)
+    if n > max_points:
+        return refused(TooManyPoints, f"{n} points exceeds cap {max_points}")
+    pairs = [(i, j) for i in range(n) for j in range(n)]
+    if not all(math.isfinite(d[i][j]) for i, j in pairs):
+        return refused(NonFiniteEntry, "matrix entries must be finite")
+    checks = [
+        (NegativeEntry, "negative distance at ({}, {})", lambda i, j: d[i][j] < 0.0),
+        (NonzeroDiagonal, "nonzero diagonal at ({}, {})",
+         lambda i, j: i == j and d[i][j] != 0.0),
+        (AsymmetricMatrix, "asymmetry at ({}, {})", lambda i, j: d[i][j] != d[j][i]),
+        (ZeroOffDiagonal, "zero distance between distinct points ({}, {})",
+         lambda i, j: i != j and d[i][j] == 0.0),
+    ]
+    for error, message, bad in checks:
+        for i, j in pairs:
+            if bad(i, j):
+                return refused(error, message.format(i, j), (i, j))
+    s = k_loop_min_constant(np.array(d))
+    if s == math.inf:
+        return refused(ConstantOverflow, "the b-metric constant overflows the float range")
+    return ("space", tuple(tuple(map(float.hex, row)) for row in d), s.hex())
+
+
+def assert_meets_spec(matrix, max_points=MAX_FINITE_POINTS):
+    assert outcome(validate_finite_space, matrix, max_points) == spec(matrix, max_points)
 
 
 def symmetric(n: int, draw_entry) -> list[list]:
@@ -43,13 +103,24 @@ def symmetric(n: int, draw_entry) -> list[list]:
 POSITIVE = st.one_of(
     st.floats(min_value=0.0, max_value=1e300, exclude_min=True),
     st.integers(min_value=1, max_value=2 ** 64))
-sizes = st.integers(min_value=1, max_value=PY_KERNEL_MAX_POINTS)
+# both sides of the cut-off between the two paths
+sizes = st.integers(min_value=1, max_value=40)
 
 
 @st.composite
 def valid_matrices(draw):
+    # past the first 64 entries a matrix repeats drawn ones, or drawing
+    # would cost more than the tests of a 40-point matrix
     n = draw(sizes)
-    return symmetric(n, lambda: draw(POSITIVE))
+    rng = Random(draw(st.integers(min_value=0, max_value=2 ** 32)))
+    pool = []
+
+    def entry():
+        if len(pool) == 64:
+            return rng.choice(pool)
+        pool.append(draw(POSITIVE))
+        return pool[-1]
+    return symmetric(n, entry)
 
 
 FAMILIES = {
@@ -70,22 +141,29 @@ def heavy_tailed(draw):
     return symmetric(n, lambda: FAMILIES[kind](rng))
 
 
-BAD_ENTRIES = st.sampled_from([
-    -1.0, -0.0, 0.0, 0, -3, math.nan, math.inf, -math.inf, 2.5, 7, 10 ** 400,
-    True, False, None, "1.5", "x"])
+BAD_NUMBERS = [-1.0, -0.0, 0.0, 0, -3, math.nan, math.inf, -math.inf, 2.5, 7]
+NON_FLOATS = [10 ** 400, True, False, None, "1.5", "x"]
 
 
 @st.composite
-def malformed(draw):
+def malformed(draw, parses=False):
     """A valid or heavy-tailed matrix with entries replaced, at one or both
-    of a mirrored pair, and sometimes a row cut short or made a tuple."""
+    of a mirrored pair, and sometimes one entry set apart from its mirror
+    by a positive number; unless it must parse to a float array, an entry
+    may be a non-number and a row may be cut short or the matrix made
+    tuples."""
     d = draw(st.one_of(valid_matrices(), heavy_tailed()))
     n = len(d)
-    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+    bad = st.sampled_from(BAD_NUMBERS if parses else BAD_NUMBERS + NON_FLOATS)
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
         i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
-        d[i][j] = draw(BAD_ENTRIES)
+        d[i][j] = draw(bad)
         if draw(st.booleans()):
             d[j][i] = d[i][j]
+    if draw(st.booleans()):
+        d[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] = draw(POSITIVE)
+    if parses:
+        return d
     if draw(st.booleans()):
         del d[draw(st.integers(0, n - 1))][-1]
     if draw(st.booleans()):
@@ -93,37 +171,76 @@ def malformed(draw):
     return d
 
 
-# a tiny detour under a huge distance makes the constant overflow; both
-# kernels raise ConstantOverflow, and numpy's overflow warning stays inside
+MAX_POINTS = st.one_of(st.just(MAX_FINITE_POINTS), st.sampled_from([1, 2, 3, 20]))
+
+
+# a tiny detour under a huge distance makes the constant overflow; the
+# function and the spec raise ConstantOverflow, and numpy's overflow
+# warning stays inside
 @pytest.mark.filterwarnings("error:overflow encountered:RuntimeWarning")
-class TestKernelsAgree:
+class TestMeetsSpec:
     @settings(max_examples=200, deadline=None)
     @given(st.one_of(valid_matrices(), heavy_tailed()))
     def test_valid(self, d):
-        assert spaces._plain_rows(d) is not None      # the Python kernel runs
-        assert_kernels_agree(d)
+        assert (spaces._plain_rows(d) is None) == (len(d) > PY_KERNEL_MAX_POINTS)
+        assert_meets_spec(d)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(valid_matrices(), heavy_tailed()))
+    def test_valid_arrays(self, d):
+        assert_meets_spec(np.array(d, dtype=float))
 
     @settings(max_examples=200, deadline=None)
-    @given(malformed(), st.sampled_from([1, 2, 3, MAX_FINITE_POINTS]))
+    @given(malformed(), MAX_POINTS)
     def test_malformed(self, d, max_points):
-        assert_kernels_agree(d, max_points)
+        assert_meets_spec(d, max_points)
+
+    @settings(max_examples=200, deadline=None)
+    @given(malformed(parses=True), MAX_POINTS)
+    def test_malformed_arrays(self, d, max_points):
+        assert_meets_spec(np.array(d, dtype=float), max_points)
+
+    @pytest.mark.parametrize("n", [3, PY_KERNEL_MAX_POINTS + 1, 40])
+    def test_first_witness_in_row_major_order(self, n):
+        # each matrix fails its check at (2, 0) and (2, 1), and at their
+        # mirror images where it is mirrored: (0, 2) comes first in
+        # row-major order, (2, 0) in column-major order
+        for entry, mirrored, error in [(-1.0, True, NegativeEntry),
+                                       (2.5, False, AsymmetricMatrix),
+                                       (0.0, True, ZeroOffDiagonal)]:
+            d = symmetric(n, lambda: 1.5)
+            d[2][0] = d[2][1] = entry
+            if mirrored:
+                d[0][2] = d[1][2] = entry
+            assert_meets_spec(d)
+            assert_meets_spec(np.array(d))
+            with pytest.raises(error) as info:
+                validate_finite_space(d)
+            assert info.value.witness == (0, 2)
 
     def test_shapes(self):
         for d in ([], [[]], [1.0, 2.0], [[0.0, 1.0]], [[0.0, 1.0], [1.0, 0.0], [1.0, 1.0]],
-                  [[0.0, 1.0], [1.0]], [[0.0, [1.0]], [1.0, 0.0]], (), "ab", 3):
-            assert_kernels_agree(d)
+                  (), 3):
+            with pytest.raises(ValueError, match="^matrix must be square and non-empty$"):
+                validate_finite_space(d)
+        for d in ([[0.0, 1.0], [1.0]], [[0.0, [1.0]], [1.0, 0.0]], "ab"):
+            with pytest.raises(ValueError):
+                validate_finite_space(d)
 
     def test_constant_overflow(self):
         d = [[0, 1e300, 1e-300], [1e300, 0, 1e-300], [1e-300, 1e-300, 0]]
         assert spaces._plain_rows(d) is not None
-        assert_kernels_agree(d)
+        assert_meets_spec(d)
         with pytest.raises(ConstantOverflow):
             validate_finite_space(d)
 
-    def test_signed_zero_diagonal_is_kept(self):
-        d = [[-0.0, 1.0], [1.0, 0.0]]
-        assert spaces._plain_rows(d) is not None
-        assert_kernels_agree(d)
+    @pytest.mark.parametrize("n", [2, PY_KERNEL_MAX_POINTS + 1])
+    def test_signed_zero_diagonal_is_kept(self, n):
+        d = symmetric(n, lambda: 1.0)
+        d[0][0] = -0.0
+        assert_meets_spec(d)
+        assert_meets_spec(np.array(d))
+        assert math.copysign(1.0, validate_finite_space(d).dist[0][0]) == -1.0
 
     def test_large_matrices_take_the_numpy_kernel(self):
         d = symmetric(PY_KERNEL_MAX_POINTS + 1, lambda: 1.5)
@@ -137,13 +254,11 @@ class TestKernelsAgree:
         # np.asarray(..., dtype=float) would parse "1" and read True as 1.0
         d = symmetric(n, lambda: 1.5)
         d[0][1] = d[1][0] = entry
-        assert_kernels_agree(d)
+        assert_meets_spec(d)
         with pytest.raises(ValueError, match="^matrix entries must be numbers"):
             validate_finite_space(d)
 
     def test_numpy_non_numbers_are_refused(self):
-        import numpy as np
-
         d = [[0.0, 1.5], [1.5, 0.0]]
         for bad in (np.array(d) > 0, np.array(d).astype(str),
                     [[0.0, np.bool_(True)], [np.bool_(True), 0.0]]):
@@ -155,8 +270,6 @@ class TestKernelsAgree:
 def k_loop_min_constant(d) -> float:
     """The numpy ``_min_constant`` as a full n x n reduction over k, kept
     verbatim as the reference the kernel must match bit for bit."""
-    import numpy as np
-
     with np.errstate(over="ignore"):
         via = d.copy()
         for k in range(d.shape[0]):
@@ -170,8 +283,6 @@ def k_loop_min_constant(d) -> float:
 
 
 def family_matrix(n: int, family: str, seed: int):
-    import numpy as np
-
     rng = Random(seed)
     return np.array(symmetric(n, lambda: FAMILIES[family](rng)))
 
