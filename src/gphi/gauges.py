@@ -110,9 +110,11 @@ IDENTITY_FORM = RealForm("identity", lambda x: x, lambda y: y, increasing=True,
 
 
 def affine_form(a: float, b: float) -> RealForm:
-    """Form x -> a*x + b on (0, inf); a must be nonzero."""
-    if a == 0.0:
-        raise ValueError("affine form needs a != 0")
+    """Form x -> a*x + b on (0, inf); a must be finite and nonzero, b finite."""
+    if not (math.isfinite(a) and a != 0.0):
+        raise ValueError("affine form needs a finite a != 0")
+    if not math.isfinite(b):
+        raise ValueError("affine form needs a finite b")
     inf_v = b if a > 0 else -math.inf
     return RealForm(f"affine({a!r},{b!r})", lambda x: a * x + b,
                     lambda y: (y - b) / a, increasing=a > 0,
@@ -121,7 +123,9 @@ def affine_form(a: float, b: float) -> RealForm:
 
 
 def shift_form(tau: float) -> RealForm:
-    """Form t -> t - tau (the classical contraction shift)."""
+    """Form t -> t - tau (the classical contraction shift); tau must be finite."""
+    if not math.isfinite(tau):
+        raise ValueError("shift form needs a finite tau")
     return RealForm(f"shift({tau!r})", lambda t: t - tau, lambda y: y + tau,
                     increasing=True, inf_value=-tau,
                     diverges_iff_zero=False, json_form={"shift": tau})
@@ -140,19 +144,32 @@ def _breakpoints(points) -> tuple[tuple[float, float], ...]:
     return pts
 
 
-def _tabulate(points) -> tuple[tuple[float, float], ...]:
-    pts = _breakpoints(points)
-    if not all(v > 0.0 for _, v in pts):
-        raise ValueError("tabulated values must be positive")
-    return pts
-
-
 def _step_eval(points, t: float) -> float:
     # Right-constant: value at the largest breakpoint <= t; below the first
     # breakpoint, the first value.
     ts = [p[0] for p in points]
     idx = bisect_right(ts, t) - 1
     return points[max(idx, 0)][1]
+
+
+@dataclass(frozen=True)
+class _StepTable:
+    """A right-constant step function of (t, value) breakpoints with
+    positive values: the table behind step comparison functions and gauges."""
+
+    points: tuple[tuple[float, float], ...]
+
+    def __post_init__(self):
+        pts = _breakpoints(self.points)
+        if not all(v > 0.0 for _, v in pts):
+            raise ValueError("tabulated values must be positive")
+        object.__setattr__(self, "points", pts)
+
+    def eval(self, t: float) -> float:
+        return _step_eval(self.points, t)
+
+    def describe(self) -> dict:
+        return {"family": "tabulated", "points": [list(p) for p in self.points]}
 
 
 # --- comparison function families -------------------------------------------
@@ -192,8 +209,8 @@ class HyperbolicPhi(_ClosedFormPhi):
     a: float
 
     def __post_init__(self):
-        if not self.a > 0.0:
-            raise ValueError("hyperbolic comparison function needs a > 0")
+        if not 0.0 < self.a < math.inf:
+            raise ValueError("hyperbolic comparison function needs a finite a > 0")
 
     def eval(self, t: float) -> float:
         return t / (1.0 + self.a * t)
@@ -214,8 +231,8 @@ class ShiftedPhi(_ClosedFormPhi):
     base: object | None = None
 
     def __post_init__(self):
-        if not self.tau > 0.0:
-            raise ValueError("shift must be positive")
+        if not 0.0 < self.tau < math.inf:
+            raise ValueError("shift needs a finite tau > 0")
 
     def eval(self, t: float) -> float:
         return math.exp(-self.tau) * t
@@ -227,17 +244,8 @@ class ShiftedPhi(_ClosedFormPhi):
         return out
 
 
-@dataclass(frozen=True)
-class TabulatedPhi:
+class TabulatedPhi(_StepTable):
     """Right-constant step function given by (t, phi(t)) breakpoints."""
-
-    points: tuple[tuple[float, float], ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "points", _tabulate(self.points))
-
-    def eval(self, t: float) -> float:
-        return _step_eval(self.points, t)
 
     def known_decay(self):
         return None
@@ -245,9 +253,6 @@ class TabulatedPhi:
     def known_monotone(self):
         vals = [v for _, v in self.points]
         return True if vals == sorted(vals) else False
-
-    def describe(self) -> dict:
-        return {"family": "tabulated", "points": [list(p) for p in self.points]}
 
 
 @dataclass(frozen=True)
@@ -460,8 +465,8 @@ class PowerGauge(_GaugeBase):
     q: float
 
     def __post_init__(self):
-        if not self.q > 0.0:
-            raise ValueError("power gauge needs q > 0")
+        if not 0.0 < self.q < math.inf:
+            raise ValueError("power gauge needs a finite q > 0")
 
     def eval(self, a: float) -> float:
         # saturates like _safe_exp: from q ~ 13 on, (2^79) ** q overflows
@@ -493,8 +498,8 @@ class AffinePlusGauge(_GaugeBase):
     c: float
 
     def __post_init__(self):
-        if not self.c > 0.0:
-            raise ValueError("affine-plus gauge needs c > 0")
+        if not 0.0 < self.c < math.inf:
+            raise ValueError("affine-plus gauge needs a finite c > 0")
 
     def eval(self, a: float) -> float:
         return self.c + a
@@ -547,17 +552,8 @@ class ExpOfFGauge(_GaugeBase):
         return {"family": "exp_of_f", "f": self.f.describe()}
 
 
-@dataclass(frozen=True)
-class TabulatedGauge(_GaugeBase):
+class TabulatedGauge(_StepTable, _GaugeBase):
     """Right-constant step gauge; its range is the finite set of table values."""
-
-    points: tuple[tuple[float, float], ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "points", _tabulate(self.points))
-
-    def eval(self, a: float) -> float:
-        return _step_eval(self.points, a)
 
     def known_inf(self):
         return min(v for _, v in self.points)
@@ -592,9 +588,6 @@ class TabulatedGauge(_GaugeBase):
         """inf over [eps, hi]: the step that starts at hi counts."""
         return min(v for left, right, v in self._regions()
                    if right > eps and left <= hi)
-
-    def describe(self) -> dict:
-        return {"family": "tabulated", "points": [list(p) for p in self.points]}
 
 
 def gauge_eval(G, a: float) -> float:

@@ -69,14 +69,6 @@ class PicardTrace:
                 f"orbit index {k} not recorded: the orbit cycles through {list(self.cycle)}")
         raise OrbitTooShort(f"orbit index {k} not recorded")
 
-    def step_at(self, k: int) -> float:
-        """Step distance d(x_k, x_{k+1}), zero past an exact stop."""
-        if 0 <= k < len(self.step_dists):
-            return self.step_dists[k]
-        if self.stop_reason == "exact-fixed-point" and k >= self.k_stop:
-            return 0.0
-        raise OrbitTooShort(f"step index {k} not recorded")
-
     def to_json(self) -> dict:
         return {
             "space": space_to_json(self.space),
@@ -94,9 +86,11 @@ class PicardTrace:
 def trace_from_json(obj: dict) -> PicardTrace:
     """Load a trace; the points it names must lie in its space, its indices
     must be 0 .. len(orbit) - 1, its orbit one point longer than its steps,
-    and its x0, fixed point, cycle and ``k_stop`` must fit its orbit, steps
+    and its x0, fixed point, cycle, ``k_stop`` and steps must fit its orbit
     and stop reason as ``picard_iterate`` writes them, because the lemma
-    checks read them without checking them again."""
+    checks read them without checking them again.  Each step is the
+    distance between its two orbit points, bit for bit, and only the last
+    step of an exact stop is zero-class."""
     space = space_from_json(obj["space"])
     cycle = obj.get("cycle")
     if (not all(isinstance(v, list) for v in (obj["orbit"], obj["indices"], obj["step_dists"]))
@@ -107,6 +101,7 @@ def trace_from_json(obj: dict) -> PicardTrace:
         raise ValueError("trace orbit, indices, steps or cycle has the wrong type")
     orbit, step_dists = tuple(obj["orbit"]), tuple(obj["step_dists"])
     fixed_point, stop_reason = obj["fixed_point"], obj["stop_reason"]
+    exact = stop_reason == "exact-fixed-point"
     cycle = tuple(cycle) if cycle is not None else None
     named = [obj["x0"], *orbit, *(cycle or ())]
     if fixed_point is not None:
@@ -119,11 +114,18 @@ def trace_from_json(obj: dict) -> PicardTrace:
         raise ValueError("trace indices, steps or stop reason do not fit its orbit")
     if ((fixed_point is None) != (stop_reason == "budget-exhausted")
             or type(obj["k_stop"]) is not int
-            or obj["k_stop"] != len(step_dists) - (stop_reason == "exact-fixed-point")):
+            or obj["k_stop"] != len(step_dists) - exact):
         raise ValueError("trace fixed point or k_stop does not fit its stop reason")
     if (obj["x0"] != orbit[0] or fixed_point not in (None, orbit[-1])
-            or (cycle is not None and stop_reason != "budget-exhausted")):
+            or (cycle is not None and (stop_reason != "budget-exhausted" or len(cycle) < 2
+                                       or cycle != orbit[orbit.index(orbit[-1]):-1]))):
         raise ValueError("trace x0, fixed point or cycle does not fit its orbit")
+    pairs = zip(orbit, orbit[1:])               # checked points: distances read unchecked
+    fit = ([space.dist[x][y] for x, y in pairs] if isinstance(space, FiniteSpace)
+           else [abs(x - y) ** space.p for x, y in pairs])
+    if (list(step_dists) != fit or [space.is_zero(d) for d in step_dists]
+            != [False] * (len(step_dists) - exact) + [True] * exact):
+        raise ValueError("trace steps do not fit its orbit or stop reason")
     return PicardTrace(
         space=space, x0=obj["x0"], orbit=orbit, step_dists=step_dists,
         stop_reason=stop_reason, fixed_point=fixed_point,
@@ -190,22 +192,6 @@ def _orbit(space: Space, T: OperatorSpec, x0):
             seen[xn] = k
         yield xn, d, False, None
         x = xn
-
-
-def _point_distance(space: Space, points):
-    """The distance among ``points`` and the orbit points of checked maps.
-
-    On a finite space ``points`` are checked here, once, and the returned
-    distance reads the matrix directly; an interval keeps its checked
-    ``distance``.
-    """
-    if not isinstance(space, FiniteSpace):
-        return space.distance
-    for p in points:
-        if not space.contains(p):
-            raise PointOutOfDomain(f"point {p!r} not in space")
-    dist = space.dist
-    return lambda x, y: dist[x][y]
 
 
 def picard_iterate(space: Space, T: OperatorSpec, x0, max_iter: int = MAX_ITER_DEFAULT,
@@ -334,7 +320,8 @@ def verify_invariant_ball(T: OperatorSpec, trace: PicardTrace, eps: float, n: in
                 pass
             return x
         return _ball_holds(space, center, eps, image_of)
-    _point_distance(space, (center,))       # the centre is checked before the map
+    if not space.contains(center):          # the centre is checked before the map
+        raise PointOutOfDomain(f"point {center!r} not in space")
     validate_operator(space, T)
     return _ball_holds(space, center, eps, _power_image(T.mapping, n).__getitem__)
 
@@ -342,17 +329,17 @@ def verify_invariant_ball(T: OperatorSpec, trace: PicardTrace, eps: float, n: in
 def _ball_holds(space: Space, center, eps: float, image_of) -> bool:
     """True iff ``image_of``, read as T^n, maps every candidate of the ball
     B(center, eps) back inside it: every point of a finite space, else
-    ``BALL_SAMPLES`` evenly spaced points of the interval ball."""
-    distance = _point_distance(space, (center,))
+    ``BALL_SAMPLES`` evenly spaced points of the interval ball.  A finite
+    centre is a checked point: its row of the symmetric matrix holds d(u, center)."""
     if isinstance(space, FiniteSpace):
-        raw = space.points
-    else:
-        r = eps ** (1.0 / space.p)
-        lo = max(space.lo, center - r)
-        hi = min(space.hi, center + r)
-        raw = [lo + (hi - lo) * i / (BALL_SAMPLES - 1) for i in range(BALL_SAMPLES)]
-    return all(distance(image_of(u), center) < eps
-               for u in raw if distance(u, center) < eps)
+        row = space.dist[center]
+        return all(row[image_of(u)] < eps for u in space.points if row[u] < eps)
+    r = eps ** (1.0 / space.p)
+    lo = max(space.lo, center - r)
+    hi = min(space.hi, center + r)
+    raw = [lo + (hi - lo) * i / (BALL_SAMPLES - 1) for i in range(BALL_SAMPLES)]
+    return all(space.distance(image_of(u), center) < eps
+               for u in raw if space.distance(u, center) < eps)
 
 
 def verify_step_chaining(trace: PicardTrace, n: int, eps: float) -> tuple[int, bool]:
@@ -384,18 +371,20 @@ def verify_step_chaining(trace: PicardTrace, n: int, eps: float) -> tuple[int, b
             f"no recorded tail with steps below {thr}")
 
     m0 = -(-(k0 + 1) // n)
-    # blocks that end in the record; past an exact stop the orbit stays at its fixed point
-    last = trace.max_index if exact else trace.max_index - n + 1
+    orbit, last = trace.orbit, trace.max_index - n + 1      # blocks that end in the record
+    if exact:               # past an exact stop the orbit stays at its fixed point
+        orbit += (trace.fixed_point,) * n
+        steps += (0.0,) * n
+        last = trace.max_index
     for base in range(m0 * n, last + 1, n):
-        block = [trace.point_at(base + p) for p in range(n)]
         acc = 0.0
         spow = 1.0
         for p in range(1, n):
             spow *= s
-            d_step = trace.step_at(base + p - 1)
+            d_step = steps[base + p - 1]
             if not space.is_zero(d_step):
                 acc += spow * d_step
-            d_direct = space.distance(block[0], block[p])
+            d_direct = space.distance(orbit[base], orbit[base + p])
             if not (d_direct < eps and acc < eps):
                 return m0, False
     return m0, True

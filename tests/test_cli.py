@@ -159,6 +159,31 @@ class TestNanInstances:
         assert out.out == "" and out.err.startswith("error: ConstantTooSmall: ")
 
 
+# an infinite or NaN family parameter; with a NaN shift, certify blamed phi
+# and solve exited 0 with the gauge in neither class
+NON_FINITE_PARAMETERS = {
+    "exp-of-shift-nan": ({"family": "exp_of_f", "f": {"shift": math.nan}}, None,
+                         "shift form needs a finite tau"),
+    "exp-of-affine-inf": ({"family": "exp_of_f", "f": {"affine": {"a": 1.0, "b": math.inf}}},
+                          None, "affine form needs a finite b"),
+    "power-inf": ({"family": "power", "q": math.inf}, None, "power gauge needs a finite q > 0"),
+    "hyperbolic-inf": (None, {"family": "hyperbolic", "a": math.inf},
+                       "hyperbolic comparison function needs a finite a > 0"),
+}
+
+
+@pytest.mark.parametrize("command", [["certify"], ["solve", "--x0", "2"]])
+@pytest.mark.parametrize("name", sorted(NON_FINITE_PARAMETERS))
+def test_non_finite_parameters_exit_one(tmp_path, capsys, name, command):
+    G, phi, message = NON_FINITE_PARAMETERS[name]
+    inst = dict(THREE_POINT_INSTANCE, G=G or THREE_POINT_INSTANCE["G"],
+                phi=phi or THREE_POINT_INSTANCE["phi"])
+    path = write(tmp_path, "inst.json", inst)
+    assert run_cli([command[0], path, *command[1:]]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == f"error: ValueError: {message}\n"
+
+
 class TestCoercedNumbers:
     @pytest.mark.parametrize("name", sorted(COERCED))
     def test_certify_exits_one(self, tmp_path, capsys, name):
@@ -397,6 +422,21 @@ class TestReport:
         assert run_cli(["report", write(tmp_path, "trace.json", trace)]) == 1
         out = capsys.readouterr()
         assert out.out == "" and out.err.startswith("error: ")
+
+    @pytest.mark.parametrize("steps", [[0.001, 0, 0], [4, 1, 5]])
+    def test_steps_off_the_orbit_exit_one(self, tmp_path, capsys, steps):
+        # report printed the edited steps' last one as the last step distance
+        assert run_cli(["solve", write(tmp_path, "inst.json", THREE_POINT_INSTANCE),
+                        "--x0", "2"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["trace"]["step_dists"] == [4.0, 1.0, 0.0]
+        assert run_cli(["report", write(tmp_path, "solve.json", doc)]) == 0
+        capsys.readouterr()
+        doc["trace"]["step_dists"] = steps
+        assert run_cli(["report", write(tmp_path, "solve.json", doc)]) == 1
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith(
+            "error: ValueError: trace steps do not fit its orbit")
 
     @pytest.mark.parametrize("diagnostics", [5, [1], "holds", {"eps": 0.5}])
     def test_invalid_diagnostics_exit_one(self, tmp_path, capsys, diagnostics):

@@ -713,6 +713,52 @@ class TestThresholdEvaluations:
         assert built == [()]
 
 
+class TestFiniteParameters:
+    """Family parameters are finite: inf and NaN are refused at construction
+    with the parameter named, where an infinite one made phi zero or a
+    gauge infinite everywhere."""
+
+    NON_FINITE = [math.inf, -math.inf, math.nan]
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_power_gauge(self, bad):
+        with pytest.raises(ValueError, match="^power gauge needs a finite q > 0$"):
+            PowerGauge(bad)
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_affine_plus_gauge(self, bad):
+        with pytest.raises(ValueError, match="^affine-plus gauge needs a finite c > 0$"):
+            AffinePlusGauge(bad)
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_hyperbolic_phi(self, bad):
+        with pytest.raises(ValueError,
+                           match="^hyperbolic comparison function needs a finite a > 0$"):
+            HyperbolicPhi(bad)
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_shifted_phi(self, bad):
+        with pytest.raises(ValueError, match="^shift needs a finite tau > 0$"):
+            ShiftedPhi(bad)
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_shift_form(self, bad):
+        with pytest.raises(ValueError, match="^shift form needs a finite tau$"):
+            gauges.shift_form(bad)
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_affine_form(self, bad):
+        with pytest.raises(ValueError, match="^affine form needs a finite a != 0$"):
+            affine_form(bad, 0.5)
+        with pytest.raises(ValueError, match="^affine form needs a finite b$"):
+            affine_form(2.0, bad)
+
+    def test_finite_parameters_still_build(self):
+        assert PowerGauge(1e300).q == 1e300 and AffinePlusGauge(1e-300).c == 1e-300
+        assert HyperbolicPhi(1e300).a == 1e300 and ShiftedPhi(700.0).tau == 700.0
+        assert gauges.shift_form(-2.5)(1.0) == 3.5 and affine_form(-1e300, 1e300)(1.0) == 0.0
+
+
 class TestJsonForms:
     def test_phi_round_trip(self):
         for phi in CATALOG_PHIS + [ShiftedPhi(0.7), DIAGONAL_PHI]:

@@ -1,13 +1,18 @@
-"""Golden stdout bytes of CLI ``certify`` and ``solve`` on larger finite spaces.
+"""Golden stdout bytes of CLI ``certify`` and ``solve`` on larger finite spaces,
+and of ``scripts/worked_instance.py``.
 
 The fuzz-report pins in ``test_acceptance.py`` only reach n <= 8.  These pin
 the full certification scan and the Picard orbit at n = 64 and n = 256, where
 the inner loops run long enough for a change in pair order, in the values
-read, or in the orbit's stopping rule to show up in the printed JSON.
+read, or in the orbit's stopping rule to show up in the printed JSON.  The
+worked-instance script prints every artifact of the README's two worked
+instances, the lemmas' results among them.
 """
 
 import hashlib
 import json
+import runpy
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -83,3 +88,13 @@ def test_cli_stdout_bytes(name, command, tmp_path, capsys):
     code = run_cli(argv)
     out = capsys.readouterr().out
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == GOLDEN[(name, command)]
+
+
+WORKED_INSTANCE = Path(__file__).resolve().parent.parent / "scripts" / "worked_instance.py"
+WORKED_INSTANCE_SHA256 = "e777d5daa9321fc8366109652aacf8c36e69c6a8efc2e7e26de192496b8a8989"
+
+
+def test_worked_instance_stdout_bytes(capsys):
+    runpy.run_path(str(WORKED_INSTANCE), run_name="__main__")
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == WORKED_INSTANCE_SHA256

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 from random import Random
 
@@ -151,6 +152,53 @@ class TestPicardIterate:
         doc = picard_iterate(space, T, x0).to_json()
         assert trace_from_json(doc) == picard_iterate(space, T, x0)
         doc.update(changes)
+        with pytest.raises(ValueError, match="x0, fixed point or cycle does not fit its orbit"):
+            trace_from_json(doc)
+
+    @pytest.mark.parametrize("space,T,x0,max_iter,changes", [
+        # the steps of the orbit 2, 1, 0, 0 are 4.0, 1.0, 0.0: on the first
+        # edit, verify_step_chaining(trace, 2, 0.5) gave m0 = 1 for 2
+        (THREE_POINT, FiniteMap((0, 0, 1)), 2, 10, {"step_dists": [0.001, 0, 0]}),
+        (THREE_POINT, FiniteMap((0, 0, 1)), 2, 10, {"step_dists": [4, 1, 5]}),
+        (THREE_POINT, FiniteMap((0, 0, 1)), 2, 10, {"step_dists": [4.0, 1.0, -1.0]}),
+        (THREE_POINT, FiniteMap((0, 0, 1)), 2, 10, {"step_dists": [4.0, math.nan, 0.0]}),
+        # one ulp off an interval step
+        (UNIT_SQ, AffineMap(0.5, 0.0), 1.0, 1, {"step_dists": [math.nextafter(0.25, 1.0)]}),
+        # a zero step before the last: the orbit goes on past an exact stop
+        (THREE_POINT, FiniteMap((0, 0, 1)), 1, 10,
+         {"orbit": [1, 0, 0, 0], "indices": [0, 1, 2, 3], "step_dists": [1.0, 0.0, 0.0],
+          "k_stop": 2}),
+        # a run that is not an exact stop ends on a zero step
+        (THREE_POINT, FiniteMap((0, 0, 1)), 1, 10,
+         {"stop_reason": "budget-exhausted", "fixed_point": None, "k_stop": 2}),
+        # an exact stop with no zero step, or with no step at all
+        (THREE_POINT, FiniteMap((0, 0, 1)), 2, 1,
+         {"stop_reason": "exact-fixed-point", "fixed_point": 1, "k_stop": 0}),
+        (THREE_POINT, FiniteMap((0, 0, 1)), 0, 10,
+         {"orbit": [0], "indices": [0], "step_dists": [], "k_stop": -1})])
+    def test_json_trace_steps_must_fit_its_orbit(self, space, T, x0, max_iter, changes):
+        doc = picard_iterate(space, T, x0, max_iter=max_iter).to_json()
+        assert trace_from_json(doc) == picard_iterate(space, T, x0, max_iter=max_iter)
+        doc.update(changes)
+        with pytest.raises(ValueError, match="^trace steps do not fit its orbit or stop reason$"):
+            trace_from_json(doc)
+
+    @pytest.mark.parametrize("space,T,x0,max_iter,cycle", [
+        # the orbit 0, 1, 0 closes the cycle [0, 1]: the cycle is the orbit
+        # from the first visit of its last point, as picard_iterate writes it
+        (TWO_CYCLE_SPACE, SWAP, 0, 10, [1, 0]),
+        (TWO_CYCLE_SPACE, SWAP, 0, 10, [0, 1, 0]),
+        (TWO_CYCLE_SPACE, SWAP, 0, 10, [0]),
+        (TWO_CYCLE_SPACE, SWAP, 0, 10, []),
+        # a budget run that revisits nothing has no cycle
+        (THREE_POINT, FiniteMap((0, 0, 1)), 2, 1, [2, 1]),
+        (THREE_POINT, FiniteMap((0, 0, 1)), 2, 1, [])])
+    def test_json_trace_cycle_must_close_its_orbit(self, space, T, x0, max_iter, cycle):
+        trace = picard_iterate(space, T, x0, max_iter=max_iter)
+        assert trace.stop_reason == "budget-exhausted"
+        doc = trace.to_json()
+        assert trace_from_json(doc) == trace
+        doc["cycle"] = cycle
         with pytest.raises(ValueError, match="x0, fixed point or cycle does not fit its orbit"):
             trace_from_json(doc)
 
