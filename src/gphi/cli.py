@@ -200,7 +200,8 @@ def run_cli(argv) -> int:
         if args.command == "report":
             return _cmd_report(args)
         parser.error(f"unknown command {args.command!r}")
-    except (GphiError, OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (GphiError, OSError, json.JSONDecodeError, KeyError, ValueError,
+            OverflowError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     return EXIT_OK

@@ -22,9 +22,8 @@ Two adapters translate classical formulations into the gauged one:
 
 from __future__ import annotations
 
-import math
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from itertools import combinations
 from operator import le
 
@@ -46,7 +45,7 @@ from .gauges import (
     gauge_eval,
     phi_eval,
 )
-from .spaces import AnalyticSpace, FiniteSpace, Space, _is_numpy_scalar, _json_number
+from .spaces import AnalyticSpace, FiniteSpace, Space, _Record, _is_numpy_scalar, _json_number
 
 SAMPLE_PAIRS_DEFAULT = 4096
 
@@ -103,8 +102,8 @@ class TabulatedMap:
     def __post_init__(self):
         pts = _breakpoints(self.points)
         vs = [v for _, v in pts]
-        if any(map(math.isnan, vs)) or not all(map(le, vs, vs[1:])):
-            raise ValueError("tabulated map must be monotone non-decreasing and not NaN")
+        if not all(map(le, vs, vs[1:])):
+            raise ValueError("tabulated map must be monotone non-decreasing")
         object.__setattr__(self, "points", pts)
 
     def describe(self) -> dict:
@@ -156,7 +155,7 @@ def apply(T: OperatorSpec, space: Space, x):
 
 
 @dataclass(frozen=True)
-class ViolationWitness:
+class ViolationWitness(_Record):
     x: object
     y: object
     d_xy: float
@@ -165,21 +164,15 @@ class ViolationWitness:
     g_of_dt: float
     phi_bound: float
 
-    def to_json(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
-class ContractionCertificate:
+class ContractionCertificate(_Record):
     verdict: str                      # "certified" | "violated" | "inconclusive"
     checked_pairs: int
     violation_witness: ViolationWitness | None
     sampling_mode: dict
     note: str | None = None
     provenance: dict = field(default_factory=dict)
-
-    def to_json(self) -> dict:
-        return asdict(self)
 
 
 def _informative_pairs(space, T, pairs):

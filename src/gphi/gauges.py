@@ -23,10 +23,9 @@ below eps/(2s) for any certified operator).
 
 from __future__ import annotations
 
-import json
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from functools import cache
 from operator import lt
 from typing import Callable
@@ -40,7 +39,7 @@ from .errors import (
     NoValidEpsilon,
     NotStrictlyIncreasing,
 )
-from .spaces import _json_number
+from .spaces import _Record, _json_number
 
 PHI_BUDGET_DEFAULT = 10 ** 6
 PHI_TOL_DEFAULT = 1e-9
@@ -132,15 +131,17 @@ def shift_form(tau: float) -> RealForm:
 
 
 def _breakpoints(points) -> tuple[tuple[float, float], ...]:
-    """The (t, value) pairs of a step table as floats: at least one, with
-    breakpoints t strictly increasing and none NaN.  The values are checked
-    by the table's own rule."""
+    """The (t, value) pairs of a step table as floats: at least one, all
+    finite, with breakpoints t strictly increasing.  The values are checked
+    further by the table's own rule."""
     pts = tuple((float(t), float(v)) for t, v in points)
     if not pts:
         raise ValueError("tabulated function needs at least one breakpoint")
+    if not all(math.isfinite(t) and math.isfinite(v) for t, v in pts):
+        raise ValueError("breakpoints and values must be finite")
     ts = [t for t, _ in pts]
-    if any(map(math.isnan, ts)) or not all(map(lt, ts, ts[1:])):
-        raise ValueError("breakpoints must be strictly increasing and not NaN")
+    if not all(map(lt, ts, ts[1:])):
+        raise ValueError("breakpoints must be strictly increasing")
     return pts
 
 
@@ -320,13 +321,10 @@ def phi_iterate(phi, t: float, n: int) -> float:
 
 
 @dataclass(frozen=True)
-class PhiCertificate:
+class PhiCertificate(_Record):
     verdict: str                      # "member" | "non-member" | "inconclusive"
     witness: dict | None = None
     evidence: dict = field(default_factory=dict)
-
-    def to_json(self) -> dict:
-        return asdict(self)
 
 
 def certify_phi(phi, grid, budget: int = PHI_BUDGET_DEFAULT,
@@ -706,14 +704,10 @@ class _Extrema:
 
 
 @dataclass(frozen=True)
-class ClassCertificate:
+class ClassCertificate(_Record):
     in_g1: str                         # "yes" | "no" | "inconclusive"
     in_g2: str
     evidence: dict = field(default_factory=dict)
-
-    def to_json(self) -> dict:
-        # a gauge value or estimate past the float range is written as null
-        return json.loads(json.dumps(asdict(self)), parse_constant=lambda _: None)
 
 
 def certify_gauge_class(G, grid=None) -> ClassCertificate:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from itertools import combinations, tee
 from random import Random
 
@@ -61,8 +61,8 @@ from .solver import (
     verify_g1_termination,
     verify_step_chaining,
 )
-from .spaces import (MAX_FINITE_POINTS, PY_KERNEL_MAX_POINTS, FiniteSpace, space_to_json,
-                     validate_finite_space)
+from .spaces import (MAX_FINITE_POINTS, PY_KERNEL_MAX_POINTS, FiniteSpace, _Record,
+                     space_to_json, validate_finite_space)
 
 DEFAULT_GAUGE_CATALOG = (
     IdentityGauge(),
@@ -108,7 +108,7 @@ class FuzzConfig:
 
 
 @dataclass
-class FuzzReport:
+class FuzzReport(_Record):
     config: dict
     trials_run: int = 0
     certified_count: int = 0
@@ -120,9 +120,6 @@ class FuzzReport:
     lemma_counts: dict = field(default_factory=lambda: {
         name: {"pass": 0, "fail": 0} for name in _LEMMAS})
     violations: list = field(default_factory=list)
-
-    def to_json(self) -> dict:
-        return asdict(self)
 
     def to_json_str(self) -> str:
         return json.dumps(self.to_json(), indent=2, sort_keys=True)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from itertools import islice
 from operator import itemgetter
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from .contraction import FiniteMap, OperatorSpec, apply, validate_operator
 from .errors import (
@@ -31,7 +31,7 @@ from .errors import (
     TailNotSmall,
 )
 from .gauges import n_epsilon
-from .spaces import FiniteSpace, Space, space_from_json, space_to_json
+from .spaces import FiniteSpace, Space, _Record, space_from_json, space_to_json
 
 MAX_ITER_DEFAULT = 10_000
 CONFIRM_STEPS = 3
@@ -133,7 +133,7 @@ def trace_from_json(obj: dict) -> PicardTrace:
 
 
 @dataclass(frozen=True)
-class CauchyDiagnostics:
+class CauchyDiagnostics(_Record):
     """Cauchy-bound quantities; ``pairs_checked`` is L(L-1)/2 for the L tail points."""
 
     eps: float
@@ -145,9 +145,6 @@ class CauchyDiagnostics:
     max_observed: float
     pairs_checked: int
     holds: bool
-
-    def to_json(self) -> dict:
-        return asdict(self)
 
 
 def _orbit(space: Space, T: OperatorSpec, x0):
@@ -353,6 +350,8 @@ def verify_step_chaining(trace: PicardTrace, n: int, eps: float) -> tuple[int, b
     """
     if n < 1:
         raise ValueError("n must be at least 1")
+    if not eps > 0.0:
+        raise NonpositiveRadius("eps must be positive")
     space = trace.space
     s = space.s
     steps = trace.step_dists

@@ -17,6 +17,7 @@ concrete families are supported:
 
 from __future__ import annotations
 
+import json
 import math
 import sys
 from dataclasses import asdict, dataclass, replace
@@ -147,8 +148,16 @@ class AnalyticSpace:
 Space = FiniteSpace | AnalyticSpace
 
 
+class _Record:
+    """A result record (a dataclass) whose JSON is exactly its fields; a NaN
+    or a value past the float range is written as null."""
+
+    def to_json(self) -> dict:
+        return json.loads(json.dumps(asdict(self)), parse_constant=lambda _: None)
+
+
 @dataclass(frozen=True)
-class BoundReport:
+class BoundReport(_Record):
     """Result of the liminf/limsup sandwich check around a convergent sequence."""
 
     lower: float
@@ -156,9 +165,6 @@ class BoundReport:
     limsup_est: float
     upper: float
     holds: bool
-
-    def to_json(self) -> dict:
-        return asdict(self)
 
 
 def _min_constant(d) -> float:

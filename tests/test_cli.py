@@ -82,6 +82,25 @@ class TestCertify:
         assert run_cli(["certify", path]) == 1
         assert capsys.readouterr().err
 
+    def test_witness_past_float_range_is_null(self, tmp_path, capsys):
+        # G = exp(identity) saturates at d(T0, T1) = 800: printed as Infinity
+        inst = {"space": {"dist": [[0, 1, 800], [1, 0, 800.5], [800, 800.5, 0]]},
+                "operator": {"map": [0, 2, 0]}, "G": {"family": "exp_of_f", "f": "identity"},
+                "phi": {"family": "linear", "c": 0.5}}
+        assert run_cli(["certify", write(tmp_path, "inst.json", inst)]) == 2
+        doc = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+        w = doc["violation_witness"]
+        assert (w["x"], w["y"], w["d_txty"], w["g_of_dt"]) == (0, 1, 800.0, None)
+
+    def test_infinite_table_value_exits_one(self, tmp_path, capsys):
+        # exited 2 with Infinity inside the certificate's provenance
+        inst = dict(THREE_POINT_INSTANCE, G={
+            "family": "tabulated", "points": [[0.5, math.inf], [1.0, 2.0]]})
+        assert run_cli(["certify", write(tmp_path, "inst.json", inst)]) == 1
+        out = capsys.readouterr()
+        assert out.out == "" and out.err == (
+            "error: ValueError: breakpoints and values must be finite\n")
+
 
 # every instance number must be a JSON number within the float range and
 # every map entry an integer: none of these is parsed from a string, read
@@ -182,6 +201,38 @@ def test_non_finite_parameters_exit_one(tmp_path, capsys, name, command):
     assert run_cli([command[0], path, *command[1:]]) == 1
     out = capsys.readouterr()
     assert out.out == "" and out.err == f"error: ValueError: {message}\n"
+
+
+WIDE_INSTANCE = dict(ANALYTIC_INSTANCE, space={"lo": 0, "hi": 1e200, "p": 2},
+                     operator={"affine": {"a": 0.5, "b": 0}})
+
+# a number past the float range, in the input or in a distance computed from
+# it: each raised OverflowError out of the command
+PAST_FLOAT_RANGE = {
+    "matrix-entry-3": (["certify"], dict(THREE_POINT_INSTANCE, space={
+        "dist": [[0, 1, 10 ** 400], [1, 0, 1], [10 ** 400, 1, 0]]})),
+    "matrix-entry-20": (["certify"], dict(THREE_POINT_INSTANCE, operator={"map": [0] * 20},
+                                          space={"dist": [
+        [0 if i == j else 10 ** 400 if {i, j} == {0, 1} else 1 for j in range(20)]
+        for i in range(20)]})),
+    "interval-distance": (["certify"], WIDE_INSTANCE),
+    "interval-start": (["solve", "--x0", "1e200"], WIDE_INSTANCE),
+    "interval-constant": (["solve", "--x0", "0.5"], dict(ANALYTIC_INSTANCE, space={
+        "lo": 0, "hi": 1, "p": 2000})),
+    "trace-step": (["report"], {"space": {"lo": 0, "hi": 1e200, "p": 2}, "x0": 1e200,
+                                "orbit": [1e200, 0.0], "indices": [0, 1], "step_dists": [1.0],
+                                "stop_reason": "budget-exhausted", "fixed_point": None,
+                                "k_stop": 1, "cycle": None}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PAST_FLOAT_RANGE))
+def test_past_float_range_exits_one(tmp_path, capsys, name):
+    command, doc = PAST_FLOAT_RANGE[name]
+    path = write(tmp_path, "doc.json", doc)
+    assert run_cli([command[0], path, *command[1:]]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error: OverflowError: ")
 
 
 class TestCoercedNumbers:

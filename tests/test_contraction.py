@@ -87,10 +87,11 @@ class TestApply:
     @pytest.mark.parametrize("table", [
         (), ((math.nan, 0.2),), ((math.nan, 0.2), (0.5, 0.8)), ((0.0, 0.2), (math.nan, 0.8)),
         ((0.5, 0.2), (0.5, 0.8)), ((0.0, math.nan),), ((0.0, 0.2), (0.5, math.nan)),
-        ((0.0, math.nan), (0.5, 0.8))])
+        ((0.0, math.nan), (0.5, 0.8)), ((0.0, 0.2), (0.5, math.inf)),
+        ((0.0, -math.inf), (0.5, 0.8)), ((0.0, 0.2), (math.inf, 0.8))])
     def test_tabulated_map_refused(self, table):
-        # breakpoints strictly increasing and not NaN, values non-decreasing
-        # and not NaN
+        # breakpoints finite and strictly increasing, values finite and
+        # non-decreasing
         with pytest.raises(ValueError):
             TabulatedMap(table)
 

@@ -3,6 +3,7 @@ import functools
 import itertools
 import json
 import math
+import types
 from bisect import bisect_right
 
 import pytest
@@ -20,6 +21,7 @@ from gphi.errors import (
 from gphi.gauges import (
     AffinePlusGauge,
     ExpOfFGauge,
+    ExpPsiLnPhi,
     HyperbolicPhi,
     IDENTITY_FORM,
     IdentityGauge,
@@ -43,6 +45,7 @@ from gphi.gauges import (
     phi_eval,
     phi_from_json,
     phi_iterate,
+    shift_form,
     _Extrema,
     _grid_points,
 )
@@ -69,10 +72,12 @@ class TestPhiEval:
     @pytest.mark.parametrize("table", [
         (), ((math.nan, 1.0),), ((math.nan, 1.0), (1.0, 2.0)), ((0.5, 1.0), (math.nan, 2.0)),
         ((1.0, 1.0), (1.0, 2.0)), ((1.0, 1.0), (0.5, 2.0)),
-        ((0.5, math.nan),), ((0.5, 1.0), (1.0, math.nan)), ((0.5, 1.0), (1.0, 0.0))])
+        ((0.5, math.nan),), ((0.5, 1.0), (1.0, math.nan)), ((0.5, 1.0), (1.0, 0.0)),
+        ((0.5, math.inf), (1.0, 2.0)), ((0.5, 1.0), (math.inf, 2.0)),
+        ((-math.inf, 1.0), (0.5, 2.0))])
     @pytest.mark.parametrize("kind", [TabulatedPhi, TabulatedGauge])
     def test_tables_refused(self, kind, table):
-        # breakpoints strictly increasing and not NaN, values positive
+        # breakpoints finite and strictly increasing, values finite and positive
         with pytest.raises(ValueError):
             kind(table)
 
@@ -154,6 +159,18 @@ class TestCertifyPhi:
         with pytest.raises(EmptyGrid):
             certify_phi(LinearPhi(0.5), grid=[])
 
+    def test_value_underflowing_to_zero_is_non_member(self):
+        # exp(ln 1 - 800) underflows to 0.0
+        cert = certify_phi(ExpPsiLnPhi(affine_form(1.0, -800.0)), grid=[1.0])
+        assert cert.verdict == "non-member"
+        assert cert.witness == {"kind": "nonpositive-value", "t": 1.0, "phi_t": 0.0}
+
+    def test_slow_decay_exhausts_budget(self):
+        # phi(t) = t * exp(-1e-12) decreases, but 10 steps stay far above tol
+        cert = certify_phi(ExpPsiLnPhi(shift_form(1e-12)), grid=[1.0], budget=10)
+        assert cert.verdict == "inconclusive"
+        assert cert.witness["kind"] == "budget" and cert.witness["budget"] == 10
+
 
 class TestStrictDecrease:
     @pytest.mark.parametrize("phi", CATALOG_PHIS, ids=str)
@@ -226,6 +243,22 @@ class TestCertifyGaugeClass:
         cert = certify_gauge_class(TabulatedGauge(((0.5, 0.1), (1.0, 0.9))))
         assert cert.in_g1 == "yes"
         assert cert.in_g2 == "no"
+
+    def test_known_no_g2_vanishing_away_from_zero(self):
+        # G(a) = exp(-a - 30) stays below 1e-9 along a -> 0 and a -> inf alike
+        cert = certify_gauge_class(ExpOfFGauge(affine_form(-1.0, -30.0)))
+        assert cert.in_g2 == "no"
+        assert cert.evidence["g2_witness"]["kind"] == "vanishes-away-from-zero"
+
+    def test_sampled_no_g2_vanishing_away_from_zero(self):
+        cert = certify_gauge_class(dyadic_parity_gauge(lambda a: 1.0 / a))
+        assert cert.in_g2 == "no"
+        assert cert.evidence["g2_witness"]["kind"] == "vanishes-away-from-zero"
+
+    def test_sampled_g2_inconclusive(self):
+        cert = certify_gauge_class(dyadic_parity_gauge(lambda a: 1.0))
+        assert cert.in_g2 == "inconclusive"
+        assert "g2_witness" not in cert.evidence
 
     @pytest.mark.parametrize("gauge", [
         IdentityGauge(), PowerGauge(2.0), PowerGauge(0.5),
@@ -346,6 +379,14 @@ class TestClassifyIncreasingGauge:
         assert cert.evidence["inf_closed_form"] == math.exp(-0.5)
         assert "g1_witness" not in cert.evidence
 
+    @pytest.mark.parametrize("fn,expected", [(math.log, "G2"), (math.log1p, "G1")])
+    def test_sampled_infimum(self, fn, expected):
+        # no closed-form infimum: G(a) = a is halved below INF_FLOOR, and
+        # G(a) = 1 + a never gets there
+        G = ExpOfFGauge(RealForm(fn.__name__, fn, increasing=True))
+        assert G.known_inf() is None
+        assert classify_increasing_gauge(G) == expected
+
     def test_drop_from_inf_is_a_witness(self):
         G = ExpOfFGauge(RealForm("peak", lambda a: 800.0 if a < 1.0 else a))
         with pytest.raises(NotStrictlyIncreasing):
@@ -433,6 +474,19 @@ class Stripped:
 
     def inf_from(self, eps, hi):
         return None
+
+
+def dyadic_parity_gauge(above_one):
+    """A gauge with no facts, equal to a at the points a = 2^-k < 1 of even k
+    and to 1 at those of odd k (and likewise between them), and equal to
+    ``above_one(a)`` from 1 on: G(a) has no limit as a -> 0."""
+
+    def value(a):
+        if a >= 1.0:
+            return above_one(a)
+        return a if math.floor(-math.log2(a)) % 2 == 0 else 1.0
+
+    return Stripped(types.SimpleNamespace(eval=value))
 
 
 class TestSampledPath:

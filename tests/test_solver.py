@@ -7,7 +7,8 @@ from hypothesis import given, strategies as st
 
 from gphi import solver
 from gphi.contraction import AffineMap, FiniteMap, certify_condition_G
-from gphi.errors import BudgetExhausted, OrbitTooShort, PointOutOfDomain, TailNotSmall
+from gphi.errors import (BudgetExhausted, NonpositiveRadius, OrbitTooShort, PointOutOfDomain,
+                         TailNotSmall)
 from gphi.gauges import IdentityGauge, LinearPhi
 from gphi.harness import generate_operator, generate_space
 from gphi.solver import (
@@ -470,6 +471,14 @@ class TestStepChaining:
         assert trace.space.s == 8.0 and trace.step_dists == (1.0, 0.0)
         m0, holds = verify_step_chaining(trace, n=400, eps=0.5)
         assert (m0, holds) == (1, True)
+
+    @pytest.mark.parametrize("eps", [-1.0, 0.0, math.nan])
+    def test_nonpositive_eps_refused(self, eps):
+        # returned (2, True): only the zero step of the exact stop counts as
+        # below the threshold eps/(n*s^n), and no block is left to check
+        trace = picard_iterate(THREE_POINT, FiniteMap((0, 0, 1)), 2)
+        with pytest.raises(NonpositiveRadius):
+            verify_step_chaining(trace, 2, eps)
 
 
 class TestCauchyBound:
