@@ -185,26 +185,18 @@ def _cmd_report(args) -> int:
 
 
 def run_cli(argv) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
+    command = {"certify": _cmd_certify, "solve": _cmd_solve,
+               "fuzz": _cmd_fuzz, "report": _cmd_report}[args.command]
     try:
-        if args.command == "certify":
-            return _cmd_certify(args)
-        if args.command == "solve":
-            return _cmd_solve(args)
-        if args.command == "fuzz":
-            return _cmd_fuzz(args)
-        if args.command == "report":
-            return _cmd_report(args)
-        parser.error(f"unknown command {args.command!r}")
+        return command(args)
     except (GphiError, OSError, json.JSONDecodeError, KeyError, ValueError,
             OverflowError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    return EXIT_OK
 
 
 def main() -> None:

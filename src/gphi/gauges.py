@@ -67,6 +67,10 @@ def _safe_exp(x: float) -> float:
 def log_grid(lo_decade: int = GRID_LO_DECADE, hi_decade: int = GRID_HI_DECADE,
              per_decade: int = PER_DECADE_DEFAULT) -> list[float]:
     """Log-spaced evaluation grid: per_decade points per decade, inclusive ends."""
+    if per_decade < 1:
+        raise ValueError(f"per_decade must be at least 1, got {per_decade}")
+    if hi_decade <= lo_decade:
+        raise ValueError(f"hi_decade must exceed lo_decade, got {hi_decade} <= {lo_decade}")
     pts = []
     for dec in range(lo_decade, hi_decade):
         for i in range(per_decade):
@@ -415,9 +419,8 @@ def check_phi_strict_decrease(phi, grid) -> tuple[bool, list[dict]]:
 class _GaugeBase:
     """Interval sup/inf of a gauge by the endpoint rule.
 
-    For a strictly increasing gauge the sup over (0, eps) is G(eps), and the
-    inf over (thr, inf) or [eps, hi] is G(thr) or G(eps).  Other gauges
-    answer None, and callers fall back to sampling.
+    For a strictly increasing gauge the sup over (0, eps) is G(eps) and the
+    inf over (thr, inf) is G(thr); other gauges answer None, and callers sample.
     """
 
     def _endpoint(self, a: float):
@@ -428,9 +431,6 @@ class _GaugeBase:
 
     def inf_above(self, thr: float):
         return self._endpoint(thr)
-
-    def inf_from(self, eps: float, hi: float):
-        return self._endpoint(eps)
 
 
 @dataclass(frozen=True)
@@ -567,25 +567,14 @@ class TabulatedGauge(_StepTable, _GaugeBase):
     def inverse_eval(self, y: float):
         raise NotInvertible("step gauges are not invertible")
 
-    def _regions(self) -> list[tuple[float, float, float]]:
-        """(left, right, value) of each step [left, right)."""
-        ts = [t for t, _ in self.points[1:]] + [math.inf]
-        # the first value extends to 0+
-        return [(t if i > 0 else 0.0, right, v)
-                for i, ((t, v), right) in enumerate(zip(self.points, ts))]
-
     def sup_below(self, eps: float):
-        """sup over (0, eps)."""
-        return max(v for left, _, v in self._regions() if left < eps)
+        """sup over (0, eps) of the steps [t, next t); the first reaches down to 0+."""
+        return max(v for i, (t, v) in enumerate(self.points) if (t if i else 0.0) < eps)
 
     def inf_above(self, thr: float):
-        """inf over (thr, inf)."""
-        return min(v for _, right, v in self._regions() if right > thr)
-
-    def inf_from(self, eps: float, hi: float):
-        """inf over [eps, hi]: the step that starts at hi counts."""
-        return min(v for left, right, v in self._regions()
-                   if right > eps and left <= hi)
+        """inf over (thr, inf) of the steps [t, next t); the last reaches up to inf."""
+        rights = [t for t, _ in self.points[1:]] + [math.inf]
+        return min(v for (_, v), right in zip(self.points, rights) if right > thr)
 
 
 def gauge_eval(G, a: float) -> float:
@@ -631,16 +620,17 @@ def _running_min(vals: list[float]) -> list[float]:
 class _Extrema:
     """sup and inf of G over intervals whose ends lie on a sorted grid.
 
-    A query takes G's closed form when it has one, else samples G on the
-    grid, plus probes between the grid and an open end.  Sups over (0, eps)
-    and infs over [eps, grid max] read ``table()``: one evaluation of G per
-    grid point, kept as running maxima from the left and running minima
-    from the right.  An inf over (thr, inf) evaluates G only at the grid
-    points above thr, since the rest cannot lower it.  A sampled sup over
-    (0, eps) includes G(eps) and a sampled inf over (thr, inf) includes
-    G(thr): for a continuous gauge these are the limits at the open ends,
-    so the sampled sup never exceeds the true one nor the sampled inf falls
-    below it, and for an increasing gauge both equal the closed form.
+    A query takes G's closed form, or a step gauge's exact answer, when G
+    has one, else samples G on the grid, plus probes between the grid and
+    an open end.  Sups over (0, eps) and the grid minimum read ``table()``:
+    one evaluation of G per grid point, kept as running maxima from the left
+    and running minima from the right.  An inf over (thr, inf) evaluates G
+    only at the grid points above thr, since the rest cannot lower it.  A
+    sampled sup over (0, eps) includes G(eps) and a sampled inf over
+    (thr, inf) includes G(thr): for a continuous gauge these are the limits
+    at the open ends, so the sampled sup never exceeds the true one nor the
+    sampled inf falls below it, and for an increasing gauge both equal the
+    closed form.
     ``sup_floor`` is a lower bound on the sup that does not decrease along
     the grid, so a search for the last eps with sup <= level can bisect on
     it and probe only from there down.  ``pts=None`` is the default grid,
@@ -686,11 +676,6 @@ class _Extrema:
             probes = [self.pts[i] * 2.0 ** -k for k in range(1, 40)]
             v = max([self.table()[0][i]] + [self.G.eval(t) for t in probes if t > 0.0])
         return v
-
-    def inf_from(self, i: int) -> float:
-        """inf of G over [pts[i], pts[-1]]."""
-        v = self.G.inf_from(self.pts[i], self.pts[-1])
-        return self.table()[1][i] if v is None else v
 
     def inf_above(self, thr: float) -> float:
         """inf of G over (thr, inf)."""
@@ -833,10 +818,10 @@ def epsilon0(G, grid=None, level: float = 1.0) -> float:
     """
     pts = _grid_points(grid, "epsilon0")
     ext = _Extrema(G, pts)
-    # the regions [eps, grid max] for grid eps all lie inside the first one,
-    # so their infima are all positive iff the first one's is; a strictly
-    # increasing gauge's is G(grid min) > 0, even where the float underflows
-    if G.strictly_increasing() or ext.inf_from(0) > 0.0:
+    # the infima on [eps, grid max] for grid eps are all positive iff the grid
+    # minimum is; a strictly increasing gauge's is G(grid min) > 0, even where
+    # the float underflows
+    if G.strictly_increasing() or ext.table()[1][0] > 0.0:
         # sup_floor(i) <= level holds on a prefix of the grid, and past it
         # sup_below(i) <= level fails too: scan down from the prefix's end
         k = bisect_left(range(len(pts)), True,

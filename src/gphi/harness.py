@@ -183,7 +183,6 @@ def _identity_map(n: int) -> FiniteMap:
 class _CatalogGauge:
     gauge: object
     in_g1: bool
-    in_g2: bool
     eps0: float | None
 
 
@@ -199,7 +198,7 @@ def _prepare_catalogs(config: FuzzConfig):
             raise ConfigInvalid(
                 f"catalog gauge {G.describe()} is in neither certified class")
         eps0 = epsilon0(G) if in_g2 else None
-        gauges.append(_CatalogGauge(G, in_g1, in_g2, eps0))
+        gauges.append(_CatalogGauge(G, in_g1, eps0))
     phis = []
     for phi in config.phi_catalog:
         cert = certify_phi(phi, grid=PHI_GRID)

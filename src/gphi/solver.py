@@ -120,9 +120,9 @@ def trace_from_json(obj: dict) -> PicardTrace:
             or (cycle is not None and (stop_reason != "budget-exhausted" or len(cycle) < 2
                                        or cycle != orbit[orbit.index(orbit[-1]):-1]))):
         raise ValueError("trace x0, fixed point or cycle does not fit its orbit")
-    pairs = zip(orbit, orbit[1:])               # checked points: distances read unchecked
+    pairs = zip(orbit, orbit[1:])               # checked points: the matrix is read unchecked
     fit = ([space.dist[x][y] for x, y in pairs] if isinstance(space, FiniteSpace)
-           else [abs(x - y) ** space.p for x, y in pairs])
+           else [space.distance(x, y) for x, y in pairs])
     if (list(step_dists) != fit or [space.is_zero(d) for d in step_dists]
             != [False] * (len(step_dists) - exact) + [True] * exact):
         raise ValueError("trace steps do not fit its orbit or stop reason")
@@ -254,6 +254,14 @@ def verify_g1_termination(trace: PicardTrace) -> bool:
     return trace.stop_reason == "exact-fixed-point"
 
 
+def _check_block(n: int, eps: float) -> None:
+    """Refuse what no block lemma takes: n below 1, or eps not positive."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    if not eps > 0.0:
+        raise NonpositiveRadius("eps must be positive")
+
+
 def m_epsilon(trace: PicardTrace, n: int, eps: float, budget: int = 10_000) -> int:
     """Smallest m with d(x_{(m+1)n}, x_{mn}) < eps/(2s) on the recorded
     orbit, scanning m = 1, 2, ...
@@ -264,10 +272,7 @@ def m_epsilon(trace: PicardTrace, n: int, eps: float, budget: int = 10_000) -> i
     Raises BudgetExhausted past the scan budget, which on a certified
     instance signals a hypothesis violation.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if not eps > 0.0:
-        raise NonpositiveRadius("eps must be positive")
+    _check_block(n, eps)
     space = trace.space
     thr = eps / (2.0 * space.s)
     for m in range(1, budget + 1):
@@ -304,10 +309,7 @@ def verify_invariant_ball(T: OperatorSpec, trace: PicardTrace, eps: float, n: in
     same eps, which is what makes the containment a theorem on certified
     instances.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if not eps > 0.0:
-        raise NonpositiveRadius("eps must be positive")
+    _check_block(n, eps)
     space = trace.space
     center = trace.point_at(m * n)
     if not isinstance(space, FiniteSpace):
@@ -346,12 +348,11 @@ def verify_step_chaining(trace: PicardTrace, n: int, eps: float) -> tuple[int, b
     eps/(n*s**n) (zero-class steps count as below any positive threshold),
     sets m0 = ceil((k0+1)/n), and then verifies d(x_{mn}, x_{mn+p}) < eps for
     all checkable m >= m0 and p in {0, ..., n-1}, together with the chained
-    bound sum s^(i+1) d(x_{mn+i}, x_{mn+i+1}) < eps that implies it.
+    bound sum s^(i+1) d(x_{mn+i}, x_{mn+i+1}) < eps that implies it.  With a
+    valid s every scanned block passes, so the flag fails only through
+    rounding or an understated s.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if not eps > 0.0:
-        raise NonpositiveRadius("eps must be positive")
+    _check_block(n, eps)
     space = trace.space
     s = space.s
     steps = trace.step_dists

@@ -129,7 +129,10 @@ class AnalyticSpace:
 
     @property
     def s(self) -> float:
-        return 2.0 ** (self.p - 1.0)
+        try:
+            return 2.0 ** (self.p - 1.0)
+        except OverflowError:
+            raise OverflowError(f"2 ** (p - 1) overflows the float range at p = {self.p}") from None
 
     def contains(self, x) -> bool:
         return (type(x) is not bool
@@ -139,7 +142,10 @@ class AnalyticSpace:
     def distance(self, x: float, y: float) -> float:
         if not self.contains(x) or not self.contains(y):
             raise PointOutOfDomain(f"point out of domain: {x!r}, {y!r}")
-        return abs(x - y) ** self.p
+        try:
+            return abs(x - y) ** self.p
+        except OverflowError:
+            raise OverflowError(f"|{x} - {y}| ** {self.p} overflows the float range") from None
 
     def is_zero(self, d: float) -> bool:
         return d < DELTA_ZERO
@@ -237,6 +243,17 @@ def _checked_space(dist, lo: float, hi: float) -> FiniteSpace:
 _PLAIN_ENTRIES = frozenset((int, float))
 
 
+def _past_float_range(matrix, exc: OverflowError) -> OverflowError:
+    """``exc`` naming the first entry of ``matrix``, in row-major order, that
+    float() takes past the float range, if ``matrix`` is rows of numbers."""
+    try:    # float() rounds an int of at least 2**1024 - 2**970 past the largest float
+        i, j = next((i, j) for i, row in enumerate(matrix) for j, v in enumerate(row)
+                    if isinstance(v, int) and abs(v) >= 2 ** 1024 - 2 ** 970)
+    except (TypeError, StopIteration):
+        return exc
+    return OverflowError(f"matrix entry ({i}, {j}) is beyond the float range")
+
+
 def _plain_rows(matrix) -> tuple[tuple[float, ...], ...] | None:
     """The rows of ``matrix`` as float tuples when it is a square list (or
     tuple) of at most PY_KERNEL_MAX_POINTS rows of plain int/float entries;
@@ -315,16 +332,20 @@ def validate_finite_space(matrix: Sequence[Sequence[float]],
     """Validate a distance matrix and return a FiniteSpace with the minimal constant.
 
     Raises AsymmetricMatrix, NegativeEntry, ZeroOffDiagonal, NonzeroDiagonal,
-    NonFiniteEntry, TooManyPoints or ConstantOverflow on bad input.  The
-    checks, O(n^2), are stated once in ``_validate_rows``; numpy parses any
-    input but a list of at most PY_KERNEL_MAX_POINTS rows of plain numbers,
-    accepts it in bulk and leaves a refusal to ``_validate_rows`` to name.
-    s is computed on its first read, or here if it could overflow.
+    NonFiniteEntry, TooManyPoints, ConstantOverflow, or OverflowError naming
+    an entry past the float range.  The checks, O(n^2), are stated once in
+    ``_validate_rows``; numpy parses any input but a list of at most
+    PY_KERNEL_MAX_POINTS rows of plain numbers, accepts it in bulk and
+    leaves a refusal to ``_validate_rows`` to name.  s is computed on its
+    first read, or here if it could overflow.
     """
-    rows = _plain_rows(matrix)
-    if rows is None:
-        return _validate_array(matrix, max_points)
-    return _validate_rows(rows, max_points)
+    try:
+        rows = _plain_rows(matrix)
+        if rows is None:
+            return _validate_array(matrix, max_points)
+        return _validate_rows(rows, max_points)
+    except OverflowError as exc:
+        raise _past_float_range(matrix, exc) from None
 
 
 def ball_membership(space: Space, center, radius: float, candidate) -> bool:

@@ -104,7 +104,7 @@ def test_scan_reaches_only_the_pairs_it_needs(monkeypatch):
     # G(a) = 1/a, opaque: no closed forms, and violated on the first pair
     # whose image distance is the shorter one
     entry = _CatalogGauge(ExpOfFGauge(RealForm("counted", minus_log)),
-                          in_g1=False, in_g2=False, eps0=None)
+                          in_g1=False, eps0=None)
     witnesses = [certify_condition_G(space, T, entry.gauge, phi).violation_witness
                  for phi in DEFAULT_PHI_CATALOG]
     assert all(w is not None for w in witnesses)

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import pytest
 
@@ -207,32 +208,38 @@ WIDE_INSTANCE = dict(ANALYTIC_INSTANCE, space={"lo": 0, "hi": 1e200, "p": 2},
                      operator={"affine": {"a": 0.5, "b": 0}})
 
 # a number past the float range, in the input or in a distance computed from
-# it: each raised OverflowError out of the command
+# it: each raises OverflowError out of the command, with a message that
+# names the entry, the points and p, or p
 PAST_FLOAT_RANGE = {
     "matrix-entry-3": (["certify"], dict(THREE_POINT_INSTANCE, space={
-        "dist": [[0, 1, 10 ** 400], [1, 0, 1], [10 ** 400, 1, 0]]})),
+        "dist": [[0, 1, 10 ** 400], [1, 0, 1], [10 ** 400, 1, 0]]}),
+        r"matrix entry \(0, 2\) is beyond the float range"),
     "matrix-entry-20": (["certify"], dict(THREE_POINT_INSTANCE, operator={"map": [0] * 20},
                                           space={"dist": [
         [0 if i == j else 10 ** 400 if {i, j} == {0, 1} else 1 for j in range(20)]
-        for i in range(20)]})),
-    "interval-distance": (["certify"], WIDE_INSTANCE),
-    "interval-start": (["solve", "--x0", "1e200"], WIDE_INSTANCE),
+        for i in range(20)]}), r"matrix entry \(0, 1\) is beyond the float range"),
+    "interval-distance": (["certify"], WIDE_INSTANCE,
+                          r"\|\S+e\+199 - \S+e\+199\| \*\* 2\.0 overflows the float range"),
+    "interval-start": (["solve", "--x0", "1e200"], WIDE_INSTANCE,
+                       r"\|1e\+200 - 5e\+199\| \*\* 2\.0 overflows the float range"),
     "interval-constant": (["solve", "--x0", "0.5"], dict(ANALYTIC_INSTANCE, space={
-        "lo": 0, "hi": 1, "p": 2000})),
+        "lo": 0, "hi": 1, "p": 2000}),
+        r"2 \*\* \(p - 1\) overflows the float range at p = 2000\.0"),
     "trace-step": (["report"], {"space": {"lo": 0, "hi": 1e200, "p": 2}, "x0": 1e200,
                                 "orbit": [1e200, 0.0], "indices": [0, 1], "step_dists": [1.0],
                                 "stop_reason": "budget-exhausted", "fixed_point": None,
-                                "k_stop": 1, "cycle": None}),
+                                "k_stop": 1, "cycle": None},
+                   r"\|1e\+200 - 0\.0\| \*\* 2\.0 overflows the float range"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(PAST_FLOAT_RANGE))
 def test_past_float_range_exits_one(tmp_path, capsys, name):
-    command, doc = PAST_FLOAT_RANGE[name]
+    command, doc, message = PAST_FLOAT_RANGE[name]
     path = write(tmp_path, "doc.json", doc)
     assert run_cli([command[0], path, *command[1:]]) == 1
     out = capsys.readouterr()
-    assert out.out == "" and out.err.startswith("error: OverflowError: ")
+    assert out.out == "" and re.fullmatch(f"error: OverflowError: {message}\n", out.err)
 
 
 class TestCoercedNumbers:
@@ -531,3 +538,25 @@ class TestGlobalFlags:
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
         assert abs(doc["trace"]["fixed_point"] - 0.5) < 1e-6
+
+    @pytest.mark.parametrize("G", [{"family": "affine_plus", "c": 1.0}, {"family": "identity"}])
+    @pytest.mark.parametrize("density", ["0", "-1"])
+    def test_nonpositive_grid_density_exits_one(self, tmp_path, capsys, G, density):
+        # a one-point grid certified the affine gauge and blamed the identity
+        path = write(tmp_path, "inst.json", dict(THREE_POINT_INSTANCE, G=G))
+        assert run_cli(["--grid-density", density, "solve", path, "--x0", "2"]) == 1
+        out = capsys.readouterr()
+        assert out.out == "" and out.err == (
+            f"error: ValueError: per_decade must be at least 1, got {density}\n")
+
+
+class TestArgparseExits:
+    @pytest.mark.parametrize("argv", [[], ["bogus"], ["certify"]])
+    def test_usage_errors_exit_two(self, capsys, argv):
+        assert run_cli(argv) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("usage: gphi ")
+
+    def test_help_exits_zero(self, capsys):
+        assert run_cli(["--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: gphi ")

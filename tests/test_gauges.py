@@ -435,11 +435,6 @@ class TestEpsilon0:
 class TestTabulatedRegions:
     STEP = TabulatedGauge(((0.5, 0.1), (1.0, 0.9)))
 
-    def test_inf_from_includes_step_starting_at_right_end(self):
-        # [1, 1] is the single point 1, where the second step takes over
-        assert self.STEP.inf_from(1.0, 1.0) == 0.9
-        assert self.STEP.inf_from(0.5, 1.0) == 0.1
-
     def test_epsilon0_on_grid_at_breakpoint(self):
         assert epsilon0(self.STEP, grid=[1.0]) == 1.0
 
@@ -472,8 +467,27 @@ class Stripped:
     def inf_above(self, thr):
         return None
 
-    def inf_from(self, eps, hi):
-        return None
+
+class EndpointGauge(Stripped):
+    """A duck-typed increasing gauge: its values, no class facts, and its
+    sups and infs by the endpoint rule."""
+
+    def sup_below(self, eps):
+        return self.eval(eps)
+
+    def inf_above(self, thr):
+        return self.eval(thr)
+
+
+@pytest.mark.parametrize("twin", [IdentityGauge(), PowerGauge(0.5), PowerGauge(2.0),
+                                  ExpOfFGauge(LN)], ids=lambda G: json.dumps(G.describe()))
+def test_epsilon0_asks_a_gauge_only_for_sups_and_infs(twin):
+    # a gauge needs eval, the fact methods, sup_below and inf_above; the
+    # grid minimum behind epsilon0 is read off the table
+    grid = log_grid(per_decade=16)
+    for level in (0.25, 1.0, 4.0):
+        assert epsilon0(EndpointGauge(twin), grid, level) == \
+            epsilon0(Stripped(twin), grid, level) == epsilon0(twin, grid, level)
 
 
 def dyadic_parity_gauge(above_one):
@@ -620,11 +634,7 @@ def top_down_epsilon0(G, grid, level):
             v = max([running(0)[i]] + [G.eval(t) for t in probes if t > 0.0])
         return v
 
-    def inf_from_first():
-        v = G.inf_from(pts[0], pts[-1])
-        return running(1)[0] if v is None else v
-
-    if G.strictly_increasing() or inf_from_first() > 0.0:
+    if G.strictly_increasing() or running(1)[0] > 0.0:
         for i in range(len(pts) - 1, -1, -1):
             if sup_below(i) <= level:
                 return pts[i]
@@ -806,6 +816,21 @@ class TestFiniteParameters:
             affine_form(bad, 0.5)
         with pytest.raises(ValueError, match="^affine form needs a finite b$"):
             affine_form(2.0, bad)
+
+    @pytest.mark.parametrize("per_decade", [0, -3])
+    def test_log_grid_needs_a_point_per_decade(self, per_decade):
+        # these gave the one-point grid [1e9] to certify on
+        with pytest.raises(ValueError,
+                           match=f"^per_decade must be at least 1, got {per_decade}$"):
+            log_grid(per_decade=per_decade)
+
+    @pytest.mark.parametrize("lo, hi", [(3, 1), (2, 2)])
+    def test_log_grid_needs_a_decade(self, lo, hi):
+        # log_grid(3, 1, 2) gave [10.0]
+        with pytest.raises(ValueError,
+                           match=f"^hi_decade must exceed lo_decade, got {hi} <= {lo}$"):
+            log_grid(lo, hi, 2)
+        assert log_grid(hi, hi + 1, 1) == [10.0 ** hi, 10.0 ** (hi + 1)]
 
     def test_finite_parameters_still_build(self):
         assert PowerGauge(1e300).q == 1e300 and AffinePlusGauge(1e-300).c == 1e-300

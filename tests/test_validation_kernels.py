@@ -51,8 +51,9 @@ def spec(matrix, max_points):
     Parse: a string, boolean or null entry is refused, then a matrix that
     is not square and non-empty (numpy's message for a ragged list is not
     pinned), then an int beyond the float range, then too many points.
-    Then the five checks over the float rows, in order; each but the first
-    names its first failing entry in row-major order.
+    Then the five checks over the float rows, in order.  Each refusal but
+    the shape's, the cap's and the first check's names its first failing
+    entry in row-major order.
     """
     if not isinstance(matrix, np.ndarray):
         if any(type(v) in (bool, str, type(None)) for row in matrix for v in row):
@@ -60,10 +61,14 @@ def spec(matrix, max_points):
                            "matrix entries must be numbers, not strings, booleans or null")
         if not matrix or any(len(row) != len(matrix) for row in matrix):
             return refused(ValueError, ANY)
-    try:
-        d = [[float(v) for v in row] for row in matrix]
-    except OverflowError as exc:
-        return refused(OverflowError, str(exc))
+    d = []
+    for i, row in enumerate(matrix):
+        d.append([])
+        for j, v in enumerate(row):
+            try:
+                d[i].append(float(v))
+            except OverflowError:
+                return refused(OverflowError, f"matrix entry ({i}, {j}) is beyond the float range")
     n = len(d)
     if n > max_points:
         return refused(TooManyPoints, f"{n} points exceeds cap {max_points}")
@@ -217,6 +222,20 @@ class TestMeetsSpec:
             with pytest.raises(error) as info:
                 validate_finite_space(d)
             assert info.value.witness == (0, 2)
+
+    @pytest.mark.parametrize("entry", [10 ** 400, -10 ** 400, 2 ** 1024 - 2 ** 970],
+                             ids=["1e400", "-1e400", "least"])
+    @pytest.mark.parametrize("n", [3, PY_KERNEL_MAX_POINTS + 1, 40])
+    def test_first_entry_past_float_range(self, n, entry):
+        # float() overflows at (2, 0), (2, 1) and their mirror images, but
+        # rounds (0, 1) down to the largest float; the message named no entry
+        d = symmetric(n, lambda: 1.5)
+        d[0][1] = d[1][0] = 2 ** 1024 - 2 ** 970 - 1
+        d[2][0] = d[2][1] = d[0][2] = d[1][2] = entry
+        assert_meets_spec(d)
+        with pytest.raises(OverflowError,
+                           match=r"^matrix entry \(0, 2\) is beyond the float range$"):
+            validate_finite_space(d)
 
     def test_shapes(self):
         for d in ([], [[]], [1.0, 2.0], [[0.0, 1.0]], [[0.0, 1.0], [1.0, 0.0], [1.0, 1.0]],
