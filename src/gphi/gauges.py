@@ -591,101 +591,60 @@ def _default_grid() -> tuple[float, ...]:
 
 
 def _grid_points(grid, what: str) -> list[float]:
-    """The sorted distinct points of ``grid``; None means ``log_grid()``."""
+    """The sorted distinct points of ``grid``, each a positive finite real;
+    None means ``log_grid()``."""
     if grid is None:
         # strictly increasing and never empty
         return list(_default_grid())
     pts = list(map(float, grid))
-    # a NaN fails < and takes the sort like any other unsorted grid
-    if not all(map(lt, pts, pts[1:])):
-        pts = sorted(set(pts))
     if not pts:
         raise EmptyGrid(f"{what} grid is empty")
-    return pts
+    # the ends of a strictly increasing grid bound every point; a NaN fails
+    # every <, so an unsorted grid may keep one anywhere after the sort
+    increasing = all(map(lt, pts, pts[1:]))
+    for t in (pts[0], pts[-1]) if increasing else pts:
+        if not 0.0 < t < math.inf:
+            raise NonpositiveArgument(f"gauges take positive reals, got {t!r}")
+    return pts if increasing else sorted(set(pts))
 
 
-def _running_min(vals: list[float]) -> list[float]:
-    """Running minima of vals from the right: numpy's minimum.accumulate of
-    the reversed list, bit for bit.  NaN propagates and a tie takes the
-    later value, which decides a zero's sign."""
-    out, m = [], math.inf
-    for v in reversed(vals):
-        if not (m != m or m < v):
+def _grid_min(vals: list[float]) -> float:
+    """The minimum of vals, bit for bit the last entry of numpy's
+    minimum.accumulate over the reversed list: NaN propagates, and of equal
+    values the first wins, which decides a zero's sign."""
+    m = math.inf
+    for v in vals:
+        if not (m != m or m <= v):
             m = v
-        out.append(m)
-    out.reverse()
-    return out
+    return m
 
 
-class _Extrema:
-    """sup and inf of G over intervals whose ends lie on a sorted grid.
+def _grid_table(G, pts: list[float]) -> tuple[list[float], float]:
+    """G sampled once per grid point: (running max of G over pts[:i+1], grid
+    minimum).  The running max is numpy's maximum.accumulate, bit for bit."""
+    vals = [float(G.eval(t)) for t in pts]
+    # an inline loop, because a call per point would double the cost
+    running_max, m = [], vals[0]
+    for v in vals:
+        if not (m != m or m > v):
+            m = v
+        running_max.append(m)
+    return running_max, _grid_min(vals)
 
-    A query takes G's closed form, or a step gauge's exact answer, when G
-    has one, else samples G on the grid, plus probes between the grid and
-    an open end.  Sups over (0, eps) and the grid minimum read ``table()``:
-    one evaluation of G per grid point, kept as running maxima from the left
-    and running minima from the right.  An inf over (thr, inf) evaluates G
-    only at the grid points above thr, since the rest cannot lower it.  A
-    sampled sup over (0, eps) includes G(eps) and a sampled inf over
-    (thr, inf) includes G(thr): for a continuous gauge these are the limits
-    at the open ends, so the sampled sup never exceeds the true one nor the
-    sampled inf falls below it, and for an increasing gauge both equal the
-    closed form.
-    ``sup_floor`` is a lower bound on the sup that does not decrease along
-    the grid, so a search for the last eps with sup <= level can bisect on
-    it and probe only from there down.  ``pts=None`` is the default grid,
-    built once per process and copied only if a query samples.
-    """
 
-    def __init__(self, G, pts=None):
-        self.G = G
-        self.pts = pts
-        self._table = None
-
-    def _points(self) -> list[float]:
-        if self.pts is None:
-            self.pts = _grid_points(None, "default")
-        return self.pts
-
-    def table(self) -> tuple[list[float], list[float]]:
-        """(running max of G over pts[:i+1], running min over pts[i:])."""
-        if self._table is None:
-            vals = [float(self.G.eval(t)) for t in self._points()]
-            # numpy's maximum.accumulate, bit for bit, as _running_min is
-            # minimum.accumulate; an inline loop, because a call per point
-            # would double the cost
-            running_max, m = [], vals[0]
-            for v in vals:
-                if not (m != m or m > v):
-                    m = v
-                running_max.append(m)
-            self._table = (running_max, _running_min(vals))
-        return self._table
-
-    def sup_floor(self, i: int) -> float:
-        """A lower bound on ``sup_below(i)`` that does not decrease in i:
-        the closed form, else the running max of G over pts[:i+1], which
-        stays NaN once it is NaN."""
-        v = self.G.sup_below(self.pts[i])
-        return self.table()[0][i] if v is None else v
-
-    def sup_below(self, i: int) -> float:
-        """sup of G over (0, pts[i])."""
-        v = self.G.sup_below(self.pts[i])
-        if v is None:
-            probes = [self.pts[i] * 2.0 ** -k for k in range(1, 40)]
-            v = max([self.table()[0][i]] + [self.G.eval(t) for t in probes if t > 0.0])
-        return v
-
-    def inf_above(self, thr: float) -> float:
-        """inf of G over (thr, inf)."""
-        v = self.G.inf_above(thr)
-        if v is None:
-            pts = self._points()
-            above = [float(self.G.eval(t)) for t in pts[bisect_right(pts, thr):]]
-            probes = [thr] + [thr * (1.0 + 2.0 ** -k) for k in range(0, 40)]
-            v = min(_running_min(above)[:1] + [self.G.eval(t) for t in probes])
-        return v
+def _inf_above(G, thr: float) -> float:
+    """inf of G over (thr, inf): the closed form, or a step gauge's exact
+    answer, else G sampled at the default grid's points above thr (the rest
+    cannot lower it), at thr and at probes just above it.  For a continuous
+    gauge G(thr) is the limit at the open end, so the sampled inf never
+    falls below the true one."""
+    v = G.inf_above(thr)
+    if v is None:
+        pts = _default_grid()
+        vals = [float(G.eval(t)) for t in pts[bisect_right(pts, thr):]]
+        probes = [thr] + [thr * (1.0 + 2.0 ** -k) for k in range(0, 40)]
+        v = min(([_grid_min(vals)] if vals else []) + [G.eval(t) for t in probes])
+    return v
 
 
 @dataclass(frozen=True)
@@ -716,8 +675,8 @@ def certify_gauge_class(G, grid=None) -> ClassCertificate:
         # the endpoint rule, as in epsilon0 and n_epsilon
         inf_est, sup_est = float(G.eval(grid[0])), float(G.eval(grid[-1]))
     else:
-        running_max, running_min = _Extrema(G, grid).table()
-        inf_est, sup_est = running_min[0], running_max[-1]
+        running_max, inf_est = _grid_table(G, grid)
+        sup_est = running_max[-1]
     evidence: dict = {
         "grid_lo": grid[0], "grid_hi": grid[-1], "grid_points": len(grid),
         "refinement_tail": [[a, v] for a, v in down_tail],
@@ -817,17 +776,30 @@ def epsilon0(G, grid=None, level: float = 1.0) -> float:
     certification failure upstream).
     """
     pts = _grid_points(grid, "epsilon0")
-    ext = _Extrema(G, pts)
     # the infima on [eps, grid max] for grid eps are all positive iff the grid
     # minimum is; a strictly increasing gauge's is G(grid min) > 0, even where
-    # the float underflows
-    if G.strictly_increasing() or ext.table()[1][0] > 0.0:
-        # sup_floor(i) <= level holds on a prefix of the grid, and past it
-        # sup_below(i) <= level fails too: scan down from the prefix's end
-        k = bisect_left(range(len(pts)), True,
-                        key=lambda i: not ext.sup_floor(i) <= level)
+    # the float underflows, and its sups have the closed form
+    increasing = G.strictly_increasing()
+    running_max, grid_min = (None, None) if increasing else _grid_table(G, pts)
+    if increasing or grid_min > 0.0:
+
+        def sup_floor(i):
+            # a lower bound on the sup over (0, pts[i]) that does not decrease
+            # in i: the closed form, else the running max, NaN once it is NaN
+            v = G.sup_below(pts[i])
+            return running_max[i] if v is None else v
+
+        # sup_floor(i) <= level holds on a prefix of the grid, and past it the
+        # sup fails too: scan down from the prefix's end.  A sampled sup over
+        # (0, pts[i]) takes G at pts[i], its limit at the open end for a
+        # continuous gauge, so it never exceeds the true sup
+        k = bisect_left(range(len(pts)), True, key=lambda i: not sup_floor(i) <= level)
         for i in range(k - 1, -1, -1):
-            if ext.sup_below(i) <= level:
+            v = G.sup_below(pts[i])
+            if v is None:
+                probes = [pts[i] * 2.0 ** -j for j in range(1, 40)]
+                v = max([running_max[i]] + [G.eval(t) for t in probes if t > 0.0])
+            if v <= level:
                 return pts[i]
     raise NoValidEpsilon(
         f"no grid value has sup below {level}; gauge cannot be in G2")
@@ -850,7 +822,7 @@ def n_epsilon(G, phi, s: float, eps: float, level: float = 1.0,
     if not level > 0.0:
         raise NonpositiveArgument("level must be positive")
     thr = eps / (2.0 * s)
-    target = _Extrema(G).inf_above(thr)
+    target = _inf_above(G, thr)
     u = level
     for n in range(1, budget + 1):
         u = phi.eval(u)

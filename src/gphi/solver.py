@@ -17,7 +17,7 @@ memory and in JSON.
 from __future__ import annotations
 
 import math
-from itertools import islice
+from itertools import islice, starmap
 from operator import itemgetter
 from dataclasses import dataclass
 
@@ -120,9 +120,9 @@ def trace_from_json(obj: dict) -> PicardTrace:
             or (cycle is not None and (stop_reason != "budget-exhausted" or len(cycle) < 2
                                        or cycle != orbit[orbit.index(orbit[-1]):-1]))):
         raise ValueError("trace x0, fixed point or cycle does not fit its orbit")
-    pairs = zip(orbit, orbit[1:])               # checked points: the matrix is read unchecked
+    pairs = zip(orbit, orbit[1:])               # checked points: distances read unchecked
     fit = ([space.dist[x][y] for x, y in pairs] if isinstance(space, FiniteSpace)
-           else [space.distance(x, y) for x, y in pairs])
+           else list(starmap(space._unchecked_distance, pairs)))
     if (list(step_dists) != fit or [space.is_zero(d) for d in step_dists]
             != [False] * (len(step_dists) - exact) + [True] * exact):
         raise ValueError("trace steps do not fit its orbit or stop reason")

@@ -142,6 +142,10 @@ class AnalyticSpace:
     def distance(self, x: float, y: float) -> float:
         if not self.contains(x) or not self.contains(y):
             raise PointOutOfDomain(f"point out of domain: {x!r}, {y!r}")
+        return self._unchecked_distance(x, y)
+
+    def _unchecked_distance(self, x: float, y: float) -> float:
+        """``|x - y| ** p`` of two points already known to lie in the interval."""
         try:
             return abs(x - y) ** self.p
         except OverflowError:

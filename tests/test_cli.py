@@ -242,6 +242,51 @@ def test_past_float_range_exits_one(tmp_path, capsys, name):
     assert out.out == "" and re.fullmatch(f"error: OverflowError: {message}\n", out.err)
 
 
+# refusals of documents that name no known family, form or space, or that
+# pair a map with the wrong kind of space
+REFUSALS = {
+    "gauge-family": (["certify"], dict(THREE_POINT_INSTANCE, G={"family": "cubic"}),
+                     "ValueError: unknown gauge family 'cubic'"),
+    "phi-family": (["certify"], dict(THREE_POINT_INSTANCE, phi={"family": "cubic"}),
+                   "ValueError: unknown comparison-function family 'cubic'"),
+    "scalar-form": (["certify"], dict(THREE_POINT_INSTANCE,
+                                      G={"family": "exp_of_f", "f": "sqrt"}),
+                    "ValueError: unknown scalar form 'sqrt'"),
+    "operator-form": (["certify"], dict(THREE_POINT_INSTANCE, operator={"shift": 1}),
+                      "ValueError: operator document must contain 'map', 'affine' or "
+                      "'tabulated'"),
+    "space-form": (["certify"], dict(THREE_POINT_INSTANCE, space={"n": 3}),
+                   "ValueError: space document must contain either 'dist' or 'lo'/'hi'/'p'"),
+    "finite-map-on-interval": (["certify"], dict(ANALYTIC_INSTANCE, operator={"map": [0]}),
+                               "ValueError: finite map needs a finite space"),
+    "affine-map-on-finite": (["certify"], dict(THREE_POINT_INSTANCE,
+                                               operator=ANALYTIC_INSTANCE["operator"]),
+                             "ValueError: analytic maps need an interval space"),
+    "tabulated-value-leaves": (["certify"], dict(ANALYTIC_INSTANCE,
+                                                 operator={"tabulated": [[0.0, 2.0]]}),
+                               "PointOutOfDomain: tabulated value 2.0 leaves the interval"),
+    "interval-ends": (["certify"], dict(ANALYTIC_INSTANCE, space={"lo": 1, "hi": 1, "p": 1}),
+                      "ValueError: interval endpoints must be finite with lo < hi"),
+    "interval-exponent": (["certify"], dict(ANALYTIC_INSTANCE,
+                                            space={"lo": 0, "hi": 1, "p": 0.5}),
+                          "ValueError: exponent p must be >= 1"),
+    "exhaustive-on-interval": (["certify", "--mode", "exhaustive"], ANALYTIC_INSTANCE,
+                               "ValueError: exhaustive certification is not available on "
+                               "interval spaces"),
+    "report-without-trace": (["report"], {"foo": 1},
+                             "ValueError: document carries no trace"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSALS))
+def test_refused_documents_exit_one(tmp_path, capsys, name):
+    command, doc, message = REFUSALS[name]
+    path = write(tmp_path, "doc.json", doc)
+    assert run_cli([command[0], path, *command[1:]]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == f"error: {message}\n"
+
+
 class TestCoercedNumbers:
     @pytest.mark.parametrize("name", sorted(COERCED))
     def test_certify_exits_one(self, tmp_path, capsys, name):

@@ -46,8 +46,8 @@ from gphi.gauges import (
     phi_from_json,
     phi_iterate,
     shift_form,
-    _Extrema,
     _grid_points,
+    _grid_table,
 )
 from gphi.harness import DEFAULT_GAUGE_CATALOG, G1_GAUGE_CATALOG
 
@@ -279,8 +279,8 @@ class TestClassEvidenceEndpoints:
     @staticmethod
     def table_certificate(G, grid) -> str:
         doc = dataclasses.asdict(certify_gauge_class(G, grid))
-        running_max, running_min = _Extrema(G, _grid_points(grid, "table")).table()
-        doc["evidence"]["inf_grid_estimate"] = running_min[0]
+        running_max, grid_min = _grid_table(G, _grid_points(grid, "table"))
+        doc["evidence"]["inf_grid_estimate"] = grid_min
         doc["evidence"]["sup_grid_estimate"] = running_max[-1]
         return json.dumps(doc, sort_keys=True)
 
@@ -319,26 +319,46 @@ class TestClassEvidenceEndpoints:
 
 class TestGridPoints:
     """Grids that are already strictly increasing skip the sort, with the
-    same result."""
+    same result; every point must be a positive finite real."""
+
+    POSITIVE = st.floats(0.0, math.inf, exclude_min=True, exclude_max=True)
 
     @staticmethod
     def sorted_distinct(grid):
         return [repr(t) for t in sorted(set(float(t) for t in grid))]
 
-    @given(st.lists(st.one_of(st.floats(allow_nan=False), st.integers(-5, 5)),
-                    min_size=1))
+    @given(st.lists(st.one_of(POSITIVE, st.integers(1, 5)), min_size=1))
     def test_any_grid(self, grid):
         assert [repr(t) for t in _grid_points(grid, "t")] == self.sorted_distinct(grid)
 
-    @given(st.lists(st.floats(allow_nan=False), min_size=1, unique=True))
+    @given(st.lists(POSITIVE, min_size=1, unique=True))
     def test_increasing_grid(self, grid):
         grid = sorted(grid)
         assert [repr(t) for t in _grid_points(grid, "t")] == self.sorted_distinct(grid)
 
     def test_signed_zeros_and_default(self):
-        assert [repr(t) for t in _grid_points([-0.0, 0.0, 1.0], "t")] == \
-            self.sorted_distinct([-0.0, 0.0, 1.0])
+        with pytest.raises(NonpositiveArgument, match=r"^gauges take positive reals, got -0\.0$"):
+            _grid_points([-0.0, 0.0, 1.0], "t")
         assert _grid_points(None, "t") == log_grid()
+
+    @pytest.mark.parametrize("grid, bad", [
+        ([0.0, 1.0], "0.0"), ([-1.0, 1.0], "-1.0"), ([1.0, math.inf], "inf"),
+        ([math.nan], "nan"), ([math.nan, 1.0], "nan"), ([2.0, math.nan, 1.0], "nan"),
+        ([2.0, 1.0, math.nan, 3.0], "nan"), ([3, -2, 1], "-2.0")])
+    def test_point_outside_positive_reals_refused(self, grid, bad):
+        with pytest.raises(NonpositiveArgument, match=f"^gauges take positive reals, got {bad}$"):
+            _grid_points(grid, "t")
+
+    def test_gauge_functions_refuse_such_grids(self):
+        # the grid rule names the point before any gauge sees it
+        with pytest.raises(NonpositiveArgument, match="got 0.0$"):
+            certify_gauge_class(ExpOfFGauge(LN), [0.0, 1.0])
+        with pytest.raises(NonpositiveArgument, match="got 0.0$"):
+            classify_increasing_gauge(ExpOfFGauge(LN), [0.0, 1.0])
+        with pytest.raises(NonpositiveArgument, match="got -1.0$"):
+            certify_gauge_class(IdentityGauge(), [-1.0, 1.0])
+        with pytest.raises(NonpositiveArgument, match="got nan$"):
+            epsilon0(IdentityGauge(), [math.nan, 1.0])
 
     def test_returns_a_new_list(self):
         grid = [1.0, 2.0, 3.0]
@@ -548,9 +568,10 @@ class TestSampledPath:
 
 
 class TestRunningExtrema:
-    """The sampled table's running max and min are numpy's accumulate,
-    bit for bit: NaN propagates and a tie takes the later value, which
-    decides the sign of a zero."""
+    """The sampled table's running max is numpy's maximum.accumulate and its
+    grid minimum the last entry of minimum.accumulate over the reversed
+    values, bit for bit: NaN propagates and a tie takes the later value of
+    the accumulation, which decides the sign of a zero."""
 
     VALUES = [0.0, -0.0, 1.0, -0.0, 0.0, math.nan, 2.0, -0.0, math.inf, 3.0]
 
@@ -558,16 +579,16 @@ class TestRunningExtrema:
     def bits(xs):
         return [(math.copysign(1.0, x), x) if x == x else "nan" for x in xs]
 
-    @pytest.mark.parametrize("values", [VALUES, VALUES[:5], VALUES[::-1], VALUES[6:]])
+    @pytest.mark.parametrize("values", [VALUES, VALUES[:5], VALUES[1:5], VALUES[::-1],
+                                        VALUES[6:]])
     def test_matches_numpy_accumulate(self, values):
         np = pytest.importorskip("numpy")
         G = Stripped(IdentityGauge())
         G.eval = lambda t: values[int(t)]
-        running_max, running_min = _Extrema(G, [float(i) for i in range(len(values))]).table()
+        running_max, grid_min = _grid_table(G, [float(i) for i in range(len(values))])
         vals = np.array(values, dtype=float)
         assert self.bits(running_max) == self.bits(np.maximum.accumulate(vals).tolist())
-        assert self.bits(running_min) == self.bits(
-            np.minimum.accumulate(vals[::-1])[::-1].tolist())
+        assert self.bits([grid_min]) == self.bits([np.minimum.accumulate(vals[::-1])[-1]])
 
 
 class TestNEpsilon:
@@ -748,6 +769,20 @@ class TestThresholdEvaluations:
             return math.log(a)
 
         return ExpOfFGauge(RealForm("counted", log_counted)), calls
+
+    @pytest.mark.parametrize("call, evals", [
+        (lambda G: epsilon0(G), 15),
+        (lambda G: epsilon0(G, log_grid(per_decade=16)), 10),
+        (lambda G: certify_gauge_class(G), 162),
+        (lambda G: n_epsilon(G, LinearPhi(0.5), 1.0, 0.3), 1)],
+        ids=["epsilon0-default", "epsilon0-16", "class", "n_epsilon"])
+    def test_no_grid_table_for_an_increasing_gauge(self, call, evals):
+        # the closed forms answer: a bisection, the 160 dyadic points and
+        # the two grid ends, or one endpoint, never a value per grid point
+        opaque, calls = self.counted()
+        call(ExpOfFGauge(dataclasses.replace(opaque.f, increasing=True, inf_value=-math.inf,
+                                             diverges_iff_zero=True)))
+        assert len(calls) == evals
 
     def test_n_epsilon_skips_grid_at_or_below_thr(self):
         G, calls = self.counted()
