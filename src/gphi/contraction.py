@@ -181,15 +181,19 @@ def _informative_pairs(space, T, pairs):
     Pairs with a zero distance or a zero image distance satisfy the
     condition vacuously and are skipped.  On a finite space the callers have
     run validate_operator and draw the pairs from ``space.points``, so the
-    matrix and the map are indexed directly, without per-point checks.
+    matrix and the map are indexed directly, without per-point checks, and
+    the rows of x and Tx read once per run of pairs with equal x.
     """
     if isinstance(space, FiniteSpace):
         dist, image = space.dist, T.mapping
+        x_row = None
         for x, y in pairs:
-            d = dist[x][y]
+            if x != x_row:
+                x_row, row, image_row = x, dist[x], dist[image[x]]
+            d = row[y]
             if d == 0.0:                  # FiniteSpace.is_zero
                 continue
-            dt = dist[image[x]][image[y]]
+            dt = image_row[image[y]]
             if dt != 0.0:
                 yield x, y, d, dt
         return

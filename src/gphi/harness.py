@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import math
+import threading
 from dataclasses import dataclass, field
 from itertools import combinations, tee
 from random import Random
@@ -125,6 +126,9 @@ class FuzzReport(_Record):
         return json.dumps(self.to_json(), indent=2, sort_keys=True)
 
 
+_LEGACY_MT = threading.local()
+
+
 def generate_space(seed, n: int, scale: float = 1.0) -> FiniteSpace:
     """Random valid finite space: symmetric entries uniform in (0, scale].
 
@@ -146,11 +150,14 @@ def generate_space(seed, n: int, scale: float = 1.0) -> FiniteSpace:
 
 def _drawn_array(rng: Random, n: int, scale: float):
     """The loop's matrix from numpy's legacy MT19937 in ``rng``'s state: its
-    ``random_sample`` gives the doubles ``rng.random()`` would, in order."""
+    ``random_sample`` gives the doubles ``rng.random()`` would, in order.
+    Each thread seeds one generator; ``set_state`` replaces all its state."""
     import numpy as np
 
     _, state, _ = rng.getstate()
-    mt = np.random.RandomState()
+    mt = getattr(_LEGACY_MT, "generator", None)
+    if mt is None:
+        mt = _LEGACY_MT.generator = np.random.RandomState()
     mt.set_state(("MT19937", np.array(state[:-1], dtype=np.uint32), state[-1]))
     d = np.zeros((n, n))
     # a boolean mask takes its values in row-major order: the loop's order

@@ -6,7 +6,8 @@ concrete families are supported:
 
 * :class:`FiniteSpace` -- an explicit point set with a distance matrix.
   Validation is O(n^2); its checks are stated once, in pure Python, and
-  numpy, imported only for larger matrices, parses and accepts in bulk.
+  numpy, imported only for larger matrices, parses and accepts in bulk,
+  then keeps the matrix and makes each row of floats when it is first read.
   The smallest admissible constant, a min-plus row reduction over the
   pairs i < j (the matrix is symmetric), is computed on the first read of
   ``s``: only the quantitative lemmas, JSON output and a declared constant
@@ -83,12 +84,48 @@ class _Constant:
         space.__dict__["_s"] = s
 
 
+class _Rows:
+    """The rows of a validated read-only float64 matrix, each made a tuple of
+    floats on its first read and kept; equal to, hashed and shown as the
+    tuple of all of them."""
+
+    __slots__ = ("matrix", "_built")
+
+    def __init__(self, matrix):
+        self.matrix = matrix
+        self._built = [None] * len(matrix)
+
+    def __len__(self) -> int:
+        return len(self._built)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self.__getitem__, range(len(self))[i]))
+        row = self._built[i]
+        if row is None:
+            row = self._built[i] = tuple(self.matrix[i].tolist())
+        return row
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+    def __eq__(self, other):
+        return tuple(self) == other if isinstance(other, (tuple, _Rows)) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
 @dataclass(frozen=True)
 class FiniteSpace:
     """Finite b-metric space backed by a symmetric distance matrix; ``s=None``
-    leaves the O(n^3) minimal constant to the first read of ``s``."""
+    leaves the O(n^3) minimal constant to the first read of ``s``.  ``dist``
+    holds tuple rows, or, from numpy validation, ``_Rows`` that act as them."""
 
-    dist: tuple[tuple[float, ...], ...]
+    dist: tuple[tuple[float, ...], ...] | _Rows
     s: float = _Constant()
 
     @property
@@ -228,13 +265,13 @@ def _min_constant_rows(d: tuple[tuple[float, ...], ...]) -> float:
     return s
 
 
-def _constant_of(dist: tuple[tuple[float, ...], ...]) -> float:
+def _constant_of(dist) -> float:
     """The minimal constant of validated rows, by the kernel for their size."""
     if len(dist) <= PY_KERNEL_MAX_POINTS:
         return _min_constant_rows(dist)
     import numpy as np
 
-    return _min_constant(np.array(dist))
+    return _min_constant(dist.matrix if isinstance(dist, _Rows) else np.array(dist))
 
 
 def _checked_space(dist, lo: float, hi: float) -> FiniteSpace:
@@ -308,8 +345,8 @@ def _validate_array(matrix, max_points: int) -> FiniteSpace:
     """Validation with numpy: parses any array-like, then accepts in bulk
     exactly the matrices ``_validate_rows`` accepts and hands it the rest to
     name the refusal.  A string, boolean or null entry of a list matrix is
-    refused first, since ``np.asarray`` would parse it or read it as 0 or 1;
-    rows of floats alone become the space's rows as they are."""
+    refused first, since ``np.array`` would parse it or read it as 0 or 1.
+    The space keeps a read-only copy, out of the caller's reach, as _Rows."""
     import numpy as np
 
     types = {matrix.dtype.type} if isinstance(matrix, np.ndarray) else set()
@@ -317,18 +354,19 @@ def _validate_array(matrix, max_points: int) -> FiniteSpace:
         types.update(map(type, row) if isinstance(row, (list, tuple)) else (type(row),))
     if any(issubclass(t, (str, bytes, bool, np.bool_, np.character, type(None))) for t in types):
         raise ValueError("matrix entries must be numbers, not strings, booleans or null")
-    d = np.asarray(matrix, dtype=float)
+    d = np.array(matrix, dtype=float)
     if d.ndim != 2 or d.shape[0] != d.shape[1] or d.shape[0] < 1:
         raise ValueError("matrix must be square and non-empty")
     n = d.shape[0]
     if n > max_points:
         raise TooManyPoints(f"{n} points exceeds cap {max_points}")
-    rows = tuple(map(tuple, matrix if types == {float} else (row.tolist() for row in d)))
     rest = d[~np.eye(n, dtype=bool)]
     if not (np.isfinite(d).all() and (rest > 0.0).all()
             and not np.diagonal(d).any() and np.array_equal(d, d.T)):
-        return _validate_rows(rows, max_points)
-    return _checked_space(rows, float(rest.min(initial=math.inf)), float(rest.max(initial=0.0)))
+        return _validate_rows(tuple(map(tuple, d.tolist())), max_points)
+    d.flags.writeable = False
+    return _checked_space(_Rows(d), float(rest.min(initial=math.inf)),
+                          float(rest.max(initial=0.0)))
 
 
 def validate_finite_space(matrix: Sequence[Sequence[float]],

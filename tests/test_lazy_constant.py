@@ -73,6 +73,22 @@ def test_first_read_runs_the_kernel_once(n, form, kernel_calls):
     assert first.hex() == k_loop_min_constant(d).hex()
 
 
+@pytest.mark.parametrize("form", ["list", "array"])
+@pytest.mark.parametrize("n", [n for n in SIZES if n > PY_KERNEL_MAX_POINTS])
+def test_first_read_passes_the_kept_matrix(n, form, monkeypatch):
+    d = family_matrix(n, "lognormal", seed=n)
+    fs = validate_finite_space(d.tolist() if form == "list" else d)
+    received = []
+
+    def spy(matrix, kernel=spaces._min_constant):
+        received.append(matrix)
+        return kernel(matrix)
+
+    monkeypatch.setattr(spaces, "_min_constant", spy)
+    assert fs.s.hex() == k_loop_min_constant(d).hex()
+    assert len(received) == 1 and received[0] is fs.dist.matrix
+
+
 class TestKernelsBitEqual:
     """Small matrices read their constant from the row kernel, so it must
     match the numpy kernel bit for bit, as validation once compared them."""

@@ -10,6 +10,8 @@ every 312 doubles (two words each): n = 26 (325 draws) is the first size
 whose matrix spans a refill, n = 36 (630 draws) the first to span two.
 """
 
+import sys
+import threading
 from random import Random
 
 import pytest
@@ -75,3 +77,29 @@ def test_infinite_scale_raises_the_loops_non_finite_entry(n):
     got = _error(SEEDS[0], n, float("inf"), generate_space)
     assert got == _error(SEEDS[0], n, float("inf"), loop_space)
     assert got[0] is NonFiniteEntry
+
+
+def test_threads_draw_the_loops_entries():
+    """Each thread loads its own legacy generator: draws made at once in
+    several threads, switching often, still equal the loop's."""
+    seeds = [f"thread:{k}" for k in range(6)]
+    expected = {seed: hexes(loop_space(seed, 36)) for seed in seeds}
+    got = {}
+
+    def draw(seed):
+        for _ in range(20):
+            assert hexes(generate_space(seed, 36)) == expected[seed]
+        got[seed] = True
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=draw, args=(seed,)) for seed in seeds]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert sorted(got) == sorted(seeds)

@@ -11,7 +11,10 @@ and a bit-equal constant, or raise the same error with the same message
 and witness.
 """
 
+import dataclasses
+import json
 import math
+from itertools import combinations
 from random import Random
 from unittest.mock import ANY
 
@@ -284,6 +287,87 @@ class TestMeetsSpec:
             with pytest.raises(ValueError, match="^matrix entries must be numbers"):
                 validate_finite_space(bad)
         assert validate_finite_space(np.array(d)).dist == ((0.0, 1.5), (1.5, 0.0))
+
+
+class TestKeptMatrix:
+    """A matrix validated by numpy keeps its float64 array and builds a row
+    of floats on the row's first read; ``dist`` must still behave as the
+    tuple of those rows."""
+
+    @pytest.mark.parametrize("n", [1, 2, PY_KERNEL_MAX_POINTS])
+    def test_small_array_equals_the_list_space(self, n):
+        d = family_matrix(n, "lognormal", seed=n)
+        fs, listed = validate_finite_space(d), validate_finite_space(d.tolist())
+        assert fs == listed and listed == fs
+        assert hash(fs) == hash(listed) and repr(fs) == repr(listed)
+
+    @pytest.mark.parametrize("n", [PY_KERNEL_MAX_POINTS + 1, MAX_FINITE_POINTS])
+    def test_rows_behave_as_tuple_rows(self, n):
+        d = family_matrix(n, "pareto", seed=n)
+        rows = tuple(map(tuple, d.tolist()))
+        fs = validate_finite_space(d)
+        assert fs.dist == rows and rows == fs.dist and not fs.dist != rows
+        assert fs.dist != rows[:-1] and fs.dist != [list(row) for row in rows]
+        assert len(fs.dist) == n and tuple(fs.dist) == rows and list(fs.dist) == list(rows)
+        assert fs.dist[-1] == rows[-1] and fs.dist[-n] == rows[0]
+        assert fs.dist[1:3] == rows[1:3] and fs.dist[::-1] == rows[::-1]
+        for bad in (n, -n - 1):
+            with pytest.raises(IndexError):
+                fs.dist[bad]
+        assert hash(fs.dist) == hash(rows) and repr(fs.dist) == repr(rows)
+        tupled = spaces.FiniteSpace(dist=rows, s=fs.s)
+        assert fs == tupled and hash(fs) == hash(tupled) and repr(fs) == repr(tupled)
+        declared = dataclasses.replace(fs, s=2.0 * fs.s)
+        assert declared.dist == rows and declared.s == 2.0 * fs.s
+        assert declared == dataclasses.replace(tupled, s=2.0 * fs.s)
+        assert (json.dumps(spaces.space_to_json(fs))
+                == json.dumps(spaces.space_to_json(tupled)))
+
+    @pytest.mark.filterwarnings("ignore:the matrix subclass:PendingDeprecationWarning")
+    @pytest.mark.parametrize("form", [np.asarray, np.asmatrix,
+                                      lambda d: np.vstack([d, d])[:len(d)]],
+                             ids=["array", "matrix", "view"])
+    def test_kept_matrix_is_a_private_read_only_copy(self, form):
+        n = 2 * PY_KERNEL_MAX_POINTS
+        d = family_matrix(n, "uniform", seed=n)
+        expected = validate_finite_space(d.copy())
+        given = form(d)
+        fs = validate_finite_space(given)
+        given[0, 1] = given[1, 0] = 1e9
+        given[2] = 7.0
+        assert fs.dist == expected.dist and fs.s == expected.s
+        with pytest.raises(ValueError):
+            fs.dist.matrix[0, 1] = 1e9
+
+    def test_uncertified_trial_builds_only_the_rows_it_reads(self, monkeypatch):
+        import gphi.harness as harness
+
+        space = harness.generate_space("rows", MAX_FINITE_POINTS)
+        T = harness.generate_operator("rows:op", space, True)
+        gauges, phis = harness._prepare_catalogs(harness.FuzzConfig())
+        built = []
+
+        class Counted:
+            def __init__(self, matrix):
+                self.matrix = matrix
+
+            def __getitem__(self, i):
+                built.append(i)
+                return self.matrix[i]
+
+        space.dist.matrix = Counted(space.dist.matrix)
+        drawn = []
+
+        def counted_pairs(points, r):
+            for pair in combinations(points, r):
+                drawn.append(pair)
+                yield pair
+
+        monkeypatch.setattr(harness, "combinations", counted_pairs)
+        assert harness._first_certified(space, T, gauges, phis) is None
+        read = {x for x, _ in drawn} | {T.mapping[x] for x, _ in drawn}
+        assert len(built) == len(set(built)) and set(built) == read
+        assert len(built) < MAX_FINITE_POINTS // 4
 
 
 def k_loop_min_constant(d) -> float:
