@@ -76,7 +76,10 @@ class FiniteMap:
     mapping: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "mapping", tuple(map(_map_image, self.mapping)))
+        mapping = tuple(self.mapping)
+        if not set(map(type, mapping)) <= {int}:       # plain ints are taken as they are
+            mapping = tuple(map(_map_image, mapping))
+        object.__setattr__(self, "mapping", mapping)
 
     def describe(self) -> dict:
         return {"map": list(self.mapping)}

@@ -9,6 +9,15 @@ one hypothesis and confirm that the pipeline routes those instances to
 "certification failed" or "expected violation" rather than asserting
 anything.
 
+The lemmas of a certified trial come from one pass over T's functional
+graph: the points whose orbit reaches the fixed point, each after its
+image, give every start point's path, and along it the block index m, the
+ball at x_{mn} (checked once per distinct centre), k0 and m0 with the
+chained blocks, and the Cauchy tail's diameter, kept per vertex.  These are
+the values the public lemmas of ``gphi.solver`` give on the start point's
+trace.  A trace is recorded only for a start point whose orbit ends on a
+cycle, where those lemmas run on it, and for the bundle of a failed lemma.
+
 Determinism: all randomness flows through ``random.Random`` (Mersenne
 Twister) seeded with strings of the form ``"{seed}:{trial}:{stream}"``;
 Python's string seeding is the documented SHA-512 based scheme, stable
@@ -24,8 +33,9 @@ import json
 import math
 import threading
 from dataclasses import dataclass, field
-from itertools import combinations, tee
+from itertools import combinations, islice, tee
 from random import Random
+from typing import NamedTuple
 
 from .contraction import (
     FiniteMap,
@@ -54,8 +64,10 @@ from .gauges import (
 )
 from .solver import (
     _ball_holds,
+    _cauchy_bound,
     _cauchy_tail,
     _power_image,
+    _small_step,
     enumerate_fixed_points,
     m_epsilon,
     picard_iterate,
@@ -315,15 +327,28 @@ def _bundle(trial, kind, detail, space, T, gauge, phi, trace) -> dict:
 
 def _check_theorem(report, trial, space, T, entry, phi) -> bool:
     """Assert the theorem's conclusion on one certified instance; True iff
-    every lemma held, that is iff no violation was added."""
-    violations_before = len(report.violations)
+    every lemma held, that is iff no violation was added.
 
-    def lemma(name, passed, kind, detail, trace=None) -> bool:
+    The orbits are read off T's functional graph in one pass; a trace is
+    recorded only for a start point whose orbit ends on a cycle or whose
+    failed lemma bundles it."""
+    violations_before = len(report.violations)
+    traces = {}
+
+    def trace_of(x0):
+        # a finite orbit revisits a point within n steps, and only a zero
+        # step is a fixed point
+        if x0 not in traces:
+            traces[x0] = picard_iterate(space, T, x0, max_iter=space.n, tol=0.0)
+        return traces[x0]
+
+    def lemma(name, passed, kind, detail, x0=None) -> bool:
         # the one outcome rule: tally, and bundle the counterexample on failure
         report.lemma_counts[name]["pass" if passed else "fail"] += 1
         if not passed:
             report.violations.append(_bundle(
-                trial, kind, detail, space, T, entry.gauge, phi, trace))
+                trial, kind, detail, space, T, entry.gauge, phi,
+                None if x0 is None else trace_of(x0)))
         return passed
 
     def attempt(check, *args, **kwargs):
@@ -339,21 +364,20 @@ def _check_theorem(report, trial, space, T, entry, phi) -> bool:
         return False
     fp = next(iter(fps))
 
-    # a finite orbit revisits a point within n steps, and only a zero step
-    # is a fixed point
-    traces = [picard_iterate(space, T, x0, max_iter=space.n, tol=0.0) for x0 in space.points]
-    for trace in traces:
-        lemma("orbit_convergence",
-              trace.stop_reason == "exact-fixed-point" and trace.fixed_point == fp,
-              "orbit-divergence",
-              f"orbit from {trace.x0} stopped with {trace.stop_reason} "
-              f"at {trace.fixed_point!r} instead of {fp}", trace)
+    order = _paths_to(T.mapping, fp)
+    cycling = set(space.points).difference(order)
+    for x0 in space.points:
+        trace = trace_of(x0) if x0 in cycling else None
+        lemma("orbit_convergence", trace is None, "orbit-divergence",
+              trace and f"orbit from {x0} stopped with {trace.stop_reason} "
+                        f"at {trace.fixed_point!r} instead of {fp}", x0)
 
     if entry.in_g1:
         report.g1_instances += 1
-        for trace in traces:
-            lemma("g1_termination", verify_g1_termination(trace), "g1-termination",
-                  "positive-infimum gauge but orbit never became constant", trace)
+        for x0 in space.points:
+            lemma("g1_termination",
+                  x0 not in cycling or verify_g1_termination(trace_of(x0)), "g1-termination",
+                  "positive-infimum gauge but orbit never became constant", x0)
         return len(report.violations) == violations_before
 
     report.g2_instances += 1
@@ -363,21 +387,141 @@ def _check_theorem(report, trial, space, T, entry, phi) -> bool:
                  "n_epsilon exhausted its budget"):
         return False
 
-    image = _power_image(T.mapping, n).__getitem__
-    for trace in traces:
-        # one block scan of the recorded trace gives m, the step-chaining
-        # lemma gives m0, and every ball reads T^n from the trial's image
-        m = attempt(m_epsilon, trace, n, eps, M_BUDGET)
+    image = _power_image(T.mapping, n)
+    bound = attempt(_cauchy_bound, space.s, eps)
+    for x0, orbit in enumerate(_lemma_pass(space, T.mapping, order, n, eps, image)):
+        if orbit is None:
+            # an orbit that ends on a cycle: the lemmas on its recorded trace
+            trace = trace_of(x0)
+            m = attempt(m_epsilon, trace, n, eps, M_BUDGET)
+            if m is not None:
+                ball = _ball_holds(space, trace.point_at(m * n), eps, image.__getitem__)
+                chain = attempt(verify_step_chaining, trace, n, eps)
+                # without m0 the Cauchy lemma fails, as verify_cauchy_bound would raise
+                diag = chain and attempt(_cauchy_tail, trace, eps, n, m, chain[0])
+                cauchy = diag is not None and diag.holds
+        else:
+            m, ball, chain = orbit.m, orbit.ball, (orbit.m0, orbit.chained)
+            cauchy = bound is not None and orbit.diameter <= bound
         if not lemma("m_epsilon", m is not None, "m-epsilon-budget",
-                     "m_epsilon exhausted its budget", trace):
+                     "m_epsilon exhausted its budget", x0):
             continue
-        ball = attempt(lambda: _ball_holds(space, trace.point_at(m * n), eps, image))
-        lemma("invariant_ball", ball, "invariant-ball", "image of the ball escaped", trace)
-        chain = attempt(verify_step_chaining, trace, n, eps)
+        lemma("invariant_ball", ball, "invariant-ball", "image of the ball escaped", x0)
         lemma("step_chaining", chain is not None and chain[1], "step-chaining",
-              "block distances exceeded eps", trace)
-        # without m0 the Cauchy lemma fails, as verify_cauchy_bound would raise
-        diag = chain and attempt(_cauchy_tail, trace, eps, n, m, chain[0])
-        lemma("cauchy_bound", diag is not None and diag.holds, "cauchy-bound",
-              "tail pair distance exceeded 4*s^3*eps", trace)
+              "block distances exceeded eps", x0)
+        lemma("cauchy_bound", cauchy, "cauchy-bound",
+              "tail pair distance exceeded 4*s^3*eps", x0)
     return len(report.violations) == violations_before
+
+
+def _paths_to(mapping, fp) -> list[int]:
+    """The points whose orbit under a checked finite map reaches its fixed
+    point fp: fp first, and every other point after its image."""
+    preimages = [[] for _ in mapping]
+    for v, w in enumerate(mapping):
+        if v != w:
+            preimages[w].append(v)
+    order = [fp]
+    for w in order:                 # read as it grows: breadth first from fp
+        order += preimages[w]
+    return order
+
+
+class _OrbitLemmas(NamedTuple):
+    """The lemma values of the orbit of one start point x0."""
+
+    m: int                  # m_epsilon's block index
+    ball: bool              # T^n maps the ball B(x_{mn}, eps) into itself
+    m0: int                 # verify_step_chaining's block index
+    chained: bool           # ... and its verdict on the blocks from m0
+    diameter: float         # the largest distance in the tail from x_{max(m, m0) n}
+
+
+def _lemma_pass(space, mapping, order, n, eps, image) -> list:
+    """``_OrbitLemmas`` for each point in ``order`` (see ``_paths_to``), in
+    the order of the points, and None for every other point.
+
+    The values are those of ``m_epsilon``, ``_ball_holds``,
+    ``verify_step_chaining`` and ``_cauchy_tail`` on the point's trace,
+    which is its path to fp, then fp forever.  On a validated space only a
+    fixed point takes a zero step.  Each vertex is read once for k0 (one
+    past the last step not below eps/(n s^n)), each distinct ball centre is
+    checked once, and the tail diameters are kept per vertex:
+    D(v) = max(D(Tv), max of d(v, w) over the points w of the path of Tv).
+    ``image`` is the image list of T^n.
+    """
+    dist, s = space.dist, space.s
+    fp = order[0]
+    small = _small_step(s, n, eps)
+    thr = eps / (2.0 * s)                   # m_epsilon's block threshold
+    depth, k0 = [None] * len(mapping), [0] * len(mapping)
+    depth[fp] = 0
+    for v in islice(order, 1, None):
+        w = mapping[v]
+        depth[v] = depth[w] + 1
+        k0[v] = k0[w] + 1 if k0[w] else int(not dist[v][w] < small)
+    balls, blocks, diameters = {}, {}, {fp: 0.0}
+
+    def chains(w) -> bool:
+        # the block from base point w: d(w, T^p w) < eps and the chained
+        # sum of s^i d(T^(i-1) w, T^i w), i <= p, below eps, for 0 < p < n;
+        # past fp the terms are zero and the checks repeat
+        if w not in blocks:
+            row, acc, spow, x = dist[w], 0.0, 1.0, w
+            ok = True
+            for _ in range(1, n):
+                spow *= s
+                y = mapping[x]
+                if y == x:
+                    break
+                acc += spow * dist[x][y]
+                x = y
+                if not (row[x] < eps and acc < eps):
+                    ok = False
+                    break
+            blocks[w] = ok
+        return blocks[w]
+
+    def point(x, k):
+        # x_k of the orbit of x: fp from its depth on
+        if k >= depth[x]:
+            return fp
+        for _ in range(k):
+            x = mapping[x]
+        return x
+
+    def diameter(w) -> float:
+        if w not in diameters:
+            path = [w]
+            while path[-1] != fp:
+                path.append(mapping[path[-1]])
+            for i in range(len(path) - 2, -1, -1):
+                v = path[i]
+                if v not in diameters:
+                    far = max(map(dist[v].__getitem__, path[i + 1:]))
+                    diameters[v] = max(diameters[path[i + 1]], far)
+        return diameters[w]
+
+    lemmas = []
+    for x0, d in enumerate(depth):
+        if d is None:
+            lemmas.append(None)
+            continue
+        # the block scan: x_{mn} and x_{(m+1)n} read off T^n
+        a, m = image[x0], 1
+        while True:
+            b = image[a]
+            step = dist[b][a]
+            if step == 0.0 or step < thr:
+                break
+            a, m = b, m + 1
+        if a not in balls:
+            balls[a] = _ball_holds(space, a, eps, image.__getitem__)
+        m0 = -(-(k0[x0] + 1) // n)
+        base, chained = m0 * n, True
+        w = point(x0, base)
+        while chained and base < d:         # the blocks from fp on pass
+            chained, base, w = chains(w), base + n, image[w]
+        lemmas.append(_OrbitLemmas(m, balls[a], m0, chained,
+                                   diameter(point(x0, max(m, m0) * n))))
+    return lemmas

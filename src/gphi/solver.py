@@ -356,11 +356,7 @@ def verify_step_chaining(trace: PicardTrace, n: int, eps: float) -> tuple[int, b
     space = trace.space
     s = space.s
     steps = trace.step_dists
-    try:
-        sn = s ** n
-    except OverflowError:
-        sn = math.inf
-    thr = eps / (n * sn)                       # 0.0 when s**n overflows
+    thr = _small_step(s, n, eps)
 
     exact = trace.stop_reason == "exact-fixed-point"
     k0 = len(steps)                            # back past the qualifying tail
@@ -390,6 +386,16 @@ def verify_step_chaining(trace: PicardTrace, n: int, eps: float) -> tuple[int, b
     return m0, True
 
 
+def _small_step(s: float, n: int, eps: float) -> float:
+    """eps/(n*s**n), below which a step counts toward step chaining's tail;
+    0.0 when s**n overflows."""
+    try:
+        sn = s ** n
+    except OverflowError:
+        sn = math.inf
+    return eps / (n * sn)
+
+
 def verify_cauchy_bound(trace: PicardTrace, G, phi, eps: float, n_budget: int = 10_000,
                         m_budget: int = 10_000) -> CauchyDiagnostics:
     """Assemble n, m, m0 and check d(x_{k1}, x_{k2}) <= 4*s^3*eps in the tail.
@@ -404,17 +410,23 @@ def verify_cauchy_bound(trace: PicardTrace, G, phi, eps: float, n_budget: int = 
     return _cauchy_tail(trace, eps, n, m, m0)
 
 
+def _cauchy_bound(s: float, eps: float) -> float:
+    """The Cauchy bound 4*s^3*eps; ConstantOverflow past the float range."""
+    try:
+        bound = 4.0 * s ** 3 * eps
+    except OverflowError:
+        bound = math.inf
+    if bound == math.inf:
+        raise ConstantOverflow(f"Cauchy bound 4*s^3*eps overflows: s = {s}, eps = {eps}")
+    return bound
+
+
 def _cauchy_tail(trace: PicardTrace, eps: float, n: int, m: int, m0: int) -> CauchyDiagnostics:
     """The tail check of ``verify_cauchy_bound``, given its n, m and m0: the
     diameter of the checked tail points, read off the matrix among distinct points,
     or off the extremes on an interval, where |x - y|**p grows with |x - y|."""
     space = trace.space
-    try:
-        bound = 4.0 * space.s ** 3 * eps
-    except OverflowError:
-        bound = math.inf
-    if bound == math.inf:
-        raise ConstantOverflow(f"Cauchy bound 4*s^3*eps overflows: s = {space.s}, eps = {eps}")
+    bound = _cauchy_bound(space.s, eps)
     m_bar = max(m, m0)
     cutoff = m_bar * n
 

@@ -304,8 +304,13 @@ class TestFiniteMapEntries:
         assert T.mapping == (2, 1, 0, 1)
         assert all(type(v) is int for v in T.mapping)
 
-    @pytest.mark.parametrize("entry", [0.9, -0.5, "0", True, False, None, math.nan, math.inf])
+    @pytest.mark.parametrize("entry", [0.9, -0.5, 1.5, "0", True, False, None, math.nan,
+                                       math.inf, "numpy-bool"])
     def test_entries_int_would_change_are_refused(self, entry):
+        if entry == "numpy-bool":
+            import numpy as np
+
+            entry = np.bool_(True)
         with pytest.raises(ValueError, match="^map entries must be integers"):
             FiniteMap((0, entry))
 
