@@ -21,6 +21,7 @@ import math
 import sys
 
 from .contraction import (
+    CERTIFY_MODES,
     SAMPLE_PAIRS_DEFAULT,
     certify_condition_G,
     operator_from_json,
@@ -63,8 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_cert = sub.add_parser("certify", help="certify the contraction condition")
     p_cert.add_argument("instance")
-    p_cert.add_argument("--mode", choices=["auto", "exhaustive", "random"],
-                        default="auto")
+    p_cert.add_argument("--mode", choices=CERTIFY_MODES, default="auto")
     p_cert.add_argument("--seed", type=int, default=0)
     p_cert.add_argument("--samples", type=int, default=SAMPLE_PAIRS_DEFAULT)
 
@@ -133,8 +133,7 @@ def _cmd_solve(args) -> int:
         eps = args.eps if args.eps is not None else epsilon0(G, grid) / 2.0
         out["eps"] = eps
         try:
-            diag = verify_cauchy_bound(trace, G, phi, eps,
-                                       n_budget=args.budget, m_budget=args.budget)
+            diag = verify_cauchy_bound(trace, G, phi, eps, args.budget)
             out["diagnostics"] = diag.to_json()
         except GphiError as exc:
             out["diagnostics_error"] = f"{type(exc).__name__}: {exc}"

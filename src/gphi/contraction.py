@@ -48,6 +48,7 @@ from .gauges import (
 from .spaces import AnalyticSpace, FiniteSpace, Space, _Record, _is_numpy_scalar, _json_number
 
 SAMPLE_PAIRS_DEFAULT = 4096
+CERTIFY_MODES = ("auto", "exhaustive", "random")
 
 # R2 low-discrepancy sequence increments (inverse powers of the plastic number).
 _R2_A1 = 0.7548776662466927
@@ -247,8 +248,10 @@ def certify_condition_G(space: Space, T: OperatorSpec, G, phi,
     lexicographic order (a definitive verdict); interval spaces are sampled.
     Pairs whose image distance is zero satisfy the condition vacuously and
     are skipped.  The violation witness, when present, is the first
-    violating pair in the canonical order.
+    violating pair in the canonical order.  ``mode`` is one of CERTIFY_MODES.
     """
+    if mode not in CERTIFY_MODES:
+        raise ValueError(f"mode must be one of {', '.join(CERTIFY_MODES)}, got {mode!r}")
     validate_operator(space, T)
     provenance = {"gauge": G.describe(), "phi": phi.describe()}
 

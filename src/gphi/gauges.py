@@ -64,18 +64,16 @@ def _safe_exp(x: float) -> float:
         return math.inf
 
 
-def log_grid(lo_decade: int = GRID_LO_DECADE, hi_decade: int = GRID_HI_DECADE,
-             per_decade: int = PER_DECADE_DEFAULT) -> list[float]:
-    """Log-spaced evaluation grid: per_decade points per decade, inclusive ends."""
+def log_grid(per_decade: int = PER_DECADE_DEFAULT) -> list[float]:
+    """Log-spaced evaluation grid from 10**GRID_LO_DECADE to 10**GRID_HI_DECADE:
+    per_decade points per decade, inclusive ends."""
     if per_decade < 1:
         raise ValueError(f"per_decade must be at least 1, got {per_decade}")
-    if hi_decade <= lo_decade:
-        raise ValueError(f"hi_decade must exceed lo_decade, got {hi_decade} <= {lo_decade}")
     pts = []
-    for dec in range(lo_decade, hi_decade):
+    for dec in range(GRID_LO_DECADE, GRID_HI_DECADE):
         for i in range(per_decade):
             pts.append(10.0 ** (dec + i / per_decade))
-    pts.append(10.0 ** hi_decade)
+    pts.append(10.0 ** GRID_HI_DECADE)
     return pts
 
 
@@ -331,15 +329,14 @@ class PhiCertificate(_Record):
     evidence: dict = field(default_factory=dict)
 
 
-def certify_phi(phi, grid, budget: int = PHI_BUDGET_DEFAULT,
-                tol: float = PHI_TOL_DEFAULT) -> PhiCertificate:
+def certify_phi(phi, grid, budget: int = PHI_BUDGET_DEFAULT) -> PhiCertificate:
     """Certify membership of phi in the comparison-function class on a grid.
 
     Checks positivity and monotonicity on the grid, rejects any point with
     phi(t) >= t (iterates from such a point can never decay), then settles
     iterate decay: closed-form families are decided analytically, opaque
     families by iterating each grid point until the value drops below
-    ``tol`` or ``budget`` is exhausted.
+    PHI_TOL_DEFAULT or ``budget`` is exhausted.
     """
     pts = sorted(set(float(t) for t in grid))
     if not pts:
@@ -372,7 +369,7 @@ def certify_phi(phi, grid, budget: int = PHI_BUDGET_DEFAULT,
     decay = phi.known_decay()
     if decay is True:
         return PhiCertificate("member", evidence={
-            "decay": "closed-form", "grid_points": len(pts), "tol": tol})
+            "decay": "closed-form", "grid_points": len(pts), "tol": PHI_TOL_DEFAULT})
     if decay is False:
         return PhiCertificate("non-member",
                               witness={"kind": "known-non-convergent"})
@@ -383,7 +380,7 @@ def certify_phi(phi, grid, budget: int = PHI_BUDGET_DEFAULT,
         reached = False
         for k in range(1, budget + 1):
             u_next = phi.eval(u)
-            if u_next < tol:
+            if u_next < PHI_TOL_DEFAULT:
                 worst_k = max(worst_k, k)
                 reached = True
                 break
@@ -398,9 +395,9 @@ def certify_phi(phi, grid, budget: int = PHI_BUDGET_DEFAULT,
             return PhiCertificate(
                 "inconclusive",
                 witness={"kind": "budget", "t": t, "reached": u, "budget": budget},
-                evidence={"tol": tol})
+                evidence={"tol": PHI_TOL_DEFAULT})
     return PhiCertificate("member", evidence={
-        "decay": "iterated", "grid_points": len(pts), "tol": tol,
+        "decay": "iterated", "grid_points": len(pts), "tol": PHI_TOL_DEFAULT,
         "max_iterations": worst_k})
 
 
@@ -767,8 +764,8 @@ def classify_increasing_gauge(G, grid=None) -> str:
     return "G1" if est > INF_FLOOR else "G2"
 
 
-def epsilon0(G, grid=None, level: float = 1.0) -> float:
-    """Largest grid value eps0 with sup G on (0, eps0) <= level and positive
+def epsilon0(G, grid=None) -> float:
+    """Largest grid value eps0 with sup G on (0, eps0) <= 1 and positive
     infima on every region [eps, grid-max] for grid eps below eps0.
 
     Presupposes a gauge certified in class G2; raises NoValidEpsilon when no
@@ -789,47 +786,44 @@ def epsilon0(G, grid=None, level: float = 1.0) -> float:
             v = G.sup_below(pts[i])
             return running_max[i] if v is None else v
 
-        # sup_floor(i) <= level holds on a prefix of the grid, and past it the
+        # sup_floor(i) <= 1 holds on a prefix of the grid, and past it the
         # sup fails too: scan down from the prefix's end.  A sampled sup over
         # (0, pts[i]) takes G at pts[i], its limit at the open end for a
         # continuous gauge, so it never exceeds the true sup
-        k = bisect_left(range(len(pts)), True, key=lambda i: not sup_floor(i) <= level)
+        k = bisect_left(range(len(pts)), True, key=lambda i: not sup_floor(i) <= 1.0)
         for i in range(k - 1, -1, -1):
             v = G.sup_below(pts[i])
             if v is None:
                 probes = [pts[i] * 2.0 ** -j for j in range(1, 40)]
                 v = max([running_max[i]] + [G.eval(t) for t in probes if t > 0.0])
-            if v <= level:
+            if v <= 1.0:
                 return pts[i]
     raise NoValidEpsilon(
-        f"no grid value has sup below {level}; gauge cannot be in G2")
+        "no grid value has sup below 1.0; gauge cannot be in G2")
 
 
-def n_epsilon(G, phi, s: float, eps: float, level: float = 1.0,
-              budget: int = 10_000) -> int:
-    """Smallest n <= budget with inf of G over (eps/(2s), inf) > phi^n(level).
+def n_epsilon(G, phi, s: float, eps: float, budget: int = 10_000) -> int:
+    """Smallest n <= budget with inf of G over (eps/(2s), inf) > phi^n(1).
 
     The returned n witnesses the shrinking step of the convergence argument:
     for any operator certified against (G, phi), distances below eps map
     under T^n to distances below eps/(2s).  The comparison is strict, as the
     argument requires.  Callers must supply eps below the gauge's epsilon0
-    for the given level and a certified comparison function.
+    and a certified comparison function.
     """
     if not eps > 0.0:
         raise NonpositiveArgument("eps must be positive")
     if not s >= 1.0:
         raise ValueError("b-metric constant must be >= 1")
-    if not level > 0.0:
-        raise NonpositiveArgument("level must be positive")
     thr = eps / (2.0 * s)
     target = _inf_above(G, thr)
-    u = level
+    u = 1.0
     for n in range(1, budget + 1):
         u = phi.eval(u)
         if target > u:
             return n
     raise BudgetExhausted(
-        f"phi^n({level}) did not drop below {target} within {budget} iterations")
+        f"phi^n(1.0) did not drop below {target} within {budget} iterations")
 
 
 # --- JSON interface ----------------------------------------------------------

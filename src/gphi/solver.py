@@ -396,16 +396,16 @@ def _small_step(s: float, n: int, eps: float) -> float:
     return eps / (n * sn)
 
 
-def verify_cauchy_bound(trace: PicardTrace, G, phi, eps: float, n_budget: int = 10_000,
-                        m_budget: int = 10_000) -> CauchyDiagnostics:
+def verify_cauchy_bound(trace: PicardTrace, G, phi, eps: float,
+                        budget: int = 10_000) -> CauchyDiagnostics:
     """Assemble n, m, m0 and check d(x_{k1}, x_{k2}) <= 4*s^3*eps in the tail.
 
     k1, k2 range over every pair of orbit indices from m_bar * n, m_bar = max(m, m0).
     Budget errors, ConstantOverflow when the bound overflows the float range
     and the OrbitTooShort of an index the trace lacks propagate.
     """
-    n = n_epsilon(G, phi, trace.space.s, eps, budget=n_budget)
-    m = m_epsilon(trace, n, eps, m_budget)
+    n = n_epsilon(G, phi, trace.space.s, eps, budget)
+    m = m_epsilon(trace, n, eps, budget)
     m0, _ = verify_step_chaining(trace, n, eps)
     return _cauchy_tail(trace, eps, n, m, m0)
 

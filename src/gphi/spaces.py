@@ -314,13 +314,13 @@ def _first_pair(n: int, bad) -> tuple[int, int]:
     return next((i, j) for i in range(n) for j in range(n) if bad(i, j))
 
 
-def _validate_rows(d: tuple[tuple[float, ...], ...], max_points: int) -> FiniteSpace:
+def _validate_rows(d: tuple[tuple[float, ...], ...]) -> FiniteSpace:
     """The checks of a distance matrix, stated once: finite, non-negative,
     zero on the diagonal, symmetric and positive between distinct points,
     in that order, each refusal naming its first entry in row-major order."""
     n = len(d)
-    if n > max_points:
-        raise TooManyPoints(f"{n} points exceeds cap {max_points}")
+    if n > MAX_FINITE_POINTS:
+        raise TooManyPoints(f"{n} points exceeds cap {MAX_FINITE_POINTS}")
     flat = [v for row in d for v in row]
     if not all(map(math.isfinite, flat)):
         raise NonFiniteEntry("matrix entries must be finite")
@@ -341,7 +341,7 @@ def _validate_rows(d: tuple[tuple[float, ...], ...], max_points: int) -> FiniteS
     return _checked_space(d, min(filter(None, flat), default=math.inf), max(flat))
 
 
-def _validate_array(matrix, max_points: int) -> FiniteSpace:
+def _validate_array(matrix) -> FiniteSpace:
     """Validation with numpy: parses any array-like, then accepts in bulk
     exactly the matrices ``_validate_rows`` accepts and hands it the rest to
     name the refusal.  A string, boolean or null entry of a list matrix is
@@ -358,19 +358,18 @@ def _validate_array(matrix, max_points: int) -> FiniteSpace:
     if d.ndim != 2 or d.shape[0] != d.shape[1] or d.shape[0] < 1:
         raise ValueError("matrix must be square and non-empty")
     n = d.shape[0]
-    if n > max_points:
-        raise TooManyPoints(f"{n} points exceeds cap {max_points}")
+    if n > MAX_FINITE_POINTS:
+        raise TooManyPoints(f"{n} points exceeds cap {MAX_FINITE_POINTS}")
     rest = d[~np.eye(n, dtype=bool)]
     if not (np.isfinite(d).all() and (rest > 0.0).all()
             and not np.diagonal(d).any() and np.array_equal(d, d.T)):
-        return _validate_rows(tuple(map(tuple, d.tolist())), max_points)
+        return _validate_rows(tuple(map(tuple, d.tolist())))
     d.flags.writeable = False
     return _checked_space(_Rows(d), float(rest.min(initial=math.inf)),
                           float(rest.max(initial=0.0)))
 
 
-def validate_finite_space(matrix: Sequence[Sequence[float]],
-                          max_points: int = MAX_FINITE_POINTS) -> FiniteSpace:
+def validate_finite_space(matrix: Sequence[Sequence[float]]) -> FiniteSpace:
     """Validate a distance matrix and return a FiniteSpace with the minimal constant.
 
     Raises AsymmetricMatrix, NegativeEntry, ZeroOffDiagonal, NonzeroDiagonal,
@@ -384,8 +383,8 @@ def validate_finite_space(matrix: Sequence[Sequence[float]],
     try:
         rows = _plain_rows(matrix)
         if rows is None:
-            return _validate_array(matrix, max_points)
-        return _validate_rows(rows, max_points)
+            return _validate_array(matrix)
+        return _validate_rows(rows)
     except OverflowError as exc:
         raise _past_float_range(matrix, exc) from None
 

@@ -30,6 +30,7 @@ from gphi.errors import (
 from gphi.harness import generate_operator, generate_space
 from gphi.solver import PicardTrace, m_epsilon, picard_iterate, trace_from_json
 from gphi.spaces import AnalyticSpace, FiniteSpace, validate_finite_space
+from test_harness import uniform_map
 
 UNIT = AnalyticSpace(0.0, 1.0, 1.0)
 UNIT_SQ = AnalyticSpace(0.0, 1.0, 2.0)
@@ -123,7 +124,8 @@ def walk_cases():
              (TWO, FiniteMap((1, 0)), 0), (THREE, FiniteMap((0, 0, 1)), 2)]
     for seed in range(10):
         space = generate_space(f"block:{seed}", 7)
-        T = generate_operator(f"block:{seed}:op", space, seed % 3 != 0)
+        T = (generate_operator(f"block:{seed}:op", space) if seed % 3
+             else uniform_map(f"block:{seed}:op", space.n))
         cases.append((space, T, seed % 7))
     return cases
 
@@ -140,7 +142,8 @@ def trace_cases():
               picard_iterate(THREE, FiniteMap((0, 0, 1)), 2)]
     for seed in range(10):
         space = generate_space(f"block:{seed}", 7)
-        T = generate_operator(f"block:{seed}:op", space, seed % 3 != 0)
+        T = (generate_operator(f"block:{seed}:op", space) if seed % 3
+             else uniform_map(f"block:{seed}:op", space.n))
         traces.append(picard_iterate(space, T, seed % 7, max_iter=1 + seed % 4))
         traces.append(picard_iterate(space, T, seed % 7))
     # a hand-built trace whose orbit leaves its space at x_2

@@ -33,6 +33,7 @@ from gphi.harness import (
     generate_space,
 )
 from gphi.spaces import validate_finite_space
+from test_harness import uniform_map
 
 STEPS = TabulatedGauge(((0.01, 0.5), (0.2, 0.3), (1.0, 2.0), (30.0, 1.5)))
 CATALOGS = {
@@ -68,8 +69,10 @@ def test_same_choice_as_public_certifier(seed, n, scale, kind, catalog):
     space = generate_space(f"scan:{seed}", n, scale)
     if kind == "identity":
         T = _identity_map(n)
+    elif kind == "biased":
+        T = generate_operator(f"scan:{seed}:op", space)
     else:
-        T = generate_operator(f"scan:{seed}:op", space, kind == "biased")
+        T = uniform_map(f"scan:{seed}:op", n)
     gauges, phis = CATALOGS[catalog]
     assert (outcome(_first_certified, space, T, gauges, phis)
             == outcome(reference_first_certified, space, T, gauges, phis))
@@ -94,7 +97,7 @@ def test_scan_reaches_only_the_pairs_it_needs(monkeypatch):
 
     n = 256
     space = generate_space("lazy", n)
-    T = generate_operator("lazy:op", space, True)
+    T = generate_operator("lazy:op", space)
     evaluated = []
 
     def minus_log(a):

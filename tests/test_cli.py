@@ -361,6 +361,23 @@ class TestSolve:
         assert doc["trace"]["fixed_point"] == 0
         assert doc["trace"]["orbit"] == [2, 1, 0, 0]
 
+    @pytest.mark.parametrize("budget, error, n, m", [
+        ("5", "BudgetExhausted: no block index within budget 5", None, None),
+        ("8", None, 1, 8)])
+    def test_budget_reaches_m_epsilon(self, tmp_path, capsys, budget, error, n, m):
+        # x_k = 100 / 2^k and eps = 0.5: n = 1, and the first block step
+        # below eps/(2s) = 0.25 is from x_8 to x_9, so m = 8; a budget below
+        # it exhausts the m_epsilon scan
+        inst = dict(ANALYTIC_INSTANCE, space={"lo": 0.0, "hi": 100.0, "p": 1.0},
+                    operator={"affine": {"a": 0.5, "b": 0.0}},
+                    phi={"family": "linear", "c": 0.1})
+        path = write(tmp_path, "inst.json", inst)
+        assert run_cli(["--budget", budget, "solve", path, "--x0", "100"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc.get("diagnostics_error") == error
+        diag = doc.get("diagnostics", {})
+        assert (diag.get("n"), diag.get("m")) == (n, m)
+
     def test_explicit_eps(self, tmp_path, capsys):
         path = write(tmp_path, "inst.json", ANALYTIC_INSTANCE)
         assert run_cli(["solve", path, "--x0", "0", "--eps", "0.25"]) == 0

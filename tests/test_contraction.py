@@ -39,6 +39,7 @@ from gphi.gauges import (
 )
 from gphi.harness import generate_operator, generate_space
 from gphi.spaces import AnalyticSpace, validate_finite_space
+from test_harness import uniform_map
 
 THREE_POINT = validate_finite_space([[0.0, 1.0, 2.0], [1.0, 0.0, 4.0], [2.0, 4.0, 0.0]])
 CATALOG = [(G, phi)
@@ -124,7 +125,7 @@ class TestCertifyConditionG:
     @given(st.integers(min_value=0, max_value=3000))
     def test_checked_pairs_count_and_witness_recheck(self, seed):
         space = generate_space(f"pairs:{seed}", 2 + seed % 6)
-        T = generate_operator(f"op:{seed}", space, bias_contractive=False)
+        T = uniform_map(f"op:{seed}", space.n)
         cert = certify_condition_G(space, T, IdentityGauge(), LinearPhi(0.9))
         n = space.n
         assert cert.checked_pairs == n * (n - 1) // 2
@@ -135,7 +136,7 @@ class TestCertifyConditionG:
     @given(st.integers(min_value=0, max_value=2000))
     def test_monotone_in_phi(self, seed):
         space = generate_space(f"mono:{seed}", 2 + seed % 5)
-        T = generate_operator(f"mono-op:{seed}", space, bias_contractive=True)
+        T = generate_operator(f"mono-op:{seed}", space)
         strong = certify_condition_G(space, T, IdentityGauge(), LinearPhi(0.5))
         weak = certify_condition_G(space, T, IdentityGauge(), LinearPhi(0.75))
         if strong.verdict == "certified":
@@ -147,6 +148,17 @@ class TestCertifyConditionG:
                                        IdentityGauge(), LinearPhi(0.5),
                                        mode="random")
         assert cert.sampling_mode["kind"] == "exhaustive"
+
+    @pytest.mark.parametrize("mode", ["exhaustve", "bogus", "Auto", ""])
+    @pytest.mark.parametrize("space, T", [
+        (THREE_POINT, FiniteMap((0, 0, 1))),
+        (AnalyticSpace(0.0, 1.0, 1.0), AffineMap(0.5, 0.25))], ids=["finite", "interval"])
+    def test_unknown_mode_refused(self, space, T, mode):
+        # an unknown mode ran as "auto": exhaustively on a finite space,
+        # sampled on an interval
+        with pytest.raises(ValueError, match=r"^mode must be one of auto, exhaustive, "
+                                             f"random, got {mode!r}$"):
+            certify_condition_G(space, T, IdentityGauge(), LinearPhi(0.5), mode=mode)
 
     def test_analytic_sampled_clean(self):
         space = AnalyticSpace(0.0, 1.0, 2.0)
@@ -177,7 +189,7 @@ class TestCertifyConditionG:
         # uniqueness contrapositive: two fixed points force a violation for
         # every catalog pair, since phi(u) < u makes G(d) <= phi(G(d)) impossible
         space = generate_space(f"uniq:{seed}", 3 + seed % 5)
-        base = generate_operator(f"uniq-op:{seed}", space, bias_contractive=True)
+        base = generate_operator(f"uniq-op:{seed}", space)
         pinned = FiniteMap((0, 1) + base.mapping[2:])
         for G, phi in CATALOG:
             cert = certify_condition_G(space, pinned, G, phi)
@@ -238,7 +250,8 @@ class TestFromFContraction:
         # verdicts and witnesses of the gauged certifier match the direct
         # F-inequality scan over the same canonical pair order
         space = generate_space(f"equiv:{seed}", 2 + seed % 6)
-        T = generate_operator(f"equiv-op:{seed}", space, bias_contractive=seed % 2 == 0)
+        T = (generate_operator(f"equiv-op:{seed}", space) if seed % 2 == 0
+             else uniform_map(f"equiv-op:{seed}", space.n))
         psi = shift_form(math.log(2.0))
         G, phi = from_F_contraction(LN, psi)
         cert = certify_condition_G(space, T, G, phi)
@@ -285,7 +298,7 @@ class TestCzerwikForm:
         # condition (G) with (G, phi) == plain comparison inequality with the
         # composite, which is condition (G) under the identity gauge
         space = generate_space(f"cz:{seed}", 2 + seed % 5)
-        T = generate_operator(f"cz-op:{seed}", space, bias_contractive=True)
+        T = generate_operator(f"cz-op:{seed}", space)
         gauge, phi = PowerGauge(2.0), LinearPhi(0.5)
         comp = to_czerwik_form(gauge, phi)
         lhs = certify_condition_G(space, T, gauge, phi)

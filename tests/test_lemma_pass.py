@@ -29,7 +29,6 @@ from gphi.errors import BudgetExhausted, ConstantOverflow, OrbitTooShort, TailNo
 from gphi.gauges import IdentityGauge, LinearPhi, PowerGauge
 from gphi.harness import (
     G1_GAUGE_CATALOG,
-    M_BUDGET,
     N_BUDGET,
     FuzzConfig,
     FuzzReport,
@@ -54,6 +53,7 @@ from test_block_index import walker_m_epsilon
 from test_failure_pins import INSTANCES, crafted_instance
 
 G1 = {"gauge_catalog": G1_GAUGE_CATALOG}
+M_BUDGET = 10 ** 4          # the reference's scan budget of m_epsilon
 PUBLIC_LEMMAS = ("verify_invariant_ball", "verify_cauchy_bound")
 
 

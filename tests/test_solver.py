@@ -231,7 +231,7 @@ class TestWalkerMatchesTrace:
     def test_finite_random_orbits(self, seed):
         # seven of these twelve orbits stop exactly, five close a cycle
         space = generate_space(f"walk:{seed}", 6)
-        T = generate_operator(f"walk:{seed}:op", space, True)
+        T = generate_operator(f"walk:{seed}:op", space)
         trace, walker = self._agree(space, T, seed % 6)
         if trace.stop_reason == "exact-fixed-point":
             for k in range(trace.k_stop + 8):
@@ -412,7 +412,7 @@ class TestMapCheckedOnce:
 
     def test_invariant_ball(self, monkeypatch):
         space = generate_space("ball-once", 7)
-        T = generate_operator("ball-once:op", space, True)
+        T = generate_operator("ball-once:op", space)
         trace = picard_iterate(space, T, 0)
         calls = self._count_checks(monkeypatch)
         # every point is within 2 of the centre, so all 7 are candidates
@@ -613,7 +613,7 @@ class TestFuzzGeneratedInstances:
     @given(st.integers(min_value=0, max_value=400))
     def test_certified_instances_converge_from_every_start(self, seed):
         space = generate_space(f"solver:{seed}", 2 + seed % 7)
-        T = generate_operator(f"solver-op:{seed}", space, bias_contractive=True)
+        T = generate_operator(f"solver-op:{seed}", space)
         cert = certify_condition_G(space, T, IdentityGauge(), LinearPhi(0.9))
         if cert.verdict != "certified":
             return
