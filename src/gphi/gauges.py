@@ -605,21 +605,34 @@ def _grid_points(grid, what: str) -> list[float]:
     return pts if increasing else sorted(set(pts))
 
 
+def _values(G, pts) -> list[float]:
+    """float(G.eval(t)) at each point, in order.  An exp-of-F gauge calls F
+    once per point and then takes exp, which returns floats, over all the
+    logs in one C-level pass, falling back to _safe_exp (inf past the float
+    range) without calling F again.  A form that raises stops at the same
+    point as G.eval would; one that returns a non-number is called on every
+    point before exp raises TypeError."""
+    if type(G) is ExpOfFGauge:
+        logs = list(map(G.f.fn, pts))
+        try:
+            return list(map(math.exp, logs))
+        except OverflowError:
+            return list(map(_safe_exp, logs))
+    return list(map(float, map(G.eval, pts)))
+
+
 def _grid_min(vals: list[float]) -> float:
     """The minimum of vals, bit for bit the last entry of numpy's
-    minimum.accumulate over the reversed list: NaN propagates, and of equal
-    values the first wins, which decides a zero's sign."""
-    m = math.inf
-    for v in vals:
-        if not (m != m or m <= v):
-            m = v
-    return m
+    minimum.accumulate over the reversed list: the first NaN wins, and of
+    equal values the first wins, which decides a zero's sign."""
+    nan = next(filter(math.isnan, vals), None)
+    return min(vals, default=math.inf) if nan is None else nan
 
 
 def _grid_table(G, pts: list[float]) -> tuple[list[float], float]:
     """G sampled once per grid point: (running max of G over pts[:i+1], grid
     minimum).  The running max is numpy's maximum.accumulate, bit for bit."""
-    vals = [float(G.eval(t)) for t in pts]
+    vals = _values(G, pts)
     # an inline loop, because a call per point would double the cost
     running_max, m = [], vals[0]
     for v in vals:
@@ -638,9 +651,9 @@ def _inf_above(G, thr: float) -> float:
     v = G.inf_above(thr)
     if v is None:
         pts = _default_grid()
-        vals = [float(G.eval(t)) for t in pts[bisect_right(pts, thr):]]
+        vals = _values(G, pts[bisect_right(pts, thr):])
         probes = [thr] + [thr * (1.0 + 2.0 ** -k) for k in range(0, 40)]
-        v = min(([_grid_min(vals)] if vals else []) + [G.eval(t) for t in probes])
+        v = min(([_grid_min(vals)] if vals else []) + _values(G, probes))
     return v
 
 
@@ -665,8 +678,8 @@ def certify_gauge_class(G, grid=None) -> ClassCertificate:
     """
     grid = _grid_points(grid, "certification")
 
-    down = [(a, G.eval(a)) for a in _DYADIC_DOWN]
-    up = [(a, G.eval(a)) for a in _DYADIC_UP]
+    down = list(zip(_DYADIC_DOWN, _values(G, _DYADIC_DOWN)))
+    up = list(zip(_DYADIC_UP, _values(G, _DYADIC_UP)))
     down_tail = down[-12:]
     if G.strictly_increasing():
         # the endpoint rule, as in epsilon0 and n_epsilon
@@ -688,7 +701,11 @@ def certify_gauge_class(G, grid=None) -> ClassCertificate:
             evidence["inf_closed_form"] = ki
         else:
             in_g1 = "no"
-            evidence["g1_witness"] = [[a, v] for a, v in down_tail]
+            # the dyadic tail toward 0 or toward inf that ends lower: a
+            # decreasing gauge falls toward its infimum as a -> inf
+            up_tail = up[-12:]
+            tail = up_tail if up_tail[-1][1] < down_tail[-1][1] else down_tail
+            evidence["g1_witness"] = [[a, v] for a, v in tail]
     else:
         est = min(v for _, v in down)
         if est < PHI_TOL_DEFAULT:
@@ -795,7 +812,7 @@ def epsilon0(G, grid=None) -> float:
             v = G.sup_below(pts[i])
             if v is None:
                 probes = [pts[i] * 2.0 ** -j for j in range(1, 40)]
-                v = max([running_max[i]] + [G.eval(t) for t in probes if t > 0.0])
+                v = max([running_max[i]] + _values(G, [t for t in probes if t > 0.0]))
             if v <= 1.0:
                 return pts[i]
     raise NoValidEpsilon(

@@ -3,6 +3,7 @@ import functools
 import itertools
 import json
 import math
+import struct
 import types
 from bisect import bisect_right
 
@@ -48,6 +49,7 @@ from gphi.gauges import (
     shift_form,
     _grid_points,
     _grid_table,
+    _values,
 )
 from gphi.harness import DEFAULT_GAUGE_CATALOG, G1_GAUGE_CATALOG
 
@@ -251,6 +253,24 @@ class TestCertifyGaugeClass:
         cert = certify_gauge_class(ExpOfFGauge(affine_form(-1.0, -30.0)))
         assert cert.in_g2 == "no"
         assert cert.evidence["g2_witness"]["kind"] == "vanishes-away-from-zero"
+
+    def test_g1_witness_of_a_decreasing_gauge_runs_toward_inf(self):
+        # G(a) = exp(-a) has infimum 0 as a -> inf; toward 0 its values
+        # are all 1.0, which witnessed nothing
+        cert = certify_gauge_class(ExpOfFGauge(affine_form(-1.0, 0.0)))
+        assert cert.in_g1 == "no"
+        witness = cert.evidence["g1_witness"]
+        assert [a for a, _ in witness] == [2.0 ** k for k in range(68, 80)]
+        assert witness[-1][1] == 0.0
+
+    @pytest.mark.parametrize("gauge", [
+        IdentityGauge(), PowerGauge(2.0),
+        # the two tails end on the same value: the tail toward 0 stays
+        ExpOfFGauge(RealForm("flat-zero", lambda a: -math.inf, inf_value=-math.inf))],
+        ids=["identity", "power-2", "tie"])
+    def test_g1_witness_of_other_gauges_runs_toward_zero(self, gauge):
+        cert = certify_gauge_class(gauge)
+        assert cert.evidence["g1_witness"] == cert.evidence["refinement_tail"]
 
     def test_sampled_no_g2_vanishing_away_from_zero(self):
         cert = certify_gauge_class(dyadic_parity_gauge(lambda a: 1.0 / a))
@@ -851,6 +871,129 @@ class TestThresholdEvaluations:
         finally:
             gauges._default_grid.cache_clear()
         assert built == [()]
+
+
+def _numpy_form():
+    np = pytest.importorskip("numpy")
+    return RealForm("numpy-float64", lambda a: np.float64(math.log(a)))
+
+
+MAPPED_GAUGES = {
+    # exp(800 - a) overflows below a ~ 90; the reference's cache needs a
+    # hashable gauge, and the affine form's json_form is a dict
+    "overflow": lambda: ExpOfFGauge(dataclasses.replace(affine_form(-1.0, 800.0),
+                                                        json_form=None)),
+    "minus-inf": lambda: _opaque("minus-inf",
+                                 lambda a: -math.inf if a < 1e-3 else math.log(a)),
+    "nan": lambda: _opaque("nan", lambda a: math.nan if 1e-3 <= a < 1e-2 else math.log(a)),
+    "int": lambda: _opaque("int", lambda a: round(math.log(a))),
+    "int-past-float-range": lambda: _opaque(
+        "int-past-float-range", lambda a: 10 ** 400 if a > 1e3 else round(math.log(a))),
+    "numpy-float64": lambda: ExpOfFGauge(_numpy_form()),
+    "tabulated": lambda: TabulatedGauge(((0.5, 0.1), (1.0, 0.9), (3.0, 2.0))),
+    "stripped-overflow": lambda: Stripped(ExpOfFGauge(affine_form(-1.0, 800.0))),
+    # a gauge other than exp-of-F whose values are ints: the helper floats them
+    "stripped-int": lambda: Stripped(types.SimpleNamespace(eval=lambda a: 1 + round(a))),
+}
+
+# the dyadic points of the class check and a grid, past both float ends of exp
+MAPPED_POINTS = [2.0 ** k for k in range(-79, 80)] + log_grid(per_decade=16)
+
+
+def bits(xs):
+    """Each value's type and IEEE bits: -0.0, 0.0 and NaN all count."""
+    return [(type(x), struct.pack("<d", x)) for x in xs]
+
+
+class TestMappedValues:
+    """_values is float(G.eval(t)) at each point, bit for bit; an exp-of-F
+    gauge takes F once per point and exp over the logs, with inf past the
+    float range."""
+
+    @pytest.mark.parametrize("make", MAPPED_GAUGES.values(), ids=MAPPED_GAUGES.keys())
+    def test_values(self, make):
+        G = make()
+        assert bits(_values(G, MAPPED_POINTS)) == bits([float(G.eval(t)) for t in MAPPED_POINTS])
+
+    def test_overflow_saturates(self):
+        G = MAPPED_GAUGES["overflow"]()
+        assert _values(G, [1.0, 1e3]) == [math.inf, math.exp(-200.0)]
+        G = MAPPED_GAUGES["int-past-float-range"]()
+        assert _values(G, [1.0, 1e4]) == [1.0, math.inf]
+
+    @pytest.mark.parametrize("make", MAPPED_GAUGES.values(), ids=MAPPED_GAUGES.keys())
+    def test_table(self, make):
+        G, pts = make(), log_grid(per_decade=16)
+        running_max, grid_min = _grid_table(G, pts)
+        want_max, want_min = full_table(G, pts)
+        assert bits(running_max) == bits(want_max)
+        assert bits([grid_min]) == bits(want_min[:1])
+
+    @pytest.mark.parametrize("make", MAPPED_GAUGES.values(), ids=MAPPED_GAUGES.keys())
+    def test_thresholds(self, make):
+        G = make()
+        for grid in map(THRESHOLD_GRIDS.get, ("default", "density-16", "three-points")):
+            assert outcome(epsilon0, G, grid) == outcome(top_down_epsilon0, G, grid)
+        for phi, s, eps in itertools.product(CATALOG_PHIS, (1.0, 1.5), (1e-6, 0.37, 2.0)):
+            want = outcome(full_table_n_epsilon, G, phi, s, eps)
+            assert outcome(n_epsilon, G, phi, s, eps) == want, (phi, s, eps)
+
+    @staticmethod
+    def counted(value_at):
+        """An exp-of-F gauge whose form returns value_at(k, a) on its k-th call."""
+        calls = []
+
+        def fn(a):
+            calls.append(a)
+            return value_at(len(calls) - 1, a)
+
+        return ExpOfFGauge(RealForm("counted", fn)), calls
+
+    def test_overflow_calls_f_once_per_point(self):
+        G, calls = self.counted(lambda k, a: 800.0 - a)
+        assert _values(G, MAPPED_POINTS)[0] == math.inf
+        assert calls == MAPPED_POINTS
+
+    @pytest.mark.parametrize("k", [0, 5, len(MAPPED_POINTS) - 1])
+    def test_raising_form_stops_at_the_same_point(self, k):
+        def value_at(i, a):
+            if i == k:
+                raise ZeroDivisionError(f"no value at {a!r}")
+            return math.log(a)
+
+        G, calls = self.counted(value_at)
+        with pytest.raises(ZeroDivisionError) as got:
+            _values(G, MAPPED_POINTS)
+        assert len(calls) == k + 1
+        G, calls = self.counted(value_at)
+        with pytest.raises(ZeroDivisionError) as want:
+            [G.eval(t) for t in MAPPED_POINTS]
+        assert len(calls) == k + 1
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("k", [0, 5])
+    def test_non_number_form(self, k):
+        # the same TypeError as G.eval, once F has been called on every point
+        G, calls = self.counted(lambda i, a: None if i == k else math.log(a))
+        with pytest.raises(TypeError) as got:
+            _values(G, MAPPED_POINTS)
+        assert calls == MAPPED_POINTS
+        G, calls = self.counted(lambda i, a: None if i == k else math.log(a))
+        with pytest.raises(TypeError) as want:
+            [G.eval(t) for t in MAPPED_POINTS]
+        assert len(calls) == k + 1
+        assert str(got.value) == str(want.value)
+
+    def test_non_number_of_another_gauge_stops_at_its_point(self):
+        calls = []
+
+        def value(a):
+            calls.append(a)
+            return None if len(calls) == 6 else a
+
+        with pytest.raises(TypeError):
+            _values(Stripped(types.SimpleNamespace(eval=value)), MAPPED_POINTS)
+        assert calls == MAPPED_POINTS[:6]
 
 
 class TestFiniteParameters:
