@@ -1,5 +1,7 @@
 """Gauged contraction certification and Picard iteration on b-metric spaces."""
 
+import importlib as _importlib
+
 from .contraction import (
     AffineMap,
     ContractionCertificate,
@@ -44,16 +46,6 @@ from .gauges import (
     phi_iterate,
     shift_form,
 )
-from .harness import (
-    DEFAULT_GAUGE_CATALOG,
-    DEFAULT_PHI_CATALOG,
-    FuzzConfig,
-    FuzzReport,
-    G1_GAUGE_CATALOG,
-    fuzz,
-    generate_operator,
-    generate_space,
-)
 from .solver import (
     CauchyDiagnostics,
     PicardTrace,
@@ -78,3 +70,19 @@ from .spaces import (
 )
 
 __version__ = "0.1.0"
+
+# The fuzz harness is imported on the first use of one of its names, so that
+# certify and solve never load it.
+_HARNESS_NAMES = ("DEFAULT_GAUGE_CATALOG", "DEFAULT_PHI_CATALOG", "FuzzConfig", "FuzzReport",
+                  "G1_GAUGE_CATALOG", "fuzz", "generate_operator", "generate_space")
+
+
+def __getattr__(name):
+    if name != "harness" and name not in _HARNESS_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    harness = _importlib.import_module(".harness", __name__)
+    return harness if name == "harness" else getattr(harness, name)
+
+
+__all__ = sorted([name for name in globals() if not name.startswith("_")]
+                 + ["harness", *_HARNESS_NAMES])

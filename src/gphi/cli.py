@@ -39,7 +39,6 @@ from .gauges import (
     log_grid,
     phi_from_json,
 )
-from .harness import FuzzConfig, fuzz
 from .solver import (MAX_ITER_DEFAULT, TOL_DEFAULT, picard_iterate, trace_from_json,
                      verify_cauchy_bound)
 from .spaces import FiniteSpace, space_from_json
@@ -142,6 +141,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_fuzz(args) -> int:
+    from .harness import FuzzConfig, fuzz      # only fuzz loads the harness
+
     config = FuzzConfig(seed=args.seed, trials=args.trials,
                         break_mode=args.break_mode,
                         max_points=args.max_points, scale=args.scale)
@@ -192,8 +193,9 @@ def run_cli(argv) -> int:
                "fuzz": _cmd_fuzz, "report": _cmd_report}[args.command]
     try:
         return command(args)
+    # a RecursionError comes from a JSON document nested too deep to parse
     except (GphiError, OSError, json.JSONDecodeError, KeyError, ValueError,
-            OverflowError) as exc:
+            OverflowError, RecursionError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

@@ -6,12 +6,14 @@ concrete families are supported:
 
 * :class:`FiniteSpace` -- an explicit point set with a distance matrix.
   Validation is O(n^2); its checks are stated once, in pure Python, and
-  numpy, imported only for larger matrices, parses and accepts in bulk,
+  run directly on a list of rows of plain numbers of any admissible size.
+  numpy parses and accepts in bulk any other input, an array above all,
   then keeps the matrix and makes each row of floats when it is first read.
   The smallest admissible constant, a min-plus row reduction over the
   pairs i < j (the matrix is symmetric), is computed on the first read of
   ``s``: only the quantitative lemmas, JSON output and a declared constant
-  read it, never condition (G).
+  read it, never condition (G).  Above PY_KERNEL_MAX_POINTS points numpy
+  computes it, from the kept array or from an array of the rows.
 * :class:`AnalyticSpace` -- a real interval ``[lo, hi]`` carrying the
   distance ``|x - y| ** p``; the constant ``2 ** (p - 1)`` always works.
 """
@@ -50,10 +52,11 @@ MAX_FINITE_POINTS = 256
 # Below this max/min of the off-diagonal entries s cannot overflow.
 _FINITE_RATIO_BOUND = 2.0 ** 1000
 
-# Matrices of up to this many points are validated, and their constant
-# computed, in pure Python.  Above
-# it numpy's vector ops repay their per-call overhead; the value is the
-# in-process crossover measured with numpy already imported.
+# Matrices of up to this many points have their constant computed, and
+# fuzz spaces their entries drawn, in pure Python.  Above it numpy's vector
+# ops repay their per-call overhead; the value is the in-process crossover
+# measured with numpy already imported.  Validation does not use it: the
+# input's type picks its kernel.
 PY_KERNEL_MAX_POINTS = 15
 
 # Tail-window policy for liminf/limsup estimation.
@@ -297,9 +300,9 @@ def _past_float_range(matrix, exc: OverflowError) -> OverflowError:
 
 def _plain_rows(matrix) -> tuple[tuple[float, ...], ...] | None:
     """The rows of ``matrix`` as float tuples when it is a square list (or
-    tuple) of at most PY_KERNEL_MAX_POINTS rows of plain int/float entries;
+    tuple) of at most MAX_FINITE_POINTS rows of plain int/float entries;
     None for anything else, which the numpy kernel then parses."""
-    if type(matrix) not in (list, tuple) or not 0 < len(matrix) <= PY_KERNEL_MAX_POINTS:
+    if type(matrix) not in (list, tuple) or not 0 < len(matrix) <= MAX_FINITE_POINTS:
         return None
     n = len(matrix)
     for row in matrix:
@@ -375,8 +378,9 @@ def validate_finite_space(matrix: Sequence[Sequence[float]]) -> FiniteSpace:
     Raises AsymmetricMatrix, NegativeEntry, ZeroOffDiagonal, NonzeroDiagonal,
     NonFiniteEntry, TooManyPoints, ConstantOverflow, or OverflowError naming
     an entry past the float range.  The checks, O(n^2), are stated once in
-    ``_validate_rows``; numpy parses any input but a list of at most
-    PY_KERNEL_MAX_POINTS rows of plain numbers, accepts it in bulk and
+    ``_validate_rows``, which takes a square list (or tuple) of at most
+    MAX_FINITE_POINTS rows of plain int/float entries directly.  numpy
+    parses any other input, an array above all, accepts it in bulk and
     leaves a refusal to ``_validate_rows`` to name.  s is computed on its
     first read, or here if it could overflow.
     """

@@ -35,8 +35,9 @@ def _reject_constant(name):
 
 
 def write(tmp_path, name, doc):
+    """Write ``doc`` as JSON, or as it is if it is already text."""
     path = tmp_path / name
-    path.write_text(json.dumps(doc))
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     return str(path)
 
 
@@ -242,8 +243,13 @@ def test_past_float_range_exits_one(tmp_path, capsys, name):
     assert out.out == "" and re.fullmatch(f"error: OverflowError: {message}\n", out.err)
 
 
-# refusals of documents that name no known family, form or space, or that
-# pair a map with the wrong kind of space
+# nested past the JSON parser's recursion limit
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+DEEP_JSON_MESSAGE = ("RecursionError: maximum recursion depth exceeded while decoding a "
+                     "JSON array from a unicode string")
+
+# refusals of documents that name no known family, form or space, that pair
+# a map with the wrong kind of space, or that the JSON parser cannot read
 REFUSALS = {
     "gauge-family": (["certify"], dict(THREE_POINT_INSTANCE, G={"family": "cubic"}),
                      "ValueError: unknown gauge family 'cubic'"),
@@ -275,6 +281,8 @@ REFUSALS = {
                                "interval spaces"),
     "report-without-trace": (["report"], {"foo": 1},
                              "ValueError: document carries no trace"),
+    "deep-nesting": (["certify"], DEEP_JSON, DEEP_JSON_MESSAGE),
+    "report-deep-nesting": (["report"], DEEP_JSON, DEEP_JSON_MESSAGE),
 }
 
 

@@ -1,7 +1,11 @@
-"""numpy stays unloaded unless a finite space above the pure-Python
-kernel's cut-off is validated or, in the fuzz harness, drawn.
+"""A CLI call loads only what its command runs.
 
-Each check runs in a fresh interpreter, because numpy stays in
+numpy stays unloaded unless an array is validated, the constant of a
+finite space above the pure-Python kernel's cut-off is read, or the fuzz
+harness draws such a space.  The fuzz harness itself stays unloaded until
+``fuzz`` runs or one of its names is read from the package.
+
+Each check runs in a fresh interpreter, because a module stays in
 ``sys.modules`` once any test in this process has imported it.
 """
 
@@ -10,6 +14,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import gphi
 from gphi.spaces import PY_KERNEL_MAX_POINTS
@@ -33,7 +39,7 @@ SCRIPT = """
 import contextlib, io, json, sys
 steps = []
 def note(label, code=None):
-    steps.append([label, code, "numpy" in sys.modules])
+    steps.append([label, code, "numpy" in sys.modules, "gphi.harness" in sys.modules])
 import gphi
 note("import gphi")
 import gphi.cli
@@ -46,7 +52,8 @@ print(json.dumps(steps))
 
 
 def _steps(calls):
-    """[label, exit code, numpy loaded] after each call, in a fresh interpreter."""
+    """[label, exit code, numpy loaded, harness loaded] after each call, in a
+    fresh interpreter."""
     env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.run([sys.executable, "-c", SCRIPT, json.dumps(calls)],
                           env=env, capture_output=True, text=True, timeout=120)
@@ -63,14 +70,17 @@ def test_numpy_loaded_only_for_large_finite_spaces(tmp_path):
     calls = [("small certify", ["certify", str(paths["small"])]),
              ("small solve", ["solve", str(paths["small"]), "--x0", "2"]),
              ("interval certify", ["certify", str(paths["interval"])]),
-             ("large certify", ["certify", str(paths["large"])])]
+             ("large certify", ["certify", str(paths["large"])]),
+             ("large solve", ["solve", str(paths["large"]), "--x0", "2"])]
     steps = _steps(calls)
     # every call got a verdict (exit 1 is malformed input)
-    assert all(code != 1 for _, code, _ in steps), steps
-    assert [(label, loaded) for label, _, loaded in steps] == [
-        ("import gphi", False), ("import gphi.cli", False),
-        ("small certify", False), ("small solve", False),
-        ("interval certify", False), ("large certify", True)]
+    assert all(code != 1 for _, code, _, _ in steps), steps
+    # certify never reads s; solve writes it, and above the cut-off numpy computes it
+    assert [(label, numpy, harness) for label, _, numpy, harness in steps] == [
+        ("import gphi", False, False), ("import gphi.cli", False, False),
+        ("small certify", False, False), ("small solve", False, False),
+        ("interval certify", False, False), ("large certify", False, False),
+        ("large solve", True, False)]
 
 
 def test_numpy_loaded_only_for_fuzz_spaces_above_the_cut_off():
@@ -78,4 +88,37 @@ def test_numpy_loaded_only_for_fuzz_spaces_above_the_cut_off():
     # at --max-points 32 draws 31
     steps = _steps([("fuzz default", ["fuzz", "--trials", "20"]),
                     ("fuzz wide", ["fuzz", "--trials", "5", "--max-points", "32"])])
-    assert steps[2:] == [["fuzz default", 0, False], ["fuzz wide", 0, True]]
+    assert steps[2:] == [["fuzz default", 0, False, True], ["fuzz wide", 0, True, True]]
+
+
+# what ``from gphi import *`` bound when the package imported the harness eagerly
+STAR_NAMES = {
+    "AffineMap", "AffinePlusGauge", "AnalyticSpace", "BoundReport", "CauchyDiagnostics",
+    "ClassCertificate", "ConjugatePhi", "ContractionCertificate", "DEFAULT_GAUGE_CATALOG",
+    "DEFAULT_PHI_CATALOG", "ExpOfFGauge", "ExpPsiLnPhi", "FiniteMap", "FiniteSpace",
+    "FuzzConfig", "FuzzReport", "G1_GAUGE_CATALOG", "HyperbolicPhi", "IDENTITY_FORM",
+    "IdentityGauge", "LN", "LinearPhi", "PhiCertificate", "PicardTrace", "PowerGauge",
+    "RealForm", "ShiftedPhi", "TabulatedGauge", "TabulatedMap", "TabulatedPhi",
+    "affine_form", "apply", "ball_membership", "certify_condition_G", "certify_gauge_class",
+    "certify_phi", "check_F_inequality", "check_limit_bounds", "check_phi_strict_decrease",
+    "classify_increasing_gauge", "contraction", "enumerate_fixed_points", "epsilon0",
+    "errors", "from_F_contraction", "fuzz", "gauge_eval", "gauge_from_json", "gauges",
+    "generate_operator", "generate_space", "harness", "log_grid", "m_epsilon", "n_epsilon",
+    "operator_from_json", "phi_eval", "phi_from_json", "phi_iterate", "picard_iterate",
+    "shift_form", "solver", "space_from_json", "space_to_json", "spaces", "to_czerwik_form",
+    "trace_from_json", "validate_finite_space", "verify_cauchy_bound",
+    "verify_g1_termination", "verify_invariant_ball", "verify_step_chaining",
+}
+
+
+def test_package_serves_the_harness_names():
+    import gphi.harness
+
+    assert gphi.FuzzConfig is gphi.harness.FuzzConfig
+    assert gphi.fuzz is gphi.harness.fuzz
+    namespace = {}
+    exec("from gphi import *", namespace)
+    assert set(namespace) - {"__builtins__"} == STAR_NAMES
+    assert all(namespace[name] is getattr(gphi, name) for name in STAR_NAMES)
+    with pytest.raises(AttributeError, match="^module 'gphi' has no attribute 'nope'$"):
+        gphi.nope

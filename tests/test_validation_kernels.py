@@ -1,7 +1,7 @@
 """Validation of finite spaces against a spec stated in this file.
 
 ``validate_finite_space`` checks a square list of at most
-``PY_KERNEL_MAX_POINTS`` rows of plain numbers in pure Python and parses
+``MAX_FINITE_POINTS`` rows of plain numbers in pure Python and parses
 everything else with numpy, which accepts a valid matrix in bulk.  The
 reference is ``spec``: it parses the matrix, walks the five checks in order
 over the float rows, each naming its first failure in row-major order, and
@@ -195,7 +195,7 @@ class TestMeetsSpec:
     @settings(max_examples=200, deadline=None)
     @given(st.one_of(valid_matrices(), heavy_tailed()))
     def test_valid(self, d):
-        assert (spaces._plain_rows(d) is None) == (len(d) > PY_KERNEL_MAX_POINTS)
+        assert spaces._plain_rows(d) is not None
         assert_meets_spec(d)
 
     @settings(max_examples=100, deadline=None)
@@ -269,11 +269,13 @@ class TestMeetsSpec:
         assert_meets_spec(np.array(d))
         assert math.copysign(1.0, validate_finite_space(d).dist[0][0]) == -1.0
 
-    def test_large_matrices_take_the_numpy_kernel(self):
-        d = symmetric(PY_KERNEL_MAX_POINTS + 1, lambda: 1.5)
-        assert spaces._plain_rows(d) is None
+    def test_lists_up_to_the_cap_take_the_python_checks(self):
+        d = symmetric(MAX_FINITE_POINTS, lambda: 1.5)
+        assert spaces._plain_rows(d) is not None
         assert spaces._plain_rows(d[:-1]) is None            # not square
-        assert spaces._plain_rows([row[:-1] for row in d[:-1]]) is not None
+        assert spaces._plain_rows(symmetric(MAX_FINITE_POINTS + 1, lambda: 1.5)) is None
+        assert type(validate_finite_space(d).dist) is tuple
+        assert type(validate_finite_space(np.array(d)).dist) is spaces._Rows
 
     @pytest.mark.parametrize("entry", [True, False, None, "1", "1.5"])
     @pytest.mark.parametrize("n", [2, PY_KERNEL_MAX_POINTS + 1])
@@ -299,7 +301,8 @@ class TestKeptMatrix:
     of floats on the row's first read; ``dist`` must still behave as the
     tuple of those rows."""
 
-    @pytest.mark.parametrize("n", [1, 2, PY_KERNEL_MAX_POINTS])
+    @pytest.mark.parametrize("n", [1, 2, PY_KERNEL_MAX_POINTS, PY_KERNEL_MAX_POINTS + 1,
+                                   MAX_FINITE_POINTS])
     def test_small_array_equals_the_list_space(self, n):
         d = family_matrix(n, "lognormal", seed=n)
         fs, listed = validate_finite_space(d), validate_finite_space(d.tolist())
