@@ -10,13 +10,13 @@ one hypothesis and confirm that the pipeline routes those instances to
 anything.
 
 The lemmas of a certified trial come from one pass over T's functional
-graph: the points whose orbit reaches the fixed point, each after its
-image, give every start point's path, and along it the block index m, the
-ball at x_{mn} (checked once per distinct centre), k0 and m0 with the
-chained blocks, and the Cauchy tail's diameter, kept per vertex.  These are
-the values the public lemmas of ``gphi.solver`` give on the start point's
-trace.  A trace is recorded only for a start point whose orbit ends on a
-cycle, where those lemmas run on it, and for the bundle of a failed lemma.
+graph: the points whose orbit reaches the fixed point are found once, and
+each one's own path to it gives the block index m, the ball at x_{mn}
+(checked once per distinct centre), k0 and m0 with the chained blocks,
+and the Cauchy tail's diameter (kept per vertex).  These are the values
+the public lemmas of ``gphi.solver`` give on the start point's trace.  A
+trace is recorded only for a start point whose orbit ends on a cycle,
+where those lemmas run on it, and for the bundle of a failed lemma.
 
 Determinism: all randomness flows through ``random.Random`` (Mersenne
 Twister) seeded with strings of the form ``"{seed}:{trial}:{stream}"``;
@@ -33,7 +33,7 @@ import json
 import math
 import threading
 from dataclasses import dataclass, field
-from itertools import combinations, islice, tee
+from itertools import combinations, tee
 from random import Random
 from typing import NamedTuple
 
@@ -439,70 +439,25 @@ def _lemma_pass(space, mapping, order, n, eps, image) -> list:
 
     The values are those of ``m_epsilon``, ``_ball_holds``,
     ``verify_step_chaining`` and ``_cauchy_tail`` on the point's trace,
-    which is its path to fp, then fp forever.  On a validated space only a
-    fixed point takes a zero step.  Each vertex is read once for k0 (one
-    past the last step not below eps/(n s^n)), each distinct ball centre is
-    checked once, and the tail diameters are kept per vertex:
-    D(v) = max(D(Tv), max of d(v, w) over the points w of the path of Tv).
-    ``image`` is the image list of T^n.
+    which is its path to fp, then fp forever; each is read off the path,
+    walked once per start point.  On a validated space only a fixed point
+    takes a zero step.  Two memos span the start points: the ball verdict
+    per distinct centre, which most start points of a fuzz trial share,
+    and the tail diameter per vertex, D(v) = max(D(Tv), max of d(v, w)
+    over the points w of the path of Tv), which keeps a long chain's
+    diameters O(N^2).  ``image`` is the image list of T^n.
     """
     dist, s = space.dist, space.s
     fp = order[0]
     small = _small_step(s, n, eps)
     thr = eps / (2.0 * s)                   # m_epsilon's block threshold
-    depth, k0 = [None] * len(mapping), [0] * len(mapping)
-    depth[fp] = 0
-    for v in islice(order, 1, None):
-        w = mapping[v]
-        depth[v] = depth[w] + 1
-        k0[v] = k0[w] + 1 if k0[w] else int(not dist[v][w] < small)
-    balls, blocks, diameters = {}, {}, {fp: 0.0}
-
-    def chains(w) -> bool:
-        # the block from base point w: d(w, T^p w) < eps and the chained
-        # sum of s^i d(T^(i-1) w, T^i w), i <= p, below eps, for 0 < p < n;
-        # past fp the terms are zero and the checks repeat
-        if w not in blocks:
-            row, acc, spow, x = dist[w], 0.0, 1.0, w
-            ok = True
-            for _ in range(1, n):
-                spow *= s
-                y = mapping[x]
-                if y == x:
-                    break
-                acc += spow * dist[x][y]
-                x = y
-                if not (row[x] < eps and acc < eps):
-                    ok = False
-                    break
-            blocks[w] = ok
-        return blocks[w]
-
-    def point(x, k):
-        # x_k of the orbit of x: fp from its depth on
-        if k >= depth[x]:
-            return fp
-        for _ in range(k):
-            x = mapping[x]
-        return x
-
-    def diameter(w) -> float:
-        if w not in diameters:
-            path = [w]
-            while path[-1] != fp:
-                path.append(mapping[path[-1]])
-            for i in range(len(path) - 2, -1, -1):
-                v = path[i]
-                if v not in diameters:
-                    far = max(map(dist[v].__getitem__, path[i + 1:]))
-                    diameters[v] = max(diameters[path[i + 1]], far)
-        return diameters[w]
-
-    lemmas = []
-    for x0, d in enumerate(depth):
-        if d is None:
-            lemmas.append(None)
-            continue
+    balls, diameters = {}, {fp: 0.0}
+    lemmas = [None] * len(mapping)
+    for x0 in order:
+        path = [x0]                         # x_0 .. x_L = fp
+        while path[-1] != fp:
+            path.append(mapping[path[-1]])
+        last = len(path) - 1
         # the block scan: x_{mn} and x_{(m+1)n} read off T^n
         a, m = image[x0], 1
         while True:
@@ -513,11 +468,33 @@ def _lemma_pass(space, mapping, order, n, eps, image) -> list:
             a, m = b, m + 1
         if a not in balls:
             balls[a] = _ball_holds(space, a, eps, image.__getitem__)
-        m0 = -(-(k0[x0] + 1) // n)
-        base, chained = m0 * n, True
-        w = point(x0, base)
-        while chained and base < d:         # the blocks from fp on pass
-            chained, base, w = chains(w), base + n, image[w]
-        lemmas.append(_OrbitLemmas(m, balls[a], m0, chained,
-                                   diameter(point(x0, max(m, m0) * n))))
+        # k0: one past the last step not below eps/(n s^n)
+        k0 = last
+        while k0 and dist[path[k0 - 1]][path[k0]] < small:
+            k0 -= 1
+        m0 = -(-(k0 + 1) // n)
+        # each block x_b .. x_{b+p}, p < n, from b = m0 n: d(x_b, x_{b+p}) < eps
+        # and the chained sum of s^i d(x_{b+i-1}, x_{b+i}), i <= p, below eps;
+        # past fp the terms are zero and the checks repeat, so the blocks
+        # from fp on pass
+        chained, base = True, m0 * n
+        while chained and base < last:
+            x = path[base]
+            row, acc, spow = dist[x], 0.0, 1.0
+            for y in path[base + 1:base + n]:
+                spow *= s
+                acc += spow * dist[x][y]
+                if not (row[y] < eps and acc < eps):
+                    chained = False
+                    break
+                x = y
+            base += n
+        # the tail from x_cut: D is kept for every point of a kept point's path
+        cut = known = min(max(m, m0) * n, last)
+        while path[known] not in diameters:
+            known += 1
+        for i in range(known - 1, cut - 1, -1):
+            far = max(map(dist[path[i]].__getitem__, path[i + 1:]))
+            diameters[path[i]] = max(diameters[path[i + 1]], far)
+        lemmas[x0] = _OrbitLemmas(m, balls[a], m0, chained, diameters[path[cut]])
     return lemmas

@@ -208,7 +208,8 @@ class TestCertifiedChains:
     """Every lemma holds on a certified chain: the harness runs each orbit
     to its exact fixed point, however small its steps become."""
 
-    @pytest.mark.parametrize("n", [32, 128])
+    # MAX_FINITE_POINTS is the longest path a trial can hold
+    @pytest.mark.parametrize("n", [32, 128, MAX_FINITE_POINTS])
     def test_theorem_holds(self, n):
         space, T = dyadic_chain(Random(n), n)
         gauges, phis = _prepare_catalogs(FuzzConfig(
