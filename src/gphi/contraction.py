@@ -40,8 +40,7 @@ from .gauges import (
     ExpOfFGauge,
     ExpPsiLnPhi,
     RealForm,
-    _breakpoints,
-    _step_eval,
+    _StepTable,
     gauge_eval,
     phi_eval,
 )
@@ -93,22 +92,19 @@ class AffineMap:
     a: float
     b: float
 
+    def eval(self, x: float) -> float:
+        return self.a * x + self.b
+
     def describe(self) -> dict:
         return {"affine": {"a": self.a, "b": self.b}}
 
 
-@dataclass(frozen=True)
-class TabulatedMap:
+class TabulatedMap(_StepTable):
     """Monotone right-constant step map on an interval space."""
 
-    points: tuple[tuple[float, float], ...]
-
-    def __post_init__(self):
-        pts = _breakpoints(self.points)
-        vs = [v for _, v in pts]
-        if not all(map(le, vs, vs[1:])):
+    def _check_values(self, vals):
+        if not all(map(le, vals, vals[1:])):
             raise ValueError("tabulated map must be monotone non-decreasing")
-        object.__setattr__(self, "points", pts)
 
     def describe(self) -> dict:
         return {"tabulated": [list(p) for p in self.points]}
@@ -136,7 +132,7 @@ def validate_operator(space: Space, T: OperatorSpec) -> None:
     if isinstance(T, AffineMap):
         # affine maps are monotone, so the image extremes sit at the endpoints
         for x in (space.lo, space.hi):
-            y = T.a * x + T.b
+            y = T.eval(x)
             if not space.contains(y):
                 raise PointOutOfDomain(f"affine image {y} of {x} leaves the interval")
         return
@@ -153,9 +149,7 @@ def apply(T: OperatorSpec, space: Space, x):
         return T.mapping[x]
     if not space.contains(x):
         raise PointOutOfDomain(f"point {x!r} not in interval")
-    if isinstance(T, AffineMap):
-        return T.a * x + T.b
-    return _step_eval(T.points, x)
+    return T.eval(x)
 
 
 @dataclass(frozen=True)

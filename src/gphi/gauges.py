@@ -27,7 +27,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cache
-from operator import lt
+from operator import itemgetter, lt
 from typing import Callable
 
 from .errors import (
@@ -132,44 +132,36 @@ def shift_form(tau: float) -> RealForm:
                     diverges_iff_zero=False, json_form={"shift": tau})
 
 
-def _breakpoints(points) -> tuple[tuple[float, float], ...]:
-    """The (t, value) pairs of a step table as floats: at least one, all
-    finite, with breakpoints t strictly increasing.  The values are checked
-    further by the table's own rule."""
-    pts = tuple((float(t), float(v)) for t, v in points)
-    if not pts:
-        raise ValueError("tabulated function needs at least one breakpoint")
-    if not all(math.isfinite(t) and math.isfinite(v) for t, v in pts):
-        raise ValueError("breakpoints and values must be finite")
-    ts = [t for t, _ in pts]
-    if not all(map(lt, ts, ts[1:])):
-        raise ValueError("breakpoints must be strictly increasing")
-    return pts
-
-
-def _step_eval(points, t: float) -> float:
-    # Right-constant: value at the largest breakpoint <= t; below the first
-    # breakpoint, the first value.
-    ts = [p[0] for p in points]
-    idx = bisect_right(ts, t) - 1
-    return points[max(idx, 0)][1]
-
-
 @dataclass(frozen=True)
 class _StepTable:
-    """A right-constant step function of (t, value) breakpoints with
-    positive values: the table behind step comparison functions and gauges."""
+    """A right-constant step function of (t, value) breakpoints: the table
+    behind step maps, comparison functions and gauges.  Breakpoints and
+    values are finite, breakpoints strictly increasing, and the values obey
+    the kind's own rule, ``_check_values``: positive here."""
 
     points: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
-        pts = _breakpoints(self.points)
-        if not all(v > 0.0 for _, v in pts):
-            raise ValueError("tabulated values must be positive")
+        pts = tuple((float(t), float(v)) for t, v in self.points)
+        if not pts:
+            raise ValueError("tabulated function needs at least one breakpoint")
+        if not all(math.isfinite(t) and math.isfinite(v) for t, v in pts):
+            raise ValueError("breakpoints and values must be finite")
+        ts, vals = zip(*pts)
+        if not all(map(lt, ts, ts[1:])):
+            raise ValueError("breakpoints must be strictly increasing")
+        self._check_values(vals)
         object.__setattr__(self, "points", pts)
 
+    def _check_values(self, vals):
+        if not all(v > 0.0 for v in vals):
+            raise ValueError("tabulated values must be positive")
+
     def eval(self, t: float) -> float:
-        return _step_eval(self.points, t)
+        # Right-constant: value at the largest breakpoint <= t; below the first
+        # breakpoint, the first value.
+        idx = bisect_right(self.points, t, key=itemgetter(0)) - 1
+        return self.points[max(idx, 0)][1]
 
     def describe(self) -> dict:
         return {"family": "tabulated", "points": [list(p) for p in self.points]}
