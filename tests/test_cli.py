@@ -94,6 +94,19 @@ class TestCertify:
         w = doc["violation_witness"]
         assert (w["x"], w["y"], w["d_txty"], w["g_of_dt"]) == (0, 1, 800.0, None)
 
+    @pytest.mark.parametrize("space,table,verdict", [
+        ({"lo": 0.0, "hi": 1.0, "p": 1.0}, [[0.0, 0.2], [0.5, 0.8], [2.0, 5.0]], "violated"),
+        ({"lo": 1.0, "hi": 2.0, "p": 1.0}, [[0.0, -3.0], [1.0, 1.5]], "inconclusive")])
+    def test_table_values_off_the_reached_steps_get_a_verdict(self, tmp_path, capsys,
+                                                              space, table, verdict):
+        # both maps send the interval into itself; 5.0 and -3.0 sit on steps
+        # the interval never reaches
+        inst = dict(ANALYTIC_INSTANCE, space=space, operator={"tabulated": table})
+        code = run_cli(["certify", write(tmp_path, "inst.json", inst)])
+        out = capsys.readouterr()
+        assert out.err == "" and json.loads(out.out)["verdict"] == verdict
+        assert code == {"violated": 2, "inconclusive": 3}[verdict]
+
     def test_infinite_table_value_exits_one(self, tmp_path, capsys):
         # exited 2 with Infinity inside the certificate's provenance
         inst = dict(THREE_POINT_INSTANCE, G={

@@ -85,6 +85,23 @@ class TestApply:
         with pytest.raises(ValueError):
             TabulatedMap(((0.0, 0.8), (0.5, 0.2)))   # not monotone
 
+    @pytest.mark.parametrize("lo,hi,table", [
+        (0.0, 1.0, ((0.0, 0.2), (0.5, 0.8), (2.0, 5.0))),
+        (1.0, 2.0, ((0.0, -3.0), (1.0, 1.5)))])
+    def test_unreached_table_values_pass(self, lo, hi, table):
+        # 5.0 and -3.0 sit on steps the interval never reaches
+        validate_operator(AnalyticSpace(lo, hi, 1.0), TabulatedMap(table))
+
+    @pytest.mark.parametrize("table,value", [
+        (((-1.0, -7.0), (0.0, -0.5), (0.5, 0.5)), "-0.5"),                # only T(lo) leaves
+        (((-1.0, -7.0), (0.0, 0.5), (0.5, 1.5), (2.0, 9.0)), "1.5")])    # only T(hi) leaves
+    def test_tabulated_map_names_the_endpoint_image(self, table, value):
+        # the map is monotone, so T(lo) and T(hi) bound its image on [0, 1];
+        # -7.0 and 9.0 are never reached
+        with pytest.raises(PointOutOfDomain,
+                           match=f"^tabulated value {value} leaves the interval$"):
+            validate_operator(AnalyticSpace(0.0, 1.0, 1.0), TabulatedMap(table))
+
     @pytest.mark.parametrize("table", [
         (), ((math.nan, 0.2),), ((math.nan, 0.2), (0.5, 0.8)), ((0.0, 0.2), (math.nan, 0.8)),
         ((0.5, 0.2), (0.5, 0.8)), ((0.0, math.nan),), ((0.0, 0.2), (0.5, math.nan)),
