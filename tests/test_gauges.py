@@ -3,6 +3,7 @@ import functools
 import itertools
 import json
 import math
+import random
 import struct
 import types
 from bisect import bisect_right
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gphi import gauges
-from gphi.contraction import to_czerwik_form
+from gphi.contraction import TabulatedMap, to_czerwik_form
 from gphi.errors import (
     BudgetExhausted,
     EmptyGrid,
@@ -71,17 +72,62 @@ class TestPhiEval:
         assert phi_eval(phi, 0.2) == 0.5   # below first breakpoint
         assert phi_eval(phi, 3.0) == 0.9   # right-constant extension
 
-    @pytest.mark.parametrize("table", [
-        (), ((math.nan, 1.0),), ((math.nan, 1.0), (1.0, 2.0)), ((0.5, 1.0), (math.nan, 2.0)),
-        ((1.0, 1.0), (1.0, 2.0)), ((1.0, 1.0), (0.5, 2.0)),
-        ((0.5, math.nan),), ((0.5, 1.0), (1.0, math.nan)), ((0.5, 1.0), (1.0, 0.0)),
-        ((0.5, math.inf), (1.0, 2.0)), ((0.5, 1.0), (math.inf, 2.0)),
-        ((-math.inf, 1.0), (0.5, 2.0))])
-    @pytest.mark.parametrize("kind", [TabulatedPhi, TabulatedGauge])
-    def test_tables_refused(self, kind, table):
-        # breakpoints finite and strictly increasing, values finite and positive
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize("table,message", [
+        ((), "tabulated function needs at least one breakpoint"),
+        (((math.nan, 1.0),), "breakpoints and values must be finite"),
+        (((math.nan, 1.0), (1.0, 2.0)), "breakpoints and values must be finite"),
+        (((0.5, 1.0), (math.nan, 2.0)), "breakpoints and values must be finite"),
+        (((0.5, math.nan),), "breakpoints and values must be finite"),
+        (((0.5, 1.0), (1.0, math.nan)), "breakpoints and values must be finite"),
+        (((0.5, math.inf), (1.0, 2.0)), "breakpoints and values must be finite"),
+        (((0.5, 1.0), (math.inf, 2.0)), "breakpoints and values must be finite"),
+        (((-math.inf, 1.0), (0.5, 2.0)), "breakpoints and values must be finite"),
+        (((1.0, -1.0), (0.5, math.nan)), "breakpoints and values must be finite"),
+        (((1.0, 1.0), (1.0, 2.0)), "breakpoints must be strictly increasing"),
+        (((1.0, 1.0), (0.5, 2.0)), "breakpoints must be strictly increasing"),
+        (((1.0, 2.0), (0.5, -1.0)), "breakpoints must be strictly increasing")])
+    @pytest.mark.parametrize("kind", [TabulatedPhi, TabulatedGauge, TabulatedMap])
+    def test_tables_refused(self, kind, table, message):
+        # one step table behind all three kinds: breakpoints and values
+        # finite, breakpoints strictly increasing, checked before the values
+        with pytest.raises(ValueError, match=f"^{message}$"):
             kind(table)
+
+    @pytest.mark.parametrize("kind,table,message", [
+        (TabulatedPhi, ((0.5, -1.0), (1.0, 0.0)), "tabulated values must be positive"),
+        (TabulatedGauge, ((0.5, 0.0), (1.0, 1.0)), "tabulated values must be positive"),
+        (TabulatedGauge, ((0.5, -1.0),), "tabulated values must be positive"),
+        (TabulatedMap, ((0.5, 1.0), (1.0, 0.5)), "tabulated map must be monotone non-decreasing")])
+    def test_value_rule_per_kind(self, kind, table, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            kind(table)
+        # the other value rule admits the table: maps take any non-decreasing
+        # values, step comparison functions any positive ones
+        (TabulatedPhi if kind is TabulatedMap else TabulatedMap)(table)
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 7, 64, 513, 2000])
+    def test_eval_is_the_linear_rule(self, size):
+        # the value at the largest breakpoint <= t, else the first value, bit
+        # for bit, probed below the first breakpoint, on each breakpoint,
+        # between breakpoints and above the last
+        rng = random.Random(f"step-table:{size}")
+        ts = sorted(rng.sample(range(-10 ** 6, 10 ** 6), size))
+        ts = [t / 64.0 for t in ts]
+        vals = sorted(rng.choice((0.25, 1.0, 3.0)) if rng.random() < 0.3
+                      else rng.uniform(0.1, 10.0) for _ in ts)
+        between = [a + (b - a) * rng.random() for a, b in zip(ts, ts[1:])]
+        probes = [ts[0] - 1.0, -math.inf, *ts, *between, ts[-1] + 1.0, math.inf]
+        want = {}
+        for t in probes:
+            want[t] = vals[0]
+            for b, v in zip(ts, vals):
+                if b > t:
+                    break
+                want[t] = v
+        for kind in (TabulatedPhi, TabulatedGauge, TabulatedMap):
+            table = kind(tuple(zip(ts, vals)))
+            assert {t: table.eval(t).hex() for t in probes} == {
+                t: v.hex() for t, v in want.items()}
 
     def test_shifted_is_exponential_shrink(self):
         phi = ShiftedPhi(math.log(2.0))
