@@ -102,17 +102,6 @@ class TestApply:
                            match=f"^tabulated value {value} leaves the interval$"):
             validate_operator(AnalyticSpace(0.0, 1.0, 1.0), TabulatedMap(table))
 
-    @pytest.mark.parametrize("table", [
-        (), ((math.nan, 0.2),), ((math.nan, 0.2), (0.5, 0.8)), ((0.0, 0.2), (math.nan, 0.8)),
-        ((0.5, 0.2), (0.5, 0.8)), ((0.0, math.nan),), ((0.0, 0.2), (0.5, math.nan)),
-        ((0.0, math.nan), (0.5, 0.8)), ((0.0, 0.2), (0.5, math.inf)),
-        ((0.0, -math.inf), (0.5, 0.8)), ((0.0, 0.2), (math.inf, 0.8))])
-    def test_tabulated_map_refused(self, table):
-        # breakpoints finite and strictly increasing, values finite and
-        # non-decreasing
-        with pytest.raises(ValueError):
-            TabulatedMap(table)
-
 
 class TestCertifyConditionG:
     def test_worked_three_point(self):

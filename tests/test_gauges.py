@@ -78,8 +78,11 @@ class TestPhiEval:
         (((math.nan, 1.0), (1.0, 2.0)), "breakpoints and values must be finite"),
         (((0.5, 1.0), (math.nan, 2.0)), "breakpoints and values must be finite"),
         (((0.5, math.nan),), "breakpoints and values must be finite"),
+        (((0.5, math.nan), (1.0, 2.0)), "breakpoints and values must be finite"),
         (((0.5, 1.0), (1.0, math.nan)), "breakpoints and values must be finite"),
         (((0.5, math.inf), (1.0, 2.0)), "breakpoints and values must be finite"),
+        (((0.5, 1.0), (1.0, math.inf)), "breakpoints and values must be finite"),
+        (((0.5, -math.inf), (1.0, 2.0)), "breakpoints and values must be finite"),
         (((0.5, 1.0), (math.inf, 2.0)), "breakpoints and values must be finite"),
         (((-math.inf, 1.0), (0.5, 2.0)), "breakpoints and values must be finite"),
         (((1.0, -1.0), (0.5, math.nan)), "breakpoints and values must be finite"),
@@ -104,6 +107,16 @@ class TestPhiEval:
         # the other value rule admits the table: maps take any non-decreasing
         # values, step comparison functions any positive ones
         (TabulatedPhi if kind is TabulatedMap else TabulatedMap)(table)
+
+    @pytest.mark.parametrize("kind,table,message", [
+        (TabulatedPhi, ((0.5, 1.0), (1.0, 0.0)), "tabulated values must be positive"),
+        (TabulatedGauge, ((0.5, 1.0), (1.0, 0.0)), "tabulated values must be positive"),
+        (TabulatedMap, ((0.0, 0.2), (0.5, 0.8), (1.0, 0.5)),
+         "tabulated map must be monotone non-decreasing")])
+    def test_value_rule_reaches_past_the_first_value(self, kind, table, message):
+        # the first values obey the rule; a later one breaks it
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            kind(table)
 
     @pytest.mark.parametrize("size", [1, 2, 3, 7, 64, 513, 2000])
     def test_eval_is_the_linear_rule(self, size):
