@@ -21,7 +21,6 @@ import math
 import sys
 
 from .contraction import (
-    CERTIFY_MODES,
     SAMPLE_PAIRS_DEFAULT,
     certify_condition_G,
     operator_from_json,
@@ -63,7 +62,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_cert = sub.add_parser("certify", help="certify the contraction condition")
     p_cert.add_argument("instance")
-    p_cert.add_argument("--mode", choices=CERTIFY_MODES, default="auto")
     p_cert.add_argument("--seed", type=int, default=0)
     p_cert.add_argument("--samples", type=int, default=SAMPLE_PAIRS_DEFAULT)
 
@@ -103,8 +101,7 @@ def _load_instance(path: str):
 
 def _cmd_certify(args) -> int:
     space, T, G, phi = _load_instance(args.instance)
-    cert = certify_condition_G(space, T, G, phi, mode=args.mode,
-                               seed=args.seed, samples=args.samples)
+    cert = certify_condition_G(space, T, G, phi, seed=args.seed, samples=args.samples)
     print(json.dumps(cert.to_json(), indent=2, sort_keys=True))
     return {"certified": EXIT_OK, "violated": EXIT_VIOLATED,
             "inconclusive": EXIT_INCONCLUSIVE}[cert.verdict]

@@ -22,14 +22,12 @@ Two adapters translate classical formulations into the gauged one:
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from itertools import combinations
 from operator import le
 
 from .errors import (
     DomainRestricted,
-    ModeUnsupportedWarning,
     NotInvertible,
     PointOutOfDomain,
     PsiNotDiverging,
@@ -47,7 +45,6 @@ from .gauges import (
 from .spaces import AnalyticSpace, FiniteSpace, Space, _Record, _is_numpy_scalar, _json_number
 
 SAMPLE_PAIRS_DEFAULT = 4096
-CERTIFY_MODES = ("auto", "exhaustive", "random")
 
 # R2 low-discrepancy sequence increments (inverse powers of the plastic number).
 _R2_A1 = 0.7548776662466927
@@ -123,10 +120,9 @@ def validate_operator(space: Space, T: OperatorSpec) -> None:
             raise ValueError(f"map length {len(T.mapping)} != {n} points")
         if n and 0 <= min(T.mapping) and max(T.mapping) < n:
             return
-        for i, v in enumerate(T.mapping):     # name the first bad image
+        for i, v in enumerate(T.mapping):     # some image is bad: name the first
             if not 0 <= v < n:
                 raise PointOutOfDomain(f"image of point {i} is {v}, outside the space")
-        return
     if not isinstance(space, AnalyticSpace):
         raise ValueError("analytic maps need an interval space")
     # both interval map kinds are monotone, so the image extremes sit at the
@@ -176,9 +172,11 @@ def _informative_pairs(space, T, pairs):
 
     Pairs with a zero distance or a zero image distance satisfy the
     condition vacuously and are skipped.  On a finite space the callers have
-    run validate_operator and draw the pairs from ``space.points``, so the
-    matrix and the map are indexed directly, without per-point checks, and
-    the rows of x and Tx read once per run of pairs with equal x.
+    run validate_operator and draw distinct pairs from ``space.points``, so
+    the matrix and the map are indexed directly, without per-point checks,
+    and the rows of x and Tx read once per run of pairs with equal x.  A
+    validated matrix is zero only on its diagonal, so there only the image
+    distance can be zero.
     """
     if isinstance(space, FiniteSpace):
         dist, image = space.dist, T.mapping
@@ -186,12 +184,9 @@ def _informative_pairs(space, T, pairs):
         for x, y in pairs:
             if x != x_row:
                 x_row, row, image_row = x, dist[x], dist[image[x]]
-            d = row[y]
-            if d == 0.0:                  # FiniteSpace.is_zero
-                continue
             dt = image_row[image[y]]
-            if dt != 0.0:
-                yield x, y, d, dt
+            if dt != 0.0:                 # FiniteSpace.is_zero
+                yield x, y, row[y], dt
         return
     for x, y in pairs:
         d = space.distance(x, y)
@@ -231,36 +226,25 @@ def _sample_pairs(space: AnalyticSpace, seed: int, count: int):
         yield space.lo + u * span, space.lo + v * span
 
 
-def certify_condition_G(space: Space, T: OperatorSpec, G, phi,
-                        mode: str = "auto", seed: int = 0,
+def certify_condition_G(space: Space, T: OperatorSpec, G, phi, *, seed: int = 0,
                         samples: int = SAMPLE_PAIRS_DEFAULT) -> ContractionCertificate:
     """Certify condition (G) for an operator on a space.
 
-    Finite spaces are scanned exhaustively over all unordered pairs in
-    lexicographic order (a definitive verdict); interval spaces are sampled.
-    Pairs whose image distance is zero satisfy the condition vacuously and
-    are skipped.  The violation witness, when present, is the first
-    violating pair in the canonical order.  ``mode`` is one of CERTIFY_MODES.
+    The space picks the scan.  A finite space is scanned exhaustively over
+    all unordered pairs in lexicographic order, for a definitive verdict; an
+    interval is sampled at ``samples`` pairs drawn from ``seed``, and a clean
+    sample is "inconclusive" with the note "certified-on-sample".  Pairs
+    whose image distance is zero satisfy the condition vacuously and are
+    skipped.  The violation witness, when present, is the first violating
+    pair in the canonical order.
     """
-    if mode not in CERTIFY_MODES:
-        raise ValueError(f"mode must be one of {', '.join(CERTIFY_MODES)}, got {mode!r}")
     validate_operator(space, T)
-    provenance = {"gauge": G.describe(), "phi": phi.describe()}
-
     if isinstance(space, FiniteSpace):
-        if mode == "random":
-            warnings.warn(
-                "random sampling requested on a finite space where the "
-                "exhaustive scan is feasible; running exhaustively",
-                ModeUnsupportedWarning)
         pairs = combinations(space.points, 2)
         checked = space.n * (space.n - 1) // 2
         sampling = {"kind": "exhaustive"}
         verdict, note = "certified", None
     else:
-        if mode == "exhaustive":
-            raise ValueError(
-                "exhaustive certification is not available on interval spaces")
         if samples < 1:
             raise ValueError("samples must be at least 1")
         pairs = _sample_pairs(space, seed, samples)
@@ -268,16 +252,16 @@ def certify_condition_G(space: Space, T: OperatorSpec, G, phi,
         sampling = {"kind": "random", "seed": seed, "count": samples}
         verdict, note = "inconclusive", "certified-on-sample"
 
+    witness = None
     hit = _first_violation(_gauged_pairs(G, _informative_pairs(space, T, pairs)), phi)
     if hit is not None:
         row, bound = hit                    # row: x, y, d_xy, d_txty, g_of_d, g_of_dt
-        return ContractionCertificate(
-            "violated", checked_pairs=checked,
-            violation_witness=ViolationWitness(*row, phi_bound=bound),
-            sampling_mode=sampling, provenance=provenance)
+        witness = ViolationWitness(*row, phi_bound=bound)
+        verdict, note = "violated", None
     return ContractionCertificate(
-        verdict, checked_pairs=checked, violation_witness=None,
-        sampling_mode=sampling, note=note, provenance=provenance)
+        verdict, checked_pairs=checked, violation_witness=witness,
+        sampling_mode=sampling, note=note,
+        provenance={"gauge": G.describe(), "phi": phi.describe()})
 
 
 def check_F_inequality(space: Space, T: OperatorSpec, F: RealForm,

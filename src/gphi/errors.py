@@ -90,10 +90,6 @@ class BudgetExhausted(GphiError):
 
 # --- contraction ----------------------------------------------------------
 
-class ModeUnsupportedWarning(UserWarning):
-    """Random sampling requested where an exhaustive scan is feasible."""
-
-
 class PsiNotNondecreasing(GphiError):
     pass
 

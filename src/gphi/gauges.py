@@ -358,13 +358,9 @@ def certify_phi(phi, grid, budget: int = PHI_BUDGET_DEFAULT) -> PhiCertificate:
             return PhiCertificate(
                 verdict, witness={"kind": "stagnation", "t": t, "phi_t": v})
 
-    decay = phi.known_decay()
-    if decay is True:
+    if phi.known_decay() is True:
         return PhiCertificate("member", evidence={
             "decay": "closed-form", "grid_points": len(pts), "tol": PHI_TOL_DEFAULT})
-    if decay is False:
-        return PhiCertificate("non-member",
-                              witness={"kind": "known-non-convergent"})
 
     worst_k = 0
     for t in pts:

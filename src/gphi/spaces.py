@@ -322,8 +322,6 @@ def _validate_rows(d: tuple[tuple[float, ...], ...]) -> FiniteSpace:
     zero on the diagonal, symmetric and positive between distinct points,
     in that order, each refusal naming its first entry in row-major order."""
     n = len(d)
-    if n > MAX_FINITE_POINTS:
-        raise TooManyPoints(f"{n} points exceeds cap {MAX_FINITE_POINTS}")
     flat = [v for row in d for v in row]
     if not all(map(math.isfinite, flat)):
         raise NonFiniteEntry("matrix entries must be finite")

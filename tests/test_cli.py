@@ -79,6 +79,13 @@ class TestCertify:
         out = capsys.readouterr()
         assert out.out == "" and "samples must be at least 1" in out.err
 
+    def test_scan_mode_flag_is_a_usage_error(self, tmp_path, capsys):
+        # the space picks the scan; --mode is an unknown flag like any other
+        path = write(tmp_path, "inst.json", ANALYTIC_INSTANCE)
+        assert run_cli(["certify", path, "--mode", "auto"]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and "unrecognized arguments: --mode auto" in out.err
+
     def test_bad_schema_exits_one(self, tmp_path, capsys):
         path = write(tmp_path, "inst.json", {"space": {"lo": 0, "hi": 1, "p": 1}})
         assert run_cli(["certify", path]) == 1
@@ -289,9 +296,6 @@ REFUSALS = {
     "interval-exponent": (["certify"], dict(ANALYTIC_INSTANCE,
                                             space={"lo": 0, "hi": 1, "p": 0.5}),
                           "ValueError: exponent p must be >= 1"),
-    "exhaustive-on-interval": (["certify", "--mode", "exhaustive"], ANALYTIC_INSTANCE,
-                               "ValueError: exhaustive certification is not available on "
-                               "interval spaces"),
     "report-without-trace": (["report"], {"foo": 1},
                              "ValueError: document carries no trace"),
     "deep-nesting": (["certify"], DEEP_JSON, DEEP_JSON_MESSAGE),

@@ -18,7 +18,6 @@ from gphi.contraction import (
 )
 from gphi.errors import (
     DomainRestricted,
-    ModeUnsupportedWarning,
     NotInvertible,
     PointOutOfDomain,
     PsiNotDiverging,
@@ -148,24 +147,6 @@ class TestCertifyConditionG:
         if strong.verdict == "certified":
             assert weak.verdict == "certified"
 
-    def test_random_mode_on_finite_warns_and_scans(self):
-        with pytest.warns(ModeUnsupportedWarning):
-            cert = certify_condition_G(THREE_POINT, FiniteMap((0, 0, 1)),
-                                       IdentityGauge(), LinearPhi(0.5),
-                                       mode="random")
-        assert cert.sampling_mode["kind"] == "exhaustive"
-
-    @pytest.mark.parametrize("mode", ["exhaustve", "bogus", "Auto", ""])
-    @pytest.mark.parametrize("space, T", [
-        (THREE_POINT, FiniteMap((0, 0, 1))),
-        (AnalyticSpace(0.0, 1.0, 1.0), AffineMap(0.5, 0.25))], ids=["finite", "interval"])
-    def test_unknown_mode_refused(self, space, T, mode):
-        # an unknown mode ran as "auto": exhaustively on a finite space,
-        # sampled on an interval
-        with pytest.raises(ValueError, match=r"^mode must be one of auto, exhaustive, "
-                                             f"random, got {mode!r}$"):
-            certify_condition_G(space, T, IdentityGauge(), LinearPhi(0.5), mode=mode)
-
     def test_analytic_sampled_clean(self):
         space = AnalyticSpace(0.0, 1.0, 2.0)
         cert = certify_condition_G(space, AffineMap(0.5, 0.0),
@@ -189,6 +170,50 @@ class TestCertifyConditionG:
         b = certify_condition_G(space, expand, IdentityGauge(), LinearPhi(0.5), seed=9)
         assert a.verdict == "violated"
         assert a.violation_witness == b.violation_witness
+
+    @pytest.mark.parametrize("space, T, G, phi, options, expected", [
+        (THREE_POINT, FiniteMap((0, 0, 1)), IdentityGauge(), LinearPhi(0.5), {},
+         {"verdict": "certified", "checked_pairs": 3, "violation_witness": None,
+          "sampling_mode": {"kind": "exhaustive"}, "note": None,
+          "provenance": {"gauge": {"family": "identity"},
+                         "phi": {"family": "linear", "c": 0.5}}}),
+        (THREE_POINT, FiniteMap((1, 2, 0)), PowerGauge(2.0), LinearPhi(0.9), {},
+         {"verdict": "violated", "checked_pairs": 3,
+          "violation_witness": {"x": 0, "y": 1, "d_xy": 1.0, "d_txty": 4.0,
+                                "g_of_d": 1.0, "g_of_dt": 16.0, "phi_bound": 0.9},
+          "sampling_mode": {"kind": "exhaustive"}, "note": None,
+          "provenance": {"gauge": {"family": "power", "q": 2.0},
+                         "phi": {"family": "linear", "c": 0.9}}}),
+        (AnalyticSpace(0.0, 1.0, 2.0), AffineMap(0.5, 0.0), IdentityGauge(),
+         LinearPhi(0.5), {"seed": 7, "samples": 300},
+         {"verdict": "inconclusive", "checked_pairs": 300, "violation_witness": None,
+          "sampling_mode": {"kind": "random", "seed": 7, "count": 300},
+          "note": "certified-on-sample",
+          "provenance": {"gauge": {"family": "identity"},
+                         "phi": {"family": "linear", "c": 0.5}}}),
+        (AnalyticSpace(0.0, 1.0, 1.0), TabulatedMap(((0.0, 0.0), (0.5, 1.0))),
+         IdentityGauge(), LinearPhi(0.5), {"seed": 9, "samples": 300},
+         {"verdict": "violated", "checked_pairs": 300,
+          "violation_witness": {"x": 0.8171835649957468, "y": 0.2575343922490001,
+                                "d_xy": 0.5596491727467467, "d_txty": 1.0,
+                                "g_of_d": 0.5596491727467467, "g_of_dt": 1.0,
+                                "phi_bound": 0.2798245863733734},
+          "sampling_mode": {"kind": "random", "seed": 9, "count": 300}, "note": None,
+          "provenance": {"gauge": {"family": "identity"},
+                         "phi": {"family": "linear", "c": 0.5}}}),
+    ], ids=["finite-certified", "finite-violated", "interval-certified-on-sample",
+            "interval-violated"])
+    def test_whole_certificate(self, space, T, G, phi, options, expected):
+        # every field at once: a violation carries no note, whatever the space
+        doc = certify_condition_G(space, T, G, phi, **options).to_json()
+        assert doc == expected
+
+    def test_scan_options_are_keyword_only(self):
+        # a fourth positional argument (once the scan mode) is refused, not
+        # read as a seed
+        with pytest.raises(TypeError):
+            certify_condition_G(THREE_POINT, FiniteMap((0, 0, 1)), IdentityGauge(),
+                                LinearPhi(0.5), "auto")
 
     @given(st.integers(min_value=0, max_value=300))
     def test_multiple_fixed_points_never_certify(self, seed):
