@@ -79,12 +79,21 @@ class TestCertify:
         out = capsys.readouterr()
         assert out.out == "" and "samples must be at least 1" in out.err
 
-    def test_scan_mode_flag_is_a_usage_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("mode", ["auto", "exhaustive", "random"])
+    def test_scan_mode_flag_is_a_usage_error(self, tmp_path, capsys, mode):
         # the space picks the scan; --mode is an unknown flag like any other
         path = write(tmp_path, "inst.json", ANALYTIC_INSTANCE)
-        assert run_cli(["certify", path, "--mode", "auto"]) == 2
+        assert run_cli(["certify", path, "--mode", mode]) == 2
         out = capsys.readouterr()
-        assert out.out == "" and "unrecognized arguments: --mode auto" in out.err
+        assert out.out == "" and f"unrecognized arguments: --mode {mode}" in out.err
+
+    def test_finite_scan_ignores_samples(self, tmp_path, capsys):
+        # a finite space is scanned exhaustively, so --samples is not read
+        path = write(tmp_path, "inst.json", THREE_POINT_INSTANCE)
+        assert run_cli(["certify", path, "--samples", "0", "--seed", "5"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["checked_pairs"] == 3
+        assert doc["sampling_mode"] == {"kind": "exhaustive"}
 
     def test_bad_schema_exits_one(self, tmp_path, capsys):
         path = write(tmp_path, "inst.json", {"space": {"lo": 0, "hi": 1, "p": 1}})

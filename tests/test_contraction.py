@@ -208,6 +208,24 @@ class TestCertifyConditionG:
         doc = certify_condition_G(space, T, G, phi, **options).to_json()
         assert doc == expected
 
+    @pytest.mark.parametrize("options", [{"samples": 0}, {"samples": 1},
+                                         {"seed": 5, "samples": 2}],
+                             ids=["no-samples", "one-sample", "seeded"])
+    def test_finite_scan_ignores_sampling_options(self, options):
+        # a finite space is always scanned exhaustively; seed and samples
+        # belong to the interval sample and change nothing here
+        args = (THREE_POINT, FiniteMap((1, 2, 0)), PowerGauge(2.0), LinearPhi(0.9))
+        cert = certify_condition_G(*args, **options)
+        assert cert.to_json() == certify_condition_G(*args).to_json()
+        assert cert.checked_pairs == 3
+        assert cert.sampling_mode == {"kind": "exhaustive"}
+
+    def test_mode_keyword_refused(self):
+        # the scan mode is gone: naming it is an error, not a silent no-op
+        with pytest.raises(TypeError, match="mode"):
+            certify_condition_G(THREE_POINT, FiniteMap((0, 0, 1)), IdentityGauge(),
+                                LinearPhi(0.5), mode="auto")
+
     def test_scan_options_are_keyword_only(self):
         # a fourth positional argument (once the scan mode) is refused, not
         # read as a seed
