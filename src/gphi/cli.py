@@ -40,12 +40,17 @@ from .gauges import (
 )
 from .solver import (MAX_ITER_DEFAULT, TOL_DEFAULT, picard_iterate, trace_from_json,
                      verify_cauchy_bound)
-from .spaces import FiniteSpace, space_from_json
+from .spaces import FiniteSpace, dist_to_json, space_from_json
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 1
 EXIT_VIOLATED = 2
 EXIT_INCONCLUSIVE = 3
+
+# Stands in for a finite trace's matrix while the rest of a solve document is
+# encoded; its JSON, "\u0000dist", holds an escape that the document's numbers
+# and names never print, and _solve_json checks that it occurs once.
+_DIST_MARK = "\x00dist"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -133,8 +138,27 @@ def _cmd_solve(args) -> int:
             out["diagnostics"] = diag.to_json()
         except GphiError as exc:
             out["diagnostics_error"] = f"{type(exc).__name__}: {exc}"
-    print(json.dumps(out, indent=2, sort_keys=True))
+    print(_solve_json(out, trace.space))
     return EXIT_OK
+
+
+def _solve_json(out: dict, space) -> str:
+    """``json.dumps(out, indent=2, sort_keys=True)``, byte for byte.  A finite
+    trace's matrix, by far the largest value, is written by ``dist_to_json``
+    and spliced in at the indentation of its key; a document in which the
+    mark's JSON turns up more than once is encoded whole."""
+    if not isinstance(space, FiniteSpace):
+        return json.dumps(out, indent=2, sort_keys=True)
+    doc = out["trace"]["space"]
+    dist, doc["dist"] = doc["dist"], _DIST_MARK
+    text = json.dumps(out, indent=2, sort_keys=True)
+    doc["dist"] = dist
+    mark = json.dumps(_DIST_MARK)
+    if text.count(mark) != 1:
+        return json.dumps(out, indent=2, sort_keys=True)
+    head, _, tail = text.partition(mark)
+    line = head[head.rindex("\n") + 1:]
+    return head + dist_to_json(space, " " * (len(line) - len(line.lstrip()))) + tail
 
 
 def _cmd_fuzz(args) -> int:

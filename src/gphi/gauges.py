@@ -26,7 +26,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, cached_property
+from itertools import accumulate
 from operator import itemgetter, lt
 from typing import Callable
 
@@ -552,14 +553,30 @@ class TabulatedGauge(_StepTable, _GaugeBase):
     def inverse_eval(self, y: float):
         raise NotInvertible("step gauges are not invertible")
 
+    @cached_property
+    def _extremes(self):
+        """(breakpoints, max of the values up to each step, min of the values
+        from each step on): built on the first sup or inf and kept, outside
+        the fields, so equality, hash, repr and asdict do not see it."""
+        ts, vals = zip(*self.points)
+        return ts, list(accumulate(vals, max)), list(accumulate(vals[::-1], min))[::-1]
+
     def sup_below(self, eps: float):
         """sup over (0, eps) of the steps [t, next t); the first reaches down to 0+."""
-        return max(v for i, (t, v) in enumerate(self.points) if (t if i else 0.0) < eps)
+        ts, head_max, _ = self._extremes
+        k = bisect_left(ts, eps)                # the steps i >= 1 starting below eps: 1 .. k-1
+        if eps > 0.0:
+            return head_max[max(k, 1) - 1]
+        # the first step lies above eps; no caller passes eps <= 0
+        return max(v for _, v in self.points[1:k])
 
     def inf_above(self, thr: float):
         """inf over (thr, inf) of the steps [t, next t); the last reaches up to inf."""
-        rights = [t for t, _ in self.points[1:]] + [math.inf]
-        return min(v for (_, v), right in zip(self.points, rights) if right > thr)
+        ts, _, tail_min = self._extremes
+        if not thr < math.inf:                  # NaN included
+            raise ValueError(f"no step of the table lies above {thr}")
+        # the steps ending above thr: from the one holding thr (or the first) on
+        return tail_min[max(bisect_right(ts, thr) - 1, 0)]
 
 
 def gauge_eval(G, a: float) -> float:

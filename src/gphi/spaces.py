@@ -449,6 +449,20 @@ def space_to_json(space: Space) -> dict:
     return {"lo": space.lo, "hi": space.hi, "p": space.p}
 
 
+def dist_to_json(space: FiniteSpace, pad: str) -> str:
+    """``json.dumps(space_to_json(space)["dist"], indent=2)`` with ``pad``
+    before every line but the first, byte for byte, from one repr per entry
+    pair: a validated matrix is finite, so repr is its JSON, and symmetric,
+    so row i takes its first i entries from column i.  Each diagonal entry
+    keeps its own repr, which may be -0.0."""
+    rows = [[""] * i + list(map(repr, row[i:])) for i, row in enumerate(space.dist)]
+    for i, col in enumerate(list(zip(*rows))):
+        rows[i][:i] = col[:i]
+    entry, line = ",\n" + pad + "    ", "\n" + pad + "  "
+    return ("[" + ",".join(line + "[" + line + "  " + entry.join(r) + line + "]" for r in rows)
+            + "\n" + pad + "]")
+
+
 def space_from_json(obj: dict) -> Space:
     """Build a space from its JSON document.
 

@@ -9,7 +9,7 @@ import types
 from bisect import bisect_right
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from gphi import gauges
 from gphi.contraction import TabulatedMap, to_czerwik_form
@@ -546,6 +546,41 @@ class TestTabulatedRegions:
         assert self.STEP.sup_below(1.0) == 0.1
         assert self.STEP.sup_below(1.5) == 0.9
         assert self.STEP.inf_above(1.0) == 0.9
+
+    @staticmethod
+    def _answer(f, x):
+        try:
+            return f(x)
+        except ValueError:
+            return ValueError
+
+    @settings(max_examples=300)
+    @given(st.lists(st.tuples(st.floats(-10.0, 10.0),
+                              st.sampled_from([0.1, 0.5, 2.0]) | st.floats(1e-3, 10.0)),
+                    min_size=1, max_size=12, unique_by=lambda p: p[0]))
+    def test_extremes_match_a_scan_of_every_step(self, points):
+        # a step's sup or inf read off a scan of the whole table, as the
+        # definition states it: at, just below and just above every
+        # breakpoint, at eps <= 0 and at the ends of the float range
+        G = TabulatedGauge(tuple(sorted(points)))
+        rights = [t for t, _ in G.points[1:]] + [math.inf]
+
+        def sup_scan(eps):
+            return max(v for i, (t, v) in enumerate(G.points) if (t if i else 0.0) < eps)
+
+        def inf_scan(thr):
+            return min(v for (_, v), right in zip(G.points, rights) if right > thr)
+
+        probes = [0.0, -0.0, -1.0, 5e-324, 1e300, math.inf, -math.inf, math.nan]
+        for t, _ in G.points:
+            probes += [t, math.nextafter(t, -math.inf), math.nextafter(t, math.inf)]
+        for x in probes:
+            assert self._answer(G.sup_below, x) == self._answer(sup_scan, x), x
+            assert self._answer(G.inf_above, x) == self._answer(inf_scan, x), x
+        # the kept extremes stay out of equality, hash, repr and asdict
+        fresh = TabulatedGauge(G.points)
+        assert (G, hash(G), repr(G)) == (fresh, hash(fresh), repr(fresh))
+        assert dataclasses.asdict(G) == {"points": G.points}
 
 
 class Stripped:
