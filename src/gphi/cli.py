@@ -20,12 +20,7 @@ import json
 import math
 import sys
 
-from .contraction import (
-    SAMPLE_PAIRS_DEFAULT,
-    certify_condition_G,
-    operator_from_json,
-    validate_operator,
-)
+from .contraction import SAMPLE_PAIRS_DEFAULT, certify_condition_G, operator_from_json
 from .errors import GphiError
 from .gauges import (
     PER_DECADE_DEFAULT,
@@ -91,12 +86,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_instance(path: str):
+    """The instance's space, map, gauge and phi, parsed; the map is checked
+    where it is used, by certify_condition_G and picard_iterate."""
     with open(path) as fh:
         obj = json.load(fh)
     try:
         space = space_from_json(obj["space"])
         T = operator_from_json(obj["operator"])
-        validate_operator(space, T)
         G = gauge_from_json(obj["G"])
         phi = phi_from_json(obj["phi"])
     except TypeError as exc:                # a value of the wrong shape, e.g. 5 for an object

@@ -39,7 +39,6 @@ from .gauges import (
     ExpPsiLnPhi,
     RealForm,
     _StepTable,
-    gauge_eval,
     phi_eval,
 )
 from .spaces import AnalyticSpace, FiniteSpace, Space, _Record, _is_numpy_scalar, _json_number
@@ -171,12 +170,14 @@ def _informative_pairs(space, T, pairs):
     """The pairs (x, y, d(x, y), d(Tx, Ty)) that condition (G) constrains.
 
     Pairs with a zero distance or a zero image distance satisfy the
-    condition vacuously and are skipped.  On a finite space the callers have
-    run validate_operator and draw distinct pairs from ``space.points``, so
-    the matrix and the map are indexed directly, without per-point checks,
-    and the rows of x and Tx read once per run of pairs with equal x.  A
-    validated matrix is zero only on its diagonal, so there only the image
-    distance can be zero.
+    condition vacuously and are skipped.  The callers have run
+    validate_operator, so images are read without checks.  On a finite
+    space they draw distinct pairs from ``space.points``: the matrix and the
+    map are indexed directly, the rows of x and Tx read once per run of
+    pairs with equal x, and, as a validated matrix is zero only on its
+    diagonal, only the image distance can be zero.  On an interval the
+    sampled points are checked by ``space.distance``; a checked map is
+    monotone with both end images inside, so every image is inside too.
     """
     if isinstance(space, FiniteSpace):
         dist, image = space.dist, T.mapping
@@ -193,15 +194,17 @@ def _informative_pairs(space, T, pairs):
         if space.is_zero(d):
             # identified points carry no information (and Tx = Ty follows)
             continue
-        dt = space.distance(apply(T, space, x), apply(T, space, y))
+        dt = space._unchecked_distance(T.eval(x), T.eval(y))
         if not space.is_zero(dt):
             yield x, y, d, dt
 
 
 def _gauged_pairs(G, informative):
-    """Each informative pair (x, y, d, dt) as (x, y, d, dt, G(d), G(dt))."""
+    """Each informative pair (x, y, d, dt) as (x, y, d, dt, G(d), G(dt)).
+    Its distances are positive finite floats, a validated matrix's or an
+    interval's past ``is_zero``, so G takes them without gauge_eval's check."""
     for x, y, d, dt in informative:
-        yield x, y, d, dt, gauge_eval(G, d), gauge_eval(G, dt)
+        yield x, y, d, dt, G.eval(d), G.eval(dt)
 
 
 def _first_violation(rows, phi):

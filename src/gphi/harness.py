@@ -37,13 +37,7 @@ from itertools import combinations, tee
 from random import Random
 from typing import NamedTuple
 
-from .contraction import (
-    FiniteMap,
-    _first_violation,
-    _gauged_pairs,
-    _informative_pairs,
-    validate_operator,
-)
+from .contraction import FiniteMap, _first_violation, _gauged_pairs, _informative_pairs
 from .errors import (BudgetExhausted, ConfigInvalid, ConstantOverflow, OrbitTooShort,
                      TailNotSmall)
 from .gauges import (
@@ -293,12 +287,11 @@ def _first_certified(space, T, gauges, phis):
     """First (catalog gauge, phi) pair in catalog order certifying T, or None.
 
     The verdicts are those of ``certify_condition_G`` on each pair in turn,
-    down to the pair at which an evaluation raises, but T is checked once,
-    the informative pairs are drawn once for all gauges, and each gauge is
-    evaluated once per pair for all phis.  The tees draw from their source
-    only as deep as the deepest scan reaches.
+    down to the pair at which an evaluation raises, but T, which the harness
+    drew itself, is not checked, the informative pairs are drawn once for
+    all gauges, and each gauge is evaluated once per pair for all phis.  The
+    tees draw from their source only as deep as the deepest scan reaches.
     """
-    validate_operator(space, T)
     informative = _informative_pairs(space, T, combinations(space.points, 2))
     for entry, pairs in zip(gauges, tee(informative, len(gauges))):
         rows = tee(_gauged_pairs(entry.gauge, pairs), len(phis))

@@ -21,7 +21,7 @@ from itertools import islice, starmap
 from operator import itemgetter
 from dataclasses import dataclass
 
-from .contraction import FiniteMap, OperatorSpec, apply, validate_operator
+from .contraction import FiniteMap, OperatorSpec, validate_operator
 from .errors import (
     BudgetExhausted,
     ConstantOverflow,
@@ -157,9 +157,10 @@ def _orbit(space: Space, T: OperatorSpec, x0):
     generator ends after a settling step and otherwise runs forever.
 
     x0 is checked when the first step is asked for, before it is taken.
-    On a finite space the caller has checked T; every later point is an
-    image under the checked map, so the steps index the map and the matrix
-    directly.
+    The caller has checked T, and every later point is an image under it,
+    so the steps read the map and the distance without checks: on a finite
+    space by index, on an interval through a monotone map whose end images
+    lie inside.
     """
     finite = isinstance(space, FiniteSpace)
     if not space.contains(x0):
@@ -175,8 +176,8 @@ def _orbit(space: Space, T: OperatorSpec, x0):
             xn = image[x]
             d = dist[x][xn]
         else:
-            xn = apply(T, space, x)
-            d = space.distance(x, xn)
+            xn = T.eval(x)
+            d = space._unchecked_distance(x, xn)
         k += 1
         if space.is_zero(d):
             yield xn, d, True, None
@@ -312,17 +313,18 @@ def verify_invariant_ball(T: OperatorSpec, trace: PicardTrace, eps: float, n: in
     _check_block(n, eps)
     space = trace.space
     center = trace.point_at(m * n)
-    if not isinstance(space, FiniteSpace):
-        def image_of(u):
-            x = u
-            for x, _, _, _ in islice(_orbit(space, T, u), n):
-                pass
-            return x
-        return _ball_holds(space, center, eps, image_of)
     if not space.contains(center):          # the centre is checked before the map
         raise PointOutOfDomain(f"point {center!r} not in space")
     validate_operator(space, T)
-    return _ball_holds(space, center, eps, _power_image(T.mapping, n).__getitem__)
+    if isinstance(space, FiniteSpace):
+        return _ball_holds(space, center, eps, _power_image(T.mapping, n).__getitem__)
+
+    def image_of(u):
+        x = u
+        for x, _, _, _ in islice(_orbit(space, T, u), n):
+            pass
+        return x
+    return _ball_holds(space, center, eps, image_of)
 
 
 def _ball_holds(space: Space, center, eps: float, image_of) -> bool:
