@@ -833,8 +833,8 @@ def n_epsilon(G, phi, s: float, eps: float, budget: int = 10_000) -> int:
     argument requires.  Callers must supply eps below the gauge's epsilon0
     and a certified comparison function.
     """
-    if not eps > 0.0:
-        raise NonpositiveArgument("eps must be positive")
+    if not 0.0 < eps < math.inf:
+        raise NonpositiveArgument(f"eps must be {'finite' if eps == math.inf else 'positive'}")
     if not s >= 1.0:
         raise ValueError("b-metric constant must be >= 1")
     thr = eps / (2.0 * s)

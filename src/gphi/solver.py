@@ -256,11 +256,11 @@ def verify_g1_termination(trace: PicardTrace) -> bool:
 
 
 def _check_block(n: int, eps: float) -> None:
-    """Refuse what no block lemma takes: n below 1, or eps not positive."""
+    """Refuse what no block lemma takes: n below 1, or eps not positive and finite."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    if not eps > 0.0:
-        raise NonpositiveRadius("eps must be positive")
+    if not 0.0 < eps < math.inf:
+        raise NonpositiveRadius(f"eps must be {'finite' if eps == math.inf else 'positive'}")
 
 
 def m_epsilon(trace: PicardTrace, n: int, eps: float, budget: int = 10_000) -> int:

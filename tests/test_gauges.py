@@ -761,6 +761,14 @@ class TestNEpsilon:
         with pytest.raises(BudgetExhausted):
             n_epsilon(PowerGauge(2.0), HyperbolicPhi(1.0), 100.0, 1e-3, budget=10)
 
+    @pytest.mark.parametrize("gauge", [IdentityGauge(), TabulatedGauge(((0.5, 0.1), (1.0, 0.9)))],
+                             ids=["closed-form", "step"])
+    def test_infinite_eps_refused(self, gauge):
+        # the region (eps/(2s), inf) is empty: a closed-form gauge answered
+        # n = 1 from G(inf) = inf, a step gauge raised a bare ValueError
+        with pytest.raises(NonpositiveArgument, match="^eps must be finite$"):
+            n_epsilon(gauge, LinearPhi(0.5), 1.0, math.inf)
+
     @pytest.mark.parametrize("gauge", [IdentityGauge(), PowerGauge(2.0)], ids=str)
     @pytest.mark.parametrize("phi", CATALOG_PHIS, ids=str)
     def test_monotone_in_eps(self, gauge, phi):

@@ -287,6 +287,12 @@ class TestG1Termination:
 
 
 class TestMEpsilon:
+    def test_infinite_eps_refused(self):
+        # returned m = 1: every block step is below eps/(2s) = inf
+        trace = picard_iterate(THREE_POINT, FiniteMap((0, 0, 1)), 2)
+        with pytest.raises(NonpositiveRadius, match="^eps must be finite$"):
+            m_epsilon(trace, n=1, eps=math.inf)
+
     def test_halving_map(self):
         # orbit 1, 1/2, 1/4, ...: d(x_2, x_1) = 1/4 < 1/2 already at m = 1
         trace = picard_iterate(UNIT, AffineMap(0.5, 0.0), 1.0)
@@ -328,6 +334,13 @@ class TestMEpsilon:
 
 
 class TestInvariantBall:
+    def test_infinite_eps_refused(self):
+        # returned True: the ball B(x_{mn}, inf) is the whole space
+        T = FiniteMap((0, 0, 1))
+        trace = picard_iterate(THREE_POINT, T, 2)
+        with pytest.raises(NonpositiveRadius, match="^eps must be finite$"):
+            verify_invariant_ball(T, trace, eps=math.inf, n=1, m=1)
+
     def test_certified_finite_instance(self):
         T = FiniteMap((0, 0, 1))
         cert = certify_condition_G(THREE_POINT, T, IdentityGauge(), LinearPhi(0.5))
@@ -471,6 +484,12 @@ class TestStepChaining:
         assert trace.space.s == 8.0 and trace.step_dists == (1.0, 0.0)
         m0, holds = verify_step_chaining(trace, n=400, eps=0.5)
         assert (m0, holds) == (1, True)
+
+    def test_infinite_eps_refused(self):
+        # returned (1, True): every step is below eps/(n*s^n) = inf
+        trace = picard_iterate(THREE_POINT, FiniteMap((0, 0, 1)), 2)
+        with pytest.raises(NonpositiveRadius, match="^eps must be finite$"):
+            verify_step_chaining(trace, 2, math.inf)
 
     @pytest.mark.parametrize("eps", [-1.0, 0.0, math.nan])
     def test_nonpositive_eps_refused(self, eps):
