@@ -201,8 +201,9 @@ def _informative_pairs(space, T, pairs):
 
 def _gauged_pairs(G, informative):
     """Each informative pair (x, y, d, dt) as (x, y, d, dt, G(d), G(dt)).
-    Its distances are positive finite floats, a validated matrix's or an
-    interval's past ``is_zero``, so G takes them without gauge_eval's check."""
+    The distances are positive finite floats, validated matrix entries or
+    interval distances past ``is_zero``, so G takes them without the check
+    of ``gauge_eval``."""
     for x, y, d, dt in informative:
         yield x, y, d, dt, G.eval(d), G.eval(dt)
 

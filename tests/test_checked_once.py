@@ -2,7 +2,8 @@
 
 ``gphi certify`` and ``gphi solve`` check the self-map once, inside
 ``certify_condition_G`` and ``picard_iterate``; a fuzz trial checks it once,
-in ``enumerate_fixed_points`` on a certified trial.  The certify scan reads
+in ``enumerate_fixed_points`` on a certified trial (``verify_invariant_ball``
+is covered in ``test_solver.py``).  The certify scan reads
 gauges with ``G.eval`` and interval images with ``T.eval``; a copy of the
 checked reads it replaced must give the same certificate or the same error.
 """
@@ -38,7 +39,6 @@ from gphi.harness import (
     fuzz,
     generate_operator,
 )
-from gphi.solver import picard_iterate, verify_invariant_ball
 from gphi.spaces import AnalyticSpace, FiniteSpace, validate_finite_space
 from test_catalog_scan import STEPS
 from test_cli import ANALYTIC_INSTANCE, THREE_POINT_INSTANCE, write
@@ -93,15 +93,6 @@ class TestMapCheckedOnce:
         report = fuzz(FuzzConfig(seed=1, trials=1000))
         assert report.certified_count > 0 and not report.violations
         assert len(calls) == report.certified_count
-
-    def test_invariant_ball_checks_an_interval_map(self):
-        space = AnalyticSpace(0.0, 1.0, 1.0)
-        trace = picard_iterate(space, AffineMap(0.5, 0.0), 0.0)
-        # T(hi) = 5 leaves [0, 1], on a step that no point of the ball
-        # B(0, 0.25) reaches
-        T = TabulatedMap(((0.0, 0.0), (0.9, 5.0)))
-        with pytest.raises(PointOutOfDomain, match="^tabulated value 5.0 leaves the interval$"):
-            verify_invariant_ball(T, trace, eps=0.25, n=1, m=1)
 
 
 # --- the checked reads the scan replaced, kept here as the reference ---------

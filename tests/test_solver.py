@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gphi import solver
-from gphi.contraction import AffineMap, FiniteMap, certify_condition_G
+from gphi.contraction import AffineMap, FiniteMap, TabulatedMap, certify_condition_G
 from gphi.errors import (BudgetExhausted, NonpositiveRadius, OrbitTooShort, PointOutOfDomain,
                          TailNotSmall)
 from gphi.gauges import IdentityGauge, LinearPhi
@@ -23,6 +23,7 @@ from gphi.solver import (
 )
 from gphi.spaces import AnalyticSpace, check_limit_bounds, validate_finite_space
 from test_block_index import OrbitWalk, outcome, walker_m_epsilon
+from test_checked_once import count_checks
 
 THREE_POINT = validate_finite_space([[0.0, 1.0, 2.0], [1.0, 0.0, 4.0], [2.0, 4.0, 0.0]])
 UNIT = AnalyticSpace(0.0, 1.0, 1.0)
@@ -410,32 +411,27 @@ class TestPowerImage:
 class TestMapCheckedOnce:
     """T is checked once per call, not once per orbit the call walks."""
 
-    @staticmethod
-    def _count_checks(monkeypatch):
-        import gphi.solver as solver
-        calls = []
-        real = solver.validate_operator
-
-        def counted(space, T):
-            calls.append(T)
-            return real(space, T)
-
-        monkeypatch.setattr(solver, "validate_operator", counted)
-        return calls
-
     def test_invariant_ball(self, monkeypatch):
         space = generate_space("ball-once", 7)
         T = generate_operator("ball-once:op", space)
         trace = picard_iterate(space, T, 0)
-        calls = self._count_checks(monkeypatch)
+        calls = count_checks(monkeypatch)
         # every point is within 2 of the centre, so all 7 are candidates
         verify_invariant_ball(T, trace, eps=2.0, n=2, m=1)
         assert len(calls) == 1
 
     def test_picard_iterate(self, monkeypatch):
-        calls = self._count_checks(monkeypatch)
+        calls = count_checks(monkeypatch)
         picard_iterate(THREE_POINT, FiniteMap((0, 0, 1)), 2)
         assert len(calls) == 1
+
+    def test_ball_checks_an_interval_map(self):
+        trace = picard_iterate(UNIT, AffineMap(0.5, 0.0), 0.0)
+        # T(hi) = 5 leaves [0, 1], on a step that no point of the ball
+        # B(0, 0.25) reaches
+        T = TabulatedMap(((0.0, 0.0), (0.9, 5.0)))
+        with pytest.raises(PointOutOfDomain, match="^tabulated value 5.0 leaves the interval$"):
+            verify_invariant_ball(T, trace, eps=0.25, n=1, m=1)
 
     def test_ball_errors_keep_their_order(self):
         trace = picard_iterate(THREE_POINT, FiniteMap((0, 0, 1)), 2)
