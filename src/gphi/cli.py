@@ -19,6 +19,7 @@ import argparse
 import json
 import math
 import sys
+from contextlib import suppress
 
 from .contraction import SAMPLE_PAIRS_DEFAULT, certify_condition_G, operator_from_json
 from .errors import GphiError
@@ -35,7 +36,7 @@ from .gauges import (
 )
 from .solver import (MAX_ITER_DEFAULT, TOL_DEFAULT, picard_iterate, trace_from_json,
                      verify_cauchy_bound)
-from .spaces import FiniteSpace, dist_to_json, space_from_json
+from .spaces import dist_to_json, space_from_json
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 1
@@ -108,17 +109,11 @@ def _cmd_certify(args) -> int:
             "inconclusive": EXIT_INCONCLUSIVE}[cert.verdict]
 
 
-def _parse_point(space, text: str):
-    if isinstance(space, FiniteSpace):
-        return int(text)
-    return float(text)
-
-
 def _cmd_solve(args) -> int:
     if args.eps is not None and not math.isfinite(args.eps):
         raise ValueError(f"--eps must be finite, not {args.eps}")
     space, T, G, phi = _load_instance(args.instance)
-    x0 = _parse_point(space, args.x0)
+    x0 = space.parse_point(args.x0)
     trace = picard_iterate(space, T, x0, max_iter=args.max_iter, tol=args.tol)
     out = {"trace": trace.to_json()}
 
@@ -143,7 +138,7 @@ def _solve_json(out: dict, space) -> str:
     trace's matrix, by far the largest value, is written by ``dist_to_json``
     and spliced in at the indentation of its key; a document in which the
     mark's JSON turns up more than once is encoded whole."""
-    if not isinstance(space, FiniteSpace):
+    if space.kind != "finite":
         return json.dumps(out, indent=2, sort_keys=True)
     doc = out["trace"]["space"]
     dist, doc["dist"] = doc["dist"], _DIST_MARK
@@ -177,8 +172,7 @@ def _cmd_report(args) -> int:
     if not isinstance(doc, dict) or "orbit" not in doc:
         raise ValueError("document carries no trace")
     trace = trace_from_json(doc)
-    kind = "finite" if isinstance(trace.space, FiniteSpace) else "interval"
-    lines = [f"space: {kind}, constant s = {trace.space.s}",
+    lines = [f"space: {trace.space.kind}, constant s = {trace.space.s}",
              f"start point: {trace.x0}",
              f"orbit points recorded: {len(trace.orbit)} "
              f"(stop at k = {trace.k_stop}, reason: {trace.stop_reason})",
@@ -202,6 +196,12 @@ def _cmd_report(args) -> int:
 
 
 def run_cli(argv) -> int:
+    argv = list(argv)
+    for i in reversed(range(len(argv) - 1)):    # argparse takes -1e-1 or -inf for an option
+        if argv[i] == "--x0" and argv[i + 1][:1] == "-":
+            with suppress(ValueError):              # a number in any float spelling
+                float(argv[i + 1])
+                argv[i:i + 2] = ["--x0=" + argv[i + 1]]
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:

@@ -22,6 +22,7 @@ Two adapters translate classical formulations into the gauged one:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import combinations
 from operator import le
@@ -76,6 +77,9 @@ class FiniteMap:
         if not set(map(type, mapping)) <= {int}:       # plain ints are taken as they are
             mapping = tuple(map(_map_image, mapping))
         object.__setattr__(self, "mapping", mapping)
+
+    def eval(self, x: int) -> int:
+        return self.mapping[x]
 
     def describe(self) -> dict:
         return {"map": list(self.mapping)}
@@ -136,12 +140,8 @@ def validate_operator(space: Space, T: OperatorSpec) -> None:
 
 def apply(T: OperatorSpec, space: Space, x):
     """Apply the operator to a point of the space."""
-    if isinstance(T, FiniteMap):
-        if not space.contains(x):
-            raise PointOutOfDomain(f"point {x!r} not in space")
-        return T.mapping[x]
     if not space.contains(x):
-        raise PointOutOfDomain(f"point {x!r} not in interval")
+        raise PointOutOfDomain(f"point {x!r} not in {space.noun}")
     return T.eval(x)
 
 
@@ -220,14 +220,16 @@ def _first_violation(rows, phi):
 
 
 def _sample_pairs(space: AnalyticSpace, seed: int, count: int):
-    """Deterministic low-discrepancy pairs in the interval (R2 sequence)."""
+    """Deterministic low-discrepancy pairs in the interval (R2 sequence): the
+    points lo + t*(hi - lo), or, where hi - lo overflows, (1 - t)*lo + t*hi."""
     u = (0.5 + seed * _GOLDEN) % 1.0
     v = (0.25 + seed * _GOLDEN * _GOLDEN) % 1.0
-    span = space.hi - space.lo
+    lo, hi, span = space.lo, space.hi, space.hi - space.lo
+    at = (lambda t: lo + t * span) if span < math.inf else (lambda t: (1.0 - t) * lo + t * hi)
     for _ in range(count):
         u = (u + _R2_A1) % 1.0
         v = (v + _R2_A2) % 1.0
-        yield space.lo + u * span, space.lo + v * span
+        yield at(u), at(v)
 
 
 def certify_condition_G(space: Space, T: OperatorSpec, G, phi, *, seed: int = 0,

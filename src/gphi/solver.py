@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from itertools import islice, starmap
-from operator import itemgetter
 from dataclasses import dataclass
 
 from .contraction import FiniteMap, OperatorSpec, validate_operator
@@ -31,12 +30,11 @@ from .errors import (
     TailNotSmall,
 )
 from .gauges import n_epsilon
-from .spaces import FiniteSpace, Space, _Record, space_from_json, space_to_json
+from .spaces import BALL_SAMPLES, FiniteSpace, Space, _Record, space_from_json, space_to_json
 
 MAX_ITER_DEFAULT = 10_000
 CONFIRM_STEPS = 3
 TOL_DEFAULT = 1e-10
-BALL_SAMPLES = 128           # points sampled from an interval ball
 STOP_REASONS = ("exact-fixed-point", "tolerance-met", "budget-exhausted")
 
 
@@ -120,9 +118,7 @@ def trace_from_json(obj: dict) -> PicardTrace:
             or (cycle is not None and (stop_reason != "budget-exhausted" or len(cycle) < 2
                                        or cycle != orbit[orbit.index(orbit[-1]):-1]))):
         raise ValueError("trace x0, fixed point or cycle does not fit its orbit")
-    pairs = zip(orbit, orbit[1:])               # checked points: distances read unchecked
-    fit = ([space.dist[x][y] for x, y in pairs] if isinstance(space, FiniteSpace)
-           else list(starmap(space._unchecked_distance, pairs)))
+    fit = list(starmap(space._unchecked_distance, zip(orbit, orbit[1:])))   # checked points
     if (list(step_dists) != fit or [space.is_zero(d) for d in step_dists]
             != [False] * (len(step_dists) - exact) + [True] * exact):
         raise ValueError("trace steps do not fit its orbit or stop reason")
@@ -158,31 +154,21 @@ def _orbit(space: Space, T: OperatorSpec, x0):
 
     x0 is checked when the first step is asked for, before it is taken.
     The caller has checked T, and every later point is an image under it,
-    so the steps read the map and the distance without checks: on a finite
-    space by index, on an interval through a monotone map whose end images
-    lie inside.
+    so the steps read ``T.eval`` and the distance without checks.
     """
-    finite = isinstance(space, FiniteSpace)
     if not space.contains(x0):
-        raise PointOutOfDomain(
-            f"start point {x0!r} not in {'space' if finite else 'interval'}")
-    if finite:
-        dist, image = space.dist, T.mapping
-        seen = {x0: 0}
+        raise PointOutOfDomain(f"start point {x0!r} not in {space.noun}")
+    seen = {x0: 0} if space.kind == "finite" else None
     x = x0
     k = 0
     while True:
-        if finite:
-            xn = image[x]
-            d = dist[x][xn]
-        else:
-            xn = T.eval(x)
-            d = space._unchecked_distance(x, xn)
+        xn = T.eval(x)
+        d = space._unchecked_distance(x, xn)
         k += 1
         if space.is_zero(d):
             yield xn, d, True, None
             return
-        if finite:
+        if seen is not None:
             if xn in seen:
                 start = seen[xn]
                 yield xn, d, False, tuple(p for p, i in seen.items() if i >= start)
@@ -316,7 +302,7 @@ def verify_invariant_ball(T: OperatorSpec, trace: PicardTrace, eps: float, n: in
     if not space.contains(center):          # the centre is checked before the map
         raise PointOutOfDomain(f"point {center!r} not in space")
     validate_operator(space, T)
-    if isinstance(space, FiniteSpace):
+    if space.kind == "finite":
         return _ball_holds(space, center, eps, _power_image(T.mapping, n).__getitem__)
 
     def image_of(u):
@@ -328,19 +314,10 @@ def verify_invariant_ball(T: OperatorSpec, trace: PicardTrace, eps: float, n: in
 
 
 def _ball_holds(space: Space, center, eps: float, image_of) -> bool:
-    """True iff ``image_of``, read as T^n, maps every candidate of the ball
-    B(center, eps) back inside it: every point of a finite space, else
-    ``BALL_SAMPLES`` evenly spaced points of the interval ball.  A finite
-    centre is a checked point: its row of the symmetric matrix holds d(u, center)."""
-    if isinstance(space, FiniteSpace):
-        row = space.dist[center]
-        return all(row[image_of(u)] < eps for u in space.points if row[u] < eps)
-    r = eps ** (1.0 / space.p)
-    lo = max(space.lo, center - r)
-    hi = min(space.hi, center + r)
-    raw = [lo + (hi - lo) * i / (BALL_SAMPLES - 1) for i in range(BALL_SAMPLES)]
-    return all(space.distance(image_of(u), center) < eps
-               for u in raw if space.distance(u, center) < eps)
+    """True iff ``image_of``, read as T^n, maps every candidate ``space._ball``
+    gives of B(center, eps) back inside it: a checked centre, images of a checked map."""
+    return all(space._unchecked_distance(image_of(u), center) < eps
+               for u in space._ball(center, eps))
 
 
 def verify_step_chaining(trace: PicardTrace, n: int, eps: float) -> tuple[int, bool]:
@@ -425,8 +402,7 @@ def _cauchy_bound(s: float, eps: float) -> float:
 
 def _cauchy_tail(trace: PicardTrace, eps: float, n: int, m: int, m0: int) -> CauchyDiagnostics:
     """The tail check of ``verify_cauchy_bound``, given its n, m and m0: the
-    diameter of the checked tail points, read off the matrix among distinct points,
-    or off the extremes on an interval, where |x - y|**p grows with |x - y|."""
+    diameter of the checked tail points, as ``space._diameter`` reads it."""
     space = trace.space
     bound = _cauchy_bound(space.s, eps)
     m_bar = max(m, m0)
@@ -441,13 +417,7 @@ def _cauchy_tail(trace: PicardTrace, eps: float, n: int, m: int, m0: int) -> Cau
         if not space.contains(x):
             raise PointOutOfDomain(f"point {x!r} not in space")
 
-    if isinstance(space, FiniteSpace):
-        pts = sorted(set(tail))
-        # row x from d(x, x) on: two or more entries, so itemgetter gives a tuple
-        far = [max(itemgetter(*pts[i:])(space.dist[x])) for i, x in enumerate(pts[:-1])]
-    else:
-        far = [space.distance(max(tail), min(tail))]
-    max_obs = max([0.0, *far])                  # a -0.0 never replaces the 0.0
+    max_obs = space._diameter(tail)
     return CauchyDiagnostics(
         eps=eps, n=n, m=m, m0=m0, m_bar=m_bar, bound=bound,
         max_observed=max_obs, pairs_checked=len(tail) * (len(tail) - 1) // 2,

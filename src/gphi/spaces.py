@@ -24,7 +24,7 @@ import json
 import math
 import sys
 from dataclasses import asdict, dataclass, replace
-from operator import add
+from operator import add, itemgetter
 from typing import Sequence
 
 from .errors import (
@@ -61,6 +61,8 @@ PY_KERNEL_MAX_POINTS = 15
 
 # Tail-window policy for liminf/limsup estimation.
 MIN_TAIL = 10
+
+BALL_SAMPLES = 128           # points sampled from an interval ball
 
 
 def _is_numpy_scalar(x, kind: str) -> bool:
@@ -122,14 +124,26 @@ class _Rows:
         return repr(tuple(self))
 
 
+class _SpaceKind:
+    """What a kind of space decides, asked of the space, not of its class: its
+    ``kind``, its refusals' ``noun``, ``parse_point`` for text, and for member
+    points ``_unchecked_distance``, a ball's candidates and the ``_diameter``."""
+
+    def distance(self, x, y) -> float:
+        if not self.contains(x) or not self.contains(y):
+            raise PointOutOfDomain(f"point out of domain: {x!r}, {y!r}")
+        return self._unchecked_distance(x, y)
+
+
 @dataclass(frozen=True)
-class FiniteSpace:
+class FiniteSpace(_SpaceKind):
     """Finite b-metric space backed by a symmetric distance matrix; ``s=None``
     leaves the O(n^3) minimal constant to the first read of ``s``.  ``dist``
     holds tuple rows, or, from numpy validation, ``_Rows`` that act as them."""
 
     dist: tuple[tuple[float, ...], ...] | _Rows
     s: float = _Constant()
+    kind, noun, parse_point = "finite", "space", int
 
     @property
     def n(self) -> int:
@@ -144,22 +158,32 @@ class FiniteSpace:
                 and (isinstance(x, int) or _is_numpy_scalar(x, "integer"))
                 and 0 <= x < self.n)
 
-    def distance(self, x: int, y: int) -> float:
-        if not self.contains(x) or not self.contains(y):
-            raise PointOutOfDomain(f"point out of domain: {x!r}, {y!r}")
+    def _unchecked_distance(self, x: int, y: int) -> float:
         return self.dist[x][y]
+
+    def _ball(self, center: int, eps: float):
+        """Every point of B(center, eps), read off the centre's row."""
+        return (u for u, d in enumerate(self.dist[center]) if d < eps)
+
+    def _diameter(self, points) -> float:
+        """The largest distance among member points, off the distinct ones' rows."""
+        pts = sorted(set(points))
+        # row x from d(x, x) on: itemgetter of 2+ keys gives a tuple; -0.0 never wins
+        return max([0.0, *(max(itemgetter(*pts[i:])(self.dist[x]))
+                           for i, x in enumerate(pts[:-1]))])
 
     def is_zero(self, d: float) -> bool:
         return d == 0.0
 
 
 @dataclass(frozen=True)
-class AnalyticSpace:
+class AnalyticSpace(_SpaceKind):
     """Interval ``[lo, hi]`` with distance ``|x - y| ** p`` and ``s = 2**(p-1)``."""
 
     lo: float
     hi: float
     p: float
+    kind, noun, parse_point = "interval", "interval", float
 
     def __post_init__(self):
         if not (math.isfinite(self.lo) and math.isfinite(self.hi) and self.lo < self.hi):
@@ -175,21 +199,31 @@ class AnalyticSpace:
             raise OverflowError(f"2 ** (p - 1) overflows the float range at p = {self.p}") from None
 
     def contains(self, x) -> bool:
-        return (type(x) is not bool
-                and (isinstance(x, (float, int)) or _is_numpy_scalar(x, "floating"))
-                and self.lo <= x <= self.hi)
-
-    def distance(self, x: float, y: float) -> float:
-        if not self.contains(x) or not self.contains(y):
-            raise PointOutOfDomain(f"point out of domain: {x!r}, {y!r}")
-        return self._unchecked_distance(x, y)
+        if _is_numpy_scalar(x, "floating"):
+            x = float(x)        # as float64: numpy would compare in x's own precision
+        return type(x) is not bool and isinstance(x, (float, int)) and self.lo <= x <= self.hi
 
     def _unchecked_distance(self, x: float, y: float) -> float:
-        """``|x - y| ** p`` of two points already known to lie in the interval."""
+        """``|x - y| ** p`` of two points already known to lie in the interval;
+        OverflowError where it, or x - y itself, passes the float range."""
         try:
-            return abs(x - y) ** self.p
+            d = abs(x - y) ** self.p
         except OverflowError:
-            raise OverflowError(f"|{x} - {y}| ** {self.p} overflows the float range") from None
+            d = math.inf
+        if d == math.inf:
+            raise OverflowError(f"|{x} - {y}| ** {self.p} overflows the float range")
+        return d
+
+    def _ball(self, center: float, eps: float):
+        """Those of ``BALL_SAMPLES`` evenly spaced points across the ball that lie in it."""
+        r = eps ** (1.0 / self.p)
+        lo, hi = max(self.lo, center - r), min(self.hi, center + r)
+        raw = (lo + (hi - lo) * i / (BALL_SAMPLES - 1) for i in range(BALL_SAMPLES))
+        return (u for u in raw if self.distance(u, center) < eps)
+
+    def _diameter(self, points) -> float:
+        """The distance of the extremes: |x - y| ** p grows with |x - y|."""
+        return self._unchecked_distance(max(points), min(points))
 
     def is_zero(self, d: float) -> bool:
         return d < DELTA_ZERO
