@@ -296,6 +296,30 @@ class TestMeetsSpec:
         assert validate_finite_space(np.array(d)).dist == ((0.0, 1.5), (1.5, 0.0))
 
 
+def one_bad_entry_places(n):
+    """(i, j, mirrored): the first, a middle and the last pair off the
+    diagonal, alone or mirrored, and the first and last diagonal entries."""
+    pairs = {(0, 1), (n // 3, n // 3 + n // 2), (n - 2, n - 1)} if n > 1 else set()
+    return sorted({(i, j, mirrored) for i, j in pairs for mirrored in (False, True)}
+                  | {(0, 0, False), (n - 1, n - 1, False)})
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("bad", BAD_NUMBERS, ids=repr)
+@pytest.mark.parametrize("layout", [np.ascontiguousarray, np.asfortranarray], ids=["C", "F"])
+@pytest.mark.parametrize("n", [1, 2, 16, 256])
+def test_array_with_one_bad_entry_meets_spec(n, layout, bad):
+    # the numpy kernel's bulk accept must refuse every such matrix that the
+    # spec refuses, whatever the entry's place and the array's memory order
+    for i, j, mirrored in one_bad_entry_places(n):
+        d = family_matrix(n, "uniform", seed=n)
+        d[i, j] = bad
+        if mirrored:
+            d[j, i] = bad
+        d = layout(d)
+        assert outcome(d) == spec(d, MAX_FINITE_POINTS), (i, j, mirrored)
+
+
 class TestKeptMatrix:
     """A matrix validated by numpy keeps its float64 array and builds a row
     of floats on the row's first read; ``dist`` must still behave as the
