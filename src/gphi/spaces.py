@@ -7,8 +7,10 @@ concrete families are supported:
 * :class:`FiniteSpace` -- an explicit point set with a distance matrix.
   Validation is O(n^2); its checks are stated once, in pure Python, and
   run directly on a list of rows of plain numbers of any admissible size.
-  numpy parses and accepts in bulk any other input, an array above all,
-  then keeps the matrix and makes each row of floats when it is first read.
+  numpy parses any other input, an array above all, and accepts it in bulk
+  from two reductions over a view of its off-diagonal entries (their min
+  and max), a zero diagonal and symmetry; it keeps the matrix and makes each
+  row of floats when it is first read.
   The smallest admissible constant, a min-plus row reduction over the
   pairs i < j (the matrix is symmetric), is computed on the first read of
   ``s``: only the quantitative lemmas, JSON output and a declared constant
@@ -215,10 +217,15 @@ class AnalyticSpace(_SpaceKind):
         return d
 
     def _ball(self, center: float, eps: float):
-        """Those of ``BALL_SAMPLES`` evenly spaced points across the ball that lie in it."""
+        """Those of ``BALL_SAMPLES`` evenly spaced points across the ball that
+        lie in it: lo + (hi - lo)*t, or, where hi - lo overflows,
+        (1 - t)*lo + t*hi, held at hi where rounding takes them past it."""
         r = eps ** (1.0 / self.p)
         lo, hi = max(self.lo, center - r), min(self.hi, center + r)
-        raw = (lo + (hi - lo) * i / (BALL_SAMPLES - 1) for i in range(BALL_SAMPLES))
+        span, last = hi - lo, BALL_SAMPLES - 1
+        at = ((lambda i: lo + span * i / last) if span < math.inf
+              else (lambda i: (1.0 - i / last) * lo + i / last * hi))
+        raw = (min(hi, at(i)) for i in range(BALL_SAMPLES))
         return (u for u in raw if self.distance(u, center) < eps)
 
     def _diameter(self, points) -> float:
@@ -379,9 +386,13 @@ def _validate_rows(d: tuple[tuple[float, ...], ...]) -> FiniteSpace:
 def _validate_array(matrix) -> FiniteSpace:
     """Validation with numpy: parses any array-like, then accepts in bulk
     exactly the matrices ``_validate_rows`` accepts and hands it the rest to
-    name the refusal.  A string, boolean or null entry of a list matrix is
-    refused first, since ``np.array`` would parse it or read it as 0 or 1.
-    The space keeps a read-only copy, out of the caller's reach, as _Rows."""
+    name the refusal.  The min and max of the off-diagonal entries, read
+    through a strided view, decide positivity and finiteness
+    (lo > 0 and hi < inf) and are the bounds ``_checked_space`` needs; a zero
+    diagonal and symmetry complete the checks.  A string, boolean or null
+    entry of a list matrix is refused first, since ``np.array`` would parse
+    it or read it as 0 or 1.  The space keeps a read-only copy, out of the
+    caller's reach, as _Rows."""
     import numpy as np
 
     types = {matrix.dtype.type} if isinstance(matrix, np.ndarray) else set()
@@ -395,13 +406,17 @@ def _validate_array(matrix) -> FiniteSpace:
     n = d.shape[0]
     if n > MAX_FINITE_POINTS:
         raise TooManyPoints(f"{n} points exceeds cap {MAX_FINITE_POINTS}")
-    rest = d[~np.eye(n, dtype=bool)]
-    if not (np.isfinite(d).all() and (rest > 0.0).all()
+    # row i of this view holds the n - 1 entries that follow d[i, i] in
+    # row-major order: every entry off the diagonal, once (a copy only if d
+    # is not C-ordered)
+    off = d.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :-1]
+    lo, hi = float(off.min(initial=math.inf)), float(off.max(initial=0.0))
+    # a NaN makes lo NaN; a zero diagonal is finite
+    if not (lo > 0.0 and hi < math.inf
             and not np.diagonal(d).any() and np.array_equal(d, d.T)):
         return _validate_rows(tuple(map(tuple, d.tolist())))
     d.flags.writeable = False
-    return _checked_space(_Rows(d), float(rest.min(initial=math.inf)),
-                          float(rest.max(initial=0.0)))
+    return _checked_space(_Rows(d), lo, hi)
 
 
 def validate_finite_space(matrix: Sequence[Sequence[float]]) -> FiniteSpace:

@@ -5,7 +5,8 @@ their refusals, how a point written as text is read, the distance of member
 points, the candidates of a ball and the diameter of member points.  These
 tests pin each of those against a brute-force reading of the checked
 ``distance``, and the float-range edges of an interval: a numpy point
-compared in its own precision, a span past the float range and a distance
+compared in its own precision, a span past the float range (of the sampled
+pairs and of a ball), a ball's last sample rounded past hi and a distance
 whose difference overflows.  The CLI reads ``--x0`` through the space, so a
 negative start point in any float spelling reaches it.
 """
@@ -28,7 +29,8 @@ from gphi.contraction import (
     certify_condition_G,
 )
 from gphi.gauges import IdentityGauge, LinearPhi
-from gphi.spaces import AnalyticSpace, validate_finite_space
+from gphi.solver import picard_iterate, verify_invariant_ball
+from gphi.spaces import BALL_SAMPLES, AnalyticSpace, validate_finite_space
 from test_cli import ANALYTIC_INSTANCE, THREE_POINT_INSTANCE, write
 
 EXPONENTS = st.sampled_from([1.0, 1.5, 2.0, 3.0])
@@ -149,6 +151,34 @@ class TestIntervalFloatEdges:
             u = (u + _R2_A1) % 1.0
             v = (v + _R2_A2) % 1.0
             assert (x, y) == (space.lo + u * span, space.lo + v * span)
+
+    def test_ball_covering_the_interval_ends_at_hi(self):
+        # lo + (hi - lo) * 127 / 127 rounds to 3.788859418688703 here
+        lo, hi = -7.660297655943231, 3.788859418688702
+        space, T = AnalyticSpace(lo, hi, 1.0), AffineMap(0.5, (lo + hi) / 4)
+        trace = picard_iterate(space, T, lo)
+        ball = list(space._ball(trace.point_at(1), 1e9))
+        assert len(ball) == BALL_SAMPLES and (ball[0], ball[-1]) == (lo, hi)
+        assert verify_invariant_ball(T, trace, eps=1e9, n=1, m=1)
+
+    @pytest.mark.parametrize("x0,eps", [(2e307, 1e308), (0.0, 1e308), (1e308, 1.5e308)])
+    def test_ball_wider_than_the_float_range_is_sampled(self, x0, eps):
+        space, T = AnalyticSpace(-1e308, 1e308, 1.0), AffineMap(0.5, 0.0)
+        trace = picard_iterate(space, T, x0)
+        center = trace.point_at(1)
+        assert min(space.hi, center + eps) - max(space.lo, center - eps) == math.inf
+        ball = list(space._ball(center, eps))
+        assert len(ball) > 1 and all(map(space.contains, ball)) and ball == sorted(ball)
+        assert verify_invariant_ball(T, trace, eps=eps, n=1, m=1)
+
+    @given(space=intervals(), t=st.floats(0.0, 1.0), eps=st.floats(1e-6, 1e9))
+    def test_ball_keeps_every_sample_inside_the_interval(self, space, t, eps):
+        center = min(space.hi, space.lo + t * (space.hi - space.lo))
+        r = eps ** (1.0 / space.p)
+        lo, hi = max(space.lo, center - r), min(space.hi, center + r)
+        raw = [lo + (hi - lo) * i / (BALL_SAMPLES - 1) for i in range(BALL_SAMPLES)]
+        assert list(space._ball(center, eps)) == [
+            min(hi, u) for u in raw if space.distance(min(hi, u), center) < eps]
 
 
 class TestCliEdges:
