@@ -46,18 +46,6 @@ from .gauges import (
     phi_iterate,
     shift_form,
 )
-from .solver import (
-    CauchyDiagnostics,
-    PicardTrace,
-    enumerate_fixed_points,
-    m_epsilon,
-    picard_iterate,
-    trace_from_json,
-    verify_cauchy_bound,
-    verify_g1_termination,
-    verify_invariant_ball,
-    verify_step_chaining,
-)
 from .spaces import (
     AnalyticSpace,
     BoundReport,
@@ -71,18 +59,25 @@ from .spaces import (
 
 __version__ = "0.1.0"
 
-# The fuzz harness is imported on the first use of one of its names, so that
-# certify and solve never load it.
-_HARNESS_NAMES = ("DEFAULT_GAUGE_CATALOG", "DEFAULT_PHI_CATALOG", "FuzzConfig", "FuzzReport",
-                  "G1_GAUGE_CATALOG", "fuzz", "generate_operator", "generate_space")
+# The solver and the fuzz harness are imported on the first use of one of
+# their names, so that certify loads neither and solve never loads the harness.
+_LAZY = {
+    "harness": ("DEFAULT_GAUGE_CATALOG", "DEFAULT_PHI_CATALOG", "FuzzConfig", "FuzzReport",
+                "G1_GAUGE_CATALOG", "fuzz", "generate_operator", "generate_space"),
+    "solver": ("CauchyDiagnostics", "PicardTrace", "enumerate_fixed_points", "m_epsilon",
+               "picard_iterate", "trace_from_json", "verify_cauchy_bound",
+               "verify_g1_termination", "verify_invariant_ball", "verify_step_chaining"),
+}
+_LAZY_NAMES = {name: module for module, names in _LAZY.items() for name in names}
 
 
 def __getattr__(name):
-    if name != "harness" and name not in _HARNESS_NAMES:
+    module = name if name in _LAZY else _LAZY_NAMES.get(name)
+    if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    harness = _importlib.import_module(".harness", __name__)
-    return harness if name == "harness" else getattr(harness, name)
+    loaded = _importlib.import_module(f".{module}", __name__)
+    return loaded if name == module else getattr(loaded, name)
 
 
-__all__ = sorted([name for name in globals() if not name.startswith("_")]
-                 + ["harness", *_HARNESS_NAMES])
+__all__ = sorted({name for name in globals() if not name.startswith("_")}
+                 | _LAZY.keys() | _LAZY_NAMES.keys())

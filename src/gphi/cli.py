@@ -34,8 +34,6 @@ from .gauges import (
     log_grid,
     phi_from_json,
 )
-from .solver import (MAX_ITER_DEFAULT, TOL_DEFAULT, picard_iterate, trace_from_json,
-                     verify_cauchy_bound)
 from .spaces import dist_to_json, space_from_json
 
 EXIT_OK = 0
@@ -53,7 +51,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gphi",
         description="certify gauged contractions and iterate them to their fixed points")
-    parser.add_argument("--tol", type=float, default=TOL_DEFAULT,
+    # --tol and --max-iter default to the solver's defaults, which solve reads
+    parser.add_argument("--tol", type=float, default=None,
                         help="solver convergence tolerance")
     parser.add_argument("--budget", type=int, default=PHI_BUDGET_DEFAULT,
                         help="iteration budget for certifications and thresholds")
@@ -70,7 +69,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("instance")
     p_solve.add_argument("--x0", required=True)
     p_solve.add_argument("--eps", type=float, default=None)
-    p_solve.add_argument("--max-iter", type=int, default=MAX_ITER_DEFAULT)
+    p_solve.add_argument("--max-iter", type=int, default=None)
 
     p_fuzz = sub.add_parser("fuzz", help="random-instance theorem fuzzing")
     p_fuzz.add_argument("--seed", type=int, default=0)
@@ -110,11 +109,15 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    from .solver import MAX_ITER_DEFAULT, TOL_DEFAULT, picard_iterate, verify_cauchy_bound
+
     if args.eps is not None and not math.isfinite(args.eps):
         raise ValueError(f"--eps must be finite, not {args.eps}")
     space, T, G, phi = _load_instance(args.instance)
     x0 = space.parse_point(args.x0)
-    trace = picard_iterate(space, T, x0, max_iter=args.max_iter, tol=args.tol)
+    trace = picard_iterate(space, T, x0,
+                           max_iter=MAX_ITER_DEFAULT if args.max_iter is None else args.max_iter,
+                           tol=TOL_DEFAULT if args.tol is None else args.tol)
     out = {"trace": trace.to_json()}
 
     grid = log_grid(per_decade=args.grid_density)
@@ -164,6 +167,8 @@ def _cmd_fuzz(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    from .solver import trace_from_json
+
     with open(args.trace) as fh:
         obj = json.load(fh)
     if not isinstance(obj, dict):

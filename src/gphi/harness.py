@@ -23,19 +23,26 @@ Twister) seeded with strings of the form ``"{seed}:{trial}:{stream}"``;
 Python's string seeding is the documented SHA-512 based scheme, stable
 across platforms, so reports are byte-identical for a given configuration.
 Spaces above PY_KERNEL_MAX_POINTS draw the same MT19937 stream through
-numpy's legacy ``RandomState`` (frozen by NEP 19), loaded with the
-generator's state: its doubles are those of ``Random.random``.
+numpy's legacy ``RandomState`` (frozen by NEP 19), seeded through
+``init_by_array`` with the key ``Random.seed`` derives from the same seed:
+its doubles are those of ``Random.random``.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 import threading
 from dataclasses import dataclass, field
-from itertools import combinations, tee
+from itertools import chain, combinations, tee
 from random import Random
 from typing import NamedTuple
+
+try:            # the SHA-512 that Random.seed hashes with: hashlib would load OpenSSL
+    from random import _sha512
+except ImportError:
+    from hashlib import sha512 as _sha512
 
 from .contraction import FiniteMap, _first_violation, _gauged_pairs, _informative_pairs
 from .errors import (BudgetExhausted, ConfigInvalid, ConstantOverflow, OrbitTooShort,
@@ -131,6 +138,9 @@ class FuzzReport(_Record):
 
 
 _LEGACY_MT = threading.local()
+# (gauge catalog, phi catalog) -> (those catalogs, their certified entries)
+_KEPT_CATALOGS = {}
+_KEPT_CATALOGS_MAX = 16
 
 
 def generate_space(seed, n: int, scale: float = 1.0) -> FiniteSpace:
@@ -140,9 +150,9 @@ def generate_space(seed, n: int, scale: float = 1.0) -> FiniteSpace:
     equal bit for bit to those of the loop that smaller spaces keep."""
     if n < 1:
         raise ConfigInvalid("space needs at least one point")
-    rng = Random(seed)
     if n > PY_KERNEL_MAX_POINTS:
-        return validate_finite_space(_drawn_array(rng, n, scale))
+        return validate_finite_space(_drawn_array(seed, n, scale))
+    rng = Random(seed)
     matrix = [[0.0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
@@ -152,17 +162,22 @@ def generate_space(seed, n: int, scale: float = 1.0) -> FiniteSpace:
     return validate_finite_space(matrix)
 
 
-def _drawn_array(rng: Random, n: int, scale: float):
-    """The loop's matrix from numpy's legacy MT19937 in ``rng``'s state: its
-    ``random_sample`` gives the doubles ``rng.random()`` would, in order.
-    Each thread seeds one generator; ``set_state`` replaces all its state."""
+def _drawn_array(seed, n: int, scale: float):
+    """The loop's matrix from numpy's legacy MT19937 seeded as ``Random(seed)``
+    is: its ``random_sample`` gives the doubles ``Random(seed).random()``
+    would, in order.  Each thread keeps one generator, which ``seed``
+    resets whole; a seed with no ``_mt_key`` loads ``Random(seed)``'s state."""
     import numpy as np
 
-    _, state, _ = rng.getstate()
     mt = getattr(_LEGACY_MT, "generator", None)
     if mt is None:
         mt = _LEGACY_MT.generator = np.random.RandomState()
-    mt.set_state(("MT19937", np.array(state[:-1], dtype=np.uint32), state[-1]))
+    key = _mt_key(seed)
+    if key is not None:
+        mt.seed(key)
+    else:
+        _, state, _ = Random(seed).getstate()
+        mt.set_state(("MT19937", np.array(state[:-1], dtype=np.uint32), state[-1]))
     d = np.zeros((n, n))
     # a boolean mask takes its values in row-major order: the loop's order
     d[~np.tri(n, dtype=bool)] = scale * (1.0 - mt.random_sample(n * (n - 1) // 2))
@@ -170,18 +185,43 @@ def _drawn_array(rng: Random, n: int, scale: float):
     return d
 
 
+def _mt_key(seed) -> list[int] | None:
+    """The ``init_by_array`` key of ``Random(seed)``: CPython's ``Random.seed``
+    (version 2) turns a str, bytes or bytearray into the int of its bytes
+    followed by their SHA-512, and an int into its absolute value, then
+    seeds with that int's 32-bit words, low word first (one word for 0).
+    None for every other seed.  The key is a list: numpy seeds a scalar, or
+    an array that squeezes to one, with ``init_genrand`` instead."""
+    if isinstance(seed, (str, bytes, bytearray)):
+        data = seed.encode() if isinstance(seed, str) else bytes(seed)
+        seed = int.from_bytes(data + _sha512(data).digest(), "big")
+    elif isinstance(seed, int):
+        seed = abs(seed)
+    else:
+        return None
+    return [seed >> shift & 0xFFFFFFFF for shift in range(0, seed.bit_length() or 1, 32)]
+
+
 def generate_operator(seed, space: FiniteSpace) -> FiniteMap:
     """Random self-map whose points are pulled toward a random anchor.
 
     Draw order (base map, anchor, per-point coins) is fixed so outputs are a
-    pure function of the seed.
+    pure function of the seed.  Each of the n + 1 indices is drawn as
+    ``Random.randrange(n)`` draws it: ``getrandbits(n.bit_length())``,
+    rejected while not below n.
     """
     rng = Random(seed)
+    getrandbits, random = rng.getrandbits, rng.random
     n = space.n
-    base = [rng.randrange(n) for _ in range(n)]
-    anchor = rng.randrange(n)
-    pulled = tuple(anchor if rng.random() < 0.7 else base[i] for i in range(n))
-    return FiniteMap(pulled)
+    k = n.bit_length()
+    drawn = []
+    for _ in range(n + 1):                  # the base map, then the anchor
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        drawn.append(r)
+    anchor = drawn.pop()
+    return FiniteMap(tuple(anchor if random() < 0.7 else b for b in drawn))
 
 
 def _identity_map(n: int) -> FiniteMap:
@@ -196,10 +236,28 @@ class _CatalogGauge:
 
 
 def _prepare_catalogs(config: FuzzConfig):
-    if not config.gauge_catalog or not config.phi_catalog:
+    """The catalogs' certified entries, kept per distinct pair of hashable
+    catalogs and reused only for the same objects: equal gauges can describe
+    themselves apart (``PowerGauge(2) == PowerGauge(2.0)``).  A catalog that
+    fails certification is certified again on every call."""
+    catalogs = (config.gauge_catalog, config.phi_catalog)
+    try:
+        kept, prepared = _KEPT_CATALOGS.get(catalogs, (None, None))
+    except TypeError:                   # an unhashable catalog
+        return _certified_catalogs(*catalogs)
+    if kept is None or not all(map(operator.is_, chain(*kept), chain(*catalogs))):
+        prepared = _certified_catalogs(*catalogs)
+        if len(_KEPT_CATALOGS) >= _KEPT_CATALOGS_MAX:
+            _KEPT_CATALOGS.clear()
+        _KEPT_CATALOGS[catalogs] = catalogs, prepared
+    return prepared
+
+
+def _certified_catalogs(gauge_catalog, phi_catalog):
+    if not gauge_catalog or not phi_catalog:
         raise ConfigInvalid("catalogs must be non-empty")
     gauges = []
-    for G in config.gauge_catalog:
+    for G in gauge_catalog:
         cert = certify_gauge_class(G)
         in_g1 = cert.in_g1 == "yes"
         in_g2 = cert.in_g2 == "yes"
@@ -209,13 +267,13 @@ def _prepare_catalogs(config: FuzzConfig):
         eps0 = epsilon0(G) if in_g2 else None
         gauges.append(_CatalogGauge(G, in_g1, eps0))
     phis = []
-    for phi in config.phi_catalog:
+    for phi in phi_catalog:
         cert = certify_phi(phi, grid=PHI_GRID)
         if cert.verdict != "member":
             raise ConfigInvalid(
                 f"catalog comparison function {phi.describe()} is not a member")
         phis.append(phi)
-    return gauges, phis
+    return tuple(gauges), tuple(phis)
 
 
 def fuzz(config: FuzzConfig) -> FuzzReport:

@@ -6,7 +6,8 @@ import pytest
 
 from gphi.contraction import FiniteMap, certify_condition_G
 from gphi.errors import ConfigInvalid
-from gphi.gauges import IdentityGauge, LinearPhi, TabulatedPhi
+import gphi.harness as harness
+from gphi.gauges import AffinePlusGauge, IdentityGauge, LinearPhi, PowerGauge, TabulatedPhi
 from gphi.harness import (
     BROKEN_PHI,
     DEFAULT_GAUGE_CATALOG,
@@ -134,6 +135,43 @@ class TestFuzz:
         bad = TabulatedPhi(((1.0, 0.5), (2.0, 1.9)))   # phi(2) stagnates at 1.9
         with pytest.raises(ConfigInvalid):
             fuzz(FuzzConfig(trials=5, phi_catalog=(bad,)))
+
+    @pytest.fixture
+    def certified(self, monkeypatch):
+        """Every gauge and comparison function that the harness certifies."""
+        seen = []
+        for name in ("certify_gauge_class", "certify_phi"):
+            real = getattr(harness, name)
+            monkeypatch.setattr(harness, name, lambda f, *args, real=real, **kwargs:
+                                seen.append(f) or real(f, *args, **kwargs))
+        return seen
+
+    def test_catalog_certified_once_across_calls(self, certified):
+        # objects that no other test holds, so nothing is kept for them yet
+        gauges, phis = (PowerGauge(3.0), AffinePlusGauge(2.0)), (LinearPhi(0.75),)
+        config = FuzzConfig(seed=5, trials=3, gauge_catalog=gauges, phi_catalog=phis)
+        assert fuzz(config).to_json_str() == fuzz(config).to_json_str()
+        assert list(map(id, certified)) == list(map(id, gauges + phis))
+
+    def test_unhashable_catalog_certified_on_every_call(self, certified):
+        gauges = [IdentityGauge()]
+        config = FuzzConfig(seed=5, trials=3, gauge_catalog=gauges)
+        assert fuzz(config).to_json_str() == fuzz(config).to_json_str()
+        assert sum(G is gauges[0] for G in certified) == 2
+
+    def test_bad_catalog_rejected_on_every_call(self, certified):
+        bad = TabulatedPhi(((1.0, 0.5), (2.0, 1.9)))   # phi(2) stagnates at 1.9
+        config = FuzzConfig(trials=5, phi_catalog=(bad,))
+        for _ in range(2):
+            with pytest.raises(ConfigInvalid):
+                fuzz(config)
+        assert sum(phi is bad for phi in certified) == 2
+
+    def test_equal_catalog_describes_its_own_gauges(self):
+        # PowerGauge(2) == PowerGauge(2.0), but the report prints q as given
+        for q in (2, 2.0, 2):
+            text = fuzz(FuzzConfig(trials=1, gauge_catalog=(PowerGauge(q),))).to_json_str()
+            assert f'"q": {q!r}\n' in text
 
     def test_small_run_holds(self):
         rep = fuzz(FuzzConfig(seed=3, trials=60))

@@ -3,7 +3,8 @@
 numpy stays unloaded unless an array is validated, the constant of a
 finite space above the pure-Python kernel's cut-off is read, or the fuzz
 harness draws such a space.  The fuzz harness itself stays unloaded until
-``fuzz`` runs or one of its names is read from the package.
+``fuzz`` runs or one of its names is read from the package, and the solver
+until ``solve``, ``report`` or the harness needs it.
 
 Each check runs in a fresh interpreter, because a module stays in
 ``sys.modules`` once any test in this process has imported it.
@@ -89,6 +90,39 @@ def test_numpy_loaded_only_for_fuzz_spaces_above_the_cut_off():
     steps = _steps([("fuzz default", ["fuzz", "--trials", "20"]),
                     ("fuzz wide", ["fuzz", "--trials", "5", "--max-points", "32"])])
     assert steps[2:] == [["fuzz default", 0, False, True], ["fuzz wide", 0, True, True]]
+
+
+def test_solver_loaded_only_by_solve(tmp_path):
+    path = tmp_path / "small.json"
+    path.write_text(json.dumps(SMALL))
+    script = """
+import contextlib, io, json, sys
+loaded = []
+import gphi
+loaded.append(["import gphi", None, "gphi.solver" in sys.modules])
+import gphi.cli
+loaded.append(["import gphi.cli", None, "gphi.solver" in sys.modules])
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = gphi.cli.run_cli(argv)
+    loaded.append([argv[0], code, "gphi.solver" in sys.modules])
+print(json.dumps(loaded))
+"""
+    calls = [["certify", str(path)], ["solve", str(path), "--x0", "2"]]
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(calls)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [["import gphi", None, False],
+                                       ["import gphi.cli", None, False],
+                                       ["certify", 0, False], ["solve", 0, True]]
+
+
+def test_package_serves_the_solver_names():
+    import gphi.solver
+
+    assert gphi.picard_iterate is gphi.solver.picard_iterate
+    assert gphi.PicardTrace is gphi.solver.PicardTrace
 
 
 # what ``from gphi import *`` bound when the package imported the harness eagerly

@@ -1,13 +1,15 @@
-"""``generate_space`` against the pure-Python draw loop it replaced above
-PY_KERNEL_MAX_POINTS.
+"""The fuzz harness's draws against the stdlib loops they replaced.
 
 Spaces of more than PY_KERNEL_MAX_POINTS points take their draws from
-numpy's legacy MT19937 ``RandomState`` loaded with the state of
-``Random(seed)``; every entry must equal the loop's, bit for bit, and bad
+numpy's legacy MT19937 ``RandomState`` seeded with the ``init_by_array``
+key that ``Random.seed`` derives from the seed (a seed of another type
+loads the state of ``Random(seed)``); the generator must hold the state of
+``Random(seed)``, every entry must equal the loop's, bit for bit, and bad
 scales must fail with the loop's error and witness.  A freshly seeded
 generator refills its 624-word state at the first draw and again after
 every 312 doubles (two words each): n = 26 (325 draws) is the first size
 whose matrix spans a refill, n = 36 (630 draws) the first to span two.
+``generate_operator`` draws its indices as ``Random.randrange`` does.
 """
 
 import sys
@@ -16,12 +18,20 @@ from random import Random
 
 import pytest
 
+from gphi.contraction import FiniteMap
 from gphi.errors import ConfigInvalid, NonFiniteEntry, ZeroOffDiagonal
-from gphi.harness import generate_space
+from gphi.harness import _LEGACY_MT, _drawn_array, generate_operator, generate_space
 from gphi.spaces import PY_KERNEL_MAX_POINTS, validate_finite_space
 
 SIZES = (2, 15, 16, 17, 25, 26, 35, 36, 37, 200, 256)
-SEEDS = (11, "4:7:space")
+# a float seed has no init_by_array key: its draws load Random's state
+SEEDS = (11, "4:7:space", 2.5)
+# a seed of each kind that Random.seed turns into a key: one word (0 to
+# 2**32 - 1, and -5 through its absolute value), two words, and strings
+# and bytes through SHA-512
+KEY_SEEDS = (0, 1, 11, 2 ** 32 - 1, 2 ** 32, -5, "", "é:0:space", "x" * 1000, b"abc")
+# n = 2**k rejects about half of the getrandbits(k + 1) draws
+OPERATOR_SIZES = (1, 2, 3, 8, 15, 16, 64, 128, 255, 256)
 SCALES = (1.0, 0.37, 2.0 ** -30, 1e3)
 # the smallest subnormal: about half of scale * (1 - u) rounds to 0
 TINY = 5e-324
@@ -41,6 +51,17 @@ def loop_space(seed, n: int, scale: float = 1.0):
     return validate_finite_space(matrix)
 
 
+def loop_operator(seed, space) -> FiniteMap:
+    """``generate_operator`` as it was, verbatim: its indices from the
+    stdlib's ``randrange``."""
+    rng = Random(seed)
+    n = space.n
+    base = [rng.randrange(n) for _ in range(n)]
+    anchor = rng.randrange(n)
+    pulled = tuple(anchor if rng.random() < 0.7 else base[i] for i in range(n))
+    return FiniteMap(pulled)
+
+
 def hexes(space):
     return [[v.hex() for v in row] for row in space.dist]
 
@@ -57,6 +78,23 @@ def test_entries_equal_the_loop(n, seed, scale):
     assert space.n == n
     assert all(type(v) is float for row in space.dist for v in row)
     assert hexes(space) == hexes(loop_space(seed, n, scale))
+
+
+@pytest.mark.parametrize("seed", KEY_SEEDS, ids=lambda seed: repr(seed)[:12])
+def test_drawn_generator_holds_the_state_of_random(seed):
+    # a one-point matrix draws nothing, so the generator is as seeded
+    _drawn_array(seed, 1, 1.0)
+    _, key, pos, _, _ = _LEGACY_MT.generator.get_state()
+    _, state, _ = Random(seed).getstate()
+    assert (key.tolist(), pos) == (list(state[:-1]), state[-1])
+
+
+@pytest.mark.parametrize("n", OPERATOR_SIZES)
+def test_operator_equals_the_randrange_draws(n):
+    space = generate_space(0, n)
+    for k in range(20):
+        seed = f"{k}:{n}:operator"
+        assert generate_operator(seed, space) == loop_operator(seed, space)
 
 
 def _error(seed, n, scale, make):
