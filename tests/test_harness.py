@@ -4,9 +4,9 @@ from random import Random
 
 import pytest
 
+import gphi.harness as harness
 from gphi.contraction import FiniteMap, certify_condition_G
 from gphi.errors import ConfigInvalid
-import gphi.harness as harness
 from gphi.gauges import AffinePlusGauge, IdentityGauge, LinearPhi, PowerGauge, TabulatedPhi
 from gphi.harness import (
     BROKEN_PHI,
