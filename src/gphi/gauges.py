@@ -587,17 +587,18 @@ def gauge_eval(G, a: float) -> float:
 
 
 @cache
-def _default_grid() -> tuple[float, ...]:
-    # log_grid()'s defaults are module constants, so it is built once
-    return tuple(log_grid())
+def _default_grid() -> list[float]:
+    # log_grid()'s defaults are module constants, so it is built once; the
+    # list is shared, and every caller only indexes, slices or bisects it
+    return log_grid()
 
 
 def _grid_points(grid, what: str) -> list[float]:
     """The sorted distinct points of ``grid``, each a positive finite real;
-    None means ``log_grid()``."""
+    None means ``log_grid()``, the shared list."""
     if grid is None:
         # strictly increasing and never empty
-        return list(_default_grid())
+        return _default_grid()
     pts = list(map(float, grid))
     if not pts:
         raise EmptyGrid(f"{what} grid is empty")
