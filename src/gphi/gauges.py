@@ -241,10 +241,13 @@ class ShiftedPhi(_ClosedFormPhi):
 
 
 class TabulatedPhi(_StepTable):
-    """Right-constant step function given by (t, phi(t)) breakpoints."""
+    """Right-constant step function given by (t, phi(t)) breakpoints.
+
+    Never a comparison function: every value is at least the table's least
+    value, which is positive, so no iterate tends to 0."""
 
     def known_decay(self):
-        return None
+        return False
 
     def known_monotone(self):
         vals = [v for _, v in self.points]
@@ -327,7 +330,8 @@ def certify_phi(phi, grid, budget: int = PHI_BUDGET_DEFAULT) -> PhiCertificate:
 
     Checks positivity and monotonicity on the grid, rejects any point with
     phi(t) >= t (iterates from such a point can never decay), then settles
-    iterate decay: closed-form families are decided analytically, opaque
+    iterate decay: closed-form families are decided analytically, step
+    tables, which never decay, by a witness below the grid, and opaque
     families by iterating each grid point until the value drops below
     PHI_TOL_DEFAULT or ``budget`` is exhausted.
     """
@@ -359,9 +363,18 @@ def certify_phi(phi, grid, budget: int = PHI_BUDGET_DEFAULT) -> PhiCertificate:
             return PhiCertificate(
                 verdict, witness={"kind": "stagnation", "t": t, "phi_t": v})
 
-    if phi.known_decay() is True:
+    decay = phi.known_decay()
+    if decay is True:
         return PhiCertificate("member", evidence={
             "decay": "closed-form", "grid_points": len(pts), "tol": PHI_TOL_DEFAULT})
+    if decay is False:
+        # phi stays above a positive floor, so halving below the grid reaches
+        # a t under it, where phi(t) >= t
+        t = pts[0] / 2.0
+        while phi.eval(t) < t:
+            t /= 2.0
+        return PhiCertificate(
+            "non-member", witness={"kind": "stagnation", "t": t, "phi_t": phi.eval(t)})
 
     worst_k = 0
     for t in pts:

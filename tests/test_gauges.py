@@ -29,6 +29,7 @@ from gphi.gauges import (
     IdentityGauge,
     LinearPhi,
     LN,
+    PHI_GRID,
     PowerGauge,
     RealForm,
     ShiftedPhi,
@@ -209,6 +210,17 @@ class TestCertifyPhi:
         phi = TabulatedPhi(((1e-10, 1e-10 / 2), (1.0, 1e-10)))
         cert = certify_phi(phi, grid=[0.5, 1.0])
         assert cert.verdict == "member"
+
+    def test_step_table_under_tol_is_non_member(self):
+        # iterates of every grid point fall to the floor 1e-10, under tol, and
+        # stay there; below the floor phi(t) >= t
+        phi = TabulatedPhi(((0, 1e-10), (0.005, 0.001), (0.05, 0.01), (0.5, 0.1),
+                            (5, 1), (50, 10)))
+        cert = certify_phi(phi, grid=PHI_GRID)
+        assert cert.verdict == "non-member"
+        assert cert.witness["kind"] == "stagnation"
+        assert 0.0 < cert.witness["t"] < 1e-10 == cert.witness["phi_t"]
+        assert phi_eval(phi, cert.witness["t"]) == 1e-10
 
     def test_slow_tabulated_inconclusive(self):
         # positive plateau above tol: iterates stall there
@@ -1152,6 +1164,10 @@ class TestFiniteParameters:
 
 
 class TestJsonForms:
+    def test_shifted_phi_keeps_its_base(self):
+        doc = {"family": "shifted", "tau": 0.7, "base": {"family": "power", "q": 2.0}}
+        assert phi_from_json(doc).describe() == doc
+
     def test_phi_round_trip(self):
         for phi in CATALOG_PHIS + [ShiftedPhi(0.7), DIAGONAL_PHI]:
             again = phi_from_json(phi.describe())
