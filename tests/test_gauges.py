@@ -207,9 +207,10 @@ class TestCertifyPhi:
         assert cert.witness["kind"] == "monotonicity"
 
     def test_tabulated_decay_certified_by_iteration(self):
+        # iteration reaches tol, but every value is at least 5e-11: no decay
         phi = TabulatedPhi(((1e-10, 1e-10 / 2), (1.0, 1e-10)))
         cert = certify_phi(phi, grid=[0.5, 1.0])
-        assert cert.verdict == "member"
+        assert cert.verdict == "non-member"
 
     def test_step_table_under_tol_is_non_member(self):
         # iterates of every grid point fall to the floor 1e-10, under tol, and
