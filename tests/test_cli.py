@@ -62,6 +62,12 @@ class TestCertify:
         doc = json.loads(capsys.readouterr().out)
         assert doc["note"] == "certified-on-sample"
 
+    def test_provenance_carries_a_shifted_base(self, tmp_path, capsys):
+        phi = {"family": "shifted", "tau": 0.7, "base": {"family": "power", "q": 2.0}}
+        inst = dict(THREE_POINT_INSTANCE, G={"family": "power", "q": 2.0}, phi=phi)
+        assert run_cli(["certify", write(tmp_path, "inst.json", inst)]) == 0
+        assert json.loads(capsys.readouterr().out)["provenance"]["phi"] == phi
+
     def test_malformed_file_exits_one(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{not json")

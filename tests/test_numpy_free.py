@@ -10,6 +10,8 @@ Each check runs in a fresh interpreter, because a module stays in
 ``sys.modules`` once any test in this process has imported it.
 """
 
+import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -156,3 +158,32 @@ def test_package_serves_the_harness_names():
     assert all(namespace[name] is getattr(gphi, name) for name in STAR_NAMES)
     with pytest.raises(AttributeError, match="^module 'gphi' has no attribute 'nope'$"):
         gphi.nope
+
+
+def test_import_gphi_loads_no_submodule():
+    script = "import json, sys, gphi; print(json.dumps([m for m in sys.modules if m.startswith('gphi.')]))"
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-c", script],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
+
+
+
+def test_package_serves_its_submodules():
+    import gphi.contraction, gphi.errors, gphi.gauges, gphi.spaces
+
+    for name in ("contraction", "errors", "gauges", "spaces"):
+        assert getattr(gphi, name) is sys.modules[f"gphi.{name}"]
+
+
+def test_every_public_name_is_its_modules_own_object():
+    for name in gphi.__all__:
+        obj = getattr(gphi, name)
+        if inspect.ismodule(obj):
+            assert obj is importlib.import_module(f"gphi.{name}")
+            continue
+        owner = importlib.import_module(f"gphi.{gphi._LAZY_NAMES[name]}")
+        assert obj is getattr(owner, name), name
+        if inspect.isclass(obj) or inspect.isfunction(obj):
+            assert obj.__module__ == owner.__name__, name
