@@ -354,16 +354,18 @@ def certify_phi(phi, grid, budget: int = PHI_BUDGET_DEFAULT) -> PhiCertificate:
                          "t2": t, "phi_t2": v})
         vals.append(v)
 
+    decay = phi.known_decay()
     for t, v in zip(pts, vals):
         if v >= t:
             # For a globally non-decreasing phi, phi(t) >= t forces
             # phi^n(t) >= t for all n: definitive stagnation.  Without that
-            # knowledge the verdict stays inconclusive.
-            verdict = "non-member" if phi.known_monotone() is True else "inconclusive"
+            # knowledge, or knowledge that phi never decays, the verdict
+            # stays inconclusive.
+            verdict = ("non-member" if phi.known_monotone() is True or decay is False
+                       else "inconclusive")
             return PhiCertificate(
                 verdict, witness={"kind": "stagnation", "t": t, "phi_t": v})
 
-    decay = phi.known_decay()
     if decay is True:
         return PhiCertificate("member", evidence={
             "decay": "closed-form", "grid_points": len(pts), "tol": PHI_TOL_DEFAULT})
@@ -371,10 +373,9 @@ def certify_phi(phi, grid, budget: int = PHI_BUDGET_DEFAULT) -> PhiCertificate:
         # phi stays above a positive floor, so halving below the grid reaches
         # a t under it, where phi(t) >= t
         t = pts[0] / 2.0
-        while phi.eval(t) < t:
+        while (v := phi.eval(t)) < t:
             t /= 2.0
-        return PhiCertificate(
-            "non-member", witness={"kind": "stagnation", "t": t, "phi_t": phi.eval(t)})
+        return PhiCertificate("non-member", witness={"kind": "stagnation", "t": t, "phi_t": v})
 
     worst_k = 0
     for t in pts:

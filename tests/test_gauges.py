@@ -220,8 +220,16 @@ class TestCertifyPhi:
         cert = certify_phi(phi, grid=PHI_GRID)
         assert cert.verdict == "non-member"
         assert cert.witness["kind"] == "stagnation"
-        assert 0.0 < cert.witness["t"] < 1e-10 == cert.witness["phi_t"]
-        assert phi_eval(phi, cert.witness["t"]) == 1e-10
+        assert 0.0 < cert.witness["t"] < 1e-10
+        assert cert.witness["phi_t"] == phi_eval(phi, cert.witness["t"]) == 1e-10
+
+    def test_stagnating_non_monotone_table_is_non_member(self):
+        # the grid misses the fall from 3.0 to 2.5, so phi(2) >= 2 alone
+        # proves nothing; the table's positive floor decides
+        phi = TabulatedPhi(((1.0, 0.5), (2.0, 3.0), (3.0, 2.5)))
+        cert = certify_phi(phi, grid=[1.0, 2.0])
+        assert cert.verdict == "non-member"
+        assert cert.witness == {"kind": "stagnation", "t": 2.0, "phi_t": 3.0}
 
     def test_slow_tabulated_inconclusive(self):
         # positive plateau above tol: iterates stall there
