@@ -10,7 +10,8 @@ Subcommands:
   its report; exit 0 iff no violations.
 * ``report <trace.json>`` -- human-readable summary of a solve output.
 
-Malformed input exits 1 with a diagnostic on stderr.
+Malformed input exits 1 with a diagnostic on stderr.  Output into a pipe
+that its reader has closed exits 141, with nothing on stderr.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from contextlib import suppress
 
@@ -25,7 +27,6 @@ from .contraction import SAMPLE_PAIRS_DEFAULT, certify_condition_G, operator_fro
 from .errors import GphiError
 from .gauges import (
     PER_DECADE_DEFAULT,
-    PHI_BUDGET_DEFAULT,
     PHI_GRID,
     certify_gauge_class,
     certify_phi,
@@ -40,6 +41,9 @@ EXIT_OK = 0
 EXIT_BAD_INPUT = 1
 EXIT_VIOLATED = 2
 EXIT_INCONCLUSIVE = 3
+EXIT_PIPE_CLOSED = 141           # what a shell reports for a command SIGPIPE kills
+
+PHI_BUDGET_DEFAULT = 10 ** 6
 
 # Stands in for a finite trace's matrix while the rest of a solve document is
 # encoded; its JSON, "\u0000dist", holds an escape that the document's numbers
@@ -55,7 +59,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--tol", type=float, default=None,
                         help="solver convergence tolerance")
     parser.add_argument("--budget", type=int, default=PHI_BUDGET_DEFAULT,
-                        help="iteration budget for certifications and thresholds")
+                        help="scan budget of solve's Cauchy check (n_epsilon and m_epsilon)")
     parser.add_argument("--grid-density", type=int, default=PER_DECADE_DEFAULT,
                         help="grid points per decade for certification grids")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -113,6 +117,8 @@ def _cmd_solve(args) -> int:
 
     if args.eps is not None and not math.isfinite(args.eps):
         raise ValueError(f"--eps must be finite, not {args.eps}")
+    if args.budget < 1:
+        raise ValueError("budget must be at least 1")
     space, T, G, phi = _load_instance(args.instance)
     x0 = space.parse_point(args.x0)
     trace = picard_iterate(space, T, x0,
@@ -123,7 +129,7 @@ def _cmd_solve(args) -> int:
     grid = log_grid(per_decade=args.grid_density)
     cls = certify_gauge_class(G, grid)
     out["gauge_class"] = cls.to_json()
-    out["phi_certificate"] = certify_phi(phi, grid=PHI_GRID, budget=args.budget).to_json()
+    out["phi_certificate"] = certify_phi(phi, grid=PHI_GRID).to_json()
     if cls.in_g2 == "yes":
         eps = args.eps if args.eps is not None else epsilon0(G, grid) / 2.0
         out["eps"] = eps
@@ -214,7 +220,15 @@ def run_cli(argv) -> int:
     command = {"certify": _cmd_certify, "solve": _cmd_solve,
                "fuzz": _cmd_fuzz, "report": _cmd_report}[args.command]
     try:
-        return command(args)
+        code = command(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed the pipe, as `gphi report x | head -1` does: not
+        # a bad input.  stdout goes to devnull, so the flush at exit that
+        # would raise again writes nowhere (the Python docs' note on SIGPIPE)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE_CLOSED
     # a RecursionError comes from a JSON document nested too deep to parse
     except (GphiError, OSError, json.JSONDecodeError, KeyError, ValueError,
             OverflowError, RecursionError) as exc:

@@ -293,11 +293,13 @@ def check_F_inequality(space: Space, T: OperatorSpec, F: RealForm,
 def from_F_contraction(F: RealForm, psi: RealForm) -> tuple[ExpOfFGauge, ExpPsiLnPhi]:
     """Translate an (F, psi) contraction pair into a gauge/comparison pair.
 
-    Returns ``G = exp(F)`` and ``phi = exp . psi . ln``.  psi must be
-    non-decreasing (checked on a sampled grid, PsiNotNondecreasing otherwise)
-    and its iterates must head to -inf; a sampled iterate that stalls exactly
-    raises PsiNotDiverging.  The original inequality holds for a pair of
-    points iff condition (G) holds for the returned pair.
+    Returns ``G = exp(F)`` and ``phi = exp . psi . ln``.  psi is checked
+    only on samples: non-decreasing on a grid (PsiNotNondecreasing
+    otherwise), and its iterates from each of ``_PSI_STARTS`` must keep
+    falling (an iterate that stalls raises PsiNotDiverging).  Whether the
+    returned phi is a comparison function is ``certify_phi``'s to decide.
+    The original inequality holds for a pair of points iff condition (G)
+    holds for the returned pair.
     """
     prev_x = prev_v = None
     for x in [k / 4.0 for k in range(-40, 41)]:    # _PSI_STARTS among them

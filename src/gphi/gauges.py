@@ -42,7 +42,6 @@ from .errors import (
 )
 from .spaces import _Record, _json_number
 
-PHI_BUDGET_DEFAULT = 10 ** 6
 PHI_TOL_DEFAULT = 1e-9
 PER_DECADE_DEFAULT = 512
 PHI_GRID = (0.01, 0.1, 1.0, 10.0, 100.0)   # where catalogs and the CLI certify phi
@@ -264,7 +263,17 @@ class ExpPsiLnPhi:
         return _safe_exp(self.psi.fn(math.log(t)))
 
     def known_decay(self):
-        return None
+        # a shift by tau > 0, or an affine psi with a = 1 and b < 0, makes
+        # phi(t) = e^-c * t with c > 0.  No other psi gives a fact, and none
+        # gives False: certify_phi's halving below the grid needs a floor
+        form = self.psi.json_form
+        if isinstance(form, dict) and "shift" in form:
+            c = form["shift"]
+        elif isinstance(form, dict) and "affine" in form and form["affine"]["a"] == 1.0:
+            c = -form["affine"]["b"]
+        else:
+            return None
+        return True if c > 0.0 else None
 
     def known_monotone(self):
         return self.psi.increasing
@@ -325,21 +334,19 @@ class PhiCertificate(_Record):
     evidence: dict = field(default_factory=dict)
 
 
-def certify_phi(phi, grid, budget: int = PHI_BUDGET_DEFAULT) -> PhiCertificate:
+def certify_phi(phi, grid) -> PhiCertificate:
     """Certify membership of phi in the comparison-function class on a grid.
 
     Checks positivity and monotonicity on the grid, rejects any point with
     phi(t) >= t (iterates from such a point can never decay), then settles
-    iterate decay: closed-form families are decided analytically, step
-    tables, which never decay, by a witness below the grid, and opaque
-    families by iterating each grid point until the value drops below
-    PHI_TOL_DEFAULT or ``budget`` is exhausted.
+    iterate decay from the family's facts alone: closed-form families are
+    members, step tables, which never decay, are refused by a witness below
+    the grid, and a family with no decay fact is "inconclusive", since no
+    finite grid says what happens below it.
     """
     pts = sorted(set(float(t) for t in grid))
     if not pts:
         raise EmptyGrid("certification grid is empty")
-    if budget < 1:
-        raise ValueError("budget must be at least 1")
 
     vals = []
     for i, t in enumerate(pts):
@@ -377,31 +384,8 @@ def certify_phi(phi, grid, budget: int = PHI_BUDGET_DEFAULT) -> PhiCertificate:
             t /= 2.0
         return PhiCertificate("non-member", witness={"kind": "stagnation", "t": t, "phi_t": v})
 
-    worst_k = 0
-    for t in pts:
-        u = t
-        reached = False
-        for k in range(1, budget + 1):
-            u_next = phi.eval(u)
-            if u_next < PHI_TOL_DEFAULT:
-                worst_k = max(worst_k, k)
-                reached = True
-                break
-            if u_next >= u:
-                verdict = ("non-member" if phi.known_monotone() is True
-                           else "inconclusive")
-                return PhiCertificate(
-                    verdict, witness={"kind": "stagnant-iterate", "t": t,
-                                      "stuck_at": u_next, "k": k})
-            u = u_next
-        if not reached:
-            return PhiCertificate(
-                "inconclusive",
-                witness={"kind": "budget", "t": t, "reached": u, "budget": budget},
-                evidence={"tol": PHI_TOL_DEFAULT})
-    return PhiCertificate("member", evidence={
-        "decay": "iterated", "grid_points": len(pts), "tol": PHI_TOL_DEFAULT,
-        "max_iterations": worst_k})
+    return PhiCertificate("inconclusive", evidence={
+        "decay": "unknown", "grid_points": len(pts)})
 
 
 def check_phi_strict_decrease(phi, grid) -> tuple[bool, list[dict]]:
