@@ -651,6 +651,12 @@ class TestGlobalFlags:
         assert out.out == "" and out.err == (
             f"error: ValueError: per_decade must be at least 1, got {density}\n")
 
+    def test_zero_budget_exits_one(self, tmp_path, capsys):
+        path = write(tmp_path, "inst.json", THREE_POINT_INSTANCE)
+        assert run_cli(["--budget", "0", "solve", path, "--x0", "2"]) == 1
+        out = capsys.readouterr()
+        assert out.out == "" and out.err == "error: ValueError: budget must be at least 1\n"
+
 
 class TestArgparseExits:
     @pytest.mark.parametrize("argv", [[], ["bogus"], ["certify"]])

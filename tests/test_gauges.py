@@ -185,7 +185,7 @@ class TestCertifyPhi:
             t *= 0.5
             k += 1
         assert k <= 44
-        cert = certify_phi(LinearPhi(0.5), grid=[0.1, 1.0, 10.0], budget=100)
+        cert = certify_phi(LinearPhi(0.5), grid=[0.1, 1.0, 10.0])
         assert cert.verdict == "member"
 
     def test_identity_diagonal_is_non_member(self):
@@ -197,7 +197,7 @@ class TestCertifyPhi:
         # oracle: the closed form phi^n(t) = t/(1+n t) decays, so no
         # iteration is needed though it drops below 1e-9 only at n = 1e9
         assert 1.0 / (1.0 + 1e9) < 1e-9
-        cert = certify_phi(HyperbolicPhi(1.0), grid=[1.0], budget=10 ** 6)
+        cert = certify_phi(HyperbolicPhi(1.0), grid=[1.0])
         assert cert.verdict == "member"
 
     def test_decreasing_table_fails_monotonicity(self):
@@ -231,12 +231,12 @@ class TestCertifyPhi:
         assert cert.verdict == "non-member"
         assert cert.witness == {"kind": "stagnation", "t": 2.0, "phi_t": 3.0}
 
-    def test_slow_tabulated_inconclusive(self):
-        # positive plateau above tol: iterates stall there
+    def test_slow_tabulated_is_non_member(self):
+        # positive plateau above tol: iterates stall there, below the grid
         phi = TabulatedPhi(((0.5, 0.25), (1.0, 0.5)))
-        cert = certify_phi(phi, grid=[1.0], budget=50)
-        assert cert.verdict in ("non-member", "inconclusive")
-        assert cert.witness is not None
+        cert = certify_phi(phi, grid=[1.0])
+        assert cert.verdict == "non-member"
+        assert cert.witness == {"kind": "stagnation", "t": 0.25, "phi_t": 0.25}
 
     def test_empty_grid(self):
         with pytest.raises(EmptyGrid):
@@ -248,11 +248,12 @@ class TestCertifyPhi:
         assert cert.verdict == "non-member"
         assert cert.witness == {"kind": "nonpositive-value", "t": 1.0, "phi_t": 0.0}
 
-    def test_slow_decay_exhausts_budget(self):
-        # phi(t) = t * exp(-1e-12) decreases, but 10 steps stay far above tol
-        cert = certify_phi(ExpPsiLnPhi(shift_form(1e-12)), grid=[1.0], budget=10)
-        assert cert.verdict == "inconclusive"
-        assert cert.witness["kind"] == "budget" and cert.witness["budget"] == 10
+    def test_slow_shift_is_closed_form_member(self):
+        # phi(t) = t * exp(-1e-12) decays, though iterates from 1 would need
+        # about 2e13 steps to fall below tol
+        cert = certify_phi(ExpPsiLnPhi(shift_form(1e-12)), grid=[1.0])
+        assert cert.verdict == "member" and cert.witness is None
+        assert cert.evidence["decay"] == "closed-form"
 
 
 class TestStrictDecrease:

@@ -21,7 +21,6 @@ from gphi.gauges import (
     RealForm,
     TabulatedGauge,
     certify_gauge_class,
-    certify_phi,
     epsilon0,
     n_epsilon,
     phi_iterate,
@@ -42,8 +41,6 @@ REFUSALS = {
                             "comparison functions take positive reals, got 0"),
     "phi-iterate-negative-count": (lambda: phi_iterate(LinearPhi(0.5), 1.0, -1), ValueError,
                                    "iteration count must be non-negative"),
-    "certify-phi-no-budget": (lambda: certify_phi(LinearPhi(0.5), grid=[1.0], budget=0),
-                              ValueError, "budget must be at least 1"),
     "affine-plus-below-range": (lambda: AffinePlusGauge(1.0).inverse_eval(0.5),
                                 DomainRestricted, "value 0.5 outside gauge range (1.0, inf)"),
     "exp-of-f-no-inverse": (lambda: ExpOfFGauge(RealForm("opaque", abs)).inverse_eval(1.0),
