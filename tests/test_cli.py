@@ -1,10 +1,17 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from gphi import cli
 from gphi.cli import run_cli
+
+SRC = str(Path(cli.__file__).resolve().parents[1])
 
 THREE_POINT_INSTANCE = {
     "space": {"dist": [[0.0, 1.0, 2.0], [1.0, 0.0, 4.0], [2.0, 4.0, 0.0]]},
@@ -607,6 +614,25 @@ class TestReport:
         assert run_cli(["report", write(tmp_path, "solve.json", doc)]) == 1
         out = capsys.readouterr()
         assert out.out == "" and out.err.startswith("error: ")
+
+
+class TestClosedPipe:
+    def test_report_into_a_closed_pipe_exits_141(self, tmp_path, capsys):
+        # a reader that stops early, as `gphi report x | head -1` does, is
+        # not a bad input: no "error:" line, and the shell's SIGPIPE status
+        inst = write(tmp_path, "inst.json", ANALYTIC_INSTANCE)
+        assert run_cli(["solve", inst, "--x0", "0"]) == 0
+        trace = write(tmp_path, "trace.json", capsys.readouterr().out)
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "gphi.cli", "report", trace],
+                                  stdout=write_end, stderr=subprocess.PIPE, timeout=120,
+                                  env=dict(os.environ, PYTHONPATH=SRC))
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (cli.EXIT_PIPE_CLOSED, b"")
+        assert cli.EXIT_PIPE_CLOSED == 141
 
 
 class TestFuzzCommand:

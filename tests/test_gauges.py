@@ -22,6 +22,7 @@ from gphi.errors import (
 )
 from gphi.gauges import (
     AffinePlusGauge,
+    ConjugatePhi,
     ExpOfFGauge,
     ExpPsiLnPhi,
     HyperbolicPhi,
@@ -254,6 +255,42 @@ class TestCertifyPhi:
         cert = certify_phi(ExpPsiLnPhi(shift_form(1e-12)), grid=[1.0])
         assert cert.verdict == "member" and cert.witness is None
         assert cert.evidence["decay"] == "closed-form"
+
+    @pytest.mark.parametrize("phi", [
+        ExpPsiLnPhi(shift_form(1e-12)),
+        ExpPsiLnPhi(affine_form(1.0, -0.5)),
+        ConjugatePhi(PowerGauge(2.0), ExpPsiLnPhi(shift_form(1.0)))],
+        ids=["slow-shift", "unit-affine", "conjugate-shift"])
+    def test_exp_psi_ln_closed_form_member(self, phi):
+        cert = certify_phi(phi, grid=PHI_GRID)
+        assert cert.verdict == "member"
+        assert cert.evidence["decay"] == "closed-form"
+
+    @pytest.mark.parametrize("psi, decay", [
+        (shift_form(0.5), True), (shift_form(0.0), None), (shift_form(-1.0), None),
+        (affine_form(1.0, -0.5), True), (affine_form(1.0, 0.5), None),
+        (affine_form(2.0, -30.0), None), (affine_form(0.5, -1.0), None),
+        (IDENTITY_FORM, None), (RealForm("opaque", lambda u: u - 1.0), None)],
+        ids=["shift", "zero-shift", "negative-shift", "unit-affine", "rising-affine",
+             "square", "root", "identity", "opaque"])
+    def test_exp_psi_ln_decay_is_a_fact_of_psi(self, psi, decay):
+        # only e^-c * t with c > 0 is known to decay, and nothing is known
+        # not to: the halving below the grid needs a positive floor
+        assert ExpPsiLnPhi(psi).known_decay() is decay
+
+    @pytest.mark.parametrize("psi, t", [
+        # u - 1 above -21, slope 1/2 below: phi(t) >= t for t below e^-25
+        (RealForm("kink", lambda u: u - 1.0 if u > -21.0 else -25.0 + (u + 25.0) / 2.0,
+                  increasing=True), 1e-12),
+        # phi(t) = e^-30 * t^2 exceeds t above e^30
+        (affine_form(2.0, -30.0), 1e14)], ids=["kink", "square"])
+    def test_decay_on_the_grid_alone_is_not_membership(self, psi, t):
+        # every grid point iterates below tol, yet off the grid phi(t) > t
+        phi = ExpPsiLnPhi(psi)
+        assert phi.eval(t) > t
+        cert = certify_phi(phi, grid=PHI_GRID)
+        assert cert.verdict == "inconclusive" and cert.witness is None
+        assert cert.evidence == {"decay": "unknown", "grid_points": len(PHI_GRID)}
 
 
 class TestStrictDecrease:
