@@ -224,9 +224,8 @@ def run_cli(argv) -> int:
         sys.stdout.flush()
         return code
     except BrokenPipeError:
-        # the reader closed the pipe, as `gphi report x | head -1` does: not
-        # a bad input.  stdout goes to devnull, so the flush at exit that
-        # would raise again writes nowhere (the Python docs' note on SIGPIPE)
+        # the reader left, as `| head -1` does: not a bad input.  stdout goes
+        # to devnull, so the flush at exit cannot raise again (docs: SIGPIPE)
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_PIPE_CLOSED
     # a RecursionError comes from a JSON document nested too deep to parse

@@ -263,17 +263,13 @@ class ExpPsiLnPhi:
         return _safe_exp(self.psi.fn(math.log(t)))
 
     def known_decay(self):
-        # a shift by tau > 0, or an affine psi with a = 1 and b < 0, makes
-        # phi(t) = e^-c * t with c > 0.  No other psi gives a fact, and none
-        # gives False: certify_phi's halving below the grid needs a floor
+        # phi(t) = e^-c * t, c > 0, for psi(u) = u - c: a shift by c, or affine
+        # with a = 1 and b = -c.  No other psi gives a fact, and none gives
+        # False, since certify_phi's halving below the grid needs a floor
         form = self.psi.json_form
-        if isinstance(form, dict) and "shift" in form:
-            c = form["shift"]
-        elif isinstance(form, dict) and "affine" in form and form["affine"]["a"] == 1.0:
-            c = -form["affine"]["b"]
-        else:
-            return None
-        return True if c > 0.0 else None
+        if isinstance(form, dict) and form.get("affine", {}).get("a") == 1.0:
+            form = {"shift": -form["affine"]["b"]}
+        return True if isinstance(form, dict) and form.get("shift", 0.0) > 0.0 else None
 
     def known_monotone(self):
         return self.psi.increasing
@@ -364,10 +360,8 @@ def certify_phi(phi, grid) -> PhiCertificate:
     decay = phi.known_decay()
     for t, v in zip(pts, vals):
         if v >= t:
-            # For a globally non-decreasing phi, phi(t) >= t forces
-            # phi^n(t) >= t for all n: definitive stagnation.  Without that
-            # knowledge, or knowledge that phi never decays, the verdict
-            # stays inconclusive.
+            # phi(t) >= t forces phi^n(t) >= t for all n if phi is known
+            # non-decreasing; a phi known never to decay fails either way
             verdict = ("non-member" if phi.known_monotone() is True or decay is False
                        else "inconclusive")
             return PhiCertificate(
