@@ -226,7 +226,9 @@ def run_cli(argv) -> int:
     except BrokenPipeError:
         # the reader left, as `| head -1` does: not a bad input.  stdout goes
         # to devnull, so the flush at exit cannot raise again (docs: SIGPIPE)
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return EXIT_PIPE_CLOSED
     # a RecursionError comes from a JSON document nested too deep to parse
     except (GphiError, OSError, json.JSONDecodeError, KeyError, ValueError,

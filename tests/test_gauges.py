@@ -257,10 +257,9 @@ class TestCertifyPhi:
         assert cert.evidence["decay"] == "closed-form"
 
     @pytest.mark.parametrize("phi", [
-        ExpPsiLnPhi(shift_form(1e-12)),
         ExpPsiLnPhi(affine_form(1.0, -0.5)),
         ConjugatePhi(PowerGauge(2.0), ExpPsiLnPhi(shift_form(1.0)))],
-        ids=["slow-shift", "unit-affine", "conjugate-shift"])
+        ids=["unit-affine", "conjugate-shift"])
     def test_exp_psi_ln_closed_form_member(self, phi):
         cert = certify_phi(phi, grid=PHI_GRID)
         assert cert.verdict == "member"
