@@ -224,8 +224,9 @@ def run_cli(argv) -> int:
         sys.stdout.flush()
         return code
     except BrokenPipeError:
-        # the reader left, as `| head -1` does: not a bad input.  stdout goes
-        # to devnull, so the flush at exit cannot raise again (docs: SIGPIPE)
+        # the reader left, as `| head -1` does: not a bad input.  stdout now
+        # points at devnull, so the flush at exit cannot raise again (the
+        # Python docs' "Note on SIGPIPE")
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
