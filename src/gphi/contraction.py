@@ -23,7 +23,6 @@ Two adapters translate classical formulations into the gauged one:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from itertools import combinations
 from operator import le
 
@@ -42,7 +41,8 @@ from .gauges import (
     _StepTable,
     phi_eval,
 )
-from .spaces import AnalyticSpace, FiniteSpace, Space, _Record, _is_numpy_scalar, _json_number
+from .spaces import (AnalyticSpace, FiniteSpace, Space, _Fields, _Fresh, _Record,
+                     _is_numpy_scalar, _json_number)
 
 SAMPLE_PAIRS_DEFAULT = 4096
 
@@ -66,8 +66,7 @@ def _map_image(v) -> int:
     raise ValueError(f"map entries must be integers, got {v!r}")
 
 
-@dataclass(frozen=True)
-class FiniteMap:
+class FiniteMap(_Fields):
     """Self-map of a finite space given by an image array."""
 
     mapping: tuple[int, ...]
@@ -85,8 +84,7 @@ class FiniteMap:
         return {"map": list(self.mapping)}
 
 
-@dataclass(frozen=True)
-class AffineMap:
+class AffineMap(_Fields):
     """x -> a*x + b on an interval space."""
 
     a: float
@@ -145,7 +143,6 @@ def apply(T: OperatorSpec, space: Space, x):
     return T.eval(x)
 
 
-@dataclass(frozen=True)
 class ViolationWitness(_Record):
     x: object
     y: object
@@ -156,14 +153,13 @@ class ViolationWitness(_Record):
     phi_bound: float
 
 
-@dataclass(frozen=True)
 class ContractionCertificate(_Record):
     verdict: str                      # "certified" | "violated" | "inconclusive"
     checked_pairs: int
     violation_witness: ViolationWitness | None
     sampling_mode: dict
     note: str | None = None
-    provenance: dict = field(default_factory=dict)
+    provenance: dict = _Fresh(dict)
 
 
 def _informative_pairs(space, T, pairs):

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
 from functools import cache, cached_property
 from itertools import accumulate
 from operator import itemgetter, lt
@@ -40,7 +39,7 @@ from .errors import (
     NoValidEpsilon,
     NotStrictlyIncreasing,
 )
-from .spaces import _Record, _json_number
+from .spaces import _Fields, _Fresh, _Record, _json_number
 
 PHI_TOL_DEFAULT = 1e-9
 PER_DECADE_DEFAULT = 512
@@ -79,8 +78,7 @@ def log_grid(per_decade: int = PER_DECADE_DEFAULT) -> list[float]:
 
 # --- scalar forms (used by exp-of-F gauges and the adapter) -----------------
 
-@dataclass(frozen=True)
-class RealForm:
+class RealForm(_Fields):
     """A named scalar function with optional analytic facts attached.
 
     ``inf_value`` is the infimum over (0, inf); ``diverges_iff_zero`` states
@@ -132,8 +130,7 @@ def shift_form(tau: float) -> RealForm:
                     diverges_iff_zero=False, json_form={"shift": tau})
 
 
-@dataclass(frozen=True)
-class _StepTable:
+class _StepTable(_Fields):
     """A right-constant step function of (t, value) breakpoints: the table
     behind step maps, comparison functions and gauges.  Breakpoints and
     values are finite, breakpoints strictly increasing, and the values obey
@@ -169,7 +166,7 @@ class _StepTable:
 
 # --- comparison function families -------------------------------------------
 
-class _ClosedFormPhi:
+class _ClosedFormPhi(_Fields):
     """A family whose membership facts are proved once for all parameters:
     it is non-decreasing and its iterates tend to 0 at every point."""
 
@@ -180,7 +177,6 @@ class _ClosedFormPhi:
         return True
 
 
-@dataclass(frozen=True)
 class LinearPhi(_ClosedFormPhi):
     """phi(t) = c * t with 0 < c < 1."""
 
@@ -197,7 +193,6 @@ class LinearPhi(_ClosedFormPhi):
         return {"family": "linear", "c": self.c}
 
 
-@dataclass(frozen=True)
 class HyperbolicPhi(_ClosedFormPhi):
     """phi(t) = t / (1 + a*t) with a > 0; iterates decay like t/(1 + n*a*t)."""
 
@@ -214,7 +209,6 @@ class HyperbolicPhi(_ClosedFormPhi):
         return {"family": "hyperbolic", "a": self.a}
 
 
-@dataclass(frozen=True)
 class ShiftedPhi(_ClosedFormPhi):
     """phi(t) = exp(-tau) * t: a constant shift transported through exp/ln.
 
@@ -253,8 +247,7 @@ class TabulatedPhi(_StepTable):
         return True if vals == sorted(vals) else False
 
 
-@dataclass(frozen=True)
-class ExpPsiLnPhi:
+class ExpPsiLnPhi(_Fields):
     """phi = exp . psi . ln, the comparison function induced by an adapter shift."""
 
     psi: RealForm
@@ -278,8 +271,7 @@ class ExpPsiLnPhi:
         return {"family": "exp_psi_ln", "psi": self.psi.describe()}
 
 
-@dataclass(frozen=True)
-class ConjugatePhi:
+class ConjugatePhi(_Fields):
     """The composite G^-1 . phi . G for an invertible strictly increasing gauge.
 
     Membership of the inner function propagates: conjugation by a strictly
@@ -323,11 +315,10 @@ def phi_iterate(phi, t: float, n: int) -> float:
     return u
 
 
-@dataclass(frozen=True)
 class PhiCertificate(_Record):
     verdict: str                      # "member" | "non-member" | "inconclusive"
     witness: dict | None = None
-    evidence: dict = field(default_factory=dict)
+    evidence: dict = _Fresh(dict)
 
 
 def certify_phi(phi, grid) -> PhiCertificate:
@@ -394,7 +385,7 @@ def check_phi_strict_decrease(phi, grid) -> tuple[bool, list[dict]]:
 
 # --- gauge families ----------------------------------------------------------
 
-class _GaugeBase:
+class _GaugeBase(_Fields):
     """Interval sup/inf of a gauge by the endpoint rule.
 
     For a strictly increasing gauge the sup over (0, eps) is G(eps) and the
@@ -411,7 +402,6 @@ class _GaugeBase:
         return self._endpoint(thr)
 
 
-@dataclass(frozen=True)
 class IdentityGauge(_GaugeBase):
     """G(a) = a."""
 
@@ -434,7 +424,6 @@ class IdentityGauge(_GaugeBase):
         return {"family": "identity"}
 
 
-@dataclass(frozen=True)
 class PowerGauge(_GaugeBase):
     """G(a) = a ** q with q > 0."""
 
@@ -467,7 +456,6 @@ class PowerGauge(_GaugeBase):
         return {"family": "power", "q": self.q}
 
 
-@dataclass(frozen=True)
 class AffinePlusGauge(_GaugeBase):
     """G(a) = c + a with c > 0; the infimum c keeps it in class G1."""
 
@@ -499,7 +487,6 @@ class AffinePlusGauge(_GaugeBase):
         return {"family": "affine_plus", "c": self.c}
 
 
-@dataclass(frozen=True)
 class ExpOfFGauge(_GaugeBase):
     """G = exp(F) for a scalar form F on (0, inf)."""
 
@@ -655,11 +642,10 @@ def _inf_above(G, thr: float) -> float:
     return v
 
 
-@dataclass(frozen=True)
 class ClassCertificate(_Record):
     in_g1: str                         # "yes" | "no" | "inconclusive"
     in_g2: str
-    evidence: dict = field(default_factory=dict)
+    evidence: dict = _Fresh(dict)
 
 
 def certify_gauge_class(G, grid=None) -> ClassCertificate:

@@ -34,7 +34,6 @@ import json
 import math
 import operator
 import threading
-from dataclasses import dataclass, field
 from itertools import chain, combinations, tee
 from random import Random
 from typing import NamedTuple
@@ -74,8 +73,8 @@ from .solver import (
     picard_iterate,
     verify_step_chaining,
 )
-from .spaces import (MAX_FINITE_POINTS, PY_KERNEL_MAX_POINTS, FiniteSpace, _Record,
-                     space_to_json, validate_finite_space)
+from .spaces import (MAX_FINITE_POINTS, PY_KERNEL_MAX_POINTS, FiniteSpace, _Fields, _Fresh,
+                     _Record, space_to_json, validate_finite_space)
 
 DEFAULT_GAUGE_CATALOG = (
     IdentityGauge(),
@@ -108,8 +107,7 @@ _LEMMAS = ("unique_fixed_point", "orbit_convergence", "g1_termination",
            "cauchy_bound")
 
 
-@dataclass(frozen=True)
-class FuzzConfig:
+class FuzzConfig(_Fields):
     seed: int = 0
     trials: int = 100
     max_points: int = 8
@@ -119,8 +117,7 @@ class FuzzConfig:
     break_mode: str = "none"          # none | drop-contraction | drop-phi
 
 
-@dataclass
-class FuzzReport(_Record):
+class FuzzReport(_Record, frozen=False):
     config: dict
     trials_run: int = 0
     certified_count: int = 0
@@ -129,9 +126,8 @@ class FuzzReport(_Record):
     expected_break_count: int = 0
     g1_instances: int = 0
     g2_instances: int = 0
-    lemma_counts: dict = field(default_factory=lambda: {
-        name: {"pass": 0, "fail": 0} for name in _LEMMAS})
-    violations: list = field(default_factory=list)
+    lemma_counts: dict = _Fresh(lambda: {name: {"pass": 0, "fail": 0} for name in _LEMMAS})
+    violations: list = _Fresh(list)
 
     def to_json_str(self) -> str:
         return json.dumps(self.to_json(), indent=2, sort_keys=True)
@@ -228,8 +224,7 @@ def _identity_map(n: int) -> FiniteMap:
     return FiniteMap(tuple(range(n)))
 
 
-@dataclass(frozen=True)
-class _CatalogGauge:
+class _CatalogGauge(_Fields):
     gauge: object
     in_g1: bool
     eps0: float | None

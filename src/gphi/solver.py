@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from itertools import islice, starmap
-from dataclasses import dataclass
 
 from .contraction import FiniteMap, OperatorSpec, validate_operator
 from .errors import (
@@ -30,7 +29,8 @@ from .errors import (
     TailNotSmall,
 )
 from .gauges import n_epsilon
-from .spaces import BALL_SAMPLES, FiniteSpace, Space, _Record, space_from_json, space_to_json
+from .spaces import (BALL_SAMPLES, FiniteSpace, Space, _Fields, _Record, space_from_json,
+                     space_to_json)
 
 MAX_ITER_DEFAULT = 10_000
 CONFIRM_STEPS = 3
@@ -38,8 +38,7 @@ TOL_DEFAULT = 1e-10
 STOP_REASONS = ("exact-fixed-point", "tolerance-met", "budget-exhausted")
 
 
-@dataclass(frozen=True)
-class PicardTrace:
+class PicardTrace(_Fields):
     """Recorded orbit of a Picard iteration, x_k = orbit[k]: all of it, one
     point more than its steps."""
 
@@ -128,7 +127,6 @@ def trace_from_json(obj: dict) -> PicardTrace:
         k_stop=obj["k_stop"], cycle=cycle)
 
 
-@dataclass(frozen=True)
 class CauchyDiagnostics(_Record):
     """Cauchy-bound quantities; ``pairs_checked`` is L(L-1)/2 for the L tail points."""
 

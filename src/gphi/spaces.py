@@ -25,7 +25,6 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, replace
 from operator import add, itemgetter
 from typing import Sequence
 
@@ -126,7 +125,126 @@ class _Rows:
         return repr(tuple(self))
 
 
-class _SpaceKind:
+class FrozenInstanceError(AttributeError):
+    """An assignment to, or deletion of, an attribute of a frozen record."""
+
+
+class _Fresh:
+    """A field's default made anew for each record by calling ``make()``."""
+
+    def __init__(self, make):
+        self.make = make
+
+
+class _Fields:
+    """A record: the names annotated in its class and its bases are its fields,
+    in order, and a class attribute of that name, if any, is the default (a
+    ``_Fresh`` one is made per record; one whose descriptor refuses a read
+    from the class, like ``_Constant``, is none).  Each subclass gets an
+    ``__init__`` that sets the fields through ``object.__setattr__`` and then
+    runs ``__post_init__`` if the class has one.  Records are equal when
+    they are of the same class with equal field tuples, hash that tuple and
+    show as ``Name(field=value, ...)``.  They are frozen unless the class
+    statement passes ``frozen=False``, which also leaves them unhashable."""
+
+    _fields = ()
+
+    def __init_subclass__(cls, frozen: bool = True, **kwargs):
+        super().__init_subclass__(**kwargs)
+        names = tuple(dict.fromkeys(name for base in reversed(cls.__mro__)
+                                    for name in base.__dict__.get("__annotations__", ())))
+        defaults = {name: getattr(cls, name) for name in names if hasattr(cls, name)}
+        every, post = set(names), getattr(cls, "__post_init__", None)
+        set_field = object.__setattr__
+
+        def bind(args, kwargs):
+            if len(args) > len(names):
+                raise TypeError(f"{cls.__qualname__}() takes at most {len(names)} "
+                                f"positional arguments, got {len(args)}")
+            values = list(args)
+            for name in names[len(args):]:
+                if name in kwargs:
+                    values.append(kwargs.pop(name))
+                elif name in defaults:
+                    d = defaults[name]
+                    values.append(d.make() if isinstance(d, _Fresh) else d)
+                else:
+                    raise TypeError(f"{cls.__qualname__}() missing field {name!r}")
+            if kwargs:
+                raise TypeError(f"{cls.__qualname__}() got an unexpected or repeated "
+                                f"field {next(iter(kwargs))!r}")
+            return zip(names, values)
+
+        def __init__(self, *args, **kwargs):
+            if not kwargs and len(args) == len(names):
+                values = zip(names, args)
+            elif not args and kwargs.keys() == every:
+                values = kwargs.items()
+            else:
+                values = bind(args, kwargs)
+            for name, value in values:
+                set_field(self, name, value)
+            if post is not None:
+                post(self)
+
+        cls._fields, cls.__init__ = names, __init__
+        if not frozen:
+            cls.__setattr__, cls.__delattr__ = object.__setattr__, object.__delattr__
+            cls.__hash__ = None
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+def _plain(value):
+    """``value`` with every record in it, at any depth of lists, tuples and
+    dicts, made the dict of its fields."""
+    if isinstance(value, _Fields):
+        return asdict(value)
+    if isinstance(value, (list, tuple)):
+        return type(value)(map(_plain, value))
+    if isinstance(value, dict):
+        return {_plain(k): _plain(v) for k, v in value.items()}
+    return value
+
+
+def asdict(record: _Fields) -> dict:
+    """The fields of a record by name, records within them made dicts too."""
+    return {name: _plain(getattr(record, name)) for name in record._fields}
+
+
+def replace(record: _Fields, **changes):
+    """A new record of the same class, with ``changes`` to its fields."""
+    return type(record)(**{name: getattr(record, name) for name in record._fields} | changes)
+
+
+class _Record(_Fields):
+    """A result record whose JSON is exactly its fields; a NaN or a value
+    past the float range is written as null."""
+
+    def to_json(self) -> dict:
+        return json.loads(json.dumps(asdict(self)), parse_constant=lambda _: None)
+
+
+class _SpaceKind(_Fields):
     """What a kind of space decides, asked of the space, not of its class: its
     ``kind``, its refusals' ``noun``, ``parse_point`` for text, and for member
     points ``_unchecked_distance``, a ball's candidates and the ``_diameter``."""
@@ -137,7 +255,6 @@ class _SpaceKind:
         return self._unchecked_distance(x, y)
 
 
-@dataclass(frozen=True)
 class FiniteSpace(_SpaceKind):
     """Finite b-metric space backed by a symmetric distance matrix; ``s=None``
     leaves the O(n^3) minimal constant to the first read of ``s``.  ``dist``
@@ -178,7 +295,6 @@ class FiniteSpace(_SpaceKind):
         return d == 0.0
 
 
-@dataclass(frozen=True)
 class AnalyticSpace(_SpaceKind):
     """Interval ``[lo, hi]`` with distance ``|x - y| ** p`` and ``s = 2**(p-1)``."""
 
@@ -239,15 +355,6 @@ class AnalyticSpace(_SpaceKind):
 Space = FiniteSpace | AnalyticSpace
 
 
-class _Record:
-    """A result record (a dataclass) whose JSON is exactly its fields; a NaN
-    or a value past the float range is written as null."""
-
-    def to_json(self) -> dict:
-        return json.loads(json.dumps(asdict(self)), parse_constant=lambda _: None)
-
-
-@dataclass(frozen=True)
 class BoundReport(_Record):
     """Result of the liminf/limsup sandwich check around a convergent sequence."""
 
