@@ -25,7 +25,6 @@ are pinned instead: ``OrbitTooShort`` on a cycle, and ``TailNotSmall`` on a
 cycling trace whose block scan found m.
 """
 
-import dataclasses
 import hashlib
 from collections import Counter
 
@@ -37,7 +36,7 @@ from gphi.errors import BudgetExhausted
 from gphi.gauges import IdentityGauge, LinearPhi, PowerGauge
 from gphi.harness import (G1_GAUGE_CATALOG, FuzzConfig, FuzzReport, _prepare_catalogs,
                           fuzz)
-from gphi.spaces import validate_finite_space
+from gphi.spaces import replace, validate_finite_space
 
 
 def _raise(exc):
@@ -147,7 +146,7 @@ def crafted_instance(name):
     matrix, mapping, s, gauge, phi = INSTANCES[name]
     space = validate_finite_space(matrix)
     if s is not None:
-        space = dataclasses.replace(space, s=s)
+        space = replace(space, s=s)
     (entry,), (phi,) = _prepare_catalogs(FuzzConfig(gauge_catalog=(gauge,), phi_catalog=(phi,)))
     return space, FiniteMap(mapping), entry, phi
 

@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import itertools
 import json
@@ -54,6 +53,7 @@ from gphi.gauges import (
     _grid_table,
     _values,
 )
+from gphi.spaces import asdict, replace
 from gphi.harness import DEFAULT_GAUGE_CATALOG, G1_GAUGE_CATALOG
 
 CATALOG_PHIS = [LinearPhi(0.5), LinearPhi(0.9), HyperbolicPhi(1.0)]
@@ -417,7 +417,7 @@ class TestClassEvidenceEndpoints:
 
     @staticmethod
     def table_certificate(G, grid) -> str:
-        doc = dataclasses.asdict(certify_gauge_class(G, grid))
+        doc = asdict(certify_gauge_class(G, grid))
         running_max, grid_min = _grid_table(G, _grid_points(grid, "table"))
         doc["evidence"]["inf_grid_estimate"] = grid_min
         doc["evidence"]["sup_grid_estimate"] = running_max[-1]
@@ -425,7 +425,7 @@ class TestClassEvidenceEndpoints:
 
     def check(self, G, grid):
         assert G.strictly_increasing()
-        got = json.dumps(dataclasses.asdict(certify_gauge_class(G, grid)), sort_keys=True)
+        got = json.dumps(asdict(certify_gauge_class(G, grid)), sort_keys=True)
         assert got == self.table_certificate(G, grid)
 
     # ids from describe(): str() of a gauge over a lambda form holds its address
@@ -638,7 +638,7 @@ class TestTabulatedRegions:
         # the kept extremes stay out of equality, hash, repr and asdict
         fresh = TabulatedGauge(G.points)
         assert (G, hash(G), repr(G)) == (fresh, hash(fresh), repr(fresh))
-        assert dataclasses.asdict(G) == {"points": G.points}
+        assert asdict(G) == {"points": G.points}
 
 
 class Stripped:
@@ -1001,8 +1001,8 @@ class TestThresholdEvaluations:
         # the closed forms answer: a bisection, the 160 dyadic points and
         # the two grid ends, or one endpoint, never a value per grid point
         opaque, calls = self.counted()
-        call(ExpOfFGauge(dataclasses.replace(opaque.f, increasing=True, inf_value=-math.inf,
-                                             diverges_iff_zero=True)))
+        call(ExpOfFGauge(replace(opaque.f, increasing=True, inf_value=-math.inf,
+                                 diverges_iff_zero=True)))
         assert len(calls) == evals
 
     def test_n_epsilon_skips_grid_at_or_below_thr(self):
@@ -1041,8 +1041,8 @@ def _numpy_form():
 MAPPED_GAUGES = {
     # exp(800 - a) overflows below a ~ 90; the reference's cache needs a
     # hashable gauge, and the affine form's json_form is a dict
-    "overflow": lambda: ExpOfFGauge(dataclasses.replace(affine_form(-1.0, 800.0),
-                                                        json_form=None)),
+    "overflow": lambda: ExpOfFGauge(replace(affine_form(-1.0, 800.0),
+                                            json_form=None)),
     "minus-inf": lambda: _opaque("minus-inf",
                                  lambda a: -math.inf if a < 1e-3 else math.log(a)),
     "nan": lambda: _opaque("nan", lambda a: math.nan if 1e-3 <= a < 1e-2 else math.log(a)),

@@ -8,7 +8,6 @@ overflow has its constant computed during validation, so that
 ``ConstantOverflow`` still comes from validation itself.
 """
 
-import dataclasses
 import math
 
 import numpy as np
@@ -18,7 +17,8 @@ from hypothesis import given, settings, strategies as st
 from gphi import spaces
 from gphi.errors import ConstantOverflow
 from gphi.harness import FuzzConfig, fuzz
-from gphi.spaces import PY_KERNEL_MAX_POINTS, FiniteSpace, space_to_json, validate_finite_space
+from gphi.spaces import (PY_KERNEL_MAX_POINTS, FiniteSpace, FrozenInstanceError, replace,
+                         space_to_json, validate_finite_space)
 
 from test_validation_kernels import (family_matrix, heavy_tailed, k_loop_min_constant,
                                      overflowing, valid_matrices)
@@ -114,19 +114,19 @@ class TestDataclass:
 
     def test_given_constant_is_kept(self, no_kernel):
         assert FiniteSpace(dist=self.DIST, s=1.5).s == 1.5
-        assert dataclasses.replace(FiniteSpace(dist=self.DIST, s=1.5), s=2.0).s == 2.0
+        assert replace(FiniteSpace(dist=self.DIST, s=1.5), s=2.0).s == 2.0
 
     def test_constant_stays_required(self):
         with pytest.raises(TypeError):
             FiniteSpace(dist=self.DIST)
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(FrozenInstanceError, match="cannot assign to field 's'"):
             validate_finite_space(self.DIST).s = 2.0
 
     def test_equality_hash_repr_and_json(self):
         fs = validate_finite_space(self.DIST)
         again = validate_finite_space([list(row) for row in self.DIST])
         assert fs == again and hash(fs) == hash(again)
-        assert fs != dataclasses.replace(again, s=math.nextafter(fs.s, math.inf))
+        assert fs != replace(again, s=math.nextafter(fs.s, math.inf))
         assert repr(fs) == f"FiniteSpace(dist={self.DIST!r}, s=1.3333333333333333)"
         assert space_to_json(fs) == {"dist": [list(row) for row in self.DIST],
                                      "s": 1.3333333333333333}
@@ -135,7 +135,7 @@ class TestDataclass:
         with pytest.raises(ConstantOverflow):
             FiniteSpace(dist=self.DIST, s=math.inf)
         with pytest.raises(ConstantOverflow):
-            dataclasses.replace(validate_finite_space(self.DIST), s=math.inf)
+            replace(validate_finite_space(self.DIST), s=math.inf)
 
 
 @pytest.mark.filterwarnings("error:overflow encountered:RuntimeWarning")

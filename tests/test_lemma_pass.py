@@ -17,7 +17,6 @@ equal report records, whose JSON is a function of their fields.
 verdict, and the Cauchy tail's diameter bit for bit.
 """
 
-import dataclasses
 import random
 import sys
 
@@ -48,7 +47,7 @@ from gphi.solver import (
     verify_invariant_ball,
     verify_step_chaining,
 )
-from gphi.spaces import validate_finite_space
+from gphi.spaces import replace, validate_finite_space
 from test_block_index import walker_m_epsilon
 from test_failure_pins import INSTANCES, crafted_instance
 
@@ -215,7 +214,7 @@ def test_halving_chains_equal(size, scale, gauge_name, variant):
         assert certify_condition_G(space, T, gauge, phi).verdict == "certified"
     else:
         # the bound 4*s^3*eps overflows (s = 1 is the chain's own constant)
-        space = dataclasses.replace(space, s=1e200)
+        space = replace(space, s=1e200)
     reference, own = _check_both(space, T, entry, phi)
     assert own == reference
     assert own[0] is (variant == "valid")
@@ -274,7 +273,7 @@ def _graph_cases(shape):
 
 
 def _with_s(space, s):
-    return space if s is None else dataclasses.replace(space, s=s)
+    return space if s is None else replace(space, s=s)
 
 
 @pytest.mark.parametrize("s_variant", S_VARIANTS)
@@ -303,7 +302,7 @@ def test_pass_matches_public_lemmas(shape, s_variant):
                     assert values.ball == _ball_holds(space, centre, eps, image.__getitem__)
                     assert values.ball == verify_invariant_ball(T, trace, eps, n, m)
                     # the diameter does not read s, which may overflow the bound
-                    tail = _cauchy_tail(dataclasses.replace(trace, space=_with_s(space, 1.0)),
+                    tail = _cauchy_tail(replace(trace, space=_with_s(space, 1.0)),
                                         eps, n, m, values.m0)
                     assert values.diameter.hex() == tail.max_observed.hex()
                     compared += 1
@@ -370,7 +369,7 @@ def test_cycling_orbits_fail_the_block_scan(monkeypatch):
 def test_cauchy_bound_overflow_fails_its_lemma(monkeypatch):
     # with s = 1e200 the bound 4*s^3*eps overflows: the Cauchy lemma fails
     # with a bundle on every trace instead of the ConstantOverflow escaping
-    space = dataclasses.replace(
+    space = replace(
         validate_finite_space([[0.0, 1.0, 2.0], [1.0, 0.0, 4.0], [2.0, 4.0, 0.0]]), s=1e200)
     T = FiniteMap((0, 0, 1))
     config = FuzzConfig(gauge_catalog=(IdentityGauge(),), phi_catalog=(LinearPhi(0.6),))

@@ -1,7 +1,6 @@
 """Every result record writes its fields as strict JSON: a NaN or a float
 past the range, such as a gauge value exp(F) that saturated, is null."""
 
-import dataclasses
 import json
 import math
 
@@ -11,7 +10,7 @@ from gphi.contraction import ContractionCertificate, ViolationWitness
 from gphi.gauges import ClassCertificate, PhiCertificate
 from gphi.harness import FuzzReport
 from gphi.solver import CauchyDiagnostics
-from gphi.spaces import BoundReport
+from gphi.spaces import BoundReport, asdict
 
 NAN, INF = math.nan, math.inf
 
@@ -61,7 +60,7 @@ def non_finite(value) -> int:
 @pytest.mark.parametrize("name", sorted(RECORDS))
 def test_non_finite_fields_are_null(name):
     record = RECORDS[name]
-    fields = dataclasses.asdict(record)
+    fields = asdict(record)
     assert non_finite(fields) >= 3
     doc = record.to_json()
     assert doc == nulled(fields)

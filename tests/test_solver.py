@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 from random import Random
 
 import pytest
@@ -21,7 +20,7 @@ from gphi.solver import (
     verify_invariant_ball,
     verify_step_chaining,
 )
-from gphi.spaces import AnalyticSpace, check_limit_bounds, validate_finite_space
+from gphi.spaces import AnalyticSpace, check_limit_bounds, replace, validate_finite_space
 from test_block_index import OrbitWalk, outcome, walker_m_epsilon
 from test_checked_once import count_checks
 

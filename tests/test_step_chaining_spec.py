@@ -14,7 +14,6 @@ verdict.  Among them are traces that stop on tolerance or budget whose
 only failing block is the last one the record holds.
 """
 
-import dataclasses
 from random import Random
 
 import pytest
@@ -22,7 +21,7 @@ import pytest
 from gphi.contraction import AffineMap, FiniteMap
 from gphi.errors import TailNotSmall
 from gphi.solver import picard_iterate, verify_step_chaining
-from gphi.spaces import AnalyticSpace, validate_finite_space
+from gphi.spaces import AnalyticSpace, replace, validate_finite_space
 from test_harness import dyadic_chain
 from test_lemma_pass import _halving_chain
 
@@ -92,7 +91,7 @@ def _finite_views(space, T, max_iters, tols=(0.0,)):
 
     views = []
     for s in {space.s, 1.0}:
-        run_space = dataclasses.replace(space, s=s)
+        run_space = replace(space, s=s)
         for x0 in space.points:
             for max_iter in max_iters:
                 for tol in tols:

@@ -11,7 +11,6 @@ and a bit-equal constant, or raise the same error with the same message
 and witness.
 """
 
-import dataclasses
 import json
 import math
 from itertools import combinations
@@ -33,7 +32,7 @@ from gphi.errors import (
     TooManyPoints,
     ZeroOffDiagonal,
 )
-from gphi.spaces import MAX_FINITE_POINTS, PY_KERNEL_MAX_POINTS, validate_finite_space
+from gphi.spaces import MAX_FINITE_POINTS, PY_KERNEL_MAX_POINTS, replace, validate_finite_space
 
 
 def outcome(matrix):
@@ -349,9 +348,9 @@ class TestKeptMatrix:
         assert hash(fs.dist) == hash(rows) and repr(fs.dist) == repr(rows)
         tupled = spaces.FiniteSpace(dist=rows, s=fs.s)
         assert fs == tupled and hash(fs) == hash(tupled) and repr(fs) == repr(tupled)
-        declared = dataclasses.replace(fs, s=2.0 * fs.s)
+        declared = replace(fs, s=2.0 * fs.s)
         assert declared.dist == rows and declared.s == 2.0 * fs.s
-        assert declared == dataclasses.replace(tupled, s=2.0 * fs.s)
+        assert declared == replace(tupled, s=2.0 * fs.s)
         assert (json.dumps(spaces.space_to_json(fs))
                 == json.dumps(spaces.space_to_json(tupled)))
 
