@@ -39,6 +39,7 @@ from .gauges import (
     ExpPsiLnPhi,
     RealForm,
     _StepTable,
+    _psi_at,
     phi_eval,
 )
 from .spaces import (AnalyticSpace, FiniteSpace, Space, _Fields, _Fresh, _Record,
@@ -292,14 +293,15 @@ def from_F_contraction(F: RealForm, psi: RealForm) -> tuple[ExpOfFGauge, ExpPsiL
     Returns ``G = exp(F)`` and ``phi = exp . psi . ln``.  psi is checked
     only on samples: non-decreasing on a grid (PsiNotNondecreasing
     otherwise), and its iterates from each of ``_PSI_STARTS`` must keep
-    falling (an iterate that stalls raises PsiNotDiverging).  Whether the
-    returned phi is a comparison function is ``certify_phi``'s to decide.
-    The original inequality holds for a pair of points iff condition (G)
-    holds for the returned pair.
+    falling (an iterate that stalls raises PsiNotDiverging); a sample where
+    psi is undefined raises DomainRestricted.  Whether the returned phi is a
+    comparison function is ``certify_phi``'s to decide.  The original
+    inequality holds for a pair of points iff condition (G) holds for the
+    returned pair.
     """
     prev_x = prev_v = None
     for x in [k / 4.0 for k in range(-40, 41)]:    # _PSI_STARTS among them
-        v = psi.fn(x)
+        v = _psi_at(psi, x)
         if prev_v is not None and v < prev_v:
             raise PsiNotNondecreasing(
                 f"psi decreases between {prev_x} and {x}",
@@ -309,7 +311,7 @@ def from_F_contraction(F: RealForm, psi: RealForm) -> tuple[ExpOfFGauge, ExpPsiL
     for t in _PSI_STARTS:
         u = t
         for _ in range(_PSI_ITERATES):
-            nxt = psi.fn(u)
+            nxt = _psi_at(psi, u)
             if nxt < _PSI_FLOOR:
                 break
             if nxt >= u:

@@ -130,6 +130,17 @@ def shift_form(tau: float) -> RealForm:
                     diverges_iff_zero=False, json_form={"shift": tau})
 
 
+def _psi_at(psi: RealForm, u: float, t: float | None = None) -> float:
+    """psi(u), where u may be ln(t); where psi is undefined (a ValueError, as
+    math.log raises below zero), DomainRestricted naming psi, u and t."""
+    try:
+        return psi.fn(u)
+    except ValueError:
+        at = f"{u!r}" if t is None else f"ln({t!r}) = {u!r}"
+        raise DomainRestricted(f"psi {psi.describe()} is undefined at {at}",
+                               witness={"psi": psi.describe(), "u": u, "t": t}) from None
+
+
 class _StepTable(_Fields):
     """A right-constant step function of (t, value) breakpoints: the table
     behind step maps, comparison functions and gauges.  Breakpoints and
@@ -253,7 +264,7 @@ class ExpPsiLnPhi(_Fields):
     psi: RealForm
 
     def eval(self, t: float) -> float:
-        return _safe_exp(self.psi.fn(math.log(t)))
+        return _safe_exp(_psi_at(self.psi, math.log(t), t))
 
     def known_decay(self):
         # phi(t) = e^-c * t, c > 0, for psi(u) = u - c: a shift by c, or affine
