@@ -185,3 +185,31 @@ def test_every_public_name_is_its_modules_own_object():
         assert obj is getattr(owner, name), name
         if inspect.isclass(obj) or inspect.isfunction(obj):
             assert obj.__module__ == owner.__name__, name
+
+
+def test_certify_and_solve_load_neither_dataclasses_nor_inspect(tmp_path):
+    # the package's records come from its own base in gphi.spaces; dataclasses
+    # would load inspect and exec each generated method at import
+    paths = {}
+    for name, doc in (("small", SMALL), ("interval", INTERVAL)):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(doc))
+    script = """
+import contextlib, io, json, sys
+loaded = []
+import gphi.cli
+loaded.append(["import gphi.cli", None, sorted({"dataclasses", "inspect"} & sys.modules.keys())])
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = gphi.cli.run_cli(argv)
+    loaded.append([argv[0], code, sorted({"dataclasses", "inspect"} & sys.modules.keys())])
+print(json.dumps(loaded))
+"""
+    calls = [["certify", str(paths["small"])], ["certify", str(paths["interval"])],
+             ["solve", str(paths["small"]), "--x0", "2"]]
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(calls)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [["import gphi.cli", None, []], ["certify", 0, []],
+                                       ["certify", 3, []], ["solve", 0, []]]
