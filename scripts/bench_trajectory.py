@@ -9,8 +9,12 @@ checkouts take turns going first from one seed to the next, so that a drift
 in host speed does not favour one of them.  The JSON written to --out holds
 the Python and numpy versions, and per checkout its commit and, per
 workload, the operations attempted and failed, whether every check passed,
-each end-to-end metric's value per seed and its median.  Each checkout
-measures its own ``src/`` with its own benchmark files.
+each end-to-end metric's value per seed and its median.  For cli-instances
+it also holds, under ``kinds`` and apart from those metrics, each kind of
+call's (``certify:finite``, ``solve:chain``, ...) median normalised seconds
+per seed, read from the run's ``perfbench/out/cli-instances/inputs.json``,
+and their median.  Each checkout measures its own ``src/`` with its own
+benchmark files.
 """
 
 from __future__ import annotations
@@ -43,8 +47,23 @@ def commit_of(checkout: Path) -> str:
     return head.stdout.strip() + ("+dirty" if dirty else "")
 
 
+KIND_WORKLOAD = "cli-instances"
+
+
+def kind_medians(checkout: Path) -> dict:
+    """Median normalised seconds per kind of call (an op label without its
+    index, e.g. ``certify:finite``) of the checkout's last cli-instances run."""
+    manifest = json.loads((checkout / "perfbench" / "out" / KIND_WORKLOAD / "inputs.json")
+                          .read_text())
+    times = {}
+    for op in manifest["ops"]:
+        times.setdefault(op["label"].rsplit(":", 1)[0], []).append(op["seconds"] * op["scale"])
+    return {kind: statistics.median(v) for kind, v in sorted(times.items())}
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """The result line of one untraced benchmark run."""
+    """The result line of one untraced benchmark run, with ``kinds`` from
+    kind_medians for a cli-instances run."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
@@ -53,7 +72,10 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     if proc.returncode != 0:
         raise RuntimeError(f"{checkout}: {workload} seed {seed} exited "
                            f"{proc.returncode}:\n{proc.stderr}")
-    return json.loads(proc.stdout.splitlines()[-1])
+    line = json.loads(proc.stdout.splitlines()[-1])
+    if workload == KIND_WORKLOAD:
+        line["kinds"] = kind_medians(checkout)
+    return line
 
 
 def main(argv=None) -> int:
@@ -108,6 +130,14 @@ def main(argv=None) -> int:
                 "median": {m: statistics.median(v) for m, v in values.items()},
                 "values": values,
             }
+            if workload == KIND_WORKLOAD:
+                kinds = {}
+                for line in lines:
+                    for kind, t in line["kinds"].items():
+                        kinds.setdefault(kind, []).append(t)
+                doc["checkouts"][label]["workloads"][workload]["kinds"] = {
+                    kind: {"median": statistics.median(v), "values": v}
+                    for kind, v in sorted(kinds.items())}
     Path(args.out).write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     return 0
 
