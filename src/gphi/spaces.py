@@ -158,9 +158,6 @@ class _Fields:
         set_field = object.__setattr__
 
         def bind(args, kwargs):
-            if len(args) > len(names):
-                raise TypeError(f"{cls.__qualname__}() takes at most {len(names)} "
-                                f"positional arguments, got {len(args)}")
             values = list(args)
             for name in names[len(args):]:
                 if name in kwargs:
@@ -170,9 +167,9 @@ class _Fields:
                     values.append(d.make() if isinstance(d, _Fresh) else d)
                 else:
                     raise TypeError(f"{cls.__qualname__}() missing field {name!r}")
-            if kwargs:
-                raise TypeError(f"{cls.__qualname__}() got an unexpected or repeated "
-                                f"field {next(iter(kwargs))!r}")
+            if kwargs or len(args) > len(names):
+                raise TypeError(f"{cls.__qualname__}() takes the fields {names}, got "
+                                f"{len(args)} positional and the keywords {list(kwargs)}")
             return zip(names, values)
 
         def __init__(self, *args, **kwargs):
@@ -214,21 +211,16 @@ class _Fields:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
-def _plain(value):
-    """``value`` with every record in it, at any depth of lists, tuples and
-    dicts, made the dict of its fields."""
+def asdict(value):
+    """A record's fields by name, copied so that every record in them, at any
+    depth of lists, tuples and dict values, is the dict of its fields too."""
     if isinstance(value, _Fields):
-        return asdict(value)
+        return {name: asdict(getattr(value, name)) for name in value._fields}
     if isinstance(value, (list, tuple)):
-        return type(value)(map(_plain, value))
+        return type(value)(map(asdict, value))
     if isinstance(value, dict):
-        return {_plain(k): _plain(v) for k, v in value.items()}
+        return {k: asdict(v) for k, v in value.items()}
     return value
-
-
-def asdict(record: _Fields) -> dict:
-    """The fields of a record by name, records within them made dicts too."""
-    return {name: _plain(getattr(record, name)) for name in record._fields}
 
 
 def replace(record: _Fields, **changes):
