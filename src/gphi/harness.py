@@ -26,6 +26,13 @@ Spaces above PY_KERNEL_MAX_POINTS draw the same MT19937 stream through
 numpy's legacy ``RandomState`` (frozen by NEP 19), seeded through
 ``init_by_array`` with the key ``Random.seed`` derives from the same seed:
 its doubles are those of ``Random.random``.
+
+What the harness draws is checked data by construction and is not
+checked again: a map it drew is not checked before the scan, and a space
+it drew, symmetric with a zero diagonal, needs only the min and max of its
+drawn entries to be positive and finite.  A draw that fails that test,
+from a scale that underflows or is not positive and finite, goes to
+``validate_finite_space`` to name the refusal.
 """
 
 from __future__ import annotations
@@ -73,8 +80,8 @@ from .solver import (
     picard_iterate,
     verify_step_chaining,
 )
-from .spaces import (MAX_FINITE_POINTS, PY_KERNEL_MAX_POINTS, FiniteSpace, _Fields, _Fresh,
-                     _Record, space_to_json, validate_finite_space)
+from .spaces import (MAX_FINITE_POINTS, PY_KERNEL_MAX_POINTS, FiniteSpace, _checked_space,
+                     _Fields, _Fresh, _Record, _Rows, space_to_json, validate_finite_space)
 
 DEFAULT_GAUGE_CATALOG = (
     IdentityGauge(),
@@ -142,24 +149,41 @@ _KEPT_CATALOGS_MAX = 16
 def generate_space(seed, n: int, scale: float = 1.0) -> FiniteSpace:
     """Random valid finite space: symmetric entries uniform in (0, scale].
 
-    Above PY_KERNEL_MAX_POINTS the entries come from numpy in one call,
-    equal bit for bit to those of the loop that smaller spaces keep."""
+    The entries above the diagonal are drawn in row-major order, as
+    ``scale * (1 - Random(seed).random())`` each, and mirrored below it;
+    above PY_KERNEL_MAX_POINTS numpy draws them in one call, bit for bit.
+    The draw is symmetric with a zero diagonal, so it is checked data once
+    the min and max of the drawn entries, lo and hi, pass the test numpy
+    validation makes (0 < lo, hi < inf) and n is within MAX_FINITE_POINTS;
+    any other draw goes to ``validate_finite_space``, which names the
+    refusal as it would for the loop's matrix."""
     if n < 1:
         raise ConfigInvalid("space needs at least one point")
     if n > PY_KERNEL_MAX_POINTS:
-        return validate_finite_space(_drawn_array(seed, n, scale))
-    rng = Random(seed)
-    matrix = [[0.0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            v = scale * (1.0 - rng.random())      # uniform in (0, scale]
-            matrix[i][j] = v
-            matrix[j][i] = v
-    return validate_finite_space(matrix)
+        matrix, drawn = _drawn_array(seed, n, scale)
+        lo, hi = float(drawn.min()), float(drawn.max())
+    else:
+        random = Random(seed).random
+        # a scale of NaN makes every entry NaN, and min then NaN
+        drawn = [scale * (1.0 - random()) for _ in range(n * (n - 1) // 2)]
+        lo, hi = min(drawn, default=math.inf), max(drawn, default=0.0)
+        rows, start = [], 0
+        for i in range(n):      # row i: column i of the rows above, 0, its own draws
+            end = start + n - 1 - i
+            rows.append((*[row[i] for row in rows], 0.0, *drawn[start:end]))
+            start = end
+        matrix = tuple(rows)
+    if not (0.0 < lo and hi < math.inf and n <= MAX_FINITE_POINTS):
+        return validate_finite_space(matrix)
+    if n > PY_KERNEL_MAX_POINTS:
+        matrix.flags.writeable = False
+        matrix = _Rows(matrix)
+    return _checked_space(matrix, lo, hi)
 
 
 def _drawn_array(seed, n: int, scale: float):
-    """The loop's matrix from numpy's legacy MT19937 seeded as ``Random(seed)``
+    """The loop's matrix, and the vector of its entries above the diagonal in
+    row-major order, from numpy's legacy MT19937 seeded as ``Random(seed)``
     is: its ``random_sample`` gives the doubles ``Random(seed).random()``
     would, in order.  Each thread keeps one generator, which ``seed``
     resets whole; a seed with no ``_mt_key`` loads ``Random(seed)``'s state."""
@@ -174,11 +198,15 @@ def _drawn_array(seed, n: int, scale: float):
     else:
         _, state, _ = Random(seed).getstate()
         mt.set_state(("MT19937", np.array(state[:-1], dtype=np.uint32), state[-1]))
+    drawn = scale * (1.0 - mt.random_sample(n * (n - 1) // 2))
     d = np.zeros((n, n))
-    # a boolean mask takes its values in row-major order: the loop's order
-    d[~np.tri(n, dtype=bool)] = scale * (1.0 - mt.random_sample(n * (n - 1) // 2))
-    d += d.T
-    return d
+    # a boolean mask takes its values in row-major order: the loop's order;
+    # through the transposed view the same mask fills the lower triangle
+    # (d += d.T would buffer d and read it transposed, at 3x the cost)
+    upper = ~np.tri(n, dtype=bool)
+    d[upper] = drawn
+    d.T[upper] = drawn
+    return d, drawn
 
 
 def _mt_key(seed) -> list[int] | None:

@@ -10,18 +10,23 @@ generator refills its 624-word state at the first draw and again after
 every 312 doubles (two words each): n = 26 (325 draws) is the first size
 whose matrix spans a refill, n = 36 (630 draws) the first to span two.
 ``generate_operator`` draws its indices as ``Random.randrange`` does.
+A draw that passes is checked data: no validation runs on it.
 """
 
 import sys
 import threading
 from random import Random
 
+import numpy as np
 import pytest
 
+import gphi.harness
+import gphi.spaces
 from gphi.contraction import FiniteMap
-from gphi.errors import ConfigInvalid, NonFiniteEntry, ZeroOffDiagonal
+from gphi.errors import (ConfigInvalid, GphiError, NegativeEntry, NonFiniteEntry, TooManyPoints,
+                         ZeroOffDiagonal)
 from gphi.harness import _LEGACY_MT, _drawn_array, generate_operator, generate_space
-from gphi.spaces import PY_KERNEL_MAX_POINTS, validate_finite_space
+from gphi.spaces import PY_KERNEL_MAX_POINTS, _Rows, validate_finite_space
 
 SIZES = (2, 15, 16, 17, 25, 26, 35, 36, 37, 200, 256)
 # a float seed has no init_by_array key: its draws load Random's state
@@ -115,6 +120,52 @@ def test_infinite_scale_raises_the_loops_non_finite_entry(n):
     got = _error(SEEDS[0], n, float("inf"), generate_space)
     assert got == _error(SEEDS[0], n, float("inf"), loop_space)
     assert got[0] is NonFiniteEntry
+
+
+def _refusal(seed, n, scale, make):
+    with pytest.raises(GphiError) as info:
+        make(seed, n, scale)
+    return type(info.value), str(info.value), info.value.witness
+
+
+@pytest.mark.parametrize("n", (257, 300))
+def test_too_many_points_raises_the_loops_cap(n):
+    got = _refusal(SEEDS[1], n, 1.0, generate_space)
+    assert got == _refusal(SEEDS[1], n, 1.0, loop_space)
+    assert got == (TooManyPoints, f"{n} points exceeds cap 256", None)
+
+
+@pytest.mark.parametrize("scale, kind", [(0.0, ZeroOffDiagonal), (-0.0, ZeroOffDiagonal),
+                                         (-1.0, NegativeEntry), (float("nan"), NonFiniteEntry),
+                                         (float("-inf"), NonFiniteEntry)], ids=repr)
+@pytest.mark.parametrize("n", (15, 16))
+def test_bad_scale_raises_the_loops_refusal(n, scale, kind):
+    got = _refusal(SEEDS[0], n, scale, generate_space)
+    assert got == _refusal(SEEDS[0], n, scale, loop_space)
+    assert got[0] is kind
+
+
+@pytest.mark.parametrize("seed", SEEDS, ids=repr)
+@pytest.mark.parametrize("n", SIZES)
+def test_accepted_draw_is_not_validated(n, seed, monkeypatch):
+    calls = []
+    for module in (gphi.harness, gphi.spaces):
+        def spy(matrix, name=module.__name__, validate=module.validate_finite_space):
+            calls.append(name)
+            return validate(matrix)
+        monkeypatch.setattr(module, "validate_finite_space", spy)
+    space = generate_space(seed, n, 0.37)
+    assert calls == []
+    if n <= PY_KERNEL_MAX_POINTS:
+        assert type(space.dist) is tuple
+        assert all(type(row) is tuple for row in space.dist)
+        assert all(type(v) is float for row in space.dist for v in row)
+    else:
+        assert type(space.dist) is _Rows
+        matrix = space.dist.matrix
+        assert type(matrix) is np.ndarray and matrix.dtype == np.float64
+        assert matrix.flags.c_contiguous and not matrix.flags.writeable
+    assert space.s.hex() == loop_space(seed, n, 0.37).s.hex()
 
 
 def test_threads_draw_the_loops_entries():
