@@ -202,7 +202,8 @@ def _drawn_array(seed, n: int, scale: float):
     d = np.zeros((n, n))
     # a boolean mask takes its values in row-major order: the loop's order;
     # through the transposed view the same mask fills the lower triangle
-    # (d += d.T would buffer d and read it transposed, at 3x the cost)
+    # (d += d.T buffers d, which overlaps its output, and reads it transposed:
+    # three to four times the cost)
     upper = ~np.tri(n, dtype=bool)
     d[upper] = drawn
     d.T[upper] = drawn
