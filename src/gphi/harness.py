@@ -157,11 +157,13 @@ def generate_space(seed, n: int, scale: float = 1.0) -> FiniteSpace:
     validation makes (0 < lo, hi < inf) and n is within MAX_FINITE_POINTS;
     any other draw goes to ``validate_finite_space``, which names the
     refusal as it would for the loop's matrix."""
+    n = _count("n", n)
     if n < 1:
         raise ConfigInvalid("space needs at least one point")
     if n > PY_KERNEL_MAX_POINTS:
-        matrix, drawn = _drawn_array(seed, n, scale)
+        drawn = _drawn_array(seed, n, scale)
         lo, hi = float(drawn.min()), float(drawn.max())
+        dist = _Rows(upper=drawn, n=n)
     else:
         random = Random(seed).random
         # a scale of NaN makes every entry NaN, and min then NaN
@@ -172,21 +174,27 @@ def generate_space(seed, n: int, scale: float = 1.0) -> FiniteSpace:
             end = start + n - 1 - i
             rows.append((*[row[i] for row in rows], 0.0, *drawn[start:end]))
             start = end
-        matrix = tuple(rows)
+        dist = tuple(rows)
     if not (0.0 < lo and hi < math.inf and n <= MAX_FINITE_POINTS):
-        return validate_finite_space(matrix)
-    if n > PY_KERNEL_MAX_POINTS:
-        matrix.flags.writeable = False
-        matrix = _Rows(matrix)
-    return _checked_space(matrix, lo, hi)
+        return validate_finite_space(dist.matrix if isinstance(dist, _Rows) else dist)
+    return _checked_space(dist, lo, hi)
+
+
+def _count(name: str, value) -> int:
+    """``value`` as ``operator.index`` gives it; a value it refuses, such as
+    a float, is refused naming the field."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ConfigInvalid(f"{name} must be an integer, not {value!r}") from None
 
 
 def _drawn_array(seed, n: int, scale: float):
-    """The loop's matrix, and the vector of its entries above the diagonal in
-    row-major order, from numpy's legacy MT19937 seeded as ``Random(seed)``
-    is: its ``random_sample`` gives the doubles ``Random(seed).random()``
-    would, in order.  Each thread keeps one generator, which ``seed``
-    resets whole; a seed with no ``_mt_key`` loads ``Random(seed)``'s state."""
+    """The loop's entries above the diagonal, in row-major order, as one
+    vector, from numpy's legacy MT19937 seeded as ``Random(seed)`` is: its
+    ``random_sample`` gives the doubles ``Random(seed).random()`` would, in
+    order.  Each thread keeps one generator, which ``seed`` resets whole; a
+    seed with no ``_mt_key`` loads ``Random(seed)``'s state."""
     import numpy as np
 
     mt = getattr(_LEGACY_MT, "generator", None)
@@ -198,16 +206,7 @@ def _drawn_array(seed, n: int, scale: float):
     else:
         _, state, _ = Random(seed).getstate()
         mt.set_state(("MT19937", np.array(state[:-1], dtype=np.uint32), state[-1]))
-    drawn = scale * (1.0 - mt.random_sample(n * (n - 1) // 2))
-    d = np.zeros((n, n))
-    # a boolean mask takes its values in row-major order: the loop's order;
-    # through the transposed view the same mask fills the lower triangle
-    # (d += d.T buffers d, which overlaps its output, and reads it transposed:
-    # three to four times the cost)
-    upper = ~np.tri(n, dtype=bool)
-    d[upper] = drawn
-    d.T[upper] = drawn
-    return d, drawn
+    return scale * (1.0 - mt.random_sample(n * (n - 1) // 2))
 
 
 def _mt_key(seed) -> list[int] | None:
@@ -302,9 +301,10 @@ def _certified_catalogs(gauge_catalog, phi_catalog):
 
 def fuzz(config: FuzzConfig) -> FuzzReport:
     """Run the fuzz loop and return the report (violations empty = theorem held)."""
-    if config.trials < 1:
+    trials, max_points = _count("trials", config.trials), _count("max_points", config.max_points)
+    if trials < 1:
         raise ConfigInvalid("trials must be at least 1")
-    if not 2 <= config.max_points <= MAX_FINITE_POINTS:
+    if not 2 <= max_points <= MAX_FINITE_POINTS:
         raise ConfigInvalid(f"max_points must be between 2 and {MAX_FINITE_POINTS}")
     if not 0.0 < config.scale < math.inf:
         raise ConfigInvalid("scale must be positive and finite")
@@ -328,13 +328,13 @@ def fuzz(config: FuzzConfig) -> FuzzReport:
             raise ConfigInvalid("broken comparison function unexpectedly certified")
         # the only available comparison function is not a member, so no pair
         # can be certified: every trial routes to certification-failed
-        report.trials_run = report.expected_break_count = report.uncertified_count = config.trials
+        report.trials_run = report.expected_break_count = report.uncertified_count = trials
         return report
 
-    for trial in range(config.trials):
+    for trial in range(trials):
         report.trials_run += 1
         shape_rng = Random(f"{config.seed}:{trial}:shape")
-        n = shape_rng.randint(2, config.max_points)
+        n = shape_rng.randint(2, max_points)
         space = generate_space(f"{config.seed}:{trial}:space", n, config.scale)
         T = generate_operator(f"{config.seed}:{trial}:operator", space)
 

@@ -53,6 +53,13 @@ MAX_FINITE_POINTS = 256
 # Below this max/min of the off-diagonal entries s cannot overflow.
 _FINITE_RATIO_BOUND = 2.0 ** 1000
 
+# Rows a drawn space reads off its triangle before it builds its matrix.  The
+# fuzz harness's catalog scan reads the rows of x = 0 and of its image on a
+# trial refused within x = 0's pairs, nearly every trial above 15 points; a
+# scan that reads on tends to read every row, where a row of the matrix is
+# the cheaper read.
+_TRIANGLE_ROWS = 2
+
 # Matrices of up to this many points have their constant computed, and
 # fuzz spaces their entries drawn, in pure Python.  Above it numpy's vector
 # ops repay their per-call overhead; the value is the in-process crossover
@@ -91,15 +98,40 @@ class _Constant:
 
 
 class _Rows:
-    """The rows of a validated read-only float64 matrix, each made a tuple of
-    floats on its first read and kept; equal to, hashed and shown as the
-    tuple of all of them."""
+    """The rows of a validated float64 matrix, each made a tuple of floats on
+    its first read and kept; equal to, hashed and shown as the tuple of all
+    of them.
 
-    __slots__ = ("matrix", "_built")
+    The matrix is given read-only, or, for an n-point matrix that is
+    symmetric with a zero diagonal by construction, only ``upper``: its
+    entries above the diagonal in row-major order.  The first
+    _TRIANGLE_ROWS rows read are then read off that vector (column i of the
+    triangle, 0.0, the row's own slice); ``matrix``, read-only, C-ordered
+    float64, is built on its first read, or at the next row read."""
 
-    def __init__(self, matrix):
-        self.matrix = matrix
-        self._built = [None] * len(matrix)
+    __slots__ = ("_matrix", "_upper", "_gathered", "_built")
+
+    def __init__(self, matrix=None, *, upper=None, n=None):
+        self._matrix, self._upper, self._gathered = matrix, upper, 0
+        self._built = [None] * (n if matrix is None else len(matrix))
+
+    @property
+    def matrix(self):
+        if self._matrix is None:
+            import numpy as np
+
+            n, upper = len(self), self._upper
+            d = np.zeros((n, n))
+            # a boolean mask takes its values in row-major order; through the
+            # transposed view the same mask fills the lower triangle
+            # (d += d.T buffers d, which overlaps its output, and reads it
+            # transposed: three to four times the cost)
+            mask = ~np.tri(n, dtype=bool)
+            d[mask] = upper
+            d.T[mask] = upper
+            d.flags.writeable = False
+            self._matrix = d
+        return self._matrix
 
     def __len__(self) -> int:
         return len(self._built)
@@ -109,8 +141,22 @@ class _Rows:
             return tuple(map(self.__getitem__, range(len(self))[i]))
         row = self._built[i]
         if row is None:
-            row = self._built[i] = tuple(self.matrix[i].tolist())
+            row = self._built[i] = self._row(range(len(self))[i])
         return row
+
+    def _row(self, i: int) -> tuple:
+        if self._matrix is not None or self._gathered >= _TRIANGLE_ROWS:
+            return tuple(self.matrix[i].tolist())
+        import numpy as np
+
+        self._gathered += 1
+        n, upper = len(self), self._upper
+        # entry (k, i), k < i, lies i - k - 1 past the start of row k's
+        # slice, k (2n - k - 1) / 2
+        k = np.arange(i)
+        start = i * (2 * n - i - 1) // 2
+        return (*upper[k * (2 * n - k - 3) // 2 + (i - 1)].tolist(), 0.0,
+                *upper[start:start + n - 1 - i].tolist())
 
     def __iter__(self):
         return map(self.__getitem__, range(len(self)))

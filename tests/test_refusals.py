@@ -61,6 +61,17 @@ REFUSALS = {
                              ValueError, "max_iter must be at least 1"),
     "space-of-no-points": (lambda: generate_space(7, 0), ConfigInvalid,
                            "space needs at least one point"),
+    # operator.index refuses a float count, even an integral one, by name
+    "space-of-fractional-size": (lambda: generate_space(7, 16.0), ConfigInvalid,
+                                 "n must be an integer, not 16.0"),
+    "small-space-of-float-size": (lambda: generate_space(7, 8.0), ConfigInvalid,
+                                  "n must be an integer, not 8.0"),
+    "fuzz-fractional-trials": (lambda: fuzz(FuzzConfig(trials=2.5)), ConfigInvalid,
+                               "trials must be an integer, not 2.5"),
+    "fuzz-fractional-max-points": (lambda: fuzz(FuzzConfig(max_points=2.5)), ConfigInvalid,
+                                   "max_points must be an integer, not 2.5"),
+    "fuzz-float-max-points": (lambda: fuzz(FuzzConfig(trials=3, max_points=8.0)),
+                              ConfigInvalid, "max_points must be an integer, not 8.0"),
     "fuzz-empty-catalog": (lambda: fuzz(FuzzConfig(gauge_catalog=())), ConfigInvalid,
                            "catalogs must be non-empty"),
     "fuzz-unknown-break-mode": (lambda: fuzz(FuzzConfig(break_mode="bogus")), ConfigInvalid,

@@ -10,11 +10,16 @@ generator refills its 624-word state at the first draw and again after
 every 312 doubles (two words each): n = 26 (325 draws) is the first size
 whose matrix spans a refill, n = 36 (630 draws) the first to span two.
 ``generate_operator`` draws its indices as ``Random.randrange`` does.
-A draw that passes is checked data: no validation runs on it.
+A draw that passes is checked data: no validation runs on it.  Above the
+cut-off the space keeps the vector it drew: its first rows read are
+gathered from that triangle, and its dense matrix is built only when the
+constant, a refusal or a further row reads it.
 """
 
 import sys
 import threading
+from functools import lru_cache
+from itertools import combinations
 from random import Random
 
 import numpy as np
@@ -26,7 +31,7 @@ from gphi.contraction import FiniteMap
 from gphi.errors import (ConfigInvalid, GphiError, NegativeEntry, NonFiniteEntry, TooManyPoints,
                          ZeroOffDiagonal)
 from gphi.harness import _LEGACY_MT, _drawn_array, generate_operator, generate_space
-from gphi.spaces import PY_KERNEL_MAX_POINTS, _Rows, validate_finite_space
+from gphi.spaces import MAX_FINITE_POINTS, PY_KERNEL_MAX_POINTS, _Rows, validate_finite_space
 
 SIZES = (2, 15, 16, 17, 25, 26, 35, 36, 37, 200, 256)
 # a float seed has no init_by_array key: its draws load Random's state
@@ -40,6 +45,10 @@ OPERATOR_SIZES = (1, 2, 3, 8, 15, 16, 64, 128, 255, 256)
 SCALES = (1.0, 0.37, 2.0 ** -30, 1e3)
 # the smallest subnormal: about half of scale * (1 - u) rounds to 0
 TINY = 5e-324
+# how a test reads a drawn space's rows: each once, in order or shuffled,
+# after its matrix was read, or each row as the first (and the mirrored row
+# as the second) of a fresh draw, so that every row is gathered
+READS = ("in order", "shuffled", "matrix first", "each gathered")
 
 
 def loop_space(seed, n: int, scale: float = 1.0):
@@ -71,18 +80,42 @@ def hexes(space):
     return [[v.hex() for v in row] for row in space.dist]
 
 
+@lru_cache(maxsize=None)
+def loop_hexes(seed, n: int, scale: float = 1.0):
+    return hexes(loop_space(seed, n, scale))
+
+
+def read_hexes(seed, n: int, scale: float, read: str):
+    """The hex entries of ``generate_space``'s rows, read as ``read`` says."""
+    order = list(range(n))
+    if read == "each gathered":
+        rows = {}
+        for i in order:
+            dist = generate_space(seed, n, scale).dist
+            rows[i], rows[n - 1 - i] = dist[i], dist[-1 - i]
+    else:
+        space = generate_space(seed, n, scale)
+        if read == "shuffled":
+            Random(n).shuffle(order)
+        if read == "matrix first" and type(space.dist) is _Rows:
+            space.dist.matrix
+        rows = {i: space.dist[i] for i in order}
+    return [[v.hex() for v in rows[i]] for i in range(n)]
+
+
 def test_sizes_straddle_the_kernel_cut_off():
     assert PY_KERNEL_MAX_POINTS in SIZES and PY_KERNEL_MAX_POINTS + 1 in SIZES
 
 
+@pytest.mark.parametrize("read", READS)
 @pytest.mark.parametrize("scale", SCALES, ids=repr)
 @pytest.mark.parametrize("seed", SEEDS, ids=repr)
 @pytest.mark.parametrize("n", SIZES)
-def test_entries_equal_the_loop(n, seed, scale):
+def test_entries_equal_the_loop(n, seed, scale, read):
     space = generate_space(seed, n, scale)
     assert space.n == n
     assert all(type(v) is float for row in space.dist for v in row)
-    assert hexes(space) == hexes(loop_space(seed, n, scale))
+    assert read_hexes(seed, n, scale, read) == loop_hexes(seed, n, scale)
 
 
 @pytest.mark.parametrize("seed", KEY_SEEDS, ids=lambda seed: repr(seed)[:12])
@@ -165,19 +198,57 @@ def test_accepted_draw_is_not_validated(n, seed, monkeypatch):
         matrix = space.dist.matrix
         assert type(matrix) is np.ndarray and matrix.dtype == np.float64
         assert matrix.flags.c_contiguous and not matrix.flags.writeable
+        assert [[v.hex() for v in row] for row in matrix.tolist()] == loop_hexes(seed, n, 0.37)
+        assert space.dist.matrix is matrix
+        with pytest.raises(ValueError):
+            matrix[0, 1] = 1.0
     assert space.s.hex() == loop_space(seed, n, 0.37).s.hex()
+
+
+@pytest.mark.parametrize("seed", ("rows", "0:0:space", 11))
+def test_refused_scan_gathers_its_rows_without_the_matrix(seed, monkeypatch):
+    """An uncertified 256-point trial whose catalog scan is refused within
+    the pairs of x = 0 reads two rows, those of 0 and of its image: both are
+    gathered from the drawn triangle, and the dense matrix is never built."""
+    space = generate_space(seed, MAX_FINITE_POINTS)
+    T = generate_operator(f"{seed}:operator", space)
+    gauges, phis = gphi.harness._prepare_catalogs(gphi.harness.FuzzConfig())
+    gathered, built, drawn = [], [], []
+    row, matrix = _Rows._row, _Rows.matrix
+    monkeypatch.setattr(_Rows, "_row", lambda rows, i: gathered.append(i) or row(rows, i))
+    monkeypatch.setattr(_Rows, "matrix",
+                        property(lambda rows: built.append(rows) or matrix.fget(rows)))
+
+    def counted_pairs(points, r):
+        for pair in combinations(points, r):
+            drawn.append(pair)
+            yield pair
+
+    monkeypatch.setattr(gphi.harness, "combinations", counted_pairs)
+    assert gphi.harness._first_certified(space, T, gauges, phis) is None
+    read = {x for x, _ in drawn} | {T.mapping[x] for x, _ in drawn}
+    assert read == {0, T.mapping[0]} and T.mapping[0] != 0
+    assert sorted(gathered) == sorted(read) and built == []
+    assert space.dist._matrix is None
 
 
 def test_threads_draw_the_loops_entries():
     """Each thread loads its own legacy generator: draws made at once in
-    several threads, switching often, still equal the loop's."""
+    several threads, switching often, still equal the loop's.  The threads
+    also read the rows of shared drawn spaces, each in its own order, so
+    that they gather rows and build the matrix at once."""
     seeds = [f"thread:{k}" for k in range(6)]
     expected = {seed: hexes(loop_space(seed, 36)) for seed in seeds}
+    shared = [generate_space("thread:shared", 36) for _ in range(20)]
     got = {}
 
     def draw(seed):
-        for _ in range(20):
+        order = list(range(36))
+        Random(seed).shuffle(order)
+        for space in shared:
             assert hexes(generate_space(seed, 36)) == expected[seed]
+            rows = {i: space.dist[i] for i in order}
+            assert [[v.hex() for v in rows[i]] for i in range(36)] == loop_hexes("thread:shared", 36)
         got[seed] = True
 
     interval = sys.getswitchinterval()
