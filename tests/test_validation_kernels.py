@@ -377,16 +377,8 @@ class TestKeptMatrix:
         T = harness.generate_operator("rows:op", space)
         gauges, phis = harness._prepare_catalogs(harness.FuzzConfig())
         built = []
-
-        class Counted:
-            def __init__(self, matrix):
-                self.matrix = matrix
-
-            def __getitem__(self, i):
-                built.append(i)
-                return self.matrix[i]
-
-        space.dist.matrix = Counted(space.dist.matrix)
+        row = spaces._Rows._row
+        monkeypatch.setattr(spaces._Rows, "_row", lambda rows, i: built.append(i) or row(rows, i))
         drawn = []
 
         def counted_pairs(points, r):
