@@ -32,7 +32,11 @@ checked again: a map it drew is not checked before the scan, and a space
 it drew, symmetric with a zero diagonal, needs only the min and max of its
 drawn entries to be positive and finite.  A draw that fails that test,
 from a scale that underflows or is not positive and finite, goes to
-``validate_finite_space`` to name the refusal.
+``validate_finite_space`` to name the refusal.  Above PY_KERNEL_MAX_POINTS
+the space keeps the vector it drew, the entries above the diagonal: a trial
+that the catalog scan refuses reads two of its rows off that triangle and
+never builds the dense matrix, which only the constant, a refusal or a scan
+that reads on needs.
 """
 
 from __future__ import annotations
@@ -151,12 +155,14 @@ def generate_space(seed, n: int, scale: float = 1.0) -> FiniteSpace:
 
     The entries above the diagonal are drawn in row-major order, as
     ``scale * (1 - Random(seed).random())`` each, and mirrored below it;
-    above PY_KERNEL_MAX_POINTS numpy draws them in one call, bit for bit.
+    above PY_KERNEL_MAX_POINTS numpy draws them in one call, bit for bit,
+    and the space keeps that vector as ``_Rows`` of the triangle it drew.
     The draw is symmetric with a zero diagonal, so it is checked data once
     the min and max of the drawn entries, lo and hi, pass the test numpy
     validation makes (0 < lo, hi < inf) and n is within MAX_FINITE_POINTS;
     any other draw goes to ``validate_finite_space``, which names the
-    refusal as it would for the loop's matrix."""
+    refusal as it would for the loop's matrix.  An n that ``operator.index``
+    refuses raises ConfigInvalid."""
     n = _count("n", n)
     if n < 1:
         raise ConfigInvalid("space needs at least one point")

@@ -10,7 +10,9 @@ concrete families are supported:
   numpy parses any other input, an array above all, and accepts it in bulk
   from two reductions over a view of its off-diagonal entries (their min
   and max), a zero diagonal and symmetry; it keeps the matrix and makes each
-  row of floats when it is first read.
+  row of floats when it is first read.  A space the fuzz harness draws
+  keeps only the entries it drew above the diagonal: its first rows are
+  read off them, and the matrix is built when it is first needed.
   The smallest admissible constant, a min-plus row reduction over the
   pairs i < j (the matrix is symmetric), is computed on the first read of
   ``s``: only the quantitative lemmas, JSON output and a declared constant
