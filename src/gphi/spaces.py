@@ -132,7 +132,7 @@ class _Rows:
             d[mask] = upper
             d.T[mask] = upper
             d.flags.writeable = False
-            self._matrix = d
+            self._matrix, self._upper = d, None
         return self._matrix
 
     def __len__(self) -> int:
@@ -143,21 +143,29 @@ class _Rows:
             return tuple(map(self.__getitem__, range(len(self))[i]))
         row = self._built[i]
         if row is None:
-            row = self._built[i] = self._row(range(len(self))[i])
+            row = self._built[i] = self._row(i)
         return row
 
     def _row(self, i: int) -> tuple:
-        if self._matrix is not None or self._gathered >= _TRIANGLE_ROWS:
-            return tuple(self.matrix[i].tolist())
+        matrix = self._matrix
+        if matrix is None:
+            if self._gathered < _TRIANGLE_ROWS:
+                self._gathered += 1
+                return self._gather(i % len(self))
+            matrix = self.matrix
+        return tuple(matrix[i].tolist())
+
+    def _gather(self, i: int) -> tuple:
+        """Row i read off the triangle.  Row k's slice starts at
+        k (2n - k - 1) / 2, so entry (0, i) lies at i - 1 and entry (k, i),
+        0 < k < i, n - 1 - k past entry (k - 1, i)."""
         import numpy as np
 
-        self._gathered += 1
         n, upper = len(self), self._upper
-        # entry (k, i), k < i, lies i - k - 1 past the start of row k's
-        # slice, k (2n - k - 1) / 2
-        k = np.arange(i)
+        steps = np.arange(n - 1, n - 1 - i, -1)
+        steps[:1] = i - 1
         start = i * (2 * n - i - 1) // 2
-        return (*upper[k * (2 * n - k - 3) // 2 + (i - 1)].tolist(), 0.0,
+        return (*upper[steps.cumsum()].tolist(), 0.0,
                 *upper[start:start + n - 1 - i].tolist())
 
     def __iter__(self):
