@@ -109,7 +109,8 @@ class _Rows:
     entries above the diagonal in row-major order.  The first
     _TRIANGLE_ROWS rows read are then read off that vector (column i of the
     triangle, 0.0, the row's own slice); ``matrix``, read-only, C-ordered
-    float64, is built on its first read, or at the next row read."""
+    float64, is built on its first read, or at the next row read, and then
+    takes the vector's place."""
 
     __slots__ = ("_matrix", "_upper", "_gathered", "_built")
 
@@ -117,12 +118,16 @@ class _Rows:
         self._matrix, self._upper, self._gathered = matrix, upper, 0
         self._built = [None] * (n if matrix is None else len(matrix))
 
+    # _upper is released only after _matrix is set: a thread that loads
+    # _upper and then finds no _matrix holds the vector (matrix and _row
+    # load the two in that order)
     @property
     def matrix(self):
+        upper = self._upper
         if self._matrix is None:
             import numpy as np
 
-            n, upper = len(self), self._upper
+            n = len(self)
             d = np.zeros((n, n))
             # a boolean mask takes its values in row-major order; through the
             # transposed view the same mask fills the lower triangle
@@ -132,7 +137,8 @@ class _Rows:
             d[mask] = upper
             d.T[mask] = upper
             d.flags.writeable = False
-            self._matrix, self._upper = d, None
+            self._matrix = d
+            self._upper = None
         return self._matrix
 
     def __len__(self) -> int:
@@ -147,21 +153,21 @@ class _Rows:
         return row
 
     def _row(self, i: int) -> tuple:
-        matrix = self._matrix
+        upper, matrix = self._upper, self._matrix
         if matrix is None:
             if self._gathered < _TRIANGLE_ROWS:
                 self._gathered += 1
-                return self._gather(i % len(self))
+                return self._gather(upper, i % len(self))
             matrix = self.matrix
         return tuple(matrix[i].tolist())
 
-    def _gather(self, i: int) -> tuple:
-        """Row i read off the triangle.  Row k's slice starts at
+    def _gather(self, upper, i: int) -> tuple:
+        """Row i read off the triangle ``upper``.  Row k's slice starts at
         k (2n - k - 1) / 2, so entry (0, i) lies at i - 1 and entry (k, i),
         0 < k < i, n - 1 - k past entry (k - 1, i)."""
         import numpy as np
 
-        n, upper = len(self), self._upper
+        n = len(self)
         steps = np.arange(n - 1, n - 1 - i, -1)
         steps[:1] = i - 1
         start = i * (2 * n - i - 1) // 2

@@ -232,6 +232,29 @@ def test_refused_scan_gathers_its_rows_without_the_matrix(seed, monkeypatch):
     assert space.dist._matrix is None
 
 
+@pytest.mark.parametrize("read", ("matrix", "row"))
+def test_matrix_built_midway_by_another_reader(read, monkeypatch):
+    """A drawn space releases its vector once its matrix is set.  A reader
+    that found no matrix, and in whose read another thread builds it (here
+    at the reader's next ``len``), still reads the drawn vector."""
+    n = PY_KERNEL_MAX_POINTS + 1
+    dist = generate_space(SEEDS[0], n).dist
+    length, interrupted = _Rows.__len__, []
+
+    def other_thread_builds(rows):
+        if rows is dist and not interrupted:
+            interrupted.append(True)
+            assert rows.matrix is not None
+        return length(rows)
+
+    monkeypatch.setattr(_Rows, "__len__", other_thread_builds)
+    got = dist.matrix.tolist() if read == "matrix" else [dist[n - 2]]
+    assert interrupted and dist._upper is None
+    expected = loop_hexes(SEEDS[0], n)
+    assert [[v.hex() for v in row] for row in got] == (expected if read == "matrix"
+                                                        else expected[n - 2:n - 1])
+
+
 def test_threads_draw_the_loops_entries():
     """Each thread loads its own legacy generator: draws made at once in
     several threads, switching often, still equal the loop's.  The threads
