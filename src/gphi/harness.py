@@ -33,10 +33,9 @@ it drew, symmetric with a zero diagonal, needs only the min and max of its
 drawn entries to be positive and finite.  A draw that fails that test,
 from a scale that underflows or is not positive and finite, goes to
 ``validate_finite_space`` to name the refusal.  Above PY_KERNEL_MAX_POINTS
-the space keeps the vector it drew, the entries above the diagonal: a trial
-that the catalog scan refuses reads two of its rows off that triangle and
-never builds the dense matrix, which only the constant, a refusal or a scan
-that reads on needs.
+the space keeps the vector it drew, the entries above the diagonal, and
+builds its dense matrix only when read (``spaces._Rows``): a trial that the
+catalog scan refuses reads two rows off that triangle and never builds it.
 """
 
 from __future__ import annotations
@@ -319,8 +318,8 @@ def fuzz(config: FuzzConfig) -> FuzzReport:
 
     gauges, phis = _prepare_catalogs(config)
     report = FuzzReport(config={
-        "seed": config.seed, "trials": config.trials,
-        "max_points": config.max_points, "scale": config.scale,
+        "seed": config.seed, "trials": trials,
+        "max_points": max_points, "scale": config.scale,
         "break_mode": config.break_mode,
         "bias_contractive": True,
         "gauges": [g.gauge.describe() for g in gauges],

@@ -58,8 +58,8 @@ _FINITE_RATIO_BOUND = 2.0 ** 1000
 # Rows a drawn space reads off its triangle before it builds its matrix.  The
 # fuzz harness's catalog scan reads the rows of x = 0 and of its image on a
 # trial refused within x = 0's pairs, nearly every trial above 15 points; a
-# scan that reads on tends to read every row, where a row of the matrix is
-# the cheaper read.
+# scan that reads a third row may read them all, as a certified trial does,
+# and a row of the matrix is the cheaper read.
 _TRIANGLE_ROWS = 2
 
 # Matrices of up to this many points have their constant computed, and

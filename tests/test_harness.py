@@ -108,6 +108,12 @@ class TestFuzz:
         with pytest.raises(ConfigInvalid, match="max_points"):
             fuzz(FuzzConfig(trials=3, max_points=MAX_FINITE_POINTS + 44))
 
+    def test_numpy_integer_counts_report_as_ints(self):
+        # the report records the counts operator.index gave, which JSON encodes
+        import numpy as np
+        counted = fuzz(FuzzConfig(seed=3, trials=np.int64(12), max_points=np.int32(8)))
+        assert counted.to_json_str() == fuzz(FuzzConfig(seed=3, trials=12)).to_json_str()
+
     @pytest.mark.parametrize("scale", [0.0, -1.0, float("nan"), float("inf")])
     def test_scale_not_positive_and_finite_rejected(self, scale):
         with pytest.raises(ConfigInvalid, match="^scale must be positive and finite$"):

@@ -80,7 +80,7 @@ def hexes(space):
     return [[v.hex() for v in row] for row in space.dist]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4)          # the reads of one draw run one after another
 def loop_hexes(seed, n: int, scale: float = 1.0):
     return hexes(loop_space(seed, n, scale))
 
