@@ -18,14 +18,19 @@ the public lemmas of ``gphi.solver`` give on the start point's trace.  A
 trace is recorded only for a start point whose orbit ends on a cycle,
 where those lemmas run on it, and for the bundle of a failed lemma.
 
-Determinism: all randomness flows through ``random.Random`` (Mersenne
+Determinism: all randomness is the stream of ``random.Random`` (Mersenne
 Twister) seeded with strings of the form ``"{seed}:{trial}:{stream}"``;
 Python's string seeding is the documented SHA-512 based scheme, stable
 across platforms, so reports are byte-identical for a given configuration.
-Spaces above PY_KERNEL_MAX_POINTS draw the same MT19937 stream through
-numpy's legacy ``RandomState`` (frozen by NEP 19), seeded through
-``init_by_array`` with the key ``Random.seed`` derives from the same seed:
-its doubles are those of ``Random.random``.
+Each thread keeps one generator, which a trial's size draw, its space of
+at most PY_KERNEL_MAX_POINTS points and its map each reseed with the int
+``Random.seed`` derives from the stream's seed, so each draws what
+``Random(seed)`` would.  Spaces above PY_KERNEL_MAX_POINTS draw the same
+MT19937 stream through numpy's legacy ``RandomState`` (frozen by NEP 19),
+seeded through ``init_by_array`` with that int cut into 32-bit words: its
+doubles are those of ``Random.random``.  A space of at most
+PY_KERNEL_MAX_POINTS points builds its rows with one ``itemgetter`` per
+size, which picks the n * n entries from the drawn triangle.
 
 What the harness draws is checked data by construction and is not
 checked again: a map it drew is not checked before the scan, and a space
@@ -40,20 +45,26 @@ catalog scan refuses reads two rows off that triangle and never builds it.
 
 from __future__ import annotations
 
+import _random
 import json
 import math
 import operator
 import threading
-from itertools import chain, combinations, tee
+from itertools import chain, combinations
 from random import Random
 from typing import NamedTuple
 
-try:            # the SHA-512 that Random.seed hashes with: hashlib would load OpenSSL
-    from random import _sha512
+# the SHA-512 that Random.seed hashes with (hashlib would load OpenSSL);
+# random's own _sha512 is None on 3.13 until a str or bytes seed fills it in
+try:
+    from _sha2 import sha512 as _sha512         # 3.12 and later
 except ImportError:
-    from hashlib import sha512 as _sha512
+    try:
+        from _sha512 import sha512 as _sha512   # 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha512 as _sha512
 
-from .contraction import FiniteMap, _first_violation, _gauged_pairs, _informative_pairs
+from .contraction import FiniteMap, _informative_pairs
 from .errors import (BudgetExhausted, ConfigInvalid, ConstantOverflow, OrbitTooShort,
                      TailNotSmall)
 from .gauges import (
@@ -71,6 +82,7 @@ from .gauges import (
     certify_phi,
     epsilon0,
     n_epsilon,
+    phi_eval,
 )
 from .solver import (
     _ball_holds,
@@ -144,6 +156,7 @@ class FuzzReport(_Record, frozen=False):
 
 
 _LEGACY_MT = threading.local()
+_KEPT_MT = threading.local()
 # (gauge catalog, phi catalog) -> (those catalogs, their certified entries)
 _KEPT_CATALOGS = {}
 _KEPT_CATALOGS_MAX = 16
@@ -170,16 +183,12 @@ def generate_space(seed, n: int, scale: float = 1.0) -> FiniteSpace:
         lo, hi = float(drawn.min()), float(drawn.max())
         dist = _Rows(upper=drawn, n=n)
     else:
-        random = Random(seed).random
+        random = _seeded(seed).random
         # a scale of NaN makes every entry NaN, and min then NaN
         drawn = [scale * (1.0 - random()) for _ in range(n * (n - 1) // 2)]
         lo, hi = min(drawn, default=math.inf), max(drawn, default=0.0)
-        rows, start = [], 0
-        for i in range(n):      # row i: column i of the rows above, 0, its own draws
-            end = start + n - 1 - i
-            rows.append((*[row[i] for row in rows], 0.0, *drawn[start:end]))
-            start = end
-        dist = tuple(rows)
+        flat = _ROW_PICKS[n]((*drawn, 0.0))
+        dist = tuple([flat[i:i + n] for i in range(0, n * n, n)])
     if not (0.0 < lo and hi < math.inf and n <= MAX_FINITE_POINTS):
         return validate_finite_space(dist.matrix if isinstance(dist, _Rows) else dist)
     return _checked_space(dist, lo, hi)
@@ -214,21 +223,64 @@ def _drawn_array(seed, n: int, scale: float):
     return scale * (1.0 - mt.random_sample(n * (n - 1) // 2))
 
 
-def _mt_key(seed) -> list[int] | None:
-    """The ``init_by_array`` key of ``Random(seed)``: CPython's ``Random.seed``
-    (version 2) turns a str, bytes or bytearray into the int of its bytes
-    followed by their SHA-512, and an int into its absolute value, then
-    seeds with that int's 32-bit words, low word first (one word for 0).
-    None for every other seed.  The key is a list: numpy seeds a scalar, or
-    an array that squeezes to one, with ``init_genrand`` instead."""
-    if isinstance(seed, (str, bytes, bytearray)):
-        data = seed.encode() if isinstance(seed, str) else bytes(seed)
-        seed = int.from_bytes(data + _sha512(data).digest(), "big")
+def _seed_int(seed) -> int | None:
+    """The int that CPython's ``Random.seed`` (version 2) hands its C seeding:
+    a str's UTF-8 bytes, or a bytes seed, followed by their SHA-512 and read
+    as one big-endian int, or an int's absolute value.  None for every other
+    seed, a bytearray included: Python 3.10's ``Random`` refuses one, later
+    versions take it, and ``Random(seed)`` gives each version's answer."""
+    if isinstance(seed, str):
+        seed = seed.encode()
     elif isinstance(seed, int):
-        seed = abs(seed)
-    else:
+        return abs(seed)
+    elif not isinstance(seed, bytes):
+        return None
+    return int.from_bytes(seed + _sha512(seed).digest(), "big")
+
+
+def _mt_key(seed) -> list[int] | None:
+    """The ``init_by_array`` key of ``Random(seed)``: the 32-bit words of
+    ``_seed_int(seed)``, low word first (one word for 0), or None.  The key
+    is a list: numpy seeds a scalar, or an array that squeezes to one, with
+    ``init_genrand`` instead."""
+    seed = _seed_int(seed)
+    if seed is None:
         return None
     return [seed >> shift & 0xFFFFFFFF for shift in range(0, seed.bit_length() or 1, 32)]
+
+
+def _seeded(seed):
+    """A generator in the state of ``Random(seed)``, for its ``random`` and
+    ``getrandbits`` draws.  A seed that ``_seed_int`` reads reseeds the
+    thread's kept generator with that int, through the C-level
+    ``_random.Random.seed`` that ``Random.seed`` ends in, so the generator
+    must be read out before the thread's next reseed; a thread-local
+    generator keeps threads from reseeding each other's.  Every other seed
+    builds ``Random(seed)``."""
+    key = _seed_int(seed)
+    if key is None:
+        return Random(seed)
+    mt = getattr(_KEPT_MT, "generator", None)
+    if mt is None:
+        mt = _KEPT_MT.generator = _random.Random(0)
+    mt.seed(key)
+    return mt
+
+
+def _row_pick(n: int):
+    """An itemgetter that picks the n * n entries of a space drawn on n
+    points, in row-major order, from ``(*drawn, 0.0)``: ``drawn`` holds the
+    entries above the diagonal in row-major order, and the 0.0 after them
+    is every diagonal entry."""
+    # entry (i, j), i < j, of the drawn triangle is drawn[first[i] + j]
+    first = [i * (2 * n - i - 1) // 2 - i - 1 for i in range(n)]
+    index = [first[min(i, j)] + max(i, j) if i != j else n * (n - 1) // 2
+             for i in range(n) for j in range(n)]
+    # one index would make the itemgetter return the entry, not a tuple
+    return operator.itemgetter(*index) if n > 1 else operator.itemgetter(slice(None))
+
+
+_ROW_PICKS = [None] + [_row_pick(n) for n in range(1, PY_KERNEL_MAX_POINTS + 1)]
 
 
 def generate_operator(seed, space: FiniteSpace) -> FiniteMap:
@@ -239,7 +291,7 @@ def generate_operator(seed, space: FiniteSpace) -> FiniteMap:
     ``Random.randrange(n)`` draws it: ``getrandbits(n.bit_length())``,
     rejected while not below n.
     """
-    rng = Random(seed)
+    rng = _seeded(seed)
     getrandbits, random = rng.getrandbits, rng.random
     n = space.n
     k = n.bit_length()
@@ -336,10 +388,16 @@ def fuzz(config: FuzzConfig) -> FuzzReport:
         report.trials_run = report.expected_break_count = report.uncertified_count = trials
         return report
 
+    # n is randint(2, max_points), drawn as Random.randrange draws it
+    width = max_points - 1
+    k = width.bit_length()
     for trial in range(trials):
         report.trials_run += 1
-        shape_rng = Random(f"{config.seed}:{trial}:shape")
-        n = shape_rng.randint(2, max_points)
+        getrandbits = _seeded(f"{config.seed}:{trial}:shape").getrandbits
+        r = getrandbits(k)
+        while r >= width:
+            r = getrandbits(k)
+        n = 2 + r
         space = generate_space(f"{config.seed}:{trial}:space", n, config.scale)
         T = generate_operator(f"{config.seed}:{trial}:operator", space)
 
@@ -376,15 +434,34 @@ def _first_certified(space, T, gauges, phis):
     The verdicts are those of ``certify_condition_G`` on each pair in turn,
     down to the pair at which an evaluation raises, but T, which the harness
     drew itself, is not checked, the informative pairs are drawn once for
-    all gauges, and each gauge is evaluated once per pair for all phis.  The
-    tees draw from their source only as deep as the deepest scan reaches.
+    all gauges, and each gauge is evaluated once per pair for all phis.
+    Two lists hold what the scans have reached: the informative pairs drawn
+    so far, and the current gauge's (G(d), G(dt)) at the first of them.  A
+    scan extends a list only past its end, so the pairs are drawn, and G is
+    evaluated, at the same pairs and in the same order as one lazy pass per
+    (gauge, phi) would.  The test is ``_first_violation``'s strict float
+    test, a NaN failing it.
     """
-    informative = _informative_pairs(space, T, combinations(space.points, 2))
-    for entry, pairs in zip(gauges, tee(informative, len(gauges))):
-        rows = tee(_gauged_pairs(entry.gauge, pairs), len(phis))
-        for phi, phi_rows in zip(phis, rows):
-            if _first_violation(phi_rows, phi) is None:
-                return entry, phi
+    pairs = _informative_pairs(space, T, combinations(space.points, 2))
+    drawn = []
+    for entry in gauges:
+        G = entry.gauge
+        values = []
+        for phi in phis:
+            i = 0
+            while True:
+                if i == len(values):
+                    if i == len(drawn):
+                        pair = next(pairs, None)
+                        if pair is None:            # no informative pair violates (G)
+                            return entry, phi
+                        drawn.append(pair)
+                    _, _, d, dt = drawn[i]
+                    values.append((G.eval(d), G.eval(dt)))
+                g_of_d, g_of_dt = values[i]
+                if not g_of_dt <= phi_eval(phi, g_of_d):
+                    break
+                i += 1
     return None
 
 

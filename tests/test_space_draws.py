@@ -10,6 +10,11 @@ generator refills its 624-word state at the first draw and again after
 every 312 doubles (two words each): n = 26 (325 draws) is the first size
 whose matrix spans a refill, n = 36 (630 draws) the first to span two.
 ``generate_operator`` draws its indices as ``Random.randrange`` does.
+Spaces of at most PY_KERNEL_MAX_POINTS points, operators and ``fuzz``'s
+trial sizes draw from one generator per thread, reseeded with the int that
+``Random.seed`` derives from a str, bytes or int seed; it must draw what
+``Random(seed)`` draws, and the rows built from the per-n index table must
+be those of the row loop they replaced.
 A draw that passes is checked data: no validation runs on it.  Above the
 cut-off the space keeps the vector it drew: its first rows read are
 gathered from that triangle, and its dense matrix is built only when the
@@ -18,6 +23,7 @@ constant, a refusal or a further row reads it.
 
 import sys
 import threading
+from collections import Counter
 from functools import lru_cache
 from itertools import combinations
 from random import Random
@@ -30,7 +36,8 @@ import gphi.spaces
 from gphi.contraction import FiniteMap
 from gphi.errors import (ConfigInvalid, GphiError, NegativeEntry, NonFiniteEntry, TooManyPoints,
                          ZeroOffDiagonal)
-from gphi.harness import _LEGACY_MT, _drawn_array, generate_operator, generate_space
+from gphi.harness import (_KEPT_MT, _LEGACY_MT, _ROW_PICKS, FuzzConfig, _drawn_array, _seeded,
+                          fuzz, generate_operator, generate_space)
 from gphi.spaces import MAX_FINITE_POINTS, PY_KERNEL_MAX_POINTS, _Rows, validate_finite_space
 
 SIZES = (2, 15, 16, 17, 25, 26, 35, 36, 37, 200, 256)
@@ -40,6 +47,11 @@ SEEDS = (11, "4:7:space", 2.5)
 # 2**32 - 1, and -5 through its absolute value), two words, and strings
 # and bytes through SHA-512
 KEY_SEEDS = (0, 1, 11, 2 ** 32 - 1, 2 ** 32, -5, "", "é:0:space", "x" * 1000, b"abc")
+# seeds that reseed the kept generator of the small draws
+KEPT_SEEDS = ("0:1:space", "", b"abc", 0, -5, True, 2 ** 200, -2 ** 64)
+# fuzz's size draw: one bit (2), a width of 2**k (3, 17), rejections
+# (8, 16, 64, 256) and the kernel cut-off (15, 16)
+SIZE_CAPS = (2, 3, 8, 15, 16, 17, 64, 256)
 # n = 2**k rejects about half of the getrandbits(k + 1) draws
 OPERATOR_SIZES = (1, 2, 3, 8, 15, 16, 64, 128, 255, 256)
 SCALES = (1.0, 0.37, 2.0 ** -30, 1e3)
@@ -286,3 +298,102 @@ def test_threads_draw_the_loops_entries():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert sorted(got) == sorted(seeds)
+
+
+def loop_rows(drawn, n: int):
+    """The row loop of ``generate_space`` that the index table replaced,
+    verbatim."""
+    rows, start = [], 0
+    for i in range(n):      # row i: column i of the rows above, 0, its own draws
+        end = start + n - 1 - i
+        rows.append((*[row[i] for row in rows], 0.0, *drawn[start:end]))
+        start = end
+    return tuple(rows)
+
+
+@pytest.mark.parametrize("n", range(1, PY_KERNEL_MAX_POINTS + 1))
+def test_table_rows_equal_the_row_loop(n):
+    # distinct entries, so that a wrong index picks a wrong value
+    drawn = [float(k + 1) for k in range(n * (n - 1) // 2)]
+    flat = _ROW_PICKS[n]((*drawn, 0.0))
+    rows = tuple([flat[i:i + n] for i in range(0, n * n, n)])
+    assert rows == loop_rows(drawn, n)
+    assert all(type(row) is tuple for row in rows)
+    assert generate_space(f"rows:{n}", n).dist == loop_space(f"rows:{n}", n).dist
+
+
+@pytest.mark.parametrize("seed", KEPT_SEEDS, ids=lambda seed: repr(seed)[:12])
+def test_kept_generator_draws_what_random_draws(seed):
+    for draw in ("random", "getrandbits"):
+        mt, rng = _seeded(seed), Random(seed)
+        assert mt is _KEPT_MT.generator
+        if draw == "random":
+            got, expected = [mt.random() for _ in range(700)], [rng.random() for _ in range(700)]
+        else:
+            got = [mt.getrandbits(k) for k in range(1, 40)]
+            expected = [rng.getrandbits(k) for k in range(1, 40)]
+        assert got == expected
+
+
+@pytest.mark.parametrize("seed", (1.5, -0.0, None, bytearray(b"abc")), ids=repr)
+def test_other_seeds_draw_from_random(seed):
+    try:
+        expected = Random(seed).getstate()
+    except TypeError:               # Python 3.10 refuses a bytearray seed
+        with pytest.raises(TypeError):
+            _seeded(seed)
+        return
+    rng = _seeded(seed)
+    assert type(rng) is Random and rng is not getattr(_KEPT_MT, "generator", None)
+    if seed is not None:            # None seeds from the system's entropy
+        assert rng.getstate() == expected
+
+
+@pytest.mark.parametrize("seed", ([1], {"a": 1}, {1}), ids=lambda seed: type(seed).__name__)
+def test_unsupported_seed_raises_randoms_error(seed):
+    with pytest.raises(TypeError) as expected:
+        Random(seed)
+    with pytest.raises(TypeError) as got:
+        generate_space(seed, 5)
+    assert str(got.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("max_points", SIZE_CAPS)
+def test_fuzz_sizes_are_randint_draws(max_points, monkeypatch):
+    sizes = []
+    draw = gphi.harness.generate_space
+    monkeypatch.setattr(gphi.harness, "generate_space",
+                        lambda seed, n, scale: sizes.append(n) or draw(seed, n, scale))
+    trials = 12 if max_points > 64 else 60
+    fuzz(FuzzConfig(seed=3, trials=trials, max_points=max_points))
+    assert sizes == [Random(f"3:{trial}:shape").randint(2, max_points)
+                     for trial in range(trials)]
+
+
+def test_threads_interleave_small_draws():
+    """Each thread reseeds its own kept generator: small draws made at once
+    in two threads, switching often, still equal the loops'."""
+    seeds = [f"small:{k}" for k in range(40)]
+    expected = {seed: (hexes(loop_space(seed, 8)), loop_operator(seed, loop_space(seed, 8)))
+                for seed in seeds}
+    got = Counter()
+
+    def draw(name):
+        for _ in range(5):
+            for seed in seeds:
+                space = generate_space(seed, 8)
+                if (hexes(space), generate_operator(seed, space)) == expected[seed]:
+                    got[name] += 1
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=draw, args=(name,)) for name in "ab"]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got == {"a": 5 * len(seeds), "b": 5 * len(seeds)}
