@@ -4,7 +4,10 @@ Every trial draws a finite b-metric space and a self-map, scans a catalog of
 (gauge, comparison-function) pairs exhaustively for condition (G), and -- on
 the first certified pair -- asserts the theorem's conclusion: a unique fixed
 point reached by the orbit of every start point, plus the quantitative
-lemma checks for the matching gauge class.  Break modes deliberately violate
+lemma checks for the matching gauge class.  The scan draws a trial's
+informative pairs once for all gauges and evaluates each gauge once per
+pair for all comparison functions, in one plain loop over two lists
+(``_first_certified``).  Break modes deliberately violate
 one hypothesis and confirm that the pipeline routes those instances to
 "certification failed" or "expected violation" rather than asserting
 anything.
@@ -226,13 +229,14 @@ def _drawn_array(seed, n: int, scale: float):
 def _seed_int(seed) -> int | None:
     """The int that CPython's ``Random.seed`` (version 2) hands its C seeding:
     a str's UTF-8 bytes, or a bytes seed, followed by their SHA-512 and read
-    as one big-endian int, or an int's absolute value.  None for every other
+    as one big-endian int, or an int's absolute value, taken as ``int``
+    takes it whatever ``__abs__`` a subclass defines.  None for every other
     seed, a bytearray included: Python 3.10's ``Random`` refuses one, later
     versions take it, and ``Random(seed)`` gives each version's answer."""
     if isinstance(seed, str):
         seed = seed.encode()
     elif isinstance(seed, int):
-        return abs(seed)
+        return int.__abs__(seed)
     elif not isinstance(seed, bytes):
         return None
     return int.from_bytes(seed + _sha512(seed).digest(), "big")

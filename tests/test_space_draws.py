@@ -36,19 +36,30 @@ import gphi.spaces
 from gphi.contraction import FiniteMap
 from gphi.errors import (ConfigInvalid, GphiError, NegativeEntry, NonFiniteEntry, TooManyPoints,
                          ZeroOffDiagonal)
-from gphi.harness import (_KEPT_MT, _LEGACY_MT, _ROW_PICKS, FuzzConfig, _drawn_array, _seeded,
-                          fuzz, generate_operator, generate_space)
+from gphi.harness import (_KEPT_MT, _LEGACY_MT, FuzzConfig, _drawn_array, _seeded, fuzz,
+                          generate_operator, generate_space)
 from gphi.spaces import MAX_FINITE_POINTS, PY_KERNEL_MAX_POINTS, _Rows, validate_finite_space
 
 SIZES = (2, 15, 16, 17, 25, 26, 35, 36, 37, 200, 256)
 # a float seed has no init_by_array key: its draws load Random's state
 SEEDS = (11, "4:7:space", 2.5)
+
+
+class LyingAbs(int):
+    """An int whose ``abs`` is not its absolute value: ``Random`` seeds with
+    ``int.__abs__`` all the same."""
+
+    def __abs__(self):
+        return 5
+
+
 # a seed of each kind that Random.seed turns into a key: one word (0 to
-# 2**32 - 1, and -5 through its absolute value), two words, and strings
-# and bytes through SHA-512
-KEY_SEEDS = (0, 1, 11, 2 ** 32 - 1, 2 ** 32, -5, "", "é:0:space", "x" * 1000, b"abc")
+# 2**32 - 1, and -5 and LyingAbs(-3) through their absolute value), two
+# words, and strings and bytes through SHA-512
+KEY_SEEDS = (0, 1, 11, 2 ** 32 - 1, 2 ** 32, -5, LyingAbs(-3), "", "é:0:space", "x" * 1000,
+             b"abc")
 # seeds that reseed the kept generator of the small draws
-KEPT_SEEDS = ("0:1:space", "", b"abc", 0, -5, True, 2 ** 200, -2 ** 64)
+KEPT_SEEDS = ("0:1:space", "", b"abc", 0, -5, True, 2 ** 200, -2 ** 64, LyingAbs(-3))
 # fuzz's size draw: one bit (2), a width of 2**k (3, 17), rejections
 # (8, 16, 64, 256) and the kernel cut-off (15, 16)
 SIZE_CAPS = (2, 3, 8, 15, 16, 17, 64, 256)
@@ -314,25 +325,20 @@ def loop_rows(drawn, n: int):
 @pytest.mark.parametrize("n", range(1, PY_KERNEL_MAX_POINTS + 1))
 def test_table_rows_equal_the_row_loop(n):
     # distinct entries, so that a wrong index picks a wrong value
-    drawn = [float(k + 1) for k in range(n * (n - 1) // 2)]
-    flat = _ROW_PICKS[n]((*drawn, 0.0))
-    rows = tuple([flat[i:i + n] for i in range(0, n * n, n)])
+    random = Random(f"rows:{n}").random
+    drawn = [1.0 - random() for _ in range(n * (n - 1) // 2)]
+    rows = generate_space(f"rows:{n}", n).dist
     assert rows == loop_rows(drawn, n)
     assert all(type(row) is tuple for row in rows)
-    assert generate_space(f"rows:{n}", n).dist == loop_space(f"rows:{n}", n).dist
 
 
 @pytest.mark.parametrize("seed", KEPT_SEEDS, ids=lambda seed: repr(seed)[:12])
 def test_kept_generator_draws_what_random_draws(seed):
-    for draw in ("random", "getrandbits"):
-        mt, rng = _seeded(seed), Random(seed)
-        assert mt is _KEPT_MT.generator
-        if draw == "random":
-            got, expected = [mt.random() for _ in range(700)], [rng.random() for _ in range(700)]
-        else:
-            got = [mt.getrandbits(k) for k in range(1, 40)]
-            expected = [rng.getrandbits(k) for k in range(1, 40)]
-        assert got == expected
+    mt, rng = _seeded(seed), Random(seed)
+    assert mt is _KEPT_MT.generator
+    assert [mt.random() for _ in range(700)] == [rng.random() for _ in range(700)]
+    mt, rng = _seeded(seed), Random(seed)
+    assert [mt.getrandbits(k) for k in range(1, 40)] == [rng.getrandbits(k) for k in range(1, 40)]
 
 
 @pytest.mark.parametrize("seed", (1.5, -0.0, None, bytearray(b"abc")), ids=repr)
