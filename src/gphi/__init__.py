@@ -16,9 +16,9 @@ _LAZY = {
                "ExpPsiLnPhi", "HyperbolicPhi", "IdentityGauge", "IDENTITY_FORM", "LinearPhi",
                "LN", "PhiCertificate", "PowerGauge", "RealForm", "ShiftedPhi", "TabulatedGauge",
                "TabulatedPhi", "affine_form", "certify_gauge_class", "certify_phi",
-               "check_phi_strict_decrease", "classify_increasing_gauge", "epsilon0",
-               "gauge_eval", "gauge_from_json", "log_grid", "n_epsilon", "phi_eval",
-               "phi_from_json", "phi_iterate", "shift_form"),
+               "check_phi_strict_decrease", "epsilon0", "gauge_eval", "gauge_from_json",
+               "log_grid", "n_epsilon", "phi_eval", "phi_from_json", "phi_iterate",
+               "shift_form"),
     "harness": ("DEFAULT_GAUGE_CATALOG", "DEFAULT_PHI_CATALOG", "FuzzConfig", "FuzzReport",
                 "G1_GAUGE_CATALOG", "fuzz", "generate_operator", "generate_space"),
     "solver": ("CauchyDiagnostics", "PicardTrace", "enumerate_fixed_points", "m_epsilon",

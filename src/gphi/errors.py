@@ -76,10 +76,6 @@ class EmptyGrid(GphiError):
     pass
 
 
-class NotStrictlyIncreasing(GphiError):
-    pass
-
-
 class NoValidEpsilon(GphiError):
     pass
 

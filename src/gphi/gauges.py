@@ -10,9 +10,11 @@ Two function classes drive the contraction condition:
 
 Both limit conditions are only semi-decidable by finite evaluation, so
 certification verdicts are three-valued (yes / no / inconclusive) and carry
-evidence.  Built-in analytic families additionally expose closed forms for
-their infima and interval sup/inf, which removes sampling doubt; tabulated
-functions use right-constant steps, which makes sup/inf over intervals exact.
+evidence.  A gauge's class is decided by its facts alone (closed-form
+infimum, G2 membership, strict increase); samples are evidence.  Built-in
+analytic families also expose closed forms for interval sup/inf, which
+removes sampling doubt; tabulated functions use right-constant steps, which
+makes sup/inf over intervals exact.
 
 The module also computes the two quantitative thresholds used by the
 convergence analysis: ``epsilon0`` (the radius below which a G2 gauge is
@@ -37,7 +39,6 @@ from .errors import (
     NonpositiveArgument,
     NotInvertible,
     NoValidEpsilon,
-    NotStrictlyIncreasing,
 )
 from .spaces import _Fields, _Fresh, _Record, _json_number
 
@@ -46,9 +47,6 @@ PER_DECADE_DEFAULT = 512
 PHI_GRID = (0.01, 0.1, 1.0, 10.0, 100.0)   # where catalogs and the CLI certify phi
 GRID_LO_DECADE = -9
 GRID_HI_DECADE = 9
-
-# Sampled infimum estimates below this floor are treated as "inf = 0".
-INF_FLOOR = 1e-12
 
 _DYADIC_DOWN = [2.0 ** -k for k in range(0, 80)]
 _DYADIC_UP = [2.0 ** k for k in range(0, 80)]
@@ -660,23 +658,25 @@ class ClassCertificate(_Record):
 
 
 def certify_gauge_class(G, grid=None) -> ClassCertificate:
-    """Certify membership of a gauge in classes G1 and/or G2.
+    """Certify membership of a gauge in classes G1 and G2.
 
-    G1 ("inf G > 0") is answered "yes" only from an analytic lower bound for
-    the family; "no" always carries a sampled witness sequence driving the
-    gauge below any positive level.  G2 is decided from family knowledge when
-    available, otherwise by the sampling scheme: evaluate along a dyadic
-    refinement a = 2^-k (direction a -> 0) and along a = 2^k together with
-    the infimum over the grid (direction G -> 0 forces a -> 0).  Values below
-    PHI_TOL_DEFAULT count as zero, so the grid should span at least
-    [PHI_TOL_DEFAULT, 1/PHI_TOL_DEFAULT] on a log scale, as the default does.
+    The answers come from the gauge's facts alone: ``known_inf()`` (G1 iff
+    the infimum is positive) and ``known_g2()``, which an exp-of-F gauge
+    reads off its form's ``inf_value`` and ``diverges_iff_zero``.  The two
+    classes exclude each other, so "yes" for one is "no" for the other, and
+    a strictly increasing gauge lies in exactly one of them, so there one
+    fact decides both.  With no deciding fact the answer is "inconclusive".
+    The gauge is sampled along a = 2^-k (toward 0) and a = 2^k (toward inf)
+    and on the grid; the samples are evidence only: the refinement tail,
+    the grid inf and sup estimates, and the witness sequence a "no" carries.
     """
     grid = _grid_points(grid, "certification")
 
     down = list(zip(_DYADIC_DOWN, _values(G, _DYADIC_DOWN)))
     up = list(zip(_DYADIC_UP, _values(G, _DYADIC_UP)))
     down_tail = down[-12:]
-    if G.strictly_increasing():
+    increasing = G.strictly_increasing()
+    if increasing:
         # the endpoint rule, as in epsilon0 and n_epsilon
         inf_est, sup_est = float(G.eval(grid[0])), float(G.eval(grid[-1]))
     else:
@@ -689,91 +689,42 @@ def certify_gauge_class(G, grid=None) -> ClassCertificate:
         "sup_grid_estimate": sup_est,
     }
 
-    ki = G.known_inf()
-    if ki is not None:
-        if ki > 0.0:
-            in_g1 = "yes"
-            evidence["inf_closed_form"] = ki
-        else:
-            in_g1 = "no"
-            # the dyadic tail toward 0 or toward inf that ends lower: a
-            # decreasing gauge falls toward its infimum as a -> inf
-            up_tail = up[-12:]
-            tail = up_tail if up_tail[-1][1] < down_tail[-1][1] else down_tail
-            evidence["g1_witness"] = [[a, v] for a, v in tail]
-    else:
-        est = min(v for _, v in down)
-        if est < PHI_TOL_DEFAULT:
-            in_g1 = "no"
-            evidence["g1_witness"] = [[a, v] for a, v in down if v < PHI_TOL_DEFAULT][:12]
-        else:
-            in_g1 = "inconclusive"
+    ki, g2 = G.known_inf(), G.known_g2()
+    g1 = None if ki is None else ki > 0.0
+    if g1 is None and g2 is not None and (g2 or increasing):
+        g1 = not g2
+    if g2 is None and g1 is not None and (g1 or increasing):
+        g2 = not g1
 
-    stuck_up = [[a, v] for a, v in up if v < PHI_TOL_DEFAULT][:12]
-    vanishes_away = {"kind": "vanishes-away-from-zero", "sequence": stuck_up}
-    no_vanishing = {"kind": "values-do-not-vanish",
-                    "sequence": [[a, v] for a, v in down_tail]}
-    kg2 = G.known_g2()
-    if kg2 is True:
+    in_g1 = in_g2 = "inconclusive"
+    if g1:
+        in_g1 = "yes"
+        if ki is not None:
+            evidence["inf_closed_form"] = ki
+    elif g1 is not None:
+        in_g1 = "no"
+        # the dyadic tail toward 0 or toward inf that ends lower: a
+        # decreasing gauge falls toward its infimum as a -> inf
+        up_tail = up[-12:]
+        tail = up_tail if up_tail[-1][1] < down_tail[-1][1] else down_tail
+        evidence["g1_witness"] = [[a, v] for a, v in tail]
+
+    if g2:
         in_g2 = "yes"
         evidence["g2"] = "closed-form"
-    elif kg2 is False:
+    elif g2 is not None:
         in_g2 = "no"
+        stuck_up = [[a, v] for a, v in up if v < PHI_TOL_DEFAULT][:12]
         if min(v for _, v in down_tail) < PHI_TOL_DEFAULT and stuck_up:
             # direction G -> 0 fails: gauge vanishes away from zero
-            evidence["g2_witness"] = vanishes_away
+            evidence["g2_witness"] = {"kind": "vanishes-away-from-zero",
+                                      "sequence": stuck_up}
         else:
             # direction a -> 0 fails: G approaches a nonzero limit
-            evidence["g2_witness"] = no_vanishing
-    else:
-        to_zero = all(v < PHI_TOL_DEFAULT for _, v in down[-10:])
-        # each region [eps, grid max], eps on the grid, lies in the whole grid
-        if to_zero and inf_est > 0.0 and not stuck_up:
-            in_g2 = "yes"
-            evidence["g2"] = "sampled"
-        elif not to_zero and min(v for _, v in down[-10:]) >= PHI_TOL_DEFAULT:
-            in_g2 = "no"
-            evidence["g2_witness"] = no_vanishing
-        elif stuck_up:
-            in_g2 = "no"
-            evidence["g2_witness"] = vanishes_away
-        else:
-            in_g2 = "inconclusive"
+            evidence["g2_witness"] = {"kind": "values-do-not-vanish",
+                                      "sequence": [[a, v] for a, v in down_tail]}
 
     return ClassCertificate(in_g1=in_g1, in_g2=in_g2, evidence=evidence)
-
-
-def classify_increasing_gauge(G, grid=None) -> str:
-    """Dichotomy for strictly increasing gauges: returns "G1" or "G2".
-
-    A strictly increasing gauge always lies in the union of the two classes:
-    if its infimum is positive it is in G1, otherwise monotonicity forces
-    G(a) -> 0 along a -> 0+ and the gauge is in G2.
-    """
-    pts = _grid_points(grid, "classification")
-    prev_t, prev_v = pts[0], G.eval(pts[0])
-    for t in pts[1:]:
-        v = G.eval(t)
-        # a tie at +inf is two values past the float range, not a witness
-        if not (v > prev_v or v == prev_v == math.inf):
-            raise NotStrictlyIncreasing(
-                f"gauge not strictly increasing between {prev_t} and {t}",
-                witness={"t1": prev_t, "v1": prev_v, "t2": t, "v2": v})
-        prev_t, prev_v = t, v
-
-    ki = G.known_inf()
-    if ki is not None:
-        return "G1" if ki > 0.0 else "G2"
-    est = math.inf
-    a = pts[0]
-    for _ in range(120):
-        est = min(est, G.eval(a))
-        if est <= INF_FLOOR:
-            break
-        a *= 0.5
-        if a == 0.0:
-            break
-    return "G1" if est > INF_FLOOR else "G2"
 
 
 def epsilon0(G, grid=None) -> float:
