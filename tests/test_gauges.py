@@ -16,7 +16,6 @@ from gphi.errors import (
     BudgetExhausted,
     EmptyGrid,
     NonpositiveArgument,
-    NotStrictlyIncreasing,
     NoValidEpsilon,
 )
 from gphi.gauges import (
@@ -39,7 +38,6 @@ from gphi.gauges import (
     certify_gauge_class,
     certify_phi,
     check_phi_strict_decrease,
-    classify_increasing_gauge,
     epsilon0,
     gauge_eval,
     gauge_from_json,
@@ -389,15 +387,34 @@ class TestCertifyGaugeClass:
         cert = certify_gauge_class(gauge)
         assert cert.evidence["g1_witness"] == cert.evidence["refinement_tail"]
 
-    def test_sampled_no_g2_vanishing_away_from_zero(self):
-        cert = certify_gauge_class(dyadic_parity_gauge(lambda a: 1.0 / a))
-        assert cert.in_g2 == "no"
-        assert cert.evidence["g2_witness"]["kind"] == "vanishes-away-from-zero"
-
-    def test_sampled_g2_inconclusive(self):
-        cert = certify_gauge_class(dyadic_parity_gauge(lambda a: 1.0))
+    # the second gauge's samples vanish away from zero, which a sampled
+    # check once read as a G2 "no"
+    @pytest.mark.parametrize("above_one", [lambda a: 1.0, lambda a: 1.0 / a],
+                             ids=["one", "vanishing"])
+    def test_sampled_g2_inconclusive(self, above_one):
+        cert = certify_gauge_class(dyadic_parity_gauge(above_one))
         assert cert.in_g2 == "inconclusive"
         assert "g2_witness" not in cert.evidence
+
+    def test_shift_exponent_is_g1(self):
+        # G(a) = exp(a - 0.5) has infimum exp(-0.5) over (0, inf).  The shift
+        # form's infimum over all of R, -inf, once made it G2, with a G1
+        # "witness" whose values never fell below 0.6065
+        G = gauge_from_json({"family": "exp_of_f", "f": {"shift": 0.5}})
+        assert G.known_inf() == math.exp(-0.5)
+        cert = certify_gauge_class(G)
+        assert (cert.in_g1, cert.in_g2) == ("yes", "no")
+        assert cert.evidence["inf_closed_form"] == math.exp(-0.5)
+        assert "g1_witness" not in cert.evidence
+
+    def test_infimum_past_float_range_saturates(self):
+        # exp(1000) overflows; the closed-form infimum saturates like eval
+        G = ExpOfFGauge(affine_form(1.0, 1000.0))
+        assert G.known_inf() == math.inf
+        cert = certify_gauge_class(G)
+        assert (cert.in_g1, cert.in_g2) == ("yes", "no")
+        with pytest.raises(NonpositiveArgument):
+            to_czerwik_form(G, LinearPhi(0.5))
 
     @pytest.mark.parametrize("gauge", [
         IdentityGauge(), PowerGauge(2.0), PowerGauge(0.5),
@@ -498,8 +515,6 @@ class TestGridPoints:
         # the grid rule names the point before any gauge sees it
         with pytest.raises(NonpositiveArgument, match="got 0.0$"):
             certify_gauge_class(ExpOfFGauge(LN), [0.0, 1.0])
-        with pytest.raises(NonpositiveArgument, match="got 0.0$"):
-            classify_increasing_gauge(ExpOfFGauge(LN), [0.0, 1.0])
         with pytest.raises(NonpositiveArgument, match="got -1.0$"):
             certify_gauge_class(IdentityGauge(), [-1.0, 1.0])
         with pytest.raises(NonpositiveArgument, match="got nan$"):
@@ -509,61 +524,6 @@ class TestGridPoints:
         grid = [1.0, 2.0, 3.0]
         pts = _grid_points(grid, "t")
         assert pts == grid and pts is not grid
-
-
-class TestClassifyIncreasingGauge:
-    def test_affine_plus_is_g1(self):
-        assert classify_increasing_gauge(AffinePlusGauge(1.0)) == "G1"
-
-    def test_identity_is_g2(self):
-        assert classify_increasing_gauge(IdentityGauge()) == "G2"
-
-    def test_power_three_is_g2(self):
-        assert classify_increasing_gauge(PowerGauge(3.0)) == "G2"
-
-    def test_step_gauge_rejected(self):
-        with pytest.raises(NotStrictlyIncreasing) as err:
-            classify_increasing_gauge(TabulatedGauge(((0.5, 0.1), (1.0, 0.9))))
-        assert err.value.witness is not None
-
-    def test_tie_at_inf_is_no_witness(self):
-        # exp(a) saturates to inf from a ~ 710 on; the gauge still increases
-        G = ExpOfFGauge(IDENTITY_FORM)
-        assert G.eval(710.5) == G.eval(713.7) == math.inf
-        assert classify_increasing_gauge(G) == "G1"
-
-    def test_shift_exponent_is_g1(self):
-        # G(a) = exp(a - 0.5) has infimum exp(-0.5) over (0, inf).  The shift
-        # form's infimum over all of R, -inf, once made it G2, with a G1
-        # "witness" whose values never fell below 0.6065
-        G = gauge_from_json({"family": "exp_of_f", "f": {"shift": 0.5}})
-        assert G.known_inf() == math.exp(-0.5)
-        assert classify_increasing_gauge(G) == "G1"
-        cert = certify_gauge_class(G)
-        assert (cert.in_g1, cert.in_g2) == ("yes", "no")
-        assert cert.evidence["inf_closed_form"] == math.exp(-0.5)
-        assert "g1_witness" not in cert.evidence
-
-    @pytest.mark.parametrize("fn,expected", [(math.log, "G2"), (math.log1p, "G1")])
-    def test_sampled_infimum(self, fn, expected):
-        # no closed-form infimum: G(a) = a is halved below INF_FLOOR, and
-        # G(a) = 1 + a never gets there
-        G = ExpOfFGauge(RealForm(fn.__name__, fn, increasing=True))
-        assert G.known_inf() is None
-        assert classify_increasing_gauge(G) == expected
-
-    def test_drop_from_inf_is_a_witness(self):
-        G = ExpOfFGauge(RealForm("peak", lambda a: 800.0 if a < 1.0 else a))
-        with pytest.raises(NotStrictlyIncreasing):
-            classify_increasing_gauge(G)
-
-    def test_infimum_past_float_range_saturates(self):
-        # exp(1000) overflows; the closed-form infimum saturates like eval
-        G = ExpOfFGauge(affine_form(1.0, 1000.0))
-        assert G.known_inf() == math.inf
-        assert classify_increasing_gauge(G) == "G1"
-        with pytest.raises(NonpositiveArgument):
-            to_czerwik_form(G, LinearPhi(0.5))
 
 
 class TestEpsilon0:

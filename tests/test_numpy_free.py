@@ -137,7 +137,7 @@ STAR_NAMES = {
     "RealForm", "ShiftedPhi", "TabulatedGauge", "TabulatedMap", "TabulatedPhi",
     "affine_form", "apply", "ball_membership", "certify_condition_G", "certify_gauge_class",
     "certify_phi", "check_F_inequality", "check_limit_bounds", "check_phi_strict_decrease",
-    "classify_increasing_gauge", "contraction", "enumerate_fixed_points", "epsilon0",
+    "contraction", "enumerate_fixed_points", "epsilon0",
     "errors", "from_F_contraction", "fuzz", "gauge_eval", "gauge_from_json", "gauges",
     "generate_operator", "generate_space", "harness", "log_grid", "m_epsilon", "n_epsilon",
     "operator_from_json", "phi_eval", "phi_from_json", "phi_iterate", "picard_iterate",
