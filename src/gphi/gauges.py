@@ -691,6 +691,7 @@ def certify_gauge_class(G, grid=None) -> ClassCertificate:
 
     ki, g2 = G.known_inf(), G.known_g2()
     g1 = None if ki is None else ki > 0.0
+    # the classes exclude each other; an increasing gauge lies in one of them
     if g1 is None and g2 is not None and (g2 or increasing):
         g1 = not g2
     if g2 is None and g1 is not None and (g1 or increasing):

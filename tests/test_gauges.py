@@ -333,6 +333,22 @@ class TestGaugeEval:
             gauge_eval(IdentityGauge(), 0.0)
 
 
+# a gauge of each form gauge_from_json admits, with its (G1, G2) answers
+JSON_GAUGE_CLASSES = {
+    "identity": ({"family": "identity"}, ("no", "yes")),
+    "power": ({"family": "power", "q": 2.0}, ("no", "yes")),
+    "affine_plus": ({"family": "affine_plus", "c": 1.0}, ("yes", "no")),
+    "tabulated": ({"family": "tabulated", "points": [[0.5, 0.1], [1.0, 0.9]]}, ("yes", "no")),
+    "exp-ln": ({"family": "exp_of_f", "f": "ln"}, ("no", "yes")),
+    "exp-identity": ({"family": "exp_of_f", "f": "identity"}, ("yes", "no")),
+    "exp-affine-rising": ({"family": "exp_of_f", "f": {"affine": {"a": 2.0, "b": -1.0}}},
+                          ("yes", "no")),
+    "exp-affine-falling": ({"family": "exp_of_f", "f": {"affine": {"a": -1.0, "b": 0.5}}},
+                           ("no", "no")),
+    "exp-shift": ({"family": "exp_of_f", "f": {"shift": 0.5}}, ("yes", "no")),
+}
+
+
 class TestCertifyGaugeClass:
     def test_affine_plus(self):
         cert = certify_gauge_class(AffinePlusGauge(1.0))
@@ -415,6 +431,35 @@ class TestCertifyGaugeClass:
         assert (cert.in_g1, cert.in_g2) == ("yes", "no")
         with pytest.raises(NonpositiveArgument):
             to_czerwik_form(G, LinearPhi(0.5))
+
+    @pytest.mark.parametrize("c", [1e-10, 1e-11, 1e-13, 5e-9])
+    def test_no_facts_no_verdict(self, c):
+        # G(a) = a + c is in G1, with infimum c, and not in G2; its samples
+        # toward 0 settle at c, which a sampled check read as zero below 1e-9
+        G = ExpOfFGauge(RealForm("a+c", lambda a: math.log(a + c), increasing=True))
+        cert = certify_gauge_class(G)
+        assert (cert.in_g1, cert.in_g2) == ("inconclusive", "inconclusive")
+        assert not {"g1_witness", "g2", "g2_witness"} & cert.evidence.keys()
+
+    @pytest.mark.parametrize("doc, expected", JSON_GAUGE_CLASSES.values(),
+                             ids=JSON_GAUGE_CLASSES.keys())
+    def test_every_json_family_is_decided(self, doc, expected):
+        # every JSON gauge declares its facts, so no CLI class rests on samples
+        cert = certify_gauge_class(gauge_from_json(doc))
+        assert (cert.in_g1, cert.in_g2) == expected
+
+    @pytest.mark.parametrize("form, expected", [
+        # strictly increasing: one fact decides both classes
+        (RealForm("log1p", math.log1p, increasing=True, inf_value=0.0), ("yes", "no")),
+        (RealForm("log", math.log, increasing=True, diverges_iff_zero=True), ("no", "yes")),
+        # otherwise a "yes" for one class is a "no" for the other, and a "no"
+        # decides nothing more
+        (RealForm("bump", lambda a: abs(math.log(a)), inf_value=0.0), ("yes", "no")),
+        (RealForm("falling", lambda a: -a, inf_value=-math.inf), ("no", "inconclusive"))],
+        ids=["inf-only", "g2-only", "inf-only-not-increasing", "no-only-not-increasing"])
+    def test_one_fact(self, form, expected):
+        cert = certify_gauge_class(ExpOfFGauge(form))
+        assert (cert.in_g1, cert.in_g2) == expected
 
     @pytest.mark.parametrize("gauge", [
         IdentityGauge(), PowerGauge(2.0), PowerGauge(0.5),

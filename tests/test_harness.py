@@ -137,6 +137,14 @@ class TestFuzz:
         with pytest.raises(ConfigInvalid):
             fuzz(FuzzConfig(trials=5, gauge_catalog=(bad,)))
 
+    def test_fact_free_gauge_catalog_rejected(self):
+        # G(a) = a, but a form with no declared facts leaves both classes open
+        import math
+        from gphi.gauges import ExpOfFGauge, RealForm
+        opaque = ExpOfFGauge(RealForm("ln", math.log, increasing=True))
+        with pytest.raises(ConfigInvalid, match="is in neither certified class$"):
+            fuzz(FuzzConfig(trials=5, gauge_catalog=(opaque,)))
+
     def test_stagnating_phi_catalog_rejected(self):
         bad = TabulatedPhi(((1.0, 0.5), (2.0, 1.9)))   # phi(2) stagnates at 1.9
         with pytest.raises(ConfigInvalid):
