@@ -403,8 +403,7 @@ class TestCertifyGaugeClass:
         cert = certify_gauge_class(gauge)
         assert cert.evidence["g1_witness"] == cert.evidence["refinement_tail"]
 
-    # the second gauge's samples vanish away from zero, which a sampled
-    # check once read as a G2 "no"
+    # the second gauge's samples above 1 vanish, yet with no facts G2 stays open
     @pytest.mark.parametrize("above_one", [lambda a: 1.0, lambda a: 1.0 / a],
                              ids=["one", "vanishing"])
     def test_sampled_g2_inconclusive(self, above_one):
@@ -434,8 +433,8 @@ class TestCertifyGaugeClass:
 
     @pytest.mark.parametrize("c", [1e-10, 1e-11, 1e-13, 5e-9])
     def test_no_facts_no_verdict(self, c):
-        # G(a) = a + c is in G1, with infimum c, and not in G2; its samples
-        # toward 0 settle at c, which a sampled check read as zero below 1e-9
+        # G(a) = a + c is in G1, with infimum c, and not in G2; no sample
+        # toward 0 tells c from 0
         G = ExpOfFGauge(RealForm("a+c", lambda a: math.log(a + c), increasing=True))
         cert = certify_gauge_class(G)
         assert (cert.in_g1, cert.in_g2) == ("inconclusive", "inconclusive")
