@@ -173,9 +173,9 @@ def generate_space(seed, n: int, scale: float = 1.0) -> FiniteSpace:
     above PY_KERNEL_MAX_POINTS numpy draws them in one call, bit for bit,
     and the space keeps that vector as ``_Rows`` of the triangle it drew.
     The draw is symmetric with a zero diagonal, so it is checked data once
-    the min and max of the drawn entries, lo and hi, pass the test numpy
-    validation makes (0 < lo, hi < inf) and n is within MAX_FINITE_POINTS;
-    any other draw goes to ``validate_finite_space``, which names the
+    the min and max of the drawn entries, lo and hi, are positive and
+    finite (0 < lo, hi < inf) and n is within MAX_FINITE_POINTS; any other
+    draw goes to ``validate_finite_space`` as tuple rows, which names the
     refusal as it would for the loop's matrix.  An n that ``operator.index``
     refuses raises ConfigInvalid."""
     n = _count("n", n)
@@ -184,7 +184,7 @@ def generate_space(seed, n: int, scale: float = 1.0) -> FiniteSpace:
     if n > PY_KERNEL_MAX_POINTS:
         drawn = _drawn_array(seed, n, scale)
         lo, hi = float(drawn.min()), float(drawn.max())
-        dist = _Rows(upper=drawn, n=n)
+        dist = _Rows(drawn, n)
     else:
         random = _seeded(seed).random
         # a scale of NaN makes every entry NaN, and min then NaN
@@ -193,7 +193,7 @@ def generate_space(seed, n: int, scale: float = 1.0) -> FiniteSpace:
         flat = _ROW_PICKS[n]((*drawn, 0.0))
         dist = tuple([flat[i:i + n] for i in range(0, n * n, n)])
     if not (0.0 < lo and hi < math.inf and n <= MAX_FINITE_POINTS):
-        return validate_finite_space(dist.matrix if isinstance(dist, _Rows) else dist)
+        return validate_finite_space(tuple(dist))
     return _checked_space(dist, lo, hi)
 
 

@@ -6,18 +6,16 @@ concrete families are supported:
 
 * :class:`FiniteSpace` -- an explicit point set with a distance matrix.
   Validation is O(n^2); its checks are stated once, in pure Python, and
-  run directly on a list of rows of plain numbers of any admissible size.
-  numpy parses any other input, an array above all, and accepts it in bulk
-  from two reductions over a view of its off-diagonal entries (their min
-  and max), a zero diagonal and symmetry; it keeps the matrix and makes each
-  row of floats when it is first read.  A space the fuzz harness draws
-  keeps only the entries it drew above the diagonal: its first rows are
-  read off them, and the matrix is built when it is first needed.
+  run on the float rows of whatever it is given: a list of rows, or an
+  array read through its ``tolist()``.  numpy only computes.  A space the
+  fuzz harness draws keeps only the entries it drew above the diagonal:
+  its first rows are read off them, and the matrix is built when it is
+  first needed.
   The smallest admissible constant, a min-plus row reduction over the
   pairs i < j (the matrix is symmetric), is computed on the first read of
   ``s``: only the quantitative lemmas, JSON output and a declared constant
   read it, never condition (G).  Above PY_KERNEL_MAX_POINTS points numpy
-  computes it, from the kept array or from an array of the rows.
+  computes it, from a drawn space's matrix or from an array of the rows.
 * :class:`AnalyticSpace` -- a real interval ``[lo, hi]`` carrying the
   distance ``|x - y| ** p``; the constant ``2 ** (p - 1)`` always works.
 """
@@ -65,8 +63,8 @@ _TRIANGLE_ROWS = 2
 # Matrices of up to this many points have their constant computed, and
 # fuzz spaces their entries drawn, in pure Python.  Above it numpy's vector
 # ops repay their per-call overhead; the value is the in-process crossover
-# measured with numpy already imported.  Validation does not use it: the
-# input's type picks its kernel.
+# measured with numpy already imported.  Validation does not use it: every
+# matrix is checked in pure Python.
 PY_KERNEL_MAX_POINTS = 15
 
 # Tail-window policy for liminf/limsup estimation.
@@ -100,23 +98,20 @@ class _Constant:
 
 
 class _Rows:
-    """The rows of a validated float64 matrix, each made a tuple of floats on
-    its first read and kept; equal to, hashed and shown as the tuple of all
-    of them.
-
-    The matrix is given read-only, or, for an n-point matrix that is
-    symmetric with a zero diagonal by construction, only ``upper``: its
-    entries above the diagonal in row-major order.  The first
-    _TRIANGLE_ROWS rows read are then read off that vector (column i of the
-    triangle, 0.0, the row's own slice); ``matrix``, read-only, C-ordered
-    float64, is built on its first read, or at the next row read, and then
-    takes the vector's place."""
+    """The rows of an n-point matrix that is symmetric with a zero diagonal
+    by construction, given as ``upper``, its float64 entries above the
+    diagonal in row-major order; each row is made a tuple of floats on its
+    first read and kept, and the whole is equal to, hashed and shown as the
+    tuple of all of them.  The first _TRIANGLE_ROWS rows read are read off
+    the vector (column i of the triangle, 0.0, the row's own slice);
+    ``matrix``, read-only, C-ordered float64, is built on its first read,
+    or at the next row read, and then takes the vector's place."""
 
     __slots__ = ("_matrix", "_upper", "_gathered", "_built")
 
-    def __init__(self, matrix=None, *, upper=None, n=None):
-        self._matrix, self._upper, self._gathered = matrix, upper, 0
-        self._built = [None] * (n if matrix is None else len(matrix))
+    def __init__(self, upper, n: int):
+        self._matrix, self._upper, self._gathered = None, upper, 0
+        self._built = [None] * n
 
     # _upper is released only after _matrix is set: a thread that loads
     # _upper and then finds no _matrix holds the vector (matrix and _row
@@ -312,7 +307,8 @@ class _SpaceKind(_Fields):
 class FiniteSpace(_SpaceKind):
     """Finite b-metric space backed by a symmetric distance matrix; ``s=None``
     leaves the O(n^3) minimal constant to the first read of ``s``.  ``dist``
-    holds tuple rows, or, from numpy validation, ``_Rows`` that act as them."""
+    holds tuple rows, or, in a space the fuzz harness draws, ``_Rows`` that
+    act as them."""
 
     dist: tuple[tuple[float, ...], ...] | _Rows
     s: float = _Constant()
@@ -487,31 +483,41 @@ def _checked_space(dist, lo: float, hi: float) -> FiniteSpace:
 
 
 _PLAIN_ENTRIES = frozenset((int, float))
+_NOT_NUMBERS = (str, bytes, bool, type(None), list, tuple)
 
 
-def _past_float_range(matrix, exc: OverflowError) -> OverflowError:
-    """``exc`` naming the first entry of ``matrix``, in row-major order, that
-    float() takes past the float range, if ``matrix`` is rows of numbers."""
-    try:    # float() rounds an int of at least 2**1024 - 2**970 past the largest float
-        i, j = next((i, j) for i, row in enumerate(matrix) for j, v in enumerate(row)
-                    if isinstance(v, int) and abs(v) >= 2 ** 1024 - 2 ** 970)
-    except (TypeError, StopIteration):
-        return exc
-    return OverflowError(f"matrix entry ({i}, {j}) is beyond the float range")
+def _past_float_range(rows, exc: OverflowError) -> OverflowError:
+    """``exc`` naming the first entry of ``rows``, in row-major order, that
+    float() takes past the float range, if that entry is an int."""
+    # float() rounds an int of at least 2**1024 - 2**970 past the largest float
+    at = next(((i, j) for i, row in enumerate(rows) for j, v in enumerate(row)
+               if isinstance(v, int) and abs(v) >= 2 ** 1024 - 2 ** 970), None)
+    return exc if at is None else OverflowError(f"matrix entry {at} is beyond the float range")
 
 
-def _plain_rows(matrix) -> tuple[tuple[float, ...], ...] | None:
-    """The rows of ``matrix`` as float tuples when it is a square list (or
-    tuple) of at most MAX_FINITE_POINTS rows of plain int/float entries;
-    None for anything else, which the numpy kernel then parses."""
-    if type(matrix) not in (list, tuple) or not 0 < len(matrix) <= MAX_FINITE_POINTS:
-        return None
-    n = len(matrix)
-    for row in matrix:
-        if (type(row) not in (list, tuple) or len(row) != n
-                or not set(map(type, row)) <= _PLAIN_ENTRIES):
-            return None
-    return tuple(tuple(map(float, row)) for row in matrix)
+def _listed(x):
+    """``x.tolist()`` for an array or an array row, else ``x``."""
+    return x if type(x) in (list, tuple) or not hasattr(x, "tolist") else x.tolist()
+
+
+def _square_rows(matrix) -> list | tuple:
+    """The rows of ``matrix``, a list or tuple of rows, or an array (or an
+    array row) read through its ``tolist()``.  An entry that is a string,
+    bytes, a boolean (numpy's too), null or a row is refused, then a matrix
+    that is not square and non-empty.  Rows of plain int/float entries, as
+    JSON holds, pass on their length and set of types alone."""
+    rows = _listed(matrix)
+    rows, n = (rows, len(rows)) if type(rows) in (list, tuple) else ((), 0)
+    if n and all(type(row) in (list, tuple) and len(row) == n
+                 and set(map(type, row)) <= _PLAIN_ENTRIES for row in rows):
+        return rows
+    rows = list(map(_listed, rows))
+    if any(isinstance(v, _NOT_NUMBERS) or _is_numpy_scalar(v, "bool_")
+           for row in rows for v in (row if type(row) in (list, tuple) else (row,))):
+        raise ValueError("matrix entries must be numbers, not strings, booleans or null")
+    if not n or any(type(row) not in (list, tuple) or len(row) != n for row in rows):
+        raise ValueError("matrix must be square and non-empty")
+    return rows
 
 
 def _first_pair(n: int, bad) -> tuple[int, int]:
@@ -544,61 +550,25 @@ def _validate_rows(d: tuple[tuple[float, ...], ...]) -> FiniteSpace:
     return _checked_space(d, min(filter(None, flat), default=math.inf), max(flat))
 
 
-def _validate_array(matrix) -> FiniteSpace:
-    """Validation with numpy: parses any array-like, then accepts in bulk
-    exactly the matrices ``_validate_rows`` accepts and hands it the rest to
-    name the refusal.  The min and max of the off-diagonal entries, read
-    through a strided view, decide positivity and finiteness
-    (lo > 0 and hi < inf) and are the bounds ``_checked_space`` needs; a zero
-    diagonal and symmetry complete the checks.  A string, boolean or null
-    entry of a list matrix is refused first, since ``np.array`` would parse
-    it or read it as 0 or 1.  The space keeps a read-only copy, out of the
-    caller's reach, as _Rows."""
-    import numpy as np
-
-    types = {matrix.dtype.type} if isinstance(matrix, np.ndarray) else set()
-    for row in matrix if isinstance(matrix, (list, tuple)) else ():
-        types.update(map(type, row) if isinstance(row, (list, tuple)) else (type(row),))
-    if any(issubclass(t, (str, bytes, bool, np.bool_, np.character, type(None))) for t in types):
-        raise ValueError("matrix entries must be numbers, not strings, booleans or null")
-    d = np.array(matrix, dtype=float)
-    if d.ndim != 2 or d.shape[0] != d.shape[1] or d.shape[0] < 1:
-        raise ValueError("matrix must be square and non-empty")
-    n = d.shape[0]
-    if n > MAX_FINITE_POINTS:
-        raise TooManyPoints(f"{n} points exceeds cap {MAX_FINITE_POINTS}")
-    # row i of this view holds the n - 1 entries that follow d[i, i] in
-    # row-major order: every entry off the diagonal, once (a copy only if d
-    # is not C-ordered)
-    off = d.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :-1]
-    lo, hi = float(off.min(initial=math.inf)), float(off.max(initial=0.0))
-    # a NaN makes lo NaN; a zero diagonal is finite
-    if not (lo > 0.0 and hi < math.inf
-            and not np.diagonal(d).any() and np.array_equal(d, d.T)):
-        return _validate_rows(tuple(map(tuple, d.tolist())))
-    d.flags.writeable = False
-    return _checked_space(_Rows(d), lo, hi)
-
-
 def validate_finite_space(matrix: Sequence[Sequence[float]]) -> FiniteSpace:
     """Validate a distance matrix and return a FiniteSpace with the minimal constant.
 
     Raises AsymmetricMatrix, NegativeEntry, ZeroOffDiagonal, NonzeroDiagonal,
-    NonFiniteEntry, TooManyPoints, ConstantOverflow, or OverflowError naming
-    an entry past the float range.  The checks, O(n^2), are stated once in
-    ``_validate_rows``, which takes a square list (or tuple) of at most
-    MAX_FINITE_POINTS rows of plain int/float entries directly.  numpy
-    parses any other input, an array above all, accepts it in bulk and
-    leaves a refusal to ``_validate_rows`` to name.  s is computed on its
-    first read, or here if it could overflow.
+    NonFiniteEntry, TooManyPoints, ConstantOverflow, ValueError for a
+    non-number entry or a matrix that is not square, or OverflowError naming
+    an entry past the float range.  Every matrix takes one path: its rows,
+    an array's through ``tolist()``, are parsed to floats in pure Python and
+    checked by ``_validate_rows``, which states the O(n^2) checks once.  s
+    is computed on its first read, or here if it could overflow.
     """
+    rows = _square_rows(matrix)
     try:
-        rows = _plain_rows(matrix)
-        if rows is None:
-            return _validate_array(matrix)
-        return _validate_rows(rows)
+        d = tuple([tuple(map(float, row)) for row in rows])
     except OverflowError as exc:
-        raise _past_float_range(matrix, exc) from None
+        raise _past_float_range(rows, exc) from None
+    if len(d) > MAX_FINITE_POINTS:
+        raise TooManyPoints(f"{len(d)} points exceeds cap {MAX_FINITE_POINTS}")
+    return _validate_rows(d)
 
 
 def ball_membership(space: Space, center, radius: float, candidate) -> bool:
