@@ -80,7 +80,8 @@ class RealForm(_Fields):
     """A named scalar function with optional analytic facts attached.
 
     ``inf_value`` is the infimum over (0, inf); ``diverges_iff_zero`` states
-    whether ``fn(a_n) -> -inf`` holds exactly when ``a_n -> 0``.
+    whether ``fn(a_n) -> -inf`` holds exactly when ``a_n -> 0``; a form
+    whose two facts contradict each other is refused with a ValueError.
     ``json_form`` is the loadable document for parameterized forms.
     """
 
@@ -91,6 +92,15 @@ class RealForm(_Fields):
     inf_value: float | None = None
     diverges_iff_zero: bool | None = None
     json_form: object = None
+
+    def __post_init__(self):
+        # where both facts are given they must agree: G2 forces inf G = 0, that
+        # is inf F = -inf, and an increasing F tends to -inf exactly as a -> 0
+        dz = self.diverges_iff_zero
+        if (self.inf_value is not None and dz is not None
+                and dz != (self.inf_value == -math.inf) and (dz or self.increasing)):
+            raise ValueError(f"form {self.name!r}: diverges_iff_zero={dz} contradicts "
+                             f"inf_value={self.inf_value!r}")
 
     def __call__(self, x: float) -> float:
         return self.fn(x)

@@ -460,6 +460,18 @@ class TestCertifyGaugeClass:
         cert = certify_gauge_class(ExpOfFGauge(form))
         assert (cert.in_g1, cert.in_g2) == expected
 
+    @pytest.mark.parametrize("inf_value, diverges", [(-math.inf, False), (0.0, True)],
+                             ids=["unbounded-without-g2", "g2-with-bounded-inf"])
+    def test_contradicting_facts_are_refused(self, inf_value, diverges):
+        # G2 forces inf F = -inf, and an increasing F with inf F = -inf tends
+        # to it exactly as a -> 0; either pair of facts would certify
+        # ("no", "no") or ("yes", "yes")
+        with pytest.raises(ValueError, match="^form 'x': diverges_iff_zero="):
+            RealForm("x", math.log, increasing=True, inf_value=inf_value,
+                     diverges_iff_zero=diverges)
+        # a falling F may reach -inf far from 0
+        assert affine_form(-1.0, 0.0).inf_value == -math.inf
+
     @pytest.mark.parametrize("gauge", [
         IdentityGauge(), PowerGauge(2.0), PowerGauge(0.5),
         AffinePlusGauge(1.0), ExpOfFGauge(LN)], ids=str)
