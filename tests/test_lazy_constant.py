@@ -88,11 +88,9 @@ def test_first_read_passes_the_kept_matrix(n, form, monkeypatch):
     monkeypatch.setattr(spaces, "_min_constant", spy)
     assert fs.s.hex() == k_loop_min_constant(d).hex()
     assert len(received) == 1
-    if form == "array":
-        assert received[0] is fs.dist.matrix
-    else:   # a list space keeps its tuple rows; the kernel reads an array of them
-        assert type(fs.dist) is tuple
-        assert type(received[0]) is np.ndarray and received[0].tolist() == list(map(list, fs.dist))
+    # a validated space keeps its tuple rows; the kernel reads an array of them
+    assert type(fs.dist) is tuple
+    assert type(received[0]) is np.ndarray and received[0].tolist() == list(map(list, fs.dist))
 
 
 class TestKernelsBitEqual:

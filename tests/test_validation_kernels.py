@@ -1,9 +1,8 @@
 """Validation of finite spaces against a spec stated in this file.
 
-``validate_finite_space`` checks a square list of at most
-``MAX_FINITE_POINTS`` rows of plain numbers in pure Python and parses
-everything else with numpy, which accepts a valid matrix in bulk.  The
-reference is ``spec``: it parses the matrix, walks the five checks in order
+``validate_finite_space`` parses every matrix, a list of rows or an array
+read through its ``tolist()``, to float rows and checks them in pure
+Python.  The reference is ``spec``: it parses the matrix, walks the five checks in order
 over the float rows, each naming its first failure in row-major order, and
 takes the constant from ``k_loop_min_constant``.  On every input, on both
 sides of the cut-off, the public function must return the same distances
@@ -194,7 +193,6 @@ class TestMeetsSpec:
     @settings(max_examples=200, deadline=None)
     @given(st.one_of(valid_matrices(), heavy_tailed()))
     def test_valid(self, d):
-        assert spaces._plain_rows(d) is not None
         assert_meets_spec(d)
 
     @settings(max_examples=100, deadline=None)
@@ -255,7 +253,6 @@ class TestMeetsSpec:
 
     def test_constant_overflow(self):
         d = [[0, 1e300, 1e-300], [1e300, 0, 1e-300], [1e-300, 1e-300, 0]]
-        assert spaces._plain_rows(d) is not None
         assert_meets_spec(d)
         with pytest.raises(ConstantOverflow):
             validate_finite_space(d)
@@ -268,13 +265,11 @@ class TestMeetsSpec:
         assert_meets_spec(np.array(d))
         assert math.copysign(1.0, validate_finite_space(d).dist[0][0]) == -1.0
 
-    def test_lists_up_to_the_cap_take_the_python_checks(self):
+    def test_a_list_and_an_array_give_tuple_rows(self):
         d = symmetric(MAX_FINITE_POINTS, lambda: 1.5)
-        assert spaces._plain_rows(d) is not None
-        assert spaces._plain_rows(d[:-1]) is None            # not square
-        assert spaces._plain_rows(symmetric(MAX_FINITE_POINTS + 1, lambda: 1.5)) is None
-        assert type(validate_finite_space(d).dist) is tuple
-        assert type(validate_finite_space(np.array(d)).dist) is spaces._Rows
+        for given in (d, np.array(d)):
+            dist = validate_finite_space(given).dist
+            assert type(dist) is tuple and all(type(row) is tuple for row in dist)
 
     @pytest.mark.parametrize("entry", [True, False, None, "1", "1.5"])
     @pytest.mark.parametrize("n", [2, PY_KERNEL_MAX_POINTS + 1])
@@ -320,9 +315,10 @@ def test_array_with_one_bad_entry_meets_spec(n, layout, bad):
 
 
 class TestKeptMatrix:
-    """A matrix validated by numpy keeps its float64 array and builds a row
-    of floats on the row's first read; ``dist`` must still behave as the
-    tuple of those rows."""
+    """A matrix given as an array keeps the tuple of its float rows, out of
+    the caller's reach, and a space the harness draws builds a row of floats
+    on the row's first read; ``dist`` must behave as the tuple of those
+    rows."""
 
     @pytest.mark.parametrize("n", [1, 2, PY_KERNEL_MAX_POINTS, PY_KERNEL_MAX_POINTS + 1,
                                    MAX_FINITE_POINTS])
@@ -334,9 +330,11 @@ class TestKeptMatrix:
 
     @pytest.mark.parametrize("n", [PY_KERNEL_MAX_POINTS + 1, MAX_FINITE_POINTS])
     def test_rows_behave_as_tuple_rows(self, n):
-        d = family_matrix(n, "pareto", seed=n)
-        rows = tuple(map(tuple, d.tolist()))
-        fs = validate_finite_space(d)
+        from gphi.harness import generate_space
+
+        rows = tuple(map(tuple, generate_space("rows", n).dist.matrix.tolist()))
+        fs = generate_space("rows", n)
+        assert type(fs.dist) is spaces._Rows
         assert fs.dist == rows and rows == fs.dist and not fs.dist != rows
         assert fs.dist != rows[:-1] and fs.dist != [list(row) for row in rows]
         assert len(fs.dist) == n and tuple(fs.dist) == rows and list(fs.dist) == list(rows)
@@ -367,8 +365,6 @@ class TestKeptMatrix:
         given[0, 1] = given[1, 0] = 1e9
         given[2] = 7.0
         assert fs.dist == expected.dist and fs.s == expected.s
-        with pytest.raises(ValueError):
-            fs.dist.matrix[0, 1] = 1e9
 
     def test_uncertified_trial_builds_only_the_rows_it_reads(self, monkeypatch):
         import gphi.harness as harness
