@@ -1,10 +1,11 @@
 """A CLI call loads only what its command runs.
 
-numpy stays unloaded unless an array is validated, the constant of a
-finite space above the pure-Python kernel's cut-off is read, or the fuzz
-harness draws such a space.  The fuzz harness itself stays unloaded until
-``fuzz`` runs or one of its names is read from the package, and the solver
-until ``solve``, ``report`` or the harness needs it.
+numpy stays unloaded unless the constant of a finite space above the
+pure-Python kernel's cut-off is read, or the fuzz harness draws such a
+space: validation, and its refusals, never load it.  The fuzz harness
+itself stays unloaded until ``fuzz`` runs or one of its names is read from
+the package, and the solver until ``solve``, ``report`` or the harness
+needs it.
 
 Each check runs in a fresh interpreter, because a module stays in
 ``sys.modules`` once any test in this process has imported it.
@@ -21,7 +22,7 @@ from pathlib import Path
 import pytest
 
 import gphi
-from gphi.spaces import PY_KERNEL_MAX_POINTS
+from gphi.spaces import MAX_FINITE_POINTS, PY_KERNEL_MAX_POINTS
 
 SRC = str(Path(gphi.__file__).resolve().parent.parent)
 
@@ -84,6 +85,21 @@ def test_numpy_loaded_only_for_large_finite_spaces(tmp_path):
         ("small certify", False, False), ("small solve", False, False),
         ("interval certify", False, False), ("large certify", False, False),
         ("large solve", True, False)]
+
+
+def test_refused_matrices_leave_numpy_unloaded(tmp_path):
+    # the parse refuses a non-number entry, a ragged row and more rows than
+    # the cap in pure Python
+    n = MAX_FINITE_POINTS + 1
+    matrices = {"true entry": [[0, True], [True, 0]], "null entry": [[0, None], [None, 0]],
+                "ragged row": [[0, 1], [1]],
+                f"{n} rows": [[float(i != j) for j in range(n)] for i in range(n)]}
+    calls = []
+    for label, dist in matrices.items():
+        path = tmp_path / f"{len(calls)}.json"
+        path.write_text(json.dumps(dict(SMALL, space={"dist": dist})))
+        calls.append((label, ["certify", str(path)]))
+    assert _steps(calls)[2:] == [[label, 1, False, False] for label in matrices]
 
 
 def test_numpy_loaded_only_for_fuzz_spaces_above_the_cut_off():
