@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from gphi import spaces
 from gphi.errors import ConstantOverflow
-from gphi.harness import FuzzConfig, fuzz
+from gphi.harness import FuzzConfig, fuzz, generate_space
 from gphi.spaces import (PY_KERNEL_MAX_POINTS, FiniteSpace, FrozenInstanceError, replace,
                          space_to_json, validate_finite_space)
 
@@ -91,6 +91,22 @@ def test_first_read_passes_the_kept_matrix(n, form, monkeypatch):
     # a validated space keeps its tuple rows; the kernel reads an array of them
     assert type(fs.dist) is tuple
     assert type(received[0]) is np.ndarray and received[0].tolist() == list(map(list, fs.dist))
+
+
+@pytest.mark.parametrize("n", [n for n in SIZES if n > PY_KERNEL_MAX_POINTS])
+def test_first_read_of_a_drawn_space_passes_its_matrix(n, monkeypatch):
+    # a drawn space keeps its triangle, and the kernel reads the matrix built
+    # from it, not a copy
+    fs = generate_space(f"kept:{n}", n)
+    received = []
+
+    def spy(matrix, kernel=spaces._min_constant):
+        received.append(matrix)
+        return kernel(matrix)
+
+    monkeypatch.setattr(spaces, "_min_constant", spy)
+    assert fs.s.hex() == k_loop_min_constant(fs.dist.matrix).hex()
+    assert len(received) == 1 and received[0] is fs.dist.matrix
 
 
 class TestKernelsBitEqual:
