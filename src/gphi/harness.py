@@ -37,13 +37,14 @@ size, which picks the n * n entries from the drawn triangle.
 
 What the harness draws is checked data by construction and is not
 checked again: a map it drew is not checked before the scan, and a space
-it drew, symmetric with a zero diagonal, needs only the min and max of its
-drawn entries to be positive and finite.  A draw that fails that test,
-from a scale that underflows or is not positive and finite, goes to
-``validate_finite_space`` to name the refusal.  Above PY_KERNEL_MAX_POINTS
-the space keeps the vector it drew, the entries above the diagonal, and
-builds its dense matrix only when read (``spaces._Rows``): a trial that the
-catalog scan refuses reads two rows off that triangle and never builds it.
+it drew, symmetric with a zero diagonal, has its entries in
+[fl(scale * 2**-53), scale], checked data once that range is positive and
+finite.  A space from another scale goes to ``validate_finite_space`` to
+name the refusal.  Above PY_KERNEL_MAX_POINTS the space draws nothing
+until read (``_Stream``): each row read draws the prefix of the triangle
+that ends with the row's own entries, and only the dense matrix draws it
+all.  A trial that the catalog scan refuses reads two rows, those of 0
+and of its image, and draws no further.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ import json
 import math
 import operator
 import threading
+import weakref
 from itertools import chain, combinations
 from random import Random
 from typing import NamedTuple
@@ -169,27 +171,24 @@ def generate_space(seed, n: int, scale: float = 1.0) -> FiniteSpace:
     """Random valid finite space: symmetric entries uniform in (0, scale].
 
     The entries above the diagonal are drawn in row-major order, as
-    ``scale * (1 - Random(seed).random())`` each, and mirrored below it;
-    above PY_KERNEL_MAX_POINTS numpy draws them in one call, bit for bit,
-    and the space keeps that vector as ``_Rows`` of the triangle it drew.
-    The draw is symmetric with a zero diagonal, so it is checked data once
-    the min and max of the drawn entries, lo and hi, are positive and
-    finite (0 < lo, hi < inf) and n is within MAX_FINITE_POINTS; any other
-    draw goes to ``validate_finite_space`` as tuple rows, which names the
-    refusal as it would for the loop's matrix.  An n that ``operator.index``
-    refuses raises ConfigInvalid."""
+    ``scale * (1 - Random(seed).random())`` each, and mirrored below it.
+    Above PY_KERNEL_MAX_POINTS nothing is drawn here: the space's ``_Rows``
+    hold a ``_Stream`` of the seed, which draws the prefix of the triangle
+    that its reads reach.  As 1 - u lies in [2**-53, 1], every entry lies
+    in [lo, hi] = [fl(scale * 2**-53), scale], so the draw is checked data
+    before it is drawn once 0 < lo and hi < inf; any other draw is drawn
+    whole and goes to ``validate_finite_space`` as tuple rows, which names
+    the refusal as it would for the loop's matrix.  An n that
+    ``operator.index`` refuses raises ConfigInvalid."""
     n = _count("n", n)
     if n < 1:
         raise ConfigInvalid("space needs at least one point")
+    lo, hi = scale * 2.0 ** -53, scale
     if n > PY_KERNEL_MAX_POINTS:
-        drawn = _drawn_array(seed, n, scale)
-        lo, hi = float(drawn.min()), float(drawn.max())
-        dist = _Rows(drawn, n)
+        dist = _Rows(_Stream(seed, n * (n - 1) // 2, scale), n)
     else:
         random = _seeded(seed).random
-        # a scale of NaN makes every entry NaN, and min then NaN
         drawn = [scale * (1.0 - random()) for _ in range(n * (n - 1) // 2)]
-        lo, hi = min(drawn, default=math.inf), max(drawn, default=0.0)
         flat = _ROW_PICKS[n]((*drawn, 0.0))
         dist = tuple([flat[i:i + n] for i in range(0, n * n, n)])
     if not (0.0 < lo and hi < math.inf and n <= MAX_FINITE_POINTS):
@@ -206,24 +205,55 @@ def _count(name: str, value) -> int:
         raise ConfigInvalid(f"{name} must be an integer, not {value!r}") from None
 
 
-def _drawn_array(seed, n: int, scale: float):
-    """The loop's entries above the diagonal, in row-major order, as one
-    vector, from numpy's legacy MT19937 seeded as ``Random(seed)`` is: its
-    ``random_sample`` gives the doubles ``Random(seed).random()`` would, in
-    order.  Each thread keeps one generator, which ``seed`` resets whole; a
-    seed with no ``_mt_key`` loads ``Random(seed)``'s state."""
-    import numpy as np
+class _Stream:
+    """The entries above the diagonal of a space of more than
+    PY_KERNEL_MAX_POINTS points, in row-major order, drawn only as far as
+    ``prefix`` is asked: MT19937's stream can only be read in order.  It
+    holds the seed's ``_mt_key`` (or ``Random(seed)``'s state for a seed
+    with no key), the scale and one float64 buffer.  numpy's legacy MT19937
+    (frozen by NEP 19) draws the doubles of ``Random(seed).random()`` into
+    the buffer, where 1 - u and the product with the scale are taken in
+    place.  Each thread keeps one generator and a weak reference to the
+    stream it holds, with its place there: a draw goes on from that place
+    while it holds this stream, and otherwise reseeds it and skips the
+    entries drawn before.  The lock orders the draws, each of which writes
+    its entries in three steps; ``filled`` entries are final."""
 
-    mt = getattr(_LEGACY_MT, "generator", None)
-    if mt is None:
-        mt = _LEGACY_MT.generator = np.random.RandomState()
-    key = _mt_key(seed)
-    if key is not None:
-        mt.seed(key)
-    else:
-        _, state, _ = Random(seed).getstate()
-        mt.set_state(("MT19937", np.array(state[:-1], dtype=np.uint32), state[-1]))
-    return scale * (1.0 - mt.random_sample(n * (n - 1) // 2))
+    __slots__ = ("_seed", "_scale", "_buffer", "_filled", "_lock", "__weakref__")
+
+    def __init__(self, seed, size: int, scale: float):
+        import numpy as np
+
+        key = _mt_key(seed)
+        if key is None:
+            _, state, _ = Random(seed).getstate()
+            key = ("MT19937", np.array(state[:-1], dtype=np.uint32), state[-1])
+        self._seed, self._scale, self._filled = key, scale, 0
+        self._buffer, self._lock = np.empty(size), threading.Lock()
+
+    def prefix(self, count: int):
+        """The buffer, with at least its first ``count`` entries drawn."""
+        import numpy as np
+
+        with self._lock:
+            if self._filled >= count:
+                return self._buffer
+            mt = _LEGACY_MT
+            if not hasattr(mt, "legacy"):
+                bits = np.random.MT19937()
+                mt.legacy, mt.draw = np.random.RandomState(bits), np.random.Generator(bits).random
+            held, at = getattr(mt, "held", (None, 0))
+            if held is None or held() is not self:
+                reseed = mt.legacy.seed if type(self._seed) is list else mt.legacy.set_state
+                reseed(self._seed)
+                at = 0
+            mt.draw(self._filled - at)          # the entries drawn before
+            drawn = self._buffer[self._filled:count]
+            mt.draw(out=drawn)
+            np.subtract(1.0, drawn, out=drawn)
+            drawn *= self._scale
+            mt.held, self._filled = (weakref.ref(self), count), count
+            return self._buffer
 
 
 def _seed_int(seed) -> int | None:

@@ -8,9 +8,9 @@ concrete families are supported:
   Validation is O(n^2); its checks are stated once, in pure Python, and
   run on the float rows of whatever it is given: a list of rows, or an
   array read through its ``tolist()``.  numpy only computes.  A space the
-  fuzz harness draws keeps only the entries it drew above the diagonal:
-  its first rows are read off them, and the matrix is built when it is
-  first needed.
+  fuzz harness draws holds its entries above the diagonal as a stream that
+  draws only the prefix its reads reach: its first rows are read off that
+  prefix, and the matrix, drawn whole, is built when it is first needed.
   The smallest admissible constant, a min-plus row reduction over the
   pairs i < j (the matrix is symmetric), is computed on the first read of
   ``s``: only the quantitative lemmas, JSON output and a declared constant
@@ -99,30 +99,33 @@ class _Constant:
 
 class _Rows:
     """The rows of an n-point matrix that is symmetric with a zero diagonal
-    by construction, given as ``upper``, its float64 entries above the
-    diagonal in row-major order; each row is made a tuple of floats on its
-    first read and kept, and the whole is equal to, hashed and shown as the
-    tuple of all of them.  The first _TRIANGLE_ROWS rows read are read off
-    the vector (column i of the triangle, 0.0, the row's own slice);
-    ``matrix``, read-only, C-ordered float64, is built on its first read,
-    or at the next row read, and then takes the vector's place."""
+    by construction, drawn by ``source``: ``source.prefix(count)`` gives a
+    float64 vector of its entries above the diagonal in row-major order,
+    the first ``count`` of them drawn.  Each row is made a tuple of floats
+    on its first read and kept, and the whole is equal to, hashed and shown
+    as the tuple of all of them.  The first _TRIANGLE_ROWS rows read are
+    read off the shortest prefix that holds them (column i of the triangle,
+    0.0, the row's own slice); ``matrix``, read-only, C-ordered float64,
+    draws the whole vector and is built on its first read, or at the next
+    row read, and then takes the source's place."""
 
-    __slots__ = ("_matrix", "_upper", "_gathered", "_built")
+    __slots__ = ("_matrix", "_source", "_gathered", "_built")
 
-    def __init__(self, upper, n: int):
-        self._matrix, self._upper, self._gathered = None, upper, 0
+    def __init__(self, source, n: int):
+        self._matrix, self._source, self._gathered = None, source, 0
         self._built = [None] * n
 
-    # _upper is released only after _matrix is set: a thread that loads
-    # _upper and then finds no _matrix holds the vector (matrix and _row
+    # _source is released only after _matrix is set: a thread that loads
+    # _source and then finds no _matrix holds the source (matrix and _row
     # load the two in that order)
     @property
     def matrix(self):
-        upper = self._upper
+        source = self._source
         if self._matrix is None:
             import numpy as np
 
             n = len(self)
+            upper = source.prefix(n * (n - 1) // 2)
             d = np.zeros((n, n))
             # a boolean mask takes its values in row-major order; through the
             # transposed view the same mask fills the lower triangle
@@ -133,7 +136,7 @@ class _Rows:
             d.T[mask] = upper
             d.flags.writeable = False
             self._matrix = d
-            self._upper = None
+            self._source = None
         return self._matrix
 
     def __len__(self) -> int:
@@ -148,24 +151,25 @@ class _Rows:
         return row
 
     def _row(self, i: int) -> tuple:
-        upper, matrix = self._upper, self._matrix
+        source, matrix = self._source, self._matrix
         if matrix is None:
             if self._gathered < _TRIANGLE_ROWS:
                 self._gathered += 1
-                return self._gather(upper, i % len(self))
+                return self._gather(source, i % len(self))
             matrix = self.matrix
         return tuple(matrix[i].tolist())
 
-    def _gather(self, upper, i: int) -> tuple:
-        """Row i read off the triangle ``upper``.  Row k's slice starts at
-        k (2n - k - 1) / 2, so entry (0, i) lies at i - 1 and entry (k, i),
-        0 < k < i, n - 1 - k past entry (k - 1, i)."""
+    def _gather(self, source, i: int) -> tuple:
+        """Row i read off the triangle up to the end of its own slice.  Row
+        k's slice starts at k (2n - k - 1) / 2, so entry (0, i) lies at
+        i - 1 and entry (k, i), 0 < k < i, n - 1 - k past entry (k - 1, i)."""
         import numpy as np
 
         n = len(self)
         steps = np.arange(n - 1, n - 1 - i, -1)
         steps[:1] = i - 1
         start = i * (2 * n - i - 1) // 2
+        upper = source.prefix(start + n - 1 - i)
         return (*upper[steps.cumsum()].tolist(), 0.0,
                 *upper[start:start + n - 1 - i].tolist())
 
