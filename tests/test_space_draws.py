@@ -1,9 +1,9 @@
 """The fuzz harness's draws against the stdlib loops they replaced.
 
 Spaces of more than PY_KERNEL_MAX_POINTS points take their draws from
-numpy's legacy MT19937 ``RandomState`` seeded with the ``init_by_array``
-key that ``Random.seed`` derives from the seed (a seed of another type
-loads the state of ``Random(seed)``); the generator must hold the state of
+numpy's legacy MT19937 seeded with the ``init_by_array`` key that
+``Random.seed`` derives from the seed (a seed of another type loads the
+state of ``Random(seed)``); the generator must hold the state of
 ``Random(seed)``, every entry must equal the loop's, bit for bit, and bad
 scales must fail with the loop's error and witness.  A freshly seeded
 generator refills its 624-word state at the first draw and again after
@@ -16,9 +16,10 @@ trial sizes draw from one generator per thread, reseeded with the int that
 ``Random(seed)`` draws, and the rows built from the per-n index table must
 be those of the row loop they replaced.
 A draw that passes is checked data: no validation runs on it.  Above the
-cut-off the space keeps the vector it drew: its first rows read are
-gathered from that triangle, and its dense matrix is built only when the
-constant, a refusal or a further row reads it.
+cut-off the space draws only the prefix of its triangle that its reads
+reach: its first rows read are gathered from that prefix, and its dense
+matrix is drawn whole and built only when the constant, a refusal or a
+further row reads it.
 """
 
 import sys
@@ -36,7 +37,7 @@ import gphi.spaces
 from gphi.contraction import FiniteMap
 from gphi.errors import (ConfigInvalid, GphiError, NegativeEntry, NonFiniteEntry, TooManyPoints,
                          ZeroOffDiagonal)
-from gphi.harness import (_KEPT_MT, _LEGACY_MT, FuzzConfig, _drawn_array, _seeded, fuzz,
+from gphi.harness import (_KEPT_MT, _LEGACY_MT, FuzzConfig, _seeded, _Stream, fuzz,
                           generate_operator, generate_space)
 from gphi.spaces import MAX_FINITE_POINTS, PY_KERNEL_MAX_POINTS, _Rows, validate_finite_space
 
@@ -143,10 +144,13 @@ def test_entries_equal_the_loop(n, seed, scale, read):
 
 @pytest.mark.parametrize("seed", KEY_SEEDS, ids=lambda seed: repr(seed)[:12])
 def test_drawn_generator_holds_the_state_of_random(seed):
-    # a one-point matrix draws nothing, so the generator is as seeded
-    _drawn_array(seed, 1, 1.0)
-    _, key, pos, _, _ = _LEGACY_MT.generator.get_state()
-    _, state, _ = Random(seed).getstate()
+    # a stream drawn one entry deep leaves the generator one double past
+    # the state it was seeded with
+    _Stream(seed, 1, 1.0).prefix(1)
+    _, key, pos, _, _ = _LEGACY_MT.legacy.get_state()
+    rng = Random(seed)
+    rng.random()
+    _, state, _ = rng.getstate()
     assert (key.tolist(), pos) == (list(state[:-1]), state[-1])
 
 
@@ -257,9 +261,9 @@ def test_refused_scan_gathers_its_rows_without_the_matrix(seed, monkeypatch):
 
 @pytest.mark.parametrize("read", ("matrix", "row"))
 def test_matrix_built_midway_by_another_reader(read, monkeypatch):
-    """A drawn space releases its vector once its matrix is set.  A reader
+    """A drawn space releases its stream once its matrix is set.  A reader
     that found no matrix, and in whose read another thread builds it (here
-    at the reader's next ``len``), still reads the drawn vector."""
+    at the reader's next ``len``), still reads the stream it holds."""
     n = PY_KERNEL_MAX_POINTS + 1
     dist = generate_space(SEEDS[0], n).dist
     length, interrupted = _Rows.__len__, []
@@ -272,7 +276,7 @@ def test_matrix_built_midway_by_another_reader(read, monkeypatch):
 
     monkeypatch.setattr(_Rows, "__len__", other_thread_builds)
     got = dist.matrix.tolist() if read == "matrix" else [dist[n - 2]]
-    assert interrupted and dist._upper is None
+    assert interrupted and dist._source is None
     expected = loop_hexes(SEEDS[0], n)
     assert [[v.hex() for v in row] for row in got] == (expected if read == "matrix"
                                                         else expected[n - 2:n - 1])
