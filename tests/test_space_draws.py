@@ -24,6 +24,7 @@ further row reads it.
 
 import sys
 import threading
+import weakref
 from collections import Counter
 from functools import lru_cache
 from itertools import combinations
@@ -125,6 +126,16 @@ def read_hexes(seed, n: int, scale: float, read: str):
             space.dist.matrix
         rows = {i: space.dist[i] for i in order}
     return [[v.hex() for v in rows[i]] for i in range(n)]
+
+
+def total(n: int) -> int:
+    return n * (n - 1) // 2
+
+
+def prefix_of_row(i: int, n: int = MAX_FINITE_POINTS) -> int:
+    """The entries of the drawn triangle, in row-major order, up to the
+    last one of row i: the rows above it and row i's own n - 1 - i."""
+    return i * (2 * n - i - 1) // 2 + n - 1 - i
 
 
 def test_sizes_straddle_the_kernel_cut_off():
@@ -257,6 +268,8 @@ def test_refused_scan_gathers_its_rows_without_the_matrix(seed, monkeypatch):
     assert read == {0, T.mapping[0]} and T.mapping[0] != 0
     assert sorted(gathered) == sorted(read) and built == []
     assert space.dist._matrix is None
+    # the draw stops at the end of the later row's own entries
+    assert space.dist._source._filled == max(map(prefix_of_row, read)) < total(space.n)
 
 
 @pytest.mark.parametrize("read", ("matrix", "row"))
@@ -407,3 +420,98 @@ def test_threads_interleave_small_draws():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert got == {"a": 5 * len(seeds), "b": 5 * len(seeds)}
+
+
+# sizes above the cut-off, the cap among them; seeds of each kind, through
+# init_by_array (str, int, bytes) or Random's state (bytearray, float)
+PREFIX_SIZES = (16, 17, 100, 255, 256)
+PREFIX_SEEDS = ("4:7:space", 11, b"abc", bytearray(b"abc"), 2.5)
+# what a space's first reads are: row 0 then row n - 1, whose own entries
+# end the triangle, a middle row alone, the matrix, or s
+FIRST_READS = ("row 0, row n - 1", "middle row", "matrix", "s")
+
+
+def drawn_rows(seed, n: int, scale: float = 0.37):
+    """The rows of the loop's entries, ``scale * (1 - Random(seed).random())``."""
+    random = Random(seed).random
+    return loop_rows([scale * (1.0 - random()) for _ in range(total(n))], n)
+
+
+def assert_rows(got, expected):
+    assert {i: [v.hex() for v in row] for i, row in got.items()} == \
+        {i: [v.hex() for v in expected[i]] for i in got}
+
+
+@pytest.mark.parametrize("first", FIRST_READS)
+@pytest.mark.parametrize("seed", PREFIX_SEEDS, ids=repr)
+@pytest.mark.parametrize("n", PREFIX_SIZES)
+def test_prefix_draws_equal_random(n, seed, first):
+    """Whatever a wide space reads first, its entries are the doubles of
+    ``Random(seed).random()``, and a row drawn alone draws the prefix that
+    ends with its own entries."""
+    try:
+        expected = drawn_rows(seed, n)
+    except TypeError:               # Python 3.10 refuses a bytearray seed
+        with pytest.raises(TypeError):
+            generate_space(seed, n, 0.37)
+        return
+    space = generate_space(seed, n, 0.37)
+    dist, got = space.dist, {}
+    assert dist._source._filled == 0
+    if first == "row 0, row n - 1":
+        got = {0: dist[0], n - 1: dist[n - 1]}
+        assert dist._source._filled == total(n)
+    elif first == "middle row":
+        got = {n // 2: dist[n // 2]}
+        assert dist._source._filled == prefix_of_row(n // 2, n)
+    elif first == "matrix":
+        dist.matrix
+    else:
+        space.s
+    assert_rows(got, expected)
+    assert_rows(dict(enumerate(dist)), expected)
+
+
+@pytest.mark.parametrize("n", (16, 100, 256))
+def test_spaces_drawn_before_either_is_read(n):
+    """Two spaces whose reads alternate take the thread's generator from
+    each other: each read reseeds it and skips what its space drew before."""
+    a, b = generate_space("two:a", n, 0.37), generate_space("two:b", n, 0.37)
+    got = {"two:a": {}, "two:b": {}}
+    for seed, space, i in (("two:b", b, n // 2), ("two:a", a, 0), ("two:b", b, n - 1),
+                           ("two:a", a, n - 1)):
+        got[seed][i] = space.dist[i]
+    for seed, space in (("two:a", a), ("two:b", b)):
+        expected = drawn_rows(seed, n)
+        assert_rows(got[seed], expected)
+        assert_rows(dict(enumerate(space.dist)), expected)
+
+
+def test_read_from_another_thread():
+    """A row read in another thread draws on from where this thread's draw
+    stopped, through that thread's own generator, and this thread's next
+    draw skips what the other drew."""
+    n = MAX_FINITE_POINTS
+    space = generate_space("other:thread", n, 0.37)
+    got = {0: space.dist[0]}
+
+    def read():
+        got[n // 2] = space.dist[n // 2]
+
+    thread = threading.Thread(target=read)
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert space.dist._source._filled == prefix_of_row(n // 2)
+    expected = drawn_rows("other:thread", n)
+    assert_rows(got, expected)
+    assert_rows(dict(enumerate(space.dist)), expected)
+
+
+def test_generator_holds_its_stream_weakly():
+    """The thread's generator does not keep the last space it drew alive."""
+    space = generate_space("weak", 100)
+    space.dist[0]
+    held = weakref.ref(space.dist._source)
+    del space
+    assert held() is None
