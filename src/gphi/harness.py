@@ -71,7 +71,7 @@ except ImportError:
 
 from .contraction import FiniteMap, _informative_pairs
 from .errors import (BudgetExhausted, ConfigInvalid, ConstantOverflow, OrbitTooShort,
-                     TailNotSmall)
+                     TailNotSmall, TooManyPoints)
 from .gauges import (
     AffinePlusGauge,
     ExpOfFGauge,
@@ -179,10 +179,13 @@ def generate_space(seed, n: int, scale: float = 1.0) -> FiniteSpace:
     before it is drawn once 0 < lo and hi < inf; any other draw is drawn
     whole and goes to ``validate_finite_space`` as tuple rows, which names
     the refusal as it would for the loop's matrix.  An n that
-    ``operator.index`` refuses raises ConfigInvalid."""
+    ``operator.index`` refuses raises ConfigInvalid, and one past
+    MAX_FINITE_POINTS TooManyPoints, before anything is drawn."""
     n = _count("n", n)
     if n < 1:
         raise ConfigInvalid("space needs at least one point")
+    if n > MAX_FINITE_POINTS:
+        raise TooManyPoints(f"{n} points exceeds cap {MAX_FINITE_POINTS}")
     lo, hi = scale * 2.0 ** -53, scale
     if n > PY_KERNEL_MAX_POINTS:
         dist = _Rows(_Stream(seed, n * (n - 1) // 2, scale), n)
@@ -191,7 +194,7 @@ def generate_space(seed, n: int, scale: float = 1.0) -> FiniteSpace:
         drawn = [scale * (1.0 - random()) for _ in range(n * (n - 1) // 2)]
         flat = _ROW_PICKS[n]((*drawn, 0.0))
         dist = tuple([flat[i:i + n] for i in range(0, n * n, n)])
-    if not (0.0 < lo and hi < math.inf and n <= MAX_FINITE_POINTS):
+    if not (0.0 < lo and hi < math.inf):
         return validate_finite_space(tuple(dist))
     return _checked_space(dist, lo, hi)
 

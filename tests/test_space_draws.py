@@ -206,6 +206,17 @@ def test_too_many_points_raises_the_loops_cap(n):
     assert got == (TooManyPoints, f"{n} points exceeds cap 256", None)
 
 
+@pytest.mark.parametrize("n", (MAX_FINITE_POINTS + 1, 1000))
+def test_too_many_points_raises_before_drawing(n, monkeypatch):
+    # the draw and the rows of 1000 points cost n**2 time and memory
+    draws = []
+    monkeypatch.setattr(gphi.harness, "_Stream", lambda *args: draws.append(args))
+    monkeypatch.setattr(gphi.harness, "_seeded", lambda seed: draws.append(seed))
+    with pytest.raises(TooManyPoints, match=f"^{n} points exceeds cap {MAX_FINITE_POINTS}$"):
+        generate_space(SEEDS[1], n)
+    assert draws == []
+
+
 @pytest.mark.parametrize("scale, kind", [(0.0, ZeroOffDiagonal), (-0.0, ZeroOffDiagonal),
                                          (-1.0, NegativeEntry), (float("nan"), NonFiniteEntry),
                                          (float("-inf"), NonFiniteEntry)], ids=repr)
