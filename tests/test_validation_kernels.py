@@ -50,15 +50,15 @@ def refused(error, message, witness=None):
 def spec(matrix, max_points):
     """The outcome validation must have, stated without gphi's checks.
 
-    Parse: a string, boolean or null entry is refused, then a matrix that
-    is not square and non-empty (numpy's message for a ragged list is not
+    Parse: a string, boolean, null, dict or complex entry is refused, then
+    a matrix that is not square and non-empty (numpy's message for a ragged list is not
     pinned), then an int beyond the float range, then too many points.
     Then the five checks over the float rows, in order.  Each refusal but
     the shape's, the cap's and the first check's names its first failing
     entry in row-major order.
     """
     if not isinstance(matrix, np.ndarray):
-        if any(type(v) in (bool, str, type(None)) for row in matrix for v in row):
+        if any(type(v) in (bool, str, type(None), dict, complex) for row in matrix for v in row):
             return refused(ValueError,
                            "matrix entries must be numbers, not strings, booleans or null")
         if not matrix or any(len(row) != len(matrix) for row in matrix):
@@ -153,7 +153,7 @@ def heavy_tailed(draw):
 
 
 BAD_NUMBERS = [-1.0, -0.0, 0.0, 0, -3, math.nan, math.inf, -math.inf, 2.5, 7]
-NON_FLOATS = [10 ** 400, True, False, None, "1.5", "x"]
+NON_FLOATS = [10 ** 400, True, False, None, "1.5", "x", {}, 1j]
 
 
 @st.composite
@@ -271,7 +271,7 @@ class TestMeetsSpec:
             dist = validate_finite_space(given).dist
             assert type(dist) is tuple and all(type(row) is tuple for row in dist)
 
-    @pytest.mark.parametrize("entry", [True, False, None, "1", "1.5"])
+    @pytest.mark.parametrize("entry", [True, False, None, "1", "1.5", {}, {"a": 1}, 1j, 1 + 0j])
     @pytest.mark.parametrize("n", [2, PY_KERNEL_MAX_POINTS + 1])
     def test_non_number_entries_are_refused(self, entry, n):
         # np.asarray(..., dtype=float) would parse "1" and read True as 1.0
