@@ -487,8 +487,8 @@ def _checked_space(dist, lo: float, hi: float) -> FiniteSpace:
 
 
 _PLAIN_ENTRIES = frozenset((int, float))
-# a bool reads as 0 or 1; numpy's str, bytes and complex128 scalars have __float__
-_NOT_NUMBERS = (str, bytes, bool, complex)
+# a bool reads as 0 or 1, and numpy's str and bytes scalars have __float__
+_NOT_NUMBERS = (str, bytes, bool)
 
 
 def _past_float_range(rows, exc: OverflowError) -> OverflowError:
@@ -508,18 +508,18 @@ def _listed(x):
 def _square_rows(matrix) -> list | tuple:
     """The rows of ``matrix``, a list or tuple of rows, or an array (or an
     array row) read through its ``tolist()``.  An entry that float() cannot
-    read as a real number, such as a string, bytes, null, a row, a dict or a
-    complex, or a boolean (numpy's too), is refused, then a matrix that is
-    not square and non-empty.  Rows of plain int/float entries, as
-    JSON holds, pass on their length and set of types alone."""
+    read as a real number, such as a string, bytes, null, a row, a dict or
+    a complex, or a boolean (numpy's complex and boolean scalars too), is
+    refused, then a matrix that is not square and non-empty.  Rows of plain
+    int/float entries, as JSON holds, pass on their length and set of types alone."""
     rows = _listed(matrix)
     rows, n = (rows, len(rows)) if type(rows) in (list, tuple) else ((), 0)
     if n and all(type(row) in (list, tuple) and len(row) == n
                  and set(map(type, row)) <= _PLAIN_ENTRIES for row in rows):
         return rows
     rows = list(map(_listed, rows))
-    if any(isinstance(v, _NOT_NUMBERS) or _is_numpy_scalar(v, "bool_")
-           or not (hasattr(v, "__float__") or hasattr(v, "__index__"))
+    if any(isinstance(v, _NOT_NUMBERS) or not (hasattr(v, "__float__") or hasattr(v, "__index__"))
+           or _is_numpy_scalar(v, "bool_") or _is_numpy_scalar(v, "complexfloating")
            for row in rows for v in (row if type(row) in (list, tuple) else (row,))):
         raise ValueError("matrix entries must be numbers, not strings, booleans or null")
     if not n or any(type(row) not in (list, tuple) or len(row) != n for row in rows):

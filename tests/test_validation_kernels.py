@@ -284,7 +284,9 @@ class TestMeetsSpec:
     def test_numpy_non_numbers_are_refused(self):
         d = [[0.0, 1.5], [1.5, 0.0]]
         for bad in (np.array(d) > 0, np.array(d).astype(str),
-                    [[0.0, np.bool_(True)], [np.bool_(True), 0.0]]):
+                    [[0.0, np.bool_(True)], [np.bool_(True), 0.0]],
+                    [[0.0, np.complex64(1.5)], [np.complex64(1.5), 0.0]],
+                    np.array(d, dtype=complex)):
             with pytest.raises(ValueError, match="^matrix entries must be numbers"):
                 validate_finite_space(bad)
         assert validate_finite_space(np.array(d)).dist == ((0.0, 1.5), (1.5, 0.0))
