@@ -175,10 +175,10 @@ def generate_space(seed, n: int, scale: float = 1.0) -> FiniteSpace:
     Above PY_KERNEL_MAX_POINTS nothing is drawn here: the space's ``_Rows``
     hold a ``_Stream`` of the seed, which draws the prefix of the triangle
     that its reads reach.  As 1 - u lies in [2**-53, 1], every entry lies
-    in [lo, hi] = [fl(scale * 2**-53), scale], so the draw is checked data
-    before it is drawn once 0 < lo and hi < inf; any other draw is drawn
-    whole and goes to ``validate_finite_space`` as tuple rows, which names
-    the refusal as it would for the loop's matrix.  An n that
+    in [lo, hi] = [fl(scale * 2**-53), scale], so once 0 < lo and hi < inf
+    the draw is checked data before any entry is drawn; any other draw is
+    drawn whole and goes to ``validate_finite_space`` as tuple rows, which
+    names the refusal as it would for the loop's matrix.  An n that
     ``operator.index`` refuses raises ConfigInvalid, and one past
     MAX_FINITE_POINTS TooManyPoints, before anything is drawn."""
     n = _count("n", n)
