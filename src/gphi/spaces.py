@@ -99,15 +99,15 @@ class _Constant:
 
 class _Rows:
     """The rows of an n-point matrix that is symmetric with a zero diagonal
-    by construction, drawn by ``source``: ``source.prefix(count)`` gives a
-    float64 vector of its entries above the diagonal in row-major order,
-    the first ``count`` of them drawn.  Each row is made a tuple of floats
-    on its first read and kept, and the whole is equal to, hashed and shown
-    as the tuple of all of them.  The first _TRIANGLE_ROWS rows read are
-    read off the shortest prefix that holds them (column i of the triangle,
-    0.0, the row's own slice); ``matrix``, read-only, C-ordered float64,
-    draws the whole vector and is built on its first read, or at the next
-    row read, and then takes the source's place."""
+    by construction, drawn by ``source``: ``source.prefix(count)``, called
+    from any thread, gives a float64 vector of the entries above the
+    diagonal in row-major order, its first ``count`` drawn.  A row is made
+    a tuple of floats on its first read and kept; the whole compares,
+    hashes and prints as their tuple.  The first _TRIANGLE_ROWS rows read
+    are read off the shortest prefix that holds them (column i of the
+    triangle, 0.0, the row's own slice); ``matrix`` (read-only, C-ordered
+    float64) draws the whole vector on its first read, or at the next row
+    read, and then takes the source's place."""
 
     __slots__ = ("_matrix", "_source", "_gathered", "_built")
 
