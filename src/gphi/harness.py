@@ -25,8 +25,8 @@ Determinism: all randomness is the stream of ``random.Random`` (Mersenne
 Twister) seeded with strings of the form ``"{seed}:{trial}:{stream}"``;
 Python's string seeding is the documented SHA-512 based scheme, stable
 across platforms, so reports are byte-identical for a given configuration.
-Each thread keeps one generator, which a trial's size draw, its space of
-at most PY_KERNEL_MAX_POINTS points and its map each reseed with the int
+A trial's size draw, its space of at most PY_KERNEL_MAX_POINTS points and
+its map each draw from a ``_random.Random`` seeded with the int
 ``Random.seed`` derives from the stream's seed, so each draws what
 ``Random(seed)`` would.  Spaces above PY_KERNEL_MAX_POINTS draw the same
 MT19937 stream through numpy's legacy ``RandomState`` (frozen by NEP 19),
@@ -41,9 +41,9 @@ it drew, symmetric with a zero diagonal, has its entries in
 [fl(scale * 2**-53), scale], checked data once that range is positive and
 finite.  A space from another scale goes to ``validate_finite_space`` to
 name the refusal.  Above PY_KERNEL_MAX_POINTS the space draws nothing
-until read (``_Stream``): each row read draws the prefix of the triangle
-that ends with the row's own entries, and only the dense matrix draws it
-all.  A trial that the catalog scan refuses reads two rows, those of 0
+until read: its ``_Rows`` hold the stream and the rows, each row read
+draws the prefix of the triangle that ends with the row's own entries,
+and only the dense matrix draws it all.  A trial that the catalog scan refuses reads two rows, those of 0
 and of its image, and draws no further.
 """
 
@@ -101,7 +101,7 @@ from .solver import (
     verify_step_chaining,
 )
 from .spaces import (MAX_FINITE_POINTS, PY_KERNEL_MAX_POINTS, FiniteSpace, _checked_space,
-                     _Fields, _Fresh, _Record, _Rows, space_to_json, validate_finite_space)
+                     _Fields, _Fresh, _Record, space_to_json, validate_finite_space)
 
 DEFAULT_GAUGE_CATALOG = (
     IdentityGauge(),
@@ -161,7 +161,6 @@ class FuzzReport(_Record, frozen=False):
 
 
 _LEGACY_MT = threading.local()
-_KEPT_MT = threading.local()
 # (gauge catalog, phi catalog) -> (those catalogs, their certified entries)
 _KEPT_CATALOGS = {}
 _KEPT_CATALOGS_MAX = 16
@@ -173,8 +172,7 @@ def generate_space(seed, n: int, scale: float = 1.0) -> FiniteSpace:
     The entries above the diagonal are drawn in row-major order, as
     ``scale * (1 - Random(seed).random())`` each, and mirrored below it.
     Above PY_KERNEL_MAX_POINTS nothing is drawn here: the space's ``_Rows``
-    hold a ``_Stream`` of the seed, which draws the prefix of the triangle
-    that its reads reach.  As 1 - u lies in [2**-53, 1], every entry lies
+    draw the prefix of the triangle that their reads reach.  As 1 - u lies in [2**-53, 1], every entry lies
     in [lo, hi] = [fl(scale * 2**-53), scale], so once 0 < lo and hi < inf
     the draw is checked data before any entry is drawn; any other draw is
     drawn whole and goes to ``validate_finite_space`` as tuple rows, which
@@ -188,7 +186,7 @@ def generate_space(seed, n: int, scale: float = 1.0) -> FiniteSpace:
         raise TooManyPoints(f"{n} points exceeds cap {MAX_FINITE_POINTS}")
     lo, hi = scale * 2.0 ** -53, scale
     if n > PY_KERNEL_MAX_POINTS:
-        dist = _Rows(_Stream(seed, n * (n - 1) // 2, scale), n)
+        dist = _Rows(seed, n, scale)
     else:
         random = _seeded(seed).random
         drawn = [scale * (1.0 - random()) for _ in range(n * (n - 1) // 2)]
@@ -208,23 +206,33 @@ def _count(name: str, value) -> int:
         raise ConfigInvalid(f"{name} must be an integer, not {value!r}") from None
 
 
-class _Stream:
-    """The entries above the diagonal of a space of more than
-    PY_KERNEL_MAX_POINTS points, in row-major order, drawn only as far as
-    ``prefix`` is asked: MT19937's stream can only be read in order.  It
-    holds the seed's ``_mt_key`` (or ``Random(seed)``'s state for a seed
-    with no key), the scale and one float64 buffer.  numpy's legacy MT19937
-    (frozen by NEP 19) draws the doubles of ``Random(seed).random()`` into
-    the buffer, where 1 - u and the product with the scale are taken in
-    place.  Each thread keeps one generator and a weak reference to the
-    stream it holds, with its place there: a draw goes on from that place
-    while it holds this stream, and otherwise reseeds it and skips the
-    entries drawn before.  The lock orders the draws, each of which writes
-    its entries in three steps; ``filled`` entries are final."""
+# Rows a drawn space reads off its triangle before it builds its matrix.  The
+# catalog scan reads the rows of x = 0 and of its image on a trial refused
+# within x = 0's pairs, nearly every trial above 15 points; a scan that reads
+# a third row may read them all, as a certified trial does, and a row of the
+# matrix is the cheaper read.
+_TRIANGLE_ROWS = 2
 
-    __slots__ = ("_seed", "_scale", "_buffer", "_filled", "_lock", "__weakref__")
 
-    def __init__(self, seed, size: int, scale: float):
+class _Rows:
+    """The rows of a space of more than PY_KERNEL_MAX_POINTS points, whose
+    entries above the diagonal, in row-major order, are drawn only as far as
+    its reads reach: MT19937's stream can only be read in order.  It holds
+    the seed's ``_mt_key`` (or ``Random(seed)``'s state for a seed with no
+    key), the scale and one float64 buffer of the triangle, into which
+    numpy's legacy MT19937 (frozen by NEP 19) draws the doubles of
+    ``Random(seed).random()``; 1 - u and the product with the scale are
+    taken in place.  A row is made a tuple of floats on its first read and
+    kept; the whole compares, hashes and prints as their tuple.  The first
+    _TRIANGLE_ROWS rows read are gathered from the shortest prefix that
+    holds them; ``matrix`` (read-only, C-ordered float64) draws the whole
+    triangle on its first read, or at the next row read, and serves every
+    later row."""
+
+    __slots__ = ("_seed", "_scale", "_buffer", "_filled", "_lock", "_built", "_gathered",
+                 "_matrix", "__weakref__")
+
+    def __init__(self, seed, n: int, scale: float):
         import numpy as np
 
         key = _mt_key(seed)
@@ -232,10 +240,16 @@ class _Stream:
             _, state, _ = Random(seed).getstate()
             key = ("MT19937", np.array(state[:-1], dtype=np.uint32), state[-1])
         self._seed, self._scale, self._filled = key, scale, 0
-        self._buffer, self._lock = np.empty(size), threading.Lock()
+        self._buffer, self._lock = np.empty(n * (n - 1) // 2), threading.Lock()
+        self._built, self._gathered, self._matrix = [None] * n, 0, None
 
-    def prefix(self, count: int):
-        """The buffer, with at least its first ``count`` entries drawn."""
+    def _prefix(self, count: int):
+        """The buffer, with at least its first ``count`` entries drawn.  Each
+        thread keeps one generator and a weak reference to the rows it holds
+        the stream of, with its place there: a draw goes on from that place
+        while it holds these rows, and otherwise reseeds it and skips the
+        entries drawn before.  The lock orders the draws, each of which
+        writes its entries in three steps; ``_filled`` entries are final."""
         import numpy as np
 
         with self._lock:
@@ -257,6 +271,72 @@ class _Stream:
             drawn *= self._scale
             mt.held, self._filled = (weakref.ref(self), count), count
             return self._buffer
+
+    @property
+    def matrix(self):
+        if self._matrix is None:
+            import numpy as np
+
+            n = len(self)
+            upper = self._prefix(n * (n - 1) // 2)
+            d = np.zeros((n, n))
+            # a boolean mask takes its values in row-major order; through the
+            # transposed view the same mask fills the lower triangle
+            # (d += d.T buffers d, which overlaps its output, and reads it
+            # transposed: three to four times the cost)
+            mask = ~np.tri(n, dtype=bool)
+            d[mask] = upper
+            d.T[mask] = upper
+            d.flags.writeable = False
+            self._matrix = d
+        return self._matrix
+
+    def __len__(self) -> int:
+        return len(self._built)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self.__getitem__, range(len(self))[i]))
+        row = self._built[i]
+        if row is None:
+            row = self._built[i] = self._row(i)
+        return row
+
+    def _row(self, i: int) -> tuple:
+        matrix = self._matrix
+        if matrix is None:
+            if self._gathered < _TRIANGLE_ROWS:
+                self._gathered += 1
+                return self._gather(i % len(self))
+            matrix = self.matrix
+        return tuple(matrix[i].tolist())
+
+    def _gather(self, i: int) -> tuple:
+        """Row i read off the triangle up to the end of its own slice: column
+        i, 0.0, then the slice.  Row k's slice starts at k (2n - k - 1) / 2,
+        so entry (0, i) lies at i - 1 and entry (k, i), 0 < k < i, n - 1 - k
+        past entry (k - 1, i)."""
+        import numpy as np
+
+        n = len(self)
+        steps = np.arange(n - 1, n - 1 - i, -1)
+        steps[:1] = i - 1
+        start = i * (2 * n - i - 1) // 2
+        upper = self._prefix(start + n - 1 - i)
+        return (*upper[steps.cumsum()].tolist(), 0.0,
+                *upper[start:start + n - 1 - i].tolist())
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+    def __eq__(self, other):
+        return tuple(self) == other if isinstance(other, (tuple, _Rows)) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
 
 
 def _seed_int(seed) -> int | None:
@@ -288,20 +368,11 @@ def _mt_key(seed) -> list[int] | None:
 
 def _seeded(seed):
     """A generator in the state of ``Random(seed)``, for its ``random`` and
-    ``getrandbits`` draws.  A seed that ``_seed_int`` reads reseeds the
-    thread's kept generator with that int, through the C-level
-    ``_random.Random.seed`` that ``Random.seed`` ends in, so the generator
-    must be read out before the thread's next reseed; a thread-local
-    generator keeps threads from reseeding each other's.  Every other seed
-    builds ``Random(seed)``."""
+    ``getrandbits`` draws: a ``_random.Random`` seeded with the int that
+    ``_seed_int`` reads, through the C-level seeding that ``Random.seed``
+    ends in, or ``Random(seed)`` for every other seed."""
     key = _seed_int(seed)
-    if key is None:
-        return Random(seed)
-    mt = getattr(_KEPT_MT, "generator", None)
-    if mt is None:
-        mt = _KEPT_MT.generator = _random.Random(0)
-    mt.seed(key)
-    return mt
+    return Random(seed) if key is None else _random.Random(key)
 
 
 def _row_pick(n: int):

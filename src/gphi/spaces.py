@@ -7,15 +7,13 @@ concrete families are supported:
 * :class:`FiniteSpace` -- an explicit point set with a distance matrix.
   Validation is O(n^2); its checks are stated once, in pure Python, and
   run on the float rows of whatever it is given: a list of rows, or an
-  array read through its ``tolist()``.  numpy only computes.  A space the
-  fuzz harness draws holds its entries above the diagonal as a stream that
-  draws only the prefix its reads reach: its first rows are read off that
-  prefix, and the matrix, drawn whole, is built when it is first needed.
-  The smallest admissible constant, a min-plus row reduction over the
-  pairs i < j (the matrix is symmetric), is computed on the first read of
-  ``s``: only the quantitative lemmas, JSON output and a declared constant
-  read it, never condition (G).  Above PY_KERNEL_MAX_POINTS points numpy
-  computes it, from a drawn space's matrix or from an array of the rows.
+  array read through its ``tolist()``.  numpy only computes.  The smallest
+  admissible constant, a min-plus row reduction over the pairs i < j (the
+  matrix is symmetric), is computed on the first read of ``s``: only the
+  quantitative lemmas, JSON output and a declared constant read it, never
+  condition (G).  Above PY_KERNEL_MAX_POINTS points numpy computes it, from
+  the rows' own ``matrix`` where they have one (a space the fuzz harness
+  draws) or from an array of the rows.
 * :class:`AnalyticSpace` -- a real interval ``[lo, hi]`` carrying the
   distance ``|x - y| ** p``; the constant ``2 ** (p - 1)`` always works.
 """
@@ -53,13 +51,6 @@ MAX_FINITE_POINTS = 256
 # Below this max/min of the off-diagonal entries s cannot overflow.
 _FINITE_RATIO_BOUND = 2.0 ** 1000
 
-# Rows a drawn space reads off its triangle before it builds its matrix.  The
-# fuzz harness's catalog scan reads the rows of x = 0 and of its image on a
-# trial refused within x = 0's pairs, nearly every trial above 15 points; a
-# scan that reads a third row may read them all, as a certified trial does,
-# and a row of the matrix is the cheaper read.
-_TRIANGLE_ROWS = 2
-
 # Matrices of up to this many points have their constant computed, and
 # fuzz spaces their entries drawn, in pure Python.  Above it numpy's vector
 # ops repay their per-call overhead; the value is the in-process crossover
@@ -95,95 +86,6 @@ class _Constant:
         if s == math.inf:
             raise ConstantOverflow("the b-metric constant overflows the float range")
         space.__dict__["_s"] = s
-
-
-class _Rows:
-    """The rows of an n-point matrix that is symmetric with a zero diagonal
-    by construction, drawn by ``source``: ``source.prefix(count)``, called
-    from any thread, gives a float64 vector of the entries above the
-    diagonal in row-major order, its first ``count`` drawn.  A row is made
-    a tuple of floats on its first read and kept; the whole compares,
-    hashes and prints as their tuple.  The first _TRIANGLE_ROWS rows read
-    are read off the shortest prefix that holds them (column i of the
-    triangle, 0.0, the row's own slice); ``matrix`` (read-only, C-ordered
-    float64) draws the whole vector on its first read, or at the next row
-    read, and then takes the source's place."""
-
-    __slots__ = ("_matrix", "_source", "_gathered", "_built")
-
-    def __init__(self, source, n: int):
-        self._matrix, self._source, self._gathered = None, source, 0
-        self._built = [None] * n
-
-    # _source is released only after _matrix is set: a thread that loads
-    # _source and then finds no _matrix holds the source (matrix and _row
-    # load the two in that order)
-    @property
-    def matrix(self):
-        source = self._source
-        if self._matrix is None:
-            import numpy as np
-
-            n = len(self)
-            upper = source.prefix(n * (n - 1) // 2)
-            d = np.zeros((n, n))
-            # a boolean mask takes its values in row-major order; through the
-            # transposed view the same mask fills the lower triangle
-            # (d += d.T buffers d, which overlaps its output, and reads it
-            # transposed: three to four times the cost)
-            mask = ~np.tri(n, dtype=bool)
-            d[mask] = upper
-            d.T[mask] = upper
-            d.flags.writeable = False
-            self._matrix = d
-            self._source = None
-        return self._matrix
-
-    def __len__(self) -> int:
-        return len(self._built)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(map(self.__getitem__, range(len(self))[i]))
-        row = self._built[i]
-        if row is None:
-            row = self._built[i] = self._row(i)
-        return row
-
-    def _row(self, i: int) -> tuple:
-        source, matrix = self._source, self._matrix
-        if matrix is None:
-            if self._gathered < _TRIANGLE_ROWS:
-                self._gathered += 1
-                return self._gather(source, i % len(self))
-            matrix = self.matrix
-        return tuple(matrix[i].tolist())
-
-    def _gather(self, source, i: int) -> tuple:
-        """Row i read off the triangle up to the end of its own slice.  Row
-        k's slice starts at k (2n - k - 1) / 2, so entry (0, i) lies at
-        i - 1 and entry (k, i), 0 < k < i, n - 1 - k past entry (k - 1, i)."""
-        import numpy as np
-
-        n = len(self)
-        steps = np.arange(n - 1, n - 1 - i, -1)
-        steps[:1] = i - 1
-        start = i * (2 * n - i - 1) // 2
-        upper = source.prefix(start + n - 1 - i)
-        return (*upper[steps.cumsum()].tolist(), 0.0,
-                *upper[start:start + n - 1 - i].tolist())
-
-    def __iter__(self):
-        return map(self.__getitem__, range(len(self)))
-
-    def __eq__(self, other):
-        return tuple(self) == other if isinstance(other, (tuple, _Rows)) else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(tuple(self))
-
-    def __repr__(self) -> str:
-        return repr(tuple(self))
 
 
 class FrozenInstanceError(AttributeError):
@@ -311,10 +213,10 @@ class _SpaceKind(_Fields):
 class FiniteSpace(_SpaceKind):
     """Finite b-metric space backed by a symmetric distance matrix; ``s=None``
     leaves the O(n^3) minimal constant to the first read of ``s``.  ``dist``
-    holds tuple rows, or, in a space the fuzz harness draws, ``_Rows`` that
-    act as them."""
+    holds tuple rows, or, in a space the fuzz harness draws, rows that act
+    as them and also give their float64 ``matrix``."""
 
-    dist: tuple[tuple[float, ...], ...] | _Rows
+    dist: tuple[tuple[float, ...], ...]
     s: float = _Constant()
     kind, noun, parse_point = "finite", "space", int
 
@@ -471,12 +373,14 @@ def _min_constant_rows(d: tuple[tuple[float, ...], ...]) -> float:
 
 
 def _constant_of(dist) -> float:
-    """The minimal constant of validated rows, by the kernel for their size."""
+    """The minimal constant of validated rows, by the kernel for their size;
+    numpy's reads the rows' own ``matrix`` where they have one."""
     if len(dist) <= PY_KERNEL_MAX_POINTS:
         return _min_constant_rows(dist)
     import numpy as np
 
-    return _min_constant(dist.matrix if isinstance(dist, _Rows) else np.array(dist))
+    matrix = getattr(dist, "matrix", None)
+    return _min_constant(np.array(dist) if matrix is None else matrix)
 
 
 def _checked_space(dist, lo: float, hi: float) -> FiniteSpace:

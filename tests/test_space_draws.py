@@ -11,15 +11,15 @@ every 312 doubles (two words each): n = 26 (325 draws) is the first size
 whose matrix spans a refill, n = 36 (630 draws) the first to span two.
 ``generate_operator`` draws its indices as ``Random.randrange`` does.
 Spaces of at most PY_KERNEL_MAX_POINTS points, operators and ``fuzz``'s
-trial sizes draw from one generator per thread, reseeded with the int that
-``Random.seed`` derives from a str, bytes or int seed; it must draw what
-``Random(seed)`` draws, and the rows built from the per-n index table must
-be those of the row loop they replaced.
-A draw that passes is checked data: no validation runs on it.  Above the
-cut-off the space draws only the prefix of its triangle that its reads
-reach: its first rows read are gathered from that prefix, and its dense
-matrix is drawn whole and built only when the constant, a refusal or a
-further row reads it.
+trial sizes each draw from their own ``_random.Random``, seeded with the
+int that ``Random.seed`` derives from a str, bytes or int seed; it must
+draw what ``Random(seed)`` draws, also while another one draws, and the
+rows built from the per-n index table must be those of the row loop they
+replaced.  A draw that passes is checked data: no validation runs on it.
+Above the cut-off the space's rows (``harness._Rows``) draw only the
+prefix of the triangle that their reads reach: the first rows read are
+gathered from that prefix, and the dense matrix is drawn whole and built
+only when the constant, a refusal or a further row reads it.
 """
 
 import sys
@@ -38,9 +38,9 @@ import gphi.spaces
 from gphi.contraction import FiniteMap
 from gphi.errors import (ConfigInvalid, GphiError, NegativeEntry, NonFiniteEntry, TooManyPoints,
                          ZeroOffDiagonal)
-from gphi.harness import (_KEPT_MT, _LEGACY_MT, FuzzConfig, _seeded, _Stream, fuzz,
-                          generate_operator, generate_space)
-from gphi.spaces import MAX_FINITE_POINTS, PY_KERNEL_MAX_POINTS, _Rows, validate_finite_space
+from gphi.harness import (_LEGACY_MT, FuzzConfig, _Rows, _seeded, fuzz, generate_operator,
+                          generate_space)
+from gphi.spaces import MAX_FINITE_POINTS, PY_KERNEL_MAX_POINTS, validate_finite_space
 
 SIZES = (2, 15, 16, 17, 25, 26, 35, 36, 37, 200, 256)
 # a float seed has no init_by_array key: its draws load Random's state
@@ -60,8 +60,8 @@ class LyingAbs(int):
 # words, and strings and bytes through SHA-512
 KEY_SEEDS = (0, 1, 11, 2 ** 32 - 1, 2 ** 32, -5, LyingAbs(-3), "", "é:0:space", "x" * 1000,
              b"abc")
-# seeds that reseed the kept generator of the small draws
-KEPT_SEEDS = ("0:1:space", "", b"abc", 0, -5, True, 2 ** 200, -2 ** 64, LyingAbs(-3))
+# seeds that _seeded reads as an int
+INT_SEEDS = ("0:1:space", "", b"abc", 0, -5, True, 2 ** 200, -2 ** 64, LyingAbs(-3))
 # fuzz's size draw: one bit (2), a width of 2**k (3, 17), rejections
 # (8, 16, 64, 256) and the kernel cut-off (15, 16)
 SIZE_CAPS = (2, 3, 8, 15, 16, 17, 64, 256)
@@ -155,9 +155,9 @@ def test_entries_equal_the_loop(n, seed, scale, read):
 
 @pytest.mark.parametrize("seed", KEY_SEEDS, ids=lambda seed: repr(seed)[:12])
 def test_drawn_generator_holds_the_state_of_random(seed):
-    # a stream drawn one entry deep leaves the generator one double past
-    # the state it was seeded with
-    _Stream(seed, 1, 1.0).prefix(1)
+    # rows drawn one entry deep leave the generator one double past the
+    # state it was seeded with
+    _Rows(seed, 2, 1.0)._prefix(1)
     _, key, pos, _, _ = _LEGACY_MT.legacy.get_state()
     rng = Random(seed)
     rng.random()
@@ -210,7 +210,7 @@ def test_too_many_points_raises_the_loops_cap(n):
 def test_too_many_points_raises_before_drawing(n, monkeypatch):
     # the draw and the rows of 1000 points cost n**2 time and memory
     draws = []
-    monkeypatch.setattr(gphi.harness, "_Stream", lambda *args: draws.append(args))
+    monkeypatch.setattr(gphi.harness, "_Rows", lambda *args: draws.append(args))
     monkeypatch.setattr(gphi.harness, "_seeded", lambda seed: draws.append(seed))
     with pytest.raises(TooManyPoints, match=f"^{n} points exceeds cap {MAX_FINITE_POINTS}$"):
         generate_space(SEEDS[1], n)
@@ -280,14 +280,14 @@ def test_refused_scan_gathers_its_rows_without_the_matrix(seed, monkeypatch):
     assert sorted(gathered) == sorted(read) and built == []
     assert space.dist._matrix is None
     # the draw stops at the end of the later row's own entries
-    assert space.dist._source._filled == max(map(prefix_of_row, read)) < total(space.n)
+    assert space.dist._filled == max(map(prefix_of_row, read)) < total(space.n)
 
 
 @pytest.mark.parametrize("read", ("matrix", "row"))
 def test_matrix_built_midway_by_another_reader(read, monkeypatch):
-    """A drawn space releases its stream once its matrix is set.  A reader
-    that found no matrix, and in whose read another thread builds it (here
-    at the reader's next ``len``), still reads the stream it holds."""
+    """A reader that found no matrix, and in whose read another thread
+    builds it (here at the reader's next ``len``), still reads the loop's
+    entries."""
     n = PY_KERNEL_MAX_POINTS + 1
     dist = generate_space(SEEDS[0], n).dist
     length, interrupted = _Rows.__len__, []
@@ -300,7 +300,7 @@ def test_matrix_built_midway_by_another_reader(read, monkeypatch):
 
     monkeypatch.setattr(_Rows, "__len__", other_thread_builds)
     got = dist.matrix.tolist() if read == "matrix" else [dist[n - 2]]
-    assert interrupted and dist._source is None
+    assert interrupted
     expected = loop_hexes(SEEDS[0], n)
     assert [[v.hex() for v in row] for row in got] == (expected if read == "matrix"
                                                         else expected[n - 2:n - 1])
@@ -360,13 +360,19 @@ def test_table_rows_equal_the_row_loop(n):
     assert all(type(row) is tuple for row in rows)
 
 
-@pytest.mark.parametrize("seed", KEPT_SEEDS, ids=lambda seed: repr(seed)[:12])
-def test_kept_generator_draws_what_random_draws(seed):
+@pytest.mark.parametrize("seed", INT_SEEDS, ids=lambda seed: repr(seed)[:12])
+def test_seeded_generators_draw_what_random_draws(seed):
     mt, rng = _seeded(seed), Random(seed)
-    assert mt is _KEPT_MT.generator
     assert [mt.random() for _ in range(700)] == [rng.random() for _ in range(700)]
     mt, rng = _seeded(seed), Random(seed)
     assert [mt.getrandbits(k) for k in range(1, 40)] == [rng.getrandbits(k) for k in range(1, 40)]
+    # two generators read in turn each draw their own seed's stream
+    a, b = _seeded(seed), _seeded("interleaved")
+    pairs = ((a, Random(seed)), (b, Random("interleaved")))
+    for k in range(1, 40):
+        for mt, rng in pairs:
+            assert mt.random() == rng.random()
+            assert mt.getrandbits(k) == rng.getrandbits(k)
 
 
 @pytest.mark.parametrize("seed", (1.5, -0.0, None, bytearray(b"abc")), ids=repr)
@@ -378,7 +384,7 @@ def test_other_seeds_draw_from_random(seed):
             _seeded(seed)
         return
     rng = _seeded(seed)
-    assert type(rng) is Random and rng is not getattr(_KEPT_MT, "generator", None)
+    assert type(rng) is Random
     if seed is not None:            # None seeds from the system's entropy
         assert rng.getstate() == expected
 
@@ -405,8 +411,8 @@ def test_fuzz_sizes_are_randint_draws(max_points, monkeypatch):
 
 
 def test_threads_interleave_small_draws():
-    """Each thread reseeds its own kept generator: small draws made at once
-    in two threads, switching often, still equal the loops'."""
+    """Small draws made at once in two threads, switching often, still
+    equal the loops'."""
     seeds = [f"small:{k}" for k in range(40)]
     expected = {seed: (hexes(loop_space(seed, 8)), loop_operator(seed, loop_space(seed, 8)))
                 for seed in seeds}
@@ -468,13 +474,13 @@ def test_prefix_draws_equal_random(n, seed, first):
         return
     space = generate_space(seed, n, 0.37)
     dist, got = space.dist, {}
-    assert dist._source._filled == 0
+    assert dist._filled == 0
     if first == "row 0, row n - 1":
         got = {0: dist[0], n - 1: dist[n - 1]}
-        assert dist._source._filled == total(n)
+        assert dist._filled == total(n)
     elif first == "middle row":
         got = {n // 2: dist[n // 2]}
-        assert dist._source._filled == prefix_of_row(n // 2, n)
+        assert dist._filled == prefix_of_row(n // 2, n)
     elif first == "matrix":
         dist.matrix
     else:
@@ -513,7 +519,7 @@ def test_read_from_another_thread():
     thread.start()
     thread.join(timeout=60)
     assert not thread.is_alive()
-    assert space.dist._source._filled == prefix_of_row(n // 2)
+    assert space.dist._filled == prefix_of_row(n // 2)
     expected = drawn_rows("other:thread", n)
     assert_rows(got, expected)
     assert_rows(dict(enumerate(space.dist)), expected)
@@ -523,6 +529,6 @@ def test_generator_holds_its_stream_weakly():
     """The thread's generator does not keep the last space it drew alive."""
     space = generate_space("weak", 100)
     space.dist[0]
-    held = weakref.ref(space.dist._source)
+    held = weakref.ref(space.dist)
     del space
     assert held() is None

@@ -332,11 +332,11 @@ class TestKeptMatrix:
 
     @pytest.mark.parametrize("n", [PY_KERNEL_MAX_POINTS + 1, MAX_FINITE_POINTS])
     def test_rows_behave_as_tuple_rows(self, n):
-        from gphi.harness import generate_space
+        from gphi.harness import _Rows, generate_space
 
         rows = tuple(map(tuple, generate_space("rows", n).dist.matrix.tolist()))
         fs = generate_space("rows", n)
-        assert type(fs.dist) is spaces._Rows
+        assert type(fs.dist) is _Rows
         assert fs.dist == rows and rows == fs.dist and not fs.dist != rows
         assert fs.dist != rows[:-1] and fs.dist != [list(row) for row in rows]
         assert len(fs.dist) == n and tuple(fs.dist) == rows and list(fs.dist) == list(rows)
@@ -375,8 +375,8 @@ class TestKeptMatrix:
         T = harness.generate_operator("rows:op", space)
         gauges, phis = harness._prepare_catalogs(harness.FuzzConfig())
         built = []
-        row = spaces._Rows._row
-        monkeypatch.setattr(spaces._Rows, "_row", lambda rows, i: built.append(i) or row(rows, i))
+        row = harness._Rows._row
+        monkeypatch.setattr(harness._Rows, "_row", lambda rows, i: built.append(i) or row(rows, i))
         drawn = []
 
         def counted_pairs(points, r):
