@@ -43,8 +43,8 @@ finite.  A space from another scale goes to ``validate_finite_space`` to
 name the refusal.  Above PY_KERNEL_MAX_POINTS the space draws nothing
 until read: its ``_Rows`` hold the stream and the rows, each row read
 draws the prefix of the triangle that ends with the row's own entries,
-and only the dense matrix draws it all.  A trial that the catalog scan refuses reads two rows, those of 0
-and of its image, and draws no further.
+and only the dense matrix draws it all.  A trial that the catalog scan
+refuses reads two rows, those of 0 and of its image, and draws no further.
 """
 
 from __future__ import annotations
@@ -172,13 +172,14 @@ def generate_space(seed, n: int, scale: float = 1.0) -> FiniteSpace:
     The entries above the diagonal are drawn in row-major order, as
     ``scale * (1 - Random(seed).random())`` each, and mirrored below it.
     Above PY_KERNEL_MAX_POINTS nothing is drawn here: the space's ``_Rows``
-    draw the prefix of the triangle that their reads reach.  As 1 - u lies in [2**-53, 1], every entry lies
-    in [lo, hi] = [fl(scale * 2**-53), scale], so once 0 < lo and hi < inf
-    the draw is checked data before any entry is drawn; any other draw is
-    drawn whole and goes to ``validate_finite_space`` as tuple rows, which
-    names the refusal as it would for the loop's matrix.  An n that
-    ``operator.index`` refuses raises ConfigInvalid, and one past
-    MAX_FINITE_POINTS TooManyPoints, before anything is drawn."""
+    draw the prefix of the triangle that their reads reach.  As 1 - u lies
+    in [2**-53, 1], every entry lies in [lo, hi] = [fl(scale * 2**-53),
+    scale], so once 0 < lo and hi < inf the draw is checked data before any
+    entry is drawn; any other draw is drawn whole and goes to
+    ``validate_finite_space`` as tuple rows, which names the refusal as it
+    would for the loop's matrix.  An n that ``operator.index`` refuses
+    raises ConfigInvalid, and one past MAX_FINITE_POINTS TooManyPoints,
+    before anything is drawn."""
     n = _count("n", n)
     if n < 1:
         raise ConfigInvalid("space needs at least one point")
@@ -220,14 +221,13 @@ class _Rows:
     its reads reach: MT19937's stream can only be read in order.  It holds
     the seed's ``_mt_key`` (or ``Random(seed)``'s state for a seed with no
     key), the scale and one float64 buffer of the triangle, into which
-    numpy's legacy MT19937 (frozen by NEP 19) draws the doubles of
-    ``Random(seed).random()``; 1 - u and the product with the scale are
-    taken in place.  A row is made a tuple of floats on its first read and
-    kept; the whole compares, hashes and prints as their tuple.  The first
-    _TRIANGLE_ROWS rows read are gathered from the shortest prefix that
-    holds them; ``matrix`` (read-only, C-ordered float64) draws the whole
-    triangle on its first read, or at the next row read, and serves every
-    later row."""
+    numpy's legacy MT19937 draws the doubles of ``Random(seed).random()``;
+    1 - u and the product with the scale are taken in place.  A row is made
+    a tuple of floats on its first read and kept; the whole compares, hashes
+    and prints as their tuple.  The first _TRIANGLE_ROWS rows read are
+    gathered from the shortest prefix that holds them; ``matrix`` (read-only,
+    C-ordered float64) draws the whole triangle on its first read, or at the
+    next row read, and serves every later row."""
 
     __slots__ = ("_seed", "_scale", "_buffer", "_filled", "_lock", "_built", "_gathered",
                  "_matrix", "__weakref__")
@@ -245,10 +245,10 @@ class _Rows:
 
     def _prefix(self, count: int):
         """The buffer, with at least its first ``count`` entries drawn.  Each
-        thread keeps one generator and a weak reference to the rows it holds
-        the stream of, with its place there: a draw goes on from that place
-        while it holds these rows, and otherwise reseeds it and skips the
-        entries drawn before.  The lock orders the draws, each of which
+        thread keeps one generator and a weak reference to the rows whose
+        stream it holds, with its place there: a draw goes on from that
+        place while it holds this stream, and otherwise reseeds it and skips
+        the entries drawn before.  The lock orders the draws, each of which
         writes its entries in three steps; ``_filled`` entries are final."""
         import numpy as np
 
