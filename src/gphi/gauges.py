@@ -628,14 +628,27 @@ def _values(G, pts) -> list[float]:
 def _grid_min(vals: list[float]) -> float:
     """The minimum of vals, bit for bit the last entry of numpy's
     minimum.accumulate over the reversed list: the first NaN wins, and of
-    equal values the first wins, which decides a zero's sign."""
-    nan = next(filter(math.isnan, vals), None)
+    equal values the first wins, which decides a zero's sign.  A NaN makes
+    the float sum NaN, so only a NaN sum (inf - inf gives one too) is
+    scanned for the first NaN."""
+    total = sum(vals)
+    nan = None if total == total else next(filter(math.isnan, vals), None)
     return min(vals, default=math.inf) if nan is None else nan
+
+
+_kept_table = (None, None, None)       # (gauge, points, table) of the last build
 
 
 def _grid_table(G, pts: list[float]) -> tuple[list[float], float]:
     """G sampled once per grid point: (running max of G over pts[:i+1], grid
-    minimum).  The running max is numpy's maximum.accumulate, bit for bit."""
+    minimum).  The running max is numpy's maximum.accumulate, bit for bit.
+    The last table is kept and returned again for the same gauge object and
+    equal points.  Equal gauges can evaluate apart, so the gauge is matched
+    by identity, and it is held, so that its id is not reused."""
+    global _kept_table
+    kept_G, kept_pts, table = _kept_table
+    if kept_G is G and kept_pts == pts:
+        return table
     vals = _values(G, pts)
     # an inline loop, because a call per point would double the cost
     running_max, m = [], vals[0]
@@ -643,7 +656,9 @@ def _grid_table(G, pts: list[float]) -> tuple[list[float], float]:
         if not (m != m or m > v):
             m = v
         running_max.append(m)
-    return running_max, _grid_min(vals)
+    table = running_max, _grid_min(vals)
+    _kept_table = G, pts, table
+    return table
 
 
 def _inf_above(G, thr: float) -> float:

@@ -809,8 +809,11 @@ class TestRunningExtrema:
     def bits(xs):
         return [(math.copysign(1.0, x), x) if x == x else "nan" for x in xs]
 
+    # the last two: +inf and -inf with no NaN sum to NaN, so the first-NaN
+    # scan runs and finds none; a NaN only in the last place
     @pytest.mark.parametrize("values", [VALUES, VALUES[:5], VALUES[1:5], VALUES[::-1],
-                                        VALUES[6:]])
+                                        VALUES[6:], [0.0, math.inf, -0.0, -math.inf, 1.0],
+                                        VALUES[:5] + [math.nan]])
     def test_matches_numpy_accumulate(self, values):
         np = pytest.importorskip("numpy")
         G = Stripped(IdentityGauge())
@@ -1030,6 +1033,40 @@ class TestThresholdEvaluations:
         assert not set(pts[:j]) & set(calls)
         # the grid above thr, thr itself and 40 probes just above it
         assert len(calls) == len(pts) - j + 41
+
+    def test_epsilon0_reads_the_class_table(self):
+        # the class check evaluates the 160 dyadic points and the 289 grid
+        # points; epsilon0 on the same gauge and grid reads that table and
+        # evaluates only its 39 probes below the top grid point
+        G, calls = self.counted()
+        grid = log_grid(per_decade=16)
+        certify_gauge_class(G, grid)
+        assert len(calls) == 449
+        epsilon0(G, grid)
+        assert len(calls) == 449 + 39
+
+    def test_table_kept_per_gauge_object_and_points(self):
+        G, calls = self.counted()
+        twin = ExpOfFGauge(G.f)
+        assert twin == G and twin is not G
+        grid = log_grid(per_decade=16)
+        for gauge, pts, evals in ((G, grid, 289), (twin, grid, 289),
+                                  (twin, list(grid), 0), (twin, grid[:-1], 288),
+                                  (twin, grid, 289)):
+            calls.clear()
+            _grid_table(gauge, pts)
+            assert len(calls) == evals
+
+    def test_kept_table_answers_as_a_fresh_gauge(self):
+        for (name, make), (grid_id, grid) in itertools.product(
+                MAPPED_GAUGES.items(), THRESHOLD_GRIDS.items()):
+            G = make()
+
+            def answers(first, second):
+                cert = outcome(lambda: repr(asdict(certify_gauge_class(first, grid))))
+                return cert, outcome(epsilon0, second, grid)
+
+            assert answers(G, G) == answers(make(), make()), (name, grid_id)
 
     def test_default_grid_built_once(self, monkeypatch):
         built = []
