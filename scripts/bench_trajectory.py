@@ -86,7 +86,7 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
 
 
 def quartiles(values: list) -> list:
-    """[q1, q3] of values, interpolated between order statistics."""
+    """[q1, q3] of values, as numpy's default (linear) percentiles give them."""
     if len(values) < 2:
         return [values[0], values[0]]
     q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")

@@ -1037,7 +1037,7 @@ class TestThresholdEvaluations:
     def test_epsilon0_reads_the_class_table(self):
         # the class check evaluates the 160 dyadic points and the 289 grid
         # points; epsilon0 on the same gauge and grid reads that table and
-        # evaluates only its 39 probes below the top grid point
+        # evaluates only its 39 probes below the grid point 1, where G = 1
         G, calls = self.counted()
         grid = log_grid(per_decade=16)
         certify_gauge_class(G, grid)
