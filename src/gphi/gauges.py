@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
+from contextlib import suppress
 from functools import cache, cached_property
 from itertools import accumulate
 from operator import itemgetter, lt
@@ -615,7 +616,8 @@ def _values(G, pts) -> list[float]:
     logs in one C-level pass, falling back to _safe_exp (inf past the float
     range) without calling F again.  A form that raises stops at the same
     point as G.eval would; one that returns a non-number is called on every
-    point before exp raises TypeError."""
+    point before exp raises TypeError.  _least_value takes exp of the least
+    log alone, a sampled value of G, unless the logs' sum is NaN or raises."""
     if type(G) is ExpOfFGauge:
         logs = list(map(G.f.fn, pts))
         try:
@@ -623,6 +625,17 @@ def _values(G, pts) -> list[float]:
         except OverflowError:
             return list(map(_safe_exp, logs))
     return list(map(float, map(G.eval, pts)))
+
+
+def _least_value(G, pts) -> float:
+    """_grid_min(_values(G, pts)), F called at the same points (see _inf_above)."""
+    if type(G) is ExpOfFGauge:
+        logs = list(map(G.f.fn, pts))
+        with suppress(TypeError, OverflowError, RuntimeWarning):
+            if not math.isnan(sum(logs, 0.0)):
+                return _safe_exp(min(logs))
+        return _grid_min(list(map(_safe_exp, logs)))
+    return _grid_min(_values(G, pts))
 
 
 def _grid_min(vals: list[float]) -> float:
@@ -666,13 +679,16 @@ def _inf_above(G, thr: float) -> float:
     answer, else G sampled at the default grid's points above thr (the rest
     cannot lower it), at thr and at probes just above it.  For a continuous
     gauge G(thr) is the limit at the open end, so the sampled inf never
-    falls below the true one."""
+    falls below the true one.  Of an exp-of-F gauge the grid part is exp of
+    the least log, G where F is least as exp is increasing, unless the logs'
+    float sum is NaN (a NaN, both infinities) or raises (an int past the
+    float range, a non-number, numpy's overflow warning as an error)."""
     v = G.inf_above(thr)
     if v is None:
         pts = _default_grid()
-        vals = _values(G, pts[bisect_right(pts, thr):])
+        above = pts[bisect_right(pts, thr):]
         probes = [thr] + [thr * (1.0 + 2.0 ** -k) for k in range(0, 40)]
-        v = min(([_grid_min(vals)] if vals else []) + _values(G, probes))
+        v = min(([_least_value(G, above)] if above else []) + _values(G, probes))
     return v
 
 

@@ -5,6 +5,7 @@ import math
 import random
 import struct
 import types
+import warnings
 from bisect import bisect_right
 
 import pytest
@@ -940,6 +941,12 @@ def _opaque(name, fn):
     return ExpOfFGauge(RealForm("opaque-" + name, fn))
 
 
+def _no_value_at_1e3(a):
+    if a == 1e3:
+        raise ValueError(f"no value at {a!r}")
+    return math.log(a)
+
+
 THRESHOLD_GAUGES = [
     _opaque("ln", math.log),
     _opaque("power-0.5", lambda a: 0.5 * math.log(a)),
@@ -951,6 +958,17 @@ THRESHOLD_GAUGES = [
     _opaque("spike", lambda a: math.log(a) + (6.0 if 0.02 <= a < 0.021 else 0.0)),
     # a well at the grid point 1 that is too narrow for any probe to find
     _opaque("well", lambda a: -7.0 if 1.0 <= a < 1.0 + 1e-9 else math.log(a)),
+    # the float sum of the logs is NaN with no NaN among them, wherever the
+    # threshold lies below 1e-3
+    _opaque("both-infinities",
+            lambda a: -math.inf if a < 1e-3 else math.inf if a > 1e3 else math.log(a)),
+    # a non-number at the grid point 100, and a form that raises at 1000
+    _opaque("none-at-100", lambda a: None if a == 100.0 else math.log(a)),
+    _opaque("raises-at-1e3", _no_value_at_1e3),
+    # falling ints, past the float range above 1e3, where exp raises
+    # OverflowError and G.eval reads inf: the least value is on the grid
+    _opaque("minus-int-past-float-range",
+            lambda a: -10 ** 400 if a > 1e3 else round(-math.log(a))),
     TabulatedGauge(((0.5, 0.1), (1.0, 0.9), (3.0, 2.0))),
     TabulatedGauge(((1e-3, 2.0), (0.1, 0.2), (10.0, 5.0))),
     *(PowerGauge(q) for q in (1e-3, 0.5, 1.0, 2.0, 13.0, 40.0)),
@@ -961,6 +979,14 @@ THRESHOLD_GAUGES = [
 ]
 # the thresholds at the levels 0.3 and 2.5, between other step values
 THRESHOLD_GAUGES += [Scaled(G, level) for level in (0.3, 2.5) for G in THRESHOLD_GAUGES]
+
+# pieces of a form: a scaled log, a constant, NaN, an infinity or an int
+PIECES = st.one_of(
+    st.floats(-3.0, 3.0).map(lambda c: lambda a: c * math.log(a)),
+    st.floats(-50.0, 50.0).map(lambda v: lambda a: v),
+    st.sampled_from([math.nan, math.inf, -math.inf]).map(lambda v: lambda a: v),
+    st.sampled_from([-3, 0, 2, 10 ** 400, -10 ** 400]).map(lambda v: lambda a: v),
+)
 
 THRESHOLD_GRIDS = {
     "default": None,
@@ -994,6 +1020,23 @@ class TestThresholdScansPinned:
             want = outcome(full_table_n_epsilon, gauge, phi, s, eps)
             got = outcome(n_epsilon, gauge, phi, s, eps)
             assert got == want, (phi, s, eps)
+
+    @settings(max_examples=60, deadline=None)
+    @given(breaks=st.lists(st.floats(1e-10, 1e10), max_size=5),
+           pieces=st.lists(PIECES, min_size=6, max_size=6),
+           phi=st.sampled_from(CATALOG_PHIS), s=st.sampled_from([1.0, 1.5]),
+           eps=st.floats(1e-9, 1e10))
+    def test_n_epsilon_of_piecewise_forms(self, breaks, pieces, phi, s, eps):
+        # a fact-free form of scaled logs and constants with NaN, infinite
+        # and int pieces, some past the float range, which send n_epsilon
+        # from exp of the least log to exp over every log
+        breaks.sort()
+        G = _opaque("piecewise", lambda a: pieces[bisect_right(breaks, a)](a))
+        try:
+            want = outcome(full_table_n_epsilon, G, phi, s, eps)
+        finally:
+            default_grid_table.cache_clear()
+        assert outcome(n_epsilon, G, phi, s, eps) == want
 
 
 class TestThresholdEvaluations:
@@ -1033,6 +1076,16 @@ class TestThresholdEvaluations:
         assert not set(pts[:j]) & set(calls)
         # the grid above thr, thr itself and 40 probes just above it
         assert len(calls) == len(pts) - j + 41
+
+    def test_n_epsilon_calls_f_in_grid_order(self):
+        # F is called at the grid points above thr, in order, then at thr
+        # and its 40 probes, whether or not one exp of the least log answers
+        G, calls = self.counted()
+        thr = 0.3 / 2.0
+        n_epsilon(G, LinearPhi(0.5), 1.0, 0.3)
+        pts = log_grid()
+        probes = [thr] + [thr * (1.0 + 2.0 ** -k) for k in range(0, 40)]
+        assert calls == pts[bisect_right(pts, thr):] + probes
 
     def test_epsilon0_reads_the_class_table(self):
         # the class check evaluates the 160 dyadic points and the 289 grid
@@ -1196,6 +1249,17 @@ class TestMappedValues:
             [G.eval(t) for t in MAPPED_POINTS]
         assert len(calls) == k + 1
         assert str(got.value) == str(want.value)
+
+    def test_numpy_infinities_under_warnings_as_errors(self):
+        # numpy's sum of -inf and inf warns; as an error, the warning sends
+        # n_epsilon to exp over every log, which numpy does not warn on
+        np = pytest.importorskip("numpy")
+        G = ExpOfFGauge(RealForm("numpy-both-infinities", lambda a: np.float64(
+            -math.inf if a < 1e-3 else math.inf if a > 1e3 else math.log(a))))
+        want = outcome(full_table_n_epsilon, G, LinearPhi(0.5), 1.0, 1e-6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert outcome(n_epsilon, G, LinearPhi(0.5), 1.0, 1e-6) == want
 
     def test_non_number_of_another_gauge_stops_at_its_point(self):
         calls = []
