@@ -331,8 +331,9 @@ def _min_constant(d) -> float:
     k = i and k = j equal d[i,j] itself and contribute the ratio 1.
     Division and multiplication round monotonically, so the max of
     d/via equals the max ratio over triples, and d > s*via finds exactly
-    the triples s leaves uncovered.  After taking the max ratio, s is
-    nudged up by ulps until no triple is uncovered.
+    the triples s leaves uncovered.  The max ratio is rounded, so
+    ``_least_cover`` then nudges it to the least float >= 1 that leaves
+    none uncovered.
     """
     import numpy as np
 
@@ -350,9 +351,7 @@ def _min_constant(d) -> float:
             start += len(rest)
         d = d[upper]
         s = max(1.0, float(np.max(d / via))) if d.size else 1.0
-        while np.any(d > s * via):
-            s = math.nextafter(s, math.inf)
-    return s
+        return _least_cover(s, lambda c: bool(np.any(d > c * via)))
 
 
 def _min_constant_rows(d: tuple[tuple[float, ...], ...]) -> float:
@@ -367,8 +366,23 @@ def _min_constant_rows(d: tuple[tuple[float, ...], ...]) -> float:
     pairs = [(row[j], min(map(add, row, d[j])))
              for i, row in enumerate(d) for j in range(i + 1, n)]
     s = max(1.0, max([dij / via for dij, via in pairs])) if pairs else 1.0
-    while any(dij > s * via for dij, via in pairs):
+    return _least_cover(s, lambda c: any(dij > c * via for dij, via in pairs))
+
+
+def _least_cover(s: float, uncovered) -> float:
+    """The least float c >= 1 with ``uncovered(c)`` false, from the rounded
+    max ratio ``s``.  ``uncovered`` tests d > c*via, which only turns false
+    as c grows, so s steps up while it is uncovered, else down while the
+    next float below it is >= 1 and covered: the ratio d/via is rounded to
+    nearest and may sit one ulp above the least covering constant."""
+    if uncovered(s):
         s = math.nextafter(s, math.inf)
+        while uncovered(s):
+            s = math.nextafter(s, math.inf)
+        return s
+    below = math.nextafter(s, -math.inf)
+    while below >= 1.0 and not uncovered(below):
+        s, below = below, math.nextafter(below, -math.inf)
     return s
 
 

@@ -635,6 +635,142 @@ class TestClosedPipe:
         assert cli.EXIT_PIPE_CLOSED == 141
 
 
+def chain_instance(n: int) -> dict:
+    x = [2.0 ** -i for i in range(n)]
+    return {"space": {"dist": [[abs(a - b) for b in x] for a in x]},
+            "operator": {"map": [min(i + 1, n - 1) for i in range(n)]},
+            "G": {"family": "identity"}, "phi": {"family": "linear", "c": 0.5}}
+
+
+def cli_env(buffered: bool = True) -> dict:
+    """The environment of a ``python -m gphi.cli`` call, whose stdout is
+    block-buffered (a user's default) unless ``buffered`` is false."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    env.pop("PYTHONUNBUFFERED", None)
+    return env if buffered else dict(env, PYTHONUNBUFFERED="1")
+
+
+def run_main(argv, stdout=subprocess.PIPE, buffered=True, code=None):
+    """``main`` in a fresh interpreter: ``python -m gphi.cli argv``, or the
+    script ``code`` with ``argv`` as its arguments."""
+    head = ["-c", code] if code else ["-m", "gphi.cli"]
+    return subprocess.run([sys.executable, *head, *argv], stdout=stdout,
+                          stderr=subprocess.PIPE, timeout=120, env=cli_env(buffered))
+
+
+def into_closed_pipe(argv, buffered):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        return run_main(argv, stdout=write_end, buffered=buffered)
+    finally:
+        os.close(write_end)
+
+
+def solve_output(tmp_path, capsys):
+    assert run_cli(["solve", write(tmp_path, "inst.json", ANALYTIC_INSTANCE), "--x0", "0"]) == 0
+    return write(tmp_path, "trace.json", capsys.readouterr().out)
+
+
+# argv of each kind of call, given tmp_path and capsys, with its exit code
+EXIT_PATH_CALLS = {
+    "certify-certified": (0, lambda t, c: ["certify", write(t, "i.json", THREE_POINT_INSTANCE)]),
+    "certify-violated": (2, lambda t, c: ["certify", write(t, "i.json", IDENTITY_INSTANCE)]),
+    "certify-inconclusive": (3, lambda t, c: ["certify", write(t, "i.json", ANALYTIC_INSTANCE)]),
+    "solve-finite": (0, lambda t, c: ["solve", write(t, "i.json", THREE_POINT_INSTANCE),
+                                      "--x0", "2"]),
+    "report": (0, lambda t, c: ["report", solve_output(t, c)]),
+    "fuzz": (0, lambda t, c: ["fuzz", "--seed", "3", "--trials", "20"]),
+    "bad-input": (1, lambda t, c: ["certify", write(t, "i.json", "{not json")]),
+    "usage-error": (2, lambda t, c: ["certify"]),
+    "help": (0, lambda t, c: ["--help"]),
+}
+
+
+class TestExitPath:
+    """``main`` ends a call by ``os._exit`` once its output is flushed: the
+    bytes and exit code must be those of the same call through ``run_cli``."""
+
+    @pytest.mark.parametrize("kind", sorted(EXIT_PATH_CALLS))
+    def test_same_as_in_process(self, tmp_path, capsys, kind):
+        code, make_argv = EXIT_PATH_CALLS[kind]
+        argv = make_argv(tmp_path, capsys)
+        assert run_cli(argv) == code
+        out = capsys.readouterr()
+        proc = run_main(argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            code, out.out.encode(), out.err.encode())
+
+    def test_chain_into_a_regular_file_is_complete(self, tmp_path, capsys):
+        argv = ["solve", write(tmp_path, "chain.json", chain_instance(200)), "--x0", "0"]
+        assert run_cli(argv) == 0
+        expected = capsys.readouterr().out
+        path = tmp_path / "solve.json"
+        with open(path, "wb") as fh:
+            proc = run_main(argv, stdout=fh)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        text = path.read_text()
+        assert text == expected and len(text) > 2 ** 16
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("buffered", [True, False])
+    def test_help_into_a_closed_pipe_exits_zero(self, buffered):
+        # a block-buffered --help text fails at main's flush, which then
+        # points stdout at devnull and leaves through sys.exit
+        proc = into_closed_pipe(["--help"], buffered)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+
+    @pytest.mark.parametrize("buffered", [True, False])
+    def test_fuzz_into_a_closed_pipe_exits_141(self, buffered):
+        proc = into_closed_pipe(["fuzz", "--trials", "20"], buffered)
+        assert (proc.returncode, proc.stderr) == (cli.EXIT_PIPE_CLOSED, b"")
+
+    def test_help_with_stdout_closed_exits_zero(self):
+        # sys.stdout is None, so argparse prints the help to stderr
+        proc = subprocess.run([sys.executable, "-m", "gphi.cli", "--help"],
+                              preexec_fn=lambda: os.close(1), stderr=subprocess.PIPE,
+                              timeout=120, env=cli_env())
+        assert proc.returncode == 0 and proc.stderr.startswith(b"usage: gphi ")
+
+    def test_atexit_callbacks_run(self, tmp_path, capsys):
+        argv = ["fuzz", "--seed", "3", "--trials", "20"]
+        assert run_cli(argv) == 0
+        expected = capsys.readouterr().out
+        marker = tmp_path / "atexit.txt"
+        script = ("import atexit, sys\n"
+                  "from pathlib import Path\n"
+                  f"atexit.register(Path({str(marker)!r}).write_text, 'ran')\n"
+                  "sys.argv[0] = 'gphi'\n"
+                  "from gphi.cli import main\n"
+                  "main()\n")
+        proc = run_main(argv, code=script)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, expected.encode(), b"")
+        assert marker.read_text() == "ran"
+
+    def test_ends_by_os_exit_after_a_flush(self, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(sys, "argv", ["gphi", "certify"])
+        monkeypatch.setattr(cli.atexit, "_run_exitfuncs", lambda: calls.append("atexit"))
+        monkeypatch.setattr(cli.os, "_exit", calls.append)
+        cli.main()
+        assert calls == ["atexit", 2]
+        assert capsys.readouterr().err.startswith("usage: gphi ")
+
+    def test_failed_flush_falls_back_to_sys_exit(self, monkeypatch):
+        class Full:
+            def flush(self):
+                raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(sys, "argv", ["gphi", "certify"])
+        monkeypatch.setattr(cli.atexit, "_run_exitfuncs", lambda: None)
+        monkeypatch.setattr(cli.os, "_exit", pytest.fail)
+        monkeypatch.setattr(sys, "stderr", Full())
+        monkeypatch.setattr(cli, "run_cli", lambda argv: 2)
+        with pytest.raises(SystemExit) as exc:
+            cli.main()
+        assert exc.value.code == 2
+
+
 class TestFuzzCommand:
     def test_byte_identical_reruns(self, capsys):
         assert run_cli(["fuzz", "--seed", "42", "--trials", "30"]) == 0

@@ -250,3 +250,13 @@ class TestJson:
     def test_declared_constant_kept(self):
         doc = {"dist": THREE_POINT, "s": 2.0}
         assert space_from_json(doc).s == 2.0
+
+    def test_float_minimal_constant_accepted(self):
+        # the rounded ratio 2.737/fl(0.039 + 0.052) is one ulp above the least
+        # float that covers the triple, which was refused as too small
+        d = [[0.0, 0.039, 0.052], [0.039, 0.0, 2.737], [0.052, 2.737, 0.0]]
+        s = 30.076923076923077
+        assert 2.737 / (0.039 + 0.052) == math.nextafter(s, math.inf)
+        assert 2.737 <= s * (0.039 + 0.052)
+        assert validate_finite_space(d).s == s
+        assert space_from_json({"dist": d, "s": s}).s == s

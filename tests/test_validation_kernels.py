@@ -393,7 +393,8 @@ class TestKeptMatrix:
 
 def k_loop_min_constant(d) -> float:
     """The numpy ``_min_constant`` as a full n x n reduction over k, kept
-    verbatim as the reference the kernel must match bit for bit."""
+    as the reference the kernel must match bit for bit: the least float
+    s >= 1 with no d > s*via, reached from the rounded max ratio by ulps."""
     with np.errstate(over="ignore"):
         via = d.copy()
         for k in range(d.shape[0]):
@@ -403,6 +404,8 @@ def k_loop_min_constant(d) -> float:
         s = max(1.0, float(np.max(d / via))) if d.size else 1.0
         while np.any(d > s * via):
             s = math.nextafter(s, math.inf)
+        while s > 1.0 and not np.any(d > math.nextafter(s, -math.inf) * via):
+            s = math.nextafter(s, -math.inf)
     return s
 
 
@@ -443,3 +446,33 @@ class TestMinConstantPinned:
            st.integers(min_value=0, max_value=2 ** 32))
     def test_families(self, n, family, seed):
         assert_pinned(family_matrix(n, family, seed))
+
+
+def covers(d, s: float) -> bool:
+    """Every triple meets the float test d[i][j] <= s*(d[i][k] + d[k][j])."""
+    n = len(d)
+    return all(d[i][j] <= s * (d[i][k] + d[k][j])
+               for i in range(n) for j in range(n) for k in range(n))
+
+
+class TestFloatMinimal:
+    """Both kernels give the least float s >= 1 that covers every triple."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(min_value=2, max_value=19),
+           st.sampled_from(["uniform", "lognormal", "pareto"]),
+           st.integers(min_value=0, max_value=2 ** 32))
+    def test_least_covering_float(self, n, family, seed):
+        d = family_matrix(n, family, seed)
+        rows = tuple(map(tuple, d.tolist()))
+        s = spaces._min_constant_rows(rows)
+        assert spaces._min_constant(d).hex() == s.hex()
+        assert covers(rows, s)
+        below = math.nextafter(s, -math.inf)
+        assert below < 1.0 or not covers(rows, below)
+
+    def test_rounded_ratio_stepped_down(self):
+        rows = ((0.0, 0.039, 0.052), (0.039, 0.0, 2.737), (0.052, 2.737, 0.0))
+        s = 30.076923076923077
+        assert max(2.737 / (0.039 + 0.052), 1.0) > s
+        assert spaces._min_constant_rows(rows) == spaces._min_constant(np.array(rows)) == s
