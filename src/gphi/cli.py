@@ -10,8 +10,10 @@ Subcommands:
   its report; exit 0 iff no violations.
 * ``report <trace.json>`` -- human-readable summary of a solve output.
 
-Malformed input exits 1 with a diagnostic on stderr.  A command's output
-into a pipe that its reader has closed exits 141, with nothing on stderr.
+Malformed input exits 1 with a diagnostic on stderr, and so does a command
+whose output cannot be written, into a full device or with stdout closed.
+A command's output into a pipe that its reader has closed exits 141, with
+nothing on stderr.
 
 A call through ``main`` (the ``gphi`` script and ``python -m gphi.cli``)
 ends once its output is out: it runs the atexit callbacks, flushes stdout
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import atexit
+import errno
 import json
 import math
 import os
@@ -239,6 +242,8 @@ def run_cli(argv) -> int:
                "fuzz": _cmd_fuzz, "report": _cmd_report}[args.command]
     try:
         code = command(args)
+        if sys.stdout is None:                  # fd 1 was closed: print wrote nothing
+            raise OSError(errno.EBADF, "stdout is closed")
         sys.stdout.flush()
         return code
     except BrokenPipeError:
@@ -246,8 +251,7 @@ def run_cli(argv) -> int:
         _stdout_to_devnull()
         return EXIT_PIPE_CLOSED
     # a RecursionError comes from a JSON document nested too deep to parse
-    except (GphiError, OSError, json.JSONDecodeError, KeyError, ValueError,
-            OverflowError, RecursionError) as exc:
+    except (GphiError, OSError, KeyError, ValueError, OverflowError, RecursionError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

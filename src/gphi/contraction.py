@@ -196,26 +196,6 @@ def _informative_pairs(space, T, pairs):
             yield x, y, d, dt
 
 
-def _gauged_pairs(G, informative):
-    """Each informative pair (x, y, d, dt) as (x, y, d, dt, G(d), G(dt)).
-    The distances are positive finite floats, validated matrix entries or
-    interval distances past ``is_zero``, so G takes them without the check
-    of ``gauge_eval``."""
-    for x, y, d, dt in informative:
-        yield x, y, d, dt, G.eval(d), G.eval(dt)
-
-
-def _first_violation(rows, phi):
-    """The first gauged pair violating condition (G) for phi, with its bound
-    phi(G(d)), or None.  The comparison is the strict float test
-    ``G(dt) <= phi(G(d))``; a NaN on either side is a violation."""
-    for x, y, d, dt, g_of_d, g_of_dt in rows:
-        bound = phi_eval(phi, g_of_d)
-        if not g_of_dt <= bound:
-            return (x, y, d, dt, g_of_d, g_of_dt), bound
-    return None
-
-
 def _sample_pairs(space: AnalyticSpace, seed: int, count: int):
     """Deterministic low-discrepancy pairs in the interval (R2 sequence): the
     points lo + t*(hi - lo), or, where hi - lo overflows, (1 - t)*lo + t*hi."""
@@ -239,7 +219,10 @@ def certify_condition_G(space: Space, T: OperatorSpec, G, phi, *, seed: int = 0,
     sample is "inconclusive" with the note "certified-on-sample".  Pairs
     whose image distance is zero satisfy the condition vacuously and are
     skipped.  The violation witness, when present, is the first violating
-    pair in the canonical order.
+    pair in the canonical order.  The distances are positive finite floats,
+    validated matrix entries or interval distances past ``is_zero``, so G
+    takes them without the check of ``gauge_eval``; the test is the strict
+    float test ``G(dt) <= phi(G(d))``, a NaN on either side failing it.
     """
     validate_operator(space, T)
     if isinstance(space, FiniteSpace):
@@ -256,11 +239,13 @@ def certify_condition_G(space: Space, T: OperatorSpec, G, phi, *, seed: int = 0,
         verdict, note = "inconclusive", "certified-on-sample"
 
     witness = None
-    hit = _first_violation(_gauged_pairs(G, _informative_pairs(space, T, pairs)), phi)
-    if hit is not None:
-        row, bound = hit                    # row: x, y, d_xy, d_txty, g_of_d, g_of_dt
-        witness = ViolationWitness(*row, phi_bound=bound)
-        verdict, note = "violated", None
+    for x, y, d, dt in _informative_pairs(space, T, pairs):
+        g_of_d, g_of_dt = G.eval(d), G.eval(dt)
+        bound = phi_eval(phi, g_of_d)
+        if not g_of_dt <= bound:
+            witness = ViolationWitness(x, y, d, dt, g_of_d, g_of_dt, bound)
+            verdict, note = "violated", None
+            break
     return ContractionCertificate(
         verdict, checked_pairs=checked, violation_witness=witness,
         sampling_mode=sampling, note=note,

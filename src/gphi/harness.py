@@ -41,10 +41,10 @@ it drew, symmetric with a zero diagonal, has its entries in
 [fl(scale * 2**-53), scale], checked data once that range is positive and
 finite.  A space from another scale goes to ``validate_finite_space`` to
 name the refusal.  Above PY_KERNEL_MAX_POINTS the space draws nothing
-until read: its ``_Rows`` hold the stream and the rows, each row read
-draws the prefix of the triangle that ends with the row's own entries,
-and only the dense matrix draws it all.  A trial that the catalog scan
-refuses reads two rows, those of 0 and of its image, and draws no further.
+until read: its ``_Rows`` hold the stream and the rows, and each row read
+draws the prefix of the triangle that ends with the row's own entries and
+is gathered from it.  A trial that the catalog scan refuses reads two
+rows, those of 0 and of its image, and draws no further.
 """
 
 from __future__ import annotations
@@ -207,14 +207,6 @@ def _count(name: str, value) -> int:
         raise ConfigInvalid(f"{name} must be an integer, not {value!r}") from None
 
 
-# Rows a drawn space reads off its triangle before it builds its matrix.  The
-# catalog scan reads the rows of x = 0 and of its image on a trial refused
-# within x = 0's pairs, nearly every trial above 15 points; a scan that reads
-# a third row may read them all, as a certified trial does, and a row of the
-# matrix is the cheaper read.
-_TRIANGLE_ROWS = 2
-
-
 class _Rows:
     """The rows of a space of more than PY_KERNEL_MAX_POINTS points, whose
     entries above the diagonal, in row-major order, are drawn only as far as
@@ -222,15 +214,12 @@ class _Rows:
     the seed's ``_mt_key`` (or ``Random(seed)``'s state for a seed with no
     key), the scale and one float64 buffer of the triangle, into which
     numpy's legacy MT19937 draws the doubles of ``Random(seed).random()``;
-    1 - u and the product with the scale are taken in place.  A row is made
-    a tuple of floats on its first read and kept; the whole compares, hashes
-    and prints as their tuple.  The first _TRIANGLE_ROWS rows read are
-    gathered from the shortest prefix that holds them; ``matrix`` (read-only,
-    C-ordered float64) draws the whole triangle on its first read, or at the
-    next row read, and serves every later row."""
+    1 - u and the product with the scale are taken in place.  A row is
+    gathered from the shortest prefix that holds it on its first read, made
+    a tuple of floats and kept; the whole compares, hashes and prints as
+    their tuple."""
 
-    __slots__ = ("_seed", "_scale", "_buffer", "_filled", "_lock", "_built", "_gathered",
-                 "_matrix", "__weakref__")
+    __slots__ = ("_seed", "_scale", "_buffer", "_filled", "_lock", "_built", "__weakref__")
 
     def __init__(self, seed, n: int, scale: float):
         import numpy as np
@@ -241,7 +230,7 @@ class _Rows:
             key = ("MT19937", np.array(state[:-1], dtype=np.uint32), state[-1])
         self._seed, self._scale, self._filled = key, scale, 0
         self._buffer, self._lock = np.empty(n * (n - 1) // 2), threading.Lock()
-        self._built, self._gathered, self._matrix = [None] * n, 0, None
+        self._built = [None] * n
 
     def _prefix(self, count: int):
         """The buffer, with at least its first ``count`` entries drawn.  Each
@@ -272,25 +261,6 @@ class _Rows:
             mt.held, self._filled = (weakref.ref(self), count), count
             return self._buffer
 
-    @property
-    def matrix(self):
-        if self._matrix is None:
-            import numpy as np
-
-            n = len(self)
-            upper = self._prefix(n * (n - 1) // 2)
-            d = np.zeros((n, n))
-            # a boolean mask takes its values in row-major order; through the
-            # transposed view the same mask fills the lower triangle
-            # (d += d.T buffers d, which overlaps its output, and reads it
-            # transposed: three to four times the cost)
-            mask = ~np.tri(n, dtype=bool)
-            d[mask] = upper
-            d.T[mask] = upper
-            d.flags.writeable = False
-            self._matrix = d
-        return self._matrix
-
     def __len__(self) -> int:
         return len(self._built)
 
@@ -299,17 +269,8 @@ class _Rows:
             return tuple(map(self.__getitem__, range(len(self))[i]))
         row = self._built[i]
         if row is None:
-            row = self._built[i] = self._row(i)
+            row = self._built[i] = self._gather(i % len(self))
         return row
-
-    def _row(self, i: int) -> tuple:
-        matrix = self._matrix
-        if matrix is None:
-            if self._gathered < _TRIANGLE_ROWS:
-                self._gathered += 1
-                return self._gather(i % len(self))
-            matrix = self.matrix
-        return tuple(matrix[i].tolist())
 
     def _gather(self, i: int) -> tuple:
         """Row i read off the triangle up to the end of its own slice: column
@@ -547,7 +508,7 @@ def _first_certified(space, T, gauges, phis):
     so far, and the current gauge's (G(d), G(dt)) at the first of them.  A
     scan extends a list only past its end, so the pairs are drawn, and G is
     evaluated, at the same pairs and in the same order as one lazy pass per
-    (gauge, phi) would.  The test is ``_first_violation``'s strict float
+    (gauge, phi) would.  The test is ``certify_condition_G``'s strict float
     test, a NaN failing it.
     """
     pairs = _informative_pairs(space, T, combinations(space.points, 2))

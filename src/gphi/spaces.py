@@ -11,9 +11,8 @@ concrete families are supported:
   admissible constant, a min-plus row reduction over the pairs i < j (the
   matrix is symmetric), is computed on the first read of ``s``: only the
   quantitative lemmas, JSON output and a declared constant read it, never
-  condition (G).  Above PY_KERNEL_MAX_POINTS points numpy computes it, from
-  the rows' own ``matrix`` where they have one (a space the fuzz harness
-  draws) or from an array of the rows.
+  condition (G).  Above PY_KERNEL_MAX_POINTS points numpy computes it from
+  an array of the rows.
 * :class:`AnalyticSpace` -- a real interval ``[lo, hi]`` carrying the
   distance ``|x - y| ** p``; the constant ``2 ** (p - 1)`` always works.
 """
@@ -214,7 +213,7 @@ class FiniteSpace(_SpaceKind):
     """Finite b-metric space backed by a symmetric distance matrix; ``s=None``
     leaves the O(n^3) minimal constant to the first read of ``s``.  ``dist``
     holds tuple rows, or, in a space the fuzz harness draws, rows that act
-    as them and also give their float64 ``matrix``."""
+    as them."""
 
     dist: tuple[tuple[float, ...], ...]
     s: float = _Constant()
@@ -388,13 +387,12 @@ def _least_cover(s: float, uncovered) -> float:
 
 def _constant_of(dist) -> float:
     """The minimal constant of validated rows, by the kernel for their size;
-    numpy's reads the rows' own ``matrix`` where they have one."""
+    numpy's reads an array of the rows."""
     if len(dist) <= PY_KERNEL_MAX_POINTS:
         return _min_constant_rows(dist)
     import numpy as np
 
-    matrix = getattr(dist, "matrix", None)
-    return _min_constant(np.array(dist) if matrix is None else matrix)
+    return _min_constant(np.array(dist))
 
 
 def _checked_space(dist, lo: float, hi: float) -> FiniteSpace:

@@ -290,6 +290,9 @@ GOLDEN_DROP_PHI_SHA256 = "b511c3beea6a532851d2640b958d005d69c85e7ec46f0c30f96fb9
 # scale whose entries are not dyadic fractions of the draws.
 GOLDEN_MAX256_SHA256 = "186e78cda27090f0ec6e61575f52a181eef81efae25b19ec4157f7f4f7e847df"
 GOLDEN_MAX64_SCALED_SHA256 = "3162883bbeb22324927c3846b39220f05452d4cf249d90fa89914984a266d3cc"
+# Spaces of 17 to 25 points whose catalog scan reads a third row, each of
+# which built a dense matrix while the drawn rows kept one.
+GOLDEN_THIRD_ROW_SHA256 = "740b682b6493e562a17d1fb777fb283adf5cf783a6085640fc3792974cd24f99"
 
 
 def test_golden_report_bytes_break_and_wide():
@@ -313,3 +316,7 @@ def test_golden_report_bytes_break_and_wide():
     scaled = fuzz(FuzzConfig(seed=0, trials=60, max_points=64, scale=3.7))
     assert (scaled.certified_count, scaled.theorem_holds_count) == (4, 4)
     assert _sha256(scaled) == GOLDEN_MAX64_SCALED_SHA256
+
+    third_row = fuzz(FuzzConfig(seed=1, trials=300, max_points=32))
+    assert third_row.violations == []
+    assert _sha256(third_row) == GOLDEN_THIRD_ROW_SHA256

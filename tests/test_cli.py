@@ -732,6 +732,16 @@ class TestExitPath:
                               timeout=120, env=cli_env())
         assert proc.returncode == 0 and proc.stderr.startswith(b"usage: gphi ")
 
+    @pytest.mark.parametrize("command", ["fuzz", "certify"])
+    def test_command_with_stdout_closed_exits_one(self, tmp_path, command):
+        # print writes nothing where sys.stdout is None: a bad output, not a traceback
+        argv = (["fuzz", "--trials", "2"] if command == "fuzz"
+                else ["certify", write(tmp_path, "i.json", THREE_POINT_INSTANCE)])
+        proc = subprocess.run([sys.executable, "-m", "gphi.cli", *argv],
+                              preexec_fn=lambda: os.close(1), stderr=subprocess.PIPE,
+                              timeout=120, env=cli_env())
+        assert (proc.returncode, proc.stderr) == (1, b"error: OSError: [Errno 9] stdout is closed\n")
+
     def test_atexit_callbacks_run(self, tmp_path, capsys):
         argv = ["fuzz", "--seed", "3", "--trials", "20"]
         assert run_cli(argv) == 0

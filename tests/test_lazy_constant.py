@@ -9,6 +9,7 @@ overflow has its constant computed during validation, so that
 """
 
 import math
+from random import Random
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from gphi.spaces import (PY_KERNEL_MAX_POINTS, FiniteSpace, FrozenInstanceError,
                          space_to_json, validate_finite_space)
 
 from test_validation_kernels import (family_matrix, heavy_tailed, k_loop_min_constant,
-                                     overflowing, valid_matrices)
+                                     overflowing, symmetric, valid_matrices)
 
 KERNELS = ("_min_constant_rows", "_min_constant")
 SIZES = [1, 2, PY_KERNEL_MAX_POINTS, 16, 64, 256]
@@ -94,9 +95,9 @@ def test_first_read_passes_the_kept_matrix(n, form, monkeypatch):
 
 
 @pytest.mark.parametrize("n", [n for n in SIZES if n > PY_KERNEL_MAX_POINTS])
-def test_first_read_of_a_drawn_space_passes_its_matrix(n, monkeypatch):
-    # a drawn space keeps its triangle, and the kernel reads the matrix built
-    # from it, not a copy
+def test_first_read_of_a_drawn_space_passes_an_array_of_its_rows(n, monkeypatch):
+    # a drawn space keeps its triangle, and the kernel reads an array of the
+    # rows gathered from it, which are the draw loop's rows
     fs = generate_space(f"kept:{n}", n)
     received = []
 
@@ -105,8 +106,12 @@ def test_first_read_of_a_drawn_space_passes_its_matrix(n, monkeypatch):
         return kernel(matrix)
 
     monkeypatch.setattr(spaces, "_min_constant", spy)
-    assert fs.s.hex() == k_loop_min_constant(fs.dist.matrix).hex()
-    assert len(received) == 1 and received[0] is fs.dist.matrix
+    loop = np.array(symmetric(n, lambda random=Random(f"kept:{n}").random: 1.0 - random()))
+    assert fs.s.hex() == k_loop_min_constant(loop).hex()
+    assert len(received) == 1 and type(received[0]) is np.ndarray
+    assert received[0].dtype == np.float64 and received[0].tolist() == loop.tolist()
+    assert [[v.hex() for v in row] for row in fs.dist] == [[v.hex() for v in row]
+                                                           for row in loop.tolist()]
 
 
 class TestKernelsBitEqual:

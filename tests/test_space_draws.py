@@ -17,9 +17,9 @@ draw what ``Random(seed)`` draws, also while another one draws, and the
 rows built from the per-n index table must be those of the row loop they
 replaced.  A draw that passes is checked data: no validation runs on it.
 Above the cut-off the space's rows (``harness._Rows``) draw only the
-prefix of the triangle that their reads reach: the first rows read are
-gathered from that prefix, and the dense matrix is drawn whole and built
-only when the constant, a refusal or a further row reads it.
+prefix of the triangle that their reads reach, and every row is gathered
+from that prefix; the constant reads an array of the rows, and must equal
+the k-loop reference.
 """
 
 import sys
@@ -41,6 +41,8 @@ from gphi.errors import (ConfigInvalid, GphiError, NegativeEntry, NonFiniteEntry
 from gphi.harness import (_LEGACY_MT, FuzzConfig, _Rows, _seeded, fuzz, generate_operator,
                           generate_space)
 from gphi.spaces import MAX_FINITE_POINTS, PY_KERNEL_MAX_POINTS, validate_finite_space
+
+from test_validation_kernels import k_loop_min_constant
 
 SIZES = (2, 15, 16, 17, 25, 26, 35, 36, 37, 200, 256)
 # a float seed has no init_by_array key: its draws load Random's state
@@ -71,9 +73,9 @@ SCALES = (1.0, 0.37, 2.0 ** -30, 1e3)
 # the smallest subnormal: about half of scale * (1 - u) rounds to 0
 TINY = 5e-324
 # how a test reads a drawn space's rows: each once, in order or shuffled,
-# after its matrix was read, or each row as the first (and the mirrored row
-# as the second) of a fresh draw, so that every row is gathered
-READS = ("in order", "shuffled", "matrix first", "each gathered")
+# after its constant was read, or each row as the first (and the mirrored
+# row as the second) of a fresh draw
+READS = ("in order", "shuffled", "s first", "each gathered")
 
 
 def loop_space(seed, n: int, scale: float = 1.0):
@@ -122,8 +124,8 @@ def read_hexes(seed, n: int, scale: float, read: str):
         space = generate_space(seed, n, scale)
         if read == "shuffled":
             Random(n).shuffle(order)
-        if read == "matrix first" and type(space.dist) is _Rows:
-            space.dist.matrix
+        if read == "s first":
+            assert space.s.hex() == loop_s(seed, n, scale).hex()
         rows = {i: space.dist[i] for i in order}
     return [[v.hex() for v in rows[i]] for i in range(n)]
 
@@ -244,29 +246,22 @@ def test_accepted_draw_is_not_validated(n, seed, monkeypatch):
         assert all(type(v) is float for row in space.dist for v in row)
     else:
         assert type(space.dist) is _Rows
-        matrix = space.dist.matrix
-        assert type(matrix) is np.ndarray and matrix.dtype == np.float64
-        assert matrix.flags.c_contiguous and not matrix.flags.writeable
-        assert [[v.hex() for v in row] for row in matrix.tolist()] == loop_hexes(seed, n, 0.37)
-        assert space.dist.matrix is matrix
-        with pytest.raises(ValueError):
-            matrix[0, 1] = 1.0
+        assert hexes(space) == loop_hexes(seed, n, 0.37)
     assert space.s.hex() == loop_space(seed, n, 0.37).s.hex()
+    assert space.s.hex() == loop_s(seed, n, 0.37).hex()
 
 
 @pytest.mark.parametrize("seed", ("rows", "0:0:space", 11))
-def test_refused_scan_gathers_its_rows_without_the_matrix(seed, monkeypatch):
+def test_refused_scan_gathers_only_its_two_rows(seed, monkeypatch):
     """An uncertified 256-point trial whose catalog scan is refused within
-    the pairs of x = 0 reads two rows, those of 0 and of its image: both are
-    gathered from the drawn triangle, and the dense matrix is never built."""
+    the pairs of x = 0 reads two rows, those of 0 and of its image: each is
+    gathered once from the drawn triangle, which is drawn no further."""
     space = generate_space(seed, MAX_FINITE_POINTS)
     T = generate_operator(f"{seed}:operator", space)
     gauges, phis = gphi.harness._prepare_catalogs(gphi.harness.FuzzConfig())
-    gathered, built, drawn = [], [], []
-    row, matrix = _Rows._row, _Rows.matrix
-    monkeypatch.setattr(_Rows, "_row", lambda rows, i: gathered.append(i) or row(rows, i))
-    monkeypatch.setattr(_Rows, "matrix",
-                        property(lambda rows: built.append(rows) or matrix.fget(rows)))
+    gathered, drawn = [], []
+    gather = _Rows._gather
+    monkeypatch.setattr(_Rows, "_gather", lambda rows, i: gathered.append(i) or gather(rows, i))
 
     def counted_pairs(points, r):
         for pair in combinations(points, r):
@@ -277,40 +272,42 @@ def test_refused_scan_gathers_its_rows_without_the_matrix(seed, monkeypatch):
     assert gphi.harness._first_certified(space, T, gauges, phis) is None
     read = {x for x, _ in drawn} | {T.mapping[x] for x, _ in drawn}
     assert read == {0, T.mapping[0]} and T.mapping[0] != 0
-    assert sorted(gathered) == sorted(read) and built == []
-    assert space.dist._matrix is None
+    assert sorted(gathered) == sorted(read)
     # the draw stops at the end of the later row's own entries
     assert space.dist._filled == max(map(prefix_of_row, read)) < total(space.n)
 
 
-@pytest.mark.parametrize("read", ("matrix", "row"))
-def test_matrix_built_midway_by_another_reader(read, monkeypatch):
-    """A reader that found no matrix, and in whose read another thread
-    builds it (here at the reader's next ``len``), still reads the loop's
-    entries."""
+@pytest.mark.parametrize("read", ("s", "row"))
+def test_triangle_drawn_midway_by_another_reader(read, monkeypatch):
+    """A reader in whose read another thread draws the whole triangle (here
+    by reading the last row at the reader's next ``len``) still reads the
+    loop's entries, and the constant of the loop's rows."""
     n = PY_KERNEL_MAX_POINTS + 1
-    dist = generate_space(SEEDS[0], n).dist
-    length, interrupted = _Rows.__len__, []
+    space = generate_space(SEEDS[0], n)
+    dist, length, interrupted = space.dist, _Rows.__len__, []
 
-    def other_thread_builds(rows):
+    def other_thread_draws(rows):
         if rows is dist and not interrupted:
             interrupted.append(True)
-            assert rows.matrix is not None
+            rows[n - 1]
+            assert rows._filled == total(n)
         return length(rows)
 
-    monkeypatch.setattr(_Rows, "__len__", other_thread_builds)
-    got = dist.matrix.tolist() if read == "matrix" else [dist[n - 2]]
-    assert interrupted
+    monkeypatch.setattr(_Rows, "__len__", other_thread_draws)
     expected = loop_hexes(SEEDS[0], n)
-    assert [[v.hex() for v in row] for row in got] == (expected if read == "matrix"
-                                                        else expected[n - 2:n - 1])
+    if read == "s":
+        assert space.s.hex() == loop_s(SEEDS[0], n, 1.0).hex()
+    else:
+        assert [v.hex() for v in dist[n - 2]] == expected[n - 2]
+    assert interrupted
+    assert hexes(space) == expected
 
 
 def test_threads_draw_the_loops_entries():
     """Each thread loads its own legacy generator: draws made at once in
     several threads, switching often, still equal the loop's.  The threads
     also read the rows of shared drawn spaces, each in its own order, so
-    that they gather rows and build the matrix at once."""
+    that they gather rows at once."""
     seeds = [f"thread:{k}" for k in range(6)]
     expected = {seed: hexes(loop_space(seed, 36)) for seed in seeds}
     shared = [generate_space("thread:shared", 36) for _ in range(20)]
@@ -444,14 +441,19 @@ def test_threads_interleave_small_draws():
 PREFIX_SIZES = (16, 17, 100, 255, 256)
 PREFIX_SEEDS = ("4:7:space", 11, b"abc", bytearray(b"abc"), 2.5)
 # what a space's first reads are: row 0 then row n - 1, whose own entries
-# end the triangle, a middle row alone, the matrix, or s
-FIRST_READS = ("row 0, row n - 1", "middle row", "matrix", "s")
+# end the triangle, a middle row alone, every row in a shuffled order, or s
+FIRST_READS = ("row 0, row n - 1", "middle row", "shuffled rows", "s")
 
 
 def drawn_rows(seed, n: int, scale: float = 0.37):
     """The rows of the loop's entries, ``scale * (1 - Random(seed).random())``."""
     random = Random(seed).random
     return loop_rows([scale * (1.0 - random()) for _ in range(total(n))], n)
+
+
+def loop_s(seed, n: int, scale: float) -> float:
+    """The k-loop reference constant of the loop's rows."""
+    return k_loop_min_constant(np.array(drawn_rows(seed, n, scale)))
 
 
 def assert_rows(got, expected):
@@ -481,12 +483,17 @@ def test_prefix_draws_equal_random(n, seed, first):
     elif first == "middle row":
         got = {n // 2: dist[n // 2]}
         assert dist._filled == prefix_of_row(n // 2, n)
-    elif first == "matrix":
-        dist.matrix
+    elif first == "shuffled rows":
+        order = list(range(n))
+        Random(n).shuffle(order)
+        got = {i: dist[i] for i in order}
+        assert dist._filled == total(n)
     else:
         space.s
+        assert dist._filled == total(n)
     assert_rows(got, expected)
     assert_rows(dict(enumerate(dist)), expected)
+    assert space.s.hex() == k_loop_min_constant(np.array(expected)).hex()
 
 
 @pytest.mark.parametrize("n", (16, 100, 256))

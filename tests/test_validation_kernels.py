@@ -334,8 +334,10 @@ class TestKeptMatrix:
     def test_rows_behave_as_tuple_rows(self, n):
         from gphi.harness import _Rows, generate_space
 
-        rows = tuple(map(tuple, generate_space("rows", n).dist.matrix.tolist()))
+        random = Random("rows").random
+        rows = tuple(map(tuple, symmetric(n, lambda: 1.0 - random())))
         fs = generate_space("rows", n)
+        assert fs.s.hex() == k_loop_min_constant(np.array(rows)).hex()
         assert type(fs.dist) is _Rows
         assert fs.dist == rows and rows == fs.dist and not fs.dist != rows
         assert fs.dist != rows[:-1] and fs.dist != [list(row) for row in rows]
@@ -375,8 +377,9 @@ class TestKeptMatrix:
         T = harness.generate_operator("rows:op", space)
         gauges, phis = harness._prepare_catalogs(harness.FuzzConfig())
         built = []
-        row = harness._Rows._row
-        monkeypatch.setattr(harness._Rows, "_row", lambda rows, i: built.append(i) or row(rows, i))
+        gather = harness._Rows._gather
+        monkeypatch.setattr(harness._Rows, "_gather",
+                            lambda rows, i: built.append(i) or gather(rows, i))
         drawn = []
 
         def counted_pairs(points, r):
