@@ -222,7 +222,8 @@ def certify_condition_G(space: Space, T: OperatorSpec, G, phi, *, seed: int = 0,
     pair in the canonical order.  The distances are positive finite floats,
     validated matrix entries or interval distances past ``is_zero``, so G
     takes them without the check of ``gauge_eval``; the test is the strict
-    float test ``G(dt) <= phi(G(d))``, a NaN on either side failing it.
+    float test ``G(dt) <= phi(G(d))``, a NaN on either side failing it; phi
+    takes a positive finite float G(d) inline, any other through ``phi_eval``.
     """
     validate_operator(space, T)
     if isinstance(space, FiniteSpace):
@@ -241,7 +242,8 @@ def certify_condition_G(space: Space, T: OperatorSpec, G, phi, *, seed: int = 0,
     witness = None
     for x, y, d, dt in _informative_pairs(space, T, pairs):
         g_of_d, g_of_dt = G.eval(d), G.eval(dt)
-        bound = phi_eval(phi, g_of_d)
+        bound = (phi.eval(g_of_d) if type(g_of_d) is float and 0.0 < g_of_d < math.inf
+                 else phi_eval(phi, g_of_d))
         if not g_of_dt <= bound:
             witness = ViolationWitness(x, y, d, dt, g_of_d, g_of_dt, bound)
             verdict, note = "violated", None

@@ -32,8 +32,8 @@ its map each draw from a ``_random.Random`` seeded with the int
 MT19937 stream through numpy's legacy ``RandomState`` (frozen by NEP 19),
 seeded through ``init_by_array`` with that int cut into 32-bit words: its
 doubles are those of ``Random.random``.  A space of at most
-PY_KERNEL_MAX_POINTS points builds its rows with one ``itemgetter`` per
-size, which picks the n * n entries from the drawn triangle.
+PY_KERNEL_MAX_POINTS points builds each row with one ``itemgetter``,
+which picks the row's n entries from the drawn triangle.
 
 What the harness draws is checked data by construction and is not
 checked again: a map it drew is not checked before the scan, and a space
@@ -191,8 +191,8 @@ def generate_space(seed, n: int, scale: float = 1.0) -> FiniteSpace:
     else:
         random = _seeded(seed).random
         drawn = [scale * (1.0 - random()) for _ in range(n * (n - 1) // 2)]
-        flat = _ROW_PICKS[n]((*drawn, 0.0))
-        dist = tuple([flat[i:i + n] for i in range(0, n * n, n)])
+        drawn.append(0.0)
+        dist = tuple([pick(drawn) for pick in _ROW_PICKS[n]])
     if not (0.0 < lo and hi < math.inf):
         return validate_finite_space(tuple(dist))
     return _checked_space(dist, lo, hi)
@@ -336,17 +336,17 @@ def _seeded(seed):
     return Random(seed) if key is None else _random.Random(key)
 
 
-def _row_pick(n: int):
-    """An itemgetter that picks the n * n entries of a space drawn on n
-    points, in row-major order, from ``(*drawn, 0.0)``: ``drawn`` holds the
-    entries above the diagonal in row-major order, and the 0.0 after them
-    is every diagonal entry."""
+def _row_pick(n: int) -> tuple:
+    """One itemgetter per row of a space drawn on n points, which picks the
+    row's entries from ``[*drawn, 0.0]``: ``drawn`` holds the entries above
+    the diagonal in row-major order, and the 0.0 after them is every
+    diagonal entry."""
     # entry (i, j), i < j, of the drawn triangle is drawn[first[i] + j]
     first = [i * (2 * n - i - 1) // 2 - i - 1 for i in range(n)]
-    index = [first[min(i, j)] + max(i, j) if i != j else n * (n - 1) // 2
-             for i in range(n) for j in range(n)]
-    # one index would make the itemgetter return the entry, not a tuple
-    return operator.itemgetter(*index) if n > 1 else operator.itemgetter(slice(None))
+    rows = [[first[min(i, j)] + max(i, j) if i != j else n * (n - 1) // 2 for j in range(n)]
+            for i in range(n)]
+    # one index would make the itemgetter return the entry; one point's row is the 0.0
+    return tuple(operator.itemgetter(*row) for row in rows) if n > 1 else (tuple,)
 
 
 _ROW_PICKS = [None] + [_row_pick(n) for n in range(1, PY_KERNEL_MAX_POINTS + 1)]
@@ -371,7 +371,7 @@ def generate_operator(seed, space: FiniteSpace) -> FiniteMap:
             r = getrandbits(k)
         drawn.append(r)
     anchor = drawn.pop()
-    return FiniteMap(tuple(anchor if random() < 0.7 else b for b in drawn))
+    return FiniteMap(tuple([anchor if random() < 0.7 else b for b in drawn]))
 
 
 def _identity_map(n: int) -> FiniteMap:
@@ -462,13 +462,14 @@ def fuzz(config: FuzzConfig) -> FuzzReport:
     k = width.bit_length()
     for trial in range(trials):
         report.trials_run += 1
-        getrandbits = _seeded(f"{config.seed}:{trial}:shape").getrandbits
+        prefix = f"{config.seed}:{trial}:"
+        getrandbits = _seeded(prefix + "shape").getrandbits
         r = getrandbits(k)
         while r >= width:
             r = getrandbits(k)
         n = 2 + r
-        space = generate_space(f"{config.seed}:{trial}:space", n, config.scale)
-        T = generate_operator(f"{config.seed}:{trial}:operator", space)
+        space = generate_space(prefix + "space", n, config.scale)
+        T = generate_operator(prefix + "operator", space)
 
         if config.break_mode == "drop-contraction":
             T = _identity_map(space.n)
@@ -506,10 +507,11 @@ def _first_certified(space, T, gauges, phis):
     all gauges, and each gauge is evaluated once per pair for all phis.
     Two lists hold what the scans have reached: the informative pairs drawn
     so far, and the current gauge's (G(d), G(dt)) at the first of them.  A
-    scan extends a list only past its end, so the pairs are drawn, and G is
-    evaluated, at the same pairs and in the same order as one lazy pass per
-    (gauge, phi) would.  The test is ``certify_condition_G``'s strict float
-    test, a NaN failing it.
+    scan re-reads the values in a plain loop and extends the lists only past
+    their end, so the pairs are drawn, and G is evaluated, at the same pairs
+    and in the same order as one lazy pass per (gauge, phi) would.  The test
+    is ``certify_condition_G``'s strict float test, phi called inline on a
+    positive finite float G(d) and through ``phi_eval`` on any other.
     """
     pairs = _informative_pairs(space, T, combinations(space.points, 2))
     drawn = []
@@ -517,20 +519,23 @@ def _first_certified(space, T, gauges, phis):
         G = entry.gauge
         values = []
         for phi in phis:
-            i = 0
-            while True:
-                if i == len(values):
-                    if i == len(drawn):
+            for g_of_d, g_of_dt in values:
+                if not g_of_dt <= (phi.eval(g_of_d) if type(g_of_d) is float
+                                   and 0.0 < g_of_d < math.inf else phi_eval(phi, g_of_d)):
+                    break
+            else:
+                while True:
+                    if len(values) == len(drawn):
                         pair = next(pairs, None)
                         if pair is None:            # no informative pair violates (G)
                             return entry, phi
                         drawn.append(pair)
-                    _, _, d, dt = drawn[i]
-                    values.append((G.eval(d), G.eval(dt)))
-                g_of_d, g_of_dt = values[i]
-                if not g_of_dt <= phi_eval(phi, g_of_d):
-                    break
-                i += 1
+                    _, _, d, dt = drawn[len(values)]
+                    g_of_d, g_of_dt = G.eval(d), G.eval(dt)
+                    values.append((g_of_d, g_of_dt))
+                    if not g_of_dt <= (phi.eval(g_of_d) if type(g_of_d) is float
+                                       and 0.0 < g_of_d < math.inf else phi_eval(phi, g_of_d)):
+                        break
     return None
 
 
@@ -553,7 +558,9 @@ def _check_theorem(report, trial, space, T, entry, phi) -> bool:
 
     The orbits are read off T's functional graph in one pass; a trace is
     recorded only for a start point whose orbit ends on a cycle or whose
-    failed lemma bundles it."""
+    failed lemma bundles it.  The start points whose lemmas all hold are
+    tallied in one add per lemma and trial; ``lemma`` tallies, and bundles
+    in order, only the lemmas of a point with a failing one."""
     violations_before = len(report.violations)
     traces = {}
 
@@ -567,10 +574,11 @@ def _check_theorem(report, trial, space, T, entry, phi) -> bool:
     def lemma(name, passed, kind, detail, x0=None) -> bool:
         # the one outcome rule: tally, and bundle the counterexample on failure
         report.lemma_counts[name]["pass" if passed else "fail"] += 1
-        if not passed:
-            report.violations.append(_bundle(
-                trial, kind, detail, space, T, entry.gauge, phi,
-                None if x0 is None else trace_of(x0)))
+        if passed:
+            return passed
+        report.violations.append(_bundle(
+            trial, kind, detail, space, T, entry.gauge, phi,
+            None if x0 is None else trace_of(x0)))
         return passed
 
     def attempt(check, *args, **kwargs):
@@ -588,17 +596,19 @@ def _check_theorem(report, trial, space, T, entry, phi) -> bool:
 
     order = _paths_to(T.mapping, fp)
     cycling = set(space.points).difference(order)
-    for x0 in space.points:
-        trace = trace_of(x0) if x0 in cycling else None
-        lemma("orbit_convergence", trace is None, "orbit-divergence",
-              trace and f"orbit from {x0} stopped with {trace.stop_reason} "
-                        f"at {trace.fixed_point!r} instead of {fp}", x0)
+    report.lemma_counts["orbit_convergence"]["pass"] += len(order)
+    for x0 in sorted(cycling):
+        trace = trace_of(x0)
+        lemma("orbit_convergence", False, "orbit-divergence",
+              f"orbit from {x0} stopped with {trace.stop_reason} "
+              f"at {trace.fixed_point!r} instead of {fp}", x0)
 
     if entry.in_g1:
         report.g1_instances += 1
-        for x0 in space.points:
+        report.lemma_counts["g1_termination"]["pass"] += len(order)
+        for x0 in sorted(cycling):
             # a cycling orbit never becomes constant
-            lemma("g1_termination", x0 not in cycling, "g1-termination",
+            lemma("g1_termination", False, "g1-termination",
                   "positive-infimum gauge but orbit never became constant", x0)
         return len(report.violations) == violations_before
 
@@ -611,6 +621,7 @@ def _check_theorem(report, trial, space, T, entry, phi) -> bool:
 
     image = _power_image(T.mapping, n)
     bound = attempt(_cauchy_bound, space.s, eps)
+    passed = 0                  # the start points whose four lemmas hold
     for x0, orbit in enumerate(_lemma_pass(space, T.mapping, order, n, eps, image)):
         if orbit is None:
             # an orbit that ends on a cycle: the lemmas on its recorded trace
@@ -625,6 +636,9 @@ def _check_theorem(report, trial, space, T, entry, phi) -> bool:
         else:
             m, ball, chain = orbit.m, orbit.ball, (orbit.m0, orbit.chained)
             cauchy = bound is not None and orbit.diameter <= bound
+            if ball and orbit.chained and cauchy:
+                passed += 1
+                continue
         if not lemma("m_epsilon", m is not None, "m-epsilon-budget",
                      "m_epsilon exhausted its budget", x0):
             continue
@@ -633,6 +647,8 @@ def _check_theorem(report, trial, space, T, entry, phi) -> bool:
               "block distances exceeded eps", x0)
         lemma("cauchy_bound", cauchy, "cauchy-bound",
               "tail pair distance exceeded 4*s^3*eps", x0)
+    for name in ("m_epsilon", "invariant_ball", "step_chaining", "cauchy_bound"):
+        report.lemma_counts[name]["pass"] += passed
     return len(report.violations) == violations_before
 
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+from itertools import chain
 from operator import add, itemgetter
 from typing import Sequence
 
@@ -388,18 +389,19 @@ def _least_cover(s: float, uncovered) -> float:
 def _constant_of(dist) -> float:
     """The minimal constant of validated rows, by the kernel for their size;
     numpy's reads an array of the rows."""
-    if len(dist) <= PY_KERNEL_MAX_POINTS:
+    n = len(dist)
+    if n <= PY_KERNEL_MAX_POINTS:
         return _min_constant_rows(dist)
     import numpy as np
 
-    return _min_constant(np.array(dist))
+    return _min_constant(np.fromiter(chain.from_iterable(dist), float, n * n).reshape(n, n))
 
 
 def _checked_space(dist, lo: float, hi: float) -> FiniteSpace:
     """The space of checked rows with off-diagonal entries in [lo, hi].  As
     d >= via >= lo, every ratio d/via is at most fl(hi/lo); s waits for its
     first read unless that reaches _FINITE_RATIO_BOUND, and an inf raises."""
-    return FiniteSpace(dist=dist, s=None if hi / lo < _FINITE_RATIO_BOUND else _constant_of(dist))
+    return FiniteSpace(dist, None if hi / lo < _FINITE_RATIO_BOUND else _constant_of(dist))
 
 
 _PLAIN_ENTRIES = frozenset((int, float))

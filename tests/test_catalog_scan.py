@@ -5,6 +5,10 @@ each gauge's values across the comparison functions.  It must pick the same
 (gauge, phi) pair as calling ``certify_condition_G`` on the catalog in order,
 raise the same exception where such a call raises, and reach no deeper into
 the pairs than the calls do.
+
+Both scans call phi inline on a G(d) that is a positive finite float and
+through ``phi_eval`` on any other; the slow-path catalogs give G values of
+every other kind, and a recording phi sees what each scan passes it.
 """
 
 import math
@@ -12,14 +16,19 @@ from itertools import combinations
 
 from hypothesis import given, settings, strategies as st
 
+import pytest
+
 from gphi.contraction import _informative_pairs, certify_condition_G
 from gphi.errors import NonpositiveArgument
 from gphi.gauges import (
+    IDENTITY_FORM,
     ExpOfFGauge,
     HyperbolicPhi,
     LinearPhi,
+    PowerGauge,
     RealForm,
     TabulatedGauge,
+    phi_eval,
 )
 from gphi.harness import (
     DEFAULT_PHI_CATALOG,
@@ -129,3 +138,103 @@ def test_scan_reaches_only_the_pairs_it_needs(monkeypatch):
     # G at d and at dt of each informative pair up to the deepest witness
     assert len(evaluated) == 2 * (deepest + 1)
     assert drawn[-1] == informative[deepest]
+
+
+# --- the slow path: G values that are not positive finite floats --------------
+
+PHI_CALLS = []
+
+
+class RecordingPhi(LinearPhi):
+    """c * t, recording the type and value of every argument."""
+
+    def eval(self, t):
+        PHI_CALLS.append((type(t), t))
+        return super().eval(t)
+
+
+class IntStepGauge(TabulatedGauge):
+    """A step gauge whose values stay ints."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        object.__setattr__(self, "points", tuple((t, int(v)) for t, v in self.points))
+
+
+class Measure(float):
+    pass
+
+
+class SubclassGauge(PowerGauge):
+    """a ** q, returned as a float subclass."""
+
+    def eval(self, a):
+        return Measure(super().eval(a))
+
+
+SLOW_GAUGES = {
+    "int-steps": IntStepGauge(((0.5, 2), (1, 1), (2, 4))),
+    "float-subclass": SubclassGauge(2.0),
+    "underflow": PowerGauge(400.0),         # 0.0 below d ~ 0.17
+    "overflow": ExpOfFGauge(IDENTITY_FORM),  # inf past d ~ 709.8
+}
+RECORDING_PHIS = (RecordingPhi(0.5), RecordingPhi(0.9))
+
+
+def recorded(scan, *args):
+    """The outcome of the scan and the phi calls it made."""
+    PHI_CALLS.clear()
+    return outcome(scan, *args), list(PHI_CALLS)
+
+
+def test_slow_gauges_miss_the_guard():
+    assert type(SLOW_GAUGES["int-steps"].eval(0.7)) is int
+    assert type(SLOW_GAUGES["float-subclass"].eval(0.7)) is Measure
+    assert SLOW_GAUGES["underflow"].eval(0.1) == 0.0
+    assert SLOW_GAUGES["overflow"].eval(800.0) == math.inf
+
+
+@pytest.mark.parametrize("name", SLOW_GAUGES)
+@pytest.mark.parametrize("scale", [1.0, 1000.0])
+@pytest.mark.parametrize("kind", ["biased", "uniform", "identity"])
+def test_slow_path_scan_matches_public_certifier(name, scale, kind):
+    # the slow gauge first, and again after a gauge on the fast path
+    catalogs = [(SLOW_GAUGES[name],), (PowerGauge(0.5), SLOW_GAUGES[name])]
+    for seed in range(12):
+        n = 2 + seed % 7
+        space = generate_space(f"slow:{seed}", n, scale)
+        if kind == "identity":
+            T = _identity_map(n)
+        elif kind == "biased":
+            T = generate_operator(f"slow:{seed}:op", space)
+        else:
+            T = uniform_map(f"slow:{seed}:op", n)
+        for catalog in catalogs:
+            gauges = [_CatalogGauge(G, in_g1=False, eps0=None) for G in catalog]
+            got = recorded(_first_certified, space, T, gauges, RECORDING_PHIS)
+            assert got == recorded(reference_first_certified, space, T, gauges, RECORDING_PHIS)
+            # phi_eval hands phi a plain float on every path
+            assert {t for t, _ in got[1]} <= {float}
+
+
+@pytest.mark.parametrize("name", SLOW_GAUGES)
+def test_slow_path_witness_bound_is_phi_eval(name):
+    G = SLOW_GAUGES[name]
+    witnessed = 0
+    for seed in range(40):
+        n = 2 + seed % 7
+        space = generate_space(f"slow-witness:{seed}", n, 1000.0 if seed % 2 else 1.0)
+        T = uniform_map(f"slow-witness:{seed}:op", n)
+        for phi in RECORDING_PHIS:
+            PHI_CALLS.clear()
+            try:
+                cert = certify_condition_G(space, T, G, phi)
+            except NonpositiveArgument:
+                continue
+            assert {t for t, _ in PHI_CALLS} <= {float}
+            w = cert.violation_witness
+            if w is not None:
+                bound = phi_eval(phi, w.g_of_d)
+                assert (type(w.phi_bound), w.phi_bound) == (type(bound), bound)
+                witnessed += 1
+    assert witnessed > 0

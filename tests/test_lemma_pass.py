@@ -183,6 +183,33 @@ def test_forced_failure_reports_equal(monkeypatch, forced):
     assert '"violations": []' not in report
 
 
+def _ball_at_the_fixed_point(space, centre, eps, image):
+    # the ball fails around every centre but the fixed point, the only one
+    # that T^n fixes
+    return image(centre) == centre and solver._ball_holds(space, centre, eps, image)
+
+
+@pytest.mark.parametrize("shape", ["tree", "two-cycle", "halving"])
+def test_mixed_passes_and_failures_in_one_trial(monkeypatch, shape):
+    # fuzz trials centre every ball at the fixed point; on these graphs some
+    # start points have other centres, so one trial mixes points whose
+    # lemmas all hold, tallied in bulk, with points whose ball lemma fails
+    # and is bundled
+    monkeypatch.setattr(harness, "_ball_holds", _ball_at_the_fixed_point)
+    monkeypatch.setattr(sys.modules[__name__], "_ball_holds", _ball_at_the_fixed_point)
+    entries = [_prepare_catalogs(FuzzConfig(gauge_catalog=(gauge,), phi_catalog=(phi,)))
+               for gauge, phi in ((IdentityGauge(), LinearPhi(0.6)),
+                                  (PowerGauge(0.5), LinearPhi(0.5)))]
+    mixed = 0
+    for k, (space, T, _) in enumerate(_graph_cases(shape)):
+        (entry,), (phi,) = entries[k % 2]
+        (_, reference), (_, own) = _check_both(space, T, entry, phi)
+        assert own.to_json_str() == reference.to_json_str()
+        balls = own.lemma_counts["invariant_ball"]
+        mixed += balls["pass"] > 0 and balls["fail"] > 0
+    assert mixed > 0
+
+
 @pytest.mark.parametrize("name", INSTANCES)
 def test_crafted_instances_equal(name):
     reference, own = _check_both(*crafted_instance(name))
