@@ -14,9 +14,8 @@ every other kind, and a recording phi sees what each scan passes it.
 import math
 from itertools import combinations
 
-from hypothesis import given, settings, strategies as st
-
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gphi.contraction import _informative_pairs, certify_condition_G
 from gphi.errors import NonpositiveArgument

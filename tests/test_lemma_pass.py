@@ -203,8 +203,8 @@ def test_mixed_passes_and_failures_in_one_trial(monkeypatch, shape):
     mixed = 0
     for k, (space, T, _) in enumerate(_graph_cases(shape)):
         (entry,), (phi,) = entries[k % 2]
-        (_, reference), (_, own) = _check_both(space, T, entry, phi)
-        assert own.to_json_str() == reference.to_json_str()
+        (held, reference), (own_held, own) = _check_both(space, T, entry, phi)
+        assert (own_held, own.to_json_str()) == (held, reference.to_json_str())
         balls = own.lemma_counts["invariant_ball"]
         mixed += balls["pass"] > 0 and balls["fail"] > 0
     assert mixed > 0
